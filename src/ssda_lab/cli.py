@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 runtime error.
 Config precedence: built-in defaults < JSON config file (--config) < flags.
-``SSDA_LAB_THREADS`` caps worker processes for ablation grids (default 1).
+``SSDA_LAB_THREADS`` caps worker processes for ablation grids (a positive
+integer, default 1).
 """
 
 from __future__ import annotations
@@ -95,7 +96,8 @@ def build_config(args: argparse.Namespace) -> TrainConfig:
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = flag
-    values["hidden_dims"] = tuple(values["hidden_dims"])
+    if isinstance(values["hidden_dims"], list):
+        values["hidden_dims"] = tuple(values["hidden_dims"])
     config = TrainConfig(**values)
     try:
         config.validate()
@@ -106,10 +108,6 @@ def build_config(args: argparse.Namespace) -> TrainConfig:
 
 def _print_effective_config(config: TrainConfig) -> None:
     print("effective config: " + json.dumps(asdict(config), sort_keys=True))
-
-
-def _load_split_or_fail(path: str) -> SSDASplit:
-    return load_split(path)
 
 
 def _anchor_features(split: SSDASplit, params) -> dict[int, np.ndarray]:
@@ -170,7 +168,10 @@ def _run_selftrain(split: SSDASplit, selected, params, config: TrainConfig, out:
 
 
 def cmd_gen_data(args) -> int:
-    translation = tuple(float(v) for v in args.translation.split(",")) if args.translation else ()
+    try:
+        translation = tuple(float(v) for v in args.translation.split(",")) if args.translation else ()
+    except ValueError as err:
+        raise ConfigError(f"bad --translation list: {args.translation!r}") from err
     spec = DomainPairSpec(
         n_classes=args.classes,
         input_dim=args.dim,
@@ -186,12 +187,11 @@ def cmd_gen_data(args) -> int:
         seed=args.seed,
     )
     try:
-        spec.validate()
+        split = gen_split(spec, n_t_per_class=args.shots, n_val_per_class=args.val_per_class)
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    split = gen_split(spec, n_t_per_class=args.shots, n_val_per_class=args.val_per_class)
     manifest_path = save_split(split, args.out)
-    print(f"wrote split to {args.out} ({len(split.labeled_target)} labeled target, "
+    print(f"wrote split to {args.out} ({len(split.labeled_target[0])} labeled target, "
           f"{len(split.unlabeled_target)} unlabeled, checksum {split_checksum(args.out)[:12]})")
     print(f"manifest: {manifest_path}")
     return EXIT_OK
@@ -200,7 +200,7 @@ def cmd_gen_data(args) -> int:
 def cmd_train_baseline(args) -> int:
     config = build_config(args)
     _print_effective_config(config)
-    split = _load_split_or_fail(args.split)
+    split = load_split(args.split)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
@@ -216,7 +216,7 @@ def cmd_train_baseline(args) -> int:
 def cmd_pseudo_label(args) -> int:
     config = build_config(args)
     _print_effective_config(config)
-    split = _load_split_or_fail(args.split)
+    split = load_split(args.split)
     record = load_checkpoint(args.checkpoint)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -230,7 +230,7 @@ def cmd_pseudo_label(args) -> int:
 def cmd_self_train(args) -> int:
     config = build_config(args)
     _print_effective_config(config)
-    split = _load_split_or_fail(args.split)
+    split = load_split(args.split)
     record = load_checkpoint(args.checkpoint)
     selected = selected_set_from_dump(load_selection(args.selection))
     out = Path(args.out)
@@ -248,7 +248,7 @@ def cmd_self_train(args) -> int:
 def cmd_run_pipeline(args) -> int:
     config = build_config(args)
     _print_effective_config(config)
-    split = _load_split_or_fail(args.split)
+    split = load_split(args.split)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     timings: dict = {}
@@ -284,7 +284,7 @@ def cmd_run_pipeline(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    split = _load_split_or_fail(args.split)
+    split = load_split(args.split)
     record = load_checkpoint(args.checkpoint)
     acc = evaluate(record["params"], split.unlabeled_x(), split.unlabeled_truth)
     print(f"accuracy on unlabeled target: {acc:.4f}")
@@ -295,10 +295,10 @@ def cmd_evaluate(args) -> int:
 
 
 def _max_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("SSDA_LAB_THREADS", "1")))
-    except ValueError:
-        return 1
+    raw = os.environ.get("SSDA_LAB_THREADS", "1")
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ConfigError(f"SSDA_LAB_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _pipeline_cell(task: tuple) -> tuple:
@@ -312,21 +312,19 @@ def _pipeline_cell(task: tuple) -> tuple:
         split = load_split(split_dir)
     config_fields = {k: v for k, v in overrides.items() if not k.startswith("_")}
     config = TrainConfig(**{**asdict(TrainConfig()), **config_fields, "seed": seed})
-    config.hidden_dims = tuple(config.hidden_dims)
     params, _ = train_baseline(split, config)
     if overrides.get("_no_pseudo"):
         acc = evaluate(params, split.unlabeled_x(), split.unlabeled_truth)
         return seed, overrides.get("_tag", ""), acc
     annotations = infer_pseudo(params, split.unlabeled_x())
-    anchors = {c: forward_features(x, params) for c, x in split.labeled_target_by_class().items()}
-    selected = select(annotations, anchors, config.r_u, len(split.unlabeled_target), split.n_classes)
+    selected = select(annotations, _anchor_features(split, params), config.r_u,
+                      len(split.unlabeled_target), split.n_classes)
     final, _ = progressive_self_train(split, selected, params, config)
     acc = evaluate(final, split.unlabeled_x(), split.unlabeled_truth)
     return seed, overrides.get("_tag", ""), acc
 
 
-def _run_cells(tasks: list[tuple]) -> list[tuple]:
-    workers = _max_workers()
+def _run_cells(tasks: list[tuple], workers: int) -> list[tuple]:
     if workers == 1:
         results = [_pipeline_cell(t) for t in tasks]
     else:
@@ -348,6 +346,7 @@ def _parse_seeds(raw: str) -> list[int]:
 def cmd_ablate_ru(args) -> int:
     config = build_config(args)
     _print_effective_config(config)
+    workers = _max_workers()
     seeds = _parse_seeds(args.seeds)
     try:
         grid = [float(v) for v in args.grid.split(",")]
@@ -366,7 +365,7 @@ def cmd_ablate_ru(args) -> int:
             overrides["r_u"] = r_u
             overrides["_tag"] = repr(r_u)
             tasks.append((args.split, seed, overrides, args.regen))
-    results = _run_cells(tasks)
+    results = _run_cells(tasks, workers)
 
     rows = sorted((float(tag), seed, acc) for seed, tag, acc in results)
     lines = ["r_u,seed,accuracy"] + [f"{r!r},{s},{a!r}" for r, s, a in rows]
@@ -393,6 +392,7 @@ def cmd_ablate_ru(args) -> int:
 def cmd_ablate_noise(args) -> int:
     config = build_config(args)
     _print_effective_config(config)
+    workers = _max_workers()
     seeds = _parse_seeds(args.seeds)
     if len(seeds) < 2:
         raise ConfigError("ablate-noise needs at least 2 seeds")
@@ -409,7 +409,7 @@ def cmd_ablate_noise(args) -> int:
         for seed in seeds:
             overrides = {**base_overrides, **arm, "_tag": tag}
             tasks.append((args.split, seed, overrides, args.regen))
-    results = _run_cells(tasks)
+    results = _run_cells(tasks, workers)
 
     by_arm: dict[str, dict[int, float]] = {"progressive": {}, "vanilla": {}}
     for seed, tag, acc in results:
@@ -432,7 +432,7 @@ def cmd_ablate_noise(args) -> int:
 def cmd_report_reliability(args) -> int:
     dump = load_selection(args.selection)
     if args.split:
-        split = _load_split_or_fail(args.split)
+        split = load_split(args.split)
         truth = split.unlabeled_truth
         selected_ids = {a["index"] for a in dump["annotations"] if a["selected"]}
         hits_all = [a["hard_label"] == int(truth[a["index"]]) for a in dump["annotations"]]

@@ -4,7 +4,9 @@ A domain pair is K Gaussian blobs with means on a circle (source) and the
 same blobs pushed through an affine shift (target).  The target pool is
 split into a few labeled anchors per class, a small labeled validation
 set, and an unlabeled remainder whose ground-truth labels are quarantined
-in a parallel array that only evaluation code should touch.
+in a parallel array that only evaluation code should touch.  Every subset
+is held as arrays: an ``(x, y)`` pair for the labeled ones, features only
+for the unlabeled one.
 
 On disk a split is a directory: ``manifest.json`` plus ``source.csv``,
 ``labeled_target.csv``, ``unlabeled_target.csv`` (label column fixed to
@@ -27,19 +29,6 @@ SPLIT_FORMAT_VERSION = 1
 
 class DataError(Exception):
     """Raised for malformed, missing, or tampered split files."""
-
-
-@dataclass(frozen=True)
-class LabeledSample:
-    x: np.ndarray
-    y: int
-
-
-@dataclass(frozen=True)
-class UnlabeledSample:
-    """Training-facing view of a target sample: features only, no label field."""
-
-    x: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -133,8 +122,8 @@ def _per_class_counts(total: int, k: int) -> list[int]:
     return [base + (1 if c < extra else 0) for c in range(k)]
 
 
-def gen_domain_pair(spec: DomainPairSpec) -> tuple[list[LabeledSample], list[LabeledSample]]:
-    """Draw the source and target pools (both with ground-truth labels)."""
+def gen_domain_pair(spec: DomainPairSpec) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Draw the source and target pools as (x, y) pairs, both with ground-truth labels."""
     spec.validate()
     means = class_means(spec)
     pools = []
@@ -148,60 +137,70 @@ def gen_domain_pair(spec: DomainPairSpec) -> tuple[list[LabeledSample], list[Lab
         y = np.concatenate(ys)
         if domain == "target":
             x = apply_shift(x, y, spec.shift)
-        pools.append([LabeledSample(x=x[i], y=int(y[i])) for i in range(len(y))])
+        pools.append((x, y))
     return pools[0], pools[1]
 
 
 def split_target(
-    target_pool: list[LabeledSample],
+    target: tuple[np.ndarray, np.ndarray],
     n_t_per_class: int,
     n_val_per_class: int,
     seed: int,
-) -> tuple[list[LabeledSample], list[LabeledSample], list[UnlabeledSample], np.ndarray]:
-    """Stratified draw of (labeled_target, validation_target, unlabeled, hidden truth).
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
+    """Stratified draw of (labeled_target, validation_target, unlabeled_x, hidden truth).
 
     Labels of the unlabeled remainder are returned as a separate array so
-    training code paths that consume UnlabeledSample never see them.
+    training code paths that consume the unlabeled features never see them.
     """
-    labels = np.array([s.y for s in target_pool])
-    classes = sorted(set(int(c) for c in labels))
+    if n_t_per_class < 1 or n_val_per_class < 1:
+        raise ValueError(
+            f"need at least 1 labeled and 1 validation sample per class, "
+            f"got {n_t_per_class} and {n_val_per_class}"
+        )
+    x, y = target
     rng = seeded_rng(seed, "split")
     labeled_idx, val_idx, rest_idx = [], [], []
-    for c in classes:
-        members = np.flatnonzero(labels == c)
+    for c in np.flatnonzero(np.bincount(y)):  # classes present, ascending
+        members = np.flatnonzero(y == c)
         if len(members) < n_t_per_class + n_val_per_class + 1:
             raise ValueError(
                 f"insufficient samples for class {c}: "
                 f"need {n_t_per_class + n_val_per_class + 1}, have {len(members)}"
             )
         order = rng.permutation(members)
-        labeled_idx.extend(order[:n_t_per_class])
-        val_idx.extend(order[n_t_per_class : n_t_per_class + n_val_per_class])
-        rest_idx.extend(order[n_t_per_class + n_val_per_class :])
-    rest_idx = sorted(rest_idx)
-    labeled = [target_pool[i] for i in sorted(labeled_idx)]
-    validation = [target_pool[i] for i in sorted(val_idx)]
-    unlabeled = [UnlabeledSample(x=target_pool[i].x) for i in rest_idx]
-    truth = np.array([target_pool[i].y for i in rest_idx], dtype=int)
-    return labeled, validation, unlabeled, truth
+        labeled_idx.append(order[:n_t_per_class])
+        val_idx.append(order[n_t_per_class : n_t_per_class + n_val_per_class])
+        rest_idx.append(order[n_t_per_class + n_val_per_class :])
+    labeled_idx, val_idx, rest_idx = (np.sort(np.concatenate(idx)) for idx in (labeled_idx, val_idx, rest_idx))
+    return (x[labeled_idx], y[labeled_idx]), (x[val_idx], y[val_idx]), x[rest_idx], y[rest_idx]
 
 
 @dataclass
 class SSDASplit:
     """One benchmark instance: source pool plus the three target subsets.
 
+    ``source``, ``labeled_target`` and ``validation_target`` are (x, y)
+    pairs; ``unlabeled_target`` is the (n, d) feature array alone.
     ``unlabeled_truth[i]`` is the hidden label of ``unlabeled_target[i]``;
-    it exists for evaluation and reliability reporting only.
+    it exists for evaluation and reliability reporting only.  All arrays
+    are read-only, so the views below share memory with the split safely.
     """
 
     spec: DomainPairSpec
-    source: list[LabeledSample]
-    labeled_target: list[LabeledSample]
-    unlabeled_target: list[UnlabeledSample]
-    validation_target: list[LabeledSample]
+    source: tuple[np.ndarray, np.ndarray]
+    labeled_target: tuple[np.ndarray, np.ndarray]
+    unlabeled_target: np.ndarray
+    validation_target: tuple[np.ndarray, np.ndarray]
     unlabeled_truth: np.ndarray
     n_t_per_class: int
     n_val_per_class: int
+
+    def __post_init__(self) -> None:
+        # the supervised pool (source plus labeled target) is stacked once, here
+        self._labeled = tuple(np.concatenate(parts) for parts in zip(self.source, self.labeled_target))
+        for a in (*self.source, *self.labeled_target, *self.validation_target, *self._labeled,
+                  self.unlabeled_target, self.unlabeled_truth):
+            a.setflags(write=False)
 
     @property
     def n_classes(self) -> int:
@@ -209,30 +208,26 @@ class SSDASplit:
 
     def labeled_xy(self) -> tuple[np.ndarray, np.ndarray]:
         """Source plus labeled target, the supervised training pool."""
-        samples = self.source + self.labeled_target
-        return np.array([s.x for s in samples]), np.array([s.y for s in samples], dtype=int)
+        return self._labeled
 
     def unlabeled_x(self) -> np.ndarray:
-        return np.array([s.x for s in self.unlabeled_target])
+        return self.unlabeled_target
 
     def validation_xy(self) -> tuple[np.ndarray, np.ndarray]:
-        return (
-            np.array([s.x for s in self.validation_target]),
-            np.array([s.y for s in self.validation_target], dtype=int),
-        )
+        return self.validation_target
 
     def labeled_target_by_class(self) -> dict[int, np.ndarray]:
-        out: dict[int, np.ndarray] = {}
-        for c in range(self.n_classes):
-            rows = [s.x for s in self.labeled_target if s.y == c]
-            out[c] = np.array(rows)
+        x, y = self.labeled_target
+        out = {c: x[y == c] for c in range(self.n_classes)}
+        for rows in out.values():
+            rows.setflags(write=False)
         return out
 
 
 def gen_split(spec: DomainPairSpec, n_t_per_class: int = 3, n_val_per_class: int = 3) -> SSDASplit:
     """Generate a domain pair and apply the split protocol, all from spec.seed."""
-    source, target_pool = gen_domain_pair(spec)
-    labeled, validation, unlabeled, truth = split_target(target_pool, n_t_per_class, n_val_per_class, spec.seed)
+    source, target = gen_domain_pair(spec)
+    labeled, validation, unlabeled, truth = split_target(target, n_t_per_class, n_val_per_class, spec.seed)
     return SSDASplit(
         spec=spec,
         source=source,
@@ -279,11 +274,11 @@ def save_split(split: SSDASplit, out_dir: str | Path) -> Path:
     out.mkdir(parents=True, exist_ok=True)
 
     tables = {
-        "source.csv": _csv_lines(*_xy(split.source)),
-        "labeled_target.csv": _csv_lines(*_xy(split.labeled_target)),
-        "validation_target.csv": _csv_lines(*_xy(split.validation_target)),
+        "source.csv": _csv_lines(*split.source),
+        "labeled_target.csv": _csv_lines(*split.labeled_target),
+        "validation_target.csv": _csv_lines(*split.validation_target),
         "unlabeled_target.csv": _csv_lines(
-            split.unlabeled_x(), np.full(len(split.unlabeled_target), -1, dtype=int)
+            split.unlabeled_target, np.full(len(split.unlabeled_target), -1, dtype=int)
         ),
         "unlabeled_truth.csv": "index,y\n"
         + "".join(f"{i},{int(y)}\n" for i, y in enumerate(split.unlabeled_truth)),
@@ -300,20 +295,16 @@ def save_split(split: SSDASplit, out_dir: str | Path) -> Path:
         "n_t_per_class": split.n_t_per_class,
         "n_val_per_class": split.n_val_per_class,
         "counts": {
-            "source": len(split.source),
-            "labeled_target": len(split.labeled_target),
+            "source": len(split.source[0]),
+            "labeled_target": len(split.labeled_target[0]),
             "unlabeled_target": len(split.unlabeled_target),
-            "validation_target": len(split.validation_target),
+            "validation_target": len(split.validation_target[0]),
         },
         "checksums": checksums,
     }
     manifest_path = out / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return manifest_path
-
-
-def _xy(samples: list[LabeledSample]) -> tuple[np.ndarray, np.ndarray]:
-    return np.array([s.x for s in samples]), np.array([s.y for s in samples], dtype=int)
 
 
 def split_checksum(split_dir: str | Path) -> str:
@@ -341,26 +332,10 @@ def load_split(split_dir: str | Path) -> SSDASplit:
             raise DataError(f"checksum mismatch for {name}")
         texts[name] = data.decode("utf-8")
 
-    spec_dict = dict(manifest["spec"])
-    shift = ShiftSpec(
-        rotation_degrees=spec_dict["shift"]["rotation_degrees"],
-        translation=tuple(spec_dict["shift"]["translation"]),
-        scale=spec_dict["shift"]["scale"],
-        label_skew=spec_dict["shift"]["label_skew"],
-    )
-    spec = DomainPairSpec(
-        n_classes=spec_dict["n_classes"],
-        input_dim=spec_dict["input_dim"],
-        n_source=spec_dict["n_source"],
-        n_target=spec_dict["n_target"],
-        class_separation=spec_dict["class_separation"],
-        shift=shift,
-        seed=spec_dict["seed"],
-    )
+    spec_dict = manifest["spec"]
+    shift = ShiftSpec(**{**spec_dict["shift"], "translation": tuple(spec_dict["shift"]["translation"])})
+    spec = DomainPairSpec(**{**spec_dict, "shift": shift})
 
-    src_x, src_y = _parse_samples_csv(texts["source.csv"], "source.csv")
-    lab_x, lab_y = _parse_samples_csv(texts["labeled_target.csv"], "labeled_target.csv")
-    val_x, val_y = _parse_samples_csv(texts["validation_target.csv"], "validation_target.csv")
     unl_x, unl_y = _parse_samples_csv(texts["unlabeled_target.csv"], "unlabeled_target.csv")
     if np.any(unl_y != -1):
         raise DataError("unlabeled_target.csv must carry the -1 label sentinel")
@@ -371,10 +346,10 @@ def load_split(split_dir: str | Path) -> SSDASplit:
 
     return SSDASplit(
         spec=spec,
-        source=[LabeledSample(x=src_x[i], y=int(src_y[i])) for i in range(len(src_y))],
-        labeled_target=[LabeledSample(x=lab_x[i], y=int(lab_y[i])) for i in range(len(lab_y))],
-        unlabeled_target=[UnlabeledSample(x=unl_x[i]) for i in range(len(unl_x))],
-        validation_target=[LabeledSample(x=val_x[i], y=int(val_y[i])) for i in range(len(val_y))],
+        source=_parse_samples_csv(texts["source.csv"], "source.csv"),
+        labeled_target=_parse_samples_csv(texts["labeled_target.csv"], "labeled_target.csv"),
+        unlabeled_target=unl_x,
+        validation_target=_parse_samples_csv(texts["validation_target.csv"], "validation_target.csv"),
         unlabeled_truth=truth,
         n_t_per_class=manifest["n_t_per_class"],
         n_val_per_class=manifest["n_val_per_class"],

@@ -270,21 +270,14 @@ def sgd_step(
     lr: float,
     momentum: float = 0.9,
     weight_decay: float = 0.0,
-    groups: str = "both",
 ) -> None:
-    """In-place SGD with momentum: v <- mu v + g + wd*theta; theta <- theta - lr*v.
-
-    ``groups`` restricts the update to "extractor" or "classifier"; the
-    untouched group's velocity is left alone too.
-    """
+    """In-place SGD with momentum: v <- mu v + g + wd*theta; theta <- theta - lr*v."""
     if lr <= 0:
         raise ValueError("lr must be positive")
     if not 0 <= momentum < 1:
         raise ValueError("momentum must be in [0, 1)")
     if weight_decay < 0:
         raise ValueError("weight_decay must be nonnegative")
-    if groups not in ("both", "extractor", "classifier"):
-        raise ValueError(f"unknown parameter group selector: {groups!r}")
 
     def _update(theta: np.ndarray, g: np.ndarray, v: np.ndarray) -> None:
         if theta.shape != g.shape or theta.shape != v.shape:
@@ -293,12 +286,10 @@ def sgd_step(
         v += g + weight_decay * theta
         theta -= lr * v
 
-    if groups in ("both", "extractor"):
-        for (w, b), (gw, gb), (vw, vb) in zip(params.extractor_layers, grads.grad_layers, velocities.grad_layers):
-            _update(w, gw, vw)
-            _update(b, gb, vb)
-    if groups in ("both", "classifier"):
-        _update(params.classifier_weights, grads.grad_classifier, velocities.grad_classifier)
+    for (w, b), (gw, gb), (vw, vb) in zip(params.extractor_layers, grads.grad_layers, velocities.grad_layers):
+        _update(w, gw, vw)
+        _update(b, gb, vb)
+    _update(params.classifier_weights, grads.grad_classifier, velocities.grad_classifier)
 
 
 def anneal_lr(base_lr: float, progress: float) -> float:

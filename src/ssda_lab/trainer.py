@@ -19,7 +19,8 @@ result of a stage.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,20 @@ from .pseudolabel import SelectedSet
 STATE_FORMAT_VERSION = 1
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# TrainConfig annotation -> (type test, what the message asks for)
+_FIELD_TYPES = {
+    "int": (_is_int, "an integer"),
+    "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v),
+              "a finite number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "tuple[int, ...]": (lambda v: isinstance(v, (tuple, list)) and all(map(_is_int, v)), "a list of integers"),
+}
+
+
 @dataclass
 class TrainConfig:
     """Hyperparameters for both training stages.
@@ -68,7 +83,6 @@ class TrainConfig:
     batch_labeled: int = 32
     batch_unlabeled: int = 32
     batch_pseudo: int = 64
-    sequential_updates: bool = False
     hidden_dims: tuple[int, ...] = (64, 64)
     feature_dim: int = 32
     temperature: float = 0.05
@@ -76,12 +90,20 @@ class TrainConfig:
 
     def validate(self) -> None:
         problems = []
+        for f in fields(self):
+            is_type, expected = _FIELD_TYPES[f.type]
+            if not is_type(getattr(self, f.name)):
+                problems.append(f"{f.name} must be {expected}, got {getattr(self, f.name)!r}")
+        if problems:
+            raise ValueError("invalid train config: " + "; ".join(problems))
         if self.lambda_ < 0:
             problems.append(f"lambda must be nonnegative, got {self.lambda_}")
         if not 0.0 <= self.label_momentum <= 1.0:
             problems.append(f"label_momentum must be in [0, 1], got {self.label_momentum}")
         if not 0.0 < self.r_u <= 1.0:
             problems.append(f"r_u must be in (0, 1], got {self.r_u}")
+        if min(self.t_max, self.t_val) < 1:
+            problems.append(f"t_max and t_val must be >= 1, got {self.t_max} and {self.t_val}")
         if self.t_val > self.t_max:
             problems.append(f"t_val {self.t_val} exceeds t_max {self.t_max}")
         if min(self.batch_labeled, self.batch_unlabeled, self.batch_pseudo) < 1:
@@ -90,6 +112,17 @@ class TrainConfig:
             problems.append("patience must be >= 1")
         if self.base_lr <= 0:
             problems.append("base_lr must be positive")
+        if not 0.0 <= self.sgd_momentum < 1.0:
+            problems.append(f"sgd_momentum must be in [0, 1), got {self.sgd_momentum}")
+        if self.weight_decay < 0:
+            problems.append(f"weight_decay must be nonnegative, got {self.weight_decay}")
+        if self.temperature <= 0:
+            problems.append(f"temperature must be positive, got {self.temperature}")
+        if self.feature_dim < 1 or not self.hidden_dims or min(self.hidden_dims) < 1:
+            problems.append(
+                f"feature_dim and every hidden width must be >= 1 (at least one hidden layer), "
+                f"got {self.feature_dim} and {list(self.hidden_dims)}"
+            )
         if problems:
             raise ValueError("invalid train config: " + "; ".join(problems))
 
@@ -114,20 +147,6 @@ class TrainReport:
 
 
 # -- loss values (forward only) --
-
-
-def labeled_loss(params: NetworkParams, x: np.ndarray, y: np.ndarray) -> float:
-    """Mean cross entropy of predictions against integer labels."""
-    if len(x) == 0:
-        raise ValueError("empty batch")
-    return backward(x, params, "hard", y)[0]
-
-
-def pseudo_label_loss(params: NetworkParams, x: np.ndarray, soft_targets: np.ndarray) -> float:
-    """Mean cross entropy against fixed soft targets (no gradient into the targets)."""
-    if len(x) == 0:
-        raise ValueError("empty batch")
-    return backward(x, params, "soft", soft_targets)[0]
 
 
 def entropy_loss(params: NetworkParams, x: np.ndarray) -> float:
@@ -208,17 +227,10 @@ def minimax_step(
 ) -> dict:
     """Apply one SGD step of the minimax objectives; returns the per-term losses.
 
-    Default is a simultaneous update of both groups from one gradient
-    evaluation.  With ``sequential_updates`` the extractor moves first and
-    the classifier's gradients are recomputed at the new point.
+    Both groups move together, from one gradient evaluation.
     """
     losses, combined = minimax_gradients(params, config.lambda_, labeled, pseudo, unlabeled)
-    if not config.sequential_updates:
-        sgd_step(params, combined, velocities, lr, config.sgd_momentum, config.weight_decay)
-        return losses
-    sgd_step(params, combined, velocities, lr, config.sgd_momentum, config.weight_decay, groups="extractor")
-    _, recomputed = minimax_gradients(params, config.lambda_, labeled, pseudo, unlabeled)
-    sgd_step(params, recomputed, velocities, lr, config.sgd_momentum, config.weight_decay, groups="classifier")
+    sgd_step(params, combined, velocities, lr, config.sgd_momentum, config.weight_decay)
     return losses
 
 

@@ -45,8 +45,18 @@ class TestGenData:
         main(gen_args(tmp_path / "b", seed=7))
         assert _tree_digest(tmp_path / "a") == _tree_digest(tmp_path / "b")
 
-    def test_invalid_spec_is_config_error(self, tmp_path):
-        assert main(["gen-data", "--out", str(tmp_path / "s"), "--classes", "1"]) == EXIT_CONFIG
+    def test_invalid_spec_is_config_error(self, tmp_path, capsys):
+        cases = [
+            ["--classes", "1"],
+            ["--val-per-class", "0"],        # training needs a validation set
+            ["--n-target", "20"],            # 4 per class < 3 shots + 3 validation + 1
+            ["--translation", "abc"],
+        ]
+        for flags in cases:
+            out = tmp_path / "s"
+            assert main(["gen-data", "--out", str(out), *flags]) == EXIT_CONFIG, flags
+            assert "config error:" in capsys.readouterr().err, flags
+            assert not out.exists(), flags
 
 
 class TestRunPipeline:
@@ -101,6 +111,41 @@ class TestRunPipeline:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["evaluate", "--split", str(split_dir), "--checkpoint", str(bad)]) == EXIT_RUNTIME
+
+
+BAD_CONFIGS = [
+    # (command, flags, --config file contents, SSDA_LAB_THREADS)
+    pytest.param("run-pipeline", ["--t-val", "0"], None, None, id="t_val_0"),
+    pytest.param("run-pipeline", ["--temperature", "0"], None, None, id="temperature_0"),
+    pytest.param("run-pipeline", ["--t-max", "0", "--t-val", "0"], None, None, id="t_max_0"),
+    pytest.param("run-pipeline", [], {"t_max": "abc"}, None, id="t_max_str"),
+    pytest.param("run-pipeline", [], {"patience": True}, None, id="patience_bool"),
+    pytest.param("run-pipeline", [], {"use_hard_labels": 1}, None, id="hard_labels_int"),
+    pytest.param("run-pipeline", [], {"lambda_": "0.1"}, None, id="lambda_str"),
+    pytest.param("run-pipeline", [], {"sgd_momentum": 1.0}, None, id="sgd_momentum_1"),
+    pytest.param("run-pipeline", [], {"weight_decay": -1}, None, id="weight_decay_negative"),
+    pytest.param("run-pipeline", [], {"hidden_dims": []}, None, id="hidden_dims_empty"),
+    pytest.param("run-pipeline", [], {"hidden_dims": [16, 0]}, None, id="hidden_width_0"),
+    pytest.param("run-pipeline", [], {"hidden_dims": 16}, None, id="hidden_dims_int"),
+    pytest.param("run-pipeline", [], {"feature_dim": 0}, None, id="feature_dim_0"),
+    pytest.param("ablate-ru", ["--seeds", "0"], None, "abc", id="threads_str"),
+    pytest.param("ablate-noise", ["--seeds", "0,1"], None, "0", id="threads_0"),
+]
+
+
+@pytest.mark.parametrize("command, flags, config, threads", BAD_CONFIGS)
+def test_bad_config_exits_2_before_any_work(split_dir, tmp_path, capsys, monkeypatch,
+                                            command, flags, config, threads):
+    argv = [command, "--split", str(split_dir), "--out", str(tmp_path / "o"), *flags]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    if threads is not None:
+        monkeypatch.setenv("SSDA_LAB_THREADS", threads)
+    assert main(argv) == EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 class TestConfigPrecedence:

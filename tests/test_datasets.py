@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import numpy as np
@@ -8,7 +7,6 @@ from ssda_lab.datasets import (
     DataError,
     DomainPairSpec,
     ShiftSpec,
-    UnlabeledSample,
     class_means,
     default_benchmark_spec,
     gen_domain_pair,
@@ -36,19 +34,19 @@ def small_spec(**overrides):
 class TestGenDomainPair:
     def test_identity_shift_matches_source_distribution(self):
         spec = small_spec(n_source=300, n_target=300, seed=0)
-        source, target = gen_domain_pair(spec)
+        (sx, sy), (tx, ty) = gen_domain_pair(spec)
         for c in range(spec.n_classes):
-            src = np.array([s.x for s in source if s.y == c])
-            tgt = np.array([s.x for s in target if s.y == c])
+            src = sx[sy == c]
+            tgt = tx[ty == c]
             # unit-variance blobs: two-sample mean difference within 3 of its own sigma
             bound = 3.0 * np.sqrt(1.0 / len(src) + 1.0 / len(tgt))
             assert np.all(np.abs(src.mean(axis=0) - tgt.mean(axis=0)) < bound)
 
     def test_half_turn_swaps_antipodal_class_means(self):
         spec = small_spec(n_classes=2, n_source=400, n_target=400, shift=ShiftSpec(rotation_degrees=180.0))
-        _, target = gen_domain_pair(spec)
+        _, (tx, ty) = gen_domain_pair(spec)
         means = class_means(spec)
-        tgt0 = np.array([s.x for s in target if s.y == 0])
+        tgt0 = tx[ty == 0]
         n = len(tgt0)
         assert np.all(np.abs(tgt0.mean(axis=0) - means[1]) < 3.0 / np.sqrt(n))
 
@@ -56,19 +54,15 @@ class TestGenDomainPair:
         spec = small_spec()
         a_src, a_tgt = gen_domain_pair(spec)
         b_src, b_tgt = gen_domain_pair(spec)
-        np.testing.assert_array_equal(
-            np.array([s.x for s in a_src]), np.array([s.x for s in b_src])
-        )
-        np.testing.assert_array_equal(
-            np.array([s.x for s in a_tgt]), np.array([s.x for s in b_tgt])
-        )
+        for a, b in zip((*a_src, *a_tgt), (*b_src, *b_tgt)):
+            np.testing.assert_array_equal(a, b)
 
     def test_label_skew_offsets_classes_differently(self):
         spec = small_spec(n_target=600, shift=ShiftSpec(label_skew=5.0))
-        _, target = gen_domain_pair(spec)
+        _, (tx, ty) = gen_domain_pair(spec)
         means = class_means(spec)
         for c in range(spec.n_classes):
-            tgt = np.array([s.x for s in target if s.y == c])
+            tgt = tx[ty == c]
             expected = means[c] + np.array([5.0 * c, 0.0])
             assert np.all(np.abs(tgt.mean(axis=0) - expected) < 3.0 / np.sqrt(len(tgt)))
 
@@ -91,44 +85,34 @@ class TestSplitTarget:
     def test_three_shot_counts(self):
         spec = small_spec(n_classes=5, n_target=200, n_source=200)
         _, pool = gen_domain_pair(spec)
-        labeled, validation, unlabeled, truth = split_target(pool, 3, 3, seed=0)
-        assert len(labeled) == 15
-        assert len(validation) == 15
-        assert len(unlabeled) == 200 - 30
-        assert len(truth) == len(unlabeled)
+        (lx, ly), (vx, vy), unlabeled, truth = split_target(pool, 3, 3, seed=0)
+        assert lx.shape == (15, 2) and ly.shape == (15,)
+        assert vx.shape == (15, 2) and vy.shape == (15,)
+        assert unlabeled.shape == (200 - 30, 2)
+        assert truth.shape == (len(unlabeled),)
 
     def test_one_shot_gives_one_anchor_per_class(self):
         spec = small_spec(n_classes=5, n_target=200, n_source=200)
         _, pool = gen_domain_pair(spec)
-        labeled, _, _, _ = split_target(pool, 1, 3, seed=0)
-        counts = {c: sum(1 for s in labeled if s.y == c) for c in range(5)}
-        assert counts == {c: 1 for c in range(5)}
+        (_, ly), _, _, _ = split_target(pool, 1, 3, seed=0)
+        np.testing.assert_array_equal(np.bincount(ly, minlength=5), np.ones(5))
 
     def test_subsets_partition_the_pool(self):
         spec = small_spec()
         _, pool = gen_domain_pair(spec)
-        labeled, validation, unlabeled, _ = split_target(pool, 2, 2, seed=1)
-        pool_rows = sorted(tuple(s.x) for s in pool)
-        got_rows = sorted(
-            [tuple(s.x) for s in labeled]
-            + [tuple(s.x) for s in validation]
-            + [tuple(s.x) for s in unlabeled]
-        )
+        (lx, _), (vx, _), unlabeled, _ = split_target(pool, 2, 2, seed=1)
+        pool_rows = sorted(map(tuple, pool[0]))
+        got_rows = sorted(map(tuple, np.vstack([lx, vx, unlabeled])))
         assert got_rows == pool_rows
-        as_sets = [
-            {tuple(s.x) for s in labeled},
-            {tuple(s.x) for s in validation},
-            {tuple(s.x) for s in unlabeled},
-        ]
+        as_sets = [set(map(tuple, rows)) for rows in (lx, vx, unlabeled)]
         assert not (as_sets[0] & as_sets[1])
         assert not (as_sets[0] & as_sets[2])
         assert not (as_sets[1] & as_sets[2])
 
     def test_stratification_exact_per_class(self):
         split = gen_split(small_spec(n_classes=4, n_target=160, n_source=160), 3, 2)
-        for c in range(4):
-            assert sum(1 for s in split.labeled_target if s.y == c) == 3
-            assert sum(1 for s in split.validation_target if s.y == c) == 2
+        np.testing.assert_array_equal(np.bincount(split.labeled_target[1], minlength=4), [3] * 4)
+        np.testing.assert_array_equal(np.bincount(split.validation_xy()[1], minlength=4), [2] * 4)
 
     def test_insufficient_class_named_in_error(self):
         spec = small_spec(n_classes=3, n_target=12, n_source=12)
@@ -137,19 +121,57 @@ class TestSplitTarget:
             split_target(pool, 3, 3, seed=0)
 
     def test_unlabeled_view_has_no_label_field(self):
-        split = gen_split(small_spec())
-        sample = split.unlabeled_target[0]
-        assert isinstance(sample, UnlabeledSample)
-        assert not hasattr(sample, "y")
-        assert set(f.name for f in dataclasses.fields(sample)) == {"x"}
+        spec = small_spec()
+        split = gen_split(spec)
+        ux = split.unlabeled_x()
+        # features only: a float matrix with input_dim columns, no label column
+        assert ux.ndim == 2 and ux.shape[1] == spec.input_dim
+        assert ux.dtype == np.float64
+        # the labels live only in the separate truth array
+        assert split.unlabeled_truth.shape == (len(ux),)
+        assert split.unlabeled_truth.dtype.kind == "i"
 
     def test_truth_aligns_with_unlabeled_rows(self):
         spec = small_spec()
         _, pool = gen_domain_pair(spec)
-        by_row = {tuple(s.x): s.y for s in pool}
+        by_row = dict(zip(map(tuple, pool[0]), pool[1]))
         _, _, unlabeled, truth = split_target(pool, 2, 2, seed=3)
-        for sample, y in zip(unlabeled, truth):
-            assert by_row[tuple(sample.x)] == y
+        for row, y in zip(unlabeled, truth):
+            assert by_row[tuple(row)] == y
+
+
+class TestSplitViews:
+    def test_views_return_stored_arrays(self):
+        split = gen_split(small_spec())
+        assert split.unlabeled_x() is split.unlabeled_target
+        assert split.validation_xy() is split.validation_target
+        assert split.labeled_xy() is split.labeled_xy()
+        lx, ly = split.labeled_xy()
+        np.testing.assert_array_equal(lx, np.vstack([split.source[0], split.labeled_target[0]]))
+        np.testing.assert_array_equal(ly, np.concatenate([split.source[1], split.labeled_target[1]]))
+
+    def test_anchors_by_class_match_labels(self):
+        split = gen_split(small_spec(), 2, 2)
+        x, y = split.labeled_target
+        by_class = split.labeled_target_by_class()
+        assert sorted(by_class) == [0, 1, 2]
+        for c, rows in by_class.items():
+            np.testing.assert_array_equal(rows, x[y == c])
+
+    def test_write_into_any_view_raises(self):
+        split = gen_split(small_spec())
+        views = [
+            *split.labeled_xy(),
+            split.unlabeled_x(),
+            *split.validation_xy(),
+            *split.labeled_target_by_class().values(),
+            *split.source,
+            *split.labeled_target,
+            split.unlabeled_truth,
+        ]
+        for view in views:
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = 0
 
 
 class TestSerialization:
@@ -165,6 +187,14 @@ class TestSerialization:
         np.testing.assert_array_equal(ly, sy)
         assert loaded.spec == split.spec
         assert loaded.n_t_per_class == split.n_t_per_class
+
+    def test_save_load_save_byte_identical(self, tmp_path):
+        save_split(gen_split(small_spec(seed=4), 1, 2), tmp_path / "a")
+        save_split(load_split(tmp_path / "a"), tmp_path / "b")
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
     def test_identical_spec_and_seed_byte_identical(self, tmp_path):
         for name in ("a", "b"):
@@ -184,6 +214,10 @@ class TestSerialization:
         save_split(gen_split(small_spec(), n_t_per_class=1), tmp_path / "split")
         manifest = json.loads((tmp_path / "split" / "manifest.json").read_text())
         assert manifest["n_t_per_class"] == 1
+        # counts are rows: 3 classes x (1 shot, 3 validation) out of 120 target rows
+        assert manifest["counts"] == {
+            "source": 120, "labeled_target": 3, "validation_target": 9, "unlabeled_target": 108,
+        }
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError, match="missing manifest"):

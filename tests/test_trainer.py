@@ -15,13 +15,11 @@ from ssda_lab.trainer import (
     entropy_loss,
     evaluate,
     init_train_state,
-    labeled_loss,
     load_train_state,
     minimax_gradients,
     minimax_step,
     momentum_update_labels,
     progressive_self_train,
-    pseudo_label_loss,
     report_csv_lines,
     run_train_loop,
     save_train_state,
@@ -79,7 +77,7 @@ class TestLossValues:
         p = forward(x, params)
         np.testing.assert_array_equal(p.max(axis=1), np.ones(10))
         preds = np.argmax(p, axis=1)
-        assert labeled_loss(params, x, preds) == 0.0
+        assert backward(x, params, "hard", preds)[0] == 0.0
 
     def test_labeled_loss_uniform_predictions(self):
         params = small_net()
@@ -87,7 +85,7 @@ class TestLossValues:
         rng = seeded_rng(2)
         x = rng.standard_normal((8, params.input_dim))
         y = rng.integers(0, params.n_classes, size=8)
-        assert labeled_loss(params, x, y) == pytest.approx(math.log(params.n_classes), abs=1e-9)
+        assert backward(x, params, "hard", y)[0] == pytest.approx(math.log(params.n_classes), abs=1e-9)
 
     def test_labeled_loss_matches_per_sample_loop(self):
         params = small_net(seed=3)
@@ -99,7 +97,7 @@ class TestLossValues:
             onehot = np.zeros(params.n_classes)
             onehot[y[i]] = 1.0
             brute += cross_entropy(forward(x[i], params), onehot)
-        assert labeled_loss(params, x, y) == pytest.approx(brute / 12, abs=1e-9)
+        assert backward(x, params, "hard", y)[0] == pytest.approx(brute / 12, abs=1e-9)
 
     def test_pseudo_loss_at_own_predictions_is_mean_entropy(self):
         params = small_net(seed=4)
@@ -107,7 +105,7 @@ class TestLossValues:
         x = rng.standard_normal((9, params.input_dim))
         p = forward(x, params)
         expected = np.mean([entropy(row) for row in p])
-        assert pseudo_label_loss(params, x, p) == pytest.approx(expected, abs=1e-9)
+        assert backward(x, params, "soft", p)[0] == pytest.approx(expected, abs=1e-9)
 
     def test_pseudo_loss_with_onehot_targets_reduces_to_labeled_loss(self):
         params = small_net(seed=5)
@@ -116,7 +114,8 @@ class TestLossValues:
         y = rng.integers(0, params.n_classes, size=7)
         onehot = np.zeros((7, params.n_classes))
         onehot[np.arange(7), y] = 1.0
-        assert pseudo_label_loss(params, x, onehot) == pytest.approx(labeled_loss(params, x, y), abs=1e-12)
+        hard = backward(x, params, "hard", y)[0]
+        assert backward(x, params, "soft", onehot)[0] == pytest.approx(hard, abs=1e-12)
 
     def test_entropy_loss_bounds_and_confident_zero(self):
         params = small_net(seed=6)
@@ -151,9 +150,9 @@ class TestLossValues:
         params = small_net()
         empty = np.zeros((0, params.input_dim))
         with pytest.raises(ValueError):
-            labeled_loss(params, empty, np.zeros(0, dtype=int))
+            backward(empty, params, "hard", np.zeros(0, dtype=int))
         with pytest.raises(ValueError):
-            pseudo_label_loss(params, empty, np.zeros((0, params.n_classes)))
+            backward(empty, params, "soft", np.zeros((0, params.n_classes)))
         with pytest.raises(ValueError):
             entropy_loss(params, empty)
 
@@ -225,16 +224,6 @@ class TestMinimaxStep:
 
     def test_lambda_default_is_point_one(self):
         assert TrainConfig().lambda_ == 0.1
-
-    def test_sequential_updates_differ_from_simultaneous(self):
-        labeled, pseudo, unlabeled = self._batches(small_net(seed=14), seed=14)
-        results = []
-        for sequential in (False, True):
-            params = small_net(seed=14)
-            config = TrainConfig(sequential_updates=sequential, sgd_momentum=0.0)
-            minimax_step(params, zero_grads(params), 0.05, config, labeled, pseudo, unlabeled)
-            results.append(params.classifier_weights.copy())
-        assert not np.array_equal(results[0], results[1])
 
     def test_requires_at_least_one_batch(self):
         with pytest.raises(ValueError, match="at least one batch"):
