@@ -24,7 +24,6 @@ from .datasets import (
     DomainPairSpec,
     ShiftSpec,
     SSDASplit,
-    default_benchmark_spec,
     gen_split,
     load_split,
     save_split,
@@ -302,26 +301,21 @@ def _max_workers() -> int:
 
 
 def _pipeline_cell(task: tuple) -> tuple:
-    """One (arm, seed) cell; top-level so process pools can pickle it."""
-    split_dir, seed, overrides, regen = task
+    """One (split_dir, regen, tag, config) cell, all three stages; returns (seed, tag, accuracy).
+
+    With ``regen`` the split is redrawn from its spec at ``config.seed``.
+    Top-level so process pools can pickle it.
+    """
+    split_dir, regen, tag, config = task
+    split = load_split(split_dir)
     if regen:
-        base = load_split(split_dir)
-        spec = replace(base.spec, seed=seed)
-        split = gen_split(spec, base.n_t_per_class, base.n_val_per_class)
-    else:
-        split = load_split(split_dir)
-    config_fields = {k: v for k, v in overrides.items() if not k.startswith("_")}
-    config = TrainConfig(**{**asdict(TrainConfig()), **config_fields, "seed": seed})
+        split = gen_split(replace(split.spec, seed=config.seed), split.n_t_per_class, split.n_val_per_class)
     params, _ = train_baseline(split, config)
-    if overrides.get("_no_pseudo"):
-        acc = evaluate(params, split.unlabeled_x(), split.unlabeled_truth)
-        return seed, overrides.get("_tag", ""), acc
     annotations = infer_pseudo(params, split.unlabeled_x())
     selected = select(annotations, _anchor_features(split, params), config.r_u,
                       len(split.unlabeled_target), split.n_classes)
     final, _ = progressive_self_train(split, selected, params, config)
-    acc = evaluate(final, split.unlabeled_x(), split.unlabeled_truth)
-    return seed, overrides.get("_tag", ""), acc
+    return config.seed, tag, evaluate(final, split.unlabeled_x(), split.unlabeled_truth)
 
 
 def _run_cells(tasks: list[tuple], workers: int) -> list[tuple]:
@@ -357,14 +351,8 @@ def cmd_ablate_ru(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    base_overrides = {k: v for k, v in asdict(config).items()}
-    tasks = []
-    for r_u in grid:
-        for seed in seeds:
-            overrides = dict(base_overrides)
-            overrides["r_u"] = r_u
-            overrides["_tag"] = repr(r_u)
-            tasks.append((args.split, seed, overrides, args.regen))
+    tasks = [(args.split, args.regen, repr(r_u), replace(config, r_u=r_u, seed=seed))
+             for r_u in grid for seed in seeds]
     results = _run_cells(tasks, workers)
 
     rows = sorted((float(tag), seed, acc) for seed, tag, acc in results)
@@ -399,16 +387,12 @@ def cmd_ablate_noise(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    base_overrides = asdict(config)
     arms = {
         "progressive": {"use_hard_labels": False, "label_momentum": config.label_momentum},
         "vanilla": {"use_hard_labels": True, "label_momentum": 1.0},
     }
-    tasks = []
-    for tag, arm in arms.items():
-        for seed in seeds:
-            overrides = {**base_overrides, **arm, "_tag": tag}
-            tasks.append((args.split, seed, overrides, args.regen))
+    tasks = [(args.split, args.regen, tag, replace(config, **arm, seed=seed))
+             for tag, arm in arms.items() for seed in seeds]
     results = _run_cells(tasks, workers)
 
     by_arm: dict[str, dict[int, float]] = {"progressive": {}, "vanilla": {}}

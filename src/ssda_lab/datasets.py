@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -45,15 +46,6 @@ class ShiftSpec:
     scale: float = 1.0
     label_skew: float = 0.0
 
-    @property
-    def is_identity(self) -> bool:
-        return (
-            self.rotation_degrees == 0.0
-            and all(t == 0.0 for t in self.translation)
-            and self.scale == 1.0
-            and self.label_skew == 0.0
-        )
-
 
 @dataclass(frozen=True)
 class DomainPairSpec:
@@ -69,6 +61,17 @@ class DomainPairSpec:
 
     def validate(self) -> None:
         problems = []
+        scalars = {
+            "class_separation": self.class_separation,
+            "rotation_degrees": self.shift.rotation_degrees,
+            "scale": self.shift.scale,
+            "label_skew": self.shift.label_skew,
+        }
+        for name, value in scalars.items():
+            if not math.isfinite(value):
+                problems.append(f"{name} must be finite, got {value}")
+        if not all(map(math.isfinite, self.shift.translation)):
+            problems.append(f"translation entries must be finite, got {list(self.shift.translation)}")
         if self.n_classes < 2:
             problems.append(f"n_classes must be >= 2, got {self.n_classes}")
         if self.input_dim < 1:
@@ -261,7 +264,10 @@ def _parse_samples_csv(text: str, path: str) -> tuple[np.ndarray, np.ndarray]:
         cells = line.split(",")
         rows.append([float(v) for v in cells[:-1]])
         labels.append(int(cells[-1]))
-    return np.array(rows), np.array(labels, dtype=int)
+    x = np.array(rows)
+    if not np.all(np.isfinite(x)):
+        raise DataError(f"non-finite feature values in {path}")
+    return x, np.array(labels, dtype=int)
 
 
 def _sha256(data: bytes) -> str:
@@ -313,7 +319,10 @@ def split_checksum(split_dir: str | Path) -> str:
 
 
 def load_split(split_dir: str | Path) -> SSDASplit:
-    """Load and verify a split directory; any tampering fails the checksum."""
+    """Load and verify a split directory; any tampering fails the checksum.
+
+    Non-finite feature values are refused too, also under a valid checksum.
+    """
     root = Path(split_dir)
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():

@@ -96,12 +96,6 @@ class GradientBundle:
     grad_layers: list[tuple[np.ndarray, np.ndarray]]
     grad_classifier: np.ndarray
 
-    def copy(self) -> "GradientBundle":
-        return GradientBundle(
-            grad_layers=[(gw.copy(), gb.copy()) for gw, gb in self.grad_layers],
-            grad_classifier=self.grad_classifier.copy(),
-        )
-
 
 def zero_grads(params: NetworkParams) -> GradientBundle:
     return GradientBundle(
@@ -110,12 +104,12 @@ def zero_grads(params: NetworkParams) -> GradientBundle:
     )
 
 
-def add_scaled(acc: GradientBundle, other: GradientBundle, scale: float = 1.0) -> GradientBundle:
-    """acc += scale * other, in place; returns acc."""
+def add_scaled(acc: GradientBundle, other: GradientBundle) -> GradientBundle:
+    """acc += other, in place; returns acc."""
     for (aw, ab), (ow, ob) in zip(acc.grad_layers, other.grad_layers):
-        aw += scale * ow
-        ab += scale * ob
-    acc.grad_classifier += scale * other.grad_classifier
+        aw += ow
+        ab += ob
+    acc.grad_classifier += other.grad_classifier
     return acc
 
 
@@ -364,51 +358,30 @@ def params_from_jsonable(obj: dict) -> NetworkParams:
     return params
 
 
-def grads_to_jsonable(bundle: GradientBundle) -> dict:
-    return {
-        "grad_layers": [[gw.tolist(), gb.tolist()] for gw, gb in bundle.grad_layers],
-        "grad_classifier": bundle.grad_classifier.tolist(),
-    }
-
-
-def grads_from_jsonable(obj: dict) -> GradientBundle:
-    return GradientBundle(
-        grad_layers=[
-            (np.asarray(gw, dtype=np.float64), np.asarray(gb, dtype=np.float64)) for gw, gb in obj["grad_layers"]
-        ],
-        grad_classifier=np.asarray(obj["grad_classifier"], dtype=np.float64),
-    )
-
-
 def save_checkpoint(
     path: str | Path,
     params: NetworkParams,
-    velocities: GradientBundle | None = None,
-    rng_state: dict | None = None,
     extra: dict | None = None,
 ) -> None:
-    """Write a JSON checkpoint that round-trips bit-exactly (floats via repr)."""
+    """Write the network weights plus ``extra`` as JSON; floats round-trip bit-exactly (repr)."""
     record = {
         "format_version": CHECKPOINT_VERSION,
         "params": params_to_jsonable(params),
-        "velocities": grads_to_jsonable(velocities) if velocities is not None else None,
-        "rng_state": rng_state,
         "extra": extra or {},
     }
     Path(path).write_text(json.dumps(record), encoding="utf-8")
 
 
 def load_checkpoint(path: str | Path) -> dict:
-    """Read a checkpoint; returns dict with params, velocities, rng_state, extra."""
+    """Read a checkpoint; returns dict with params and extra.
+
+    Checkpoints that also carry the retired ``velocities`` and ``rng_state``
+    keys (always null from the CLI) load the same; those keys are ignored.
+    """
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"checkpoint not found: {p}")
     record = json.loads(p.read_text(encoding="utf-8"))
     if record.get("format_version") != CHECKPOINT_VERSION:
         raise ValueError(f"checkpoint version {record.get('format_version')} != {CHECKPOINT_VERSION}")
-    return {
-        "params": params_from_jsonable(record["params"]),
-        "velocities": grads_from_jsonable(record["velocities"]) if record["velocities"] is not None else None,
-        "rng_state": record["rng_state"],
-        "extra": record["extra"],
-    }
+    return {"params": params_from_jsonable(record["params"]), "extra": record["extra"]}

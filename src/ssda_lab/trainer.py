@@ -34,17 +34,11 @@ from .network import (
     anneal_lr,
     backward,
     forward,
-    grads_from_jsonable,
-    grads_to_jsonable,
     init_params,
-    params_from_jsonable,
-    params_to_jsonable,
     sgd_step,
     zero_grads,
 )
 from .pseudolabel import SelectedSet
-
-STATE_FORMAT_VERSION = 1
 
 
 def _is_int(v) -> bool:
@@ -239,13 +233,12 @@ def minimax_step(
 
 @dataclass
 class TrainState:
-    """Everything the loop owns; serializable so a run can pause and resume."""
+    """Everything one stage's loop owns, from a fresh start to its stop."""
 
     stage: str  # "baseline" or "selftrain"
     params: NetworkParams
     velocities: GradientBundle
     t_iter: int
-    rng_states: dict
     live_soft: np.ndarray | None
     selected_indices: list[int] | None
     history: list[ValidationRecord] = field(default_factory=list)
@@ -298,13 +291,11 @@ def init_train_state(
         )
         live = None
         selected_indices = None
-    rngs = _batch_rngs(config, stage)
     return TrainState(
         stage=stage,
         params=params,
         velocities=zero_grads(params),
         t_iter=0,
-        rng_states={role: rng.bit_generator.state for role, rng in rngs.items()},
         live_soft=live,
         selected_indices=selected_indices,
         best_params=params.copy(),
@@ -316,9 +307,8 @@ def run_train_loop(
     config: TrainConfig,
     state: TrainState,
     unlabeled_truth: np.ndarray | None = None,
-    stop_iter: int | None = None,
 ) -> TrainState:
-    """Advance the loop until convergence, t_max, or ``stop_iter``.
+    """Run a fresh state's loop to patience or t_max; batches come from ``_batch_rngs``.
 
     ``unlabeled_truth`` is used only to stamp a reliability snapshot of the
     live hard labels into the history; it never influences an update.
@@ -329,12 +319,7 @@ def run_train_loop(
     pseudo_x = unlabeled_x[state.selected_indices] if state.stage == "selftrain" else None
 
     rngs = _batch_rngs(config, state.stage)
-    for role, rng in rngs.items():
-        rng.bit_generator.state = state.rng_states[role]
-
     while state.stop_reason is None and state.t_iter < config.t_max:
-        if stop_iter is not None and state.t_iter >= stop_iter:
-            break
         state.t_iter += 1
         lr = anneal_lr(config.base_lr, state.t_iter / config.t_max)
 
@@ -377,9 +362,8 @@ def run_train_loop(
         if state.t_iter % config.t_val == 0:
             _validation_phase(split, config, state, val_x, val_y, unlabeled_x, unlabeled_truth)
 
-    if state.stop_reason is None and state.t_iter >= config.t_max:
+    if state.stop_reason is None:
         state.stop_reason = "t_max"
-    state.rng_states = {role: rng.bit_generator.state for role, rng in rngs.items()}
     return state
 
 
@@ -437,7 +421,7 @@ def _validation_phase(
 def _report_from_state(state: TrainState) -> TrainReport:
     return TrainReport(
         history=list(state.history),
-        stop_reason=state.stop_reason or "t_max",
+        stop_reason=state.stop_reason,
         best_iteration=state.best_iteration,
         best_val_acc=state.best_val_acc,
     )
@@ -473,7 +457,7 @@ def progressive_self_train(
     return state.best_params, _report_from_state(state)
 
 
-# -- report and state serialization --
+# -- report serialization --
 
 
 def report_csv_lines(report: TrainReport) -> str:
@@ -507,52 +491,3 @@ def report_to_jsonable(report: TrainReport) -> dict:
 def save_report(report: TrainReport, json_path: str | Path, csv_path: str | Path) -> None:
     Path(json_path).write_text(json.dumps(report_to_jsonable(report)), encoding="utf-8")
     Path(csv_path).write_text(report_csv_lines(report), encoding="utf-8")
-
-
-def state_to_jsonable(state: TrainState) -> dict:
-    return {
-        "format_version": STATE_FORMAT_VERSION,
-        "stage": state.stage,
-        "params": params_to_jsonable(state.params),
-        "velocities": grads_to_jsonable(state.velocities),
-        "t_iter": state.t_iter,
-        "rng_states": state.rng_states,
-        "live_soft": None if state.live_soft is None else state.live_soft.tolist(),
-        "selected_indices": state.selected_indices,
-        "history": [asdict(row) for row in state.history],
-        "best_val_acc": state.best_val_acc,
-        "best_iteration": state.best_iteration,
-        "best_params": None if state.best_params is None else params_to_jsonable(state.best_params),
-        "validations_since_improve": state.validations_since_improve,
-        "stop_reason": state.stop_reason,
-        "loss_sums": state.loss_sums,
-    }
-
-
-def state_from_jsonable(obj: dict) -> TrainState:
-    if obj.get("format_version") != STATE_FORMAT_VERSION:
-        raise ValueError(f"train state version {obj.get('format_version')} != {STATE_FORMAT_VERSION}")
-    return TrainState(
-        stage=obj["stage"],
-        params=params_from_jsonable(obj["params"]),
-        velocities=grads_from_jsonable(obj["velocities"]),
-        t_iter=obj["t_iter"],
-        rng_states=obj["rng_states"],
-        live_soft=None if obj["live_soft"] is None else np.asarray(obj["live_soft"], dtype=np.float64),
-        selected_indices=obj["selected_indices"],
-        history=[ValidationRecord(**row) for row in obj["history"]],
-        best_val_acc=obj["best_val_acc"],
-        best_iteration=obj["best_iteration"],
-        best_params=None if obj["best_params"] is None else params_from_jsonable(obj["best_params"]),
-        validations_since_improve=obj["validations_since_improve"],
-        stop_reason=obj["stop_reason"],
-        loss_sums=obj["loss_sums"],
-    )
-
-
-def save_train_state(path: str | Path, state: TrainState) -> None:
-    Path(path).write_text(json.dumps(state_to_jsonable(state)), encoding="utf-8")
-
-
-def load_train_state(path: str | Path) -> TrainState:
-    return state_from_jsonable(json.loads(Path(path).read_text(encoding="utf-8")))

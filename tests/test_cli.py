@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,18 @@ def _tree_digest(root: Path) -> dict:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(root.iterdir())}
 
 
+def _poison_source_csv(split: Path) -> None:
+    """Put a nan into source.csv and re-stamp its checksum, so only the value check can object."""
+    table = split / "source.csv"
+    lines = table.read_text().split("\n")
+    lines[1] = "nan," + lines[1].split(",", 1)[1]
+    data = "\n".join(lines).encode()
+    table.write_bytes(data)
+    manifest = json.loads((split / "manifest.json").read_text())
+    manifest["checksums"]["source.csv"] = hashlib.sha256(data).hexdigest()
+    (split / "manifest.json").write_text(json.dumps(manifest))
+
+
 class TestGenData:
     def test_default_flags_give_default_benchmark(self, tmp_path, capsys):
         assert main(["gen-data", "--out", str(tmp_path / "s")]) == EXIT_OK
@@ -51,6 +64,11 @@ class TestGenData:
             ["--val-per-class", "0"],        # training needs a validation set
             ["--n-target", "20"],            # 4 per class < 3 shots + 3 validation + 1
             ["--translation", "abc"],
+            ["--separation", "nan"],         # non-finite spec numbers would write a nan split
+            ["--rotation", "inf"],
+            ["--translation", "nan,1"],
+            ["--scale", "nan"],
+            ["--skew", "inf"],
         ]
         for flags in cases:
             out = tmp_path / "s"
@@ -74,6 +92,9 @@ class TestRunPipeline:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["split_checksum"]
         assert set(manifest["artifacts"]) >= {"baseline_checkpoint", "selection", "final_checkpoint"}
+        for name in ("baseline_checkpoint.json", "final_checkpoint.json"):
+            record = json.loads((out / name).read_text())
+            assert set(record) == {"format_version", "params", "extra"}, name
 
     def test_byte_identical_reports_for_identical_config(self, split_dir, tmp_path):
         for name in ("r1", "r2"):
@@ -106,6 +127,14 @@ class TestRunPipeline:
     def test_bad_config_value_is_config_error(self, split_dir, tmp_path):
         assert main(["run-pipeline", "--split", str(split_dir), "--out", str(tmp_path / "o"),
                      "--lambda", "-2"]) == EXIT_CONFIG
+
+    def test_non_finite_split_is_data_error(self, split_dir, tmp_path, capsys):
+        bad = tmp_path / "nan_split"
+        shutil.copytree(split_dir, bad)
+        _poison_source_csv(bad)
+        assert main(["run-pipeline", "--split", str(bad), "--out", str(tmp_path / "o"), *FAST]) == EXIT_DATA
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_corrupt_checkpoint_is_runtime_error(self, split_dir, tmp_path):
         bad = tmp_path / "bad.json"

@@ -15,14 +15,12 @@ from ssda_lab.trainer import (
     entropy_loss,
     evaluate,
     init_train_state,
-    load_train_state,
     minimax_gradients,
     minimax_step,
     momentum_update_labels,
     progressive_self_train,
     report_csv_lines,
     run_train_loop,
-    save_train_state,
     train_baseline,
 )
 
@@ -380,47 +378,3 @@ class TestProgressiveSelfTrain:
         assert all(row.reliability is not None for row in report.history)
         assert all(0.0 <= row.reliability <= 1.0 for row in report.history)
 
-
-class TestResumeEquivalence:
-    def test_save_load_continue_bit_identical(self, tmp_path):
-        split = separable_split(seed=3)
-        config = quick_config(t_max=240, t_val=30, patience=100)
-
-        state_a = init_train_state(split, config, "baseline")
-        run_train_loop(split, config, state_a)
-
-        state_b = init_train_state(split, config, "baseline")
-        run_train_loop(split, config, state_b, stop_iter=100)  # mid-interval pause
-        save_train_state(tmp_path / "state.json", state_b)
-        resumed = load_train_state(tmp_path / "state.json")
-        run_train_loop(split, config, resumed)
-
-        assert resumed.t_iter == state_a.t_iter
-        assert [vars(r) for r in resumed.history] == [vars(r) for r in state_a.history]
-        from ssda_lab.network import flatten_params
-
-        np.testing.assert_array_equal(flatten_params(resumed.params), flatten_params(state_a.params))
-        np.testing.assert_array_equal(
-            flatten_params(resumed.best_params), flatten_params(state_a.best_params)
-        )
-
-    def test_selftrain_resume_preserves_live_labels(self, tmp_path):
-        split = separable_split(seed=4)
-        base_cfg = quick_config(seed=4)
-        params, _ = train_baseline(split, base_cfg)
-        annotations = infer_pseudo(params, split.unlabeled_x())
-        anchors = {c: forward_features(x, params) for c, x in split.labeled_target_by_class().items()}
-        selected = select(annotations, anchors, 0.5, len(split.unlabeled_target), split.n_classes)
-
-        cfg = quick_config(seed=4, t_max=180, t_val=30, patience=100)
-        full = init_train_state(split, cfg, "selftrain", selected=selected, resume_params=params)
-        run_train_loop(split, cfg, full)
-
-        half = init_train_state(split, cfg, "selftrain", selected=selected, resume_params=params)
-        run_train_loop(split, cfg, half, stop_iter=75)
-        save_train_state(tmp_path / "s.json", half)
-        resumed = load_train_state(tmp_path / "s.json")
-        run_train_loop(split, cfg, resumed)
-
-        np.testing.assert_array_equal(resumed.live_soft, full.live_soft)
-        assert resumed.selected_indices == full.selected_indices
