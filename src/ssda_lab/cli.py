@@ -116,13 +116,13 @@ def _anchor_features(split: SSDASplit, params) -> dict[int, np.ndarray]:
 # -- manifest --
 
 
-def _write_manifest(out_dir: Path, command: str, config: TrainConfig | None,
-                    split_dir: str | None, artifacts: dict, timings: dict) -> None:
+def _write_manifest(args: argparse.Namespace, out_dir: Path, config: TrainConfig,
+                    artifacts: dict, timings: dict) -> None:
     manifest = {
-        "command": command,
-        "argv": sys.argv[1:],
-        "config": asdict(config) if config is not None else None,
-        "split_checksum": split_checksum(split_dir) if split_dir else None,
+        "command": args.command,
+        "argv": args.argv,
+        "config": asdict(config),
+        "split_checksum": split_checksum(args.split),
         "artifacts": {k: str(v) for k, v in artifacts.items()},
         "timings_s": timings,
     }
@@ -204,8 +204,7 @@ def cmd_train_baseline(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     params, report, ckpt = _run_baseline(split, config, out)
-    _write_manifest(out, "train-baseline", config, args.split,
-                    {"checkpoint": ckpt, "report_csv": out / "baseline_report.csv"},
+    _write_manifest(args, out, config, {"checkpoint": ckpt, "report_csv": out / "baseline_report.csv"},
                     {"train": time.perf_counter() - t0})
     print(f"baseline: stop={report.stop_reason} best_val={report.best_val_acc:.4f} "
           f"test_acc={report.final_test_acc:.4f}")
@@ -219,7 +218,10 @@ def cmd_pseudo_label(args) -> int:
     record = load_checkpoint(args.checkpoint)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    t0 = time.perf_counter()
     selected, rel_before, rel_after = _run_selection(split, record["params"], config, out)
+    _write_manifest(args, out, config, {"selection": out / "selection.json"},
+                    {"stage2": time.perf_counter() - t0})
     print(f"selected {len(selected)} of {len(split.unlabeled_target)} "
           f"(quota {selected.per_class_quota}/class, r_u={config.r_u})")
     print(f"reliability: {100 * rel_before:.1f} -> {100 * rel_after:.1f}")
@@ -236,8 +238,7 @@ def cmd_self_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     _, report, ckpt = _run_selftrain(split, selected, record["params"], config, out)
-    _write_manifest(out, "self-train", config, args.split,
-                    {"checkpoint": ckpt, "report_csv": out / "final_report.csv"},
+    _write_manifest(args, out, config, {"checkpoint": ckpt, "report_csv": out / "final_report.csv"},
                     {"train": time.perf_counter() - t0})
     print(f"self-train: stop={report.stop_reason} best_val={report.best_val_acc:.4f} "
           f"test_acc={report.final_test_acc:.4f}")
@@ -260,7 +261,7 @@ def cmd_run_pipeline(args) -> int:
     artifacts["baseline_report_csv"] = out / "baseline_report.csv"
 
     if args.no_pseudo:
-        _write_manifest(out, "run-pipeline", config, args.split, artifacts, timings)
+        _write_manifest(args, out, config, artifacts, timings)
         print(f"final accuracy (baseline only, no pseudo stages): {base_report.final_test_acc:.4f}")
         return EXIT_OK
 
@@ -275,7 +276,7 @@ def cmd_run_pipeline(args) -> int:
     artifacts["final_checkpoint"] = final_ckpt
     artifacts["final_report_csv"] = out / "final_report.csv"
 
-    _write_manifest(out, "run-pipeline", config, args.split, artifacts, timings)
+    _write_manifest(args, out, config, artifacts, timings)
     print(f"reliability before/after selection: {100 * rel_before:.1f} -> {100 * rel_after:.1f}")
     print(f"baseline accuracy: {base_report.final_test_acc:.4f}")
     print(f"final accuracy: {final_report.final_test_acc:.4f}")
@@ -300,17 +301,30 @@ def _max_workers() -> int:
     return int(raw)
 
 
-def _pipeline_cell(task: tuple) -> tuple:
-    """One (split_dir, regen, tag, config) cell, all three stages; returns (seed, tag, accuracy).
+def _map(fn, tasks: list, workers: int) -> list:
+    """``fn`` over ``tasks`` in order: in this process, or on ``workers`` processes."""
+    if workers == 1:
+        return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks))
+
+
+def _baseline_cell(task: tuple) -> tuple:
+    """Stage 1 of one (split, regen, config) seed; returns (split, baseline params).
 
     With ``regen`` the split is redrawn from its spec at ``config.seed``.
     Top-level so process pools can pickle it.
     """
-    split_dir, regen, tag, config = task
-    split = load_split(split_dir)
+    split, regen, config = task
     if regen:
         split = gen_split(replace(split.spec, seed=config.seed), split.n_t_per_class, split.n_val_per_class)
     params, _ = train_baseline(split, config)
+    return split, params
+
+
+def _arm_cell(task: tuple) -> tuple:
+    """Stages 2-3 of one (split, baseline params, tag, config) arm; returns (seed, tag, accuracy)."""
+    split, params, tag, config = task
     annotations = infer_pseudo(params, split.unlabeled_x())
     selected = select(annotations, _anchor_features(split, params), config.r_u,
                       len(split.unlabeled_target), split.n_classes)
@@ -318,13 +332,19 @@ def _pipeline_cell(task: tuple) -> tuple:
     return config.seed, tag, evaluate(final, split.unlabeled_x(), split.unlabeled_truth)
 
 
-def _run_cells(tasks: list[tuple], workers: int) -> list[tuple]:
-    if workers == 1:
-        results = [_pipeline_cell(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_pipeline_cell, tasks))
-    return sorted(results)
+def _run_grid(split: SSDASplit, regen: bool, config: TrainConfig, arms: list[tuple[str, dict]],
+              seeds: list[int], workers: int) -> list[tuple]:
+    """Every (arm, seed) cell, sorted; returns (seed, tag, accuracy) rows.
+
+    Stage 1 reads none of the fields an arm overrides (``r_u``,
+    ``use_hard_labels``, ``label_momentum``), so it is trained once per seed
+    and every arm of that seed starts from the same baseline params.
+    """
+    distinct = list(dict.fromkeys(seeds))
+    baselines = _map(_baseline_cell, [(split, regen, replace(config, seed=s)) for s in distinct], workers)
+    by_seed = dict(zip(distinct, baselines))
+    tasks = [(*by_seed[seed], tag, replace(config, **arm, seed=seed)) for tag, arm in arms for seed in seeds]
+    return sorted(_map(_arm_cell, tasks, workers))
 
 
 def _parse_seeds(raw: str) -> list[int]:
@@ -348,12 +368,12 @@ def cmd_ablate_ru(args) -> int:
         raise ConfigError(f"bad --grid list: {args.grid!r}") from err
     if any(not 0.0 < r <= 1.0 for r in grid):
         raise ConfigError("grid values must lie in (0, 1]")
+    split = load_split(args.split)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    tasks = [(args.split, args.regen, repr(r_u), replace(config, r_u=r_u, seed=seed))
-             for r_u in grid for seed in seeds]
-    results = _run_cells(tasks, workers)
+    arms = [(repr(r_u), {"r_u": r_u}) for r_u in grid]  # a list: a repeated value keeps its rows
+    results = _run_grid(split, args.regen, config, arms, seeds, workers)
 
     rows = sorted((float(tag), seed, acc) for seed, tag, acc in results)
     lines = ["r_u,seed,accuracy"] + [f"{r!r},{s},{a!r}" for r, s, a in rows]
@@ -372,8 +392,7 @@ def cmd_ablate_ru(args) -> int:
     for r_u, mean, std in summary:
         marker = "  <- best" if r_u == best else ""
         print(f"r_u={r_u}: mean={mean:.4f} std={std:.4f}{marker}")
-    _write_manifest(out, "ablate-ru", config, args.split,
-                    {"sweep": out / "ru_sweep.csv", "summary": out / "ru_summary.csv"}, {})
+    _write_manifest(args, out, config, {"sweep": out / "ru_sweep.csv", "summary": out / "ru_summary.csv"}, {})
     return EXIT_OK
 
 
@@ -384,16 +403,15 @@ def cmd_ablate_noise(args) -> int:
     seeds = _parse_seeds(args.seeds)
     if len(seeds) < 2:
         raise ConfigError("ablate-noise needs at least 2 seeds")
+    split = load_split(args.split)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    arms = {
-        "progressive": {"use_hard_labels": False, "label_momentum": config.label_momentum},
-        "vanilla": {"use_hard_labels": True, "label_momentum": 1.0},
-    }
-    tasks = [(args.split, args.regen, tag, replace(config, **arm, seed=seed))
-             for tag, arm in arms.items() for seed in seeds]
-    results = _run_cells(tasks, workers)
+    arms = [
+        ("progressive", {"use_hard_labels": False, "label_momentum": config.label_momentum}),
+        ("vanilla", {"use_hard_labels": True, "label_momentum": 1.0}),
+    ]
+    results = _run_grid(split, args.regen, config, arms, seeds, workers)
 
     by_arm: dict[str, dict[int, float]] = {"progressive": {}, "vanilla": {}}
     for seed, tag, acc in results:
@@ -408,8 +426,7 @@ def cmd_ablate_noise(args) -> int:
 
     mean_diff = float(np.mean(diffs))
     print(f"paired mean difference (progressive - vanilla): {mean_diff:+.4f} over {len(seeds)} seeds")
-    _write_manifest(out, "ablate-noise", config, args.split,
-                    {"table": out / "noise_ablation.csv"}, {})
+    _write_manifest(args, out, config, {"table": out / "noise_ablation.csv"}, {})
     return EXIT_OK
 
 
@@ -528,8 +545,9 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = make_parser().parse_args(argv)
+    args.argv = argv  # what the manifest records, also for in-process callers
     try:
         return args.func(args)
     except ConfigError as err:

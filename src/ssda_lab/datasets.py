@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -201,6 +201,14 @@ class SSDASplit:
     def __post_init__(self) -> None:
         # the supervised pool (source plus labeled target) is stacked once, here
         self._labeled = tuple(np.concatenate(parts) for parts in zip(self.source, self.labeled_target))
+        self._freeze()
+
+    def __setstate__(self, state: dict) -> None:
+        # arrays come back writable from a pickle, and process pools pickle splits
+        self.__dict__.update(state)
+        self._freeze()
+
+    def _freeze(self) -> None:
         for a in (*self.source, *self.labeled_target, *self.validation_target, *self._labeled,
                   self.unlabeled_target, self.unlabeled_truth):
             a.setflags(write=False)
@@ -255,19 +263,30 @@ def _csv_lines(x: np.ndarray, y: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_samples_csv(text: str, path: str) -> tuple[np.ndarray, np.ndarray]:
+def _parse_samples_csv(text: str, path: str, dim: int) -> tuple[np.ndarray, np.ndarray]:
     lines = text.strip().split("\n")
     if not lines or not lines[0].startswith("x0"):
         raise DataError(f"malformed table {path}: missing header")
     rows, labels = [], []
-    for line in lines[1:]:
-        cells = line.split(",")
-        rows.append([float(v) for v in cells[:-1]])
-        labels.append(int(cells[-1]))
-    x = np.array(rows)
+    try:
+        for line in lines[1:]:
+            cells = line.split(",")
+            rows.append([float(v) for v in cells[:-1]])
+            labels.append(int(cells[-1]))
+        x = np.array(rows)
+    except ValueError as err:
+        raise DataError(f"malformed table {path}: {err}") from err
+    if x.ndim != 2 or x.shape[1] != dim:
+        raise DataError(f"{path} has {x.shape[-1]} feature columns, the manifest's input_dim is {dim}")
     if not np.all(np.isfinite(x)):
         raise DataError(f"non-finite feature values in {path}")
     return x, np.array(labels, dtype=int)
+
+
+def _check_labels(y: np.ndarray, n_classes: int, path: str) -> np.ndarray:
+    if np.any(y < 0) or np.any(y >= n_classes):
+        raise DataError(f"{path} has labels outside [0, {n_classes})")
+    return y
 
 
 def _sha256(data: bytes) -> str:
@@ -318,18 +337,61 @@ def split_checksum(split_dir: str | Path) -> str:
     return _sha256((Path(split_dir) / "manifest.json").read_bytes())
 
 
+_MANIFEST_KEYS = {"format_version", "spec", "n_t_per_class", "n_val_per_class", "counts", "checksums"}
+_TABLES = {"source.csv", "labeled_target.csv", "validation_target.csv", "unlabeled_target.csv",
+           "unlabeled_truth.csv"}
+
+
+def _check_keys(found, expected: set, where: str) -> None:
+    if not isinstance(found, dict):
+        raise DataError(f"{where} must be a JSON object")
+    missing, unknown = sorted(expected - set(found)), sorted(set(found) - expected)
+    if missing or unknown:
+        raise DataError(f"{where}: missing keys {missing}, unknown keys {unknown}")
+
+
+def _spec_from_manifest(manifest: dict) -> DomainPairSpec:
+    """The manifest's spec, validated; the manifest itself carries no checksum."""
+    spec_dict = manifest["spec"]
+    _check_keys(spec_dict, {f.name for f in fields(DomainPairSpec)}, "manifest spec")
+    _check_keys(spec_dict["shift"], {f.name for f in fields(ShiftSpec)}, "manifest spec.shift")
+    values = {**spec_dict, **manifest}  # disjoint key sets
+    not_int = [k for k in ("n_classes", "input_dim", "n_source", "n_target", "seed", "n_t_per_class",
+                           "n_val_per_class") if not isinstance(values[k], int) or isinstance(values[k], bool)]
+    if not_int:
+        raise DataError(f"bad split manifest: {not_int} must be integers")
+    if min(manifest["n_t_per_class"], manifest["n_val_per_class"]) < 1:
+        raise DataError("bad split manifest: n_t_per_class and n_val_per_class must be >= 1")
+    try:
+        shift = ShiftSpec(**{**spec_dict["shift"], "translation": tuple(spec_dict["shift"]["translation"])})
+        spec = DomainPairSpec(**{**spec_dict, "shift": shift})
+        spec.validate()
+    except (TypeError, ValueError) as err:
+        raise DataError(f"bad split manifest: {err}") from err
+    return spec
+
+
 def load_split(split_dir: str | Path) -> SSDASplit:
     """Load and verify a split directory; any tampering fails the checksum.
 
-    Non-finite feature values are refused too, also under a valid checksum.
+    The manifest's spec must pass ``DomainPairSpec.validate``, every table
+    must have ``input_dim`` feature columns of finite values, and labels must
+    lie in [0, n_classes); each failure is a ``DataError``.
     """
     root = Path(split_dir)
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
         raise DataError(f"missing manifest: {manifest_path}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    if manifest.get("format_version") != SPLIT_FORMAT_VERSION:
-        raise DataError(f"split format version {manifest.get('format_version')} != {SPLIT_FORMAT_VERSION}")
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as err:
+        raise DataError(f"manifest is not valid JSON: {err}") from err
+    version = manifest.get("format_version") if isinstance(manifest, dict) else None
+    if version != SPLIT_FORMAT_VERSION:
+        raise DataError(f"split format version {version} != {SPLIT_FORMAT_VERSION}")
+    _check_keys(manifest, _MANIFEST_KEYS, "manifest")
+    _check_keys(manifest["checksums"], _TABLES, "manifest checksums")
+    spec = _spec_from_manifest(manifest)
 
     texts = {}
     for name, expected in manifest["checksums"].items():
@@ -341,25 +403,28 @@ def load_split(split_dir: str | Path) -> SSDASplit:
             raise DataError(f"checksum mismatch for {name}")
         texts[name] = data.decode("utf-8")
 
-    spec_dict = manifest["spec"]
-    shift = ShiftSpec(**{**spec_dict["shift"], "translation": tuple(spec_dict["shift"]["translation"])})
-    spec = DomainPairSpec(**{**spec_dict, "shift": shift})
+    def labeled(name: str) -> tuple[np.ndarray, np.ndarray]:
+        x, y = _parse_samples_csv(texts[name], name, spec.input_dim)
+        return x, _check_labels(y, spec.n_classes, name)
 
-    unl_x, unl_y = _parse_samples_csv(texts["unlabeled_target.csv"], "unlabeled_target.csv")
+    unl_x, unl_y = _parse_samples_csv(texts["unlabeled_target.csv"], "unlabeled_target.csv", spec.input_dim)
     if np.any(unl_y != -1):
         raise DataError("unlabeled_target.csv must carry the -1 label sentinel")
-    truth_lines = texts["unlabeled_truth.csv"].strip().split("\n")[1:]
-    truth = np.array([int(line.split(",")[1]) for line in truth_lines], dtype=int)
+    try:
+        truth_lines = texts["unlabeled_truth.csv"].strip().split("\n")[1:]
+        truth = np.array([int(line.split(",")[1]) for line in truth_lines], dtype=int)
+    except (ValueError, IndexError) as err:
+        raise DataError(f"malformed table unlabeled_truth.csv: {err}") from err
     if len(truth) != len(unl_x):
         raise DataError("unlabeled_truth.csv row count does not match unlabeled_target.csv")
 
     return SSDASplit(
         spec=spec,
-        source=_parse_samples_csv(texts["source.csv"], "source.csv"),
-        labeled_target=_parse_samples_csv(texts["labeled_target.csv"], "labeled_target.csv"),
+        source=labeled("source.csv"),
+        labeled_target=labeled("labeled_target.csv"),
         unlabeled_target=unl_x,
-        validation_target=_parse_samples_csv(texts["validation_target.csv"], "validation_target.csv"),
-        unlabeled_truth=truth,
+        validation_target=labeled("validation_target.csv"),
+        unlabeled_truth=_check_labels(truth, spec.n_classes, "unlabeled_truth.csv"),
         n_t_per_class=manifest["n_t_per_class"],
         n_val_per_class=manifest["n_val_per_class"],
     )

@@ -1,13 +1,21 @@
 import hashlib
 import json
 import shutil
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from ssda_lab import cli
 from ssda_lab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME, main
+from ssda_lab.datasets import load_split
+from ssda_lab.network import forward_features
+from ssda_lab.pseudolabel import infer_pseudo, select
+from ssda_lab.trainer import TrainConfig, evaluate, progressive_self_train, train_baseline
 
 FAST = ["--t-max", "200", "--t-val", "25", "--patience", "4"]
+FAST_CONFIG = TrainConfig(t_max=200, t_val=25, patience=4)
 
 
 def gen_args(out, seed=0, shots=3, extra=()):
@@ -38,6 +46,16 @@ def _poison_source_csv(split: Path) -> None:
     manifest = json.loads((split / "manifest.json").read_text())
     manifest["checksums"]["source.csv"] = hashlib.sha256(data).hexdigest()
     (split / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _split_with_spec(split_dir: Path, dest: Path, field: str, value) -> Path:
+    """A copy with one spec or shift field rewritten in its manifest, which has no checksum."""
+    shutil.copytree(split_dir, dest)
+    manifest = json.loads((dest / "manifest.json").read_text())
+    spec = manifest["spec"]
+    (spec["shift"] if field in spec["shift"] else spec)[field] = value
+    (dest / "manifest.json").write_text(json.dumps(manifest))
+    return dest
 
 
 class TestGenData:
@@ -229,6 +247,100 @@ class TestStagedCommands:
         assert main(["evaluate", "--split", str(split_dir),
                      "--checkpoint", str(base / "baseline_checkpoint.json")]) == EXIT_OK
         assert "accuracy on unlabeled target" in capsys.readouterr().out
+
+    def test_pseudo_label_manifest_records_parsed_argv(self, split_dir, tmp_path, monkeypatch):
+        base = tmp_path / "base"
+        assert main(["train-baseline", "--split", str(split_dir), "--out", str(base), *FAST]) == EXIT_OK
+        monkeypatch.setattr(sys, "argv", ["host-program", "host.job.json"])
+        argv = ["pseudo-label", "--split", str(split_dir),
+                "--checkpoint", str(base / "baseline_checkpoint.json"), "--out", str(tmp_path / "sel"), *FAST]
+        assert main(argv) == EXIT_OK
+        manifest = json.loads((tmp_path / "sel" / "manifest.json").read_text())
+        assert manifest["argv"] == argv
+        assert manifest["command"] == "pseudo-label"
+        assert manifest["artifacts"] == {"selection": str(tmp_path / "sel" / "selection.json")}
+        assert set(manifest["timings_s"]) == {"stage2"}
+
+    @pytest.mark.parametrize("field, value", [("scale", -1.0), ("input_dim", 3)])
+    def test_bad_manifest_spec_is_data_error(self, split_dir, tmp_path, capsys, field, value):
+        bad = _split_with_spec(split_dir, tmp_path / "bad", field, value)
+        assert main(["train-baseline", "--split", str(bad), "--out", str(tmp_path / "o"), *FAST]) == EXIT_DATA
+        assert "data error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+def _count_stage1(monkeypatch) -> list:
+    """Record the seed of every stage-1 run the ablation grids make."""
+    seeds: list = []
+    real = cli.train_baseline
+
+    def counting(split, config, *args, **kwargs):
+        seeds.append(config.seed)
+        return real(split, config, *args, **kwargs)
+
+    monkeypatch.setenv("SSDA_LAB_THREADS", "1")
+    monkeypatch.setattr(cli, "train_baseline", counting)
+    return seeds
+
+
+def _explicit_cell(split_dir: Path, config: TrainConfig) -> float:
+    """The three stages of one grid cell, called one by one through the public API."""
+    split = load_split(split_dir)
+    params, _ = train_baseline(split, config)
+    anchors = {c: forward_features(x, params) for c, x in split.labeled_target_by_class().items()}
+    selected = select(infer_pseudo(params, split.unlabeled_x()), anchors, config.r_u,
+                      len(split.unlabeled_target), split.n_classes)
+    final, _ = progressive_self_train(split, selected, params, config)
+    return evaluate(final, split.unlabeled_x(), split.unlabeled_truth)
+
+
+class TestAblationStageSharing:
+    def test_ru_grid_trains_stage1_once_per_seed(self, split_dir, tmp_path, monkeypatch):
+        seeds = _count_stage1(monkeypatch)
+        out = tmp_path / "ru"
+        assert main(["ablate-ru", "--split", str(split_dir), "--out", str(out),
+                     "--grid", "0.2,1.0", "--seeds", "0,1", *FAST]) == EXIT_OK
+        assert seeds == [0, 1]
+        last = (out / "ru_sweep.csv").read_text().strip().split("\n")[-1]
+        assert last.startswith("1.0,1,")
+        expected = _explicit_cell(split_dir, replace(FAST_CONFIG, r_u=1.0, seed=1))
+        assert last.split(",")[2] == repr(expected)
+
+    def test_noise_grid_trains_stage1_once_per_seed(self, split_dir, tmp_path, monkeypatch):
+        seeds = _count_stage1(monkeypatch)
+        assert main(["ablate-noise", "--split", str(split_dir), "--out", str(tmp_path / "noise"),
+                     "--seeds", "0,1", *FAST]) == EXIT_OK
+        assert seeds == [0, 1]
+
+    def test_repeated_grid_value_keeps_its_rows(self, split_dir, tmp_path, monkeypatch):
+        seeds = _count_stage1(monkeypatch)
+        out = tmp_path / "ru"
+        assert main(["ablate-ru", "--split", str(split_dir), "--out", str(out),
+                     "--grid", "0.2,0.2", "--seeds", "3,3", *FAST]) == EXIT_OK
+        assert seeds == [3]
+        rows = (out / "ru_sweep.csv").read_text().strip().split("\n")[1:]
+        assert len(rows) == 4 and len(set(rows)) == 1 and rows[0].startswith("0.2,3,")
+
+    def test_two_workers_write_the_same_bytes(self, split_dir, tmp_path, monkeypatch):
+        tables = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("SSDA_LAB_THREADS", threads)
+            out = tmp_path / f"ru{threads}"
+            assert main(["ablate-ru", "--split", str(split_dir), "--out", str(out), "--regen",
+                         "--grid", "0.2,1.0", "--seeds", "0,1", *FAST]) == EXIT_OK
+            tables[threads] = [(out / name).read_bytes() for name in ("ru_sweep.csv", "ru_summary.csv")]
+        assert tables["1"] == tables["2"]
+
+    @pytest.mark.parametrize("command, flags", [("ablate-ru", ["--seeds", "0", "--regen"]),
+                                                ("ablate-noise", ["--seeds", "0,1", "--regen"])])
+    @pytest.mark.parametrize("broken", ["missing", "bad_scale"])
+    def test_unusable_split_exits_3_before_out_exists(self, split_dir, tmp_path, capsys,
+                                                      command, flags, broken):
+        split = tmp_path / "nope" if broken == "missing" else _split_with_spec(split_dir, tmp_path / "bad",
+                                                                               "scale", -1.0)
+        assert main([command, "--split", str(split), "--out", str(tmp_path / "o"), *flags, *FAST]) == EXIT_DATA
+        assert "data error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestAblations:

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -173,6 +175,12 @@ class TestSplitViews:
             with pytest.raises(ValueError, match="read-only"):
                 view[0] = 0
 
+    def test_pickled_split_stays_read_only(self):
+        # the ablation grids send splits to and from worker processes
+        split = pickle.loads(pickle.dumps(gen_split(small_spec())))
+        for a in (split.unlabeled_x(), *split.labeled_xy(), *split.validation_xy(), split.unlabeled_truth):
+            assert not a.flags.writeable
+
 
 class TestSerialization:
     def test_round_trip_exact(self, tmp_path):
@@ -230,6 +238,65 @@ class TestSerialization:
         manifest["format_version"] = 99
         mpath.write_text(json.dumps(manifest))
         with pytest.raises(DataError, match="version"):
+            load_split(tmp_path / "split")
+
+
+
+def _set_shift(key, value):
+    return lambda m: m["spec"]["shift"].__setitem__(key, value)
+
+
+def _set_spec(key, value):
+    return lambda m: m["spec"].__setitem__(key, value)
+
+
+BAD_MANIFESTS = [
+    pytest.param(_set_shift("scale", -1.0), "shift scale must be positive", id="negative_scale"),
+    pytest.param(_set_shift("translation", ["nan", 1]), "bad split manifest", id="translation_str"),
+    pytest.param(_set_spec("input_dim", 3), "2 feature columns, the manifest's input_dim is 3", id="input_dim"),
+    pytest.param(_set_spec("n_classes", 2), r"labels outside \[0, 2\)", id="n_classes_below_labels"),
+    pytest.param(_set_spec("n_classes", 3.0), r"\['n_classes'\] must be integers", id="n_classes_float"),
+    pytest.param(_set_spec("colour", "red"), r"unknown keys \['colour'\]", id="unknown_spec_key"),
+    pytest.param(lambda m: m["spec"].pop("seed"), r"missing keys \['seed'\]", id="missing_spec_key"),
+    pytest.param(lambda m: m["spec"]["shift"].pop("scale"), r"missing keys \['scale'\]", id="missing_shift_key"),
+    pytest.param(lambda m: m.pop("n_t_per_class"), r"missing keys \['n_t_per_class'\]", id="missing_key"),
+    pytest.param(lambda m: m["checksums"].pop("source.csv"), r"missing keys \['source.csv'\]",
+                 id="missing_checksum"),
+    pytest.param(lambda m: m.__setitem__("n_val_per_class", 0), "must be >= 1", id="zero_validation"),
+]
+
+
+class TestManifestChecks:
+    """The manifest carries no checksum, so load_split checks what it says."""
+
+    @pytest.mark.parametrize("edit, message", BAD_MANIFESTS)
+    def test_bad_manifest_is_data_error(self, tmp_path, edit, message):
+        save_split(gen_split(small_spec()), tmp_path / "split")
+        mpath = tmp_path / "split" / "manifest.json"
+        manifest = json.loads(mpath.read_text())
+        edit(manifest)
+        mpath.write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match=message):
+            load_split(tmp_path / "split")
+
+    def test_manifest_not_json(self, tmp_path):
+        save_split(gen_split(small_spec()), tmp_path / "split")
+        (tmp_path / "split" / "manifest.json").write_text("{not json")
+        with pytest.raises(DataError, match="not valid JSON"):
+            load_split(tmp_path / "split")
+
+    def test_label_out_of_range_under_valid_checksum(self, tmp_path):
+        save_split(gen_split(small_spec()), tmp_path / "split")
+        table = tmp_path / "split" / "labeled_target.csv"
+        lines = table.read_text().split("\n")
+        lines[1] = lines[1].rsplit(",", 1)[0] + ",7"
+        data = "\n".join(lines).encode()
+        table.write_bytes(data)
+        mpath = tmp_path / "split" / "manifest.json"
+        manifest = json.loads(mpath.read_text())
+        manifest["checksums"]["labeled_target.csv"] = hashlib.sha256(data).hexdigest()
+        mpath.write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match=r"labeled_target.csv has labels outside \[0, 3\)"):
             load_split(tmp_path / "split")
 
 
