@@ -14,6 +14,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -29,8 +30,9 @@ from .datasets import (
     save_split,
     split_checksum,
 )
-from .network import forward_features, load_checkpoint, save_checkpoint
+from .network import NetworkParams, forward_features, load_checkpoint, save_checkpoint
 from .pseudolabel import (
+    check_selection,
     infer_pseudo,
     load_selection,
     reliability,
@@ -111,6 +113,36 @@ def _print_effective_config(config: TrainConfig) -> None:
 
 def _anchor_features(split: SSDASplit, params) -> dict[int, np.ndarray]:
     return {c: forward_features(x, params) for c, x in split.labeled_target_by_class().items()}
+
+
+# -- artifacts checked against their split --
+
+
+@contextmanager
+def _data_errors(path: str):
+    """Report a malformed artifact at ``path`` as a data error (exit 3)."""
+    try:
+        yield
+    except (ValueError, KeyError, TypeError) as err:
+        raise DataError(f"unusable {path}: {err}") from err
+
+
+def _load_params(path: str, split: SSDASplit) -> NetworkParams:
+    """A checkpoint's params, refused unless their input dim and class count match ``split``."""
+    with _data_errors(path):
+        params = load_checkpoint(path)["params"]
+    if (params.input_dim, params.n_classes) != (split.spec.input_dim, split.n_classes):
+        raise DataError(f"checkpoint {path} has input dim {params.input_dim} and {params.n_classes} classes, "
+                        f"the split has {split.spec.input_dim} and {split.n_classes}")
+    return params
+
+
+def _load_dump(path: str, split: SSDASplit | None) -> tuple[dict, dict | None]:
+    """A selection dump and, given its split, its checked per-row columns."""
+    with _data_errors(path):
+        dump = load_selection(path)
+        columns = None if split is None else check_selection(dump, len(split.unlabeled_target), split.n_classes)
+    return dump, columns
 
 
 # -- manifest --
@@ -215,11 +247,11 @@ def cmd_pseudo_label(args) -> int:
     config = build_config(args)
     _print_effective_config(config)
     split = load_split(args.split)
-    record = load_checkpoint(args.checkpoint)
+    params = _load_params(args.checkpoint, split)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    selected, rel_before, rel_after = _run_selection(split, record["params"], config, out)
+    selected, rel_before, rel_after = _run_selection(split, params, config, out)
     _write_manifest(args, out, config, {"selection": out / "selection.json"},
                     {"stage2": time.perf_counter() - t0})
     print(f"selected {len(selected)} of {len(split.unlabeled_target)} "
@@ -232,12 +264,12 @@ def cmd_self_train(args) -> int:
     config = build_config(args)
     _print_effective_config(config)
     split = load_split(args.split)
-    record = load_checkpoint(args.checkpoint)
-    selected = selected_set_from_dump(load_selection(args.selection))
+    params = _load_params(args.checkpoint, split)
+    selected = selected_set_from_dump(_load_dump(args.selection, split)[0])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    _, report, ckpt = _run_selftrain(split, selected, record["params"], config, out)
+    _, report, ckpt = _run_selftrain(split, selected, params, config, out)
     _write_manifest(args, out, config, {"checkpoint": ckpt, "report_csv": out / "final_report.csv"},
                     {"train": time.perf_counter() - t0})
     print(f"self-train: stop={report.stop_reason} best_val={report.best_val_acc:.4f} "
@@ -285,8 +317,7 @@ def cmd_run_pipeline(args) -> int:
 
 def cmd_evaluate(args) -> int:
     split = load_split(args.split)
-    record = load_checkpoint(args.checkpoint)
-    acc = evaluate(record["params"], split.unlabeled_x(), split.unlabeled_truth)
+    acc = evaluate(_load_params(args.checkpoint, split), split.unlabeled_x(), split.unlabeled_truth)
     print(f"accuracy on unlabeled target: {acc:.4f}")
     return EXIT_OK
 
@@ -431,19 +462,12 @@ def cmd_ablate_noise(args) -> int:
 
 
 def cmd_report_reliability(args) -> int:
-    dump = load_selection(args.selection)
-    if args.split:
-        split = load_split(args.split)
-        truth = split.unlabeled_truth
-        selected_ids = {a["index"] for a in dump["annotations"] if a["selected"]}
-        hits_all = [a["hard_label"] == int(truth[a["index"]]) for a in dump["annotations"]]
-        hits_sel = [
-            a["hard_label"] == int(truth[a["index"]])
-            for a in dump["annotations"]
-            if a["index"] in selected_ids
-        ]
-        before = float(np.mean(hits_all))
-        after = float(np.mean(hits_sel))
+    split = load_split(args.split) if args.split else None
+    dump, columns = _load_dump(args.selection, split)
+    if columns is not None:
+        hits = columns["hard_label"] == split.unlabeled_truth[columns["index"]]
+        before = float(np.mean(hits))
+        after = float(np.mean(hits[columns["selected"]]))
     else:
         before, after = dump.get("reliability_before"), dump.get("reliability_after")
         if before is None or after is None:

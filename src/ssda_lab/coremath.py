@@ -51,13 +51,19 @@ def entropy(p: np.ndarray) -> float:
     return float(-np.sum(p * np.log(np.maximum(p, LOG_CLAMP))))
 
 
-def l1_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Sum of absolute coordinate differences."""
+def l1_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """Sum of absolute coordinate differences over the last axis.
+
+    Leading axes broadcast: ``(m, 1, d)`` against ``(a, d)`` gives the
+    ``(m, a)`` distance table.  Two 1-D vectors give a float.  Each entry
+    equals the 1-D distance of its pair bit for bit.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
+    if a.ndim == 0 or b.ndim == 0 or a.shape[-1] != b.shape[-1]:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.sum(np.abs(a - b)))
+    dist = np.abs(a - b).sum(axis=-1)
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def is_prob_vec(p: np.ndarray, tol: float = PROB_SUM_TOL) -> bool:

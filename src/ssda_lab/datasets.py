@@ -16,6 +16,7 @@ the -1 sentinel), ``validation_target.csv``, and ``unlabeled_truth.csv``.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
@@ -263,24 +264,32 @@ def _csv_lines(x: np.ndarray, y: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_samples_csv(text: str, path: str, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    lines = text.strip().split("\n")
-    if not lines or not lines[0].startswith("x0"):
-        raise DataError(f"malformed table {path}: missing header")
-    rows, labels = [], []
+def _read_rows(text: str, path: str, dtype: list) -> np.ndarray:
+    """The rows below the header line as a structured array, parsed by numpy's C reader.
+
+    Every row must hold exactly the fields of ``dtype``; integer fields take
+    integer literals only (``1.0`` is refused).
+    """
+    body = text.partition("\n")[2]
+    if not body.strip():
+        raise DataError(f"malformed table {path}: no rows")
     try:
-        for line in lines[1:]:
-            cells = line.split(",")
-            rows.append([float(v) for v in cells[:-1]])
-            labels.append(int(cells[-1]))
-        x = np.array(rows)
+        return np.loadtxt(io.StringIO(body), dtype=dtype, delimiter=",", comments=None, ndmin=1)
     except ValueError as err:
         raise DataError(f"malformed table {path}: {err}") from err
-    if x.ndim != 2 or x.shape[1] != dim:
-        raise DataError(f"{path} has {x.shape[-1]} feature columns, the manifest's input_dim is {dim}")
+
+
+def _parse_samples_csv(text: str, path: str, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    if not text.startswith("x0"):
+        raise DataError(f"malformed table {path}: missing header")
+    n_features = text.partition("\n")[0].count(",")
+    if n_features != dim:
+        raise DataError(f"{path} has {n_features} feature columns, the manifest's input_dim is {dim}")
+    rows = _read_rows(text, path, [("x", np.float64, (dim,)), ("y", int)])
+    x = np.ascontiguousarray(rows["x"])
     if not np.all(np.isfinite(x)):
         raise DataError(f"non-finite feature values in {path}")
-    return x, np.array(labels, dtype=int)
+    return x, np.ascontiguousarray(rows["y"])
 
 
 def _check_labels(y: np.ndarray, n_classes: int, path: str) -> np.ndarray:
@@ -410,11 +419,9 @@ def load_split(split_dir: str | Path) -> SSDASplit:
     unl_x, unl_y = _parse_samples_csv(texts["unlabeled_target.csv"], "unlabeled_target.csv", spec.input_dim)
     if np.any(unl_y != -1):
         raise DataError("unlabeled_target.csv must carry the -1 label sentinel")
-    try:
-        truth_lines = texts["unlabeled_truth.csv"].strip().split("\n")[1:]
-        truth = np.array([int(line.split(",")[1]) for line in truth_lines], dtype=int)
-    except (ValueError, IndexError) as err:
-        raise DataError(f"malformed table unlabeled_truth.csv: {err}") from err
+    truth = np.ascontiguousarray(
+        _read_rows(texts["unlabeled_truth.csv"], "unlabeled_truth.csv", [("index", int), ("y", int)])["y"]
+    )
     if len(truth) != len(unl_x):
         raise DataError("unlabeled_truth.csv row count does not match unlabeled_target.csv")
 

@@ -382,6 +382,8 @@ def load_checkpoint(path: str | Path) -> dict:
     if not p.exists():
         raise FileNotFoundError(f"checkpoint not found: {p}")
     record = json.loads(p.read_text(encoding="utf-8"))
+    if not isinstance(record, dict):
+        raise ValueError("checkpoint must be a JSON object")
     if record.get("format_version") != CHECKPOINT_VERSION:
         raise ValueError(f"checkpoint version {record.get('format_version')} != {CHECKPOINT_VERSION}")
     return {"params": params_from_jsonable(record["params"]), "extra": record["extra"]}

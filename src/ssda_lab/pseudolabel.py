@@ -62,23 +62,20 @@ def infer_pseudo(params: NetworkParams, unlabeled_x: np.ndarray) -> list[PseudoA
         raise ValueError("empty unlabeled set")
     features = forward_features(unlabeled_x, params)
     probs = forward_classifier(features, params)
+    hard = probs.argmax(axis=1).tolist()
     return [
-        PseudoAnnotation(
-            index=i,
-            soft_label=probs[i],
-            hard_label=int(np.argmax(probs[i])),
-            feature=features[i],
-        )
-        for i in range(len(unlabeled_x))
+        PseudoAnnotation(index=i, soft_label=p, hard_label=h, feature=f)
+        for i, (p, h, f) in enumerate(zip(probs, hard, features))
     ]
 
 
-def feature_distance(f_u: np.ndarray, anchor_feats: np.ndarray) -> float:
-    """Mean L1 distance from one unlabeled feature to its class anchors."""
+def feature_distance(f_u: np.ndarray, anchor_feats: np.ndarray) -> float | np.ndarray:
+    """Mean L1 distance to the class anchors: a float for one feature, an (m,) array for (m, d) rows."""
     anchor_feats = np.asarray(anchor_feats, dtype=np.float64)
     if anchor_feats.size == 0:
         raise ValueError("empty anchors")
-    return float(np.mean([l1_distance(a, f_u) for a in anchor_feats]))
+    dist = l1_distance(np.asarray(f_u, dtype=np.float64)[..., None, :], anchor_feats).mean(axis=-1)
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def per_class_quota(r_u: float, n_u: int, n_classes: int) -> int:
@@ -103,18 +100,23 @@ def select(
     if not 0.0 < r_u <= 1.0:
         raise ValueError(f"r_u must be in (0, 1], got {r_u}")
     quota = per_class_quota(r_u, n_u, n_classes)
+    hard = np.array([a.hard_label for a in annotations], dtype=int)
+    if hard.size and not 0 <= hard.min() <= hard.max() < n_classes:
+        raise ValueError(f"hard labels must lie in [0, {n_classes})")
     chosen: list[PseudoAnnotation] = []
     for c in range(n_classes):
-        members = [a for a in annotations if a.hard_label == c]
-        if not members:
+        members = np.flatnonzero(hard == c)
+        if not members.size:
             continue
         anchors = anchor_features_by_class.get(c)
         if anchors is None or np.asarray(anchors).size == 0:
             raise ValueError(f"class {c} has annotated samples but no anchors")
-        for a in members:
-            a.distance = feature_distance(a.feature, anchors)
-        members.sort(key=lambda a: (a.distance, a.index))
-        chosen.extend(members[: min(quota, len(members))])
+        rows = [annotations[i] for i in members]
+        dist = feature_distance(np.stack([a.feature for a in rows]), anchors)
+        for a, d in zip(rows, dist.tolist()):
+            a.distance = d
+        order = np.lexsort((np.array([a.index for a in rows]), dist))
+        chosen.extend(rows[i] for i in order[:quota].tolist())
     return SelectedSet(
         annotations=chosen,
         index_set=sorted(a.index for a in chosen),
@@ -131,8 +133,9 @@ def reliability(annotations: list[PseudoAnnotation], hidden_truth: np.ndarray) -
     """
     if not annotations:
         raise ValueError("empty annotation set")
-    hidden_truth = np.asarray(hidden_truth)
-    hits = sum(1 for a in annotations if a.hard_label == int(hidden_truth[a.index]))
+    hard = np.array([a.hard_label for a in annotations])
+    index = np.array([a.index for a in annotations])
+    hits = int(np.count_nonzero(hard == np.asarray(hidden_truth)[index]))
     return hits / len(annotations)
 
 
@@ -161,7 +164,7 @@ def selection_to_jsonable(
                 "index": a.index,
                 "hard_label": a.hard_label,
                 "distance": a.distance,
-                "soft_label": [float(v) for v in a.soft_label],
+                "soft_label": a.soft_label.tolist(),
                 "selected": a.index in selected_ids,
             }
             for a in all_annotations
@@ -179,7 +182,48 @@ def load_selection(path: str | Path) -> dict:
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"selection dump not found: {p}")
-    return json.loads(p.read_text(encoding="utf-8"))
+    dump = json.loads(p.read_text(encoding="utf-8"))
+    if not isinstance(dump, dict):
+        raise ValueError("selection dump must be a JSON object")
+    return dump
+
+
+_DUMP_KEYS = ("r_u", "per_class_quota", "n_selected", "selected_by_class", "annotations",
+              "reliability_before", "reliability_after")
+_ENTRY_KEYS = ("index", "hard_label", "distance", "soft_label", "selected")
+
+
+def check_selection(dump: dict, n_unlabeled: int, n_classes: int) -> dict[str, np.ndarray]:
+    """Check a selection dump against its split; returns the index, hard_label and selected columns.
+
+    Raises ValueError unless every key is present, at least one row is
+    selected, the indices are unique integers in [0, n_unlabeled), the hard
+    labels integers in [0, n_classes), the distances numbers, the selected
+    flags booleans, and every soft row has n_classes entries.
+    """
+    missing = [k for k in _DUMP_KEYS if k not in dump]
+    if missing:
+        raise ValueError(f"selection dump lacks the keys {missing}")
+    entries = dump["annotations"]
+    try:
+        index, hard, distance, chosen = (np.array([e[k] for e in entries])
+                                         for k in ("index", "hard_label", "distance", "selected"))
+        widths = {len(e["soft_label"]) for e in entries}
+    except (KeyError, TypeError) as err:
+        raise ValueError(f"every selection entry needs the keys {list(_ENTRY_KEYS)}") from err
+    if not chosen.any():
+        raise ValueError("selection dump selects no rows")
+    if index.dtype.kind != "i" or hard.dtype.kind != "i" or distance.dtype.kind != "f" or chosen.dtype != bool:
+        raise ValueError("selection indices and hard labels must be integers, distances numbers, "
+                         "selected flags booleans")
+    ordered = np.sort(index)
+    if ordered[0] < 0 or ordered[-1] >= n_unlabeled or np.any(ordered[1:] == ordered[:-1]):
+        raise ValueError(f"selection indices must be unique and lie in [0, {n_unlabeled})")
+    if hard.min() < 0 or hard.max() >= n_classes:
+        raise ValueError(f"selection hard labels must lie in [0, {n_classes})")
+    if widths != {n_classes}:
+        raise ValueError(f"selection soft rows have widths {sorted(widths)}, the split has {n_classes} classes")
+    return {"index": index, "hard_label": hard, "selected": chosen}
 
 
 def selected_set_from_dump(dump: dict) -> SelectedSet:

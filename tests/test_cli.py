@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 from ssda_lab import cli
-from ssda_lab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME, main
+from ssda_lab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from ssda_lab.coremath import seeded_rng
 from ssda_lab.datasets import load_split
-from ssda_lab.network import forward_features
+from ssda_lab.network import forward_features, init_params, save_checkpoint
 from ssda_lab.pseudolabel import infer_pseudo, select
 from ssda_lab.trainer import TrainConfig, evaluate, progressive_self_train, train_baseline
 
@@ -154,10 +155,10 @@ class TestRunPipeline:
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_corrupt_checkpoint_is_runtime_error(self, split_dir, tmp_path):
+    def test_corrupt_checkpoint_is_data_error(self, split_dir, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        assert main(["evaluate", "--split", str(split_dir), "--checkpoint", str(bad)]) == EXIT_RUNTIME
+        assert main(["evaluate", "--split", str(split_dir), "--checkpoint", str(bad)]) == EXIT_DATA
 
 
 BAD_CONFIGS = [
@@ -375,6 +376,110 @@ class TestAblations:
     def test_noise_ablation_needs_two_seeds(self, split_dir, tmp_path):
         assert main(["ablate-noise", "--split", str(split_dir), "--out", str(tmp_path / "o"),
                      "--seeds", "0"]) == EXIT_CONFIG
+
+
+@pytest.fixture(scope="module")
+def stage2(split_dir, tmp_path_factory):
+    """A baseline checkpoint and its selection dump for ``split_dir``."""
+    root = tmp_path_factory.mktemp("stage2")
+    ckpt = root / "s1" / "baseline_checkpoint.json"
+    assert main(["train-baseline", "--split", str(split_dir), "--out", str(root / "s1"), *FAST]) == EXIT_OK
+    assert main(["pseudo-label", "--split", str(split_dir), "--checkpoint", str(ckpt),
+                 "--out", str(root / "s2"), *FAST]) == EXIT_OK
+    return ckpt, root / "s2" / "selection.json"
+
+
+def _foreign_checkpoint(input_dim: int, n_classes: int):
+    """A well-formed checkpoint for a network of another shape than the 2-D, 3-class test split."""
+    def write(path: Path, good: Path) -> None:
+        params = init_params(input_dim=input_dim, hidden_dims=(8,), feature_dim=4, n_classes=n_classes,
+                             temperature=0.05, rng=seeded_rng(0, "init"))
+        save_checkpoint(path, params, extra={"stage": "baseline"})
+    return write
+
+
+def _edited(edit):
+    return lambda path, good: path.write_text(edit(good.read_text()))
+
+
+def _edited_dump(change):
+    def edit(text: str) -> str:
+        dump = json.loads(text)
+        change(dump)
+        return json.dumps(dump)
+    return _edited(edit)
+
+
+BAD_CHECKPOINTS = [
+    pytest.param(_foreign_checkpoint(3, 3), id="input_dim_3"),
+    pytest.param(_foreign_checkpoint(2, 5), id="classes_5"),
+    pytest.param(_edited(lambda text: text[: len(text) // 2]), id="truncated"),
+    pytest.param(_edited(lambda text: text.replace('"format_version": 1', '"format_version": 2')), id="version_2"),
+    pytest.param(_edited(lambda text: "[]"), id="not_an_object"),
+]
+
+BAD_SELECTIONS = [
+    pytest.param(_edited(lambda text: text[: len(text) // 2]), id="truncated"),
+    pytest.param(_edited_dump(lambda d: d.pop("r_u")), id="missing_key"),
+    pytest.param(_edited_dump(lambda d: d["annotations"][0].pop("selected")), id="missing_entry_key"),
+    pytest.param(_edited_dump(lambda d: d["annotations"][0].update(index=486)), id="index_from_larger_split"),
+    pytest.param(_edited_dump(lambda d: d["annotations"][1].update(index=0)), id="duplicate_index"),
+    pytest.param(_edited_dump(lambda d: d["annotations"][0].update(hard_label=3)), id="hard_label_3"),
+    pytest.param(_edited_dump(lambda d: d["annotations"][0].update(distance=None)), id="null_distance"),
+    pytest.param(_edited_dump(lambda d: d["annotations"][0]["soft_label"].append(0.0)), id="soft_width_4"),
+    pytest.param(_edited_dump(lambda d: [a.update(selected=False) for a in d["annotations"]]), id="none_selected"),
+]
+
+
+class TestArtifactChecks:
+    """A checkpoint or selection dump that does not fit its split exits 3 before any work."""
+
+    @pytest.mark.parametrize("command", ["pseudo-label", "self-train", "evaluate"])
+    @pytest.mark.parametrize("write", BAD_CHECKPOINTS)
+    def test_unusable_checkpoint_exits_3_before_out_exists(self, split_dir, stage2, tmp_path, capsys,
+                                                           command, write):
+        good_ckpt, selection = stage2
+        bad = tmp_path / "checkpoint.json"
+        write(bad, good_ckpt)
+        argv = [command, "--split", str(split_dir), "--checkpoint", str(bad)]
+        if command == "self-train":
+            argv += ["--selection", str(selection)]
+        if command != "evaluate":
+            argv += ["--out", str(tmp_path / "o"), *FAST]
+        assert main(argv) == EXIT_DATA
+        assert "data error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["self-train", "report-reliability"])
+    @pytest.mark.parametrize("write", BAD_SELECTIONS)
+    def test_unusable_selection_exits_3_before_out_exists(self, split_dir, stage2, tmp_path, capsys,
+                                                          command, write):
+        ckpt, good_selection = stage2
+        bad = tmp_path / "selection.json"
+        write(bad, good_selection)
+        if command == "self-train":
+            argv = [command, "--split", str(split_dir), "--checkpoint", str(ckpt), "--selection", str(bad),
+                    "--out", str(tmp_path / "o"), *FAST]
+        else:
+            argv = [command, "--selection", str(bad), "--split", str(split_dir), "--csv", str(tmp_path / "o")]
+        assert main(argv) == EXIT_DATA
+        assert "data error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_truncated_selection_without_split_exits_3(self, stage2, tmp_path, capsys):
+        bad = tmp_path / "selection.json"
+        bad.write_text(stage2[1].read_text()[:100])
+        assert main(["report-reliability", "--selection", str(bad), "--csv", str(tmp_path / "o")]) == EXIT_DATA
+        assert "data error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_recomputed_reliability_equals_stored(self, split_dir, stage2, tmp_path):
+        dump = json.loads(stage2[1].read_text())
+        csv_path = tmp_path / "rel.csv"
+        assert main(["report-reliability", "--selection", str(stage2[1]), "--split", str(split_dir),
+                     "--csv", str(csv_path)]) == EXIT_OK
+        assert csv_path.read_text() == (f"metric,value\nreliability_before,{dump['reliability_before']!r}\n"
+                                        f"reliability_after,{dump['reliability_after']!r}\n")
 
 
 class TestReportReliability:

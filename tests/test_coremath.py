@@ -116,6 +116,17 @@ class TestL1Distance:
         with pytest.raises(ValueError, match="dimension mismatch"):
             l1_distance(np.array([1.0]), np.array([1.0, 2.0]))
 
+    def test_broadcast_table_matches_pairs(self, rng):
+        rows, anchors = rng.standard_normal((7, 5)), rng.standard_normal((3, 5))
+        table = l1_distance(rows[:, None, :], anchors)
+        assert table.shape == (7, 3)
+        expected = [[l1_distance(r, a) for a in anchors] for r in rows]
+        assert table.tolist() == expected  # bit for bit
+
+    def test_broadcast_last_axis_mismatch(self, rng):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            l1_distance(rng.standard_normal((7, 1, 5)), rng.standard_normal((3, 4)))
+
     @given(
         st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=6),
         st.data(),

@@ -1,10 +1,12 @@
 import hashlib
 import json
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ssda_lab.coremath import seeded_rng
 from ssda_lab.datasets import (
     DataError,
     DomainPairSpec,
@@ -287,17 +289,64 @@ class TestManifestChecks:
 
     def test_label_out_of_range_under_valid_checksum(self, tmp_path):
         save_split(gen_split(small_spec()), tmp_path / "split")
-        table = tmp_path / "split" / "labeled_target.csv"
-        lines = table.read_text().split("\n")
-        lines[1] = lines[1].rsplit(",", 1)[0] + ",7"
-        data = "\n".join(lines).encode()
-        table.write_bytes(data)
-        mpath = tmp_path / "split" / "manifest.json"
-        manifest = json.loads(mpath.read_text())
-        manifest["checksums"]["labeled_target.csv"] = hashlib.sha256(data).hexdigest()
-        mpath.write_text(json.dumps(manifest))
+        _restamped_edit(tmp_path / "split", "labeled_target.csv", lambda row: row.rsplit(",", 1)[0] + ",7")
         with pytest.raises(DataError, match=r"labeled_target.csv has labels outside \[0, 3\)"):
             load_split(tmp_path / "split")
+
+
+def _restamped_edit(split, name: str, edit) -> None:
+    """Rewrite the first data row of one table and re-stamp its checksum, so only parsing can object."""
+    table = split / name
+    lines = table.read_text().split("\n")
+    lines[1] = edit(lines[1])
+    data = "\n".join(lines).encode()
+    table.write_bytes(data)
+    mpath = split / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    manifest["checksums"][name] = hashlib.sha256(data).hexdigest()
+    mpath.write_text(json.dumps(manifest))
+
+
+BAD_CELLS = [
+    pytest.param("source.csv", lambda row: row.rsplit(",", 1)[0] + ",1.5", id="label_1.5"),
+    pytest.param("source.csv", lambda row: row.rsplit(",", 1)[0] + ",1.0", id="label_1.0"),
+    pytest.param("source.csv", lambda row: row.split(",", 1)[1], id="ragged_row"),
+    pytest.param("source.csv", lambda row: "," + row.split(",", 1)[1], id="empty_feature_cell"),
+    pytest.param("source.csv", lambda row: row.rsplit(",", 1)[0] + ",", id="empty_label_cell"),
+    pytest.param("unlabeled_target.csv", lambda row: row + ",0", id="unlabeled_extra_cell"),
+    pytest.param("unlabeled_truth.csv", lambda row: row.split(",")[0] + ",1.0", id="truth_label_1.0"),
+    pytest.param("unlabeled_truth.csv", lambda row: row.split(",")[0], id="truth_ragged_row"),
+]
+
+
+class TestTableParsing:
+    """Tables are parsed by numpy's C reader; every malformed cell stays a DataError."""
+
+    @pytest.mark.parametrize("name, edit", BAD_CELLS)
+    def test_malformed_cell_under_valid_checksum(self, tmp_path, name, edit):
+        save_split(gen_split(small_spec()), tmp_path / "split")
+        _restamped_edit(tmp_path / "split", name, edit)
+        with pytest.raises(DataError, match=f"malformed table {name}"):
+            load_split(tmp_path / "split")
+
+    def test_large_split_round_trips_bit_exactly(self, tmp_path):
+        spec = small_spec(n_classes=10, input_dim=8, n_source=200, n_target=20000, class_separation=8.0)
+        split = gen_split(spec, 1, 3)
+        # magnitudes across the float64 range, signed zero, subnormals and the extremes
+        scales = 10.0 ** seeded_rng(0, "scales").integers(-300, 300, size=split.unlabeled_target.shape)
+        x = split.unlabeled_target * scales
+        x[0, :4] = [5e-324, -0.0, 2.2250738585072014e-308, 1.7976931348623157e308]
+        wide = replace(split, unlabeled_target=x)
+        save_split(wide, tmp_path / "a")
+        loaded = load_split(tmp_path / "a")
+        for got, want in [(loaded.unlabeled_target, x), (loaded.unlabeled_truth, split.unlabeled_truth),
+                          *zip(loaded.source, split.source), *zip(loaded.labeled_xy(), split.labeled_xy()),
+                          *zip(loaded.validation_target, split.validation_target)]:
+            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert got.flags.c_contiguous
+        save_split(loaded, tmp_path / "b")
+        for name in ("source.csv", "unlabeled_target.csv", "unlabeled_truth.csv", "manifest.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
 
 def test_default_benchmark_spec_fields():

@@ -82,6 +82,10 @@ class TestFeatureDistance:
         with pytest.raises(ValueError, match="empty anchors"):
             feature_distance(np.zeros(2), np.zeros((0, 2)))
 
+    def test_block_matches_rows(self, rng):
+        rows, anchors = rng.standard_normal((9, 4)), rng.standard_normal((3, 4))
+        assert feature_distance(rows, anchors).tolist() == [feature_distance(f, anchors) for f in rows]
+
 
 class TestSelect:
     def test_quota_formula(self):
@@ -143,6 +147,38 @@ def test_selection_order_properties(seed, r_u):
         assert len(inside) == min(selected.per_class_quota, len(members))
         if inside and outside:
             assert max(inside) <= min(outside)  # tie rule: (distance, index) order
+
+
+def _reference_selection(annotations, anchors, quota, k):
+    """Per-row distances and per-class (distance, index) order, one feature at a time."""
+    distance = {a.index: float(np.mean([np.abs(x - a.feature).sum() for x in anchors[a.hard_label]]))
+                for a in annotations}
+    chosen = []
+    for c in range(k):
+        members = sorted((distance[a.index], a.index) for a in annotations if a.hard_label == c)
+        chosen.extend(i for _, i in members[:quota])
+    return distance, chosen
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.floats(min_value=0.01, max_value=1.0), st.booleans())
+def test_select_matches_per_row_reference(seed, r_u, duplicate):
+    """Distances equal the per-row mean L1 bit for bit, and the chosen order is (class, distance, index)."""
+    annotations, anchors, n, k = random_pool(seed)
+    if duplicate:  # copies of a few features, so equal distances must tie-break by index
+        for a in annotations[1::2]:
+            a.feature = annotations[0].feature.copy()
+    selected = select(annotations, anchors, r_u=r_u, n_u=n, n_classes=k)
+    distance, chosen = _reference_selection(annotations, anchors, selected.per_class_quota, k)
+    assert [a.distance for a in annotations] == [distance[a.index] for a in annotations]
+    assert [a.index for a in selected.annotations] == chosen
+
+
+def test_hard_label_outside_classes_rejected():
+    annotations, anchors, n, k = random_pool(seed=6)
+    annotations[0].hard_label = k
+    with pytest.raises(ValueError, match=rf"hard labels must lie in \[0, {k}\)"):
+        select(annotations, anchors, r_u=0.5, n_u=n, n_classes=k)
 
 
 @settings(max_examples=200, deadline=None)
