@@ -89,6 +89,8 @@ def build_config(args: argparse.Namespace) -> TrainConfig:
             overrides = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as err:
             raise ConfigError(f"config file is not valid JSON: {err}") from err
+        if not isinstance(overrides, dict):
+            raise ConfigError("config file must hold a JSON object")
         unknown = set(overrides) - _CONFIG_FIELDS
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")

@@ -259,8 +259,8 @@ def _csv_lines(x: np.ndarray, y: np.ndarray) -> str:
     dim = x.shape[1]
     header = ",".join([f"x{i}" for i in range(dim)] + ["y"])
     lines = [header]
-    for row, label in zip(x, y):
-        lines.append(",".join([repr(float(v)) for v in row] + [str(int(label))]))
+    for row, label in zip(x.tolist(), np.asarray(y, dtype=int).tolist()):
+        lines.append(",".join(map(repr, row)) + f",{label}")
     return "\n".join(lines) + "\n"
 
 

@@ -3,14 +3,17 @@
 The model is p(x) = softmax(W @ (f/||f||_2) / T) where f = F(x) is the
 output of a small fully connected extractor.  Gradients are computed
 analytically and kept partitioned into extractor / classifier groups so
-the two can be driven by losses with opposite entropy signs.
+the two can be driven by losses with opposite entropy signs.  Weights and
+gradients each live in one flat float64 vector, extractor layers first and
+the classifier last, with per-layer views into it; an SGD step, a copy or
+a sum of gradients is one vector op.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,19 +43,84 @@ class _EventCounter:
 degenerate_feature_events = _EventCounter()
 
 
-@dataclass
-class NetworkParams:
-    """Trainable weights: extractor layer list plus the classifier matrix.
+class _FlatBuffer:
+    """One contiguous float64 vector ``flat`` with per-layer views bound into it.
 
-    ``extractor_layers`` is a list of (W, b) with W of shape (d_in, d_out);
+    The views are read-only properties: they cannot be re-bound, and
+    writing into one (``w[:] = ...``, ``w += ...``) writes ``flat``.  Whole-
+    network arithmetic (updates, copies, sums of gradients) is then one
+    vector op on ``flat``.  Pickling and ``copy.deepcopy`` store ``flat`` and
+    the shapes and bind fresh views, so a copy's views still share its buffer.
+    """
+
+    def __init__(self, layers, last) -> None:
+        arrays = [np.asarray(a, dtype=np.float64) for pair in layers for a in pair]
+        last = np.asarray(last, dtype=np.float64)
+        flat = np.concatenate([a.ravel() for a in arrays] + [last.ravel()])
+        self._bind(flat, [(w.shape, b.shape) for w, b in zip(arrays[::2], arrays[1::2])], last.shape)
+
+    def _bind(self, flat: np.ndarray, layer_shapes, last_shape) -> None:
+        views, i = [], 0
+        for shapes in layer_shapes:
+            pair = []
+            for shape in shapes:
+                n = math.prod(shape)
+                pair.append(flat[i : i + n].reshape(shape))
+                i += n
+            views.append(tuple(pair))
+        self._layers = tuple(views)
+        self._last = flat[i:].reshape(last_shape)
+        self._flat = flat
+
+    def _rebound(self, flat: np.ndarray, cls: type | None = None):
+        """An object shaped like this one, of type ``cls`` (default this type), viewing ``flat``."""
+        other = object.__new__(cls or type(self))
+        other.__setstate__({**self.__getstate__(), "flat": flat})
+        return other
+
+    @property
+    def flat(self) -> np.ndarray:
+        return self._flat
+
+    def __getstate__(self) -> dict:
+        return {
+            "flat": self._flat,
+            "layer_shapes": [(w.shape, b.shape) for w, b in self._layers],
+            "last_shape": self._last.shape,
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        self._bind(state["flat"], state["layer_shapes"], state["last_shape"])
+
+
+class NetworkParams(_FlatBuffer):
+    """Trainable weights: extractor layers plus the classifier matrix, in one ``flat`` vector.
+
+    ``extractor_layers`` is a tuple of (W, b) with W of shape (d_in, d_out);
     hidden layers apply ReLU, the final layer is linear and produces the
-    feature vector.  ``classifier_weights`` has shape (K, feature_dim).
+    feature vector.  ``classifier_weights`` has shape (K, feature_dim) and
+    fills the tail of ``flat``.  The constructor copies its arrays in.
     ``temperature`` is a fixed positive scalar, not trained.
     """
 
-    extractor_layers: list[tuple[np.ndarray, np.ndarray]]
-    classifier_weights: np.ndarray
-    temperature: float
+    def __init__(self, extractor_layers, classifier_weights, temperature: float) -> None:
+        super().__init__(extractor_layers, classifier_weights)
+        self.temperature = temperature
+
+    @property
+    def extractor_layers(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        return self._layers
+
+    @property
+    def classifier_weights(self) -> np.ndarray:
+        return self._last
+
+    def __getstate__(self) -> dict:
+        return {**super().__getstate__(), "temperature": self.temperature}
+
+    def __setstate__(self, state: dict) -> None:
+        super().__setstate__(state)
+        self.temperature = state["temperature"]
 
     def validate(self) -> None:
         if self.temperature <= 0:
@@ -74,11 +142,7 @@ class NetworkParams:
             raise ValueError("classifier has non-finite entries")
 
     def copy(self) -> "NetworkParams":
-        return NetworkParams(
-            extractor_layers=[(w.copy(), b.copy()) for w, b in self.extractor_layers],
-            classifier_weights=self.classifier_weights.copy(),
-            temperature=self.temperature,
-        )
+        return self._rebound(self.flat.copy())
 
     @property
     def input_dim(self) -> int:
@@ -89,27 +153,29 @@ class NetworkParams:
         return self.classifier_weights.shape[0]
 
 
-@dataclass
-class GradientBundle:
-    """Gradients shaped like their NetworkParams, split by parameter group."""
+class GradientBundle(_FlatBuffer):
+    """Gradients laid out like their NetworkParams' ``flat``, split by parameter group.
 
-    grad_layers: list[tuple[np.ndarray, np.ndarray]]
-    grad_classifier: np.ndarray
+    The extractor group is ``flat[:n_ext]`` and the classifier group
+    ``flat[n_ext:]``, with ``n_ext`` from ``group_sizes``.
+    """
+
+    @property
+    def grad_layers(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        return self._layers
+
+    @property
+    def grad_classifier(self) -> np.ndarray:
+        return self._last
 
 
 def zero_grads(params: NetworkParams) -> GradientBundle:
-    return GradientBundle(
-        grad_layers=[(np.zeros_like(w), np.zeros_like(b)) for w, b in params.extractor_layers],
-        grad_classifier=np.zeros_like(params.classifier_weights),
-    )
+    return params._rebound(np.zeros_like(params.flat), GradientBundle)
 
 
 def add_scaled(acc: GradientBundle, other: GradientBundle) -> GradientBundle:
     """acc += other, in place; returns acc."""
-    for (aw, ab), (ow, ob) in zip(acc.grad_layers, other.grad_layers):
-        aw += ow
-        ab += ob
-    acc.grad_classifier += other.grad_classifier
+    np.add(acc.flat, other.flat, out=acc.flat)
     return acc
 
 
@@ -139,16 +205,15 @@ def init_params(
     return params
 
 
-def _forward_extractor(x: np.ndarray, params: NetworkParams) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Return (pre-activations per layer, post-activations per layer incl. input)."""
+def _forward_extractor(x: np.ndarray, params: NetworkParams) -> list[np.ndarray]:
+    """Post-activations per layer, input first; the last entry is the feature batch."""
     h = [x]
-    z = []
     last = len(params.extractor_layers) - 1
     for i, (w, b) in enumerate(params.extractor_layers):
-        zi = h[-1] @ w + b
-        z.append(zi)
-        h.append(zi if i == last else np.maximum(zi, 0.0))
-    return z, h
+        zi = h[-1] @ w
+        zi += b
+        h.append(zi if i == last else np.maximum(zi, 0.0, out=zi))
+    return h
 
 
 def forward_features(x: np.ndarray, params: NetworkParams) -> np.ndarray:
@@ -158,19 +223,21 @@ def forward_features(x: np.ndarray, params: NetworkParams) -> np.ndarray:
     xb = x[None, :] if single else x
     if xb.shape[1] != params.input_dim:
         raise ValueError(f"dimension mismatch: input has dim {xb.shape[1]}, network expects {params.input_dim}")
-    _, h = _forward_extractor(xb, params)
-    return h[-1][0] if single else h[-1]
+    f = _forward_extractor(xb, params)[-1]
+    return f[0] if single else f
 
 
 def _normalize_features(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """L2-normalize rows; rows with near-zero norm pass through unnormalized."""
-    norms = np.linalg.norm(f, axis=1, keepdims=True)
+    """L2-normalize rows; rows with near-zero norm pass through unnormalized.
+
+    Returns the normalized rows, the (n, 1) divisors and the degenerate-row mask.
+    """
+    norms = np.sqrt(np.add.reduce(f * f, axis=1, keepdims=True))
     degenerate = norms[:, 0] < FEATURE_NORM_FLOOR
-    if np.any(degenerate):
-        degenerate_feature_events.bump(int(np.sum(degenerate)))
-    safe = np.where(degenerate[:, None], 1.0, norms)
-    g = f / safe
-    return g, safe[:, 0], degenerate
+    if degenerate.any():
+        degenerate_feature_events.bump(int(degenerate.sum()))
+        norms[degenerate] = 1.0
+    return f / norms, norms, degenerate
 
 
 def forward_classifier(f: np.ndarray, params: NetworkParams) -> np.ndarray:
@@ -179,7 +246,8 @@ def forward_classifier(f: np.ndarray, params: NetworkParams) -> np.ndarray:
     single = f.ndim == 1
     fb = f[None, :] if single else f
     g, _, _ = _normalize_features(fb)
-    logits = g @ params.classifier_weights.T / params.temperature
+    logits = g @ params.classifier_weights.T
+    logits /= params.temperature
     p = softmax(logits)
     return p[0] if single else p
 
@@ -194,6 +262,7 @@ def backward(
     params: NetworkParams,
     kind: str,
     targets: np.ndarray | None = None,
+    out: GradientBundle | None = None,
 ) -> tuple[float, GradientBundle]:
     """Batch-mean loss and its exact gradient, split into extractor/classifier groups.
 
@@ -202,59 +271,75 @@ def backward(
       "soft"     cross entropy against probability rows in ``targets``
                  (targets are constants; no gradient flows into them)
       "entropy"  mean prediction entropy, no targets
+
+    The gradient is written into ``out`` (shaped like ``params``) when given,
+    else into a new bundle; either way that bundle is returned.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("empty batch")
     n = x.shape[0]
 
-    z, h = _forward_extractor(x, params)
-    f = h[-1]
-    g, norms, degenerate = _normalize_features(f)
+    h = _forward_extractor(x, params)
+    g, norms, degenerate = _normalize_features(h[-1])
     wc = params.classifier_weights
     t = params.temperature
-    logits = g @ wc.T / t
+    logits = g @ wc.T
+    logits /= t
     p = softmax(logits)
-    logp = np.log(np.maximum(p, LOG_CLAMP))
+    logp = np.maximum(p, LOG_CLAMP)
+    np.log(logp, out=logp)
 
     if kind == "hard":
         onehot = np.zeros_like(p)
         onehot[np.arange(n), np.asarray(targets, dtype=int)] = 1.0
-        loss = float(-np.sum(onehot * logp) / n)
-        dlogits = (p - onehot) / n
+        loss = float(-(onehot * logp).sum() / n)
+        dlogits = p - onehot
+        dlogits /= n
     elif kind == "soft":
         soft = np.asarray(targets, dtype=np.float64)
         if soft.shape != p.shape:
             raise ValueError(f"soft targets shape {soft.shape} does not match predictions {p.shape}")
-        loss = float(-np.sum(soft * logp) / n)
-        dlogits = (p - soft) / n
+        loss = float(-(soft * logp).sum() / n)
+        dlogits = p - soft
+        dlogits /= n
     elif kind == "entropy":
-        row_h = -np.sum(p * logp, axis=1, keepdims=True)
-        loss = float(np.mean(row_h[:, 0]))
-        dlogits = -p * (logp + row_h) / n
+        row_h = -(p * logp).sum(axis=1, keepdims=True)
+        loss = float(row_h[:, 0].mean())
+        # -p (logp + H) / n, negated through the divisor (exact in IEEE arithmetic)
+        dlogits = logp
+        dlogits += row_h
+        dlogits *= p
+        dlogits /= -n
     else:
         raise ValueError(f"unknown loss kind: {kind!r}")
 
+    if out is None:
+        out = zero_grads(params)
     # Classifier and feature gradients through the temperature-scaled head.
-    grad_classifier = dlogits.T @ g / t
-    dg = dlogits @ wc / t
+    gc = np.matmul(dlogits.T, g, out=out.grad_classifier)
+    gc /= t
+    dg = dlogits @ wc
+    dg /= t
     # Through L2 normalization g = f/r: df = (dg - g (g . dg)) / r,
     # identity pass-through on degenerate rows.
-    inner = np.sum(g * dg, axis=1, keepdims=True)
-    df = (dg - g * inner) / norms[:, None]
-    if np.any(degenerate):
+    df = g * (g * dg).sum(axis=1, keepdims=True)
+    np.subtract(dg, df, out=df)
+    df /= norms
+    if degenerate.any():
         df[degenerate] = dg[degenerate]
 
-    # Through the extractor; final layer is linear, hidden layers ReLU.
-    grad_layers: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.extractor_layers)
-    dh = df
-    last = len(params.extractor_layers) - 1
-    for i in range(last, -1, -1):
-        dz = dh if i == last else dh * (z[i] > 0)
-        grad_layers[i] = (h[i].T @ dz, np.sum(dz, axis=0))
+    # Through the extractor; final layer is linear, hidden layers ReLU
+    # (a hidden unit passes gradient where its output h is positive).
+    dz = df
+    for i in range(len(params.extractor_layers) - 1, -1, -1):
+        gw, gb = out.grad_layers[i]
+        np.matmul(h[i].T, dz, out=gw)
+        dz.sum(axis=0, out=gb)
         if i > 0:
-            dh = dz @ params.extractor_layers[i][0].T
-    return loss, GradientBundle(grad_layers=grad_layers, grad_classifier=grad_classifier)
+            dz = dz @ params.extractor_layers[i][0].T
+            dz *= h[i] > 0
+    return loss, out
 
 
 def sgd_step(
@@ -272,18 +357,12 @@ def sgd_step(
         raise ValueError("momentum must be in [0, 1)")
     if weight_decay < 0:
         raise ValueError("weight_decay must be nonnegative")
-
-    def _update(theta: np.ndarray, g: np.ndarray, v: np.ndarray) -> None:
-        if theta.shape != g.shape or theta.shape != v.shape:
-            raise ValueError(f"shape mismatch: {theta.shape} vs {g.shape} vs {v.shape}")
-        v *= momentum
-        v += g + weight_decay * theta
-        theta -= lr * v
-
-    for (w, b), (gw, gb), (vw, vb) in zip(params.extractor_layers, grads.grad_layers, velocities.grad_layers):
-        _update(w, gw, vw)
-        _update(b, gb, vb)
-    _update(params.classifier_weights, grads.grad_classifier, velocities.grad_classifier)
+    theta, g, v = params.flat, grads.flat, velocities.flat
+    if theta.shape != g.shape or theta.shape != v.shape:
+        raise ValueError(f"shape mismatch: {theta.shape} vs {g.shape} vs {v.shape}")
+    v *= momentum
+    v += g + weight_decay * theta
+    theta -= lr * v
 
 
 def anneal_lr(base_lr: float, progress: float) -> float:
@@ -298,41 +377,27 @@ def anneal_lr(base_lr: float, progress: float) -> float:
 
 
 def flatten_params(params: NetworkParams) -> np.ndarray:
-    parts = []
-    for w, b in params.extractor_layers:
-        parts.extend([w.ravel(), b.ravel()])
-    parts.append(params.classifier_weights.ravel())
-    return np.concatenate(parts)
+    """A copy of ``params.flat``: later steps on ``params`` do not move it."""
+    return params.flat.copy()
 
 
 def unflatten_params(flat: np.ndarray, like: NetworkParams) -> NetworkParams:
-    out = like.copy()
-    i = 0
-    for li, (w, b) in enumerate(out.extractor_layers):
-        out.extractor_layers[li] = (
-            flat[i : i + w.size].reshape(w.shape).copy(),
-            flat[i + w.size : i + w.size + b.size].copy(),
-        )
-        i += w.size + b.size
-    out.classifier_weights = flat[i : i + out.classifier_weights.size].reshape(out.classifier_weights.shape).copy()
-    i += out.classifier_weights.size
-    if i != flat.size:
-        raise ValueError(f"flat vector has {flat.size} entries, network needs {i}")
-    return out
+    """Params shaped like ``like`` holding a copy of ``flat``."""
+    flat = np.array(flat, dtype=np.float64).ravel()
+    if flat.size != like.flat.size:
+        raise ValueError(f"flat vector has {flat.size} entries, network needs {like.flat.size}")
+    return like._rebound(flat)
 
 
 def flatten_grads(bundle: GradientBundle) -> np.ndarray:
-    parts = []
-    for gw, gb in bundle.grad_layers:
-        parts.extend([gw.ravel(), gb.ravel()])
-    parts.append(bundle.grad_classifier.ravel())
-    return np.concatenate(parts)
+    """A copy of ``bundle.flat``."""
+    return bundle.flat.copy()
 
 
 def group_sizes(params: NetworkParams) -> tuple[int, int]:
-    """(extractor parameter count, classifier parameter count)."""
-    n_ext = sum(w.size + b.size for w, b in params.extractor_layers)
-    return n_ext, params.classifier_weights.size
+    """(extractor parameter count, classifier parameter count): the two halves of ``flat``."""
+    n_cls = params.classifier_weights.size
+    return params.flat.size - n_cls, n_cls
 
 
 # -- checkpointing --

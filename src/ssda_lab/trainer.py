@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coremath import seeded_rng
+from .coremath import LOG_CLAMP, seeded_rng
 from .datasets import SSDASplit
 from .network import (
     GradientBundle,
@@ -34,6 +34,7 @@ from .network import (
     anneal_lr,
     backward,
     forward,
+    group_sizes,
     init_params,
     sgd_step,
     zero_grads,
@@ -144,10 +145,17 @@ class TrainReport:
 
 
 def entropy_loss(params: NetworkParams, x: np.ndarray) -> float:
-    """Mean prediction entropy over a batch."""
+    """Mean prediction entropy over a batch, from a forward pass alone.
+
+    The ops are those of ``backward``'s entropy term, in the same order, so
+    the value has the same bits as ``backward(x, params, "entropy")[0]``.
+    """
     if len(x) == 0:
         raise ValueError("empty batch")
-    return backward(x, params, "entropy")[0]
+    p = forward(x, params)
+    logp = np.maximum(p, LOG_CLAMP)
+    np.log(logp, out=logp)
+    return float((-(p * logp).sum(axis=1, keepdims=True))[:, 0].mean())
 
 
 def evaluate(params: NetworkParams, x: np.ndarray, truth: np.ndarray) -> float:
@@ -183,30 +191,43 @@ def minimax_gradients(
     labeled: tuple[np.ndarray, np.ndarray] | None = None,
     pseudo: tuple[np.ndarray, np.ndarray] | None = None,
     unlabeled: np.ndarray | None = None,
+    combined: GradientBundle | None = None,
+    term: GradientBundle | None = None,
 ) -> tuple[dict, GradientBundle]:
     """Combined gradients for the two objectives, one shared evaluation point.
 
     Extractor rows carry d(L_sup + L_pseudo + lambda H); the classifier row
     carries d(L_sup + L_pseudo - lambda H).  Returns per-term loss values
     and the combined bundle.
+
+    ``combined`` receives the sum and ``term`` is scratch for every term
+    after the first; both are shaped like ``params`` and allocated here
+    when not given.
     """
     if labeled is None and pseudo is None and unlabeled is None:
         raise ValueError("at least one batch is required")
-    combined = zero_grads(params)
+    combined = zero_grads(params) if combined is None else combined
+    term = zero_grads(params) if term is None else term
     losses: dict = {"labeled": None, "pseudo": None, "entropy": None}
+    out = combined  # the first term writes straight into the sum
     if labeled is not None:
-        losses["labeled"], g = backward(labeled[0], params, "hard", labeled[1])
-        add_scaled(combined, g)
+        losses["labeled"] = backward(labeled[0], params, "hard", labeled[1], out=out)[0]
+        out = term
     if pseudo is not None:
-        losses["pseudo"], g = backward(pseudo[0], params, "soft", pseudo[1])
-        add_scaled(combined, g)
+        losses["pseudo"] = backward(pseudo[0], params, "soft", pseudo[1], out=out)[0]
+        if out is term:
+            add_scaled(combined, term)
+        out = term
     if unlabeled is not None:
-        losses["entropy"], g = backward(unlabeled, params, "entropy")
+        if out is combined:  # entropy alone: the sum starts from zero
+            combined.flat.fill(0.0)
+        losses["entropy"] = backward(unlabeled, params, "entropy", out=term)[0]
         if lambda_ != 0.0:
-            for (cw, cb), (gw, gb) in zip(combined.grad_layers, g.grad_layers):
-                cw += lambda_ * gw
-                cb += lambda_ * gb
-            combined.grad_classifier -= lambda_ * g.grad_classifier
+            # gradient reversal: the classifier half of flat takes -lambda dH
+            n_ext = group_sizes(params)[0]
+            scaled = np.multiply(term.flat, lambda_, out=term.flat)
+            combined.flat[:n_ext] += scaled[:n_ext]
+            combined.flat[n_ext:] -= scaled[n_ext:]
     return losses, combined
 
 
@@ -218,12 +239,15 @@ def minimax_step(
     labeled: tuple[np.ndarray, np.ndarray] | None = None,
     pseudo: tuple[np.ndarray, np.ndarray] | None = None,
     unlabeled: np.ndarray | None = None,
+    combined: GradientBundle | None = None,
+    term: GradientBundle | None = None,
 ) -> dict:
     """Apply one SGD step of the minimax objectives; returns the per-term losses.
 
-    Both groups move together, from one gradient evaluation.
+    Both groups move together, from one gradient evaluation.  ``combined``
+    and ``term`` are the workspaces of ``minimax_gradients``.
     """
-    losses, combined = minimax_gradients(params, config.lambda_, labeled, pseudo, unlabeled)
+    losses, combined = minimax_gradients(params, config.lambda_, labeled, pseudo, unlabeled, combined, term)
     sgd_step(params, combined, velocities, lr, config.sgd_momentum, config.weight_decay)
     return losses
 
@@ -239,6 +263,9 @@ class TrainState:
     params: NetworkParams
     velocities: GradientBundle
     t_iter: int
+    # minimax_step workspaces: the summed gradient and one term's gradient
+    grads: GradientBundle
+    term_grads: GradientBundle
     live_soft: np.ndarray | None
     selected_indices: list[int] | None
     history: list[ValidationRecord] = field(default_factory=list)
@@ -296,6 +323,8 @@ def init_train_state(
         params=params,
         velocities=zero_grads(params),
         t_iter=0,
+        grads=zero_grads(params),
+        term_grads=zero_grads(params),
         live_soft=live,
         selected_indices=selected_indices,
         best_params=params.copy(),
@@ -330,27 +359,14 @@ def run_train_loop(
             pi = rngs["pseudo"].integers(0, len(pseudo_x), size=config.batch_pseudo)
             pseudo_batch = (pseudo_x[pi], state.live_soft[pi])
 
+        step = dict(labeled=(labeled_x[li], labeled_y[li]), pseudo=pseudo_batch,
+                    combined=state.grads, term=state.term_grads)
         if config.lambda_ != 0.0:
-            losses = minimax_step(
-                state.params,
-                state.velocities,
-                lr,
-                config,
-                labeled=(labeled_x[li], labeled_y[li]),
-                pseudo=pseudo_batch,
-                unlabeled=unlabeled_x[ui],
-            )
+            losses = minimax_step(state.params, state.velocities, lr, config, unlabeled=unlabeled_x[ui], **step)
         else:
             # entropy term drops out of both objectives; keep its pre-step value for the report
             h_value = entropy_loss(state.params, unlabeled_x[ui])
-            losses = minimax_step(
-                state.params,
-                state.velocities,
-                lr,
-                config,
-                labeled=(labeled_x[li], labeled_y[li]),
-                pseudo=pseudo_batch,
-            )
+            losses = minimax_step(state.params, state.velocities, lr, config, **step)
             losses["entropy"] = h_value
 
         state.loss_sums["labeled"] += losses["labeled"]

@@ -25,9 +25,10 @@ def small_net(seed: int = 0, input_dim: int = 4, n_classes: int = 3, temperature
         rng=rng,
     )
     jitter = seeded_rng(seed, "jitter")
-    for i, (w, b) in enumerate(params.extractor_layers):
-        params.extractor_layers[i] = (w + 0.05 * jitter.standard_normal(w.shape), b + 0.05 * jitter.standard_normal(b.shape))
-    params.classifier_weights = params.classifier_weights + 0.3 * jitter.standard_normal(params.classifier_weights.shape)
+    for w, b in params.extractor_layers:
+        w += 0.05 * jitter.standard_normal(w.shape)
+        b += 0.05 * jitter.standard_normal(b.shape)
+    params.classifier_weights[:] += 0.3 * jitter.standard_normal(params.classifier_weights.shape)
     return params
 
 

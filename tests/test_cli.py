@@ -162,7 +162,7 @@ class TestRunPipeline:
 
 
 BAD_CONFIGS = [
-    # (command, flags, --config file contents, SSDA_LAB_THREADS)
+    # (command, flags, --config file contents: JSON text, or a value to dump, SSDA_LAB_THREADS)
     pytest.param("run-pipeline", ["--t-val", "0"], None, None, id="t_val_0"),
     pytest.param("run-pipeline", ["--temperature", "0"], None, None, id="temperature_0"),
     pytest.param("run-pipeline", ["--t-max", "0", "--t-val", "0"], None, None, id="t_max_0"),
@@ -176,6 +176,10 @@ BAD_CONFIGS = [
     pytest.param("run-pipeline", [], {"hidden_dims": [16, 0]}, None, id="hidden_width_0"),
     pytest.param("run-pipeline", [], {"hidden_dims": 16}, None, id="hidden_dims_int"),
     pytest.param("run-pipeline", [], {"feature_dim": 0}, None, id="feature_dim_0"),
+    pytest.param("run-pipeline", [], "5", None, id="config_number"),
+    pytest.param("run-pipeline", [], "null", None, id="config_null"),
+    pytest.param("run-pipeline", [], "[1, 2]", None, id="config_list"),
+    pytest.param("run-pipeline", [], '"ab"', None, id="config_string"),
     pytest.param("ablate-ru", ["--seeds", "0"], None, "abc", id="threads_str"),
     pytest.param("ablate-noise", ["--seeds", "0,1"], None, "0", id="threads_0"),
 ]
@@ -187,7 +191,7 @@ def test_bad_config_exits_2_before_any_work(split_dir, tmp_path, capsys, monkeyp
     argv = [command, "--split", str(split_dir), "--out", str(tmp_path / "o"), *flags]
     if config is not None:
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
+        cfg.write_text(config if isinstance(config, str) else json.dumps(config))
         argv += ["--config", str(cfg)]
     if threads is not None:
         monkeypatch.setenv("SSDA_LAB_THREADS", threads)

@@ -41,6 +41,15 @@ class TestSoftmax:
             softmax(np.array([]))
 
     @given(finite_logits)
+    def test_matches_textbook_expression_bit_for_bit(self, logits):
+        z = np.array(logits)
+        e = np.exp(z - np.max(z))
+        np.testing.assert_array_equal(softmax(z), e / np.sum(e))
+        # a batch gives each row the bits of that row alone
+        batch = np.vstack([z, -z])
+        np.testing.assert_array_equal(softmax(batch), [softmax(z), softmax(-z)])
+
+    @given(finite_logits)
     def test_output_is_probability_vector(self, logits):
         assert is_prob_vec(softmax(np.array(logits)))
 

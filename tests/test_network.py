@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import subprocess
 import sys
 
@@ -15,6 +17,7 @@ from ssda_lab.network import (
     degenerate_feature_events,
     flatten_grads,
     flatten_params,
+    forward,
     forward_classifier,
     forward_features,
     group_sizes,
@@ -91,7 +94,7 @@ class TestForwardClassifier:
     def test_identical_rows_give_uniform(self, rng):
         f = rng.standard_normal(6)
         params = small_net()
-        params.classifier_weights = np.tile(rng.standard_normal(6), (3, 1))
+        params.classifier_weights[:] = np.tile(rng.standard_normal(6), (3, 1))
         np.testing.assert_allclose(forward_classifier(f, params), np.full(3, 1 / 3), atol=1e-12)
 
     def test_scale_invariance(self, rng):
@@ -205,10 +208,62 @@ class TestSgdStep:
 
     def test_shape_mismatch_rejected(self):
         params = small_net()
-        bad = zero_grads(params)
-        bad.grad_classifier = np.zeros((1, 1))
+        bad = zero_grads(small_net(input_dim=params.input_dim + 1))
         with pytest.raises(ValueError, match="shape mismatch"):
             sgd_step(params, bad, zero_grads(params), lr=0.1)
+
+
+def _pickle_round_trip(obj):
+    return pickle.loads(pickle.dumps(obj))
+
+
+class TestFlatStorage:
+    def test_every_layer_is_a_view_of_flat(self):
+        params = small_net()
+        arrays = [a for pair in params.extractor_layers for a in pair] + [params.classifier_weights]
+        assert all(np.shares_memory(a, params.flat) for a in arrays)
+        assert sum(a.size for a in arrays) == params.flat.size
+        params.classifier_weights[0, 0] = 7.0  # writing a view writes flat
+        assert params.flat[-params.classifier_weights.size] == 7.0
+
+    def test_bindings_cannot_be_rebound(self):
+        params = small_net()
+        with pytest.raises(AttributeError):
+            params.classifier_weights = np.zeros_like(params.classifier_weights)
+        with pytest.raises(TypeError):
+            params.extractor_layers[0] = params.extractor_layers[1]
+        with pytest.raises(AttributeError):
+            zero_grads(params).grad_classifier = np.zeros_like(params.classifier_weights)
+
+    def test_copy_owns_its_buffer(self):
+        params = small_net()
+        clone = params.copy()
+        clone.flat[:] = 0.0
+        assert np.all(params.classifier_weights != 0.0)
+        assert np.shares_memory(clone.classifier_weights, clone.flat)
+
+    @pytest.mark.parametrize("clone", [_pickle_round_trip, copy.deepcopy], ids=["pickle", "deepcopy"])
+    def test_clone_keeps_views_on_flat_and_trains(self, clone, rng):
+        original = small_net()
+        params = clone(original)
+        np.testing.assert_array_equal(params.flat, original.flat)
+        assert params.temperature == original.temperature
+        assert np.shares_memory(params.classifier_weights, params.flat)
+        assert all(np.shares_memory(w, params.flat) for w, _ in params.extractor_layers)
+        velocities = clone(zero_grads(params))
+        assert np.shares_memory(velocities.grad_classifier, velocities.flat)
+
+        x = rng.standard_normal((5, params.input_dim))
+        before = forward(x, params)
+        _, grads = backward(x, params, "hard", np.array([0, 1, 2, 0, 1]))
+        sgd_step(params, grads, velocities, lr=0.5, momentum=0.9)
+        assert not np.array_equal(forward(x, params), before)
+        np.testing.assert_array_equal(forward(x, original), before)
+
+    def test_unflatten_rejects_wrong_size(self):
+        params = small_net()
+        with pytest.raises(ValueError, match="network needs"):
+            unflatten_params(np.zeros(params.flat.size + 1), params)
 
 
 class TestAnnealLr:

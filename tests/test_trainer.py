@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import small_net
 from ssda_lab.coremath import cross_entropy, entropy, seeded_rng, softmax
 from ssda_lab.datasets import DomainPairSpec, ShiftSpec, gen_split
-from ssda_lab.network import backward, flatten_grads, forward, forward_features, zero_grads
+from ssda_lab.network import anneal_lr, backward, flatten_grads, forward, forward_features, group_sizes, zero_grads
 from ssda_lab.pseudolabel import infer_pseudo, reliability, select
 from ssda_lab.trainer import (
     TrainConfig,
@@ -204,9 +204,9 @@ class TestMinimaxStep:
 
         h_before = entropy_loss(params, unlabeled)
         cls_only = params.copy()
-        cls_only.classifier_weights = stepped.classifier_weights.copy()
+        cls_only.classifier_weights[:] = stepped.classifier_weights
         ext_only = stepped.copy()
-        ext_only.classifier_weights = params.classifier_weights.copy()
+        ext_only.classifier_weights[:] = params.classifier_weights
         assert entropy_loss(cls_only, unlabeled) > h_before
         assert entropy_loss(ext_only, unlabeled) < h_before
 
@@ -226,6 +226,77 @@ class TestMinimaxStep:
     def test_requires_at_least_one_batch(self):
         with pytest.raises(ValueError, match="at least one batch"):
             minimax_gradients(small_net(), 0.1)
+
+
+def _reference_step(params, velocity, lr, config, labeled=None, pseudo=None, unlabeled=None):
+    """One minimax step written out: fresh backward bundles, explicit sums, the SGD formula.
+
+    Updates ``params`` (through its flat vector) and ``velocity`` in place; returns the losses.
+    """
+    losses = {"labeled": None, "pseudo": None, "entropy": None}
+    total = 0.0
+    if labeled is not None:
+        losses["labeled"], g = backward(labeled[0], params, "hard", labeled[1])
+        total = total + flatten_grads(g)
+    if pseudo is not None:
+        losses["pseudo"], g = backward(pseudo[0], params, "soft", pseudo[1])
+        total = total + flatten_grads(g)
+    if unlabeled is not None:
+        losses["entropy"], g = backward(unlabeled, params, "entropy")
+        n_ext, n_cls = group_sizes(params)
+        sign = np.concatenate([np.ones(n_ext), -np.ones(n_cls)])  # +lambda extractor, -lambda classifier
+        total = total + sign * (config.lambda_ * flatten_grads(g))
+    theta = params.flat.copy()
+    velocity[:] = config.sgd_momentum * velocity + (total + config.weight_decay * theta)
+    params.flat[:] = theta - lr * velocity
+    return losses
+
+
+STEP_MIXES = {
+    # name: (lambda, batches passed to the step)
+    "hard+entropy": (0.1, ("labeled", "unlabeled")),
+    "hard+soft+entropy": (0.1, ("labeled", "pseudo", "unlabeled")),
+    "hard_lambda_0": (0.0, ("labeled",)),
+    "entropy_only": (0.3, ("unlabeled",)),
+}
+
+
+class TestStepOracle:
+    @pytest.mark.parametrize("mix", sorted(STEP_MIXES))
+    def test_twenty_workspace_steps_match_reference_bit_for_bit(self, mix):
+        lam, roles = STEP_MIXES[mix]
+        split = separable_split()
+        config = quick_config(lambda_=lam)
+        state = init_train_state(split, config, "baseline")
+        ref_params, ref_velocity = state.params.copy(), np.zeros_like(state.params.flat)
+        labeled_x, labeled_y = split.labeled_xy()
+        unlabeled_x = split.unlabeled_x()
+        rng = seeded_rng(44, mix)
+        for t in range(1, 21):
+            li = rng.integers(0, len(labeled_x), size=config.batch_labeled)
+            pi = rng.integers(0, len(unlabeled_x), size=config.batch_pseudo)
+            ui = rng.integers(0, len(unlabeled_x), size=config.batch_unlabeled)
+            batches = {
+                "labeled": (labeled_x[li], labeled_y[li]),
+                "pseudo": (unlabeled_x[pi], rng.dirichlet(np.ones(split.n_classes), size=len(pi))),
+                "unlabeled": unlabeled_x[ui],
+            }
+            batches = {role: batches[role] for role in roles}
+            lr = anneal_lr(config.base_lr, t / config.t_max)
+            expected = _reference_step(ref_params, ref_velocity, lr, config, **batches)
+            losses = minimax_step(state.params, state.velocities, lr, config,
+                                  combined=state.grads, term=state.term_grads, **batches)
+            assert losses == expected
+        np.testing.assert_array_equal(state.params.flat, ref_params.flat)
+        np.testing.assert_array_equal(state.velocities.flat, ref_velocity)
+        assert not np.array_equal(state.params.flat, init_train_state(split, config, "baseline").params.flat)
+
+    def test_entropy_loss_has_the_bits_of_backward(self):
+        rng = seeded_rng(45)
+        for seed in range(4):
+            params = small_net(seed=seed, temperature=0.05)
+            x = rng.standard_normal((17, params.input_dim))
+            assert entropy_loss(params, x) == backward(x, params, "entropy")[0]
 
 
 class TestMomentumUpdateLabels:
