@@ -113,10 +113,6 @@ def _print_effective_config(config: TrainConfig) -> None:
     print("effective config: " + json.dumps(asdict(config), sort_keys=True))
 
 
-def _anchor_features(split: SSDASplit, params) -> dict[int, np.ndarray]:
-    return {c: forward_features(x, params) for c, x in split.labeled_target_by_class().items()}
-
-
 # -- artifacts checked against their split --
 
 
@@ -163,38 +159,60 @@ def _write_manifest(args: argparse.Namespace, out_dir: Path, config: TrainConfig
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
-# -- pipeline pieces shared by commands --
+# -- the three stages, shared by the stage commands and the ablation grids --
 
 
-def _run_baseline(split: SSDASplit, config: TrainConfig, out: Path, tag: str = "baseline"):
-    params, report = train_baseline(split, config, unlabeled_truth=None)
+def _stage1(split: SSDASplit, config: TrainConfig):
+    """The minimax-entropy baseline: (params, report with its test accuracy)."""
+    params, report = train_baseline(split, config)
     report.final_test_acc = evaluate(params, split.unlabeled_x(), split.unlabeled_truth)
-    ckpt = out / f"{tag}_checkpoint.json"
-    save_checkpoint(ckpt, params, extra={"stage": tag, "config": asdict(config)})
-    save_report(report, out / f"{tag}_report.json", out / f"{tag}_report.csv")
-    return params, report, ckpt
+    return params, report
 
 
-def _run_selection(split: SSDASplit, params, config: TrainConfig, out: Path):
+def _stage2(split: SSDASplit, params: NetworkParams, r_u: float):
+    """Pseudo labels: (every unlabeled row's annotation, the selected set nearest its class anchors)."""
     annotations = infer_pseudo(params, split.unlabeled_x())
-    anchors = _anchor_features(split, params)
-    selected = select(annotations, anchors, config.r_u, len(split.unlabeled_target), split.n_classes)
-    rel_before = reliability(annotations, split.unlabeled_truth)
-    rel_after = reliability(selected.annotations, split.unlabeled_truth)
-    dump = selection_to_jsonable(selected, annotations, rel_before, rel_after)
-    save_selection(out / "selection.json", dump)
-    return selected, rel_before, rel_after
+    anchors = {c: forward_features(x, params) for c, x in split.labeled_target_by_class().items()}
+    return annotations, select(annotations, anchors, r_u, len(split.unlabeled_target), split.n_classes)
 
 
-def _run_selftrain(split: SSDASplit, selected, params, config: TrainConfig, out: Path):
-    final_params, report = progressive_self_train(
-        split, selected, params, config, unlabeled_truth=split.unlabeled_truth
-    )
-    report.final_test_acc = evaluate(final_params, split.unlabeled_x(), split.unlabeled_truth)
-    ckpt = out / "final_checkpoint.json"
-    save_checkpoint(ckpt, final_params, extra={"stage": "selftrain", "config": asdict(config)})
-    save_report(report, out / "final_report.json", out / "final_report.csv")
-    return final_params, report, ckpt
+def _stage3(split: SSDASplit, selected, params: NetworkParams, config: TrainConfig):
+    """Progressive self-training from ``params``: (params, report with reliability and test accuracy)."""
+    final, report = progressive_self_train(split, selected, params, config, unlabeled_truth=split.unlabeled_truth)
+    report.final_test_acc = evaluate(final, split.unlabeled_x(), split.unlabeled_truth)
+    return final, report
+
+
+def _stage_inputs(args: argparse.Namespace):
+    """config (printed), split, checkpoint params, selected set (None where not taken), then ``--out``.
+
+    Every input is checked before ``--out`` is made, so a bad one leaves no output directory.
+    """
+    config = build_config(args)
+    _print_effective_config(config)
+    split = load_split(args.split)
+    params = _load_params(args.checkpoint, split) if "checkpoint" in args else None
+    selected = selected_set_from_dump(_load_dump(args.selection, split)[0]) if "selection" in args else None
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return config, split, params, selected, out
+
+
+def _write_trained(out: Path, stage: str, params: NetworkParams, report, config: TrainConfig):
+    """Write a stage's checkpoint and report (``baseline_*`` or ``final_*``); returns the checkpoint and CSV."""
+    prefix = "final" if stage == "selftrain" else stage
+    ckpt, csv = out / f"{prefix}_checkpoint.json", out / f"{prefix}_report.csv"
+    save_checkpoint(ckpt, params, extra={"stage": stage, "config": asdict(config)})
+    save_report(report, out / f"{prefix}_report.json", csv)
+    return ckpt, csv
+
+
+def _write_selection(out: Path, split: SSDASplit, annotations: list, selected) -> tuple[float, float]:
+    """Write ``selection.json`` with the reliability of all pseudo labels and of the kept ones; returns both."""
+    before = reliability(annotations, split.unlabeled_truth)
+    after = reliability(selected.annotations, split.unlabeled_truth)
+    save_selection(out / "selection.json", selection_to_jsonable(selected, annotations, before, after))
+    return before, after
 
 
 # -- commands --
@@ -231,14 +249,11 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train_baseline(args) -> int:
-    config = build_config(args)
-    _print_effective_config(config)
-    split = load_split(args.split)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    config, split, _, _, out = _stage_inputs(args)
     t0 = time.perf_counter()
-    params, report, ckpt = _run_baseline(split, config, out)
-    _write_manifest(args, out, config, {"checkpoint": ckpt, "report_csv": out / "baseline_report.csv"},
+    params, report = _stage1(split, config)
+    ckpt, csv = _write_trained(out, "baseline", params, report, config)
+    _write_manifest(args, out, config, {"checkpoint": ckpt, "report_csv": csv},
                     {"train": time.perf_counter() - t0})
     print(f"baseline: stop={report.stop_reason} best_val={report.best_val_acc:.4f} "
           f"test_acc={report.final_test_acc:.4f}")
@@ -246,14 +261,10 @@ def cmd_train_baseline(args) -> int:
 
 
 def cmd_pseudo_label(args) -> int:
-    config = build_config(args)
-    _print_effective_config(config)
-    split = load_split(args.split)
-    params = _load_params(args.checkpoint, split)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    config, split, params, _, out = _stage_inputs(args)
     t0 = time.perf_counter()
-    selected, rel_before, rel_after = _run_selection(split, params, config, out)
+    annotations, selected = _stage2(split, params, config.r_u)
+    rel_before, rel_after = _write_selection(out, split, annotations, selected)
     _write_manifest(args, out, config, {"selection": out / "selection.json"},
                     {"stage2": time.perf_counter() - t0})
     print(f"selected {len(selected)} of {len(split.unlabeled_target)} "
@@ -263,16 +274,11 @@ def cmd_pseudo_label(args) -> int:
 
 
 def cmd_self_train(args) -> int:
-    config = build_config(args)
-    _print_effective_config(config)
-    split = load_split(args.split)
-    params = _load_params(args.checkpoint, split)
-    selected = selected_set_from_dump(_load_dump(args.selection, split)[0])
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    config, split, params, selected, out = _stage_inputs(args)
     t0 = time.perf_counter()
-    _, report, ckpt = _run_selftrain(split, selected, params, config, out)
-    _write_manifest(args, out, config, {"checkpoint": ckpt, "report_csv": out / "final_report.csv"},
+    final, report = _stage3(split, selected, params, config)
+    ckpt, csv = _write_trained(out, "selftrain", final, report, config)
+    _write_manifest(args, out, config, {"checkpoint": ckpt, "report_csv": csv},
                     {"train": time.perf_counter() - t0})
     print(f"self-train: stop={report.stop_reason} best_val={report.best_val_acc:.4f} "
           f"test_acc={report.final_test_acc:.4f}")
@@ -280,19 +286,15 @@ def cmd_self_train(args) -> int:
 
 
 def cmd_run_pipeline(args) -> int:
-    config = build_config(args)
-    _print_effective_config(config)
-    split = load_split(args.split)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    config, split, _, _, out = _stage_inputs(args)
     timings: dict = {}
     artifacts: dict = {}
 
     t0 = time.perf_counter()
-    params, base_report, base_ckpt = _run_baseline(split, config, out)
+    params, base_report = _stage1(split, config)
+    artifacts["baseline_checkpoint"], artifacts["baseline_report_csv"] = _write_trained(
+        out, "baseline", params, base_report, config)
     timings["stage1"] = time.perf_counter() - t0
-    artifacts["baseline_checkpoint"] = base_ckpt
-    artifacts["baseline_report_csv"] = out / "baseline_report.csv"
 
     if args.no_pseudo:
         _write_manifest(args, out, config, artifacts, timings)
@@ -300,15 +302,16 @@ def cmd_run_pipeline(args) -> int:
         return EXIT_OK
 
     t0 = time.perf_counter()
-    selected, rel_before, rel_after = _run_selection(split, params, config, out)
+    annotations, selected = _stage2(split, params, config.r_u)
+    rel_before, rel_after = _write_selection(out, split, annotations, selected)
     timings["stage2"] = time.perf_counter() - t0
     artifacts["selection"] = out / "selection.json"
 
     t0 = time.perf_counter()
-    _, final_report, final_ckpt = _run_selftrain(split, selected, params, config, out)
+    final, final_report = _stage3(split, selected, params, config)
+    artifacts["final_checkpoint"], artifacts["final_report_csv"] = _write_trained(
+        out, "selftrain", final, final_report, config)
     timings["stage3"] = time.perf_counter() - t0
-    artifacts["final_checkpoint"] = final_ckpt
-    artifacts["final_report_csv"] = out / "final_report.csv"
 
     _write_manifest(args, out, config, artifacts, timings)
     print(f"reliability before/after selection: {100 * rel_before:.1f} -> {100 * rel_after:.1f}")
@@ -351,18 +354,14 @@ def _baseline_cell(task: tuple) -> tuple:
     split, regen, config = task
     if regen:
         split = gen_split(replace(split.spec, seed=config.seed), split.n_t_per_class, split.n_val_per_class)
-    params, _ = train_baseline(split, config)
-    return split, params
+    return split, _stage1(split, config)[0]
 
 
 def _arm_cell(task: tuple) -> tuple:
     """Stages 2-3 of one (split, baseline params, tag, config) arm; returns (seed, tag, accuracy)."""
     split, params, tag, config = task
-    annotations = infer_pseudo(params, split.unlabeled_x())
-    selected = select(annotations, _anchor_features(split, params), config.r_u,
-                      len(split.unlabeled_target), split.n_classes)
-    final, _ = progressive_self_train(split, selected, params, config)
-    return config.seed, tag, evaluate(final, split.unlabeled_x(), split.unlabeled_truth)
+    _, selected = _stage2(split, params, config.r_u)
+    return config.seed, tag, _stage3(split, selected, params, config)[1].final_test_acc
 
 
 def _run_grid(split: SSDASplit, regen: bool, config: TrainConfig, arms: list[tuple[str, dict]],

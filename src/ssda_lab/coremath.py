@@ -16,8 +16,6 @@ import numpy as np
 # keep losses finite.
 LOG_CLAMP = 1e-12
 
-PROB_SUM_TOL = 1e-9
-
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Stable softmax along the last axis, by max-subtraction.
@@ -65,16 +63,6 @@ def l1_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     dist = np.abs(a - b).sum(axis=-1)
     return float(dist) if dist.ndim == 0 else dist
-
-
-def is_prob_vec(p: np.ndarray, tol: float = PROB_SUM_TOL) -> bool:
-    """Check the probability-vector invariants: entries in [0,1], sum 1 within tol."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1 or p.size == 0 or not np.all(np.isfinite(p)):
-        return False
-    if np.any(p < -tol) or np.any(p > 1.0 + tol):
-        return False
-    return abs(float(np.sum(p)) - 1.0) <= tol
 
 
 def finite_diff_grad(

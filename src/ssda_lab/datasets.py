@@ -384,8 +384,9 @@ def load_split(split_dir: str | Path) -> SSDASplit:
     """Load and verify a split directory; any tampering fails the checksum.
 
     The manifest's spec must pass ``DomainPairSpec.validate``, every table
-    must have ``input_dim`` feature columns of finite values, and labels must
-    lie in [0, n_classes); each failure is a ``DataError``.
+    must have ``input_dim`` feature columns of finite values, labels must lie
+    in [0, n_classes), and the index column of ``unlabeled_truth.csv`` must
+    count 0..n-1; each failure is a ``DataError``.
     """
     root = Path(split_dir)
     manifest_path = root / "manifest.json"
@@ -419,9 +420,10 @@ def load_split(split_dir: str | Path) -> SSDASplit:
     unl_x, unl_y = _parse_samples_csv(texts["unlabeled_target.csv"], "unlabeled_target.csv", spec.input_dim)
     if np.any(unl_y != -1):
         raise DataError("unlabeled_target.csv must carry the -1 label sentinel")
-    truth = np.ascontiguousarray(
-        _read_rows(texts["unlabeled_truth.csv"], "unlabeled_truth.csv", [("index", int), ("y", int)])["y"]
-    )
+    truth_rows = _read_rows(texts["unlabeled_truth.csv"], "unlabeled_truth.csv", [("index", int), ("y", int)])
+    if not np.array_equal(truth_rows["index"], np.arange(len(truth_rows))):
+        raise DataError("malformed table unlabeled_truth.csv: the index column must count 0, 1, ..., n-1")
+    truth = np.ascontiguousarray(truth_rows["y"])
     if len(truth) != len(unl_x):
         raise DataError("unlabeled_truth.csv row count does not match unlabeled_target.csv")
 

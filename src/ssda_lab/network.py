@@ -125,9 +125,14 @@ class NetworkParams(_FlatBuffer):
     def validate(self) -> None:
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
-        d = self.extractor_layers[0][0].shape[0]
+        if not self.extractor_layers:
+            raise ValueError("the extractor needs at least one layer")
+        if self.classifier_weights.ndim != 2:
+            raise ValueError(f"classifier must be 2-D, got shape {self.classifier_weights.shape}")
         for i, (w, b) in enumerate(self.extractor_layers):
-            if w.shape[0] != d:
+            if w.ndim != 2 or b.ndim != 1:
+                raise ValueError(f"layer {i} needs a 2-D weight and a 1-D bias, got {w.shape} and {b.shape}")
+            if i > 0 and w.shape[0] != d:
                 raise ValueError(f"layer {i} expects input dim {w.shape[0]}, chain gives {d}")
             if b.shape != (w.shape[1],):
                 raise ValueError(f"layer {i} bias shape {b.shape} does not match width {w.shape[1]}")
@@ -171,12 +176,6 @@ class GradientBundle(_FlatBuffer):
 
 def zero_grads(params: NetworkParams) -> GradientBundle:
     return params._rebound(np.zeros_like(params.flat), GradientBundle)
-
-
-def add_scaled(acc: GradientBundle, other: GradientBundle) -> GradientBundle:
-    """acc += other, in place; returns acc."""
-    np.add(acc.flat, other.flat, out=acc.flat)
-    return acc
 
 
 def init_params(
@@ -227,28 +226,29 @@ def forward_features(x: np.ndarray, params: NetworkParams) -> np.ndarray:
     return f[0] if single else f
 
 
-def _normalize_features(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """L2-normalize rows; rows with near-zero norm pass through unnormalized.
+def _head(f: np.ndarray, params: NetworkParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The classifier on an (n, feature_dim) batch: L2-normalize rows, then logits / T, then softmax.
 
-    Returns the normalized rows, the (n, 1) divisors and the degenerate-row mask.
+    Rows with near-zero norm pass through unnormalized.  Returns the
+    normalized rows, the (n, 1) divisors, the degenerate-row mask and the
+    predictions.
     """
     norms = np.sqrt(np.add.reduce(f * f, axis=1, keepdims=True))
     degenerate = norms[:, 0] < FEATURE_NORM_FLOOR
     if degenerate.any():
         degenerate_feature_events.bump(int(degenerate.sum()))
         norms[degenerate] = 1.0
-    return f / norms, norms, degenerate
+    g = f / norms
+    logits = g @ params.classifier_weights.T
+    logits /= params.temperature
+    return g, norms, degenerate, softmax(logits)
 
 
 def forward_classifier(f: np.ndarray, params: NetworkParams) -> np.ndarray:
     """Prediction(s) p = softmax(W (f/||f||) / T) for feature vector(s) f."""
     f = np.asarray(f, dtype=np.float64)
     single = f.ndim == 1
-    fb = f[None, :] if single else f
-    g, _, _ = _normalize_features(fb)
-    logits = g @ params.classifier_weights.T
-    logits /= params.temperature
-    p = softmax(logits)
+    p = _head(f[None, :] if single else f, params)[3]
     return p[0] if single else p
 
 
@@ -281,22 +281,17 @@ def backward(
     n = x.shape[0]
 
     h = _forward_extractor(x, params)
-    g, norms, degenerate = _normalize_features(h[-1])
+    g, norms, degenerate, p = _head(h[-1], params)
     wc = params.classifier_weights
     t = params.temperature
-    logits = g @ wc.T
-    logits /= t
-    p = softmax(logits)
     logp = np.maximum(p, LOG_CLAMP)
     np.log(logp, out=logp)
 
-    if kind == "hard":
+    if kind == "hard":  # one-hot rows, then the soft-target path
         onehot = np.zeros_like(p)
         onehot[np.arange(n), np.asarray(targets, dtype=int)] = 1.0
-        loss = float(-(onehot * logp).sum() / n)
-        dlogits = p - onehot
-        dlogits /= n
-    elif kind == "soft":
+        kind, targets = "soft", onehot
+    if kind == "soft":
         soft = np.asarray(targets, dtype=np.float64)
         if soft.shape != p.shape:
             raise ValueError(f"soft targets shape {soft.shape} does not match predictions {p.shape}")

@@ -30,7 +30,6 @@ from .datasets import SSDASplit
 from .network import (
     GradientBundle,
     NetworkParams,
-    add_scaled,
     anneal_lr,
     backward,
     forward,
@@ -198,7 +197,8 @@ def minimax_gradients(
 
     Extractor rows carry d(L_sup + L_pseudo + lambda H); the classifier row
     carries d(L_sup + L_pseudo - lambda H).  Returns per-term loss values
-    and the combined bundle.
+    and the combined bundle.  At lambda 0, H drops out of both objectives:
+    its value at this point is still reported, from a forward pass alone.
 
     ``combined`` receives the sum and ``term`` is scratch for every term
     after the first; both are shaped like ``params`` and allocated here
@@ -216,18 +216,19 @@ def minimax_gradients(
     if pseudo is not None:
         losses["pseudo"] = backward(pseudo[0], params, "soft", pseudo[1], out=out)[0]
         if out is term:
-            add_scaled(combined, term)
+            np.add(combined.flat, term.flat, out=combined.flat)
         out = term
-    if unlabeled is not None:
-        if out is combined:  # entropy alone: the sum starts from zero
-            combined.flat.fill(0.0)
+    if out is combined:  # entropy alone: the sum starts from zero
+        combined.flat.fill(0.0)
+    if unlabeled is not None and lambda_ == 0.0:
+        losses["entropy"] = entropy_loss(params, unlabeled)
+    elif unlabeled is not None:
         losses["entropy"] = backward(unlabeled, params, "entropy", out=term)[0]
-        if lambda_ != 0.0:
-            # gradient reversal: the classifier half of flat takes -lambda dH
-            n_ext = group_sizes(params)[0]
-            scaled = np.multiply(term.flat, lambda_, out=term.flat)
-            combined.flat[:n_ext] += scaled[:n_ext]
-            combined.flat[n_ext:] -= scaled[n_ext:]
+        # gradient reversal: the classifier half of flat takes -lambda dH
+        n_ext = group_sizes(params)[0]
+        scaled = np.multiply(term.flat, lambda_, out=term.flat)
+        combined.flat[:n_ext] += scaled[:n_ext]
+        combined.flat[n_ext:] -= scaled[n_ext:]
     return losses, combined
 
 
@@ -359,15 +360,9 @@ def run_train_loop(
             pi = rngs["pseudo"].integers(0, len(pseudo_x), size=config.batch_pseudo)
             pseudo_batch = (pseudo_x[pi], state.live_soft[pi])
 
-        step = dict(labeled=(labeled_x[li], labeled_y[li]), pseudo=pseudo_batch,
-                    combined=state.grads, term=state.term_grads)
-        if config.lambda_ != 0.0:
-            losses = minimax_step(state.params, state.velocities, lr, config, unlabeled=unlabeled_x[ui], **step)
-        else:
-            # entropy term drops out of both objectives; keep its pre-step value for the report
-            h_value = entropy_loss(state.params, unlabeled_x[ui])
-            losses = minimax_step(state.params, state.velocities, lr, config, **step)
-            losses["entropy"] = h_value
+        losses = minimax_step(state.params, state.velocities, lr, config, labeled=(labeled_x[li], labeled_y[li]),
+                              pseudo=pseudo_batch, unlabeled=unlabeled_x[ui],
+                              combined=state.grads, term=state.term_grads)
 
         state.loss_sums["labeled"] += losses["labeled"]
         state.loss_sums["entropy"] += losses["entropy"]
@@ -443,14 +438,10 @@ def _report_from_state(state: TrainState) -> TrainReport:
     )
 
 
-def train_baseline(
-    split: SSDASplit,
-    config: TrainConfig,
-    unlabeled_truth: np.ndarray | None = None,
-) -> tuple[NetworkParams, TrainReport]:
+def train_baseline(split: SSDASplit, config: TrainConfig) -> tuple[NetworkParams, TrainReport]:
     """Stage 1: minimax-entropy training without pseudo labels; best-val snapshot."""
     state = init_train_state(split, config, "baseline")
-    state = run_train_loop(split, config, state, unlabeled_truth=unlabeled_truth)
+    state = run_train_loop(split, config, state)
     return state.best_params, _report_from_state(state)
 
 

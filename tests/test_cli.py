@@ -406,11 +406,11 @@ def _edited(edit):
     return lambda path, good: path.write_text(edit(good.read_text()))
 
 
-def _edited_dump(change):
+def _edited_json(change):
     def edit(text: str) -> str:
-        dump = json.loads(text)
-        change(dump)
-        return json.dumps(dump)
+        obj = json.loads(text)
+        change(obj)
+        return json.dumps(obj)
     return _edited(edit)
 
 
@@ -420,18 +420,22 @@ BAD_CHECKPOINTS = [
     pytest.param(_edited(lambda text: text[: len(text) // 2]), id="truncated"),
     pytest.param(_edited(lambda text: text.replace('"format_version": 1', '"format_version": 2')), id="version_2"),
     pytest.param(_edited(lambda text: "[]"), id="not_an_object"),
+    pytest.param(_edited_json(lambda d: d["params"]["extractor_layers"][0].__setitem__(0, [1.0, 2.0])),
+                 id="weight_1d"),
+    pytest.param(_edited_json(lambda d: d["params"].update(extractor_layers=[])), id="no_extractor_layer"),
+    pytest.param(_edited_json(lambda d: d["params"].update(classifier_weights=[1.0, 2.0])), id="classifier_1d"),
 ]
 
 BAD_SELECTIONS = [
     pytest.param(_edited(lambda text: text[: len(text) // 2]), id="truncated"),
-    pytest.param(_edited_dump(lambda d: d.pop("r_u")), id="missing_key"),
-    pytest.param(_edited_dump(lambda d: d["annotations"][0].pop("selected")), id="missing_entry_key"),
-    pytest.param(_edited_dump(lambda d: d["annotations"][0].update(index=486)), id="index_from_larger_split"),
-    pytest.param(_edited_dump(lambda d: d["annotations"][1].update(index=0)), id="duplicate_index"),
-    pytest.param(_edited_dump(lambda d: d["annotations"][0].update(hard_label=3)), id="hard_label_3"),
-    pytest.param(_edited_dump(lambda d: d["annotations"][0].update(distance=None)), id="null_distance"),
-    pytest.param(_edited_dump(lambda d: d["annotations"][0]["soft_label"].append(0.0)), id="soft_width_4"),
-    pytest.param(_edited_dump(lambda d: [a.update(selected=False) for a in d["annotations"]]), id="none_selected"),
+    pytest.param(_edited_json(lambda d: d.pop("r_u")), id="missing_key"),
+    pytest.param(_edited_json(lambda d: d["annotations"][0].pop("selected")), id="missing_entry_key"),
+    pytest.param(_edited_json(lambda d: d["annotations"][0].update(index=486)), id="index_from_larger_split"),
+    pytest.param(_edited_json(lambda d: d["annotations"][1].update(index=0)), id="duplicate_index"),
+    pytest.param(_edited_json(lambda d: d["annotations"][0].update(hard_label=3)), id="hard_label_3"),
+    pytest.param(_edited_json(lambda d: d["annotations"][0].update(distance=None)), id="null_distance"),
+    pytest.param(_edited_json(lambda d: d["annotations"][0]["soft_label"].append(0.0)), id="soft_width_4"),
+    pytest.param(_edited_json(lambda d: [a.update(selected=False) for a in d["annotations"]]), id="none_selected"),
 ]
 
 

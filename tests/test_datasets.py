@@ -316,6 +316,8 @@ BAD_CELLS = [
     pytest.param("unlabeled_target.csv", lambda row: row + ",0", id="unlabeled_extra_cell"),
     pytest.param("unlabeled_truth.csv", lambda row: row.split(",")[0] + ",1.0", id="truth_label_1.0"),
     pytest.param("unlabeled_truth.csv", lambda row: row.split(",")[0], id="truth_ragged_row"),
+    pytest.param("unlabeled_truth.csv", lambda row: "999999," + row.split(",")[1], id="truth_index_999999"),
+    pytest.param("unlabeled_truth.csv", lambda row: "1," + row.split(",")[1], id="truth_index_repeated"),
 ]
 
 

@@ -1,12 +1,15 @@
 import copy
 import json
+import os
 import pickle
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ssda_lab
 from conftest import max_rel_err, small_net
 from ssda_lab.coremath import finite_diff_grad, seeded_rng
 from ssda_lab.network import (
@@ -83,8 +86,12 @@ class TestForwardFeatures:
             "f = forward_features(np.array([0.3, -1.2]), p)\n"
             "print(f.tobytes().hex())\n"
         )
+        # the child imports the same ssda_lab as this process, installed or not
+        path = [str(Path(ssda_lab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
         runs = [
-            subprocess.run([sys.executable, "-c", snippet], capture_output=True, text=True, check=True).stdout
+            subprocess.run([sys.executable, "-c", snippet], capture_output=True, text=True, check=True,
+                           env=env).stdout
             for _ in range(2)
         ]
         assert runs[0] == runs[1]

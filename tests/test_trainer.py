@@ -243,6 +243,7 @@ def _reference_step(params, velocity, lr, config, labeled=None, pseudo=None, unl
         total = total + flatten_grads(g)
     if unlabeled is not None:
         losses["entropy"], g = backward(unlabeled, params, "entropy")
+    if unlabeled is not None and config.lambda_ != 0.0:  # at lambda 0, H is reported but adds nothing
         n_ext, n_cls = group_sizes(params)
         sign = np.concatenate([np.ones(n_ext), -np.ones(n_cls)])  # +lambda extractor, -lambda classifier
         total = total + sign * (config.lambda_ * flatten_grads(g))
@@ -257,6 +258,7 @@ STEP_MIXES = {
     "hard+entropy": (0.1, ("labeled", "unlabeled")),
     "hard+soft+entropy": (0.1, ("labeled", "pseudo", "unlabeled")),
     "hard_lambda_0": (0.0, ("labeled",)),
+    "hard+entropy_lambda_0": (0.0, ("labeled", "unlabeled")),
     "entropy_only": (0.3, ("unlabeled",)),
 }
 
