@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -123,8 +122,8 @@ class NetworkParams(_FlatBuffer):
         self.temperature = state["temperature"]
 
     def validate(self) -> None:
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ValueError(f"temperature must be finite and positive, got {self.temperature}")
         if not self.extractor_layers:
             raise ValueError("the extractor needs at least one layer")
         if self.classifier_weights.ndim != 2:
@@ -216,14 +215,11 @@ def _forward_extractor(x: np.ndarray, params: NetworkParams) -> list[np.ndarray]
 
 
 def forward_features(x: np.ndarray, params: NetworkParams) -> np.ndarray:
-    """Feature vector(s) f = F(x); accepts a single vector or an (n, d) batch."""
+    """Features F(x) of an (n, input_dim) batch."""
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    xb = x[None, :] if single else x
-    if xb.shape[1] != params.input_dim:
-        raise ValueError(f"dimension mismatch: input has dim {xb.shape[1]}, network expects {params.input_dim}")
-    f = _forward_extractor(xb, params)[-1]
-    return f[0] if single else f
+    if x.ndim != 2 or x.shape[1] != params.input_dim:
+        raise ValueError(f"dimension mismatch: input has shape {x.shape}, network expects (n, {params.input_dim})")
+    return _forward_extractor(x, params)[-1]
 
 
 def _head(f: np.ndarray, params: NetworkParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -245,11 +241,8 @@ def _head(f: np.ndarray, params: NetworkParams) -> tuple[np.ndarray, np.ndarray,
 
 
 def forward_classifier(f: np.ndarray, params: NetworkParams) -> np.ndarray:
-    """Prediction(s) p = softmax(W (f/||f||) / T) for feature vector(s) f."""
-    f = np.asarray(f, dtype=np.float64)
-    single = f.ndim == 1
-    p = _head(f[None, :] if single else f, params)[3]
-    return p[0] if single else p
+    """Predictions p = softmax(W (f/||f||) / T) for an (n, feature_dim) feature batch."""
+    return _head(f, params)[3]
 
 
 def forward(x: np.ndarray, params: NetworkParams) -> np.ndarray:
@@ -362,9 +355,8 @@ def sgd_step(
 
 def anneal_lr(base_lr: float, progress: float) -> float:
     """Inverse-decay schedule base_lr / (1 + 10*progress)^0.75 over progress in [0, 1]."""
-    if progress < 0.0 or progress > 1.0:
-        warnings.warn(f"progress {progress} outside [0, 1]; clamping", stacklevel=2)
-        progress = min(max(progress, 0.0), 1.0)
+    if not 0.0 <= progress <= 1.0:
+        raise ValueError(f"progress must be in [0, 1], got {progress}")
     return base_lr / (1.0 + 10.0 * progress) ** 0.75
 
 

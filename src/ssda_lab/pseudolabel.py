@@ -48,12 +48,6 @@ class SelectedSet:
     def __len__(self) -> int:
         return len(self.annotations)
 
-    def soft_label_matrix(self) -> np.ndarray:
-        return np.array([a.soft_label for a in self.annotations])
-
-    def hard_labels(self) -> np.ndarray:
-        return np.array([a.hard_label for a in self.annotations], dtype=int)
-
 
 def infer_pseudo(params: NetworkParams, unlabeled_x: np.ndarray) -> list[PseudoAnnotation]:
     """Forward-pass the unlabeled pool; one annotation per sample, distances unset."""
@@ -69,15 +63,6 @@ def infer_pseudo(params: NetworkParams, unlabeled_x: np.ndarray) -> list[PseudoA
     ]
 
 
-def feature_distance(f_u: np.ndarray, anchor_feats: np.ndarray) -> float | np.ndarray:
-    """Mean L1 distance to the class anchors: a float for one feature, an (m,) array for (m, d) rows."""
-    anchor_feats = np.asarray(anchor_feats, dtype=np.float64)
-    if anchor_feats.size == 0:
-        raise ValueError("empty anchors")
-    dist = l1_distance(np.asarray(f_u, dtype=np.float64)[..., None, :], anchor_feats).mean(axis=-1)
-    return float(dist) if dist.ndim == 0 else dist
-
-
 def per_class_quota(r_u: float, n_u: int, n_classes: int) -> int:
     return math.ceil(r_u * n_u / n_classes)
 
@@ -91,7 +76,8 @@ def select(
 ) -> SelectedSet:
     """Keep, per hard-label class, the quota of samples nearest to its anchors.
 
-    Fills ``distance`` on every annotation.  Sorting is stable on
+    Fills ``distance`` on every annotation with its mean L1 distance to
+    the anchors of its hard-label class.  Sorting is stable on
     (distance, index); classes are merged in ascending order so the
     result is deterministic.  A class with no annotated members simply
     contributes nothing; a populated class without anchors is an error
@@ -108,11 +94,11 @@ def select(
         members = np.flatnonzero(hard == c)
         if not members.size:
             continue
-        anchors = anchor_features_by_class.get(c)
-        if anchors is None or np.asarray(anchors).size == 0:
+        anchors = np.asarray(anchor_features_by_class.get(c, ()), dtype=np.float64)
+        if anchors.size == 0:
             raise ValueError(f"class {c} has annotated samples but no anchors")
         rows = [annotations[i] for i in members]
-        dist = feature_distance(np.stack([a.feature for a in rows]), anchors)
+        dist = l1_distance(np.stack([a.feature for a in rows])[:, None, :], anchors).mean(axis=1)
         for a, d in zip(rows, dist.tolist()):
             a.distance = d
         order = np.lexsort((np.array([a.index for a in rows]), dist))
@@ -199,7 +185,8 @@ def check_selection(dump: dict, n_unlabeled: int, n_classes: int) -> dict[str, n
     Raises ValueError unless every key is present, at least one row is
     selected, the indices are unique integers in [0, n_unlabeled), the hard
     labels integers in [0, n_classes), the distances numbers, the selected
-    flags booleans, and every soft row has n_classes entries.
+    flags booleans, every soft row has n_classes entries, and every selected
+    soft row holds numbers in [0, 1] that sum to 1 within 1e-9.
     """
     missing = [k for k in _DUMP_KEYS if k not in dump]
     if missing:
@@ -223,11 +210,16 @@ def check_selection(dump: dict, n_unlabeled: int, n_classes: int) -> dict[str, n
         raise ValueError(f"selection hard labels must lie in [0, {n_classes})")
     if widths != {n_classes}:
         raise ValueError(f"selection soft rows have widths {sorted(widths)}, the split has {n_classes} classes")
+    soft = np.array([entries[i]["soft_label"] for i in np.flatnonzero(chosen)])
+    # written so that NaN, which fails every comparison, is refused
+    in_range = soft.ndim == 2 and soft.dtype.kind in "if" and np.all((soft >= 0) & (soft <= 1))
+    if not (in_range and np.all(np.abs(soft.sum(axis=1) - 1.0) <= 1e-9)):
+        raise ValueError("every selected soft row must hold numbers in [0, 1] that sum to 1 within 1e-9")
     return {"index": index, "hard_label": hard, "selected": chosen}
 
 
 def selected_set_from_dump(dump: dict) -> SelectedSet:
-    """Rebuild the trusted set (without features) from a selection dump."""
+    """Rebuild the trusted set (without features) from a selection dump, in dump order."""
     annotations = [
         PseudoAnnotation(
             index=entry["index"],
@@ -239,7 +231,6 @@ def selected_set_from_dump(dump: dict) -> SelectedSet:
         for entry in dump["annotations"]
         if entry["selected"]
     ]
-    annotations.sort(key=lambda a: (a.hard_label, a.distance, a.index))
     return SelectedSet(
         annotations=annotations,
         index_set=sorted(a.index for a in annotations),

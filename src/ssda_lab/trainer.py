@@ -174,8 +174,9 @@ def momentum_update_labels(live: np.ndarray, fresh: np.ndarray, m: float) -> np.
     live2 = np.atleast_2d(live)
     fresh2 = np.atleast_2d(np.asarray(fresh, dtype=np.float64))
     for name, mat in (("live", live2), ("fresh", fresh2)):
-        sums = mat.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > 1e-9) or np.any(mat < -1e-9) or np.any(mat > 1.0 + 1e-9):
+        # accept only in-range rows, so NaN (false in every comparison) is refused
+        on_simplex = np.all(np.abs(mat.sum(axis=1) - 1.0) <= 1e-9) and np.all((mat >= -1e-9) & (mat <= 1.0 + 1e-9))
+        if not on_simplex:
             raise ValueError(f"simplex violation in {name} labels")
     out = m * live2 + (1.0 - m) * fresh2
     return out[0] if single else out
@@ -187,42 +188,30 @@ def momentum_update_labels(live: np.ndarray, fresh: np.ndarray, m: float) -> np.
 def minimax_gradients(
     params: NetworkParams,
     lambda_: float,
-    labeled: tuple[np.ndarray, np.ndarray] | None = None,
-    pseudo: tuple[np.ndarray, np.ndarray] | None = None,
-    unlabeled: np.ndarray | None = None,
-    combined: GradientBundle | None = None,
-    term: GradientBundle | None = None,
+    labeled: tuple[np.ndarray, np.ndarray],
+    pseudo: tuple[np.ndarray, np.ndarray] | None,
+    unlabeled: np.ndarray,
+    combined: GradientBundle,
+    term: GradientBundle,
 ) -> tuple[dict, GradientBundle]:
     """Combined gradients for the two objectives, one shared evaluation point.
 
     Extractor rows carry d(L_sup + L_pseudo + lambda H); the classifier row
     carries d(L_sup + L_pseudo - lambda H).  Returns per-term loss values
-    and the combined bundle.  At lambda 0, H drops out of both objectives:
-    its value at this point is still reported, from a forward pass alone.
+    and the combined bundle.  ``pseudo`` is None outside self-training.  At
+    lambda 0, H drops out of both objectives: its value at this point is
+    still reported, from a forward pass alone.
 
-    ``combined`` receives the sum and ``term`` is scratch for every term
-    after the first; both are shaped like ``params`` and allocated here
-    when not given.
+    ``combined`` receives the sum and ``term`` is scratch for the pseudo and
+    entropy terms; both are shaped like ``params``.
     """
-    if labeled is None and pseudo is None and unlabeled is None:
-        raise ValueError("at least one batch is required")
-    combined = zero_grads(params) if combined is None else combined
-    term = zero_grads(params) if term is None else term
-    losses: dict = {"labeled": None, "pseudo": None, "entropy": None}
-    out = combined  # the first term writes straight into the sum
-    if labeled is not None:
-        losses["labeled"] = backward(labeled[0], params, "hard", labeled[1], out=out)[0]
-        out = term
+    losses = {"labeled": backward(labeled[0], params, "hard", labeled[1], out=combined)[0], "pseudo": None}
     if pseudo is not None:
-        losses["pseudo"] = backward(pseudo[0], params, "soft", pseudo[1], out=out)[0]
-        if out is term:
-            np.add(combined.flat, term.flat, out=combined.flat)
-        out = term
-    if out is combined:  # entropy alone: the sum starts from zero
-        combined.flat.fill(0.0)
-    if unlabeled is not None and lambda_ == 0.0:
+        losses["pseudo"] = backward(pseudo[0], params, "soft", pseudo[1], out=term)[0]
+        np.add(combined.flat, term.flat, out=combined.flat)
+    if lambda_ == 0.0:
         losses["entropy"] = entropy_loss(params, unlabeled)
-    elif unlabeled is not None:
+    else:
         losses["entropy"] = backward(unlabeled, params, "entropy", out=term)[0]
         # gradient reversal: the classifier half of flat takes -lambda dH
         n_ext = group_sizes(params)[0]
@@ -237,11 +226,11 @@ def minimax_step(
     velocities: GradientBundle,
     lr: float,
     config: TrainConfig,
-    labeled: tuple[np.ndarray, np.ndarray] | None = None,
-    pseudo: tuple[np.ndarray, np.ndarray] | None = None,
-    unlabeled: np.ndarray | None = None,
-    combined: GradientBundle | None = None,
-    term: GradientBundle | None = None,
+    labeled: tuple[np.ndarray, np.ndarray],
+    pseudo: tuple[np.ndarray, np.ndarray] | None,
+    unlabeled: np.ndarray,
+    combined: GradientBundle,
+    term: GradientBundle,
 ) -> dict:
     """Apply one SGD step of the minimax objectives; returns the per-term losses.
 
@@ -299,15 +288,12 @@ def init_train_state(
         if resume_params is None:
             raise ValueError("self-training resumes from a baseline checkpoint")
         params = resume_params.copy()
+        rows = sorted(selected.annotations, key=lambda a: a.index)
+        selected_indices = [a.index for a in rows]
         if config.use_hard_labels:
-            live = np.zeros((len(selected), split.n_classes))
-            live[np.arange(len(selected)), selected.hard_labels()] = 1.0
+            live = np.eye(split.n_classes)[[a.hard_label for a in rows]]
         else:
-            live = selected.soft_label_matrix().copy()
-        selected_indices = list(selected.index_set)
-        # annotations are ordered (class, distance, index); align rows to index_set
-        order = np.argsort([a.index for a in selected.annotations])
-        live = live[order]
+            live = np.array([a.soft_label for a in rows])
     else:
         params = init_params(
             input_dim=split.spec.input_dim,
@@ -346,7 +332,12 @@ def run_train_loop(
     labeled_x, labeled_y = split.labeled_xy()
     unlabeled_x = split.unlabeled_x()
     val_x, val_y = split.validation_xy()
-    pseudo_x = unlabeled_x[state.selected_indices] if state.stage == "selftrain" else None
+    # the trusted rows and their truth, gathered once: membership is frozen
+    pseudo_x = pseudo_truth = None
+    if state.stage == "selftrain":
+        pseudo_x = unlabeled_x[state.selected_indices]
+        if unlabeled_truth is not None:
+            pseudo_truth = np.asarray(unlabeled_truth)[state.selected_indices]
 
     rngs = _batch_rngs(config, state.stage)
     while state.stop_reason is None and state.t_iter < config.t_max:
@@ -371,7 +362,7 @@ def run_train_loop(
         state.loss_sums["count"] += 1
 
         if state.t_iter % config.t_val == 0:
-            _validation_phase(split, config, state, val_x, val_y, unlabeled_x, unlabeled_truth)
+            _validation_phase(config, state, val_x, val_y, pseudo_x, pseudo_truth)
 
     if state.stop_reason is None:
         state.stop_reason = "t_max"
@@ -379,26 +370,27 @@ def run_train_loop(
 
 
 def _validation_phase(
-    split: SSDASplit,
     config: TrainConfig,
     state: TrainState,
     val_x: np.ndarray,
     val_y: np.ndarray,
-    unlabeled_x: np.ndarray,
-    unlabeled_truth: np.ndarray | None,
+    pseudo_x: np.ndarray | None,
+    pseudo_truth: np.ndarray | None,
 ) -> None:
+    """Validate, refresh the trusted rows' live labels, record history, check patience.
+
+    ``pseudo_truth`` only stamps the live labels' reliability into the record.
+    """
     val_acc = evaluate(state.params, val_x, val_y)
 
     # refresh live labels with the updated network, full pass over the set
     if state.stage == "selftrain" and config.label_momentum < 1.0:
-        fresh = forward(unlabeled_x[state.selected_indices], state.params)
+        fresh = forward(pseudo_x, state.params)
         state.live_soft = momentum_update_labels(state.live_soft, fresh, config.label_momentum)
 
     snapshot = None
-    if state.stage == "selftrain" and unlabeled_truth is not None:
-        live_hard = np.argmax(state.live_soft, axis=1)
-        truth = np.asarray(unlabeled_truth)[state.selected_indices]
-        snapshot = float(np.mean(live_hard == truth))
+    if pseudo_truth is not None:
+        snapshot = float(np.mean(np.argmax(state.live_soft, axis=1) == pseudo_truth))
 
     count = max(state.loss_sums["count"], 1)
     state.history.append(

@@ -424,7 +424,14 @@ BAD_CHECKPOINTS = [
                  id="weight_1d"),
     pytest.param(_edited_json(lambda d: d["params"].update(extractor_layers=[])), id="no_extractor_layer"),
     pytest.param(_edited_json(lambda d: d["params"].update(classifier_weights=[1.0, 2.0])), id="classifier_1d"),
+    pytest.param(_edited_json(lambda d: d["params"].update(temperature=float("nan"))), id="temperature_nan"),
+    pytest.param(_edited_json(lambda d: d["params"].update(temperature=float("inf"))), id="temperature_inf"),
 ]
+
+
+def _first_selected(dump: dict) -> dict:
+    return next(entry for entry in dump["annotations"] if entry["selected"])
+
 
 BAD_SELECTIONS = [
     pytest.param(_edited(lambda text: text[: len(text) // 2]), id="truncated"),
@@ -436,6 +443,11 @@ BAD_SELECTIONS = [
     pytest.param(_edited_json(lambda d: d["annotations"][0].update(distance=None)), id="null_distance"),
     pytest.param(_edited_json(lambda d: d["annotations"][0]["soft_label"].append(0.0)), id="soft_width_4"),
     pytest.param(_edited_json(lambda d: [a.update(selected=False) for a in d["annotations"]]), id="none_selected"),
+    pytest.param(_edited_json(lambda d: _first_selected(d)["soft_label"].__setitem__(0, float("nan"))),
+                 id="soft_nan"),
+    pytest.param(_edited_json(lambda d: _first_selected(d).update(soft_label=[2.0, -1.0, 0.0])), id="soft_outside_0_1"),
+    pytest.param(_edited_json(lambda d: _first_selected(d).update(soft_label=[1.0, 1.0, 0.0])), id="soft_sum_2"),
+    pytest.param(_edited_json(lambda d: _first_selected(d).update(soft_label=["a", "b", "c"])), id="soft_strings"),
 ]
 
 

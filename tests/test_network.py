@@ -26,6 +26,7 @@ from ssda_lab.network import (
     group_sizes,
     init_params,
     load_checkpoint,
+    params_from_jsonable,
     params_to_jsonable,
     save_checkpoint,
     sgd_step,
@@ -52,7 +53,7 @@ class TestForwardFeatures:
             classifier_weights=np.zeros((2, 2)),
             temperature=1.0,
         )
-        np.testing.assert_array_equal(forward_features(np.array([1.0, -2.0, 3.0]), params), np.zeros(2))
+        np.testing.assert_array_equal(forward_features(np.array([[1.0, -2.0, 3.0]]), params), np.zeros((1, 2)))
 
     def test_single_identity_layer_passes_input_through(self):
         # Final extractor layer is linear, so identity weights reproduce x.
@@ -61,13 +62,18 @@ class TestForwardFeatures:
             classifier_weights=np.zeros((2, 3)),
             temperature=1.0,
         )
-        x = np.array([0.5, -1.5, 2.0])
+        x = np.array([[0.5, -1.5, 2.0]])
         np.testing.assert_array_equal(forward_features(x, params), x)
 
     def test_dimension_mismatch(self):
         params = small_net()
         with pytest.raises(ValueError, match="dimension mismatch"):
-            forward_features(np.zeros(params.input_dim + 1), params)
+            forward_features(np.zeros((1, params.input_dim + 1)), params)
+
+    def test_single_vector_rejected(self):
+        params = small_net()
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            forward_features(np.zeros(params.input_dim), params)
 
     def test_batch_matches_per_sample(self, rng):
         params = small_net()
@@ -75,7 +81,7 @@ class TestForwardFeatures:
         batch = forward_features(xb, params)
         for i in range(5):
             # BLAS may pick different kernels for vector vs matrix operands
-            np.testing.assert_allclose(batch[i], forward_features(xb[i], params), atol=1e-12)
+            np.testing.assert_allclose(batch[i], forward_features(xb[i : i + 1], params)[0], atol=1e-12)
 
     def test_bit_identical_across_processes(self):
         snippet = (
@@ -83,7 +89,7 @@ class TestForwardFeatures:
             "from ssda_lab.coremath import seeded_rng\n"
             "from ssda_lab.network import init_params, forward_features\n"
             "p = init_params(2, (8,), 4, 3, 0.05, seeded_rng(5, 'init'))\n"
-            "f = forward_features(np.array([0.3, -1.2]), p)\n"
+            "f = forward_features(np.array([[0.3, -1.2]]), p)\n"
             "print(f.tobytes().hex())\n"
         )
         # the child imports the same ssda_lab as this process, installed or not
@@ -99,22 +105,22 @@ class TestForwardFeatures:
 
 class TestForwardClassifier:
     def test_identical_rows_give_uniform(self, rng):
-        f = rng.standard_normal(6)
+        f = rng.standard_normal((1, 6))
         params = small_net()
         params.classifier_weights[:] = np.tile(rng.standard_normal(6), (3, 1))
-        np.testing.assert_allclose(forward_classifier(f, params), np.full(3, 1 / 3), atol=1e-12)
+        np.testing.assert_allclose(forward_classifier(f, params), np.full((1, 3), 1 / 3), atol=1e-12)
 
     def test_scale_invariance(self, rng):
         params = small_net()
-        f = rng.standard_normal(6)
+        f = rng.standard_normal((1, 6))
         p1 = forward_classifier(f, params)
         p2 = forward_classifier(10.0 * f, params)
-        assert int(np.argmax(p1)) == int(np.argmax(p2))
+        assert int(np.argmax(p1[0])) == int(np.argmax(p2[0]))
         np.testing.assert_allclose(p1, p2, atol=1e-9)
 
     def test_halving_temperature_sharpens(self, rng):
         params = small_net(seed=3)
-        f = rng.standard_normal(6)
+        f = rng.standard_normal((1, 6))
         p_base = forward_classifier(f, params)
         sharp = small_net(seed=3)
         sharp.temperature = params.temperature / 2.0
@@ -124,7 +130,7 @@ class TestForwardClassifier:
     def test_degenerate_feature_fallback_counts(self):
         params = small_net()
         degenerate_feature_events.reset()
-        p = forward_classifier(np.zeros(6), params)
+        p = forward_classifier(np.zeros((1, 6)), params)
         assert degenerate_feature_events.count == 1
         assert np.all(np.isfinite(p))
 
@@ -286,9 +292,10 @@ class TestAnnealLr:
         values = [anneal_lr(0.01, p) for p in grid]
         assert all(a > b for a, b in zip(values, values[1:]))
 
-    def test_out_of_range_clamps_and_warns(self):
-        with pytest.warns(UserWarning, match="clamping"):
-            assert anneal_lr(0.01, 1.5) == anneal_lr(0.01, 1.0)
+    def test_out_of_range_rejected(self):
+        for progress in (-0.1, 1.5):
+            with pytest.raises(ValueError, match=r"progress must be in \[0, 1\]"):
+                anneal_lr(0.01, progress)
 
 
 class TestDeterminismAndCheckpoint:
@@ -337,6 +344,13 @@ class TestDeterminismAndCheckpoint:
         save_checkpoint(tmp_path / "new.json", params, extra=extra)
         del old["velocities"], old["rng_state"]
         assert json.loads((tmp_path / "new.json").read_text()) == old
+
+    @pytest.mark.parametrize("temperature", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_temperature_must_be_finite_and_positive(self, temperature):
+        record = params_to_jsonable(small_net())
+        record["temperature"] = temperature
+        with pytest.raises(ValueError, match="temperature must be finite and positive"):
+            params_from_jsonable(record)
 
     def test_checkpoint_version_mismatch(self, tmp_path):
         params = small_net()

@@ -9,7 +9,6 @@ from conftest import small_net
 from ssda_lab.coremath import seeded_rng
 from ssda_lab.pseudolabel import (
     PseudoAnnotation,
-    feature_distance,
     infer_pseudo,
     per_class_quota,
     reliability,
@@ -63,30 +62,6 @@ class TestInferPseudo:
             infer_pseudo(small_net(), np.zeros((0, 4)))
 
 
-class TestFeatureDistance:
-    def test_single_anchor_at_sample_is_zero(self):
-        f = np.array([1.5, -2.0])
-        assert feature_distance(f, np.array([f])) == 0.0
-
-    def test_two_anchor_hand_value(self):
-        assert feature_distance(np.array([1.0, 0.0]), np.array([[0.0, 0.0], [2.0, 0.0]])) == 1.0
-
-    def test_anchor_order_irrelevant(self, rng):
-        f = rng.standard_normal(4)
-        anchors = rng.standard_normal((3, 4))
-        assert feature_distance(f, anchors) == pytest.approx(
-            feature_distance(f, anchors[::-1]), abs=1e-12
-        )
-
-    def test_empty_anchors_rejected(self):
-        with pytest.raises(ValueError, match="empty anchors"):
-            feature_distance(np.zeros(2), np.zeros((0, 2)))
-
-    def test_block_matches_rows(self, rng):
-        rows, anchors = rng.standard_normal((9, 4)), rng.standard_normal((3, 4))
-        assert feature_distance(rows, anchors).tolist() == [feature_distance(f, anchors) for f in rows]
-
-
 class TestSelect:
     def test_quota_formula(self):
         assert per_class_quota(0.2, 100, 5) == 4
@@ -108,11 +83,15 @@ class TestSelect:
         selected = select(annotations, anchors, r_u=0.5, n_u=n, n_classes=k)
         assert all(a.hard_label != 3 for a in selected.annotations)
 
-    def test_populated_class_without_anchors_rejected(self):
+    @pytest.mark.parametrize("drop", [
+        pytest.param(lambda anchors, c: anchors.pop(c), id="missing"),
+        pytest.param(lambda anchors, c: anchors.update({c: np.zeros((0, 3))}), id="empty"),
+    ])
+    def test_populated_class_without_anchors_rejected(self, drop):
         annotations, anchors, n, k = random_pool(seed=4)
         present = annotations[0].hard_label
-        del anchors[present]
-        with pytest.raises(ValueError, match=f"class {present}"):
+        drop(anchors, present)
+        with pytest.raises(ValueError, match=f"class {present} has annotated samples but no anchors"):
             select(annotations, anchors, r_u=0.5, n_u=n, n_classes=k)
 
     def test_ratio_out_of_range(self):
@@ -120,6 +99,22 @@ class TestSelect:
         for bad in (0.0, -0.1, 1.5):
             with pytest.raises(ValueError, match="r_u"):
                 select(annotations, anchors, r_u=bad, n_u=n, n_classes=k)
+
+    def test_anchor_distance_hand_values(self):
+        anchors = {0: np.array([[1.5, -2.0]]), 1: np.array([[0.0, 0.0], [2.0, 0.0]])}
+        annotations = [
+            PseudoAnnotation(index=0, soft_label=np.array([1.0, 0.0]), hard_label=0, feature=np.array([1.5, -2.0])),
+            PseudoAnnotation(index=1, soft_label=np.array([0.0, 1.0]), hard_label=1, feature=np.array([1.0, 0.0])),
+        ]
+        select(annotations, anchors, r_u=1.0, n_u=2, n_classes=2)
+        assert [a.distance for a in annotations] == [0.0, 1.0]  # anchor at the sample; mean of 1 and 1
+
+    def test_anchor_order_irrelevant(self):
+        annotations, anchors, n, k = random_pool(seed=7)
+        select(annotations, anchors, r_u=0.5, n_u=n, n_classes=k)
+        forward_order = [a.distance for a in annotations]
+        select(annotations, {c: x[::-1] for c, x in anchors.items()}, r_u=0.5, n_u=n, n_classes=k)
+        np.testing.assert_allclose([a.distance for a in annotations], forward_order, rtol=0, atol=1e-12)
 
     def test_distance_ties_break_by_index(self):
         anchors = {0: np.array([[0.0, 0.0]])}
@@ -224,10 +219,8 @@ class TestSelectionDump:
         assert rebuilt.index_set == selected.index_set
         assert rebuilt.r_u == selected.r_u
         assert rebuilt.per_class_quota == selected.per_class_quota
-        np.testing.assert_allclose(
-            sorted(map(tuple, rebuilt.soft_label_matrix())),
-            sorted(map(tuple, selected.soft_label_matrix())),
-            atol=1e-15,
-        )
+        assert {a.index: a.soft_label.tolist() for a in rebuilt.annotations} == {
+            a.index: a.soft_label.tolist() for a in selected.annotations
+        }
         assert dump["reliability_before"] == 0.5
         assert dump["n_selected"] == len(selected)
