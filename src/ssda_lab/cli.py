@@ -3,7 +3,7 @@
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 runtime error.
 Config precedence: built-in defaults < JSON config file (--config) < flags.
 ``SSDA_LAB_THREADS`` caps worker processes for ablation grids (a positive
-integer, default 1).
+integer, default 1); a grid never starts more processes than it has tasks.
 """
 
 from __future__ import annotations
@@ -109,10 +109,6 @@ def build_config(args: argparse.Namespace) -> TrainConfig:
     return config
 
 
-def _print_effective_config(config: TrainConfig) -> None:
-    print("effective config: " + json.dumps(asdict(config), sort_keys=True))
-
-
 # -- artifacts checked against their split --
 
 
@@ -189,7 +185,7 @@ def _stage_inputs(args: argparse.Namespace):
     Every input is checked before ``--out`` is made, so a bad one leaves no output directory.
     """
     config = build_config(args)
-    _print_effective_config(config)
+    print("effective config: " + json.dumps(asdict(config), sort_keys=True))
     split = load_split(args.split)
     params = _load_params(args.checkpoint, split) if "checkpoint" in args else None
     selected = selected_set_from_dump(_load_dump(args.selection, split)[0]) if "selection" in args else None
@@ -198,21 +194,15 @@ def _stage_inputs(args: argparse.Namespace):
     return config, split, params, selected, out
 
 
-def _write_trained(out: Path, stage: str, params: NetworkParams, report, config: TrainConfig):
-    """Write a stage's checkpoint and report (``baseline_*`` or ``final_*``); returns the checkpoint and CSV."""
-    prefix = "final" if stage == "selftrain" else stage
-    ckpt, csv = out / f"{prefix}_checkpoint.json", out / f"{prefix}_report.csv"
+def _write_trained(out: Path, prefix: str, stage: str, params: NetworkParams, report, config: TrainConfig,
+                   artifacts: dict) -> None:
+    """Write ``{prefix}_checkpoint.json`` and ``{prefix}_report.{json,csv}``, record them, print the stage line."""
+    ckpt = artifacts[f"{prefix}_checkpoint"] = out / f"{prefix}_checkpoint.json"
+    csv = artifacts[f"{prefix}_report_csv"] = out / f"{prefix}_report.csv"
     save_checkpoint(ckpt, params, extra={"stage": stage, "config": asdict(config)})
     save_report(report, out / f"{prefix}_report.json", csv)
-    return ckpt, csv
-
-
-def _write_selection(out: Path, split: SSDASplit, annotations: list, selected) -> tuple[float, float]:
-    """Write ``selection.json`` with the reliability of all pseudo labels and of the kept ones; returns both."""
-    before = reliability(annotations, split.unlabeled_truth)
-    after = reliability(selected.annotations, split.unlabeled_truth)
-    save_selection(out / "selection.json", selection_to_jsonable(selected, annotations, before, after))
-    return before, after
+    print(f"{prefix} accuracy: {report.final_test_acc:.4f} "
+          f"(stop={report.stop_reason}, best_val={report.best_val_acc:.4f})")
 
 
 # -- commands --
@@ -248,75 +238,30 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def cmd_train_baseline(args) -> int:
-    config, split, _, _, out = _stage_inputs(args)
-    t0 = time.perf_counter()
-    params, report = _stage1(split, config)
-    ckpt, csv = _write_trained(out, "baseline", params, report, config)
-    _write_manifest(args, out, config, {"checkpoint": ckpt, "report_csv": csv},
-                    {"train": time.perf_counter() - t0})
-    print(f"baseline: stop={report.stop_reason} best_val={report.best_val_acc:.4f} "
-          f"test_acc={report.final_test_acc:.4f}")
-    return EXIT_OK
-
-
-def cmd_pseudo_label(args) -> int:
-    config, split, params, _, out = _stage_inputs(args)
-    t0 = time.perf_counter()
-    annotations, selected = _stage2(split, params, config.r_u)
-    rel_before, rel_after = _write_selection(out, split, annotations, selected)
-    _write_manifest(args, out, config, {"selection": out / "selection.json"},
-                    {"stage2": time.perf_counter() - t0})
-    print(f"selected {len(selected)} of {len(split.unlabeled_target)} "
-          f"(quota {selected.per_class_quota}/class, r_u={config.r_u})")
-    print(f"reliability: {100 * rel_before:.1f} -> {100 * rel_after:.1f}")
-    return EXIT_OK
-
-
-def cmd_self_train(args) -> int:
+def cmd_stages(args) -> int:
+    """Run the stages ``args.stages`` names; each writes, records and prints the same whichever command runs it."""
     config, split, params, selected, out = _stage_inputs(args)
-    t0 = time.perf_counter()
-    final, report = _stage3(split, selected, params, config)
-    ckpt, csv = _write_trained(out, "selftrain", final, report, config)
-    _write_manifest(args, out, config, {"checkpoint": ckpt, "report_csv": csv},
-                    {"train": time.perf_counter() - t0})
-    print(f"self-train: stop={report.stop_reason} best_val={report.best_val_acc:.4f} "
-          f"test_acc={report.final_test_acc:.4f}")
-    return EXIT_OK
-
-
-def cmd_run_pipeline(args) -> int:
-    config, split, _, _, out = _stage_inputs(args)
-    timings: dict = {}
     artifacts: dict = {}
-
-    t0 = time.perf_counter()
-    params, base_report = _stage1(split, config)
-    artifacts["baseline_checkpoint"], artifacts["baseline_report_csv"] = _write_trained(
-        out, "baseline", params, base_report, config)
-    timings["stage1"] = time.perf_counter() - t0
-
-    if args.no_pseudo:
-        _write_manifest(args, out, config, artifacts, timings)
-        print(f"final accuracy (baseline only, no pseudo stages): {base_report.final_test_acc:.4f}")
-        return EXIT_OK
-
-    t0 = time.perf_counter()
-    annotations, selected = _stage2(split, params, config.r_u)
-    rel_before, rel_after = _write_selection(out, split, annotations, selected)
-    timings["stage2"] = time.perf_counter() - t0
-    artifacts["selection"] = out / "selection.json"
-
-    t0 = time.perf_counter()
-    final, final_report = _stage3(split, selected, params, config)
-    artifacts["final_checkpoint"], artifacts["final_report_csv"] = _write_trained(
-        out, "selftrain", final, final_report, config)
-    timings["stage3"] = time.perf_counter() - t0
-
+    timings: dict = {}
+    for n in args.stages:
+        t0 = time.perf_counter()
+        if n == 1:
+            params, report = _stage1(split, config)
+            _write_trained(out, "baseline", "baseline", params, report, config, artifacts)
+        elif n == 2:
+            annotations, selected = _stage2(split, params, config.r_u)
+            before = reliability(annotations, split.unlabeled_truth)
+            after = reliability(selected.annotations, split.unlabeled_truth)
+            artifacts["selection"] = out / "selection.json"
+            save_selection(artifacts["selection"], selection_to_jsonable(selected, annotations, before, after))
+            print(f"selected {len(selected)} of {len(split.unlabeled_target)} "
+                  f"(quota {selected.per_class_quota}/class, r_u={config.r_u})")
+            print(f"reliability before/after selection: {100 * before:.1f} -> {100 * after:.1f}")
+        else:
+            final, report = _stage3(split, selected, params, config)
+            _write_trained(out, "final", "selftrain", final, report, config, artifacts)
+        timings[f"stage{n}"] = time.perf_counter() - t0
     _write_manifest(args, out, config, artifacts, timings)
-    print(f"reliability before/after selection: {100 * rel_before:.1f} -> {100 * rel_after:.1f}")
-    print(f"baseline accuracy: {base_report.final_test_acc:.4f}")
-    print(f"final accuracy: {final_report.final_test_acc:.4f}")
     return EXIT_OK
 
 
@@ -338,8 +283,9 @@ def _max_workers() -> int:
 
 
 def _map(fn, tasks: list, workers: int) -> list:
-    """``fn`` over ``tasks`` in order: in this process, or on ``workers`` processes."""
-    if workers == 1:
+    """``fn`` over ``tasks`` in order: in this process, or on at most ``workers`` processes, one per task."""
+    workers = min(workers, len(tasks))
+    if workers <= 1:
         return [fn(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
@@ -390,8 +336,6 @@ def _parse_seeds(raw: str) -> list[int]:
 
 
 def cmd_ablate_ru(args) -> int:
-    config = build_config(args)
-    _print_effective_config(config)
     workers = _max_workers()
     seeds = _parse_seeds(args.seeds)
     try:
@@ -400,9 +344,7 @@ def cmd_ablate_ru(args) -> int:
         raise ConfigError(f"bad --grid list: {args.grid!r}") from err
     if any(not 0.0 < r <= 1.0 for r in grid):
         raise ConfigError("grid values must lie in (0, 1]")
-    split = load_split(args.split)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    config, split, _, _, out = _stage_inputs(args)
 
     arms = [(repr(r_u), {"r_u": r_u}) for r_u in grid]  # a list: a repeated value keeps its rows
     results = _run_grid(split, args.regen, config, arms, seeds, workers)
@@ -429,15 +371,11 @@ def cmd_ablate_ru(args) -> int:
 
 
 def cmd_ablate_noise(args) -> int:
-    config = build_config(args)
-    _print_effective_config(config)
     workers = _max_workers()
     seeds = _parse_seeds(args.seeds)
-    if len(seeds) < 2:
-        raise ConfigError("ablate-noise needs at least 2 seeds")
-    split = load_split(args.split)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    if len(set(seeds)) < 2:
+        raise ConfigError("ablate-noise needs at least 2 distinct seeds")
+    config, split, _, _, out = _stage_inputs(args)
 
     arms = [
         ("progressive", {"use_hard_labels": False, "label_momentum": config.label_momentum}),
@@ -471,8 +409,9 @@ def cmd_report_reliability(args) -> int:
         after = float(np.mean(hits[columns["selected"]]))
     else:
         before, after = dump.get("reliability_before"), dump.get("reliability_after")
-        if before is None or after is None:
-            raise DataError("selection dump has no stored reliability; pass --split for ground truth")
+        if not all(type(v) in (int, float) and 0.0 <= v <= 1.0 for v in (before, after)):
+            raise DataError(f"selection dump has no stored reliability in [0, 1] ({before!r}, {after!r}); "
+                            "pass --split for ground truth")
     print(f"{100 * before:.1f} -> {100 * after:.1f}")
     if args.csv:
         Path(args.csv).write_text(
@@ -508,34 +447,22 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gen_data)
 
-    p = sub.add_parser("train-baseline", help="stage 1: minimax-entropy baseline")
-    p.add_argument("--split", required=True)
-    p.add_argument("--out", required=True)
-    _config_flags(p)
-    p.set_defaults(func=cmd_train_baseline)
-
-    p = sub.add_parser("pseudo-label", help="stage 2: infer and select pseudo labels")
-    p.add_argument("--split", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--out", required=True)
-    _config_flags(p)
-    p.set_defaults(func=cmd_pseudo_label)
-
-    p = sub.add_parser("self-train", help="stage 3: progressive self-training")
-    p.add_argument("--split", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--selection", required=True)
-    p.add_argument("--out", required=True)
-    _config_flags(p)
-    p.set_defaults(func=cmd_self_train)
-
-    p = sub.add_parser("run-pipeline", help="stages 1-3 end to end")
-    p.add_argument("--split", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--no-pseudo", dest="no_pseudo", action="store_true",
+    for name, help_, inputs, stages in (
+        ("train-baseline", "stage 1: minimax-entropy baseline", (), (1,)),
+        ("pseudo-label", "stage 2: infer and select pseudo labels", ("--checkpoint",), (2,)),
+        ("self-train", "stage 3: progressive self-training", ("--checkpoint", "--selection"), (3,)),
+        ("run-pipeline", "stages 1-3 end to end", (), (1, 2, 3)),
+    ):
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("--split", required=True)
+        for flag in inputs:
+            p.add_argument(flag, required=True)
+        p.add_argument("--out", required=True)
+        _config_flags(p)
+        p.set_defaults(func=cmd_stages, stages=stages)
+    # p is run-pipeline's parser, the loop's last
+    p.add_argument("--no-pseudo", dest="stages", action="store_const", const=(1,),
                    help="stop after stage 1 (with --lambda 0 this is the S+T arm)")
-    _config_flags(p)
-    p.set_defaults(func=cmd_run_pipeline)
 
     p = sub.add_parser("evaluate", help="accuracy of a checkpoint on the unlabeled target")
     p.add_argument("--split", required=True)

@@ -133,7 +133,9 @@ class TestRunPipeline:
                      "--lambda", "0", "--no-pseudo", *FAST]) == EXIT_OK
         assert not (out / "selection.json").exists()
         assert not (out / "final_checkpoint.json").exists()
-        assert "baseline only" in capsys.readouterr().out
+        stdout = capsys.readouterr().out
+        assert "baseline accuracy: " in stdout
+        assert "selected " not in stdout and "final accuracy" not in stdout
 
     def test_vanilla_arm_flags(self, split_dir, tmp_path):
         assert main(["run-pipeline", "--split", str(split_dir), "--out", str(tmp_path / "v"),
@@ -182,6 +184,7 @@ BAD_CONFIGS = [
     pytest.param("run-pipeline", [], '"ab"', None, id="config_string"),
     pytest.param("ablate-ru", ["--seeds", "0"], None, "abc", id="threads_str"),
     pytest.param("ablate-noise", ["--seeds", "0,1"], None, "0", id="threads_0"),
+    pytest.param("ablate-noise", ["--seeds", "3,3"], None, None, id="noise_one_distinct_seed"),
 ]
 
 
@@ -225,26 +228,33 @@ class TestConfigPrecedence:
 
 
 class TestStagedCommands:
-    def test_stage_by_stage_matches_pipeline(self, split_dir, tmp_path):
-        pipe = tmp_path / "pipe"
-        assert main(["run-pipeline", "--split", str(split_dir), "--out", str(pipe),
-                     "--seed", "5", *FAST]) == EXIT_OK
+    def test_stage_by_stage_matches_pipeline(self, split_dir, tmp_path, capsys):
+        def run(argv) -> list:
+            assert main(argv) == EXIT_OK
+            return [line for line in capsys.readouterr().out.splitlines()
+                    if not line.startswith("effective config: ")]
 
-        base = tmp_path / "base"
-        assert main(["train-baseline", "--split", str(split_dir), "--out", str(base),
-                     "--seed", "5", *FAST]) == EXIT_OK
-        sel = tmp_path / "sel"
-        assert main(["pseudo-label", "--split", str(split_dir),
-                     "--checkpoint", str(base / "baseline_checkpoint.json"),
-                     "--out", str(sel), "--seed", "5", *FAST]) == EXIT_OK
-        st = tmp_path / "st"
-        assert main(["self-train", "--split", str(split_dir),
-                     "--checkpoint", str(base / "baseline_checkpoint.json"),
-                     "--selection", str(sel / "selection.json"),
-                     "--out", str(st), "--seed", "5", *FAST]) == EXIT_OK
+        pipe, base, sel, st = (tmp_path / name for name in ("pipe", "base", "sel", "st"))
+        common = ["--split", str(split_dir), "--seed", "5", *FAST]
+        ckpt = str(base / "baseline_checkpoint.json")
+        pipe_lines = run(["run-pipeline", "--out", str(pipe), *common])
+        staged_lines = (run(["train-baseline", "--out", str(base), *common])
+                        + run(["pseudo-label", "--checkpoint", ckpt, "--out", str(sel), *common])
+                        + run(["self-train", "--checkpoint", ckpt, "--selection", str(sel / "selection.json"),
+                               "--out", str(st), *common]))
+        assert staged_lines == pipe_lines
 
-        assert (pipe / "baseline_report.csv").read_bytes() == (base / "baseline_report.csv").read_bytes()
-        assert (pipe / "final_report.csv").read_bytes() == (st / "final_report.csv").read_bytes()
+        staged = {
+            base: ["baseline_checkpoint.json", "baseline_report.json", "baseline_report.csv"],
+            sel: ["selection.json"],
+            st: ["final_checkpoint.json", "final_report.json", "final_report.csv"],
+        }
+        for out, names in staged.items():
+            for name in names:
+                assert (pipe / name).read_bytes() == (out / name).read_bytes(), name
+        manifests = [json.loads((out / "manifest.json").read_text()) for out in (pipe, base, sel, st)]
+        for key in ("artifacts", "timings_s"):
+            assert set(manifests[0][key]) == set().union(*(m[key] for m in manifests[1:])), key
 
     def test_evaluate_prints_accuracy(self, split_dir, tmp_path, capsys):
         base = tmp_path / "base"
@@ -335,6 +345,29 @@ class TestAblationStageSharing:
                          "--grid", "0.2,1.0", "--seeds", "0,1", *FAST]) == EXIT_OK
             tables[threads] = [(out / name).read_bytes() for name in ("ru_sweep.csv", "ru_summary.csv")]
         assert tables["1"] == tables["2"]
+
+    def test_pool_capped_at_task_count(self, split_dir, tmp_path, monkeypatch):
+        sizes: list = []
+
+        class InProcessPool:
+            """Records the pool size it was asked for and maps in this process."""
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setenv("SSDA_LAB_THREADS", "64")
+        assert main(["ablate-ru", "--split", str(split_dir), "--out", str(tmp_path / "ru"),
+                     "--grid", "0.2,1.0", "--seeds", "0", *FAST]) == EXIT_OK
+        assert sizes == [2]  # one baseline runs in this process, then one worker per arm
 
     @pytest.mark.parametrize("command, flags", [("ablate-ru", ["--seeds", "0", "--regen"]),
                                                 ("ablate-noise", ["--seeds", "0,1", "--regen"])])
@@ -529,3 +562,14 @@ class TestReportReliability:
         capsys.readouterr()
         assert main(["report-reliability", "--selection", str(sel / "selection.json")]) == EXIT_OK
         assert " -> " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["x", [0.5], True, 7.5, float("nan"), -1.0],
+                             ids=["string", "list", "bool", "above_1", "nan", "negative"])
+    def test_bad_stored_value_exits_3_before_csv(self, stage2, tmp_path, capsys, value):
+        dump = json.loads(stage2[1].read_text())
+        dump["reliability_before"] = value
+        bad = tmp_path / "selection.json"
+        bad.write_text(json.dumps(dump))
+        assert main(["report-reliability", "--selection", str(bad), "--csv", str(tmp_path / "o")]) == EXIT_DATA
+        assert "data error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
