@@ -4,11 +4,10 @@
 Runs, with ``OPENBLAS_NUM_THREADS=1`` and the ``ssda_lab`` package under
 ``--src``: gen-data; run-pipeline, default and with ``--lambda 0
 --no-pseudo``; train-baseline, pseudo-label, self-train and evaluate;
-report-reliability --csv; and the ablate-ru --regen and ablate-noise grids,
-each also under ``SSDA_LAB_THREADS=2``. Prints one ``sha256  path`` line per
-output file, sorted by path. ``manifest.json`` files are skipped, because
-they hold timings; evaluate writes no file, so its stdout is digested as
-``evaluate.stdout``.
+report-reliability --csv; and the ablate-ru --regen and ablate-noise grids.
+Prints one ``sha256  path`` line per output file, sorted by path.
+``manifest.json`` files are skipped, because they hold timings; evaluate
+writes no file, so its stdout is digested as ``evaluate.stdout``.
 
     python scripts/artifact_digests.py > change.txt
     python scripts/artifact_digests.py --src /path/to/parent/src > parent.txt
@@ -27,18 +26,17 @@ SPLIT = ["--split", "split"]
 T_MAX = ["--t-max", "1000"]
 CKPT = ["--checkpoint", "base/baseline_checkpoint.json"]
 
-COMMANDS = [  # (argv, SSDA_LAB_THREADS)
-    (["gen-data", "--out", "split"], "1"),
-    (["run-pipeline", *SPLIT, "--out", "pipeline", *T_MAX], "1"),
-    (["run-pipeline", *SPLIT, "--out", "source_target", "--lambda", "0", "--no-pseudo", *T_MAX], "1"),
-    (["train-baseline", *SPLIT, "--out", "base", *T_MAX], "1"),
-    (["pseudo-label", *SPLIT, *CKPT, "--out", "sel"], "1"),
-    (["self-train", *SPLIT, *CKPT, "--selection", "sel/selection.json", "--out", "st", *T_MAX], "1"),
-    (["evaluate", *SPLIT, "--checkpoint", "st/final_checkpoint.json"], "1"),
-    (["report-reliability", "--selection", "pipeline/selection.json", *SPLIT, "--csv", "reliability.csv"], "1"),
-    *((["ablate-ru", *SPLIT, "--out", f"ru_{n}", "--grid", "0.2,1.0", "--seeds", "0,1", "--regen", *T_MAX], n)
-      for n in ("1", "2")),
-    *((["ablate-noise", *SPLIT, "--out", f"noise_{n}", "--seeds", "0,1", *T_MAX], n) for n in ("1", "2")),
+COMMANDS = [
+    ["gen-data", "--out", "split"],
+    ["run-pipeline", *SPLIT, "--out", "pipeline", *T_MAX],
+    ["run-pipeline", *SPLIT, "--out", "source_target", "--lambda", "0", "--no-pseudo", *T_MAX],
+    ["train-baseline", *SPLIT, "--out", "base", *T_MAX],
+    ["pseudo-label", *SPLIT, *CKPT, "--out", "sel"],
+    ["self-train", *SPLIT, *CKPT, "--selection", "sel/selection.json", "--out", "st", *T_MAX],
+    ["evaluate", *SPLIT, "--checkpoint", "st/final_checkpoint.json"],
+    ["report-reliability", "--selection", "pipeline/selection.json", *SPLIT, "--csv", "reliability.csv"],
+    ["ablate-ru", *SPLIT, "--out", "ru", "--grid", "0.2,1.0", "--seeds", "0,1", "--regen", *T_MAX],
+    ["ablate-noise", *SPLIT, "--out", "noise", "--seeds", "0,1", *T_MAX],
 ]
 
 
@@ -49,9 +47,8 @@ def main() -> None:
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for argv, threads in COMMANDS:
-            env = {**os.environ, "PYTHONPATH": str(Path(args.src).resolve()),
-                   "OPENBLAS_NUM_THREADS": "1", "SSDA_LAB_THREADS": threads}
+        env = {**os.environ, "PYTHONPATH": str(Path(args.src).resolve()), "OPENBLAS_NUM_THREADS": "1"}
+        for argv in COMMANDS:
             proc = subprocess.run([sys.executable, "-m", "ssda_lab.cli", *argv], cwd=work, env=env,
                                   capture_output=True, text=True, check=False)
             if proc.returncode != 0:

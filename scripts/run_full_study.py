@@ -8,7 +8,7 @@ Produces, under --out:
   noise_ablation/   progressive vs vanilla pairing (noise_ablation.csv)
 
 Every step goes through the CLI so the artifacts match what a user would
-get by hand.  Parallelism: set SSDA_LAB_THREADS.
+get by hand.  The grids run their cells in this process, one seed at a time.
 """
 
 import argparse

@@ -2,24 +2,22 @@
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 runtime error.
 Config precedence: built-in defaults < JSON config file (--config) < flags.
-``SSDA_LAB_THREADS`` caps worker processes for ablation grids (a positive
-integer, default 1); a grid never starts more processes than it has tasks.
+The ablation grids run every cell in this process, one seed at a time.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 
+from .coremath import SEED_LIMIT
 from .datasets import (
     DataError,
     DomainPairSpec,
@@ -275,68 +273,43 @@ def cmd_evaluate(args) -> int:
 # -- ablation grids --
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("SSDA_LAB_THREADS", "1")
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise ConfigError(f"SSDA_LAB_THREADS must be a positive integer, got {raw!r}")
-    return int(raw)
-
-
-def _map(fn, tasks: list, workers: int) -> list:
-    """``fn`` over ``tasks`` in order: in this process, or on at most ``workers`` processes, one per task."""
-    workers = min(workers, len(tasks))
-    if workers <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
-
-
-def _baseline_cell(task: tuple) -> tuple:
-    """Stage 1 of one (split, regen, config) seed; returns (split, baseline params).
-
-    With ``regen`` the split is redrawn from its spec at ``config.seed``.
-    Top-level so process pools can pickle it.
-    """
-    split, regen, config = task
-    if regen:
-        split = gen_split(replace(split.spec, seed=config.seed), split.n_t_per_class, split.n_val_per_class)
-    return split, _stage1(split, config)[0]
-
-
-def _arm_cell(task: tuple) -> tuple:
-    """Stages 2-3 of one (split, baseline params, tag, config) arm; returns (seed, tag, accuracy)."""
-    split, params, tag, config = task
-    _, selected = _stage2(split, params, config.r_u)
-    return config.seed, tag, _stage3(split, selected, params, config)[1].final_test_acc
-
-
 def _run_grid(split: SSDASplit, regen: bool, config: TrainConfig, arms: list[tuple[str, dict]],
-              seeds: list[int], workers: int) -> list[tuple]:
+              seeds: list[int]) -> list[tuple]:
     """Every (arm, seed) cell, sorted; returns (seed, tag, accuracy) rows.
 
+    With ``regen`` each seed's split is redrawn from its spec at that seed.
     Stage 1 reads none of the fields an arm overrides (``r_u``,
     ``use_hard_labels``, ``label_momentum``), so it is trained once per seed
     and every arm of that seed starts from the same baseline params.
     """
-    distinct = list(dict.fromkeys(seeds))
-    baselines = _map(_baseline_cell, [(split, regen, replace(config, seed=s)) for s in distinct], workers)
-    by_seed = dict(zip(distinct, baselines))
-    tasks = [(*by_seed[seed], tag, replace(config, **arm, seed=seed)) for tag, arm in arms for seed in seeds]
-    return sorted(_map(_arm_cell, tasks, workers))
+    rows = []
+    for seed in seeds:
+        data = (gen_split(replace(split.spec, seed=seed), split.n_t_per_class, split.n_val_per_class)
+                if regen else split)
+        params = _stage1(data, replace(config, seed=seed))[0]
+        for tag, arm in arms:
+            cell = replace(config, **arm, seed=seed)
+            selected = _stage2(data, params, cell.r_u)[1]
+            rows.append((seed, tag, _stage3(data, selected, params, cell)[1].final_test_acc))
+    return sorted(rows)
 
 
 def _parse_seeds(raw: str) -> list[int]:
+    """Distinct seeds in [0, 2**64): a repeat would weigh one seed twice in a mean."""
     try:
         seeds = [int(s) for s in raw.split(",") if s.strip() != ""]
     except ValueError as err:
         raise ConfigError(f"bad --seeds list: {raw!r}") from err
     if not seeds:
         raise ConfigError("empty --seeds list")
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"repeated seed in --seeds {raw!r}")
+    if not all(0 <= s < SEED_LIMIT for s in seeds):
+        raise ConfigError(f"seeds must lie in [0, 2**64), got {raw!r}")
     return seeds
 
 
 def cmd_ablate_ru(args) -> int:
-    workers = _max_workers()
     seeds = _parse_seeds(args.seeds)
     try:
         grid = [float(v) for v in args.grid.split(",")]
@@ -344,17 +317,19 @@ def cmd_ablate_ru(args) -> int:
         raise ConfigError(f"bad --grid list: {args.grid!r}") from err
     if any(not 0.0 < r <= 1.0 for r in grid):
         raise ConfigError("grid values must lie in (0, 1]")
+    if len(set(grid)) < len(grid):
+        raise ConfigError(f"repeated value in --grid {args.grid!r}")
     config, split, _, _, out = _stage_inputs(args)
 
-    arms = [(repr(r_u), {"r_u": r_u}) for r_u in grid]  # a list: a repeated value keeps its rows
-    results = _run_grid(split, args.regen, config, arms, seeds, workers)
+    arms = [(repr(r_u), {"r_u": r_u}) for r_u in grid]
+    results = _run_grid(split, args.regen, config, arms, seeds)
 
     rows = sorted((float(tag), seed, acc) for seed, tag, acc in results)
     lines = ["r_u,seed,accuracy"] + [f"{r!r},{s},{a!r}" for r, s, a in rows]
     (out / "ru_sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     summary = []
-    for r_u in sorted(set(grid)):
+    for r_u in sorted(grid):
         accs = [a for r, _, a in rows if r == r_u]
         summary.append((r_u, float(np.mean(accs)), float(np.std(accs))))
     best = max(summary, key=lambda t: t[1])[0]
@@ -371,17 +346,16 @@ def cmd_ablate_ru(args) -> int:
 
 
 def cmd_ablate_noise(args) -> int:
-    workers = _max_workers()
     seeds = _parse_seeds(args.seeds)
-    if len(set(seeds)) < 2:
-        raise ConfigError("ablate-noise needs at least 2 distinct seeds")
+    if len(seeds) < 2:
+        raise ConfigError("ablate-noise needs at least 2 seeds")
     config, split, _, _, out = _stage_inputs(args)
 
     arms = [
         ("progressive", {"use_hard_labels": False, "label_momentum": config.label_momentum}),
         ("vanilla", {"use_hard_labels": True, "label_momentum": 1.0}),
     ]
-    results = _run_grid(split, args.regen, config, arms, seeds, workers)
+    results = _run_grid(split, args.regen, config, arms, seeds)
 
     by_arm: dict[str, dict[int, float]] = {"progressive": {}, "vanilla": {}}
     for seed, tag, acc in results:

@@ -16,6 +16,9 @@ import numpy as np
 # keep losses finite.
 LOG_CLAMP = 1e-12
 
+# seeded_rng keeps a seed's low 64 bits, so seeds must lie in [0, SEED_LIMIT)
+SEED_LIMIT = 2**64
+
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Stable softmax along the last axis, by max-subtraction.
@@ -97,7 +100,7 @@ def _substream_entropy(seed: int, names: tuple[str, ...]) -> list[int]:
     module B's draws.
     """
     digest = hashlib.sha256(("/".join(names)).encode("utf-8")).digest()
-    return [int(seed) & 0xFFFFFFFFFFFFFFFF, int.from_bytes(digest[:16], "big")]
+    return [int(seed) % SEED_LIMIT, int.from_bytes(digest[:16], "big")]
 
 
 def seeded_rng(seed: int, *substream: str) -> np.random.Generator:

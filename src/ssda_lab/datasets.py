@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coremath import seeded_rng
+from .coremath import SEED_LIMIT, seeded_rng
 
 SPLIT_FORMAT_VERSION = 1
 
@@ -87,6 +87,8 @@ class DomainPairSpec:
             problems.append("rotation requires input_dim >= 2")
         if self.shift.scale <= 0:
             problems.append(f"shift scale must be positive, got {self.shift.scale}")
+        if not 0 <= self.seed < SEED_LIMIT:
+            problems.append(f"seed must be in [0, 2**64), got {self.seed}")
         if self.shift.translation and len(self.shift.translation) != self.input_dim:
             problems.append(
                 f"translation has {len(self.shift.translation)} entries, input_dim is {self.input_dim}"
@@ -202,14 +204,6 @@ class SSDASplit:
     def __post_init__(self) -> None:
         # the supervised pool (source plus labeled target) is stacked once, here
         self._labeled = tuple(np.concatenate(parts) for parts in zip(self.source, self.labeled_target))
-        self._freeze()
-
-    def __setstate__(self, state: dict) -> None:
-        # arrays come back writable from a pickle, and process pools pickle splits
-        self.__dict__.update(state)
-        self._freeze()
-
-    def _freeze(self) -> None:
         for a in (*self.source, *self.labeled_target, *self.validation_target, *self._labeled,
                   self.unlabeled_target, self.unlabeled_truth):
             a.setflags(write=False)

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coremath import LOG_CLAMP, seeded_rng
+from .coremath import LOG_CLAMP, SEED_LIMIT, seeded_rng
 from .datasets import SSDASplit
 from .network import (
     GradientBundle,
@@ -112,6 +112,8 @@ class TrainConfig:
             problems.append(f"weight_decay must be nonnegative, got {self.weight_decay}")
         if self.temperature <= 0:
             problems.append(f"temperature must be positive, got {self.temperature}")
+        if not 0 <= self.seed < SEED_LIMIT:
+            problems.append(f"seed must be in [0, 2**64), got {self.seed}")
         if self.feature_dim < 1 or not self.hidden_dims or min(self.hidden_dims) < 1:
             problems.append(
                 f"feature_dim and every hidden width must be >= 1 (at least one hidden layer), "
@@ -393,13 +395,16 @@ def _validation_phase(
         snapshot = float(np.mean(np.argmax(state.live_soft, axis=1) == pseudo_truth))
 
     count = max(state.loss_sums["count"], 1)
+    means = {k: state.loss_sums[k] / count for k in ("labeled", "pseudo", "entropy")}
+    if not all(map(math.isfinite, means.values())):
+        raise FloatingPointError(f"{state.stage} diverged by iteration {state.t_iter}: mean losses {means}")
     state.history.append(
         ValidationRecord(
             iteration=state.t_iter,
             val_acc=val_acc,
-            loss_labeled=state.loss_sums["labeled"] / count,
-            loss_pseudo=(state.loss_sums["pseudo"] / count) if state.stage == "selftrain" else None,
-            loss_entropy=state.loss_sums["entropy"] / count,
+            loss_labeled=means["labeled"],
+            loss_pseudo=means["pseudo"] if state.stage == "selftrain" else None,
+            loss_entropy=means["entropy"],
             reliability=snapshot,
         )
     )

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from ssda_lab import cli
-from ssda_lab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from ssda_lab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME, main
 from ssda_lab.coremath import seeded_rng
 from ssda_lab.datasets import load_split
 from ssda_lab.network import forward_features, init_params, save_checkpoint
@@ -88,6 +88,7 @@ class TestGenData:
             ["--translation", "nan,1"],
             ["--scale", "nan"],
             ["--skew", "inf"],
+            ["--seed=-1"],                   # seeded_rng would draw what 2**64 - 1 draws
         ]
         for flags in cases:
             out = tmp_path / "s"
@@ -164,40 +165,42 @@ class TestRunPipeline:
 
 
 BAD_CONFIGS = [
-    # (command, flags, --config file contents: JSON text, or a value to dump, SSDA_LAB_THREADS)
-    pytest.param("run-pipeline", ["--t-val", "0"], None, None, id="t_val_0"),
-    pytest.param("run-pipeline", ["--temperature", "0"], None, None, id="temperature_0"),
-    pytest.param("run-pipeline", ["--t-max", "0", "--t-val", "0"], None, None, id="t_max_0"),
-    pytest.param("run-pipeline", [], {"t_max": "abc"}, None, id="t_max_str"),
-    pytest.param("run-pipeline", [], {"patience": True}, None, id="patience_bool"),
-    pytest.param("run-pipeline", [], {"use_hard_labels": 1}, None, id="hard_labels_int"),
-    pytest.param("run-pipeline", [], {"lambda_": "0.1"}, None, id="lambda_str"),
-    pytest.param("run-pipeline", [], {"sgd_momentum": 1.0}, None, id="sgd_momentum_1"),
-    pytest.param("run-pipeline", [], {"weight_decay": -1}, None, id="weight_decay_negative"),
-    pytest.param("run-pipeline", [], {"hidden_dims": []}, None, id="hidden_dims_empty"),
-    pytest.param("run-pipeline", [], {"hidden_dims": [16, 0]}, None, id="hidden_width_0"),
-    pytest.param("run-pipeline", [], {"hidden_dims": 16}, None, id="hidden_dims_int"),
-    pytest.param("run-pipeline", [], {"feature_dim": 0}, None, id="feature_dim_0"),
-    pytest.param("run-pipeline", [], "5", None, id="config_number"),
-    pytest.param("run-pipeline", [], "null", None, id="config_null"),
-    pytest.param("run-pipeline", [], "[1, 2]", None, id="config_list"),
-    pytest.param("run-pipeline", [], '"ab"', None, id="config_string"),
-    pytest.param("ablate-ru", ["--seeds", "0"], None, "abc", id="threads_str"),
-    pytest.param("ablate-noise", ["--seeds", "0,1"], None, "0", id="threads_0"),
-    pytest.param("ablate-noise", ["--seeds", "3,3"], None, None, id="noise_one_distinct_seed"),
+    # (command, flags, --config file contents: JSON text, or a value to dump)
+    pytest.param("run-pipeline", ["--t-val", "0"], None, id="t_val_0"),
+    pytest.param("run-pipeline", ["--temperature", "0"], None, id="temperature_0"),
+    pytest.param("run-pipeline", ["--t-max", "0", "--t-val", "0"], None, id="t_max_0"),
+    pytest.param("run-pipeline", [], {"t_max": "abc"}, id="t_max_str"),
+    pytest.param("run-pipeline", [], {"patience": True}, id="patience_bool"),
+    pytest.param("run-pipeline", [], {"use_hard_labels": 1}, id="hard_labels_int"),
+    pytest.param("run-pipeline", [], {"lambda_": "0.1"}, id="lambda_str"),
+    pytest.param("run-pipeline", [], {"sgd_momentum": 1.0}, id="sgd_momentum_1"),
+    pytest.param("run-pipeline", [], {"weight_decay": -1}, id="weight_decay_negative"),
+    pytest.param("run-pipeline", [], {"hidden_dims": []}, id="hidden_dims_empty"),
+    pytest.param("run-pipeline", [], {"hidden_dims": [16, 0]}, id="hidden_width_0"),
+    pytest.param("run-pipeline", [], {"hidden_dims": 16}, id="hidden_dims_int"),
+    pytest.param("run-pipeline", [], {"feature_dim": 0}, id="feature_dim_0"),
+    pytest.param("run-pipeline", [], "5", id="config_number"),
+    pytest.param("run-pipeline", [], "null", id="config_null"),
+    pytest.param("run-pipeline", [], "[1, 2]", id="config_list"),
+    pytest.param("run-pipeline", [], '"ab"', id="config_string"),
+    pytest.param("run-pipeline", [], {"seed": 2**64}, id="seed_2_64"),
+    pytest.param("ablate-noise", ["--seeds", "3,3"], None, id="noise_one_distinct_seed"),
+    pytest.param("ablate-noise", ["--seeds", "3,3,4"], None, id="noise_repeated_seed"),
+    pytest.param("ablate-ru", ["--seeds", "3,3"], None, id="ru_repeated_seed"),
+    pytest.param("ablate-ru", ["--grid", "0.2,0.2"], None, id="ru_repeated_grid_value"),
+    # seeded_rng keeps a seed's low 64 bits, so 2**64 would rerun seed 0 as a second seed
+    pytest.param("ablate-noise", ["--seeds", "0,18446744073709551616", *FAST], None, id="noise_seed_alias"),
+    pytest.param("ablate-ru", ["--seeds=-1", *FAST], None, id="ru_negative_seed"),
 ]
 
 
-@pytest.mark.parametrize("command, flags, config, threads", BAD_CONFIGS)
-def test_bad_config_exits_2_before_any_work(split_dir, tmp_path, capsys, monkeypatch,
-                                            command, flags, config, threads):
+@pytest.mark.parametrize("command, flags, config", BAD_CONFIGS)
+def test_bad_config_exits_2_before_any_work(split_dir, tmp_path, capsys, command, flags, config):
     argv = [command, "--split", str(split_dir), "--out", str(tmp_path / "o"), *flags]
     if config is not None:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(config if isinstance(config, str) else json.dumps(config))
         argv += ["--config", str(cfg)]
-    if threads is not None:
-        monkeypatch.setenv("SSDA_LAB_THREADS", threads)
     assert main(argv) == EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
@@ -256,6 +259,16 @@ class TestStagedCommands:
         for key in ("artifacts", "timings_s"):
             assert set(manifests[0][key]) == set().union(*(m[key] for m in manifests[1:])), key
 
+    @pytest.mark.parametrize("command, flags", [("train-baseline", []),
+                                                ("run-pipeline", ["--hard-labels", "--label-momentum", "1.0"])])
+    def test_diverged_stage_exits_4_before_writing(self, split_dir, tmp_path, capsys, command, flags):
+        out = tmp_path / "o"
+        assert main([command, "--split", str(split_dir), "--out", str(out),
+                     "--temperature", "1e-300", "--t-max", "100", *flags]) == EXIT_RUNTIME
+        assert "diverged" in capsys.readouterr().err
+        assert not (out / "baseline_checkpoint.json").exists()
+        assert list(out.iterdir()) == []
+
     def test_evaluate_prints_accuracy(self, split_dir, tmp_path, capsys):
         base = tmp_path / "base"
         main(["train-baseline", "--split", str(split_dir), "--out", str(base), *FAST])
@@ -276,7 +289,8 @@ class TestStagedCommands:
         assert manifest["artifacts"] == {"selection": str(tmp_path / "sel" / "selection.json")}
         assert set(manifest["timings_s"]) == {"stage2"}
 
-    @pytest.mark.parametrize("field, value", [("scale", -1.0), ("input_dim", 3)])
+    @pytest.mark.parametrize("field, value", [("scale", -1.0), ("input_dim", 3),
+                                              ("seed", -1), ("seed", 2**64)])
     def test_bad_manifest_spec_is_data_error(self, split_dir, tmp_path, capsys, field, value):
         bad = _split_with_spec(split_dir, tmp_path / "bad", field, value)
         assert main(["train-baseline", "--split", str(bad), "--out", str(tmp_path / "o"), *FAST]) == EXIT_DATA
@@ -293,7 +307,6 @@ def _count_stage1(monkeypatch) -> list:
         seeds.append(config.seed)
         return real(split, config, *args, **kwargs)
 
-    monkeypatch.setenv("SSDA_LAB_THREADS", "1")
     monkeypatch.setattr(cli, "train_baseline", counting)
     return seeds
 
@@ -326,48 +339,6 @@ class TestAblationStageSharing:
         assert main(["ablate-noise", "--split", str(split_dir), "--out", str(tmp_path / "noise"),
                      "--seeds", "0,1", *FAST]) == EXIT_OK
         assert seeds == [0, 1]
-
-    def test_repeated_grid_value_keeps_its_rows(self, split_dir, tmp_path, monkeypatch):
-        seeds = _count_stage1(monkeypatch)
-        out = tmp_path / "ru"
-        assert main(["ablate-ru", "--split", str(split_dir), "--out", str(out),
-                     "--grid", "0.2,0.2", "--seeds", "3,3", *FAST]) == EXIT_OK
-        assert seeds == [3]
-        rows = (out / "ru_sweep.csv").read_text().strip().split("\n")[1:]
-        assert len(rows) == 4 and len(set(rows)) == 1 and rows[0].startswith("0.2,3,")
-
-    def test_two_workers_write_the_same_bytes(self, split_dir, tmp_path, monkeypatch):
-        tables = {}
-        for threads in ("1", "2"):
-            monkeypatch.setenv("SSDA_LAB_THREADS", threads)
-            out = tmp_path / f"ru{threads}"
-            assert main(["ablate-ru", "--split", str(split_dir), "--out", str(out), "--regen",
-                         "--grid", "0.2,1.0", "--seeds", "0,1", *FAST]) == EXIT_OK
-            tables[threads] = [(out / name).read_bytes() for name in ("ru_sweep.csv", "ru_summary.csv")]
-        assert tables["1"] == tables["2"]
-
-    def test_pool_capped_at_task_count(self, split_dir, tmp_path, monkeypatch):
-        sizes: list = []
-
-        class InProcessPool:
-            """Records the pool size it was asked for and maps in this process."""
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setenv("SSDA_LAB_THREADS", "64")
-        assert main(["ablate-ru", "--split", str(split_dir), "--out", str(tmp_path / "ru"),
-                     "--grid", "0.2,1.0", "--seeds", "0", *FAST]) == EXIT_OK
-        assert sizes == [2]  # one baseline runs in this process, then one worker per arm
 
     @pytest.mark.parametrize("command, flags", [("ablate-ru", ["--seeds", "0", "--regen"]),
                                                 ("ablate-noise", ["--seeds", "0,1", "--regen"])])
