@@ -7,7 +7,11 @@ Runs, with ``OPENBLAS_NUM_THREADS=1`` and the ``ssda_lab`` package under
 report-reliability --csv; and the ablate-ru --regen and ablate-noise grids.
 Prints one ``sha256  path`` line per output file, sorted by path.
 ``manifest.json`` files are skipped, because they hold timings; evaluate
-writes no file, so its stdout is digested as ``evaluate.stdout``.
+writes no file, so its stdout is digested as ``evaluate.stdout``. Each
+``selection.json`` also gets a ``sha256  path decoded`` line: the digest of
+the selected indices (int64) and their soft rows (float64) as the ``--src``
+package's own ``load_selection`` and ``selected_set_from_dump`` read them,
+so dumps of different layouts that decode alike print the same line.
 
     python scripts/artifact_digests.py > change.txt
     python scripts/artifact_digests.py --src /path/to/parent/src > parent.txt
@@ -21,6 +25,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 SPLIT = ["--split", "split"]
 T_MAX = ["--t-max", "1000"]
@@ -40,11 +46,22 @@ COMMANDS = [
 ]
 
 
+def decoded_digest(path: Path) -> str:
+    from ssda_lab.pseudolabel import load_selection, selected_set_from_dump
+
+    selected = selected_set_from_dump(load_selection(path))
+    rows = sorted(selected.annotations, key=lambda a: a.index)
+    digest = hashlib.sha256(np.array([a.index for a in rows], dtype=np.int64).tobytes())
+    digest.update(np.stack([a.soft_label for a in rows]).astype(np.float64).tobytes())
+    return digest.hexdigest()
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
                         help="directory holding the ssda_lab package (default: this checkout's src/)")
     args = parser.parse_args()
+    sys.path.insert(0, str(Path(args.src).resolve()))
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         env = {**os.environ, "PYTHONPATH": str(Path(args.src).resolve()), "OPENBLAS_NUM_THREADS": "1"}
@@ -57,6 +74,8 @@ def main() -> None:
                 (work / "evaluate.stdout").write_text(proc.stdout, encoding="utf-8")
         for path in sorted(p for p in work.rglob("*") if p.is_file() and p.name != "manifest.json"):
             print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(work)}")
+            if path.name == "selection.json":
+                print(f"{decoded_digest(path)}  {path.relative_to(work)} decoded")
 
 
 if __name__ == "__main__":

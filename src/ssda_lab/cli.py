@@ -8,6 +8,7 @@ The ablation grids run every cell in this process, one seed at a time.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -129,23 +130,45 @@ def _load_params(path: str, split: SSDASplit) -> NetworkParams:
     return params
 
 
-def _load_dump(path: str, split: SSDASplit | None) -> tuple[dict, dict | None]:
-    """A selection dump and, given its split, its checked per-row columns."""
-    with _data_errors(path):
-        dump = load_selection(path)
-        columns = None if split is None else check_selection(dump, len(split.unlabeled_target), split.n_classes)
-    return dump, columns
+def _sha256_file(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _load_dump(args: argparse.Namespace, split: SSDASplit | None) -> dict:
+    """``--selection`` as stored, or, given its split, checked in the version-2 layout.
+
+    A checked dump must also name the ``--split`` and, where the command
+    takes one, the ``--checkpoint`` it was made from; a version-1 dump
+    names neither, so neither is compared.
+    """
+    with _data_errors(args.selection):
+        dump = load_selection(args.selection)
+        if split is None:
+            return dump
+        dump = check_selection(dump, len(split.unlabeled_target), split.n_classes)
+    inputs = {"split_checksum": ("--split", split_checksum(args.split))}
+    if "checkpoint" in args:
+        inputs["checkpoint_sha256"] = ("--checkpoint", _sha256_file(args.checkpoint))
+    for key, (flag, actual) in inputs.items():
+        if dump[key] not in (None, actual):
+            raise DataError(f"{args.selection} records {key} {dump[key]}, but {flag} has {actual}")
+    return dump
 
 
 # -- manifest --
 
 
 def _write_manifest(args: argparse.Namespace, out_dir: Path, config: TrainConfig,
-                    artifacts: dict, timings: dict) -> None:
+                    artifacts: dict, timings: dict, seeds: list[int] | None = None) -> None:
+    """The grids pass the ``seeds`` they ran, recorded in place of ``config.seed``, which no grid cell uses."""
+    recorded = asdict(config)
+    if seeds is not None:
+        del recorded["seed"]
     manifest = {
         "command": args.command,
         "argv": args.argv,
-        "config": asdict(config),
+        "config": recorded,
+        **({} if seeds is None else {"seeds": seeds}),
         "split_checksum": split_checksum(args.split),
         "artifacts": {k: str(v) for k, v in artifacts.items()},
         "timings_s": timings,
@@ -186,7 +209,7 @@ def _stage_inputs(args: argparse.Namespace):
     print("effective config: " + json.dumps(asdict(config), sort_keys=True))
     split = load_split(args.split)
     params = _load_params(args.checkpoint, split) if "checkpoint" in args else None
-    selected = selected_set_from_dump(_load_dump(args.selection, split)[0]) if "selection" in args else None
+    selected = selected_set_from_dump(_load_dump(args, split)) if "selection" in args else None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return config, split, params, selected, out
@@ -250,8 +273,11 @@ def cmd_stages(args) -> int:
             annotations, selected = _stage2(split, params, config.r_u)
             before = reliability(annotations, split.unlabeled_truth)
             after = reliability(selected.annotations, split.unlabeled_truth)
+            source = artifacts.get("baseline_checkpoint") or args.checkpoint
             artifacts["selection"] = out / "selection.json"
-            save_selection(artifacts["selection"], selection_to_jsonable(selected, annotations, before, after))
+            save_selection(artifacts["selection"], selection_to_jsonable(
+                selected, annotations, before, after,
+                split_checksum=split_checksum(args.split), checkpoint_sha256=_sha256_file(source)))
             print(f"selected {len(selected)} of {len(split.unlabeled_target)} "
                   f"(quota {selected.per_class_quota}/class, r_u={config.r_u})")
             print(f"reliability before/after selection: {100 * before:.1f} -> {100 * after:.1f}")
@@ -294,8 +320,14 @@ def _run_grid(split: SSDASplit, regen: bool, config: TrainConfig, arms: list[tup
     return sorted(rows)
 
 
-def _parse_seeds(raw: str) -> list[int]:
-    """Distinct seeds in [0, 2**64): a repeat would weigh one seed twice in a mean."""
+def _grid_seeds(args: argparse.Namespace) -> list[int]:
+    """``--seeds``: distinct, since a repeat would weigh one seed twice in a mean, and in [0, 2**64).
+
+    ``--seed`` is refused: every cell runs at its ``--seeds`` value, so it would go unused.
+    """
+    if args.seed is not None:
+        raise ConfigError("the grids run at their --seeds values; --seed is not used")
+    raw = args.seeds
     try:
         seeds = [int(s) for s in raw.split(",") if s.strip() != ""]
     except ValueError as err:
@@ -310,7 +342,7 @@ def _parse_seeds(raw: str) -> list[int]:
 
 
 def cmd_ablate_ru(args) -> int:
-    seeds = _parse_seeds(args.seeds)
+    seeds = _grid_seeds(args)
     try:
         grid = [float(v) for v in args.grid.split(",")]
     except ValueError as err:
@@ -341,12 +373,13 @@ def cmd_ablate_ru(args) -> int:
     for r_u, mean, std in summary:
         marker = "  <- best" if r_u == best else ""
         print(f"r_u={r_u}: mean={mean:.4f} std={std:.4f}{marker}")
-    _write_manifest(args, out, config, {"sweep": out / "ru_sweep.csv", "summary": out / "ru_summary.csv"}, {})
+    _write_manifest(args, out, config, {"sweep": out / "ru_sweep.csv", "summary": out / "ru_summary.csv"}, {},
+                    seeds)
     return EXIT_OK
 
 
 def cmd_ablate_noise(args) -> int:
-    seeds = _parse_seeds(args.seeds)
+    seeds = _grid_seeds(args)
     if len(seeds) < 2:
         raise ConfigError("ablate-noise needs at least 2 seeds")
     config, split, _, _, out = _stage_inputs(args)
@@ -370,17 +403,17 @@ def cmd_ablate_noise(args) -> int:
 
     mean_diff = float(np.mean(diffs))
     print(f"paired mean difference (progressive - vanilla): {mean_diff:+.4f} over {len(seeds)} seeds")
-    _write_manifest(args, out, config, {"table": out / "noise_ablation.csv"}, {})
+    _write_manifest(args, out, config, {"table": out / "noise_ablation.csv"}, {}, seeds)
     return EXIT_OK
 
 
 def cmd_report_reliability(args) -> int:
     split = load_split(args.split) if args.split else None
-    dump, columns = _load_dump(args.selection, split)
-    if columns is not None:
-        hits = columns["hard_label"] == split.unlabeled_truth[columns["index"]]
+    dump = _load_dump(args, split)
+    if split is not None:
+        hits = np.asarray(dump["hard_label"]) == split.unlabeled_truth
         before = float(np.mean(hits))
-        after = float(np.mean(hits[columns["selected"]]))
+        after = float(np.mean(hits[selected_set_from_dump(dump).index_set]))
     else:
         before, after = dump.get("reliability_before"), dump.get("reliability_after")
         if not all(type(v) in (int, float) and 0.0 <= v <= 1.0 for v in (before, after)):

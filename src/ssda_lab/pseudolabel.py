@@ -127,34 +127,39 @@ def reliability(annotations: list[PseudoAnnotation], hidden_truth: np.ndarray) -
 
 # -- selection dump --
 
+SELECTION_VERSION = 2
+
 
 def selection_to_jsonable(
     selected: SelectedSet,
     all_annotations: list[PseudoAnnotation],
     reliability_before: float | None = None,
     reliability_after: float | None = None,
+    *,
+    split_checksum: str,
+    checkpoint_sha256: str,
 ) -> dict:
-    selected_ids = set(selected.index_set)
+    """The version-2 dump: each fact once, and the split and checkpoint it came from.
+
+    ``hard_label`` and ``distance`` are columns over every unlabeled row (row
+    i of ``all_annotations``, as ``infer_pseudo`` returns them, has index i);
+    ``soft_label`` holds the selected rows only, in ascending index order,
+    because self-training reads no other.
+    """
     by_class: dict[str, list] = {}
     for a in selected.annotations:
-        by_class.setdefault(str(a.hard_label), []).append(
-            {"index": a.index, "distance": a.distance}
-        )
+        by_class.setdefault(str(a.hard_label), []).append({"index": a.index})
     return {
+        "format_version": SELECTION_VERSION,
+        "split_checksum": split_checksum,
+        "checkpoint_sha256": checkpoint_sha256,
         "r_u": selected.r_u,
         "per_class_quota": selected.per_class_quota,
         "n_selected": len(selected),
         "selected_by_class": by_class,
-        "annotations": [
-            {
-                "index": a.index,
-                "hard_label": a.hard_label,
-                "distance": a.distance,
-                "soft_label": a.soft_label.tolist(),
-                "selected": a.index in selected_ids,
-            }
-            for a in all_annotations
-        ],
+        "hard_label": [a.hard_label for a in all_annotations],
+        "distance": [a.distance for a in all_annotations],
+        "soft_label": [a.soft_label.tolist() for a in sorted(selected.annotations, key=lambda a: a.index)],
         "reliability_before": reliability_before,
         "reliability_after": reliability_after,
     }
@@ -174,66 +179,134 @@ def load_selection(path: str | Path) -> dict:
     return dump
 
 
-_DUMP_KEYS = ("r_u", "per_class_quota", "n_selected", "selected_by_class", "annotations",
-              "reliability_before", "reliability_after")
-_ENTRY_KEYS = ("index", "hard_label", "distance", "soft_label", "selected")
+_DUMP_KEYS = ("format_version", "split_checksum", "checkpoint_sha256", "r_u", "per_class_quota", "n_selected",
+              "selected_by_class", "hard_label", "distance", "soft_label", "reliability_before",
+              "reliability_after")
+_PROVENANCE_KEYS = ("split_checksum", "checkpoint_sha256")
+_V1_ENTRY_KEYS = ("index", "hard_label", "distance", "soft_label", "selected")
 
 
-def check_selection(dump: dict, n_unlabeled: int, n_classes: int) -> dict[str, np.ndarray]:
-    """Check a selection dump against its split; returns the index, hard_label and selected columns.
-
-    Raises ValueError unless every key is present, at least one row is
-    selected, the indices are unique integers in [0, n_unlabeled), the hard
-    labels integers in [0, n_classes), the distances numbers, the selected
-    flags booleans, every soft row has n_classes entries, and every selected
-    soft row holds numbers in [0, 1] that sum to 1 within 1e-9.
-    """
-    missing = [k for k in _DUMP_KEYS if k not in dump]
+def _require(dump: dict, keys) -> None:
+    missing = [k for k in keys if k not in dump]
     if missing:
         raise ValueError(f"selection dump lacks the keys {missing}")
+
+
+def _selected_rows(by_class) -> tuple[list[str], np.ndarray]:
+    """The class key and the index of every ``selected_by_class`` entry, in dump order."""
+    try:
+        pairs = [(c, e["index"]) for c, entries in by_class.items() for e in entries]
+    except (AttributeError, KeyError, TypeError) as err:
+        raise ValueError("selected_by_class must map each class to a list of {\"index\": ...} entries") from err
+    index = np.array([i for _, i in pairs]) if pairs else np.zeros(0, dtype=np.int64)
+    if index.dtype.kind != "i":
+        raise ValueError("selected_by_class indices must be integers")
+    return [c for c, _ in pairs], index
+
+
+def _as_version2(dump: dict) -> dict:
+    """``dump`` in the version-2 layout: a version-1 dump's per-row entries become its columns.
+
+    A version-1 dump lists every unlabeled row with its soft label and a
+    ``selected`` flag, and records no provenance (both keys become None).
+    """
+    version = dump.get("format_version", 1)
+    if version == SELECTION_VERSION:
+        return dump
+    if version != 1:
+        raise ValueError(f"selection dump format_version {version!r} is neither 1 nor {SELECTION_VERSION}")
+    _require(dump, ("annotations", "selected_by_class"))
     entries = dump["annotations"]
     try:
-        index, hard, distance, chosen = (np.array([e[k] for e in entries])
-                                         for k in ("index", "hard_label", "distance", "selected"))
-        widths = {len(e["soft_label"]) for e in entries}
+        index, chosen = (np.array([e[k] for e in entries]) for k in ("index", "selected"))
+        hard, distance, soft = ([e[k] for e in entries] for k in ("hard_label", "distance", "soft_label"))
     except (KeyError, TypeError) as err:
-        raise ValueError(f"every selection entry needs the keys {list(_ENTRY_KEYS)}") from err
-    if not chosen.any():
-        raise ValueError("selection dump selects no rows")
-    if index.dtype.kind != "i" or hard.dtype.kind != "i" or distance.dtype.kind != "f" or chosen.dtype != bool:
-        raise ValueError("selection indices and hard labels must be integers, distances numbers, "
-                         "selected flags booleans")
-    ordered = np.sort(index)
-    if ordered[0] < 0 or ordered[-1] >= n_unlabeled or np.any(ordered[1:] == ordered[:-1]):
-        raise ValueError(f"selection indices must be unique and lie in [0, {n_unlabeled})")
+        raise ValueError(f"every selection entry needs the keys {list(_V1_ENTRY_KEYS)}") from err
+    if index.dtype.kind != "i" or not np.array_equal(np.sort(index), np.arange(index.size)):
+        raise ValueError(f"version-1 selection indices must number the {index.size} rows once each")
+    if chosen.dtype != bool:
+        raise ValueError("version-1 selected flags must be booleans")
+    order = np.argsort(index).tolist()
+    flagged = [i for i in order if chosen[i]]
+    if not np.array_equal(index[flagged], np.sort(_selected_rows(dump["selected_by_class"])[1])):
+        raise ValueError("the selected flags disagree with selected_by_class")
+    rest = {k: v for k, v in dump.items() if k != "annotations"}
+    return {**rest, "format_version": SELECTION_VERSION, "split_checksum": None, "checkpoint_sha256": None,
+            "hard_label": [hard[i] for i in order], "distance": [distance[i] for i in order],
+            "soft_label": [soft[i] for i in flagged]}
+
+
+def check_selection(dump: dict, n_unlabeled: int, n_classes: int) -> dict:
+    """Check a selection dump of either version against its split; returns it in the version-2 layout.
+
+    Raises ValueError unless every key is present, the provenance values are
+    strings (None in a version-1 dump), the ``hard_label`` and ``distance``
+    columns hold an integer in [0, n_classes) and a number for each of the
+    n_unlabeled rows, ``selected_by_class`` lists at least one row, each once,
+    in [0, n_unlabeled) and under its hard label, no class keeps more than
+    ``per_class_quota`` = ceil(r_u * n_unlabeled / n_classes) rows,
+    ``n_selected`` counts the listed rows, and ``soft_label`` holds one row per
+    listed row of n_classes numbers in [0, 1] that sum to 1 within 1e-9.
+    """
+    dump = _as_version2(dump)
+    _require(dump, _DUMP_KEYS)
+    if not all(dump[k] is None or isinstance(dump[k], str) for k in _PROVENANCE_KEYS):
+        raise ValueError(f"selection provenance {list(_PROVENANCE_KEYS)} must be strings")
+    hard, distance = np.array(dump["hard_label"]), np.array(dump["distance"])
+    if hard.shape != (n_unlabeled,) or distance.shape != (n_unlabeled,):
+        raise ValueError(f"selection hard_label and distance must hold one entry per unlabeled row ({n_unlabeled})")
+    if hard.dtype.kind != "i" or distance.dtype.kind != "f":
+        raise ValueError("selection hard labels must be integers, distances numbers")
     if hard.min() < 0 or hard.max() >= n_classes:
         raise ValueError(f"selection hard labels must lie in [0, {n_classes})")
+    classes, index = _selected_rows(dump["selected_by_class"])
+    if not index.size:
+        raise ValueError("selection dump selects no rows")
+    ordered = np.sort(index)
+    if ordered[0] < 0 or ordered[-1] >= n_unlabeled or np.any(ordered[1:] == ordered[:-1]):
+        raise ValueError(f"selected indices must be unique and lie in [0, {n_unlabeled})")
+    if classes != [str(h) for h in hard[index].tolist()]:
+        raise ValueError("every selected_by_class key must be the hard label of its rows")
+    r_u, quota, count = dump["r_u"], dump["per_class_quota"], dump["n_selected"]
+    if type(r_u) not in (int, float) or not 0.0 < r_u <= 1.0:
+        raise ValueError(f"selection r_u {r_u!r} must be a number in (0, 1]")
+    if type(quota) is not int or quota != per_class_quota(r_u, n_unlabeled, n_classes):
+        raise ValueError(f"per_class_quota {quota!r} is not ceil(r_u * n_unlabeled / n_classes)")
+    if max(map(len, dump["selected_by_class"].values())) > quota:
+        raise ValueError(f"a class keeps more than its quota of {quota} rows")
+    if type(count) is not int or count != index.size:
+        raise ValueError(f"n_selected {count!r} != the {index.size} rows selected_by_class lists")
+    rows = dump["soft_label"]
+    try:
+        widths = {len(row) for row in rows}
+        n_rows = len(rows)
+    except TypeError as err:
+        raise ValueError("selection soft_label must be a list of rows") from err
+    if n_rows != index.size:
+        raise ValueError(f"selection dump holds {n_rows} soft rows for {index.size} selected rows")
     if widths != {n_classes}:
         raise ValueError(f"selection soft rows have widths {sorted(widths)}, the split has {n_classes} classes")
-    soft = np.array([entries[i]["soft_label"] for i in np.flatnonzero(chosen)])
+    soft = np.array(rows)
     # written so that NaN, which fails every comparison, is refused
     in_range = soft.ndim == 2 and soft.dtype.kind in "if" and np.all((soft >= 0) & (soft <= 1))
     if not (in_range and np.all(np.abs(soft.sum(axis=1) - 1.0) <= 1e-9)):
         raise ValueError("every selected soft row must hold numbers in [0, 1] that sum to 1 within 1e-9")
-    return {"index": index, "hard_label": hard, "selected": chosen}
+    return dump
 
 
 def selected_set_from_dump(dump: dict) -> SelectedSet:
-    """Rebuild the trusted set (without features) from a selection dump, in dump order."""
+    """Rebuild the trusted set (without features) from a dump of either version, in ascending index order."""
+    dump = _as_version2(dump)
+    index = np.sort(_selected_rows(dump["selected_by_class"])[1]).tolist()
+    hard, distance = dump["hard_label"], dump["distance"]
+    soft = np.asarray(dump["soft_label"], dtype=np.float64)
     annotations = [
-        PseudoAnnotation(
-            index=entry["index"],
-            soft_label=np.asarray(entry["soft_label"], dtype=np.float64),
-            hard_label=int(entry["hard_label"]),
-            feature=np.empty(0),
-            distance=entry["distance"],
-        )
-        for entry in dump["annotations"]
-        if entry["selected"]
+        PseudoAnnotation(index=i, soft_label=row, hard_label=int(hard[i]), feature=np.empty(0), distance=distance[i])
+        for i, row in zip(index, soft)
     ]
     return SelectedSet(
         annotations=annotations,
-        index_set=sorted(a.index for a in annotations),
+        index_set=index,
         r_u=dump["r_u"],
         per_class_quota=dump["per_class_quota"],
     )

@@ -5,14 +5,22 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ssda_lab import cli
 from ssda_lab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME, main
 from ssda_lab.coremath import seeded_rng
-from ssda_lab.datasets import load_split
-from ssda_lab.network import forward_features, init_params, save_checkpoint
-from ssda_lab.pseudolabel import infer_pseudo, select
+from ssda_lab.datasets import load_split, split_checksum
+from ssda_lab.network import forward_features, init_params, load_checkpoint, save_checkpoint
+from ssda_lab.pseudolabel import (
+    check_selection,
+    infer_pseudo,
+    load_selection,
+    reliability,
+    select,
+    selected_set_from_dump,
+)
 from ssda_lab.trainer import TrainConfig, evaluate, progressive_self_train, train_baseline
 
 FAST = ["--t-max", "200", "--t-val", "25", "--patience", "4"]
@@ -191,6 +199,9 @@ BAD_CONFIGS = [
     # seeded_rng keeps a seed's low 64 bits, so 2**64 would rerun seed 0 as a second seed
     pytest.param("ablate-noise", ["--seeds", "0,18446744073709551616", *FAST], None, id="noise_seed_alias"),
     pytest.param("ablate-ru", ["--seeds=-1", *FAST], None, id="ru_negative_seed"),
+    # every grid cell runs at its --seeds value, so --seed would be recorded and never used
+    pytest.param("ablate-ru", ["--seeds", "0,1", "--seed", "7", *FAST], None, id="ru_seed_flag"),
+    pytest.param("ablate-noise", ["--seeds", "0,1", "--seed", "7", *FAST], None, id="noise_seed_flag"),
 ]
 
 
@@ -380,6 +391,8 @@ class TestAblations:
             seed, prog, van, diff = line.split(",")
             assert float(prog) - float(van) == pytest.approx(float(diff), abs=1e-12)
         assert "paired mean difference" in capsys.readouterr().out
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seeds"] == [0, 1] and "seed" not in manifest["config"]
 
     def test_noise_ablation_needs_two_seeds(self, split_dir, tmp_path):
         assert main(["ablate-noise", "--split", str(split_dir), "--out", str(tmp_path / "o"),
@@ -433,26 +446,139 @@ BAD_CHECKPOINTS = [
 ]
 
 
+def _first_listed(dump: dict) -> dict:
+    return next(entries for entries in dump["selected_by_class"].values() if entries)[0]
+
+
 def _first_selected(dump: dict) -> dict:
     return next(entry for entry in dump["annotations"] if entry["selected"])
 
 
-BAD_SELECTIONS = [
-    pytest.param(_edited(lambda text: text[: len(text) // 2]), id="truncated"),
-    pytest.param(_edited_json(lambda d: d.pop("r_u")), id="missing_key"),
-    pytest.param(_edited_json(lambda d: d["annotations"][0].pop("selected")), id="missing_entry_key"),
-    pytest.param(_edited_json(lambda d: d["annotations"][0].update(index=486)), id="index_from_larger_split"),
-    pytest.param(_edited_json(lambda d: d["annotations"][1].update(index=0)), id="duplicate_index"),
-    pytest.param(_edited_json(lambda d: d["annotations"][0].update(hard_label=3)), id="hard_label_3"),
-    pytest.param(_edited_json(lambda d: d["annotations"][0].update(distance=None)), id="null_distance"),
-    pytest.param(_edited_json(lambda d: d["annotations"][0]["soft_label"].append(0.0)), id="soft_width_4"),
-    pytest.param(_edited_json(lambda d: [a.update(selected=False) for a in d["annotations"]]), id="none_selected"),
-    pytest.param(_edited_json(lambda d: _first_selected(d)["soft_label"].__setitem__(0, float("nan"))),
-                 id="soft_nan"),
-    pytest.param(_edited_json(lambda d: _first_selected(d).update(soft_label=[2.0, -1.0, 0.0])), id="soft_outside_0_1"),
-    pytest.param(_edited_json(lambda d: _first_selected(d).update(soft_label=[1.0, 1.0, 0.0])), id="soft_sum_2"),
-    pytest.param(_edited_json(lambda d: _first_selected(d).update(soft_label=["a", "b", "c"])), id="soft_strings"),
+def _move_first_listed(dump: dict) -> None:
+    """File the first listed row under the next class, whose key is then not its hard label."""
+    key = next(k for k, entries in dump["selected_by_class"].items() if entries)
+    entry = dump["selected_by_class"][key].pop(0)
+    dump["selected_by_class"].setdefault(str((int(key) + 1) % 3), []).append(entry)
+
+
+def _duplicate_first_listed(dump: dict) -> None:
+    """List the first listed row a second time in place of its class's next row."""
+    entries = next(entries for entries in dump["selected_by_class"].values() if len(entries) > 1)
+    entries[1]["index"] = entries[0]["index"]
+
+
+def _swap_selected_flag(dump: dict) -> None:
+    _first_selected(dump)["selected"] = False
+    next(entry for entry in dump["annotations"] if not entry["selected"])["selected"] = True
+
+
+# edits that read the same in both layouts: (edit, what the data error names)
+BAD_EITHER_LAYOUT = [
+    pytest.param(_edited(lambda text: text[: len(text) // 2]), "", id="truncated"),
+    pytest.param(_edited_json(lambda d: d.pop("r_u")), "lacks the keys", id="missing_key"),
+    pytest.param(_edited_json(lambda d: d.update(n_selected=d["n_selected"] + 1)), "n_selected",
+                 id="n_selected_off_by_1"),
+    pytest.param(_edited_json(lambda d: d.update(per_class_quota=1)), "per_class_quota", id="quota_not_from_r_u"),
+    # ceil(0.01 * 72 / 3) = 1, so the quota fits r_u but every populated class keeps more
+    pytest.param(_edited_json(lambda d: d.update(r_u=0.01, per_class_quota=1)), "more than its quota",
+                 id="class_over_quota"),
+    pytest.param(_edited_json(_move_first_listed), "hard label of its rows", id="class_key_not_hard_label"),
+    pytest.param(_edited_json(lambda d: d.update(format_version=3)), "neither 1 nor 2", id="format_version_3"),
 ]
+
+BAD_SELECTIONS = BAD_EITHER_LAYOUT + [
+    pytest.param(_edited_json(lambda d: _first_listed(d).pop("index")), "selected_by_class must map",
+                 id="missing_entry_key"),
+    pytest.param(_edited_json(lambda d: _first_listed(d).update(index=486)), "lie in [0, 72)",
+                 id="index_from_larger_split"),
+    pytest.param(_edited_json(_duplicate_first_listed), "unique", id="duplicate_index"),
+    pytest.param(_edited_json(lambda d: d["hard_label"].__setitem__(0, 3)), "hard labels must lie in",
+                 id="hard_label_3"),
+    pytest.param(_edited_json(lambda d: d["distance"].__setitem__(0, None)), "distances numbers", id="null_distance"),
+    pytest.param(_edited_json(lambda d: d["soft_label"][0].append(0.0)), "widths", id="soft_width_4"),
+    pytest.param(_edited_json(lambda d: d.update(selected_by_class={}, n_selected=0, soft_label=[])),
+                 "selects no rows", id="none_selected"),
+    pytest.param(_edited_json(lambda d: d["soft_label"][0].__setitem__(0, float("nan"))), "sum to 1", id="soft_nan"),
+    pytest.param(_edited_json(lambda d: d["soft_label"].__setitem__(0, [2.0, -1.0, 0.0])), "sum to 1",
+                 id="soft_outside_0_1"),
+    pytest.param(_edited_json(lambda d: d["soft_label"].__setitem__(0, [1.0, 1.0, 0.0])), "sum to 1",
+                 id="soft_sum_2"),
+    pytest.param(_edited_json(lambda d: d["soft_label"].__setitem__(0, ["a", "b", "c"])), "sum to 1",
+                 id="soft_strings"),
+    pytest.param(_edited_json(lambda d: d["soft_label"].pop()), "soft rows for", id="soft_row_missing"),
+    pytest.param(_edited_json(lambda d: [d[k].pop() for k in ("hard_label", "distance")]),
+                 "one entry per unlabeled row", id="columns_of_smaller_split"),
+    pytest.param(_edited_json(lambda d: d.update(split_checksum=5)), "must be strings", id="provenance_number"),
+    # the dump edit that a version-1 reader ran to "final accuracy"
+    pytest.param(_edited_json(lambda d: d.update(n_selected=999, per_class_quota=1, selected_by_class={"0": []})),
+                 "selects no rows", id="edited_counts"),
+]
+
+BAD_VERSION_1_SELECTIONS = BAD_EITHER_LAYOUT + [
+    pytest.param(_edited_json(lambda d: d["annotations"][0].pop("selected")), "needs the keys", id="missing_entry_key"),
+    pytest.param(_edited_json(lambda d: d["annotations"][0].update(index=486)), "once each",
+                 id="index_from_larger_split"),
+    pytest.param(_edited_json(lambda d: d["annotations"][1].update(index=0)), "once each", id="duplicate_index"),
+    pytest.param(_edited_json(lambda d: d["annotations"][0].update(hard_label=3)), "hard labels must lie in",
+                 id="hard_label_3"),
+    pytest.param(_edited_json(lambda d: d["annotations"][0].update(distance=None)), "distances numbers",
+                 id="null_distance"),
+    pytest.param(_edited_json(lambda d: _first_selected(d)["soft_label"].append(0.0)), "widths", id="soft_width_4"),
+    pytest.param(_edited_json(lambda d: [a.update(selected=False) for a in d["annotations"]]), "disagree",
+                 id="none_selected"),
+    pytest.param(_edited_json(_swap_selected_flag), "disagree", id="selected_flag_not_listed"),
+    pytest.param(_edited_json(lambda d: _first_selected(d)["soft_label"].__setitem__(0, float("nan"))), "sum to 1",
+                 id="soft_nan"),
+    pytest.param(_edited_json(lambda d: _first_selected(d).update(soft_label=[2.0, -1.0, 0.0])), "sum to 1",
+                 id="soft_outside_0_1"),
+    pytest.param(_edited_json(lambda d: _first_selected(d).update(soft_label=[1.0, 1.0, 0.0])), "sum to 1",
+                 id="soft_sum_2"),
+    pytest.param(_edited_json(lambda d: _first_selected(d).update(soft_label=["a", "b", "c"])), "sum to 1",
+                 id="soft_strings"),
+    pytest.param(_edited_json(lambda d: d.update(n_selected=999, per_class_quota=1, selected_by_class={"0": []})),
+                 "disagree", id="edited_counts"),
+]
+
+
+def _version1_dump(split_dir: Path, ckpt: Path) -> dict:
+    """What stage 2 makes from ``ckpt``, in the version-1 layout: every unlabeled row with its soft label."""
+    split = load_split(split_dir)
+    annotations, selected = cli._stage2(split, load_checkpoint(ckpt)["params"], TrainConfig().r_u)
+    by_class: dict = {}
+    for a in selected.annotations:
+        by_class.setdefault(str(a.hard_label), []).append({"index": a.index, "distance": a.distance})
+    return {
+        "r_u": selected.r_u,
+        "per_class_quota": selected.per_class_quota,
+        "n_selected": len(selected),
+        "selected_by_class": by_class,
+        "annotations": [{"index": a.index, "hard_label": a.hard_label, "distance": a.distance,
+                         "soft_label": a.soft_label.tolist(), "selected": a.index in selected.index_set}
+                        for a in annotations],
+        "reliability_before": reliability(annotations, split.unlabeled_truth),
+        "reliability_after": reliability(selected.annotations, split.unlabeled_truth),
+    }
+
+
+@pytest.fixture(scope="module")
+def stage2_v1(split_dir, stage2, tmp_path_factory):
+    """``stage2``'s selection in the version-1 layout."""
+    path = tmp_path_factory.mktemp("stage2_v1") / "selection.json"
+    path.write_text(json.dumps(_version1_dump(split_dir, stage2[0])))
+    return path
+
+
+def _selection_argv(command: str, split_dir: Path, ckpt: Path, selection: Path, out: Path) -> list:
+    if command == "self-train":
+        return [command, "--split", str(split_dir), "--checkpoint", str(ckpt), "--selection", str(selection),
+                "--out", str(out), *FAST]
+    return [command, "--selection", str(selection), "--split", str(split_dir), "--csv", str(out)]
+
+
+def _decoded(selection: Path) -> tuple:
+    """The selected indices and the bytes of their soft rows, as self-training reads them."""
+    selected = selected_set_from_dump(load_selection(selection))
+    return selected.index_set, np.stack([a.soft_label for a in selected.annotations]).tobytes()
 
 
 class TestArtifactChecks:
@@ -475,19 +601,26 @@ class TestArtifactChecks:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["self-train", "report-reliability"])
-    @pytest.mark.parametrize("write", BAD_SELECTIONS)
+    @pytest.mark.parametrize("write, reason", BAD_SELECTIONS)
     def test_unusable_selection_exits_3_before_out_exists(self, split_dir, stage2, tmp_path, capsys,
-                                                          command, write):
+                                                          command, write, reason):
         ckpt, good_selection = stage2
         bad = tmp_path / "selection.json"
         write(bad, good_selection)
-        if command == "self-train":
-            argv = [command, "--split", str(split_dir), "--checkpoint", str(ckpt), "--selection", str(bad),
-                    "--out", str(tmp_path / "o"), *FAST]
-        else:
-            argv = [command, "--selection", str(bad), "--split", str(split_dir), "--csv", str(tmp_path / "o")]
-        assert main(argv) == EXIT_DATA
-        assert "data error:" in capsys.readouterr().err
+        assert main(_selection_argv(command, split_dir, ckpt, bad, tmp_path / "o")) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error:" in err and reason in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["self-train", "report-reliability"])
+    @pytest.mark.parametrize("write, reason", BAD_VERSION_1_SELECTIONS)
+    def test_unusable_version_1_selection_exits_3_before_out_exists(self, split_dir, stage2, stage2_v1, tmp_path,
+                                                                    capsys, command, write, reason):
+        bad = tmp_path / "selection.json"
+        write(bad, stage2_v1)
+        assert main(_selection_argv(command, split_dir, stage2[0], bad, tmp_path / "o")) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error:" in err and reason in err
         assert not (tmp_path / "o").exists()
 
     def test_truncated_selection_without_split_exits_3(self, stage2, tmp_path, capsys):
@@ -504,6 +637,63 @@ class TestArtifactChecks:
                      "--csv", str(csv_path)]) == EXIT_OK
         assert csv_path.read_text() == (f"metric,value\nreliability_before,{dump['reliability_before']!r}\n"
                                         f"reliability_after,{dump['reliability_after']!r}\n")
+
+
+class TestSelectionVersions:
+    """Stage 2 writes the version-2 layout; version-1 dumps still load and decode to the same trusted set."""
+
+    def test_version_2_stores_soft_rows_of_the_selected_rows_only(self, split_dir, stage2):
+        ckpt, selection = stage2
+        dump = json.loads(selection.read_text())
+        assert dump["format_version"] == 2
+        assert len(dump["hard_label"]) == len(dump["distance"]) == 72
+        assert len(dump["soft_label"]) == dump["n_selected"] < 72
+        assert dump["split_checksum"] == split_checksum(split_dir)
+        assert dump["checkpoint_sha256"] == hashlib.sha256(ckpt.read_bytes()).hexdigest()
+
+    def test_both_versions_decode_bit_equal(self, split_dir, stage2, stage2_v1, tmp_path):
+        split = load_split(split_dir)
+        v1, v2 = load_selection(stage2_v1), load_selection(stage2[1])
+        redump = tmp_path / "redump.json"
+        redump.write_text(json.dumps(check_selection(v1, len(split.unlabeled_target), split.n_classes)))
+        assert _decoded(stage2[1]) == _decoded(stage2_v1) == _decoded(redump)
+        converted = load_selection(redump)
+        for key in ("r_u", "per_class_quota", "n_selected", "hard_label", "distance", "soft_label",
+                    "reliability_before", "reliability_after"):
+            assert converted[key] == v2[key], key
+        assert ({c: [e["index"] for e in entries] for c, entries in converted["selected_by_class"].items()}
+                == {c: [e["index"] for e in entries] for c, entries in v2["selected_by_class"].items()})
+
+    def test_self_train_writes_the_same_bytes_from_either_version(self, split_dir, stage2, stage2_v1, tmp_path):
+        ckpt, selection = stage2
+        for name, dump in (("v1", stage2_v1), ("v2", selection)):
+            assert main(["self-train", "--split", str(split_dir), "--checkpoint", str(ckpt), "--selection", str(dump),
+                         "--out", str(tmp_path / name), *FAST]) == EXIT_OK
+        for name in ("final_checkpoint.json", "final_report.csv"):
+            assert (tmp_path / "v1" / name).read_bytes() == (tmp_path / "v2" / name).read_bytes(), name
+
+
+class TestSelectionProvenance:
+    """``self-train`` refuses a dump made from another split or checkpoint (exit 3 before ``--out`` exists)."""
+
+    def test_dump_of_another_baseline(self, split_dir, stage2, tmp_path, capsys):
+        other = tmp_path / "other"
+        assert main(["run-pipeline", "--split", str(split_dir), "--out", str(other), "--seed", "1", *FAST]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["self-train", "--split", str(split_dir), "--checkpoint", str(stage2[0]),
+                     "--selection", str(other / "selection.json"), "--out", str(tmp_path / "o"), *FAST]) == EXIT_DATA
+        assert "records checkpoint_sha256" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["self-train", "report-reliability"])
+    def test_dump_of_another_split_of_the_same_size(self, stage2, tmp_path, capsys, command):
+        other = tmp_path / "other_split"
+        assert main(gen_args(other, seed=1)) == EXIT_OK
+        assert len(load_split(other).unlabeled_target) == 72
+        capsys.readouterr()
+        assert main(_selection_argv(command, other, stage2[0], stage2[1], tmp_path / "o")) == EXIT_DATA
+        assert "records split_checksum" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestReportReliability:

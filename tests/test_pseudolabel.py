@@ -214,7 +214,8 @@ class TestSelectionDump:
     def test_round_trip_preserves_selected_set(self):
         annotations, anchors, n, k = random_pool(seed=11, n=40, k=4)
         selected = select(annotations, anchors, r_u=0.3, n_u=n, n_classes=k)
-        dump = selection_to_jsonable(selected, annotations, reliability_before=0.5, reliability_after=0.8)
+        dump = selection_to_jsonable(selected, annotations, reliability_before=0.5, reliability_after=0.8,
+                                     split_checksum="split", checkpoint_sha256="checkpoint")
         rebuilt = selected_set_from_dump(dump)
         assert rebuilt.index_set == selected.index_set
         assert rebuilt.r_u == selected.r_u
@@ -223,4 +224,5 @@ class TestSelectionDump:
             a.index: a.soft_label.tolist() for a in selected.annotations
         }
         assert dump["reliability_before"] == 0.5
-        assert dump["n_selected"] == len(selected)
+        assert dump["n_selected"] == len(selected) == len(dump["soft_label"])
+        assert (dump["split_checksum"], dump["checkpoint_sha256"]) == ("split", "checkpoint")
