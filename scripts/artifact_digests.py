@@ -11,7 +11,12 @@ writes no file, so its stdout is digested as ``evaluate.stdout``. Each
 ``selection.json`` also gets a ``sha256  path decoded`` line: the digest of
 the selected indices (int64) and their soft rows (float64) as the ``--src``
 package's own ``load_selection`` and ``selected_set_from_dump`` read them,
-so dumps of different layouts that decode alike print the same line.
+so dumps of different layouts that decode alike print the same line.  Each
+split directory gets a ``sha256  dir decoded`` line in the same way: the
+digest of the arrays that the ``--src`` package's ``load_split`` returns
+(source, labeled target, validation target as float64 features and int64
+labels, then the unlabeled features and their truth), each with its shape,
+so splits stored in different file formats that decode alike match.
 
     python scripts/artifact_digests.py > change.txt
     python scripts/artifact_digests.py --src /path/to/parent/src > parent.txt
@@ -56,6 +61,19 @@ def decoded_digest(path: Path) -> str:
     return digest.hexdigest()
 
 
+def decoded_split_digest(path: Path) -> str:
+    from ssda_lab.datasets import load_split
+
+    split = load_split(path)
+    digest = hashlib.sha256()
+    for x, y in (split.source, split.labeled_target, split.validation_target,
+                 (split.unlabeled_target, split.unlabeled_truth)):
+        for array in (np.asarray(x, dtype="<f8"), np.asarray(y, dtype="<i8")):
+            digest.update(repr(array.shape).encode())
+            digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
@@ -72,7 +90,11 @@ def main() -> None:
                 sys.exit(f"ssda-lab {' '.join(argv)} exited {proc.returncode}:\n{proc.stderr}")
             if argv[0] == "evaluate":
                 (work / "evaluate.stdout").write_text(proc.stdout, encoding="utf-8")
-        for path in sorted(p for p in work.rglob("*") if p.is_file() and p.name != "manifest.json"):
+        splits = [work / argv[argv.index("--out") + 1] for argv in COMMANDS if argv[0] == "gen-data"]
+        for path in sorted([*splits, *(p for p in work.rglob("*") if p.is_file() and p.name != "manifest.json")]):
+            if path in splits:
+                print(f"{decoded_split_digest(path)}  {path.relative_to(work)} decoded")
+                continue
             print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(work)}")
             if path.name == "selection.json":
                 print(f"{decoded_digest(path)}  {path.relative_to(work)} decoded")

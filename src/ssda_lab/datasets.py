@@ -8,9 +8,11 @@ in a parallel array that only evaluation code should touch.  Every subset
 is held as arrays: an ``(x, y)`` pair for the labeled ones, features only
 for the unlabeled one.
 
-On disk a split is a directory: ``manifest.json`` plus ``source.csv``,
-``labeled_target.csv``, ``unlabeled_target.csv`` (label column fixed to
-the -1 sentinel), ``validation_target.csv``, and ``unlabeled_truth.csv``.
+On disk a split is a directory: ``manifest.json`` plus one ``.npy``
+array per table.  ``source.npy``, ``labeled_target.npy`` and
+``validation_target.npy`` hold rows of ``[("x", "<f8", (input_dim,)),
+("y", "<i8")]``; ``unlabeled_target.npy`` is the ``(n, input_dim)`` ``<f8``
+feature array and ``unlabeled_truth.npy`` its ``(n,)`` ``<i8`` labels.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .coremath import SEED_LIMIT, seeded_rng
 
-SPLIT_FORMAT_VERSION = 1
+SPLIT_FORMAT_VERSION = 2
 
 
 class DataError(Exception):
@@ -249,47 +251,42 @@ def gen_split(spec: DomainPairSpec, n_t_per_class: int = 3, n_val_per_class: int
 # -- serialization --
 
 
-def _csv_lines(x: np.ndarray, y: np.ndarray) -> str:
-    dim = x.shape[1]
-    header = ",".join([f"x{i}" for i in range(dim)] + ["y"])
-    lines = [header]
-    for row, label in zip(x.tolist(), np.asarray(y, dtype=int).tolist()):
-        lines.append(",".join(map(repr, row)) + f",{label}")
-    return "\n".join(lines) + "\n"
+def _labeled_dtype(dim: int) -> np.dtype:
+    return np.dtype([("x", "<f8", (dim,)), ("y", "<i8")])
 
 
-def _read_rows(text: str, path: str, dtype: list) -> np.ndarray:
-    """The rows below the header line as a structured array, parsed by numpy's C reader.
+def _labeled_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    rows = np.empty(len(x), dtype=_labeled_dtype(x.shape[1]))
+    rows["x"], rows["y"] = x, y
+    return rows
 
-    Every row must hold exactly the fields of ``dtype``; integer fields take
-    integer literals only (``1.0`` is refused).
-    """
-    body = text.partition("\n")[2]
-    if not body.strip():
-        raise DataError(f"malformed table {path}: no rows")
+
+def _read_table(data: bytes, name: str, dtype: np.dtype, shape: tuple) -> np.ndarray:
+    """One ``.npy`` table, refused unless it holds exactly ``dtype`` and ``shape`` and nothing after."""
+    fp = io.BytesIO(data)
     try:
-        return np.loadtxt(io.StringIO(body), dtype=dtype, delimiter=",", comments=None, ndmin=1)
-    except ValueError as err:
-        raise DataError(f"malformed table {path}: {err}") from err
+        array = np.lib.format.read_array(fp, allow_pickle=False)
+    except (ValueError, MemoryError) as err:  # MemoryError: a header shape too large to allocate
+        raise DataError(f"malformed table {name}: {err}") from err
+    if fp.tell() != len(data):
+        raise DataError(f"malformed table {name}: {len(data) - fp.tell()} bytes after the array")
+    if array.dtype != dtype:
+        raise DataError(f"malformed table {name}: dtype {array.dtype}, expected {dtype}")
+    if array.shape != shape:
+        raise DataError(f"malformed table {name}: shape {array.shape}, the manifest's counts give {shape}")
+    return array
 
 
-def _parse_samples_csv(text: str, path: str, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    if not text.startswith("x0"):
-        raise DataError(f"malformed table {path}: missing header")
-    n_features = text.partition("\n")[0].count(",")
-    if n_features != dim:
-        raise DataError(f"{path} has {n_features} feature columns, the manifest's input_dim is {dim}")
-    rows = _read_rows(text, path, [("x", np.float64, (dim,)), ("y", int)])
-    x = np.ascontiguousarray(rows["x"])
+def _check_features(x: np.ndarray, name: str) -> np.ndarray:
     if not np.all(np.isfinite(x)):
-        raise DataError(f"non-finite feature values in {path}")
-    return x, np.ascontiguousarray(rows["y"])
+        raise DataError(f"non-finite feature values in {name}")
+    return np.ascontiguousarray(x)
 
 
-def _check_labels(y: np.ndarray, n_classes: int, path: str) -> np.ndarray:
+def _check_labels(y: np.ndarray, n_classes: int, name: str) -> np.ndarray:
     if np.any(y < 0) or np.any(y >= n_classes):
-        raise DataError(f"{path} has labels outside [0, {n_classes})")
-    return y
+        raise DataError(f"{name} has labels outside [0, {n_classes})")
+    return np.ascontiguousarray(y)
 
 
 def _sha256(data: bytes) -> str:
@@ -302,18 +299,17 @@ def save_split(split: SSDASplit, out_dir: str | Path) -> Path:
     out.mkdir(parents=True, exist_ok=True)
 
     tables = {
-        "source.csv": _csv_lines(*split.source),
-        "labeled_target.csv": _csv_lines(*split.labeled_target),
-        "validation_target.csv": _csv_lines(*split.validation_target),
-        "unlabeled_target.csv": _csv_lines(
-            split.unlabeled_target, np.full(len(split.unlabeled_target), -1, dtype=int)
-        ),
-        "unlabeled_truth.csv": "index,y\n"
-        + "".join(f"{i},{int(y)}\n" for i, y in enumerate(split.unlabeled_truth)),
+        "source.npy": _labeled_rows(*split.source),
+        "labeled_target.npy": _labeled_rows(*split.labeled_target),
+        "validation_target.npy": _labeled_rows(*split.validation_target),
+        "unlabeled_target.npy": np.asarray(split.unlabeled_target, dtype="<f8"),
+        "unlabeled_truth.npy": np.asarray(split.unlabeled_truth, dtype="<i8"),
     }
     checksums = {}
-    for name, text in tables.items():
-        data = text.encode("utf-8")
+    for name, array in tables.items():
+        buf = io.BytesIO()
+        np.save(buf, array, allow_pickle=False)
+        data = buf.getvalue()
         (out / name).write_bytes(data)
         checksums[name] = _sha256(data)
 
@@ -341,8 +337,8 @@ def split_checksum(split_dir: str | Path) -> str:
 
 
 _MANIFEST_KEYS = {"format_version", "spec", "n_t_per_class", "n_val_per_class", "counts", "checksums"}
-_TABLES = {"source.csv", "labeled_target.csv", "validation_target.csv", "unlabeled_target.csv",
-           "unlabeled_truth.csv"}
+_COUNTS = {"source", "labeled_target", "unlabeled_target", "validation_target"}
+_TABLES = {f"{name}.npy" for name in (*_COUNTS, "unlabeled_truth")}
 
 
 def _check_keys(found, expected: set, where: str) -> None:
@@ -353,6 +349,10 @@ def _check_keys(found, expected: set, where: str) -> None:
         raise DataError(f"{where}: missing keys {missing}, unknown keys {unknown}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _spec_from_manifest(manifest: dict) -> DomainPairSpec:
     """The manifest's spec, validated; the manifest itself carries no checksum."""
     spec_dict = manifest["spec"]
@@ -360,7 +360,8 @@ def _spec_from_manifest(manifest: dict) -> DomainPairSpec:
     _check_keys(spec_dict["shift"], {f.name for f in fields(ShiftSpec)}, "manifest spec.shift")
     values = {**spec_dict, **manifest}  # disjoint key sets
     not_int = [k for k in ("n_classes", "input_dim", "n_source", "n_target", "seed", "n_t_per_class",
-                           "n_val_per_class") if not isinstance(values[k], int) or isinstance(values[k], bool)]
+                           "n_val_per_class") if not _is_int(values[k])]
+    not_int += [f"counts.{k}" for k, v in sorted(manifest["counts"].items()) if not _is_int(v)]
     if not_int:
         raise DataError(f"bad split manifest: {not_int} must be integers")
     if min(manifest["n_t_per_class"], manifest["n_val_per_class"]) < 1:
@@ -377,10 +378,12 @@ def _spec_from_manifest(manifest: dict) -> DomainPairSpec:
 def load_split(split_dir: str | Path) -> SSDASplit:
     """Load and verify a split directory; any tampering fails the checksum.
 
-    The manifest's spec must pass ``DomainPairSpec.validate``, every table
-    must have ``input_dim`` feature columns of finite values, labels must lie
-    in [0, n_classes), and the index column of ``unlabeled_truth.csv`` must
-    count 0..n-1; each failure is a ``DataError``.
+    The manifest's spec must pass ``DomainPairSpec.validate``; every table
+    must be one ``.npy`` array of exactly the dtype and shape that the
+    manifest's ``input_dim`` and ``counts`` give, features must be finite
+    and labels in [0, n_classes); each failure is a ``DataError``.  A
+    version-1 (CSV) split is refused: ``gen-data`` rewrites it from its
+    spec, seed and shot counts.
     """
     root = Path(split_dir)
     manifest_path = root / "manifest.json"
@@ -391,43 +394,46 @@ def load_split(split_dir: str | Path) -> SSDASplit:
     except json.JSONDecodeError as err:
         raise DataError(f"manifest is not valid JSON: {err}") from err
     version = manifest.get("format_version") if isinstance(manifest, dict) else None
+    if version == 1:
+        raise DataError(f"{root} is a version-1 (CSV) split, which is no longer read; run gen-data again "
+                        "with the spec, seed and shot counts of its manifest: the same numpy writes the "
+                        "same arrays")
     if version != SPLIT_FORMAT_VERSION:
         raise DataError(f"split format version {version} != {SPLIT_FORMAT_VERSION}")
     _check_keys(manifest, _MANIFEST_KEYS, "manifest")
     _check_keys(manifest["checksums"], _TABLES, "manifest checksums")
+    _check_keys(manifest["counts"], _COUNTS, "manifest counts")
     spec = _spec_from_manifest(manifest)
 
-    texts = {}
-    for name, expected in manifest["checksums"].items():
+    counts, labeled = manifest["counts"], _labeled_dtype(spec.input_dim)
+    layouts = {
+        "source.npy": (labeled, (counts["source"],)),
+        "labeled_target.npy": (labeled, (counts["labeled_target"],)),
+        "validation_target.npy": (labeled, (counts["validation_target"],)),
+        "unlabeled_target.npy": (np.dtype("<f8"), (counts["unlabeled_target"], spec.input_dim)),
+        "unlabeled_truth.npy": (np.dtype("<i8"), (counts["unlabeled_target"],)),
+    }
+    arrays = {}
+    for name, (dtype, shape) in layouts.items():
         path = root / name
         if not path.exists():
             raise DataError(f"missing table: {path}")
         data = path.read_bytes()
-        if _sha256(data) != expected:
+        if _sha256(data) != manifest["checksums"][name]:
             raise DataError(f"checksum mismatch for {name}")
-        texts[name] = data.decode("utf-8")
+        arrays[name] = _read_table(data, name, dtype, shape)
 
-    def labeled(name: str) -> tuple[np.ndarray, np.ndarray]:
-        x, y = _parse_samples_csv(texts[name], name, spec.input_dim)
-        return x, _check_labels(y, spec.n_classes, name)
-
-    unl_x, unl_y = _parse_samples_csv(texts["unlabeled_target.csv"], "unlabeled_target.csv", spec.input_dim)
-    if np.any(unl_y != -1):
-        raise DataError("unlabeled_target.csv must carry the -1 label sentinel")
-    truth_rows = _read_rows(texts["unlabeled_truth.csv"], "unlabeled_truth.csv", [("index", int), ("y", int)])
-    if not np.array_equal(truth_rows["index"], np.arange(len(truth_rows))):
-        raise DataError("malformed table unlabeled_truth.csv: the index column must count 0, 1, ..., n-1")
-    truth = np.ascontiguousarray(truth_rows["y"])
-    if len(truth) != len(unl_x):
-        raise DataError("unlabeled_truth.csv row count does not match unlabeled_target.csv")
+    def xy(name: str) -> tuple[np.ndarray, np.ndarray]:
+        rows = arrays[name]
+        return _check_features(rows["x"], name), _check_labels(rows["y"], spec.n_classes, name)
 
     return SSDASplit(
         spec=spec,
-        source=labeled("source.csv"),
-        labeled_target=labeled("labeled_target.csv"),
-        unlabeled_target=unl_x,
-        validation_target=labeled("validation_target.csv"),
-        unlabeled_truth=_check_labels(truth, spec.n_classes, "unlabeled_truth.csv"),
+        source=xy("source.npy"),
+        labeled_target=xy("labeled_target.npy"),
+        unlabeled_target=_check_features(arrays["unlabeled_target.npy"], "unlabeled_target.npy"),
+        validation_target=xy("validation_target.npy"),
+        unlabeled_truth=_check_labels(arrays["unlabeled_truth.npy"], spec.n_classes, "unlabeled_truth.npy"),
         n_t_per_class=manifest["n_t_per_class"],
         n_val_per_class=manifest["n_val_per_class"],
     )

@@ -45,15 +45,14 @@ def _tree_digest(root: Path) -> dict:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(root.iterdir())}
 
 
-def _poison_source_csv(split: Path) -> None:
-    """Put a nan into source.csv and re-stamp its checksum, so only the value check can object."""
-    table = split / "source.csv"
-    lines = table.read_text().split("\n")
-    lines[1] = "nan," + lines[1].split(",", 1)[1]
-    data = "\n".join(lines).encode()
-    table.write_bytes(data)
+def _poison_source_npy(split: Path) -> None:
+    """Put a nan into source.npy and re-stamp its checksum, so only the value check can object."""
+    table = split / "source.npy"
+    rows = np.load(table)
+    rows["x"][0, 0] = np.nan
+    np.save(table, rows, allow_pickle=False)
     manifest = json.loads((split / "manifest.json").read_text())
-    manifest["checksums"]["source.csv"] = hashlib.sha256(data).hexdigest()
+    manifest["checksums"]["source.npy"] = hashlib.sha256(table.read_bytes()).hexdigest()
     (split / "manifest.json").write_text(json.dumps(manifest))
 
 
@@ -161,9 +160,30 @@ class TestRunPipeline:
     def test_non_finite_split_is_data_error(self, split_dir, tmp_path, capsys):
         bad = tmp_path / "nan_split"
         shutil.copytree(split_dir, bad)
-        _poison_source_csv(bad)
+        _poison_source_npy(bad)
         assert main(["run-pipeline", "--split", str(bad), "--out", str(tmp_path / "o"), *FAST]) == EXIT_DATA
         assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_version_1_split_is_refused_before_out(self, tmp_path, capsys):
+        """A CSV split of the previous format: regenerated by gen-data, never read."""
+        old = tmp_path / "v1"
+        old.mkdir()
+        table = "x0,x1,y\n0.5,-1.25,0\n"
+        (old / "source.csv").write_text(table)
+        manifest = {
+            "format_version": 1,
+            "spec": {"n_classes": 3, "input_dim": 2, "n_source": 90, "n_target": 90, "class_separation": 4.0,
+                     "seed": 0, "shift": {"rotation_degrees": 0.0, "translation": [], "scale": 1.0,
+                                          "label_skew": 0.0}},
+            "n_t_per_class": 3, "n_val_per_class": 3,
+            "counts": {"source": 1, "labeled_target": 9, "unlabeled_target": 72, "validation_target": 9},
+            "checksums": {"source.csv": hashlib.sha256(table.encode()).hexdigest()},
+        }
+        (old / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["run-pipeline", "--split", str(old), "--out", str(tmp_path / "o"), *FAST]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "version-1 (CSV) split" in err and "gen-data" in err
         assert not (tmp_path / "o").exists()
 
     def test_corrupt_checkpoint_is_data_error(self, split_dir, tmp_path):

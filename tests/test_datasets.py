@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 from dataclasses import replace
 
@@ -202,14 +203,15 @@ class TestSerialization:
     def test_identical_spec_and_seed_byte_identical(self, tmp_path):
         for name in ("a", "b"):
             save_split(gen_split(small_spec(seed=9)), tmp_path / name)
-        for fname in ["manifest.json", "source.csv", "unlabeled_target.csv", "unlabeled_truth.csv"]:
+        for fname in ["manifest.json", "source.npy", "unlabeled_target.npy", "unlabeled_truth.npy"]:
             assert (tmp_path / "a" / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes()
 
     def test_tampered_table_fails_checksum(self, tmp_path):
         save_split(gen_split(small_spec()), tmp_path / "split")
-        victim = tmp_path / "split" / "source.csv"
-        text = victim.read_text()
-        victim.write_text(text.replace(text.split("\n")[1], text.split("\n")[2], 1))
+        victim = tmp_path / "split" / "source.npy"
+        rows = np.load(victim)
+        rows[[0, 1]] = rows[[1, 0]]
+        np.save(victim, rows, allow_pickle=False)
         with pytest.raises(DataError, match="checksum mismatch"):
             load_split(tmp_path / "split")
 
@@ -245,18 +247,33 @@ def _set_spec(key, value):
     return lambda m: m["spec"].__setitem__(key, value)
 
 
+def _set_counts(key, value):
+    return lambda m: m["counts"].__setitem__(key, value)
+
+
 BAD_MANIFESTS = [
     pytest.param(_set_shift("scale", -1.0), "shift scale must be positive", id="negative_scale"),
     pytest.param(_set_shift("translation", ["nan", 1]), "bad split manifest", id="translation_str"),
-    pytest.param(_set_spec("input_dim", 3), "2 feature columns, the manifest's input_dim is 3", id="input_dim"),
+    pytest.param(_set_spec("input_dim", 3), r"malformed table source.npy: dtype .*\(2,\).*, expected .*\(3,\)",
+                 id="input_dim"),
     pytest.param(_set_spec("n_classes", 2), r"labels outside \[0, 2\)", id="n_classes_below_labels"),
     pytest.param(_set_spec("n_classes", 3.0), r"\['n_classes'\] must be integers", id="n_classes_float"),
     pytest.param(_set_spec("colour", "red"), r"unknown keys \['colour'\]", id="unknown_spec_key"),
     pytest.param(lambda m: m["spec"].pop("seed"), r"missing keys \['seed'\]", id="missing_spec_key"),
     pytest.param(lambda m: m["spec"]["shift"].pop("scale"), r"missing keys \['scale'\]", id="missing_shift_key"),
     pytest.param(lambda m: m.pop("n_t_per_class"), r"missing keys \['n_t_per_class'\]", id="missing_key"),
-    pytest.param(lambda m: m["checksums"].pop("source.csv"), r"missing keys \['source.csv'\]",
+    pytest.param(lambda m: m["checksums"].pop("source.npy"), r"missing keys \['source.npy'\]",
                  id="missing_checksum"),
+    pytest.param(_set_counts("unlabeled_target", 5), r"unlabeled_target.npy: shape \(102, 2\).* give \(5, 2\)",
+                 id="counts_unlabeled_5"),
+    pytest.param(_set_counts("source", 121), r"source.npy: shape \(120,\).* give \(121,\)", id="counts_source_121"),
+    pytest.param(_set_counts("labeled_target", True), r"\['counts.labeled_target'\] must be integers",
+                 id="counts_bool"),
+    pytest.param(_set_counts("source", 120.0), r"\['counts.source'\] must be integers", id="counts_float"),
+    pytest.param(lambda m: m["counts"].pop("validation_target"), r"counts: missing keys \['validation_target'\]",
+                 id="counts_missing_key"),
+    pytest.param(_set_counts("unlabeled_truth", 108), r"counts: .*unknown keys \['unlabeled_truth'\]",
+                 id="counts_unknown_key"),
     pytest.param(lambda m: m.__setitem__("n_val_per_class", 0), "must be >= 1", id="zero_validation"),
 ]
 
@@ -282,47 +299,96 @@ class TestManifestChecks:
 
     def test_label_out_of_range_under_valid_checksum(self, tmp_path):
         save_split(gen_split(small_spec()), tmp_path / "split")
-        _restamped_edit(tmp_path / "split", "labeled_target.csv", lambda row: row.rsplit(",", 1)[0] + ",7")
-        with pytest.raises(DataError, match=r"labeled_target.csv has labels outside \[0, 3\)"):
+        rows = np.load(tmp_path / "split" / "labeled_target.npy")
+        rows["y"][0] = 7
+        _restamped(tmp_path / "split", "labeled_target.npy", _npy(rows))
+        with pytest.raises(DataError, match=r"labeled_target.npy has labels outside \[0, 3\)"):
             load_split(tmp_path / "split")
 
 
-def _restamped_edit(split, name: str, edit) -> None:
-    """Rewrite the first data row of one table and re-stamp its checksum, so only parsing can object."""
-    table = split / name
-    lines = table.read_text().split("\n")
-    lines[1] = edit(lines[1])
-    data = "\n".join(lines).encode()
-    table.write_bytes(data)
+def _npy(array: np.ndarray, allow_pickle: bool = False) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=allow_pickle)
+    return buf.getvalue()
+
+
+def _restamped(split, name: str, data: bytes) -> None:
+    """Replace one table's bytes and re-stamp its checksum, so only the reader can object."""
+    (split / name).write_bytes(data)
     mpath = split / "manifest.json"
     manifest = json.loads(mpath.read_text())
     manifest["checksums"][name] = hashlib.sha256(data).hexdigest()
     mpath.write_text(json.dumps(manifest))
 
 
-BAD_CELLS = [
-    pytest.param("source.csv", lambda row: row.rsplit(",", 1)[0] + ",1.5", id="label_1.5"),
-    pytest.param("source.csv", lambda row: row.rsplit(",", 1)[0] + ",1.0", id="label_1.0"),
-    pytest.param("source.csv", lambda row: row.split(",", 1)[1], id="ragged_row"),
-    pytest.param("source.csv", lambda row: "," + row.split(",", 1)[1], id="empty_feature_cell"),
-    pytest.param("source.csv", lambda row: row.rsplit(",", 1)[0] + ",", id="empty_label_cell"),
-    pytest.param("unlabeled_target.csv", lambda row: row + ",0", id="unlabeled_extra_cell"),
-    pytest.param("unlabeled_truth.csv", lambda row: row.split(",")[0] + ",1.0", id="truth_label_1.0"),
-    pytest.param("unlabeled_truth.csv", lambda row: row.split(",")[0], id="truth_ragged_row"),
-    pytest.param("unlabeled_truth.csv", lambda row: "999999," + row.split(",")[1], id="truth_index_999999"),
-    pytest.param("unlabeled_truth.csv", lambda row: "1," + row.split(",")[1], id="truth_index_repeated"),
+def _rows(x: np.ndarray, y: np.ndarray, x_type: str = "<f8", y_type: str = "<i8") -> np.ndarray:
+    rows = np.empty(len(x), dtype=[("x", x_type, (x.shape[1],)), ("y", y_type)])
+    rows["x"], rows["y"] = x, y
+    return rows
+
+
+def _zip_of(data: bytes) -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, source=np.load(io.BytesIO(data)))
+    return buf.getvalue()
+
+
+def _huge_header() -> bytes:
+    """A header that claims 10**15 float64 rows, over 8 bytes of data."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(buf, {"descr": "<f8", "fortran_order": False, "shape": (10**15,)})
+    return buf.getvalue() + bytes(8)
+
+
+# (table, how to rewrite its bytes from (split, the bytes as saved), the reader's complaint)
+BAD_TABLES = [
+    pytest.param("source.npy", lambda s, d: _npy(_rows(*s.source, y_type="<f8")), "dtype", id="float_labels"),
+    pytest.param("source.npy", lambda s, d: _npy(_rows(s.source[0].astype(int), s.source[1], x_type="<i8")),
+                 "dtype", id="integer_features"),
+    pytest.param("source.npy", lambda s, d: _npy(_rows(*s.source, x_type=">f8")), "dtype", id="big_endian"),
+    pytest.param("unlabeled_target.npy", lambda s, d: _npy(s.unlabeled_target.astype(">f8")), "dtype",
+                 id="unlabeled_big_endian"),
+    pytest.param("unlabeled_target.npy", lambda s, d: _npy(s.unlabeled_target[:, :1]), r"shape \(102, 1\)",
+                 id="unlabeled_width"),
+    pytest.param("source.npy", lambda s, d: _npy(_rows(*s.source)[1:]), r"shape \(119,\)", id="row_count"),
+    pytest.param("unlabeled_truth.npy", lambda s, d: _npy(s.unlabeled_truth[:-1]), r"shape \(101,\)",
+                 id="truth_short"),
+    pytest.param("unlabeled_truth.npy", lambda s, d: _npy(s.unlabeled_truth[:, None]), r"shape \(102, 1\)",
+                 id="truth_rank_2"),
+    pytest.param("unlabeled_truth.npy", lambda s, d: _npy(s.unlabeled_truth.astype(np.int32)), "dtype",
+                 id="truth_int32"),
+    pytest.param("source.npy", lambda s, d: b"", "EOF", id="empty_file"),
+    pytest.param("source.npy", lambda s, d: d[:-8], "EOF", id="truncated"),
+    pytest.param("source.npy", lambda s, d: d + bytes(8), "8 bytes after the array", id="trailing_bytes"),
+    pytest.param("source.npy", lambda s, d: _zip_of(d), "magic string", id="npz_zip"),
+    pytest.param("unlabeled_truth.npy",
+                 lambda s, d: _npy(np.array([int(v) for v in s.unlabeled_truth], dtype=object), allow_pickle=True),
+                 "allow_pickle=False", id="pickled_objects"),
+    pytest.param("unlabeled_target.npy", lambda s, d: _huge_header(), "", id="huge_header_shape"),
 ]
 
 
 class TestTableParsing:
-    """Tables are parsed by numpy's C reader; every malformed cell stays a DataError."""
+    """Tables are ``.npy`` arrays of one exact dtype and shape; any other file stays a DataError."""
 
-    @pytest.mark.parametrize("name, edit", BAD_CELLS)
-    def test_malformed_cell_under_valid_checksum(self, tmp_path, name, edit):
-        save_split(gen_split(small_spec()), tmp_path / "split")
-        _restamped_edit(tmp_path / "split", name, edit)
-        with pytest.raises(DataError, match=f"malformed table {name}"):
+    @pytest.mark.parametrize("name, rewrite, complaint", BAD_TABLES)
+    def test_bad_table_under_valid_checksum(self, tmp_path, name, rewrite, complaint):
+        split = gen_split(small_spec())
+        save_split(split, tmp_path / "split")
+        _restamped(tmp_path / "split", name, rewrite(split, (tmp_path / "split" / name).read_bytes()))
+        with pytest.raises(DataError, match=f"malformed table {name}: .*{complaint}"):
             load_split(tmp_path / "split")
+
+    def test_tables_are_plain_npy(self, tmp_path):
+        split = gen_split(small_spec())
+        save_split(split, tmp_path / "split")
+        rows = np.load(tmp_path / "split" / "source.npy", allow_pickle=False)
+        assert rows.dtype == np.dtype([("x", "<f8", (2,)), ("y", "<i8")])
+        np.testing.assert_array_equal(rows["x"], split.source[0])
+        np.testing.assert_array_equal(rows["y"], split.source[1])
+        x = np.load(tmp_path / "split" / "unlabeled_target.npy", allow_pickle=False)
+        truth = np.load(tmp_path / "split" / "unlabeled_truth.npy", allow_pickle=False)
+        assert (x.dtype, x.shape, truth.dtype, truth.shape) == (np.dtype("<f8"), (102, 2), np.dtype("<i8"), (102,))
 
     def test_large_split_round_trips_bit_exactly(self, tmp_path):
         spec = small_spec(n_classes=10, input_dim=8, n_source=200, n_target=20000, class_separation=8.0)
@@ -340,7 +406,7 @@ class TestTableParsing:
             assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
             assert got.flags.c_contiguous
         save_split(loaded, tmp_path / "b")
-        for name in ("source.csv", "unlabeled_target.csv", "unlabeled_truth.csv", "manifest.json"):
+        for name in ("source.npy", "unlabeled_target.npy", "unlabeled_truth.npy", "manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
 
