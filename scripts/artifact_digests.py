@@ -4,15 +4,15 @@
 Runs, with ``OPENBLAS_NUM_THREADS=1`` and the ``ssda_lab`` package under
 ``--src``: gen-data; run-pipeline, default and with ``--lambda 0
 --no-pseudo``; train-baseline, pseudo-label, self-train and evaluate;
-report-reliability --csv; and the ablate-ru --regen and ablate-noise grids.
+report-reliability --csv, with ``--split`` and from the stored values; and
+the ablate-ru --regen and ablate-noise grids.
 Prints one ``sha256  path`` line per output file, sorted by path.
 ``manifest.json`` files are skipped, because they hold timings; evaluate
 writes no file, so its stdout is digested as ``evaluate.stdout``. Each
 ``selection.json`` also gets a ``sha256  path decoded`` line: the digest of
 the selected indices (int64) and their soft rows (float64) as the ``--src``
-package's own ``load_selection`` and ``selected_set_from_dump`` read them,
-so dumps of different layouts that decode alike print the same line.  Each
-split directory gets a ``sha256  dir decoded`` line in the same way: the
+package's own ``load_selection`` and ``selected_set_from_dump`` read them.
+Each split directory gets a ``sha256  dir decoded`` line in the same way: the
 digest of the arrays that the ``--src`` package's ``load_split`` returns
 (source, labeled target, validation target as float64 features and int64
 labels, then the unlabeled features and their truth), each with its shape,
@@ -46,6 +46,7 @@ COMMANDS = [
     ["self-train", *SPLIT, *CKPT, "--selection", "sel/selection.json", "--out", "st", *T_MAX],
     ["evaluate", *SPLIT, "--checkpoint", "st/final_checkpoint.json"],
     ["report-reliability", "--selection", "pipeline/selection.json", *SPLIT, "--csv", "reliability.csv"],
+    ["report-reliability", "--selection", "sel/selection.json", "--csv", "reliability_stored.csv"],
     ["ablate-ru", *SPLIT, "--out", "ru", "--grid", "0.2,1.0", "--seeds", "0,1", "--regen", *T_MAX],
     ["ablate-noise", *SPLIT, "--out", "noise", "--seeds", "0,1", *T_MAX],
 ]

@@ -135,22 +135,21 @@ def _sha256_file(path) -> str:
 
 
 def _load_dump(args: argparse.Namespace, split: SSDASplit | None) -> dict:
-    """``--selection`` as stored, or, given its split, checked in the version-2 layout.
+    """``--selection`` as stored, or, given its split, checked against it.
 
     A checked dump must also name the ``--split`` and, where the command
-    takes one, the ``--checkpoint`` it was made from; a version-1 dump
-    names neither, so neither is compared.
+    takes one, the ``--checkpoint`` it was made from.
     """
     with _data_errors(args.selection):
         dump = load_selection(args.selection)
         if split is None:
             return dump
-        dump = check_selection(dump, len(split.unlabeled_target), split.n_classes)
+        check_selection(dump, len(split.unlabeled_target), split.n_classes)
     inputs = {"split_checksum": ("--split", split_checksum(args.split))}
     if "checkpoint" in args:
         inputs["checkpoint_sha256"] = ("--checkpoint", _sha256_file(args.checkpoint))
     for key, (flag, actual) in inputs.items():
-        if dump[key] not in (None, actual):
+        if dump[key] != actual:
             raise DataError(f"{args.selection} records {key} {dump[key]}, but {flag} has {actual}")
     return dump
 

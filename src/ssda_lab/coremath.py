@@ -20,6 +20,11 @@ LOG_CLAMP = 1e-12
 SEED_LIMIT = 2**64
 
 
+def is_int(value) -> bool:
+    """An int that is not a bool, as config fields and manifest counts require."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Stable softmax along the last axis, by max-subtraction.
 

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coremath import SEED_LIMIT, seeded_rng
+from .coremath import SEED_LIMIT, is_int, seeded_rng
 
 SPLIT_FORMAT_VERSION = 2
 
@@ -294,9 +294,15 @@ def _sha256(data: bytes) -> str:
 
 
 def save_split(split: SSDASplit, out_dir: str | Path) -> Path:
-    """Write the split directory; returns the manifest path."""
+    """Write the split directory; returns the manifest path.
+
+    Rewriting a version-1 split in place deletes its five CSV tables, which
+    nothing reads any more; no other file in ``out_dir`` is touched.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for name in _TABLES:
+        (out / name).with_suffix(".csv").unlink(missing_ok=True)
 
     tables = {
         "source.npy": _labeled_rows(*split.source),
@@ -349,10 +355,6 @@ def _check_keys(found, expected: set, where: str) -> None:
         raise DataError(f"{where}: missing keys {missing}, unknown keys {unknown}")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _spec_from_manifest(manifest: dict) -> DomainPairSpec:
     """The manifest's spec, validated; the manifest itself carries no checksum."""
     spec_dict = manifest["spec"]
@@ -360,8 +362,8 @@ def _spec_from_manifest(manifest: dict) -> DomainPairSpec:
     _check_keys(spec_dict["shift"], {f.name for f in fields(ShiftSpec)}, "manifest spec.shift")
     values = {**spec_dict, **manifest}  # disjoint key sets
     not_int = [k for k in ("n_classes", "input_dim", "n_source", "n_target", "seed", "n_t_per_class",
-                           "n_val_per_class") if not _is_int(values[k])]
-    not_int += [f"counts.{k}" for k, v in sorted(manifest["counts"].items()) if not _is_int(v)]
+                           "n_val_per_class") if not is_int(values[k])]
+    not_int += [f"counts.{k}" for k, v in sorted(manifest["counts"].items()) if not is_int(v)]
     if not_int:
         raise DataError(f"bad split manifest: {not_int} must be integers")
     if min(manifest["n_t_per_class"], manifest["n_val_per_class"]) < 1:

@@ -139,7 +139,7 @@ def selection_to_jsonable(
     split_checksum: str,
     checkpoint_sha256: str,
 ) -> dict:
-    """The version-2 dump: each fact once, and the split and checkpoint it came from.
+    """The selection dump: each fact once, and the split and checkpoint it came from.
 
     ``hard_label`` and ``distance`` are columns over every unlabeled row (row
     i of ``all_annotations``, as ``infer_pseudo`` returns them, has index i);
@@ -176,6 +176,9 @@ def load_selection(path: str | Path) -> dict:
     dump = json.loads(p.read_text(encoding="utf-8"))
     if not isinstance(dump, dict):
         raise ValueError("selection dump must be a JSON object")
+    if dump.get("format_version") != SELECTION_VERSION:
+        raise ValueError(f"selection dump format_version {dump.get('format_version')!r} != {SELECTION_VERSION}; "
+                         "run pseudo-label again on the checkpoint it came from")
     return dump
 
 
@@ -183,13 +186,6 @@ _DUMP_KEYS = ("format_version", "split_checksum", "checkpoint_sha256", "r_u", "p
               "selected_by_class", "hard_label", "distance", "soft_label", "reliability_before",
               "reliability_after")
 _PROVENANCE_KEYS = ("split_checksum", "checkpoint_sha256")
-_V1_ENTRY_KEYS = ("index", "hard_label", "distance", "soft_label", "selected")
-
-
-def _require(dump: dict, keys) -> None:
-    missing = [k for k in keys if k not in dump]
-    if missing:
-        raise ValueError(f"selection dump lacks the keys {missing}")
 
 
 def _selected_rows(by_class) -> tuple[list[str], np.ndarray]:
@@ -204,53 +200,22 @@ def _selected_rows(by_class) -> tuple[list[str], np.ndarray]:
     return [c for c, _ in pairs], index
 
 
-def _as_version2(dump: dict) -> dict:
-    """``dump`` in the version-2 layout: a version-1 dump's per-row entries become its columns.
-
-    A version-1 dump lists every unlabeled row with its soft label and a
-    ``selected`` flag, and records no provenance (both keys become None).
-    """
-    version = dump.get("format_version", 1)
-    if version == SELECTION_VERSION:
-        return dump
-    if version != 1:
-        raise ValueError(f"selection dump format_version {version!r} is neither 1 nor {SELECTION_VERSION}")
-    _require(dump, ("annotations", "selected_by_class"))
-    entries = dump["annotations"]
-    try:
-        index, chosen = (np.array([e[k] for e in entries]) for k in ("index", "selected"))
-        hard, distance, soft = ([e[k] for e in entries] for k in ("hard_label", "distance", "soft_label"))
-    except (KeyError, TypeError) as err:
-        raise ValueError(f"every selection entry needs the keys {list(_V1_ENTRY_KEYS)}") from err
-    if index.dtype.kind != "i" or not np.array_equal(np.sort(index), np.arange(index.size)):
-        raise ValueError(f"version-1 selection indices must number the {index.size} rows once each")
-    if chosen.dtype != bool:
-        raise ValueError("version-1 selected flags must be booleans")
-    order = np.argsort(index).tolist()
-    flagged = [i for i in order if chosen[i]]
-    if not np.array_equal(index[flagged], np.sort(_selected_rows(dump["selected_by_class"])[1])):
-        raise ValueError("the selected flags disagree with selected_by_class")
-    rest = {k: v for k, v in dump.items() if k != "annotations"}
-    return {**rest, "format_version": SELECTION_VERSION, "split_checksum": None, "checkpoint_sha256": None,
-            "hard_label": [hard[i] for i in order], "distance": [distance[i] for i in order],
-            "soft_label": [soft[i] for i in flagged]}
-
-
-def check_selection(dump: dict, n_unlabeled: int, n_classes: int) -> dict:
-    """Check a selection dump of either version against its split; returns it in the version-2 layout.
+def check_selection(dump: dict, n_unlabeled: int, n_classes: int) -> None:
+    """Check a loaded selection dump against its split.
 
     Raises ValueError unless every key is present, the provenance values are
-    strings (None in a version-1 dump), the ``hard_label`` and ``distance``
-    columns hold an integer in [0, n_classes) and a number for each of the
-    n_unlabeled rows, ``selected_by_class`` lists at least one row, each once,
-    in [0, n_unlabeled) and under its hard label, no class keeps more than
+    strings, the ``hard_label`` and ``distance`` columns hold an integer in
+    [0, n_classes) and a number for each of the n_unlabeled rows,
+    ``selected_by_class`` lists at least one row, each once, in
+    [0, n_unlabeled) and under its hard label, no class keeps more than
     ``per_class_quota`` = ceil(r_u * n_unlabeled / n_classes) rows,
     ``n_selected`` counts the listed rows, and ``soft_label`` holds one row per
     listed row of n_classes numbers in [0, 1] that sum to 1 within 1e-9.
     """
-    dump = _as_version2(dump)
-    _require(dump, _DUMP_KEYS)
-    if not all(dump[k] is None or isinstance(dump[k], str) for k in _PROVENANCE_KEYS):
+    missing = [k for k in _DUMP_KEYS if k not in dump]
+    if missing:
+        raise ValueError(f"selection dump lacks the keys {missing}")
+    if not all(isinstance(dump[k], str) for k in _PROVENANCE_KEYS):
         raise ValueError(f"selection provenance {list(_PROVENANCE_KEYS)} must be strings")
     hard, distance = np.array(dump["hard_label"]), np.array(dump["distance"])
     if hard.shape != (n_unlabeled,) or distance.shape != (n_unlabeled,):
@@ -291,12 +256,10 @@ def check_selection(dump: dict, n_unlabeled: int, n_classes: int) -> dict:
     in_range = soft.ndim == 2 and soft.dtype.kind in "if" and np.all((soft >= 0) & (soft <= 1))
     if not (in_range and np.all(np.abs(soft.sum(axis=1) - 1.0) <= 1e-9)):
         raise ValueError("every selected soft row must hold numbers in [0, 1] that sum to 1 within 1e-9")
-    return dump
 
 
 def selected_set_from_dump(dump: dict) -> SelectedSet:
-    """Rebuild the trusted set (without features) from a dump of either version, in ascending index order."""
-    dump = _as_version2(dump)
+    """Rebuild the trusted set (without features) from a dump, in ascending index order."""
     index = np.sort(_selected_rows(dump["selected_by_class"])[1]).tolist()
     hard, distance = dump["hard_label"], dump["distance"]
     soft = np.asarray(dump["soft_label"], dtype=np.float64)

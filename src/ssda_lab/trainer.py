@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coremath import LOG_CLAMP, SEED_LIMIT, seeded_rng
+from .coremath import LOG_CLAMP, SEED_LIMIT, is_int, seeded_rng
 from .datasets import SSDASplit
 from .network import (
     GradientBundle,
@@ -41,17 +41,13 @@ from .network import (
 from .pseudolabel import SelectedSet
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 # TrainConfig annotation -> (type test, what the message asks for)
 _FIELD_TYPES = {
-    "int": (_is_int, "an integer"),
+    "int": (is_int, "an integer"),
     "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v),
               "a finite number"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
-    "tuple[int, ...]": (lambda v: isinstance(v, (tuple, list)) and all(map(_is_int, v)), "a list of integers"),
+    "tuple[int, ...]": (lambda v: isinstance(v, (tuple, list)) and all(map(is_int, v)), "a list of integers"),
 }
 
 

@@ -13,14 +13,7 @@ from ssda_lab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME, main
 from ssda_lab.coremath import seeded_rng
 from ssda_lab.datasets import load_split, split_checksum
 from ssda_lab.network import forward_features, init_params, load_checkpoint, save_checkpoint
-from ssda_lab.pseudolabel import (
-    check_selection,
-    infer_pseudo,
-    load_selection,
-    reliability,
-    select,
-    selected_set_from_dump,
-)
+from ssda_lab.pseudolabel import infer_pseudo, reliability, select
 from ssda_lab.trainer import TrainConfig, evaluate, progressive_self_train, train_baseline
 
 FAST = ["--t-max", "200", "--t-val", "25", "--patience", "4"]
@@ -170,7 +163,9 @@ class TestRunPipeline:
         old = tmp_path / "v1"
         old.mkdir()
         table = "x0,x1,y\n0.5,-1.25,0\n"
-        (old / "source.csv").write_text(table)
+        stems = ("source", "labeled_target", "validation_target", "unlabeled_target", "unlabeled_truth")
+        for stem in stems:
+            (old / f"{stem}.csv").write_text(table)
         manifest = {
             "format_version": 1,
             "spec": {"n_classes": 3, "input_dim": 2, "n_source": 90, "n_target": 90, "class_separation": 4.0,
@@ -185,6 +180,8 @@ class TestRunPipeline:
         err = capsys.readouterr().err
         assert "version-1 (CSV) split" in err and "gen-data" in err
         assert not (tmp_path / "o").exists()
+        assert main(gen_args(old)) == EXIT_OK
+        assert sorted(p.name for p in old.iterdir()) == sorted(["manifest.json", *(f"{s}.npy" for s in stems)])
 
     def test_corrupt_checkpoint_is_data_error(self, split_dir, tmp_path):
         bad = tmp_path / "bad.json"
@@ -492,8 +489,8 @@ def _swap_selected_flag(dump: dict) -> None:
     next(entry for entry in dump["annotations"] if not entry["selected"])["selected"] = True
 
 
-# edits that read the same in both layouts: (edit, what the data error names)
-BAD_EITHER_LAYOUT = [
+# (edit, what the data error names)
+BAD_SELECTIONS = [
     pytest.param(_edited(lambda text: text[: len(text) // 2]), "", id="truncated"),
     pytest.param(_edited_json(lambda d: d.pop("r_u")), "lacks the keys", id="missing_key"),
     pytest.param(_edited_json(lambda d: d.update(n_selected=d["n_selected"] + 1)), "n_selected",
@@ -503,10 +500,8 @@ BAD_EITHER_LAYOUT = [
     pytest.param(_edited_json(lambda d: d.update(r_u=0.01, per_class_quota=1)), "more than its quota",
                  id="class_over_quota"),
     pytest.param(_edited_json(_move_first_listed), "hard label of its rows", id="class_key_not_hard_label"),
-    pytest.param(_edited_json(lambda d: d.update(format_version=3)), "neither 1 nor 2", id="format_version_3"),
-]
-
-BAD_SELECTIONS = BAD_EITHER_LAYOUT + [
+    pytest.param(_edited_json(lambda d: d.update(format_version=3)), "run pseudo-label again",
+                 id="format_version_3"),
     pytest.param(_edited_json(lambda d: _first_listed(d).pop("index")), "selected_by_class must map",
                  id="missing_entry_key"),
     pytest.param(_edited_json(lambda d: _first_listed(d).update(index=486)), "lie in [0, 72)",
@@ -529,39 +524,51 @@ BAD_SELECTIONS = BAD_EITHER_LAYOUT + [
     pytest.param(_edited_json(lambda d: [d[k].pop() for k in ("hard_label", "distance")]),
                  "one entry per unlabeled row", id="columns_of_smaller_split"),
     pytest.param(_edited_json(lambda d: d.update(split_checksum=5)), "must be strings", id="provenance_number"),
-    # the dump edit that a version-1 reader ran to "final accuracy"
+    pytest.param(_edited_json(lambda d: d.update(split_checksum=None)), "must be strings",
+                 id="provenance_null_split"),
+    pytest.param(_edited_json(lambda d: d.update(checkpoint_sha256=None)), "must be strings",
+                 id="provenance_null_checkpoint"),
+    # the dump edit that an unchecked reader once ran to "final accuracy"
     pytest.param(_edited_json(lambda d: d.update(n_selected=999, per_class_quota=1, selected_by_class={"0": []})),
                  "selects no rows", id="edited_counts"),
 ]
 
-BAD_VERSION_1_SELECTIONS = BAD_EITHER_LAYOUT + [
-    pytest.param(_edited_json(lambda d: d["annotations"][0].pop("selected")), "needs the keys", id="missing_entry_key"),
-    pytest.param(_edited_json(lambda d: d["annotations"][0].update(index=486)), "once each",
+# Edits of a version-1 dump that its reader once caught row by row. The format check refuses
+# every one at load, before a row is read, and names the command that rebuilds the dump.
+REBUILD = "run pseudo-label again"
+BAD_VERSION_1_SELECTIONS = [
+    pytest.param(_edited(lambda text: text[: len(text) // 2]), "", id="truncated"),
+    pytest.param(_edited_json(lambda d: d.pop("r_u")), REBUILD, id="missing_key"),
+    pytest.param(_edited_json(lambda d: d.update(n_selected=d["n_selected"] + 1)), REBUILD, id="n_selected_off_by_1"),
+    pytest.param(_edited_json(lambda d: d.update(per_class_quota=1)), REBUILD, id="quota_not_from_r_u"),
+    pytest.param(_edited_json(lambda d: d.update(r_u=0.01, per_class_quota=1)), REBUILD, id="class_over_quota"),
+    pytest.param(_edited_json(_move_first_listed), REBUILD, id="class_key_not_hard_label"),
+    pytest.param(_edited_json(lambda d: d.update(format_version=3)), REBUILD, id="format_version_3"),
+    pytest.param(_edited_json(lambda d: d["annotations"][0].pop("selected")), REBUILD, id="missing_entry_key"),
+    pytest.param(_edited_json(lambda d: d["annotations"][0].update(index=486)), REBUILD,
                  id="index_from_larger_split"),
-    pytest.param(_edited_json(lambda d: d["annotations"][1].update(index=0)), "once each", id="duplicate_index"),
-    pytest.param(_edited_json(lambda d: d["annotations"][0].update(hard_label=3)), "hard labels must lie in",
-                 id="hard_label_3"),
-    pytest.param(_edited_json(lambda d: d["annotations"][0].update(distance=None)), "distances numbers",
-                 id="null_distance"),
-    pytest.param(_edited_json(lambda d: _first_selected(d)["soft_label"].append(0.0)), "widths", id="soft_width_4"),
-    pytest.param(_edited_json(lambda d: [a.update(selected=False) for a in d["annotations"]]), "disagree",
+    pytest.param(_edited_json(lambda d: d["annotations"][1].update(index=0)), REBUILD, id="duplicate_index"),
+    pytest.param(_edited_json(lambda d: d["annotations"][0].update(hard_label=3)), REBUILD, id="hard_label_3"),
+    pytest.param(_edited_json(lambda d: d["annotations"][0].update(distance=None)), REBUILD, id="null_distance"),
+    pytest.param(_edited_json(lambda d: _first_selected(d)["soft_label"].append(0.0)), REBUILD, id="soft_width_4"),
+    pytest.param(_edited_json(lambda d: [a.update(selected=False) for a in d["annotations"]]), REBUILD,
                  id="none_selected"),
-    pytest.param(_edited_json(_swap_selected_flag), "disagree", id="selected_flag_not_listed"),
-    pytest.param(_edited_json(lambda d: _first_selected(d)["soft_label"].__setitem__(0, float("nan"))), "sum to 1",
+    pytest.param(_edited_json(_swap_selected_flag), REBUILD, id="selected_flag_not_listed"),
+    pytest.param(_edited_json(lambda d: _first_selected(d)["soft_label"].__setitem__(0, float("nan"))), REBUILD,
                  id="soft_nan"),
-    pytest.param(_edited_json(lambda d: _first_selected(d).update(soft_label=[2.0, -1.0, 0.0])), "sum to 1",
+    pytest.param(_edited_json(lambda d: _first_selected(d).update(soft_label=[2.0, -1.0, 0.0])), REBUILD,
                  id="soft_outside_0_1"),
-    pytest.param(_edited_json(lambda d: _first_selected(d).update(soft_label=[1.0, 1.0, 0.0])), "sum to 1",
+    pytest.param(_edited_json(lambda d: _first_selected(d).update(soft_label=[1.0, 1.0, 0.0])), REBUILD,
                  id="soft_sum_2"),
-    pytest.param(_edited_json(lambda d: _first_selected(d).update(soft_label=["a", "b", "c"])), "sum to 1",
+    pytest.param(_edited_json(lambda d: _first_selected(d).update(soft_label=["a", "b", "c"])), REBUILD,
                  id="soft_strings"),
     pytest.param(_edited_json(lambda d: d.update(n_selected=999, per_class_quota=1, selected_by_class={"0": []})),
-                 "disagree", id="edited_counts"),
+                 REBUILD, id="edited_counts"),
 ]
 
 
 def _version1_dump(split_dir: Path, ckpt: Path) -> dict:
-    """What stage 2 makes from ``ckpt``, in the version-1 layout: every unlabeled row with its soft label."""
+    """What stage 2 made from ``ckpt`` in the version-1 layout: every unlabeled row with its soft label."""
     split = load_split(split_dir)
     annotations, selected = cli._stage2(split, load_checkpoint(ckpt)["params"], TrainConfig().r_u)
     by_class: dict = {}
@@ -582,7 +589,7 @@ def _version1_dump(split_dir: Path, ckpt: Path) -> dict:
 
 @pytest.fixture(scope="module")
 def stage2_v1(split_dir, stage2, tmp_path_factory):
-    """``stage2``'s selection in the version-1 layout."""
+    """``stage2``'s selection in the version-1 layout, which no reader accepts."""
     path = tmp_path_factory.mktemp("stage2_v1") / "selection.json"
     path.write_text(json.dumps(_version1_dump(split_dir, stage2[0])))
     return path
@@ -593,12 +600,6 @@ def _selection_argv(command: str, split_dir: Path, ckpt: Path, selection: Path, 
         return [command, "--split", str(split_dir), "--checkpoint", str(ckpt), "--selection", str(selection),
                 "--out", str(out), *FAST]
     return [command, "--selection", str(selection), "--split", str(split_dir), "--csv", str(out)]
-
-
-def _decoded(selection: Path) -> tuple:
-    """The selected indices and the bytes of their soft rows, as self-training reads them."""
-    selected = selected_set_from_dump(load_selection(selection))
-    return selected.index_set, np.stack([a.soft_label for a in selected.annotations]).tobytes()
 
 
 class TestArtifactChecks:
@@ -660,7 +661,7 @@ class TestArtifactChecks:
 
 
 class TestSelectionVersions:
-    """Stage 2 writes the version-2 layout; version-1 dumps still load and decode to the same trusted set."""
+    """Stage 2 writes the version-2 layout, the only one that loads."""
 
     def test_version_2_stores_soft_rows_of_the_selected_rows_only(self, split_dir, stage2):
         ckpt, selection = stage2
@@ -671,26 +672,19 @@ class TestSelectionVersions:
         assert dump["split_checksum"] == split_checksum(split_dir)
         assert dump["checkpoint_sha256"] == hashlib.sha256(ckpt.read_bytes()).hexdigest()
 
-    def test_both_versions_decode_bit_equal(self, split_dir, stage2, stage2_v1, tmp_path):
-        split = load_split(split_dir)
-        v1, v2 = load_selection(stage2_v1), load_selection(stage2[1])
-        redump = tmp_path / "redump.json"
-        redump.write_text(json.dumps(check_selection(v1, len(split.unlabeled_target), split.n_classes)))
-        assert _decoded(stage2[1]) == _decoded(stage2_v1) == _decoded(redump)
-        converted = load_selection(redump)
-        for key in ("r_u", "per_class_quota", "n_selected", "hard_label", "distance", "soft_label",
-                    "reliability_before", "reliability_after"):
-            assert converted[key] == v2[key], key
-        assert ({c: [e["index"] for e in entries] for c, entries in converted["selected_by_class"].items()}
-                == {c: [e["index"] for e in entries] for c, entries in v2["selected_by_class"].items()})
-
-    def test_self_train_writes_the_same_bytes_from_either_version(self, split_dir, stage2, stage2_v1, tmp_path):
-        ckpt, selection = stage2
-        for name, dump in (("v1", stage2_v1), ("v2", selection)):
-            assert main(["self-train", "--split", str(split_dir), "--checkpoint", str(ckpt), "--selection", str(dump),
-                         "--out", str(tmp_path / name), *FAST]) == EXIT_OK
-        for name in ("final_checkpoint.json", "final_report.csv"):
-            assert (tmp_path / "v1" / name).read_bytes() == (tmp_path / "v2" / name).read_bytes(), name
+    @pytest.mark.parametrize("command, with_split", [("self-train", True), ("report-reliability", True),
+                                                     ("report-reliability", False)],
+                             ids=["self_train", "report_with_split", "report_stored"])
+    def test_dump_without_format_version_exits_3(self, split_dir, stage2, stage2_v1, tmp_path, capsys, command,
+                                                with_split):
+        """The earlier per-row layout is refused, even where only the stored reliabilities would be read."""
+        argv = _selection_argv(command, split_dir, stage2[0], stage2_v1, tmp_path / "o")
+        if not with_split:
+            argv = argv[:3] + argv[5:]  # drop "--split" and its value
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error:" in err and "pseudo-label" in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestSelectionProvenance:
