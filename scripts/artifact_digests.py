@@ -11,7 +11,9 @@ Prints one ``sha256  path`` line per output file, sorted by path.
 writes no file, so its stdout is digested as ``evaluate.stdout``. Each
 ``selection.json`` also gets a ``sha256  path decoded`` line: the digest of
 the selected indices (int64) and their soft rows (float64) as the ``--src``
-package's own ``load_selection`` and ``selected_set_from_dump`` read them.
+package's own ``load_selection`` and ``selected_set_from_dump`` read them,
+then of the dump's ``hard_label`` (int64) and ``distance`` (float64)
+columns over every unlabeled row, whether it holds them as lists or arrays.
 Each split directory gets a ``sha256  dir decoded`` line in the same way: the
 digest of the arrays that the ``--src`` package's ``load_split`` returns
 (source, labeled target, validation target as float64 features and int64
@@ -55,10 +57,12 @@ COMMANDS = [
 def decoded_digest(path: Path) -> str:
     from ssda_lab.pseudolabel import load_selection, selected_set_from_dump
 
-    selected = selected_set_from_dump(load_selection(path))
-    rows = sorted(selected.annotations, key=lambda a: a.index)
+    dump = load_selection(path)
+    rows = sorted(selected_set_from_dump(dump).annotations, key=lambda a: a.index)
     digest = hashlib.sha256(np.array([a.index for a in rows], dtype=np.int64).tobytes())
     digest.update(np.stack([a.soft_label for a in rows]).astype(np.float64).tobytes())
+    digest.update(np.asarray(dump["hard_label"], dtype=np.int64).tobytes())
+    digest.update(np.asarray(dump["distance"], dtype=np.float64).tobytes())
     return digest.hexdigest()
 
 

@@ -38,7 +38,7 @@ from .pseudolabel import (
     save_selection,
     select,
     selected_set_from_dump,
-    selection_to_jsonable,
+    selection_dump,
 )
 from .trainer import (
     TrainConfig,
@@ -178,6 +178,14 @@ def _write_manifest(args: argparse.Namespace, out_dir: Path, config: TrainConfig
 # -- the three stages, shared by the stage commands and the ablation grids --
 
 
+@contextmanager
+def _timed(timings: dict, key: str):
+    """Add the seconds the block takes to ``timings[key]``."""
+    t0 = time.perf_counter()
+    yield
+    timings[key] = timings.get(key, 0.0) + time.perf_counter() - t0
+
+
 def _stage1(split: SSDASplit, config: TrainConfig):
     """The minimax-entropy baseline: (params, report with its test accuracy)."""
     params, report = train_baseline(split, config)
@@ -264,26 +272,25 @@ def cmd_stages(args) -> int:
     artifacts: dict = {}
     timings: dict = {}
     for n in args.stages:
-        t0 = time.perf_counter()
-        if n == 1:
-            params, report = _stage1(split, config)
-            _write_trained(out, "baseline", "baseline", params, report, config, artifacts)
-        elif n == 2:
-            annotations, selected = _stage2(split, params, config.r_u)
-            before = reliability(annotations, split.unlabeled_truth)
-            after = reliability(selected.annotations, split.unlabeled_truth)
-            source = artifacts.get("baseline_checkpoint") or args.checkpoint
-            artifacts["selection"] = out / "selection.json"
-            save_selection(artifacts["selection"], selection_to_jsonable(
-                selected, annotations, before, after,
-                split_checksum=split_checksum(args.split), checkpoint_sha256=_sha256_file(source)))
-            print(f"selected {len(selected)} of {len(split.unlabeled_target)} "
-                  f"(quota {selected.per_class_quota}/class, r_u={config.r_u})")
-            print(f"reliability before/after selection: {100 * before:.1f} -> {100 * after:.1f}")
-        else:
-            final, report = _stage3(split, selected, params, config)
-            _write_trained(out, "final", "selftrain", final, report, config, artifacts)
-        timings[f"stage{n}"] = time.perf_counter() - t0
+        with _timed(timings, f"stage{n}"):
+            if n == 1:
+                params, report = _stage1(split, config)
+                _write_trained(out, "baseline", "baseline", params, report, config, artifacts)
+            elif n == 2:
+                annotations, selected = _stage2(split, params, config.r_u)
+                before = reliability(annotations, split.unlabeled_truth)
+                after = reliability(selected.annotations, split.unlabeled_truth)
+                source = artifacts.get("baseline_checkpoint") or args.checkpoint
+                artifacts["selection"] = out / "selection.json"
+                save_selection(artifacts["selection"], selection_dump(
+                    selected, annotations, before, after,
+                    split_checksum=split_checksum(args.split), checkpoint_sha256=_sha256_file(source)))
+                print(f"selected {len(selected)} of {len(split.unlabeled_target)} "
+                      f"(quota {selected.per_class_quota}/class, r_u={config.r_u})")
+                print(f"reliability before/after selection: {100 * before:.1f} -> {100 * after:.1f}")
+            else:
+                final, report = _stage3(split, selected, params, config)
+                _write_trained(out, "final", "selftrain", final, report, config, artifacts)
     _write_manifest(args, out, config, artifacts, timings)
     return EXIT_OK
 
@@ -299,24 +306,27 @@ def cmd_evaluate(args) -> int:
 
 
 def _run_grid(split: SSDASplit, regen: bool, config: TrainConfig, arms: list[tuple[str, dict]],
-              seeds: list[int]) -> list[tuple]:
-    """Every (arm, seed) cell, sorted; returns (seed, tag, accuracy) rows.
+              seeds: list[int]) -> tuple[list[tuple], dict]:
+    """Every (arm, seed) cell: the sorted (seed, tag, accuracy) rows and the seconds per stage over all cells.
 
     With ``regen`` each seed's split is redrawn from its spec at that seed.
     Stage 1 reads none of the fields an arm overrides (``r_u``,
     ``use_hard_labels``, ``label_momentum``), so it is trained once per seed
     and every arm of that seed starts from the same baseline params.
     """
-    rows = []
+    rows, timings = [], {}
     for seed in seeds:
         data = (gen_split(replace(split.spec, seed=seed), split.n_t_per_class, split.n_val_per_class)
                 if regen else split)
-        params = _stage1(data, replace(config, seed=seed))[0]
+        with _timed(timings, "stage1"):
+            params = _stage1(data, replace(config, seed=seed))[0]
         for tag, arm in arms:
             cell = replace(config, **arm, seed=seed)
-            selected = _stage2(data, params, cell.r_u)[1]
-            rows.append((seed, tag, _stage3(data, selected, params, cell)[1].final_test_acc))
-    return sorted(rows)
+            with _timed(timings, "stage2"):
+                selected = _stage2(data, params, cell.r_u)[1]
+            with _timed(timings, "stage3"):
+                rows.append((seed, tag, _stage3(data, selected, params, cell)[1].final_test_acc))
+    return sorted(rows), timings
 
 
 def _grid_seeds(args: argparse.Namespace) -> list[int]:
@@ -353,7 +363,7 @@ def cmd_ablate_ru(args) -> int:
     config, split, _, _, out = _stage_inputs(args)
 
     arms = [(repr(r_u), {"r_u": r_u}) for r_u in grid]
-    results = _run_grid(split, args.regen, config, arms, seeds)
+    results, timings = _run_grid(split, args.regen, config, arms, seeds)
 
     rows = sorted((float(tag), seed, acc) for seed, tag, acc in results)
     lines = ["r_u,seed,accuracy"] + [f"{r!r},{s},{a!r}" for r, s, a in rows]
@@ -372,7 +382,7 @@ def cmd_ablate_ru(args) -> int:
     for r_u, mean, std in summary:
         marker = "  <- best" if r_u == best else ""
         print(f"r_u={r_u}: mean={mean:.4f} std={std:.4f}{marker}")
-    _write_manifest(args, out, config, {"sweep": out / "ru_sweep.csv", "summary": out / "ru_summary.csv"}, {},
+    _write_manifest(args, out, config, {"sweep": out / "ru_sweep.csv", "summary": out / "ru_summary.csv"}, timings,
                     seeds)
     return EXIT_OK
 
@@ -387,7 +397,7 @@ def cmd_ablate_noise(args) -> int:
         ("progressive", {"use_hard_labels": False, "label_momentum": config.label_momentum}),
         ("vanilla", {"use_hard_labels": True, "label_momentum": 1.0}),
     ]
-    results = _run_grid(split, args.regen, config, arms, seeds)
+    results, timings = _run_grid(split, args.regen, config, arms, seeds)
 
     by_arm: dict[str, dict[int, float]] = {"progressive": {}, "vanilla": {}}
     for seed, tag, acc in results:
@@ -402,7 +412,7 @@ def cmd_ablate_noise(args) -> int:
 
     mean_diff = float(np.mean(diffs))
     print(f"paired mean difference (progressive - vanilla): {mean_diff:+.4f} over {len(seeds)} seeds")
-    _write_manifest(args, out, config, {"table": out / "noise_ablation.csv"}, {}, seeds)
+    _write_manifest(args, out, config, {"table": out / "noise_ablation.csv"}, timings, seeds)
     return EXIT_OK
 
 

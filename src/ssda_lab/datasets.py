@@ -261,8 +261,27 @@ def _labeled_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _read_table(data: bytes, name: str, dtype: np.dtype, shape: tuple) -> np.ndarray:
-    """One ``.npy`` table, refused unless it holds exactly ``dtype`` and ``shape`` and nothing after."""
+def write_table(path: str | Path, array: np.ndarray) -> str:
+    """Write ``array`` as one ``.npy`` file (no pickle); returns the sha256 of the bytes written."""
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=False)
+    data = buf.getvalue()
+    Path(path).write_bytes(data)
+    return _sha256(data)
+
+
+def read_table(path: str | Path, sha256, dtype: np.dtype, shape: tuple) -> np.ndarray:
+    """The ``.npy`` table at ``path``, parsed from the very bytes whose ``sha256`` was checked.
+
+    Refused unless it holds exactly ``dtype`` and ``shape`` and nothing after
+    the array; a ``None`` in ``shape`` takes any length along that axis.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise DataError(f"missing table: {path}")
+    data, name = path.read_bytes(), path.name
+    if _sha256(data) != sha256:
+        raise DataError(f"checksum mismatch for {name}")
     fp = io.BytesIO(data)
     try:
         array = np.lib.format.read_array(fp, allow_pickle=False)
@@ -272,8 +291,8 @@ def _read_table(data: bytes, name: str, dtype: np.dtype, shape: tuple) -> np.nda
         raise DataError(f"malformed table {name}: {len(data) - fp.tell()} bytes after the array")
     if array.dtype != dtype:
         raise DataError(f"malformed table {name}: dtype {array.dtype}, expected {dtype}")
-    if array.shape != shape:
-        raise DataError(f"malformed table {name}: shape {array.shape}, the manifest's counts give {shape}")
+    if len(array.shape) != len(shape) or any(n not in (None, m) for n, m in zip(shape, array.shape)):
+        raise DataError(f"malformed table {name}: shape {array.shape}, expected {shape}")
     return array
 
 
@@ -311,13 +330,7 @@ def save_split(split: SSDASplit, out_dir: str | Path) -> Path:
         "unlabeled_target.npy": np.asarray(split.unlabeled_target, dtype="<f8"),
         "unlabeled_truth.npy": np.asarray(split.unlabeled_truth, dtype="<i8"),
     }
-    checksums = {}
-    for name, array in tables.items():
-        buf = io.BytesIO()
-        np.save(buf, array, allow_pickle=False)
-        data = buf.getvalue()
-        (out / name).write_bytes(data)
-        checksums[name] = _sha256(data)
+    checksums = {name: write_table(out / name, array) for name, array in tables.items()}
 
     manifest = {
         "format_version": SPLIT_FORMAT_VERSION,
@@ -415,15 +428,8 @@ def load_split(split_dir: str | Path) -> SSDASplit:
         "unlabeled_target.npy": (np.dtype("<f8"), (counts["unlabeled_target"], spec.input_dim)),
         "unlabeled_truth.npy": (np.dtype("<i8"), (counts["unlabeled_target"],)),
     }
-    arrays = {}
-    for name, (dtype, shape) in layouts.items():
-        path = root / name
-        if not path.exists():
-            raise DataError(f"missing table: {path}")
-        data = path.read_bytes()
-        if _sha256(data) != manifest["checksums"][name]:
-            raise DataError(f"checksum mismatch for {name}")
-        arrays[name] = _read_table(data, name, dtype, shape)
+    arrays = {name: read_table(root / name, manifest["checksums"][name], dtype, shape)
+              for name, (dtype, shape) in layouts.items()}
 
     def xy(name: str) -> tuple[np.ndarray, np.ndarray]:
         rows = arrays[name]

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .coremath import l1_distance
+from .datasets import read_table, write_table
 from .network import NetworkParams, forward_classifier, forward_features
 
 
@@ -127,10 +128,13 @@ def reliability(annotations: list[PseudoAnnotation], hidden_truth: np.ndarray) -
 
 # -- selection dump --
 
-SELECTION_VERSION = 2
+SELECTION_VERSION = 3
+
+# each column's table: its dtype and rank; the checks against the split fix the lengths
+_COLUMNS = {"hard_label": (np.dtype("<i8"), 1), "distance": (np.dtype("<f8"), 1), "soft_label": (np.dtype("<f8"), 2)}
 
 
-def selection_to_jsonable(
+def selection_dump(
     selected: SelectedSet,
     all_annotations: list[PseudoAnnotation],
     reliability_before: float | None = None,
@@ -141,14 +145,16 @@ def selection_to_jsonable(
 ) -> dict:
     """The selection dump: each fact once, and the split and checkpoint it came from.
 
-    ``hard_label`` and ``distance`` are columns over every unlabeled row (row
-    i of ``all_annotations``, as ``infer_pseudo`` returns them, has index i);
-    ``soft_label`` holds the selected rows only, in ascending index order,
-    because self-training reads no other.
+    ``hard_label`` (int64) and ``distance`` (float64) are columns over every
+    unlabeled row (row i of ``all_annotations``, as ``infer_pseudo`` returns
+    them, has index i); ``soft_label`` (float64) holds the rows of the
+    selected samples only, in ascending index order, because self-training
+    reads no other.  ``save_selection`` writes these three arrays as tables.
     """
     by_class: dict[str, list] = {}
     for a in selected.annotations:
         by_class.setdefault(str(a.hard_label), []).append({"index": a.index})
+    rows = sorted(selected.annotations, key=lambda a: a.index)
     return {
         "format_version": SELECTION_VERSION,
         "split_checksum": split_checksum,
@@ -157,19 +163,33 @@ def selection_to_jsonable(
         "per_class_quota": selected.per_class_quota,
         "n_selected": len(selected),
         "selected_by_class": by_class,
-        "hard_label": [a.hard_label for a in all_annotations],
-        "distance": [a.distance for a in all_annotations],
-        "soft_label": [a.soft_label.tolist() for a in sorted(selected.annotations, key=lambda a: a.index)],
+        "hard_label": np.array([a.hard_label for a in all_annotations], dtype="<i8"),
+        "distance": np.array([a.distance for a in all_annotations], dtype="<f8"),
+        "soft_label": np.array([a.soft_label for a in rows], dtype="<f8"),
         "reliability_before": reliability_before,
         "reliability_after": reliability_after,
     }
 
 
+def _table_path(path: Path, column: str) -> Path:
+    """``selection.json``'s ``soft_label`` table is ``selection.soft_label.npy``, beside it."""
+    return path.with_name(f"{path.stem}.{column}.npy")
+
+
 def save_selection(path: str | Path, dump: dict) -> None:
-    Path(path).write_text(json.dumps(dump), encoding="utf-8")
+    """Write the three column tables, then the JSON with their checksums in place of the columns."""
+    p = Path(path)
+    checksums = {c: write_table(_table_path(p, c), dump[c]) for c in _COLUMNS}
+    record = {k: v for k, v in dump.items() if k not in _COLUMNS}
+    p.write_text(json.dumps({**record, "checksums": checksums}), encoding="utf-8")
 
 
 def load_selection(path: str | Path) -> dict:
+    """The dump at ``path`` with its three columns read from the tables beside it.
+
+    Each table must match the checksum the JSON records for it and hold one
+    array of its column's dtype and rank; ``check_selection`` fixes the lengths.
+    """
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"selection dump not found: {p}")
@@ -179,6 +199,11 @@ def load_selection(path: str | Path) -> dict:
     if dump.get("format_version") != SELECTION_VERSION:
         raise ValueError(f"selection dump format_version {dump.get('format_version')!r} != {SELECTION_VERSION}; "
                          "run pseudo-label again on the checkpoint it came from")
+    checksums = dump.get("checksums")
+    if not isinstance(checksums, dict):
+        raise ValueError("selection dump lacks its table checksums")
+    for c, (dtype, rank) in _COLUMNS.items():
+        dump[c] = read_table(_table_path(p, c), checksums.get(c), dtype, (None,) * rank)
     return dump
 
 
@@ -204,26 +229,29 @@ def check_selection(dump: dict, n_unlabeled: int, n_classes: int) -> None:
     """Check a loaded selection dump against its split.
 
     Raises ValueError unless every key is present, the provenance values are
-    strings, the ``hard_label`` and ``distance`` columns hold an integer in
-    [0, n_classes) and a number for each of the n_unlabeled rows,
+    strings, ``hard_label`` is an int64 column in [0, n_classes) and
+    ``distance`` a float64 column of numbers >= 0, each of n_unlabeled rows,
     ``selected_by_class`` lists at least one row, each once, in
     [0, n_unlabeled) and under its hard label, no class keeps more than
     ``per_class_quota`` = ceil(r_u * n_unlabeled / n_classes) rows,
-    ``n_selected`` counts the listed rows, and ``soft_label`` holds one row per
-    listed row of n_classes numbers in [0, 1] that sum to 1 within 1e-9.
+    ``n_selected`` counts the listed rows, and ``soft_label`` is a float64
+    table of one row per listed row and n_classes columns, each row of
+    numbers in [0, 1] that sum to 1 within 1e-9.
     """
     missing = [k for k in _DUMP_KEYS if k not in dump]
     if missing:
         raise ValueError(f"selection dump lacks the keys {missing}")
     if not all(isinstance(dump[k], str) for k in _PROVENANCE_KEYS):
         raise ValueError(f"selection provenance {list(_PROVENANCE_KEYS)} must be strings")
-    hard, distance = np.array(dump["hard_label"]), np.array(dump["distance"])
+    hard, distance, soft = (dump[c] for c in _COLUMNS)
+    if not all(isinstance(dump[c], np.ndarray) and dump[c].dtype == dtype for c, (dtype, _) in _COLUMNS.items()):
+        raise ValueError("selection hard labels must be an int64 array, distances and soft rows float64 arrays")
     if hard.shape != (n_unlabeled,) or distance.shape != (n_unlabeled,):
         raise ValueError(f"selection hard_label and distance must hold one entry per unlabeled row ({n_unlabeled})")
-    if hard.dtype.kind != "i" or distance.dtype.kind != "f":
-        raise ValueError("selection hard labels must be integers, distances numbers")
     if hard.min() < 0 or hard.max() >= n_classes:
         raise ValueError(f"selection hard labels must lie in [0, {n_classes})")
+    if not np.all(distance >= 0):  # written so that NaN is refused
+        raise ValueError("selection distances must be numbers >= 0")
     classes, index = _selected_rows(dump["selected_by_class"])
     if not index.size:
         raise ValueError("selection dump selects no rows")
@@ -241,20 +269,12 @@ def check_selection(dump: dict, n_unlabeled: int, n_classes: int) -> None:
         raise ValueError(f"a class keeps more than its quota of {quota} rows")
     if type(count) is not int or count != index.size:
         raise ValueError(f"n_selected {count!r} != the {index.size} rows selected_by_class lists")
-    rows = dump["soft_label"]
-    try:
-        widths = {len(row) for row in rows}
-        n_rows = len(rows)
-    except TypeError as err:
-        raise ValueError("selection soft_label must be a list of rows") from err
-    if n_rows != index.size:
-        raise ValueError(f"selection dump holds {n_rows} soft rows for {index.size} selected rows")
-    if widths != {n_classes}:
-        raise ValueError(f"selection soft rows have widths {sorted(widths)}, the split has {n_classes} classes")
-    soft = np.array(rows)
+    if len(soft) != index.size:
+        raise ValueError(f"selection dump holds {len(soft)} soft rows for {index.size} selected rows")
+    if soft.shape[1:] != (n_classes,):
+        raise ValueError(f"selection soft rows have widths {list(soft.shape[1:])}, the split has {n_classes} classes")
     # written so that NaN, which fails every comparison, is refused
-    in_range = soft.ndim == 2 and soft.dtype.kind in "if" and np.all((soft >= 0) & (soft <= 1))
-    if not (in_range and np.all(np.abs(soft.sum(axis=1) - 1.0) <= 1e-9)):
+    if not (np.all((soft >= 0) & (soft <= 1)) and np.all(np.abs(soft.sum(axis=1) - 1.0) <= 1e-9)):
         raise ValueError("every selected soft row must hold numbers in [0, 1] that sum to 1 within 1e-9")
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import shutil
 import sys
@@ -13,11 +14,12 @@ from ssda_lab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME, main
 from ssda_lab.coremath import seeded_rng
 from ssda_lab.datasets import load_split, split_checksum
 from ssda_lab.network import forward_features, init_params, load_checkpoint, save_checkpoint
-from ssda_lab.pseudolabel import infer_pseudo, reliability, select
+from ssda_lab.pseudolabel import infer_pseudo, load_selection, reliability, select
 from ssda_lab.trainer import TrainConfig, evaluate, progressive_self_train, train_baseline
 
 FAST = ["--t-max", "200", "--t-val", "25", "--patience", "4"]
 FAST_CONFIG = TrainConfig(t_max=200, t_val=25, patience=4)
+COLUMNS = ("hard_label", "distance", "soft_label")
 
 
 def gen_args(out, seed=0, shots=3, extra=()):
@@ -36,6 +38,18 @@ def split_dir(tmp_path_factory):
 
 def _tree_digest(root: Path) -> dict:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(root.iterdir())}
+
+
+def _table(selection: Path, column: str) -> Path:
+    """The table of one column beside a selection dump, named from the dump's stem."""
+    return selection.with_name(f"{selection.stem}.{column}.npy")
+
+
+def _copy_selection(good: Path, dest: Path) -> Path:
+    """Copy a selection dump and its three tables to ``dest`` and the table names its stem gives."""
+    for src, dst in [(good, dest), *((_table(good, c), _table(dest, c)) for c in COLUMNS)]:
+        shutil.copyfile(src, dst)
+    return dest
 
 
 def _poison_source_npy(split: Path) -> None:
@@ -103,6 +117,7 @@ class TestRunPipeline:
         assert main(["run-pipeline", "--split", str(split_dir), "--out", str(out), *FAST]) == EXIT_OK
         for name in [
             "baseline_checkpoint.json", "baseline_report.csv", "selection.json",
+            *(f"selection.{c}.npy" for c in COLUMNS),
             "final_checkpoint.json", "final_report.csv", "manifest.json",
         ]:
             assert (out / name).exists(), name
@@ -277,7 +292,7 @@ class TestStagedCommands:
 
         staged = {
             base: ["baseline_checkpoint.json", "baseline_report.json", "baseline_report.csv"],
-            sel: ["selection.json"],
+            sel: ["selection.json", *(f"selection.{c}.npy" for c in COLUMNS)],
             st: ["final_checkpoint.json", "final_report.json", "final_report.csv"],
         }
         for out, names in staged.items():
@@ -411,6 +426,16 @@ class TestAblations:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seeds"] == [0, 1] and "seed" not in manifest["config"]
 
+    @pytest.mark.parametrize("argv", [["ablate-ru", "--grid", "0.2,1.0", "--seeds", "0,1"],
+                                      ["ablate-noise", "--seeds", "0,1"]], ids=["ru", "noise"])
+    def test_grid_manifest_records_stage_seconds(self, split_dir, tmp_path, argv):
+        """Each stage's seconds, summed over the grid's cells."""
+        out = tmp_path / "grid"
+        assert main([*argv, "--split", str(split_dir), "--out", str(out), *FAST]) == EXIT_OK
+        timings = json.loads((out / "manifest.json").read_text())["timings_s"]
+        assert set(timings) == {"stage1", "stage2", "stage3"}
+        assert all(seconds > 0 for seconds in timings.values())
+
     def test_noise_ablation_needs_two_seeds(self, split_dir, tmp_path):
         assert main(["ablate-noise", "--split", str(split_dir), "--out", str(tmp_path / "o"),
                      "--seeds", "0"]) == EXIT_CONFIG
@@ -425,6 +450,17 @@ def stage2(split_dir, tmp_path_factory):
     assert main(["pseudo-label", "--split", str(split_dir), "--checkpoint", str(ckpt),
                  "--out", str(root / "s2"), *FAST]) == EXIT_OK
     return ckpt, root / "s2" / "selection.json"
+
+
+@pytest.fixture(scope="module")
+def stage2_other(split_dir, tmp_path_factory):
+    """The selection dump of another baseline (seed 1) on ``split_dir``."""
+    root = tmp_path_factory.mktemp("stage2_other")
+    ckpt = root / "s1" / "baseline_checkpoint.json"
+    common = ["--split", str(split_dir), "--seed", "1", *FAST]
+    assert main(["train-baseline", "--out", str(root / "s1"), *common]) == EXIT_OK
+    assert main(["pseudo-label", "--checkpoint", str(ckpt), "--out", str(root / "s2"), *common]) == EXIT_OK
+    return root / "s2" / "selection.json"
 
 
 def _foreign_checkpoint(input_dim: int, n_classes: int):
@@ -461,6 +497,59 @@ BAD_CHECKPOINTS = [
     pytest.param(_edited_json(lambda d: d["params"].update(temperature=float("nan"))), id="temperature_nan"),
     pytest.param(_edited_json(lambda d: d["params"].update(temperature=float("inf"))), id="temperature_inf"),
 ]
+
+
+def _npy(array: np.ndarray, allow_pickle: bool = False) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=allow_pickle)
+    return buf.getvalue()
+
+
+def _restamped(column: str, rewrite):
+    """Rewrite one table's bytes as ``rewrite(array, bytes)`` gives them and restamp its checksum in the JSON,
+    so that only the checks of the table's content can object."""
+    def write(path: Path, good: Path) -> None:
+        table = _table(path, column)
+        data = table.read_bytes()
+        table.write_bytes(rewrite(np.load(io.BytesIO(data)).copy(), data))
+        dump = json.loads(path.read_text())
+        dump["checksums"][column] = hashlib.sha256(table.read_bytes()).hexdigest()
+        path.write_text(json.dumps(dump))
+    return write
+
+
+def _set(index, value):
+    """A table rewrite that sets ``array[index] = value``."""
+    def rewrite(array: np.ndarray, data: bytes) -> bytes:
+        array[index] = value
+        return _npy(array)
+    return rewrite
+
+
+def _flipped(column: str):
+    """Flip one bit of a table's last byte and leave its checksum as it was."""
+    def write(path: Path, good: Path) -> None:
+        data = bytearray(_table(path, column).read_bytes())
+        data[-1] ^= 1
+        _table(path, column).write_bytes(bytes(data))
+    return write
+
+
+def _missing(column: str):
+    return lambda path, good: _table(path, column).unlink()
+
+
+def _directory(column: str):
+    def write(path: Path, good: Path) -> None:
+        _table(path, column).unlink()
+        _table(path, column).mkdir()
+    return write
+
+
+def _drop_last_rows(path: Path, good: Path) -> None:
+    """The hard_label and distance columns of a split one unlabeled row smaller."""
+    for column in ("hard_label", "distance"):
+        _restamped(column, lambda array, data: _npy(array[:-1]))(path, good)
 
 
 def _first_listed(dump: dict) -> dict:
@@ -500,29 +589,27 @@ BAD_SELECTIONS = [
     pytest.param(_edited_json(lambda d: d.update(r_u=0.01, per_class_quota=1)), "more than its quota",
                  id="class_over_quota"),
     pytest.param(_edited_json(_move_first_listed), "hard label of its rows", id="class_key_not_hard_label"),
-    pytest.param(_edited_json(lambda d: d.update(format_version=3)), "run pseudo-label again",
-                 id="format_version_3"),
+    pytest.param(_edited_json(lambda d: d.update(format_version=4)), "run pseudo-label again",
+                 id="format_version_4"),
+    pytest.param(_edited_json(lambda d: d.pop("checksums")), "lacks its table checksums", id="no_checksums"),
     pytest.param(_edited_json(lambda d: _first_listed(d).pop("index")), "selected_by_class must map",
                  id="missing_entry_key"),
     pytest.param(_edited_json(lambda d: _first_listed(d).update(index=486)), "lie in [0, 72)",
                  id="index_from_larger_split"),
     pytest.param(_edited_json(_duplicate_first_listed), "unique", id="duplicate_index"),
-    pytest.param(_edited_json(lambda d: d["hard_label"].__setitem__(0, 3)), "hard labels must lie in",
-                 id="hard_label_3"),
-    pytest.param(_edited_json(lambda d: d["distance"].__setitem__(0, None)), "distances numbers", id="null_distance"),
-    pytest.param(_edited_json(lambda d: d["soft_label"][0].append(0.0)), "widths", id="soft_width_4"),
-    pytest.param(_edited_json(lambda d: d.update(selected_by_class={}, n_selected=0, soft_label=[])),
-                 "selects no rows", id="none_selected"),
-    pytest.param(_edited_json(lambda d: d["soft_label"][0].__setitem__(0, float("nan"))), "sum to 1", id="soft_nan"),
-    pytest.param(_edited_json(lambda d: d["soft_label"].__setitem__(0, [2.0, -1.0, 0.0])), "sum to 1",
-                 id="soft_outside_0_1"),
-    pytest.param(_edited_json(lambda d: d["soft_label"].__setitem__(0, [1.0, 1.0, 0.0])), "sum to 1",
-                 id="soft_sum_2"),
-    pytest.param(_edited_json(lambda d: d["soft_label"].__setitem__(0, ["a", "b", "c"])), "sum to 1",
-                 id="soft_strings"),
-    pytest.param(_edited_json(lambda d: d["soft_label"].pop()), "soft rows for", id="soft_row_missing"),
-    pytest.param(_edited_json(lambda d: [d[k].pop() for k in ("hard_label", "distance")]),
-                 "one entry per unlabeled row", id="columns_of_smaller_split"),
+    pytest.param(_restamped("hard_label", _set(0, 3)), "hard labels must lie in", id="hard_label_3"),
+    pytest.param(_restamped("distance", _set(0, np.nan)), "distances must be numbers", id="nan_distance"),
+    pytest.param(_restamped("distance", _set(0, -1.0)), "distances must be numbers", id="negative_distance"),
+    pytest.param(_restamped("soft_label", lambda a, d: _npy(np.hstack([a, np.zeros((len(a), 1))]))), "widths",
+                 id="soft_width_4"),
+    pytest.param(_edited_json(lambda d: d.update(selected_by_class={}, n_selected=0)), "selects no rows",
+                 id="none_selected"),
+    pytest.param(_restamped("soft_label", _set((0, 0), np.nan)), "sum to 1", id="soft_nan"),
+    pytest.param(_restamped("soft_label", _set(0, [2.0, -1.0, 0.0])), "sum to 1", id="soft_outside_0_1"),
+    pytest.param(_restamped("soft_label", _set(0, [1.0, 1.0, 0.0])), "sum to 1", id="soft_sum_2"),
+    pytest.param(_restamped("soft_label", lambda a, d: _npy(a.astype(str))), "dtype", id="soft_strings"),
+    pytest.param(_restamped("soft_label", lambda a, d: _npy(a[:-1])), "soft rows for", id="soft_row_missing"),
+    pytest.param(_drop_last_rows, "one entry per unlabeled row", id="columns_of_smaller_split"),
     pytest.param(_edited_json(lambda d: d.update(split_checksum=5)), "must be strings", id="provenance_number"),
     pytest.param(_edited_json(lambda d: d.update(split_checksum=None)), "must be strings",
                  id="provenance_null_split"),
@@ -531,6 +618,19 @@ BAD_SELECTIONS = [
     # the dump edit that an unchecked reader once ran to "final accuracy"
     pytest.param(_edited_json(lambda d: d.update(n_selected=999, per_class_quota=1, selected_by_class={"0": []})),
                  "selects no rows", id="edited_counts"),
+    # each table: its bytes changed under the checksum, gone, or rewritten with a restamped checksum
+    *(pytest.param(write, reason, id=f"{column}_{case}")
+      for column in COLUMNS
+      for case, write, reason in [
+          ("flipped_bit", _flipped(column), "checksum mismatch"),
+          ("missing", _missing(column), "missing table"),
+          ("directory", _directory(column), "missing table"),
+          ("float32", _restamped(column, lambda a, d: _npy(a.astype(np.float32))), "dtype"),
+          ("extra_axis", _restamped(column, lambda a, d: _npy(a[..., None])), "shape"),
+          ("pickled_objects", _restamped(column, lambda a, d: _npy(a.astype(object), allow_pickle=True)),
+           "allow_pickle=False"),
+          ("trailing_bytes", _restamped(column, lambda a, d: d + bytes(8)), "8 bytes after the array"),
+      ]),
 ]
 
 # Edits of a version-1 dump that its reader once caught row by row. The format check refuses
@@ -543,7 +643,7 @@ BAD_VERSION_1_SELECTIONS = [
     pytest.param(_edited_json(lambda d: d.update(per_class_quota=1)), REBUILD, id="quota_not_from_r_u"),
     pytest.param(_edited_json(lambda d: d.update(r_u=0.01, per_class_quota=1)), REBUILD, id="class_over_quota"),
     pytest.param(_edited_json(_move_first_listed), REBUILD, id="class_key_not_hard_label"),
-    pytest.param(_edited_json(lambda d: d.update(format_version=3)), REBUILD, id="format_version_3"),
+    pytest.param(_edited_json(lambda d: d.update(format_version=4)), REBUILD, id="format_version_4"),
     pytest.param(_edited_json(lambda d: d["annotations"][0].pop("selected")), REBUILD, id="missing_entry_key"),
     pytest.param(_edited_json(lambda d: d["annotations"][0].update(index=486)), REBUILD,
                  id="index_from_larger_split"),
@@ -595,6 +695,16 @@ def stage2_v1(split_dir, stage2, tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def stage2_v2(stage2, tmp_path_factory):
+    """``stage2``'s selection in the version-2 layout (its columns as JSON lists), beside its version-3 tables."""
+    path = _copy_selection(stage2[1], tmp_path_factory.mktemp("stage2_v2") / "selection.json")
+    dump = load_selection(stage2[1])
+    del dump["checksums"]
+    path.write_text(json.dumps({**dump, "format_version": 2, **{c: dump[c].tolist() for c in COLUMNS}}))
+    return path
+
+
 def _selection_argv(command: str, split_dir: Path, ckpt: Path, selection: Path, out: Path) -> list:
     if command == "self-train":
         return [command, "--split", str(split_dir), "--checkpoint", str(ckpt), "--selection", str(selection),
@@ -626,11 +736,24 @@ class TestArtifactChecks:
     def test_unusable_selection_exits_3_before_out_exists(self, split_dir, stage2, tmp_path, capsys,
                                                           command, write, reason):
         ckpt, good_selection = stage2
-        bad = tmp_path / "selection.json"
+        bad = _copy_selection(good_selection, tmp_path / "selection.json")
         write(bad, good_selection)
         assert main(_selection_argv(command, split_dir, ckpt, bad, tmp_path / "o")) == EXIT_DATA
         err = capsys.readouterr().err
         assert "data error:" in err and reason in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["self-train", "report-reliability"])
+    @pytest.mark.parametrize("column", COLUMNS)
+    def test_table_left_over_from_another_run_exits_3(self, split_dir, stage2, stage2_other, tmp_path, capsys,
+                                                       command, column):
+        ckpt, good_selection = stage2
+        bad = _copy_selection(good_selection, tmp_path / "selection.json")
+        assert _table(stage2_other, column).read_bytes() != _table(bad, column).read_bytes()
+        shutil.copyfile(_table(stage2_other, column), _table(bad, column))
+        assert main(_selection_argv(command, split_dir, ckpt, bad, tmp_path / "o")) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error:" in err and f"checksum mismatch for selection.{column}.npy" in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["self-train", "report-reliability"])
@@ -645,7 +768,7 @@ class TestArtifactChecks:
         assert not (tmp_path / "o").exists()
 
     def test_truncated_selection_without_split_exits_3(self, stage2, tmp_path, capsys):
-        bad = tmp_path / "selection.json"
+        bad = _copy_selection(stage2[1], tmp_path / "selection.json")
         bad.write_text(stage2[1].read_text()[:100])
         assert main(["report-reliability", "--selection", str(bad), "--csv", str(tmp_path / "o")]) == EXIT_DATA
         assert "data error:" in capsys.readouterr().err
@@ -661,41 +784,46 @@ class TestArtifactChecks:
 
 
 class TestSelectionVersions:
-    """Stage 2 writes the version-2 layout, the only one that loads."""
+    """Stage 2 writes the version-3 layout, the only one that loads."""
 
-    def test_version_2_stores_soft_rows_of_the_selected_rows_only(self, split_dir, stage2):
+    def test_version_3_keeps_its_columns_in_checksummed_tables(self, split_dir, stage2):
         ckpt, selection = stage2
         dump = json.loads(selection.read_text())
-        assert dump["format_version"] == 2
-        assert len(dump["hard_label"]) == len(dump["distance"]) == 72
-        assert len(dump["soft_label"]) == dump["n_selected"] < 72
+        assert dump["format_version"] == 3
+        assert not set(COLUMNS) & set(dump)
+        assert dump["checksums"] == {c: hashlib.sha256(_table(selection, c).read_bytes()).hexdigest()
+                                     for c in COLUMNS}
+        tables = {c: np.load(_table(selection, c), allow_pickle=False) for c in COLUMNS}
+        assert (tables["hard_label"].dtype, tables["hard_label"].shape) == (np.dtype("<i8"), (72,))
+        assert (tables["distance"].dtype, tables["distance"].shape) == (np.dtype("<f8"), (72,))
+        assert (tables["soft_label"].dtype, tables["soft_label"].shape) == (np.dtype("<f8"), (dump["n_selected"], 3))
+        assert dump["n_selected"] < 72
         assert dump["split_checksum"] == split_checksum(split_dir)
         assert dump["checkpoint_sha256"] == hashlib.sha256(ckpt.read_bytes()).hexdigest()
 
+    @pytest.mark.parametrize("layout", ["stage2_v1", "stage2_v2"], ids=["version_1", "version_2"])
     @pytest.mark.parametrize("command, with_split", [("self-train", True), ("report-reliability", True),
                                                      ("report-reliability", False)],
                              ids=["self_train", "report_with_split", "report_stored"])
-    def test_dump_without_format_version_exits_3(self, split_dir, stage2, stage2_v1, tmp_path, capsys, command,
-                                                with_split):
-        """The earlier per-row layout is refused, even where only the stored reliabilities would be read."""
-        argv = _selection_argv(command, split_dir, stage2[0], stage2_v1, tmp_path / "o")
+    def test_earlier_layout_exits_3(self, request, split_dir, stage2, tmp_path, capsys, layout, command,
+                                    with_split):
+        """The per-row layout (no ``format_version``) and the JSON-column layout (version 2) are refused,
+        even where only the stored reliabilities would be read."""
+        argv = _selection_argv(command, split_dir, stage2[0], request.getfixturevalue(layout), tmp_path / "o")
         if not with_split:
             argv = argv[:3] + argv[5:]  # drop "--split" and its value
         assert main(argv) == EXIT_DATA
         err = capsys.readouterr().err
-        assert "data error:" in err and "pseudo-label" in err
+        assert "data error:" in err and "run pseudo-label again" in err
         assert not (tmp_path / "o").exists()
 
 
 class TestSelectionProvenance:
     """``self-train`` refuses a dump made from another split or checkpoint (exit 3 before ``--out`` exists)."""
 
-    def test_dump_of_another_baseline(self, split_dir, stage2, tmp_path, capsys):
-        other = tmp_path / "other"
-        assert main(["run-pipeline", "--split", str(split_dir), "--out", str(other), "--seed", "1", *FAST]) == EXIT_OK
-        capsys.readouterr()
+    def test_dump_of_another_baseline(self, split_dir, stage2, stage2_other, tmp_path, capsys):
         assert main(["self-train", "--split", str(split_dir), "--checkpoint", str(stage2[0]),
-                     "--selection", str(other / "selection.json"), "--out", str(tmp_path / "o"), *FAST]) == EXIT_DATA
+                     "--selection", str(stage2_other), "--out", str(tmp_path / "o"), *FAST]) == EXIT_DATA
         assert "records checkpoint_sha256" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
@@ -743,7 +871,7 @@ class TestReportReliability:
     def test_bad_stored_value_exits_3_before_csv(self, stage2, tmp_path, capsys, value):
         dump = json.loads(stage2[1].read_text())
         dump["reliability_before"] = value
-        bad = tmp_path / "selection.json"
+        bad = _copy_selection(stage2[1], tmp_path / "selection.json")
         bad.write_text(json.dumps(dump))
         assert main(["report-reliability", "--selection", str(bad), "--csv", str(tmp_path / "o")]) == EXIT_DATA
         assert "data error:" in capsys.readouterr().err

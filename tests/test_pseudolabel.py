@@ -10,11 +10,13 @@ from ssda_lab.coremath import seeded_rng
 from ssda_lab.pseudolabel import (
     PseudoAnnotation,
     infer_pseudo,
+    load_selection,
     per_class_quota,
     reliability,
+    save_selection,
     select,
     selected_set_from_dump,
-    selection_to_jsonable,
+    selection_dump,
 )
 
 
@@ -211,18 +213,24 @@ class TestReliability:
 
 
 class TestSelectionDump:
-    def test_round_trip_preserves_selected_set(self):
+    def test_round_trip_through_files_is_bit_exact(self, tmp_path):
         annotations, anchors, n, k = random_pool(seed=11, n=40, k=4)
         selected = select(annotations, anchors, r_u=0.3, n_u=n, n_classes=k)
-        dump = selection_to_jsonable(selected, annotations, reliability_before=0.5, reliability_after=0.8,
-                                     split_checksum="split", checkpoint_sha256="checkpoint")
+        path = tmp_path / "selection.json"
+        save_selection(path, selection_dump(selected, annotations, reliability_before=0.5, reliability_after=0.8,
+                                            split_checksum="split", checkpoint_sha256="checkpoint"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "selection.distance.npy", "selection.hard_label.npy", "selection.json", "selection.soft_label.npy"]
+        dump = load_selection(path)
         rebuilt = selected_set_from_dump(dump)
         assert rebuilt.index_set == selected.index_set
         assert rebuilt.r_u == selected.r_u
         assert rebuilt.per_class_quota == selected.per_class_quota
-        assert {a.index: a.soft_label.tolist() for a in rebuilt.annotations} == {
-            a.index: a.soft_label.tolist() for a in selected.annotations
-        }
+        rows = sorted(selected.annotations, key=lambda a: a.index)
+        assert np.stack([a.soft_label for a in rebuilt.annotations]).tobytes() == \
+            np.stack([a.soft_label for a in rows]).tobytes()
+        assert dump["hard_label"].tobytes() == np.array([a.hard_label for a in annotations], "<i8").tobytes()
+        assert dump["distance"].tobytes() == np.array([a.distance for a in annotations], "<f8").tobytes()
         assert dump["reliability_before"] == 0.5
         assert dump["n_selected"] == len(selected) == len(dump["soft_label"])
         assert (dump["split_checksum"], dump["checkpoint_sha256"]) == ("split", "checkpoint")
