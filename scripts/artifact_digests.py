@@ -18,7 +18,10 @@ Each split directory gets a ``sha256  dir decoded`` line in the same way: the
 digest of the arrays that the ``--src`` package's ``load_split`` returns
 (source, labeled target, validation target as float64 features and int64
 labels, then the unlabeled features and their truth), each with its shape,
-so splits stored in different file formats that decode alike match.
+so splits stored in different file formats that decode alike match. Each
+``*_checkpoint.json`` gets a ``sha256  path decoded`` line too: the digest of
+its layer shapes, classifier shape and temperature ``repr``, then of its flat
+float64 weights, as the ``--src`` package's ``load_checkpoint`` returns them.
 
     python scripts/artifact_digests.py > change.txt
     python scripts/artifact_digests.py --src /path/to/parent/src > parent.txt
@@ -79,6 +82,16 @@ def decoded_split_digest(path: Path) -> str:
     return digest.hexdigest()
 
 
+def decoded_checkpoint_digest(path: Path) -> str:
+    from ssda_lab.network import load_checkpoint
+
+    params = load_checkpoint(path)["params"]
+    layout = ([(w.shape, b.shape) for w, b in params.extractor_layers], params.classifier_weights.shape)
+    digest = hashlib.sha256(repr((*layout, repr(params.temperature))).encode())
+    digest.update(np.asarray(params.flat, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
@@ -103,6 +116,8 @@ def main() -> None:
             print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(work)}")
             if path.name == "selection.json":
                 print(f"{decoded_digest(path)}  {path.relative_to(work)} decoded")
+            if path.name.endswith("_checkpoint.json"):
+                print(f"{decoded_checkpoint_digest(path)}  {path.relative_to(work)} decoded")
 
 
 if __name__ == "__main__":

@@ -8,7 +8,6 @@ The ablation grids run every cell in this process, one seed at a time.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -18,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import DataError, sha256
 from .coremath import SEED_LIMIT
 from .datasets import (
-    DataError,
     DomainPairSpec,
     ShiftSpec,
     SSDASplit,
@@ -111,27 +110,13 @@ def build_config(args: argparse.Namespace) -> TrainConfig:
 # -- artifacts checked against their split --
 
 
-@contextmanager
-def _data_errors(path: str):
-    """Report a malformed artifact at ``path`` as a data error (exit 3)."""
-    try:
-        yield
-    except (ValueError, KeyError, TypeError) as err:
-        raise DataError(f"unusable {path}: {err}") from err
-
-
 def _load_params(path: str, split: SSDASplit) -> NetworkParams:
     """A checkpoint's params, refused unless their input dim and class count match ``split``."""
-    with _data_errors(path):
-        params = load_checkpoint(path)["params"]
+    params = load_checkpoint(path)["params"]
     if (params.input_dim, params.n_classes) != (split.spec.input_dim, split.n_classes):
         raise DataError(f"checkpoint {path} has input dim {params.input_dim} and {params.n_classes} classes, "
                         f"the split has {split.spec.input_dim} and {split.n_classes}")
     return params
-
-
-def _sha256_file(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _load_dump(args: argparse.Namespace, split: SSDASplit | None) -> dict:
@@ -140,14 +125,13 @@ def _load_dump(args: argparse.Namespace, split: SSDASplit | None) -> dict:
     A checked dump must also name the ``--split`` and, where the command
     takes one, the ``--checkpoint`` it was made from.
     """
-    with _data_errors(args.selection):
-        dump = load_selection(args.selection)
-        if split is None:
-            return dump
-        check_selection(dump, len(split.unlabeled_target), split.n_classes)
+    dump = load_selection(args.selection)
+    if split is None:
+        return dump
+    check_selection(dump, len(split.unlabeled_target), split.n_classes)
     inputs = {"split_checksum": ("--split", split_checksum(args.split))}
     if "checkpoint" in args:
-        inputs["checkpoint_sha256"] = ("--checkpoint", _sha256_file(args.checkpoint))
+        inputs["checkpoint_sha256"] = ("--checkpoint", sha256(args.checkpoint))
     for key, (flag, actual) in inputs.items():
         if dump[key] != actual:
             raise DataError(f"{args.selection} records {key} {dump[key]}, but {flag} has {actual}")
@@ -210,12 +194,20 @@ def _stage3(split: SSDASplit, selected, params: NetworkParams, config: TrainConf
 def _stage_inputs(args: argparse.Namespace):
     """config (printed), split, checkpoint params, selected set (None where not taken), then ``--out``.
 
+    Stages 2 and 3 run the checkpoint's network, so its architecture replaces the config's.
     Every input is checked before ``--out`` is made, so a bad one leaves no output directory.
     """
     config = build_config(args)
-    print("effective config: " + json.dumps(asdict(config), sort_keys=True))
     split = load_split(args.split)
     params = _load_params(args.checkpoint, split) if "checkpoint" in args else None
+    if params is not None:
+        config = replace(config, hidden_dims=tuple(w.shape[1] for w, _ in params.extractor_layers[:-1]),
+                         feature_dim=params.classifier_weights.shape[1], temperature=params.temperature)
+        try:  # a network that no config describes, such as one without hidden layers
+            config.validate()
+        except ValueError as err:
+            raise DataError(f"checkpoint {args.checkpoint}: {err}") from err
+    print("effective config: " + json.dumps(asdict(config), sort_keys=True))
     selected = selected_set_from_dump(_load_dump(args, split)) if "selection" in args else None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -284,7 +276,7 @@ def cmd_stages(args) -> int:
                 artifacts["selection"] = out / "selection.json"
                 save_selection(artifacts["selection"], selection_dump(
                     selected, annotations, before, after,
-                    split_checksum=split_checksum(args.split), checkpoint_sha256=_sha256_file(source)))
+                    split_checksum=split_checksum(args.split), checkpoint_sha256=sha256(source)))
                 print(f"selected {len(selected)} of {len(split.unlabeled_target)} "
                       f"(quota {selected.per_class_quota}/class, r_u={config.r_u})")
                 print(f"reliability before/after selection: {100 * before:.1f} -> {100 * after:.1f}")

@@ -17,8 +17,6 @@ feature array and ``unlabeled_truth.npy`` its ``(n,)`` ``<i8`` labels.
 
 from __future__ import annotations
 
-import hashlib
-import io
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
@@ -26,13 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import DataError, check_keys, read_record, read_table, sha256, write_table
 from .coremath import SEED_LIMIT, is_int, seeded_rng
 
 SPLIT_FORMAT_VERSION = 2
-
-
-class DataError(Exception):
-    """Raised for malformed, missing, or tampered split files."""
 
 
 @dataclass(frozen=True)
@@ -261,41 +256,6 @@ def _labeled_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return rows
 
 
-def write_table(path: str | Path, array: np.ndarray) -> str:
-    """Write ``array`` as one ``.npy`` file (no pickle); returns the sha256 of the bytes written."""
-    buf = io.BytesIO()
-    np.save(buf, array, allow_pickle=False)
-    data = buf.getvalue()
-    Path(path).write_bytes(data)
-    return _sha256(data)
-
-
-def read_table(path: str | Path, sha256, dtype: np.dtype, shape: tuple) -> np.ndarray:
-    """The ``.npy`` table at ``path``, parsed from the very bytes whose ``sha256`` was checked.
-
-    Refused unless it holds exactly ``dtype`` and ``shape`` and nothing after
-    the array; a ``None`` in ``shape`` takes any length along that axis.
-    """
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"missing table: {path}")
-    data, name = path.read_bytes(), path.name
-    if _sha256(data) != sha256:
-        raise DataError(f"checksum mismatch for {name}")
-    fp = io.BytesIO(data)
-    try:
-        array = np.lib.format.read_array(fp, allow_pickle=False)
-    except (ValueError, MemoryError) as err:  # MemoryError: a header shape too large to allocate
-        raise DataError(f"malformed table {name}: {err}") from err
-    if fp.tell() != len(data):
-        raise DataError(f"malformed table {name}: {len(data) - fp.tell()} bytes after the array")
-    if array.dtype != dtype:
-        raise DataError(f"malformed table {name}: dtype {array.dtype}, expected {dtype}")
-    if len(array.shape) != len(shape) or any(n not in (None, m) for n, m in zip(shape, array.shape)):
-        raise DataError(f"malformed table {name}: shape {array.shape}, expected {shape}")
-    return array
-
-
 def _check_features(x: np.ndarray, name: str) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise DataError(f"non-finite feature values in {name}")
@@ -306,10 +266,6 @@ def _check_labels(y: np.ndarray, n_classes: int, name: str) -> np.ndarray:
     if np.any(y < 0) or np.any(y >= n_classes):
         raise DataError(f"{name} has labels outside [0, {n_classes})")
     return np.ascontiguousarray(y)
-
-
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
 
 
 def save_split(split: SSDASplit, out_dir: str | Path) -> Path:
@@ -352,7 +308,7 @@ def save_split(split: SSDASplit, out_dir: str | Path) -> Path:
 
 def split_checksum(split_dir: str | Path) -> str:
     """Digest of the manifest, to stamp experiment outputs with their input data."""
-    return _sha256((Path(split_dir) / "manifest.json").read_bytes())
+    return sha256(Path(split_dir) / "manifest.json")
 
 
 _MANIFEST_KEYS = {"format_version", "spec", "n_t_per_class", "n_val_per_class", "counts", "checksums"}
@@ -360,19 +316,11 @@ _COUNTS = {"source", "labeled_target", "unlabeled_target", "validation_target"}
 _TABLES = {f"{name}.npy" for name in (*_COUNTS, "unlabeled_truth")}
 
 
-def _check_keys(found, expected: set, where: str) -> None:
-    if not isinstance(found, dict):
-        raise DataError(f"{where} must be a JSON object")
-    missing, unknown = sorted(expected - set(found)), sorted(set(found) - expected)
-    if missing or unknown:
-        raise DataError(f"{where}: missing keys {missing}, unknown keys {unknown}")
-
-
 def _spec_from_manifest(manifest: dict) -> DomainPairSpec:
     """The manifest's spec, validated; the manifest itself carries no checksum."""
     spec_dict = manifest["spec"]
-    _check_keys(spec_dict, {f.name for f in fields(DomainPairSpec)}, "manifest spec")
-    _check_keys(spec_dict["shift"], {f.name for f in fields(ShiftSpec)}, "manifest spec.shift")
+    check_keys(spec_dict, {f.name for f in fields(DomainPairSpec)}, "manifest spec")
+    check_keys(spec_dict["shift"], {f.name for f in fields(ShiftSpec)}, "manifest spec.shift")
     values = {**spec_dict, **manifest}  # disjoint key sets
     not_int = [k for k in ("n_classes", "input_dim", "n_source", "n_target", "seed", "n_t_per_class",
                            "n_val_per_class") if not is_int(values[k])]
@@ -396,28 +344,15 @@ def load_split(split_dir: str | Path) -> SSDASplit:
     The manifest's spec must pass ``DomainPairSpec.validate``; every table
     must be one ``.npy`` array of exactly the dtype and shape that the
     manifest's ``input_dim`` and ``counts`` give, features must be finite
-    and labels in [0, n_classes); each failure is a ``DataError``.  A
-    version-1 (CSV) split is refused: ``gen-data`` rewrites it from its
-    spec, seed and shot counts.
+    and labels in [0, n_classes); each failure is a ``DataError``.
     """
     root = Path(split_dir)
-    manifest_path = root / "manifest.json"
-    if not manifest_path.exists():
-        raise DataError(f"missing manifest: {manifest_path}")
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise DataError(f"manifest is not valid JSON: {err}") from err
-    version = manifest.get("format_version") if isinstance(manifest, dict) else None
-    if version == 1:
-        raise DataError(f"{root} is a version-1 (CSV) split, which is no longer read; run gen-data again "
-                        "with the spec, seed and shot counts of its manifest: the same numpy writes the "
-                        "same arrays")
-    if version != SPLIT_FORMAT_VERSION:
-        raise DataError(f"split format version {version} != {SPLIT_FORMAT_VERSION}")
-    _check_keys(manifest, _MANIFEST_KEYS, "manifest")
-    _check_keys(manifest["checksums"], _TABLES, "manifest checksums")
-    _check_keys(manifest["counts"], _COUNTS, "manifest counts")
+    manifest = read_record(root / "manifest.json", SPLIT_FORMAT_VERSION, "manifest",
+                           "version-1 (CSV) splits are no longer read; run gen-data again with the spec, seed and "
+                           "shot counts of its manifest: the same numpy writes the same arrays")
+    check_keys(manifest, _MANIFEST_KEYS, "manifest")
+    check_keys(manifest["checksums"], _TABLES, "manifest checksums")
+    check_keys(manifest["counts"], _COUNTS, "manifest counts")
     spec = _spec_from_manifest(manifest)
 
     counts, labeled = manifest["counts"], _labeled_dtype(spec.input_dim)

@@ -6,7 +6,8 @@ analytically and kept partitioned into extractor / classifier groups so
 the two can be driven by losses with opposite entropy signs.  Weights and
 gradients each live in one flat float64 vector, extractor layers first and
 the classifier last, with per-layer views into it; an SGD step, a copy or
-a sum of gradients is one vector op.
+a sum of gradients is one vector op.  A checkpoint stores that vector as a
+``.npy`` table beside a JSON record of its layout.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .coremath import LOG_CLAMP, softmax
+from .artifacts import DataError, check_keys, read_record, read_table, table_path, write_table
+from .coremath import LOG_CLAMP, is_int, softmax
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # Feature rows with an L2 norm below this are passed through unnormalized
 # instead of dividing by ~0; each such row bumps the diagnostics counter.
@@ -390,52 +392,38 @@ def group_sizes(params: NetworkParams) -> tuple[int, int]:
 # -- checkpointing --
 
 
-def params_to_jsonable(params: NetworkParams) -> dict:
-    return {
-        "extractor_layers": [[w.tolist(), b.tolist()] for w, b in params.extractor_layers],
-        "classifier_weights": params.classifier_weights.tolist(),
-        "temperature": params.temperature,
-    }
-
-
-def params_from_jsonable(obj: dict) -> NetworkParams:
-    params = NetworkParams(
-        extractor_layers=[
-            (np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64)) for w, b in obj["extractor_layers"]
-        ],
-        classifier_weights=np.asarray(obj["classifier_weights"], dtype=np.float64),
-        temperature=float(obj["temperature"]),
-    )
-    params.validate()
-    return params
-
-
-def save_checkpoint(
-    path: str | Path,
-    params: NetworkParams,
-    extra: dict | None = None,
-) -> None:
-    """Write the network weights plus ``extra`` as JSON; floats round-trip bit-exactly (repr)."""
-    record = {
-        "format_version": CHECKPOINT_VERSION,
-        "params": params_to_jsonable(params),
-        "extra": extra or {},
-    }
+def save_checkpoint(path: str | Path, params: NetworkParams, extra: dict | None = None) -> None:
+    """Write ``params.flat`` as the ``<f8`` table ``{stem}.flat.npy``, then the JSON record: the layout that
+    ``__getstate__`` gives (``layer_shapes``, ``last_shape``, ``temperature``), the table's sha256 and ``extra``."""
+    state = params.__getstate__()
+    checksum = write_table(table_path(path, "flat"), np.asarray(state.pop("flat"), dtype="<f8"))
+    record = {"format_version": CHECKPOINT_VERSION, "params": state, "checksum": checksum, "extra": extra or {}}
     Path(path).write_text(json.dumps(record), encoding="utf-8")
 
 
 def load_checkpoint(path: str | Path) -> dict:
-    """Read a checkpoint; returns dict with params and extra.
-
-    Checkpoints that also carry the retired ``velocities`` and ``rng_state``
-    keys (always null from the CLI) load the same; those keys are ignored.
-    """
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"checkpoint not found: {p}")
-    record = json.loads(p.read_text(encoding="utf-8"))
-    if not isinstance(record, dict):
-        raise ValueError("checkpoint must be a JSON object")
-    if record.get("format_version") != CHECKPOINT_VERSION:
-        raise ValueError(f"checkpoint version {record.get('format_version')} != {CHECKPOINT_VERSION}")
-    return {"params": params_from_jsonable(record["params"]), "extra": record["extra"]}
+    """The params and ``extra`` of a checkpoint, a ``DataError`` unless its layout is integer shapes and a number,
+    its table one ``<f8`` vector of the length the shapes give, and its params pass ``validate``."""
+    record = read_record(path, CHECKPOINT_VERSION, "checkpoint", "run train-baseline, or self-train for a final "
+                         "checkpoint, again with the config its extra records: the same seed gives the same weights")
+    check_keys(record, {"format_version", "params", "checksum", "extra"}, f"checkpoint {path}")
+    state = record["params"]
+    check_keys(state, {"layer_shapes", "last_shape", "temperature"}, f"checkpoint {path} params")
+    layers = state["layer_shapes"]
+    pairs = isinstance(layers, list) and all(isinstance(pair, list) and len(pair) == 2 for pair in layers)
+    shapes = [*(shape for pair in layers for shape in pair), state["last_shape"]] if pairs else [None]
+    if not (all(isinstance(s, list) and all(is_int(n) and n >= 0 for n in s) for s in shapes)
+            and type(state["temperature"]) in (int, float)):
+        raise DataError(f"checkpoint {path}: layer_shapes must list [weight, bias] pairs and last_shape be one "
+                        "shape, of integers >= 0, and temperature must be a number")
+    flat = read_table(table_path(path, "flat"), record["checksum"], np.dtype("<f8"), (None,))
+    size = sum(math.prod(shape) for shape in shapes)
+    if flat.size != size:
+        raise DataError(f"checkpoint {path}: its table holds {flat.size} weights, its shapes {size}")
+    params = object.__new__(NetworkParams)  # bound as ``_rebound`` binds a copy
+    params.__setstate__({**state, "temperature": float(state["temperature"]), "flat": flat})
+    try:
+        params.validate()
+    except ValueError as err:
+        raise DataError(f"checkpoint {path}: {err}") from err
+    return {"params": params, "extra": record["extra"]}

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import DataError, read_record, read_table, table_path, write_table
 from .coremath import l1_distance
-from .datasets import read_table, write_table
 from .network import NetworkParams, forward_classifier, forward_features
 
 
@@ -171,39 +171,27 @@ def selection_dump(
     }
 
 
-def _table_path(path: Path, column: str) -> Path:
-    """``selection.json``'s ``soft_label`` table is ``selection.soft_label.npy``, beside it."""
-    return path.with_name(f"{path.stem}.{column}.npy")
-
-
 def save_selection(path: str | Path, dump: dict) -> None:
     """Write the three column tables, then the JSON with their checksums in place of the columns."""
-    p = Path(path)
-    checksums = {c: write_table(_table_path(p, c), dump[c]) for c in _COLUMNS}
+    checksums = {c: write_table(table_path(path, c), dump[c]) for c in _COLUMNS}
     record = {k: v for k, v in dump.items() if k not in _COLUMNS}
-    p.write_text(json.dumps({**record, "checksums": checksums}), encoding="utf-8")
+    Path(path).write_text(json.dumps({**record, "checksums": checksums}), encoding="utf-8")
 
 
 def load_selection(path: str | Path) -> dict:
     """The dump at ``path`` with its three columns read from the tables beside it.
 
     Each table must match the checksum the JSON records for it and hold one
-    array of its column's dtype and rank; ``check_selection`` fixes the lengths.
+    array of its column's dtype and rank, else a ``DataError``;
+    ``check_selection`` fixes the lengths.
     """
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"selection dump not found: {p}")
-    dump = json.loads(p.read_text(encoding="utf-8"))
-    if not isinstance(dump, dict):
-        raise ValueError("selection dump must be a JSON object")
-    if dump.get("format_version") != SELECTION_VERSION:
-        raise ValueError(f"selection dump format_version {dump.get('format_version')!r} != {SELECTION_VERSION}; "
-                         "run pseudo-label again on the checkpoint it came from")
+    dump = read_record(path, SELECTION_VERSION, "selection dump",
+                       "run pseudo-label again on the checkpoint it came from")
     checksums = dump.get("checksums")
     if not isinstance(checksums, dict):
-        raise ValueError("selection dump lacks its table checksums")
+        raise DataError("selection dump lacks its table checksums")
     for c, (dtype, rank) in _COLUMNS.items():
-        dump[c] = read_table(_table_path(p, c), checksums.get(c), dtype, (None,) * rank)
+        dump[c] = read_table(table_path(path, c), checksums.get(c), dtype, (None,) * rank)
     return dump
 
 
@@ -217,18 +205,18 @@ def _selected_rows(by_class) -> tuple[list[str], np.ndarray]:
     """The class key and the index of every ``selected_by_class`` entry, in dump order."""
     try:
         pairs = [(c, e["index"]) for c, entries in by_class.items() for e in entries]
-    except (AttributeError, KeyError, TypeError) as err:
-        raise ValueError("selected_by_class must map each class to a list of {\"index\": ...} entries") from err
-    index = np.array([i for _, i in pairs]) if pairs else np.zeros(0, dtype=np.int64)
-    if index.dtype.kind != "i":
-        raise ValueError("selected_by_class indices must be integers")
+        index = np.array([i for _, i in pairs]) if pairs else np.zeros(0, dtype=np.int64)
+    except (AttributeError, KeyError, TypeError, ValueError) as err:  # ValueError: indices of ragged lists
+        raise DataError("selected_by_class must map each class to a list of {\"index\": ...} entries") from err
+    if index.dtype.kind != "i" or index.ndim != 1:
+        raise DataError("selected_by_class indices must be integers")
     return [c for c, _ in pairs], index
 
 
 def check_selection(dump: dict, n_unlabeled: int, n_classes: int) -> None:
     """Check a loaded selection dump against its split.
 
-    Raises ValueError unless every key is present, the provenance values are
+    Raises DataError unless every key is present, the provenance values are
     strings, ``hard_label`` is an int64 column in [0, n_classes) and
     ``distance`` a float64 column of numbers >= 0, each of n_unlabeled rows,
     ``selected_by_class`` lists at least one row, each once, in
@@ -240,42 +228,42 @@ def check_selection(dump: dict, n_unlabeled: int, n_classes: int) -> None:
     """
     missing = [k for k in _DUMP_KEYS if k not in dump]
     if missing:
-        raise ValueError(f"selection dump lacks the keys {missing}")
+        raise DataError(f"selection dump lacks the keys {missing}")
     if not all(isinstance(dump[k], str) for k in _PROVENANCE_KEYS):
-        raise ValueError(f"selection provenance {list(_PROVENANCE_KEYS)} must be strings")
+        raise DataError(f"selection provenance {list(_PROVENANCE_KEYS)} must be strings")
     hard, distance, soft = (dump[c] for c in _COLUMNS)
     if not all(isinstance(dump[c], np.ndarray) and dump[c].dtype == dtype for c, (dtype, _) in _COLUMNS.items()):
-        raise ValueError("selection hard labels must be an int64 array, distances and soft rows float64 arrays")
+        raise DataError("selection hard labels must be an int64 array, distances and soft rows float64 arrays")
     if hard.shape != (n_unlabeled,) or distance.shape != (n_unlabeled,):
-        raise ValueError(f"selection hard_label and distance must hold one entry per unlabeled row ({n_unlabeled})")
+        raise DataError(f"selection hard_label and distance must hold one entry per unlabeled row ({n_unlabeled})")
     if hard.min() < 0 or hard.max() >= n_classes:
-        raise ValueError(f"selection hard labels must lie in [0, {n_classes})")
+        raise DataError(f"selection hard labels must lie in [0, {n_classes})")
     if not np.all(distance >= 0):  # written so that NaN is refused
-        raise ValueError("selection distances must be numbers >= 0")
+        raise DataError("selection distances must be numbers >= 0")
     classes, index = _selected_rows(dump["selected_by_class"])
     if not index.size:
-        raise ValueError("selection dump selects no rows")
+        raise DataError("selection dump selects no rows")
     ordered = np.sort(index)
     if ordered[0] < 0 or ordered[-1] >= n_unlabeled or np.any(ordered[1:] == ordered[:-1]):
-        raise ValueError(f"selected indices must be unique and lie in [0, {n_unlabeled})")
+        raise DataError(f"selected indices must be unique and lie in [0, {n_unlabeled})")
     if classes != [str(h) for h in hard[index].tolist()]:
-        raise ValueError("every selected_by_class key must be the hard label of its rows")
+        raise DataError("every selected_by_class key must be the hard label of its rows")
     r_u, quota, count = dump["r_u"], dump["per_class_quota"], dump["n_selected"]
     if type(r_u) not in (int, float) or not 0.0 < r_u <= 1.0:
-        raise ValueError(f"selection r_u {r_u!r} must be a number in (0, 1]")
+        raise DataError(f"selection r_u {r_u!r} must be a number in (0, 1]")
     if type(quota) is not int or quota != per_class_quota(r_u, n_unlabeled, n_classes):
-        raise ValueError(f"per_class_quota {quota!r} is not ceil(r_u * n_unlabeled / n_classes)")
+        raise DataError(f"per_class_quota {quota!r} is not ceil(r_u * n_unlabeled / n_classes)")
     if max(map(len, dump["selected_by_class"].values())) > quota:
-        raise ValueError(f"a class keeps more than its quota of {quota} rows")
+        raise DataError(f"a class keeps more than its quota of {quota} rows")
     if type(count) is not int or count != index.size:
-        raise ValueError(f"n_selected {count!r} != the {index.size} rows selected_by_class lists")
+        raise DataError(f"n_selected {count!r} != the {index.size} rows selected_by_class lists")
     if len(soft) != index.size:
-        raise ValueError(f"selection dump holds {len(soft)} soft rows for {index.size} selected rows")
+        raise DataError(f"selection dump holds {len(soft)} soft rows for {index.size} selected rows")
     if soft.shape[1:] != (n_classes,):
-        raise ValueError(f"selection soft rows have widths {list(soft.shape[1:])}, the split has {n_classes} classes")
+        raise DataError(f"selection soft rows have widths {list(soft.shape[1:])}, the split has {n_classes} classes")
     # written so that NaN, which fails every comparison, is refused
     if not (np.all((soft >= 0) & (soft <= 1)) and np.all(np.abs(soft.sum(axis=1) - 1.0) <= 1e-9)):
-        raise ValueError("every selected soft row must hold numbers in [0, 1] that sum to 1 within 1e-9")
+        raise DataError("every selected soft row must hold numbers in [0, 1] that sum to 1 within 1e-9")
 
 
 def selected_set_from_dump(dump: dict) -> SelectedSet:

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 import shutil
 import sys
 from dataclasses import replace
@@ -116,9 +117,9 @@ class TestRunPipeline:
         out = tmp_path / "run"
         assert main(["run-pipeline", "--split", str(split_dir), "--out", str(out), *FAST]) == EXIT_OK
         for name in [
-            "baseline_checkpoint.json", "baseline_report.csv", "selection.json",
+            "baseline_checkpoint.json", "baseline_checkpoint.flat.npy", "baseline_report.csv", "selection.json",
             *(f"selection.{c}.npy" for c in COLUMNS),
-            "final_checkpoint.json", "final_report.csv", "manifest.json",
+            "final_checkpoint.json", "final_checkpoint.flat.npy", "final_report.csv", "manifest.json",
         ]:
             assert (out / name).exists(), name
         stdout = capsys.readouterr().out
@@ -129,7 +130,7 @@ class TestRunPipeline:
         assert set(manifest["artifacts"]) >= {"baseline_checkpoint", "selection", "final_checkpoint"}
         for name in ("baseline_checkpoint.json", "final_checkpoint.json"):
             record = json.loads((out / name).read_text())
-            assert set(record) == {"format_version", "params", "extra"}, name
+            assert set(record) == {"format_version", "params", "checksum", "extra"}, name
 
     def test_byte_identical_reports_for_identical_config(self, split_dir, tmp_path):
         for name in ("r1", "r2"):
@@ -148,7 +149,7 @@ class TestRunPipeline:
         assert main(["run-pipeline", "--split", str(split_dir), "--out", str(out),
                      "--lambda", "0", "--no-pseudo", *FAST]) == EXIT_OK
         assert not (out / "selection.json").exists()
-        assert not (out / "final_checkpoint.json").exists()
+        assert not (out / "final_checkpoint.json").exists() and not (out / "final_checkpoint.flat.npy").exists()
         stdout = capsys.readouterr().out
         assert "baseline accuracy: " in stdout
         assert "selected " not in stdout and "final accuracy" not in stdout
@@ -484,21 +485,6 @@ def _edited_json(change):
     return _edited(edit)
 
 
-BAD_CHECKPOINTS = [
-    pytest.param(_foreign_checkpoint(3, 3), id="input_dim_3"),
-    pytest.param(_foreign_checkpoint(2, 5), id="classes_5"),
-    pytest.param(_edited(lambda text: text[: len(text) // 2]), id="truncated"),
-    pytest.param(_edited(lambda text: text.replace('"format_version": 1', '"format_version": 2')), id="version_2"),
-    pytest.param(_edited(lambda text: "[]"), id="not_an_object"),
-    pytest.param(_edited_json(lambda d: d["params"]["extractor_layers"][0].__setitem__(0, [1.0, 2.0])),
-                 id="weight_1d"),
-    pytest.param(_edited_json(lambda d: d["params"].update(extractor_layers=[])), id="no_extractor_layer"),
-    pytest.param(_edited_json(lambda d: d["params"].update(classifier_weights=[1.0, 2.0])), id="classifier_1d"),
-    pytest.param(_edited_json(lambda d: d["params"].update(temperature=float("nan"))), id="temperature_nan"),
-    pytest.param(_edited_json(lambda d: d["params"].update(temperature=float("inf"))), id="temperature_inf"),
-]
-
-
 def _npy(array: np.ndarray, allow_pickle: bool = False) -> bytes:
     buf = io.BytesIO()
     np.save(buf, array, allow_pickle=allow_pickle)
@@ -507,14 +493,18 @@ def _npy(array: np.ndarray, allow_pickle: bool = False) -> bytes:
 
 def _restamped(column: str, rewrite):
     """Rewrite one table's bytes as ``rewrite(array, bytes)`` gives them and restamp its checksum in the JSON,
-    so that only the checks of the table's content can object."""
+    so that only the checks of the table's content can object.  A checkpoint's one table is ``flat``."""
     def write(path: Path, good: Path) -> None:
         table = _table(path, column)
         data = table.read_bytes()
         table.write_bytes(rewrite(np.load(io.BytesIO(data)).copy(), data))
-        dump = json.loads(path.read_text())
-        dump["checksums"][column] = hashlib.sha256(table.read_bytes()).hexdigest()
-        path.write_text(json.dumps(dump))
+        record = json.loads(path.read_text())
+        checksum = hashlib.sha256(table.read_bytes()).hexdigest()
+        if column == "flat":
+            record["checksum"] = checksum
+        else:
+            record["checksums"][column] = checksum
+        path.write_text(json.dumps(record))
     return write
 
 
@@ -578,6 +568,85 @@ def _swap_selected_flag(dump: dict) -> None:
     next(entry for entry in dump["annotations"] if not entry["selected"])["selected"] = True
 
 
+def _table_cases(column: str) -> list:
+    """(case, edit, what the data error names) for one table: its bytes changed under the checksum, gone, or
+    rewritten with a restamped checksum."""
+    return [
+        ("flipped_bit", _flipped(column), "checksum mismatch"),
+        ("missing", _missing(column), "missing table"),
+        ("directory", _directory(column), "missing table"),
+        ("float32", _restamped(column, lambda a, d: _npy(a.astype(np.float32))), "dtype"),
+        ("extra_axis", _restamped(column, lambda a, d: _npy(a[..., None])), "shape"),
+        ("pickled_objects", _restamped(column, lambda a, d: _npy(a.astype(object), allow_pickle=True)),
+         "allow_pickle=False"),
+        ("trailing_bytes", _restamped(column, lambda a, d: d + bytes(8)), "8 bytes after the array"),
+    ]
+
+
+def _copy_checkpoint(good: Path, dest: Path) -> Path:
+    """Copy a checkpoint and its weight table to ``dest`` and the table name its stem gives."""
+    for src, dst in [(good, dest), (_table(good, "flat"), _table(dest, "flat"))]:
+        shutil.copyfile(src, dst)
+    return dest
+
+
+def _layout(change):
+    """Edit the checkpoint's ``params`` layout, which the weight table's checksum does not cover."""
+    return _edited_json(lambda d: change(d["params"]))
+
+
+def _n_weights(layout: dict) -> int:
+    return sum(math.prod(shape) for pair in layout["layer_shapes"] for shape in pair) + math.prod(layout["last_shape"])
+
+
+def _version1_checkpoint(path: Path, good: Path) -> None:
+    """The checkpoint in the version-1 layout: every weight as JSON text."""
+    params = load_checkpoint(good)["params"]
+    path.write_text(json.dumps({"format_version": 1, "extra": json.loads(good.read_text())["extra"], "params": {
+        "extractor_layers": [[w.tolist(), b.tolist()] for w, b in params.extractor_layers],
+        "classifier_weights": params.classifier_weights.tolist(), "temperature": params.temperature}}))
+
+
+def _weight_plus_5(path: Path, good: Path) -> None:
+    """Add 5.0 to the last classifier weight in the table and leave its checksum as it was."""
+    flat = np.load(_table(path, "flat"))
+    flat[-1] += 5.0
+    np.save(_table(path, "flat"), flat, allow_pickle=False)
+
+
+RETRAIN = "run train-baseline"
+# (edit, what the data error names)
+BAD_CHECKPOINTS = [
+    pytest.param(_foreign_checkpoint(3, 3), "has input dim 3", id="input_dim_3"),
+    pytest.param(_foreign_checkpoint(2, 5), "and 5 classes", id="classes_5"),
+    pytest.param(_edited(lambda text: text[: len(text) // 2]), "not valid JSON", id="truncated"),
+    pytest.param(_edited_json(lambda d: d.update(format_version=3)), RETRAIN, id="version_3"),
+    pytest.param(_version1_checkpoint, RETRAIN, id="version_1"),
+    pytest.param(_edited(lambda text: "[]"), "must be a JSON object", id="not_an_object"),
+    pytest.param(_edited_json(lambda d: d.pop("checksum")), "missing keys ['checksum']", id="no_checksum"),
+    pytest.param(_layout(lambda p: p["layer_shapes"][0].__setitem__(0, [2 * 64])), "needs a 2-D weight",
+                 id="weight_1d"),
+    pytest.param(_layout(lambda p: p.update(layer_shapes=[], last_shape=[_n_weights(p)])), "at least one layer",
+                 id="no_extractor_layer"),
+    pytest.param(_layout(lambda p: p.update(last_shape=[math.prod(p["last_shape"])])), "classifier must be 2-D",
+                 id="classifier_1d"),
+    pytest.param(_layout(lambda p: p.update(temperature=float("nan"))), "temperature must be finite",
+                 id="temperature_nan"),
+    pytest.param(_layout(lambda p: p.update(temperature=float("inf"))), "temperature must be finite",
+                 id="temperature_inf"),
+    pytest.param(_layout(lambda p: p.update(temperature="0.05")), "temperature must be a number",
+                 id="temperature_str"),
+    pytest.param(_layout(lambda p: p["layer_shapes"][0].__setitem__(0, [2.0, 64.0])), "integers >= 0",
+                 id="shape_floats"),
+    # a -1 would let numpy infer the width of a layer from the table
+    pytest.param(_layout(lambda p: p["layer_shapes"][0].__setitem__(0, [-1, 64])), "integers >= 0",
+                 id="shape_negative"),
+    pytest.param(_restamped("flat", lambda a, d: _npy(a[:-1])), "its table holds", id="flat_shorter_than_shapes"),
+    # the edit that evaluate once scored as a checkpoint of its own
+    pytest.param(_weight_plus_5, "checksum mismatch for checkpoint.flat.npy", id="classifier_weight_plus_5"),
+    *(pytest.param(write, reason, id=f"flat_{case}") for case, write, reason in _table_cases("flat")),
+]
+
 # (edit, what the data error names)
 BAD_SELECTIONS = [
     pytest.param(_edited(lambda text: text[: len(text) // 2]), "", id="truncated"),
@@ -597,6 +666,10 @@ BAD_SELECTIONS = [
     pytest.param(_edited_json(lambda d: _first_listed(d).update(index=486)), "lie in [0, 72)",
                  id="index_from_larger_split"),
     pytest.param(_edited_json(_duplicate_first_listed), "unique", id="duplicate_index"),
+    pytest.param(_edited_json(lambda d: _first_listed(d).update(index=[0, 1])), "selected_by_class must map",
+                 id="index_list"),
+    pytest.param(_edited_json(lambda d: [e.update(index=[e["index"]]) for es in d["selected_by_class"].values()
+                                         for e in es]), "indices must be integers", id="indices_nested"),
     pytest.param(_restamped("hard_label", _set(0, 3)), "hard labels must lie in", id="hard_label_3"),
     pytest.param(_restamped("distance", _set(0, np.nan)), "distances must be numbers", id="nan_distance"),
     pytest.param(_restamped("distance", _set(0, -1.0)), "distances must be numbers", id="negative_distance"),
@@ -618,19 +691,8 @@ BAD_SELECTIONS = [
     # the dump edit that an unchecked reader once ran to "final accuracy"
     pytest.param(_edited_json(lambda d: d.update(n_selected=999, per_class_quota=1, selected_by_class={"0": []})),
                  "selects no rows", id="edited_counts"),
-    # each table: its bytes changed under the checksum, gone, or rewritten with a restamped checksum
     *(pytest.param(write, reason, id=f"{column}_{case}")
-      for column in COLUMNS
-      for case, write, reason in [
-          ("flipped_bit", _flipped(column), "checksum mismatch"),
-          ("missing", _missing(column), "missing table"),
-          ("directory", _directory(column), "missing table"),
-          ("float32", _restamped(column, lambda a, d: _npy(a.astype(np.float32))), "dtype"),
-          ("extra_axis", _restamped(column, lambda a, d: _npy(a[..., None])), "shape"),
-          ("pickled_objects", _restamped(column, lambda a, d: _npy(a.astype(object), allow_pickle=True)),
-           "allow_pickle=False"),
-          ("trailing_bytes", _restamped(column, lambda a, d: d + bytes(8)), "8 bytes after the array"),
-      ]),
+      for column in COLUMNS for case, write, reason in _table_cases(column)),
 ]
 
 # Edits of a version-1 dump that its reader once caught row by row. The format check refuses
@@ -716,11 +778,11 @@ class TestArtifactChecks:
     """A checkpoint or selection dump that does not fit its split exits 3 before any work."""
 
     @pytest.mark.parametrize("command", ["pseudo-label", "self-train", "evaluate"])
-    @pytest.mark.parametrize("write", BAD_CHECKPOINTS)
+    @pytest.mark.parametrize("write, reason", BAD_CHECKPOINTS)
     def test_unusable_checkpoint_exits_3_before_out_exists(self, split_dir, stage2, tmp_path, capsys,
-                                                           command, write):
+                                                           command, write, reason):
         good_ckpt, selection = stage2
-        bad = tmp_path / "checkpoint.json"
+        bad = _copy_checkpoint(good_ckpt, tmp_path / "checkpoint.json")
         write(bad, good_ckpt)
         argv = [command, "--split", str(split_dir), "--checkpoint", str(bad)]
         if command == "self-train":
@@ -728,7 +790,8 @@ class TestArtifactChecks:
         if command != "evaluate":
             argv += ["--out", str(tmp_path / "o"), *FAST]
         assert main(argv) == EXIT_DATA
-        assert "data error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "data error:" in err and reason in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["self-train", "report-reliability"])
@@ -836,6 +899,50 @@ class TestSelectionProvenance:
         assert main(_selection_argv(command, other, stage2[0], stage2[1], tmp_path / "o")) == EXIT_DATA
         assert "records split_checksum" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+class TestCheckpointArchitecture:
+    """Stages 2 and 3 run the checkpoint's network, so they record its architecture, whatever the flags say."""
+
+    ARCHITECTURE = {"hidden_dims": [64, 64], "feature_dim": 32, "temperature": 0.05}
+
+    def test_recorded_config_is_the_checkpoints(self, split_dir, stage2, tmp_path, capsys):
+        ckpt, selection = stage2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"hidden_dims": [16], "feature_dim": 8}))
+        common = ["--split", str(split_dir), "--checkpoint", str(ckpt), *FAST]
+        flags = ["--temperature", "0.5", "--config", str(cfg)]
+        assert main(["pseudo-label", *common, *flags, "--out", str(tmp_path / "sel")]) == EXIT_OK
+        for out, extra in (("st", flags), ("plain", [])):
+            assert main(["self-train", *common, *extra, "--selection", str(selection),
+                         "--out", str(tmp_path / out)]) == EXIT_OK
+        printed = [json.loads(line.split(": ", 1)[1]) for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("effective config: ")]
+        recorded = [*printed, *(json.loads((tmp_path / d / "manifest.json").read_text())["config"]
+                                for d in ("sel", "st", "plain")),
+                    json.loads((tmp_path / "st" / "final_checkpoint.json").read_text())["extra"]["config"]]
+        assert len(recorded) == 7
+        for config in recorded:
+            assert {k: config[k] for k in self.ARCHITECTURE} == self.ARCHITECTURE
+        # the flags changed nothing that stage 3 computed
+        for name in ("final_report.csv", "final_checkpoint.json", "final_checkpoint.flat.npy"):
+            assert (tmp_path / "st" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("command", ["pseudo-label", "self-train"])
+    def test_checkpoint_without_hidden_layer_exits_3_before_out_exists(self, split_dir, stage2, tmp_path, capsys,
+                                                                       command):
+        """No config describes a network without hidden layers, so the stages cannot record one."""
+        params = init_params(input_dim=2, hidden_dims=(), feature_dim=4, n_classes=3, temperature=0.05,
+                             rng=seeded_rng(0, "init"))
+        ckpt = tmp_path / "shallow.json"
+        save_checkpoint(ckpt, params)
+        argv = [command, "--split", str(split_dir), "--checkpoint", str(ckpt), "--out", str(tmp_path / "o"), *FAST]
+        if command == "self-train":
+            argv += ["--selection", str(stage2[1])]
+        assert main(argv) == EXIT_DATA
+        assert "at least one hidden layer" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        assert main(["evaluate", "--split", str(split_dir), "--checkpoint", str(ckpt)]) == EXIT_OK
 
 
 class TestReportReliability:

@@ -6,9 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ssda_lab.artifacts import DataError
 from ssda_lab.coremath import seeded_rng
 from ssda_lab.datasets import (
-    DataError,
     DomainPairSpec,
     ShiftSpec,
     class_means,
@@ -291,9 +291,10 @@ class TestManifestChecks:
         with pytest.raises(DataError, match=message):
             load_split(tmp_path / "split")
 
-    def test_manifest_not_json(self, tmp_path):
+    @pytest.mark.parametrize("data", [b"{not json", b"\xff\xfe"], ids=["not_json", "not_utf8"])
+    def test_manifest_not_json(self, tmp_path, data):
         save_split(gen_split(small_spec()), tmp_path / "split")
-        (tmp_path / "split" / "manifest.json").write_text("{not json")
+        (tmp_path / "split" / "manifest.json").write_bytes(data)
         with pytest.raises(DataError, match="not valid JSON"):
             load_split(tmp_path / "split")
 

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import os
 import pickle
@@ -11,6 +12,7 @@ import pytest
 
 import ssda_lab
 from conftest import max_rel_err, small_net
+from ssda_lab.artifacts import DataError
 from ssda_lab.coremath import finite_diff_grad, seeded_rng
 from ssda_lab.network import (
     GradientBundle,
@@ -26,8 +28,6 @@ from ssda_lab.network import (
     group_sizes,
     init_params,
     load_checkpoint,
-    params_from_jsonable,
-    params_to_jsonable,
     save_checkpoint,
     sgd_step,
     unflatten_params,
@@ -321,42 +321,29 @@ class TestDeterminismAndCheckpoint:
         save_checkpoint(path, params, extra={"t_iter": 17})
         loaded = load_checkpoint(path)
         np.testing.assert_array_equal(flatten_params(loaded["params"]), flatten_params(params))
+        assert loaded["params"].temperature == params.temperature
         assert loaded["extra"]["t_iter"] == 17
-
-    def test_checkpoint_with_retired_null_keys_still_loads(self, tmp_path):
-        # the earlier layout also carried "velocities" and "rng_state", always null from the CLI
-        params = small_net(seed=8)
-        extra = {"stage": "baseline", "config": {"seed": 8, "hidden_dims": [8]}}
-        old = {
-            "format_version": 1,
-            "params": params_to_jsonable(params),
-            "velocities": None,
-            "rng_state": None,
-            "extra": extra,
-        }
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps(old))
-        loaded = load_checkpoint(path)
-        np.testing.assert_array_equal(flatten_params(loaded["params"]), flatten_params(params))
-        assert loaded["extra"] == extra
-        assert set(loaded) == {"params", "extra"}
-        # today's writer gives the same record minus the two retired keys
-        save_checkpoint(tmp_path / "new.json", params, extra=extra)
-        del old["velocities"], old["rng_state"]
-        assert json.loads((tmp_path / "new.json").read_text()) == old
+        # the weights are one <f8 vector in the table beside the JSON, which holds its sha256
+        table = tmp_path / "ckpt.flat.npy"
+        flat = np.load(table, allow_pickle=False)
+        assert (flat.dtype, flat.shape) == (np.dtype("<f8"), params.flat.shape)
+        record = json.loads(path.read_text())
+        assert record["checksum"] == hashlib.sha256(table.read_bytes()).hexdigest()
+        assert record["params"] == json.loads(json.dumps({k: v for k, v in params.__getstate__().items()
+                                                          if k != "flat"}))
 
     @pytest.mark.parametrize("temperature", [float("nan"), float("inf"), 0.0, -1.0])
     def test_temperature_must_be_finite_and_positive(self, temperature):
-        record = params_to_jsonable(small_net())
-        record["temperature"] = temperature
+        params = small_net()
+        params.temperature = temperature
         with pytest.raises(ValueError, match="temperature must be finite and positive"):
-            params_from_jsonable(record)
+            params.validate()
 
     def test_checkpoint_version_mismatch(self, tmp_path):
         params = small_net()
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, params)
-        text = path.read_text().replace('"format_version": 1', '"format_version": 99')
+        text = path.read_text().replace('"format_version": 2', '"format_version": 99')
         path.write_text(text)
-        with pytest.raises(ValueError, match="version"):
+        with pytest.raises(DataError, match="version"):
             load_checkpoint(path)
