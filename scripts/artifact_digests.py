@@ -6,9 +6,10 @@ Runs, with ``OPENBLAS_NUM_THREADS=1`` and the ``ssda_lab`` package under
 --no-pseudo``; train-baseline, pseudo-label, self-train and evaluate;
 report-reliability --csv, with ``--split`` and from the stored values; and
 the ablate-ru --regen and ablate-noise grids.
-Prints one ``sha256  path`` line per output file, sorted by path.
-``manifest.json`` files are skipped, because they hold timings; evaluate
-writes no file, so its stdout is digested as ``evaluate.stdout``. Each
+Prints one ``sha256  path`` line per output file, sorted by path; evaluate
+writes no file, so its stdout is digested as ``evaluate.stdout``. A
+``manifest.json`` holds timings, so it gets only a ``sha256  path decoded``
+line: the digest of its JSON, keys sorted, with ``timings_s`` removed. Each
 ``selection.json`` also gets a ``sha256  path decoded`` line: the digest of
 the selected indices (int64) and their soft rows (float64) as the ``--src``
 package's own ``load_selection`` and ``selected_set_from_dump`` read them,
@@ -30,6 +31,7 @@ float64 weights, as the ``--src`` package's ``load_checkpoint`` returns them.
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -92,6 +94,12 @@ def decoded_checkpoint_digest(path: Path) -> str:
     return digest.hexdigest()
 
 
+def decoded_manifest_digest(path: Path) -> str:
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    manifest.pop("timings_s", None)
+    return hashlib.sha256(json.dumps(manifest, sort_keys=True).encode()).hexdigest()
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
@@ -109,9 +117,12 @@ def main() -> None:
             if argv[0] == "evaluate":
                 (work / "evaluate.stdout").write_text(proc.stdout, encoding="utf-8")
         splits = [work / argv[argv.index("--out") + 1] for argv in COMMANDS if argv[0] == "gen-data"]
-        for path in sorted([*splits, *(p for p in work.rglob("*") if p.is_file() and p.name != "manifest.json")]):
+        for path in sorted([*splits, *(p for p in work.rglob("*") if p.is_file())]):
             if path in splits:
                 print(f"{decoded_split_digest(path)}  {path.relative_to(work)} decoded")
+                continue
+            if path.name == "manifest.json":
+                print(f"{decoded_manifest_digest(path)}  {path.relative_to(work)} decoded")
                 continue
             print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(work)}")
             if path.name == "selection.json":

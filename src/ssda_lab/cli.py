@@ -142,16 +142,13 @@ def _load_dump(args: argparse.Namespace, split: SSDASplit | None) -> dict:
 
 
 def _write_manifest(args: argparse.Namespace, out_dir: Path, config: TrainConfig,
-                    artifacts: dict, timings: dict, seeds: list[int] | None = None) -> None:
-    """The grids pass the ``seeds`` they ran, recorded in place of ``config.seed``, which no grid cell uses."""
-    recorded = asdict(config)
-    if seeds is not None:
-        del recorded["seed"]
+                    artifacts: dict, timings: dict, per_cell: frozenset = frozenset(), **extra) -> None:
+    """The grids leave the ``per_cell`` fields, which no one config holds, out of ``config`` and add their ``seeds``."""
     manifest = {
         "command": args.command,
         "argv": args.argv,
-        "config": recorded,
-        **({} if seeds is None else {"seeds": seeds}),
+        "config": {k: v for k, v in asdict(config).items() if k not in per_cell},
+        **extra,
         "split_checksum": split_checksum(args.split),
         "artifacts": {k: str(v) for k, v in artifacts.items()},
         "timings_s": timings,
@@ -191,12 +188,19 @@ def _stage3(split: SSDASplit, selected, params: NetworkParams, config: TrainConf
     return final, report
 
 
-def _stage_inputs(args: argparse.Namespace):
+def _stage_inputs(args: argparse.Namespace, per_cell: frozenset = frozenset()):
     """config (printed), split, checkpoint params, selected set (None where not taken), then ``--out``.
 
     Stages 2 and 3 run the checkpoint's network, so its architecture replaces the config's.
+    A flag for a field that the run sets itself would go unused, so it is refused: the
+    ``per_cell`` fields of a grid and, given ``--checkpoint``, the temperature.
     Every input is checked before ``--out`` is made, so a bad one leaves no output directory.
     """
+    sets_itself = per_cell | ({"temperature"} if "checkpoint" in args else set())
+    flagged = sorted(name for name in sets_itself if getattr(args, name, None) is not None)
+    if flagged:
+        raise ConfigError(f"{args.command} sets these fields itself, so their flags would go unused: "
+                          f"{', '.join(flagged)}")
     config = build_config(args)
     split = load_split(args.split)
     params = _load_params(args.checkpoint, split) if "checkpoint" in args else None
@@ -297,19 +301,40 @@ def cmd_evaluate(args) -> int:
 # -- ablation grids --
 
 
-def _run_grid(split: SSDASplit, regen: bool, config: TrainConfig, arms: list[tuple[str, dict]],
-              seeds: list[int]) -> tuple[list[tuple], dict]:
-    """Every (arm, seed) cell: the sorted (seed, tag, accuracy) rows and the seconds per stage over all cells.
+def _parse_list(raw: str, flag: str, kind: type) -> list:
+    """A comma-separated list, distinct, since a repeat would weigh one cell twice in a mean."""
+    try:
+        values = [kind(v) for v in raw.split(",") if v.strip() != ""]
+    except ValueError as err:
+        raise ConfigError(f"bad {flag} list: {raw!r}") from err
+    if not values:
+        raise ConfigError(f"empty {flag} list")
+    if len(set(values)) < len(values):
+        raise ConfigError(f"repeated value in {flag} {raw!r}")
+    return values
 
-    With ``regen`` each seed's split is redrawn from its spec at that seed.
-    Stage 1 reads none of the fields an arm overrides (``r_u``,
-    ``use_hard_labels``, ``label_momentum``), so it is trained once per seed
-    and every arm of that seed starts from the same baseline params.
+
+def _run_ablation(args: argparse.Namespace, arms: list[tuple[object, dict]], write_tables, min_seeds: int = 1) -> int:
+    """Run every (arm, seed) cell, then ``write_tables(out, {(tag, seed): accuracy})`` and the manifest.
+
+    Each cell runs at its ``--seeds`` value with its arm's fields, so a flag for
+    ``seed`` or for a field that every arm sets is refused, and the manifest's
+    ``config`` leaves those fields out. With ``--regen`` each seed's split is
+    redrawn from its spec at that seed. Stage 1 reads none of the fields an arm
+    overrides, so it is trained once per seed and every arm of that seed starts
+    from the same baseline params.
     """
-    rows, timings = [], {}
+    seeds = _parse_list(args.seeds, "--seeds", int)
+    if not all(0 <= s < SEED_LIMIT for s in seeds):
+        raise ConfigError(f"seeds must lie in [0, 2**64), got {args.seeds!r}")
+    if len(seeds) < min_seeds:
+        raise ConfigError(f"{args.command} needs at least {min_seeds} seeds")
+    per_cell = frozenset.intersection(*(frozenset(arm) for _, arm in arms)) | {"seed"}
+    config, split, _, _, out = _stage_inputs(args, per_cell)
+    accuracy, timings = {}, {}
     for seed in seeds:
         data = (gen_split(replace(split.spec, seed=seed), split.n_t_per_class, split.n_val_per_class)
-                if regen else split)
+                if args.regen else split)
         with _timed(timings, "stage1"):
             params = _stage1(data, replace(config, seed=seed))[0]
         for tag, arm in arms:
@@ -317,52 +342,18 @@ def _run_grid(split: SSDASplit, regen: bool, config: TrainConfig, arms: list[tup
             with _timed(timings, "stage2"):
                 selected = _stage2(data, params, cell.r_u)[1]
             with _timed(timings, "stage3"):
-                rows.append((seed, tag, _stage3(data, selected, params, cell)[1].final_test_acc))
-    return sorted(rows), timings
+                accuracy[tag, seed] = _stage3(data, selected, params, cell)[1].final_test_acc
+    _write_manifest(args, out, config, write_tables(out, accuracy), timings, per_cell, seeds=seeds)
+    return EXIT_OK
 
 
-def _grid_seeds(args: argparse.Namespace) -> list[int]:
-    """``--seeds``: distinct, since a repeat would weigh one seed twice in a mean, and in [0, 2**64).
-
-    ``--seed`` is refused: every cell runs at its ``--seeds`` value, so it would go unused.
-    """
-    if args.seed is not None:
-        raise ConfigError("the grids run at their --seeds values; --seed is not used")
-    raw = args.seeds
-    try:
-        seeds = [int(s) for s in raw.split(",") if s.strip() != ""]
-    except ValueError as err:
-        raise ConfigError(f"bad --seeds list: {raw!r}") from err
-    if not seeds:
-        raise ConfigError("empty --seeds list")
-    if len(set(seeds)) < len(seeds):
-        raise ConfigError(f"repeated seed in --seeds {raw!r}")
-    if not all(0 <= s < SEED_LIMIT for s in seeds):
-        raise ConfigError(f"seeds must lie in [0, 2**64), got {raw!r}")
-    return seeds
-
-
-def cmd_ablate_ru(args) -> int:
-    seeds = _grid_seeds(args)
-    try:
-        grid = [float(v) for v in args.grid.split(",")]
-    except ValueError as err:
-        raise ConfigError(f"bad --grid list: {args.grid!r}") from err
-    if any(not 0.0 < r <= 1.0 for r in grid):
-        raise ConfigError("grid values must lie in (0, 1]")
-    if len(set(grid)) < len(grid):
-        raise ConfigError(f"repeated value in --grid {args.grid!r}")
-    config, split, _, _, out = _stage_inputs(args)
-
-    arms = [(repr(r_u), {"r_u": r_u}) for r_u in grid]
-    results, timings = _run_grid(split, args.regen, config, arms, seeds)
-
-    rows = sorted((float(tag), seed, acc) for seed, tag, acc in results)
+def _write_ru_tables(out: Path, accuracy: dict) -> dict:
+    rows = sorted((r_u, seed, acc) for (r_u, seed), acc in accuracy.items())
     lines = ["r_u,seed,accuracy"] + [f"{r!r},{s},{a!r}" for r, s, a in rows]
     (out / "ru_sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     summary = []
-    for r_u in sorted(grid):
+    for r_u in sorted({r for r, _, _ in rows}):
         accs = [a for r, _, a in rows if r == r_u]
         summary.append((r_u, float(np.mean(accs)), float(np.std(accs))))
     best = max(summary, key=lambda t: t[1])[0]
@@ -374,38 +365,32 @@ def cmd_ablate_ru(args) -> int:
     for r_u, mean, std in summary:
         marker = "  <- best" if r_u == best else ""
         print(f"r_u={r_u}: mean={mean:.4f} std={std:.4f}{marker}")
-    _write_manifest(args, out, config, {"sweep": out / "ru_sweep.csv", "summary": out / "ru_summary.csv"}, timings,
-                    seeds)
-    return EXIT_OK
+    return {"sweep": out / "ru_sweep.csv", "summary": out / "ru_summary.csv"}
+
+
+def cmd_ablate_ru(args) -> int:
+    grid = _parse_list(args.grid, "--grid", float)
+    if any(not 0.0 < r <= 1.0 for r in grid):
+        raise ConfigError("grid values must lie in (0, 1]")
+    return _run_ablation(args, [(r_u, {"r_u": r_u}) for r_u in grid], _write_ru_tables)
+
+
+def _write_noise_table(out: Path, accuracy: dict) -> dict:
+    seeds = sorted({seed for _, seed in accuracy})
+    pairs = [(accuracy["progressive", s], accuracy["vanilla", s]) for s in seeds]
+    lines = ["seed,progressive_accuracy,vanilla_accuracy,paired_difference"]
+    lines += [f"{s},{p!r},{v!r},{p - v!r}" for s, (p, v) in zip(seeds, pairs)]
+    (out / "noise_ablation.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    mean_diff = float(np.mean([p - v for p, v in pairs]))
+    print(f"paired mean difference (progressive - vanilla): {mean_diff:+.4f} over {len(seeds)} seeds")
+    return {"table": out / "noise_ablation.csv"}
 
 
 def cmd_ablate_noise(args) -> int:
-    seeds = _grid_seeds(args)
-    if len(seeds) < 2:
-        raise ConfigError("ablate-noise needs at least 2 seeds")
-    config, split, _, _, out = _stage_inputs(args)
-
-    arms = [
-        ("progressive", {"use_hard_labels": False, "label_momentum": config.label_momentum}),
-        ("vanilla", {"use_hard_labels": True, "label_momentum": 1.0}),
-    ]
-    results, timings = _run_grid(split, args.regen, config, arms, seeds)
-
-    by_arm: dict[str, dict[int, float]] = {"progressive": {}, "vanilla": {}}
-    for seed, tag, acc in results:
-        by_arm[tag][seed] = acc
-    lines = ["seed,progressive_accuracy,vanilla_accuracy,paired_difference"]
-    diffs = []
-    for seed in sorted(seeds):
-        p, v = by_arm["progressive"][seed], by_arm["vanilla"][seed]
-        diffs.append(p - v)
-        lines.append(f"{seed},{p!r},{v!r},{p - v!r}")
-    (out / "noise_ablation.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    mean_diff = float(np.mean(diffs))
-    print(f"paired mean difference (progressive - vanilla): {mean_diff:+.4f} over {len(seeds)} seeds")
-    _write_manifest(args, out, config, {"table": out / "noise_ablation.csv"}, timings, seeds)
-    return EXIT_OK
+    arms = [("progressive", {"use_hard_labels": False}),
+            ("vanilla", {"use_hard_labels": True, "label_momentum": 1.0})]
+    return _run_ablation(args, arms, _write_noise_table, min_seeds=2)
 
 
 def cmd_report_reliability(args) -> int:
@@ -422,7 +407,9 @@ def cmd_report_reliability(args) -> int:
                             "pass --split for ground truth")
     print(f"{100 * before:.1f} -> {100 * after:.1f}")
     if args.csv:
-        Path(args.csv).write_text(
+        csv = Path(args.csv)
+        csv.parent.mkdir(parents=True, exist_ok=True)
+        csv.write_text(
             f"metric,value\nreliability_before,{before!r}\nreliability_after,{after!r}\n",
             encoding="utf-8",
         )
@@ -513,7 +500,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, FileNotFoundError) as err:
+    except DataError as err:
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA
     except Exception as err:  # noqa: BLE001 - map anything else to the runtime code

@@ -8,6 +8,7 @@ whose entries lie in [0, 1] and sum to 1 within 1e-9.
 from __future__ import annotations
 
 import hashlib
+import math
 from typing import Callable
 
 import numpy as np
@@ -23,6 +24,11 @@ SEED_LIMIT = 2**64
 def is_int(value) -> bool:
     """An int that is not a bool, as config fields and manifest counts require."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_finite_number(value) -> bool:
+    """A finite int or float that is not a bool, as config and split spec numbers require."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import DataError, check_keys, read_record, read_table, sha256, write_table
-from .coremath import SEED_LIMIT, is_int, seeded_rng
+from .coremath import SEED_LIMIT, is_finite_number, is_int, seeded_rng
 
 SPLIT_FORMAT_VERSION = 2
 
@@ -58,18 +58,18 @@ class DomainPairSpec:
     seed: int = 0
 
     def validate(self) -> None:
-        problems = []
         scalars = {
             "class_separation": self.class_separation,
             "rotation_degrees": self.shift.rotation_degrees,
             "scale": self.shift.scale,
             "label_skew": self.shift.label_skew,
         }
-        for name, value in scalars.items():
-            if not math.isfinite(value):
-                problems.append(f"{name} must be finite, got {value}")
-        if not all(map(math.isfinite, self.shift.translation)):
-            problems.append(f"translation entries must be finite, got {list(self.shift.translation)}")
+        problems = [f"{name} must be a finite number, got {value!r}"
+                    for name, value in scalars.items() if not is_finite_number(value)]
+        if not all(map(is_finite_number, self.shift.translation)):
+            problems.append(f"translation entries must be finite numbers, got {list(self.shift.translation)}")
+        if problems:
+            raise ValueError("invalid domain spec: " + "; ".join(problems))
         if self.n_classes < 2:
             problems.append(f"n_classes must be >= 2, got {self.n_classes}")
         if self.input_dim < 1:

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coremath import LOG_CLAMP, SEED_LIMIT, is_int, seeded_rng
+from .coremath import LOG_CLAMP, SEED_LIMIT, is_finite_number, is_int, seeded_rng
 from .datasets import SSDASplit
 from .network import (
     GradientBundle,
@@ -44,8 +44,7 @@ from .pseudolabel import SelectedSet
 # TrainConfig annotation -> (type test, what the message asks for)
 _FIELD_TYPES = {
     "int": (is_int, "an integer"),
-    "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v),
-              "a finite number"),
+    "float": (is_finite_number, "a finite number"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "tuple[int, ...]": (lambda v: isinstance(v, (tuple, list)) and all(map(is_int, v)), "a list of integers"),
 }

@@ -235,6 +235,15 @@ BAD_CONFIGS = [
     # every grid cell runs at its --seeds value, so --seed would be recorded and never used
     pytest.param("ablate-ru", ["--seeds", "0,1", "--seed", "7", *FAST], None, id="ru_seed_flag"),
     pytest.param("ablate-noise", ["--seeds", "0,1", "--seed", "7", *FAST], None, id="noise_seed_flag"),
+    # every arm sets these fields, so their flags would be recorded and never used
+    pytest.param("ablate-ru", ["--seeds", "0,1", "--r-u", "0.5", *FAST], None, id="ru_r_u_flag"),
+    pytest.param("ablate-noise", ["--seeds", "0,1", "--hard-labels", *FAST], None, id="noise_hard_labels_flag"),
+    pytest.param("run-pipeline", [], {"label_momentum": 1.5}, id="label_momentum_above_1"),
+    pytest.param("run-pipeline", [], {"r_u": 0}, id="r_u_0"),
+    pytest.param("run-pipeline", ["--t-max", "20", "--t-val", "25"], None, id="t_val_above_t_max"),
+    pytest.param("run-pipeline", [], {"batch_pseudo": 0}, id="batch_pseudo_0"),
+    pytest.param("run-pipeline", ["--patience", "0"], None, id="patience_0"),
+    pytest.param("run-pipeline", ["--base-lr", "0"], None, id="base_lr_0"),
 ]
 
 
@@ -654,6 +663,7 @@ BAD_SELECTIONS = [
     pytest.param(_edited_json(lambda d: d.update(n_selected=d["n_selected"] + 1)), "n_selected",
                  id="n_selected_off_by_1"),
     pytest.param(_edited_json(lambda d: d.update(per_class_quota=1)), "per_class_quota", id="quota_not_from_r_u"),
+    pytest.param(_edited_json(lambda d: d.update(r_u="0.2")), "must be a number in", id="r_u_str"),
     # ceil(0.01 * 72 / 3) = 1, so the quota fits r_u but every populated class keeps more
     pytest.param(_edited_json(lambda d: d.update(r_u=0.01, per_class_quota=1)), "more than its quota",
                  id="class_over_quota"),
@@ -909,9 +919,9 @@ class TestCheckpointArchitecture:
     def test_recorded_config_is_the_checkpoints(self, split_dir, stage2, tmp_path, capsys):
         ckpt, selection = stage2
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"hidden_dims": [16], "feature_dim": 8}))
+        cfg.write_text(json.dumps({"hidden_dims": [16], "feature_dim": 8, "temperature": 0.5}))
         common = ["--split", str(split_dir), "--checkpoint", str(ckpt), *FAST]
-        flags = ["--temperature", "0.5", "--config", str(cfg)]
+        flags = ["--config", str(cfg)]
         assert main(["pseudo-label", *common, *flags, "--out", str(tmp_path / "sel")]) == EXIT_OK
         for out, extra in (("st", flags), ("plain", [])):
             assert main(["self-train", *common, *extra, "--selection", str(selection),
@@ -927,6 +937,18 @@ class TestCheckpointArchitecture:
         # the flags changed nothing that stage 3 computed
         for name in ("final_report.csv", "final_checkpoint.json", "final_checkpoint.flat.npy"):
             assert (tmp_path / "st" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("command", ["pseudo-label", "self-train"])
+    def test_temperature_flag_exits_2_before_out_exists(self, split_dir, stage2, tmp_path, capsys, command):
+        """The checkpoint sets the temperature, so a flag for it would go unused."""
+        ckpt, selection = stage2
+        argv = [command, "--split", str(split_dir), "--checkpoint", str(ckpt), "--out", str(tmp_path / "o"),
+                "--temperature", "0.5", *FAST]
+        if command == "self-train":
+            argv += ["--selection", str(selection)]
+        assert main(argv) == EXIT_CONFIG
+        assert "flags would go unused: temperature" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["pseudo-label", "self-train"])
     def test_checkpoint_without_hidden_layer_exits_3_before_out_exists(self, split_dir, stage2, tmp_path, capsys,
@@ -983,3 +1005,8 @@ class TestReportReliability:
         assert main(["report-reliability", "--selection", str(bad), "--csv", str(tmp_path / "o")]) == EXIT_DATA
         assert "data error:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_csv_directory_is_created(self, stage2, tmp_path, capsys):
+        csv = tmp_path / "missing_dir" / "r.csv"
+        assert main(["report-reliability", "--selection", str(stage2[1]), "--csv", str(csv)]) == EXIT_OK
+        assert csv.read_text().startswith("metric,value\n")

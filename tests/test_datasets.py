@@ -254,6 +254,12 @@ def _set_counts(key, value):
 BAD_MANIFESTS = [
     pytest.param(_set_shift("scale", -1.0), "shift scale must be positive", id="negative_scale"),
     pytest.param(_set_shift("translation", ["nan", 1]), "bad split manifest", id="translation_str"),
+    # a JSON true is not the number 1
+    pytest.param(_set_shift("scale", True), "scale must be a finite number", id="scale_bool"),
+    pytest.param(_set_spec("class_separation", True), "class_separation must be a finite number",
+                 id="class_separation_bool"),
+    pytest.param(_set_shift("translation", [True, 1]), "translation entries must be finite numbers",
+                 id="translation_bool"),
     pytest.param(_set_spec("input_dim", 3), r"malformed table source.npy: dtype .*\(2,\).*, expected .*\(3,\)",
                  id="input_dim"),
     pytest.param(_set_spec("n_classes", 2), r"labels outside \[0, 2\)", id="n_classes_below_labels"),

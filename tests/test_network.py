@@ -183,6 +183,27 @@ class TestBackward:
         assert np.max(np.abs(ext)) > 0
         assert np.max(np.abs(grads.grad_classifier)) > 0
 
+    def test_degenerate_feature_row_passes_gradient_through(self):
+        """A feature row below the norm floor skips the normalization, so its feature gradient is dg itself.
+
+        The row is tiny, not zero: on a zero row the normalization's gradient is dg as well. With
+        classifier column 0 at zero, dg[0] is exactly 0, and only the pass-through keeps it there.
+        """
+        params = small_net(seed=5)
+        for _, b in params.extractor_layers:
+            b[:] = 0.0
+        params.extractor_layers[-1][1][:] = 1e-14  # zero input, so this bias is the feature row
+        params.classifier_weights[:, 0] = 0.0
+        x = np.zeros((1, params.input_dim))
+        p = forward(x, params)[0]
+        degenerate_feature_events.reset()
+        _, grads = backward(x, params, "hard", np.array([1]))
+        assert degenerate_feature_events.count == 1
+        # the last layer is linear, so its bias gradient is the feature gradient
+        expected = (p - np.eye(params.n_classes)[1]) @ params.classifier_weights / params.temperature
+        assert expected[0] == 0.0 and np.all(expected[1:] != 0.0)
+        np.testing.assert_allclose(grads.grad_layers[-1][1], expected, rtol=1e-12, atol=0.0)
+
     def test_gradient_partition_covers_every_parameter_once(self):
         params = small_net()
         n_ext, n_cls = group_sizes(params)
