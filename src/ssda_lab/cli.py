@@ -72,7 +72,6 @@ def _config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--t-max", dest="t_max", type=int)
     parser.add_argument("--t-val", dest="t_val", type=int)
     parser.add_argument("--patience", type=int)
-    parser.add_argument("--temperature", type=float)
     parser.add_argument("--seed", type=int)
 
 
@@ -97,14 +96,21 @@ def build_config(args: argparse.Namespace) -> TrainConfig:
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = flag
-    if isinstance(values["hidden_dims"], list):
-        values["hidden_dims"] = tuple(values["hidden_dims"])
     config = TrainConfig(**values)
     try:
         config.validate()
     except ValueError as err:
         raise ConfigError(str(err)) from err
     return config
+
+
+def _output_path(raw: str, is_dir: bool) -> Path:
+    """``raw`` as a Path, a config error unless it is, or can be made, a directory (``is_dir``) or a file."""
+    path = Path(raw)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if existing.is_dir() != (is_dir or existing != path):
+        raise ConfigError(f"cannot write {path}: {existing} is {'a' if existing.is_dir() else 'not a'} directory")
+    return path
 
 
 # -- artifacts checked against their split --
@@ -141,13 +147,18 @@ def _load_dump(args: argparse.Namespace, split: SSDASplit | None) -> dict:
 # -- manifest --
 
 
+def _recorded(config: TrainConfig, per_cell: frozenset) -> dict:
+    """The config a run prints and records: a grid leaves out its ``per_cell`` fields, which no one config holds."""
+    return {k: v for k, v in asdict(config).items() if k not in per_cell}
+
+
 def _write_manifest(args: argparse.Namespace, out_dir: Path, config: TrainConfig,
                     artifacts: dict, timings: dict, per_cell: frozenset = frozenset(), **extra) -> None:
-    """The grids leave the ``per_cell`` fields, which no one config holds, out of ``config`` and add their ``seeds``."""
+    """The grids add the ``seeds`` that ran."""
     manifest = {
         "command": args.command,
         "argv": args.argv,
-        "config": {k: v for k, v in asdict(config).items() if k not in per_cell},
+        "config": _recorded(config, per_cell),
         **extra,
         "split_checksum": split_checksum(args.split),
         "artifacts": {k: str(v) for k, v in artifacts.items()},
@@ -189,31 +200,21 @@ def _stage3(split: SSDASplit, selected, params: NetworkParams, config: TrainConf
 
 
 def _stage_inputs(args: argparse.Namespace, per_cell: frozenset = frozenset()):
-    """config (printed), split, checkpoint params, selected set (None where not taken), then ``--out``.
+    """config (printed as recorded), split, checkpoint params, selected set (None where not taken), then ``--out``.
 
-    Stages 2 and 3 run the checkpoint's network, so its architecture replaces the config's.
-    A flag for a field that the run sets itself would go unused, so it is refused: the
-    ``per_cell`` fields of a grid and, given ``--checkpoint``, the temperature.
+    A grid sets its ``per_cell`` fields itself, so a flag for one would go unused and is refused.
     Every input is checked before ``--out`` is made, so a bad one leaves no output directory.
     """
-    sets_itself = per_cell | ({"temperature"} if "checkpoint" in args else set())
-    flagged = sorted(name for name in sets_itself if getattr(args, name, None) is not None)
+    flagged = sorted(name for name in per_cell if getattr(args, name, None) is not None)
     if flagged:
         raise ConfigError(f"{args.command} sets these fields itself, so their flags would go unused: "
                           f"{', '.join(flagged)}")
     config = build_config(args)
+    out = _output_path(args.out, is_dir=True)
     split = load_split(args.split)
     params = _load_params(args.checkpoint, split) if "checkpoint" in args else None
-    if params is not None:
-        config = replace(config, hidden_dims=tuple(w.shape[1] for w, _ in params.extractor_layers[:-1]),
-                         feature_dim=params.classifier_weights.shape[1], temperature=params.temperature)
-        try:  # a network that no config describes, such as one without hidden layers
-            config.validate()
-        except ValueError as err:
-            raise DataError(f"checkpoint {args.checkpoint}: {err}") from err
-    print("effective config: " + json.dumps(asdict(config), sort_keys=True))
+    print("effective config: " + json.dumps(_recorded(config, per_cell), sort_keys=True))
     selected = selected_set_from_dump(_load_dump(args, split)) if "selection" in args else None
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return config, split, params, selected, out
 
@@ -237,6 +238,7 @@ def cmd_gen_data(args) -> int:
         translation = tuple(float(v) for v in args.translation.split(",")) if args.translation else ()
     except ValueError as err:
         raise ConfigError(f"bad --translation list: {args.translation!r}") from err
+    _output_path(args.out, is_dir=True)
     spec = DomainPairSpec(
         n_classes=args.classes,
         input_dim=args.dim,
@@ -394,6 +396,7 @@ def cmd_ablate_noise(args) -> int:
 
 
 def cmd_report_reliability(args) -> int:
+    csv = _output_path(args.csv, is_dir=False) if args.csv else None
     split = load_split(args.split) if args.split else None
     dump = _load_dump(args, split)
     if split is not None:
@@ -406,8 +409,7 @@ def cmd_report_reliability(args) -> int:
             raise DataError(f"selection dump has no stored reliability in [0, 1] ({before!r}, {after!r}); "
                             "pass --split for ground truth")
     print(f"{100 * before:.1f} -> {100 * after:.1f}")
-    if args.csv:
-        csv = Path(args.csv)
+    if csv:
         csv.parent.mkdir(parents=True, exist_ok=True)
         csv.write_text(
             f"metric,value\nreliability_before,{before!r}\nreliability_after,{after!r}\n",

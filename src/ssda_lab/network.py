@@ -311,8 +311,9 @@ def backward(
     gc /= t
     dg = dlogits @ wc
     dg /= t
-    # Through L2 normalization g = f/r: df = (dg - g (g . dg)) / r,
-    # identity pass-through on degenerate rows.
+    # Through L2 normalization g = f/r: df = (dg - g (g . dg)) / r. The forward
+    # divides a degenerate row by a constant 1, not by its norm, so dg is that
+    # row's exact derivative; the formula would also subtract g (g . dg).
     df = g * (g * dg).sum(axis=1, keepdims=True)
     np.subtract(dg, df, out=df)
     df /= norms
@@ -405,7 +406,8 @@ def load_checkpoint(path: str | Path) -> dict:
     """The params and ``extra`` of a checkpoint, a ``DataError`` unless its layout is integer shapes and a number,
     its table one ``<f8`` vector of the length the shapes give, and its params pass ``validate``."""
     record = read_record(path, CHECKPOINT_VERSION, "checkpoint", "run train-baseline, or self-train for a final "
-                         "checkpoint, again with the config its extra records: the same seed gives the same weights")
+                         "checkpoint, again with flags for the settings its extra records: the same seed gives "
+                         "the same weights")
     check_keys(record, {"format_version", "params", "checksum", "extra"}, f"checkpoint {path}")
     state = record["params"]
     check_keys(state, {"layer_shapes", "last_shape", "temperature"}, f"checkpoint {path} params")

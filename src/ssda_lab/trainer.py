@@ -46,8 +46,13 @@ _FIELD_TYPES = {
     "int": (is_int, "an integer"),
     "float": (is_finite_number, "a finite number"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
-    "tuple[int, ...]": (lambda v: isinstance(v, (tuple, list)) and all(map(is_int, v)), "a list of integers"),
 }
+
+# Fixed as in MME (Saito et al., 2019). Stage 1 builds its network with this layout;
+# stages 2 and 3 run the layout their checkpoint records.
+HIDDEN_DIMS, FEATURE_DIM, TEMPERATURE = (64, 64), 32, 0.05
+SGD_MOMENTUM, WEIGHT_DECAY = 0.9, 5e-4
+BATCH_LABELED, BATCH_UNLABELED, BATCH_PSEUDO = 32, 32, 64
 
 
 @dataclass
@@ -64,17 +69,9 @@ class TrainConfig:
     label_momentum: float = 0.9
     use_hard_labels: bool = False
     base_lr: float = 0.005
-    sgd_momentum: float = 0.9
-    weight_decay: float = 5e-4
     t_max: int = 5000
     t_val: int = 50
     patience: int = 10
-    batch_labeled: int = 32
-    batch_unlabeled: int = 32
-    batch_pseudo: int = 64
-    hidden_dims: tuple[int, ...] = (64, 64)
-    feature_dim: int = 32
-    temperature: float = 0.05
     seed: int = 0
 
     def validate(self) -> None:
@@ -95,25 +92,12 @@ class TrainConfig:
             problems.append(f"t_max and t_val must be >= 1, got {self.t_max} and {self.t_val}")
         if self.t_val > self.t_max:
             problems.append(f"t_val {self.t_val} exceeds t_max {self.t_max}")
-        if min(self.batch_labeled, self.batch_unlabeled, self.batch_pseudo) < 1:
-            problems.append("batch sizes must be >= 1")
         if self.patience < 1:
             problems.append("patience must be >= 1")
         if self.base_lr <= 0:
             problems.append("base_lr must be positive")
-        if not 0.0 <= self.sgd_momentum < 1.0:
-            problems.append(f"sgd_momentum must be in [0, 1), got {self.sgd_momentum}")
-        if self.weight_decay < 0:
-            problems.append(f"weight_decay must be nonnegative, got {self.weight_decay}")
-        if self.temperature <= 0:
-            problems.append(f"temperature must be positive, got {self.temperature}")
         if not 0 <= self.seed < SEED_LIMIT:
             problems.append(f"seed must be in [0, 2**64), got {self.seed}")
-        if self.feature_dim < 1 or not self.hidden_dims or min(self.hidden_dims) < 1:
-            problems.append(
-                f"feature_dim and every hidden width must be >= 1 (at least one hidden layer), "
-                f"got {self.feature_dim} and {list(self.hidden_dims)}"
-            )
         if problems:
             raise ValueError("invalid train config: " + "; ".join(problems))
 
@@ -235,7 +219,7 @@ def minimax_step(
     and ``term`` are the workspaces of ``minimax_gradients``.
     """
     losses, combined = minimax_gradients(params, config.lambda_, labeled, pseudo, unlabeled, combined, term)
-    sgd_step(params, combined, velocities, lr, config.sgd_momentum, config.weight_decay)
+    sgd_step(params, combined, velocities, lr, SGD_MOMENTUM, WEIGHT_DECAY)
     return losses
 
 
@@ -292,14 +276,8 @@ def init_train_state(
         else:
             live = np.array([a.soft_label for a in rows])
     else:
-        params = init_params(
-            input_dim=split.spec.input_dim,
-            hidden_dims=tuple(config.hidden_dims),
-            feature_dim=config.feature_dim,
-            n_classes=split.n_classes,
-            temperature=config.temperature,
-            rng=seeded_rng(config.seed, "init"),
-        )
+        params = init_params(input_dim=split.spec.input_dim, hidden_dims=HIDDEN_DIMS, feature_dim=FEATURE_DIM,
+                             n_classes=split.n_classes, temperature=TEMPERATURE, rng=seeded_rng(config.seed, "init"))
         live = None
         selected_indices = None
     return TrainState(
@@ -341,11 +319,11 @@ def run_train_loop(
         state.t_iter += 1
         lr = anneal_lr(config.base_lr, state.t_iter / config.t_max)
 
-        li = rngs["labeled"].integers(0, len(labeled_x), size=config.batch_labeled)
-        ui = rngs["unlabeled"].integers(0, len(unlabeled_x), size=config.batch_unlabeled)
+        li = rngs["labeled"].integers(0, len(labeled_x), size=BATCH_LABELED)
+        ui = rngs["unlabeled"].integers(0, len(unlabeled_x), size=BATCH_UNLABELED)
         pseudo_batch = None
         if state.stage == "selftrain":
-            pi = rngs["pseudo"].integers(0, len(pseudo_x), size=config.batch_pseudo)
+            pi = rngs["pseudo"].integers(0, len(pseudo_x), size=BATCH_PSEUDO)
             pseudo_batch = (pseudo_x[pi], state.live_soft[pi])
 
         losses = minimax_step(state.params, state.velocities, lr, config, labeled=(labeled_x[li], labeled_y[li]),

@@ -208,18 +208,11 @@ class TestRunPipeline:
 BAD_CONFIGS = [
     # (command, flags, --config file contents: JSON text, or a value to dump)
     pytest.param("run-pipeline", ["--t-val", "0"], None, id="t_val_0"),
-    pytest.param("run-pipeline", ["--temperature", "0"], None, id="temperature_0"),
     pytest.param("run-pipeline", ["--t-max", "0", "--t-val", "0"], None, id="t_max_0"),
     pytest.param("run-pipeline", [], {"t_max": "abc"}, id="t_max_str"),
     pytest.param("run-pipeline", [], {"patience": True}, id="patience_bool"),
     pytest.param("run-pipeline", [], {"use_hard_labels": 1}, id="hard_labels_int"),
     pytest.param("run-pipeline", [], {"lambda_": "0.1"}, id="lambda_str"),
-    pytest.param("run-pipeline", [], {"sgd_momentum": 1.0}, id="sgd_momentum_1"),
-    pytest.param("run-pipeline", [], {"weight_decay": -1}, id="weight_decay_negative"),
-    pytest.param("run-pipeline", [], {"hidden_dims": []}, id="hidden_dims_empty"),
-    pytest.param("run-pipeline", [], {"hidden_dims": [16, 0]}, id="hidden_width_0"),
-    pytest.param("run-pipeline", [], {"hidden_dims": 16}, id="hidden_dims_int"),
-    pytest.param("run-pipeline", [], {"feature_dim": 0}, id="feature_dim_0"),
     pytest.param("run-pipeline", [], "5", id="config_number"),
     pytest.param("run-pipeline", [], "null", id="config_null"),
     pytest.param("run-pipeline", [], "[1, 2]", id="config_list"),
@@ -241,7 +234,6 @@ BAD_CONFIGS = [
     pytest.param("run-pipeline", [], {"label_momentum": 1.5}, id="label_momentum_above_1"),
     pytest.param("run-pipeline", [], {"r_u": 0}, id="r_u_0"),
     pytest.param("run-pipeline", ["--t-max", "20", "--t-val", "25"], None, id="t_val_above_t_max"),
-    pytest.param("run-pipeline", [], {"batch_pseudo": 0}, id="batch_pseudo_0"),
     pytest.param("run-pipeline", ["--patience", "0"], None, id="patience_0"),
     pytest.param("run-pipeline", ["--base-lr", "0"], None, id="base_lr_0"),
 ]
@@ -257,6 +249,74 @@ def test_bad_config_exits_2_before_any_work(split_dir, tmp_path, capsys, command
     assert main(argv) == EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+# the network's layout, its SGD and its batch sizes are fixed, not config fields
+REMOVED_FIELDS = {"hidden_dims": [64, 64], "feature_dim": 32, "temperature": 0.05, "sgd_momentum": 0.9,
+                  "weight_decay": 5e-4, "batch_labeled": 32, "batch_unlabeled": 32, "batch_pseudo": 64}
+
+
+@pytest.mark.parametrize("name", sorted(REMOVED_FIELDS))
+def test_removed_field_exits_2_before_any_work(split_dir, tmp_path, capsys, name):
+    """Even at the value the run uses, a config file naming a fixed setting is refused as unknown."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({name: REMOVED_FIELDS[name]}))
+    argv = ["run-pipeline", "--split", str(split_dir), "--out", str(tmp_path / "o"), "--config", str(cfg)]
+    assert main(argv) == EXIT_CONFIG
+    assert f"unknown config fields: ['{name}']" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def _exits_unrecognized(argv: list, capsys, unrecognized: str) -> None:
+    """argparse refuses ``argv`` with exit 2, naming ``unrecognized``."""
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == EXIT_CONFIG
+    assert f"unrecognized arguments: {unrecognized}" in capsys.readouterr().err
+
+
+def test_temperature_flag_is_unrecognized(split_dir, tmp_path, capsys):
+    _exits_unrecognized(["run-pipeline", "--split", str(split_dir), "--out", str(tmp_path / "o"),
+                         "--temperature", "0"], capsys, "--temperature 0")
+    assert not (tmp_path / "o").exists()
+
+
+class TestUnusableOutput:
+    """An output path that cannot be written exits 2 before any work: nothing is generated, loaded or printed."""
+
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below_file"])
+    def test_gen_data_out(self, tmp_path, capsys, sub):
+        blocker = tmp_path / "f"
+        blocker.write_text("keep")
+        assert main(gen_args(blocker / sub)) == EXIT_CONFIG  # blocker / "" is blocker
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and f"config error: cannot write {blocker / sub}" in err
+        assert blocker.read_text() == "keep"
+
+    @pytest.mark.parametrize("command", ["train-baseline", "pseudo-label", "ablate-noise"])
+    def test_stage_out_is_a_file(self, split_dir, stage2, tmp_path, capsys, command):
+        blocker = tmp_path / "f"
+        blocker.write_text("keep")
+        argv = [command, "--split", str(split_dir), "--out", str(blocker), *FAST]
+        if command == "pseudo-label":
+            argv += ["--checkpoint", str(stage2[0])]
+        assert main(argv) == EXIT_CONFIG
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and f"{blocker} is not a directory" in err
+        assert blocker.read_text() == "keep"
+
+    @pytest.mark.parametrize("with_split", [True, False], ids=["split", "stored"])
+    @pytest.mark.parametrize("csv, blocker, problem", [("d", "d", "is a directory"),
+                                                       ("f/r.csv", "f", "is not a directory")],
+                             ids=["directory", "below_file"])
+    def test_reliability_csv(self, split_dir, stage2, tmp_path, capsys, csv, blocker, problem, with_split):
+        (tmp_path / "d").mkdir()
+        (tmp_path / "f").write_text("keep")
+        argv = ["report-reliability", "--selection", str(stage2[1]), "--csv", str(tmp_path / csv)]
+        assert main(argv + (["--split", str(split_dir)] if with_split else [])) == EXIT_CONFIG
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and f"{tmp_path / blocker} {problem}" in err
+        assert (tmp_path / "f").read_text() == "keep" and list((tmp_path / "d").iterdir()) == []
 
 
 class TestConfigPrecedence:
@@ -317,7 +377,7 @@ class TestStagedCommands:
     def test_diverged_stage_exits_4_before_writing(self, split_dir, tmp_path, capsys, command, flags):
         out = tmp_path / "o"
         assert main([command, "--split", str(split_dir), "--out", str(out),
-                     "--temperature", "1e-300", "--t-max", "100", *flags]) == EXIT_RUNTIME
+                     "--base-lr", "1e10", "--t-max", "100", *flags]) == EXIT_RUNTIME
         assert "diverged" in capsys.readouterr().err
         assert not (out / "baseline_checkpoint.json").exists()
         assert list(out.iterdir()) == []
@@ -435,6 +495,15 @@ class TestAblations:
         assert "paired mean difference" in capsys.readouterr().out
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seeds"] == [0, 1] and "seed" not in manifest["config"]
+
+    @pytest.mark.parametrize("argv", [["ablate-ru", "--grid", "0.2,1.0", "--seeds", "0,1"],
+                                      ["ablate-noise", "--seeds", "0,1"]], ids=["ru", "noise"])
+    def test_grid_prints_the_config_it_records(self, split_dir, tmp_path, capsys, argv):
+        """Neither leaves in the fields that each cell sets: ``seed``, and ``r_u`` or ``use_hard_labels``."""
+        out = tmp_path / "grid"
+        assert main([*argv, "--split", str(split_dir), "--out", str(out), *FAST]) == EXIT_OK
+        printed = capsys.readouterr().out.split("effective config: ")[1].split("\n")[0]
+        assert json.loads(printed) == json.loads((out / "manifest.json").read_text())["config"]
 
     @pytest.mark.parametrize("argv", [["ablate-ru", "--grid", "0.2,1.0", "--seeds", "0,1"],
                                       ["ablate-noise", "--seeds", "0,1"]], ids=["ru", "noise"])
@@ -912,59 +981,45 @@ class TestSelectionProvenance:
 
 
 class TestCheckpointArchitecture:
-    """Stages 2 and 3 run the checkpoint's network, so they record its architecture, whatever the flags say."""
+    """Stages 2 and 3 run the network their checkpoint holds: no config field or flag describes one."""
 
-    ARCHITECTURE = {"hidden_dims": [64, 64], "feature_dim": 32, "temperature": 0.05}
-
-    def test_recorded_config_is_the_checkpoints(self, split_dir, stage2, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["pseudo-label", "self-train"])
+    def test_architecture_config_file_exits_2_before_out_exists(self, split_dir, stage2, tmp_path, capsys,
+                                                                command):
         ckpt, selection = stage2
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"hidden_dims": [16], "feature_dim": 8, "temperature": 0.5}))
-        common = ["--split", str(split_dir), "--checkpoint", str(ckpt), *FAST]
-        flags = ["--config", str(cfg)]
-        assert main(["pseudo-label", *common, *flags, "--out", str(tmp_path / "sel")]) == EXIT_OK
-        for out, extra in (("st", flags), ("plain", [])):
-            assert main(["self-train", *common, *extra, "--selection", str(selection),
-                         "--out", str(tmp_path / out)]) == EXIT_OK
-        printed = [json.loads(line.split(": ", 1)[1]) for line in capsys.readouterr().out.splitlines()
-                   if line.startswith("effective config: ")]
-        recorded = [*printed, *(json.loads((tmp_path / d / "manifest.json").read_text())["config"]
-                                for d in ("sel", "st", "plain")),
-                    json.loads((tmp_path / "st" / "final_checkpoint.json").read_text())["extra"]["config"]]
-        assert len(recorded) == 7
-        for config in recorded:
-            assert {k: config[k] for k in self.ARCHITECTURE} == self.ARCHITECTURE
-        # the flags changed nothing that stage 3 computed
-        for name in ("final_report.csv", "final_checkpoint.json", "final_checkpoint.flat.npy"):
-            assert (tmp_path / "st" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes(), name
+        argv = [command, "--split", str(split_dir), "--checkpoint", str(ckpt), "--out", str(tmp_path / "o"),
+                "--config", str(cfg), *FAST]
+        if command == "self-train":
+            argv += ["--selection", str(selection)]
+        assert main(argv) == EXIT_CONFIG
+        assert "unknown config fields: ['feature_dim', 'hidden_dims', 'temperature']" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["pseudo-label", "self-train"])
     def test_temperature_flag_exits_2_before_out_exists(self, split_dir, stage2, tmp_path, capsys, command):
-        """The checkpoint sets the temperature, so a flag for it would go unused."""
         ckpt, selection = stage2
         argv = [command, "--split", str(split_dir), "--checkpoint", str(ckpt), "--out", str(tmp_path / "o"),
                 "--temperature", "0.5", *FAST]
         if command == "self-train":
             argv += ["--selection", str(selection)]
-        assert main(argv) == EXIT_CONFIG
-        assert "flags would go unused: temperature" in capsys.readouterr().err
+        _exits_unrecognized(argv, capsys, "--temperature 0.5")
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("command", ["pseudo-label", "self-train"])
-    def test_checkpoint_without_hidden_layer_exits_3_before_out_exists(self, split_dir, stage2, tmp_path, capsys,
-                                                                       command):
-        """No config describes a network without hidden layers, so the stages cannot record one."""
+    def test_checkpoint_without_hidden_layer_runs(self, split_dir, tmp_path, capsys):
+        """A network that stage 1 never builds still runs through stages 2 and 3."""
         params = init_params(input_dim=2, hidden_dims=(), feature_dim=4, n_classes=3, temperature=0.05,
                              rng=seeded_rng(0, "init"))
         ckpt = tmp_path / "shallow.json"
         save_checkpoint(ckpt, params)
-        argv = [command, "--split", str(split_dir), "--checkpoint", str(ckpt), "--out", str(tmp_path / "o"), *FAST]
-        if command == "self-train":
-            argv += ["--selection", str(stage2[1])]
-        assert main(argv) == EXIT_DATA
-        assert "at least one hidden layer" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
-        assert main(["evaluate", "--split", str(split_dir), "--checkpoint", str(ckpt)]) == EXIT_OK
+        common = ["--split", str(split_dir), "--checkpoint", str(ckpt), *FAST]
+        assert main(["pseudo-label", *common, "--out", str(tmp_path / "sel")]) == EXIT_OK
+        assert main(["self-train", *common, "--selection", str(tmp_path / "sel" / "selection.json"),
+                     "--out", str(tmp_path / "st")]) == EXIT_OK
+        final = load_checkpoint(tmp_path / "st" / "final_checkpoint.json")["params"]
+        assert [w.shape for w, _ in final.extractor_layers] == [(2, 4)]
+        assert "final accuracy:" in capsys.readouterr().out
 
 
 class TestReportReliability:

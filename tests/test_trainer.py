@@ -10,6 +10,7 @@ from ssda_lab.coremath import cross_entropy, entropy, seeded_rng, softmax
 from ssda_lab.datasets import DomainPairSpec, ShiftSpec, gen_split
 from ssda_lab.network import anneal_lr, backward, flatten_grads, forward, forward_features, group_sizes, zero_grads
 from ssda_lab.pseudolabel import infer_pseudo, reliability, select
+from ssda_lab import trainer
 from ssda_lab.trainer import (
     TrainConfig,
     entropy_loss,
@@ -30,11 +31,6 @@ def quick_config(**overrides):
         t_max=300,
         t_val=30,
         patience=4,
-        hidden_dims=(16,),
-        feature_dim=8,
-        batch_labeled=16,
-        batch_unlabeled=16,
-        batch_pseudo=16,
         seed=0,
     )
     base.update(overrides)
@@ -200,7 +196,9 @@ class TestMinimaxStep:
         labeled, _, unlabeled = self._batches(params, seed=12)
         stepped = {}
         for lam in (0.5, 0.0):
-            config = TrainConfig(lambda_=lam, sgd_momentum=0.0, weight_decay=0.0)
+            # momentum acts on zero velocities and weight decay cancels in the
+            # difference, so the difference is lambda's part alone
+            config = TrainConfig(lambda_=lam)
             stepped[lam] = params.copy()
             minimax_step(stepped[lam], zero_grads(params), 1e-4, config, labeled, None, unlabeled,
                          zero_grads(params), zero_grads(params))
@@ -246,7 +244,7 @@ def _reference_step(params, velocity, lr, config, labeled, pseudo, unlabeled):
         sign = np.concatenate([np.ones(n_ext), -np.ones(n_cls)])  # +lambda extractor, -lambda classifier
         total = total + sign * (config.lambda_ * flatten_grads(g))
     theta = params.flat.copy()
-    velocity[:] = config.sgd_momentum * velocity + (total + config.weight_decay * theta)
+    velocity[:] = trainer.SGD_MOMENTUM * velocity + (total + trainer.WEIGHT_DECAY * theta)
     params.flat[:] = theta - lr * velocity
     return losses
 
@@ -273,9 +271,9 @@ class TestStepOracle:
         unlabeled_x = split.unlabeled_x()
         rng = seeded_rng(44, mix)
         for t in range(1, 21):
-            li = rng.integers(0, len(labeled_x), size=config.batch_labeled)
-            pi = rng.integers(0, len(unlabeled_x), size=config.batch_pseudo)
-            ui = rng.integers(0, len(unlabeled_x), size=config.batch_unlabeled)
+            li = rng.integers(0, len(labeled_x), size=trainer.BATCH_LABELED)
+            pi = rng.integers(0, len(unlabeled_x), size=trainer.BATCH_PSEUDO)
+            ui = rng.integers(0, len(unlabeled_x), size=trainer.BATCH_UNLABELED)
             labeled = (labeled_x[li], labeled_y[li])
             pseudo = (unlabeled_x[pi], rng.dirichlet(np.ones(split.n_classes), size=len(pi)))
             pseudo = pseudo if with_pseudo else None
