@@ -4,8 +4,8 @@
 Runs, with ``OPENBLAS_NUM_THREADS=1`` and the ``ssda_lab`` package under
 ``--src``: gen-data; run-pipeline, default and with ``--lambda 0
 --no-pseudo``; train-baseline, pseudo-label, self-train and evaluate;
-report-reliability --csv, with ``--split`` and from the stored values; and
-the ablate-ru --regen and ablate-noise grids.
+report-reliability --split --csv; and the ablate-ru --regen and
+ablate-noise grids.
 Prints one ``sha256  path`` line per output file, sorted by path; evaluate
 writes no file, so its stdout is digested as ``evaluate.stdout``. A
 ``manifest.json`` holds timings, so it gets only a ``sha256  path decoded``
@@ -53,7 +53,6 @@ COMMANDS = [
     ["self-train", *SPLIT, *CKPT, "--selection", "sel/selection.json", "--out", "st", *T_MAX],
     ["evaluate", *SPLIT, "--checkpoint", "st/final_checkpoint.json"],
     ["report-reliability", "--selection", "pipeline/selection.json", *SPLIT, "--csv", "reliability.csv"],
-    ["report-reliability", "--selection", "sel/selection.json", "--csv", "reliability_stored.csv"],
     ["ablate-ru", *SPLIT, "--out", "ru", "--grid", "0.2,1.0", "--seeds", "0,1", "--regen", *T_MAX],
     ["ablate-noise", *SPLIT, "--out", "noise", "--seeds", "0,1", *T_MAX],
 ]

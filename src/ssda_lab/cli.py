@@ -1,7 +1,7 @@
 """Command-line orchestration for data generation, training stages, and ablations.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 runtime error.
-Config precedence: built-in defaults < JSON config file (--config) < flags.
+A run's config is the built-in defaults with its flags applied; flags are the only source.
 The ablation grids run every cell in this process, one seed at a time.
 """
 
@@ -63,7 +63,6 @@ _CONFIG_FIELDS = {f.name for f in fields(TrainConfig)}
 
 
 def _config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON file with TrainConfig overrides")
     parser.add_argument("--lambda", dest="lambda_", type=float, help="entropy weight")
     parser.add_argument("--r-u", dest="r_u", type=float, help="pseudo-label selection ratio")
     parser.add_argument("--label-momentum", dest="label_momentum", type=float)
@@ -76,27 +75,8 @@ def _config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_config(args: argparse.Namespace) -> TrainConfig:
-    """defaults < --config file < explicit flags; validated before use."""
-    values = asdict(TrainConfig())
-    if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            overrides = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"config file is not valid JSON: {err}") from err
-        if not isinstance(overrides, dict):
-            raise ConfigError("config file must hold a JSON object")
-        unknown = set(overrides) - _CONFIG_FIELDS
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        values.update(overrides)
-    for name in _CONFIG_FIELDS:
-        flag = getattr(args, name, None)
-        if flag is not None:
-            values[name] = flag
-    config = TrainConfig(**values)
+    """The defaults with the given flags applied; validated before use."""
+    config = TrainConfig(**{k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS and v is not None})
     try:
         config.validate()
     except ValueError as err:
@@ -125,15 +105,10 @@ def _load_params(path: str, split: SSDASplit) -> NetworkParams:
     return params
 
 
-def _load_dump(args: argparse.Namespace, split: SSDASplit | None) -> dict:
-    """``--selection`` as stored, or, given its split, checked against it.
-
-    A checked dump must also name the ``--split`` and, where the command
-    takes one, the ``--checkpoint`` it was made from.
-    """
+def _load_dump(args: argparse.Namespace, split: SSDASplit) -> dict:
+    """``--selection``, checked against ``split``; it must name the ``--split`` and, where the command takes one,
+    the ``--checkpoint`` it was made from."""
     dump = load_selection(args.selection)
-    if split is None:
-        return dump
     check_selection(dump, len(split.unlabeled_target), split.n_classes)
     inputs = {"split_checksum": ("--split", split_checksum(args.split))}
     if "checkpoint" in args:
@@ -147,8 +122,11 @@ def _load_dump(args: argparse.Namespace, split: SSDASplit | None) -> dict:
 # -- manifest --
 
 
-def _recorded(config: TrainConfig, per_cell: frozenset) -> dict:
-    """The config a run prints and records: a grid leaves out its ``per_cell`` fields, which no one config holds."""
+def _recorded(args: argparse.Namespace, config: TrainConfig, per_cell: frozenset) -> dict:
+    """The config a run prints and records: stage 2 alone reads only ``r_u``, and a grid leaves out its
+    ``per_cell`` fields, which no one config holds."""
+    if getattr(args, "stages", None) == (2,):
+        return {"r_u": config.r_u}
     return {k: v for k, v in asdict(config).items() if k not in per_cell}
 
 
@@ -158,7 +136,7 @@ def _write_manifest(args: argparse.Namespace, out_dir: Path, config: TrainConfig
     manifest = {
         "command": args.command,
         "argv": args.argv,
-        "config": _recorded(config, per_cell),
+        "config": _recorded(args, config, per_cell),
         **extra,
         "split_checksum": split_checksum(args.split),
         "artifacts": {k: str(v) for k, v in artifacts.items()},
@@ -213,7 +191,7 @@ def _stage_inputs(args: argparse.Namespace, per_cell: frozenset = frozenset()):
     out = _output_path(args.out, is_dir=True)
     split = load_split(args.split)
     params = _load_params(args.checkpoint, split) if "checkpoint" in args else None
-    print("effective config: " + json.dumps(_recorded(config, per_cell), sort_keys=True))
+    print("effective config: " + json.dumps(_recorded(args, config, per_cell), sort_keys=True))
     selected = selected_set_from_dump(_load_dump(args, split)) if "selection" in args else None
     out.mkdir(parents=True, exist_ok=True)
     return config, split, params, selected, out
@@ -397,17 +375,11 @@ def cmd_ablate_noise(args) -> int:
 
 def cmd_report_reliability(args) -> int:
     csv = _output_path(args.csv, is_dir=False) if args.csv else None
-    split = load_split(args.split) if args.split else None
+    split = load_split(args.split)
     dump = _load_dump(args, split)
-    if split is not None:
-        hits = np.asarray(dump["hard_label"]) == split.unlabeled_truth
-        before = float(np.mean(hits))
-        after = float(np.mean(hits[selected_set_from_dump(dump).index_set]))
-    else:
-        before, after = dump.get("reliability_before"), dump.get("reliability_after")
-        if not all(type(v) in (int, float) and 0.0 <= v <= 1.0 for v in (before, after)):
-            raise DataError(f"selection dump has no stored reliability in [0, 1] ({before!r}, {after!r}); "
-                            "pass --split for ground truth")
+    hits = np.asarray(dump["hard_label"]) == split.unlabeled_truth
+    before = float(np.mean(hits))
+    after = float(np.mean(hits[selected_set_from_dump(dump).index_set]))
     print(f"{100 * before:.1f} -> {100 * after:.1f}")
     if csv:
         csv.parent.mkdir(parents=True, exist_ok=True)
@@ -486,7 +458,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report-reliability", help="before/after selection reliability")
     p.add_argument("--selection", required=True)
-    p.add_argument("--split", help="split dir for ground truth (otherwise use stored values)")
+    p.add_argument("--split", required=True, help="the split the dump was made from, for its ground truth")
     p.add_argument("--csv", help="also write the table to this CSV path")
     p.set_defaults(func=cmd_report_reliability)
 

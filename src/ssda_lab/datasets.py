@@ -344,7 +344,9 @@ def load_split(split_dir: str | Path) -> SSDASplit:
     The manifest's spec must pass ``DomainPairSpec.validate``; every table
     must be one ``.npy`` array of exactly the dtype and shape that the
     manifest's ``input_dim`` and ``counts`` give, features must be finite
-    and labels in [0, n_classes); each failure is a ``DataError``.
+    and labels in [0, n_classes), and the labeled and validation targets
+    must hold ``n_t_per_class`` and ``n_val_per_class`` rows of every class,
+    as ``split_target`` draws them; each failure is a ``DataError``.
     """
     root = Path(split_dir)
     manifest = read_record(root / "manifest.json", SPLIT_FORMAT_VERSION, "manifest",
@@ -366,16 +368,21 @@ def load_split(split_dir: str | Path) -> SSDASplit:
     arrays = {name: read_table(root / name, manifest["checksums"][name], dtype, shape)
               for name, (dtype, shape) in layouts.items()}
 
-    def xy(name: str) -> tuple[np.ndarray, np.ndarray]:
+    def xy(name: str, per_class: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         rows = arrays[name]
-        return _check_features(rows["x"], name), _check_labels(rows["y"], spec.n_classes, name)
+        x, y = _check_features(rows["x"], name), _check_labels(rows["y"], spec.n_classes, name)
+        counts = np.bincount(y, minlength=spec.n_classes)
+        if per_class is not None and np.any(counts != per_class):
+            raise DataError(f"{name} holds {counts.tolist()} rows per class, not the {per_class} each that "
+                            "gen-data draws")
+        return x, y
 
     return SSDASplit(
         spec=spec,
         source=xy("source.npy"),
-        labeled_target=xy("labeled_target.npy"),
+        labeled_target=xy("labeled_target.npy", manifest["n_t_per_class"]),
         unlabeled_target=_check_features(arrays["unlabeled_target.npy"], "unlabeled_target.npy"),
-        validation_target=xy("validation_target.npy"),
+        validation_target=xy("validation_target.npy", manifest["n_val_per_class"]),
         unlabeled_truth=_check_labels(arrays["unlabeled_truth.npy"], spec.n_classes, "unlabeled_truth.npy"),
         n_t_per_class=manifest["n_t_per_class"],
         n_val_per_class=manifest["n_val_per_class"],

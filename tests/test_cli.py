@@ -15,7 +15,7 @@ from ssda_lab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME, main
 from ssda_lab.coremath import seeded_rng
 from ssda_lab.datasets import load_split, split_checksum
 from ssda_lab.network import forward_features, init_params, load_checkpoint, save_checkpoint
-from ssda_lab.pseudolabel import infer_pseudo, load_selection, reliability, select
+from ssda_lab.pseudolabel import infer_pseudo, load_selection, select
 from ssda_lab.trainer import TrainConfig, evaluate, progressive_self_train, train_baseline
 
 FAST = ["--t-max", "200", "--t-val", "25", "--patience", "4"]
@@ -53,14 +53,14 @@ def _copy_selection(good: Path, dest: Path) -> Path:
     return dest
 
 
-def _poison_source_npy(split: Path) -> None:
-    """Put a nan into source.npy and re-stamp its checksum, so only the value check can object."""
-    table = split / "source.npy"
+def _edit_split_table(split: Path, name: str, edit) -> None:
+    """Apply ``edit`` to one table's rows and re-stamp its checksum, so only the checks of its content can object."""
+    table = split / name
     rows = np.load(table)
-    rows["x"][0, 0] = np.nan
+    edit(rows)
     np.save(table, rows, allow_pickle=False)
     manifest = json.loads((split / "manifest.json").read_text())
-    manifest["checksums"]["source.npy"] = hashlib.sha256(table.read_bytes()).hexdigest()
+    manifest["checksums"][name] = hashlib.sha256(table.read_bytes()).hexdigest()
     (split / "manifest.json").write_text(json.dumps(manifest))
 
 
@@ -169,9 +169,28 @@ class TestRunPipeline:
     def test_non_finite_split_is_data_error(self, split_dir, tmp_path, capsys):
         bad = tmp_path / "nan_split"
         shutil.copytree(split_dir, bad)
-        _poison_source_npy(bad)
+        _edit_split_table(bad, "source.npy", lambda rows: rows["x"].__setitem__((0, 0), np.nan))
         assert main(["run-pipeline", "--split", str(bad), "--out", str(tmp_path / "o"), *FAST]) == EXIT_DATA
         assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["train-baseline", "pseudo-label", "self-train", "run-pipeline",
+                                         "ablate-ru", "ablate-noise", "report-reliability"])
+    @pytest.mark.parametrize("table", ["labeled_target.npy", "validation_target.npy"])
+    def test_split_without_a_class_anchors_exits_3_before_out(self, split_dir, stage2, tmp_path, capsys, command,
+                                                              table):
+        """Every labeled target row filed under class 0 leaves classes 1 and 2 without anchors for stage 2, and
+        every validation row so filed leaves them unmeasured; each command that reads a split refuses it."""
+        bad = tmp_path / "no_anchors"
+        shutil.copytree(split_dir, bad)
+        _edit_split_table(bad, table, lambda rows: rows["y"].fill(0))
+        if command in ("self-train", "report-reliability"):
+            argv = _selection_argv(command, bad, stage2[0], stage2[1], tmp_path / "o")
+        else:
+            argv = [command, "--split", str(bad), "--out", str(tmp_path / "o"), *FAST]
+            argv += ["--checkpoint", str(stage2[0])] if command == "pseudo-label" else []
+        assert main(argv) == EXIT_DATA
+        assert f"{table} holds [9, 0, 0] rows per class, not the 3 each" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_version_1_split_is_refused_before_out(self, tmp_path, capsys):
@@ -206,64 +225,35 @@ class TestRunPipeline:
 
 
 BAD_CONFIGS = [
-    # (command, flags, --config file contents: JSON text, or a value to dump)
-    pytest.param("run-pipeline", ["--t-val", "0"], None, id="t_val_0"),
-    pytest.param("run-pipeline", ["--t-max", "0", "--t-val", "0"], None, id="t_max_0"),
-    pytest.param("run-pipeline", [], {"t_max": "abc"}, id="t_max_str"),
-    pytest.param("run-pipeline", [], {"patience": True}, id="patience_bool"),
-    pytest.param("run-pipeline", [], {"use_hard_labels": 1}, id="hard_labels_int"),
-    pytest.param("run-pipeline", [], {"lambda_": "0.1"}, id="lambda_str"),
-    pytest.param("run-pipeline", [], "5", id="config_number"),
-    pytest.param("run-pipeline", [], "null", id="config_null"),
-    pytest.param("run-pipeline", [], "[1, 2]", id="config_list"),
-    pytest.param("run-pipeline", [], '"ab"', id="config_string"),
-    pytest.param("run-pipeline", [], {"seed": 2**64}, id="seed_2_64"),
-    pytest.param("ablate-noise", ["--seeds", "3,3"], None, id="noise_one_distinct_seed"),
-    pytest.param("ablate-noise", ["--seeds", "3,3,4"], None, id="noise_repeated_seed"),
-    pytest.param("ablate-ru", ["--seeds", "3,3"], None, id="ru_repeated_seed"),
-    pytest.param("ablate-ru", ["--grid", "0.2,0.2"], None, id="ru_repeated_grid_value"),
+    # (command, flags)
+    pytest.param("run-pipeline", ["--t-val", "0"], id="t_val_0"),
+    pytest.param("run-pipeline", ["--t-max", "0", "--t-val", "0"], id="t_max_0"),
+    pytest.param("run-pipeline", ["--seed", str(2**64)], id="seed_2_64"),
+    pytest.param("ablate-noise", ["--seeds", "3,3"], id="noise_one_distinct_seed"),
+    pytest.param("ablate-noise", ["--seeds", "3,3,4"], id="noise_repeated_seed"),
+    pytest.param("ablate-ru", ["--seeds", "3,3"], id="ru_repeated_seed"),
+    pytest.param("ablate-ru", ["--grid", "0.2,0.2"], id="ru_repeated_grid_value"),
     # seeded_rng keeps a seed's low 64 bits, so 2**64 would rerun seed 0 as a second seed
-    pytest.param("ablate-noise", ["--seeds", "0,18446744073709551616", *FAST], None, id="noise_seed_alias"),
-    pytest.param("ablate-ru", ["--seeds=-1", *FAST], None, id="ru_negative_seed"),
+    pytest.param("ablate-noise", ["--seeds", "0,18446744073709551616", *FAST], id="noise_seed_alias"),
+    pytest.param("ablate-ru", ["--seeds=-1", *FAST], id="ru_negative_seed"),
     # every grid cell runs at its --seeds value, so --seed would be recorded and never used
-    pytest.param("ablate-ru", ["--seeds", "0,1", "--seed", "7", *FAST], None, id="ru_seed_flag"),
-    pytest.param("ablate-noise", ["--seeds", "0,1", "--seed", "7", *FAST], None, id="noise_seed_flag"),
+    pytest.param("ablate-ru", ["--seeds", "0,1", "--seed", "7", *FAST], id="ru_seed_flag"),
+    pytest.param("ablate-noise", ["--seeds", "0,1", "--seed", "7", *FAST], id="noise_seed_flag"),
     # every arm sets these fields, so their flags would be recorded and never used
-    pytest.param("ablate-ru", ["--seeds", "0,1", "--r-u", "0.5", *FAST], None, id="ru_r_u_flag"),
-    pytest.param("ablate-noise", ["--seeds", "0,1", "--hard-labels", *FAST], None, id="noise_hard_labels_flag"),
-    pytest.param("run-pipeline", [], {"label_momentum": 1.5}, id="label_momentum_above_1"),
-    pytest.param("run-pipeline", [], {"r_u": 0}, id="r_u_0"),
-    pytest.param("run-pipeline", ["--t-max", "20", "--t-val", "25"], None, id="t_val_above_t_max"),
-    pytest.param("run-pipeline", ["--patience", "0"], None, id="patience_0"),
-    pytest.param("run-pipeline", ["--base-lr", "0"], None, id="base_lr_0"),
+    pytest.param("ablate-ru", ["--seeds", "0,1", "--r-u", "0.5", *FAST], id="ru_r_u_flag"),
+    pytest.param("ablate-noise", ["--seeds", "0,1", "--hard-labels", *FAST], id="noise_hard_labels_flag"),
+    pytest.param("run-pipeline", ["--label-momentum", "1.5"], id="label_momentum_above_1"),
+    pytest.param("run-pipeline", ["--r-u", "0"], id="r_u_0"),
+    pytest.param("run-pipeline", ["--t-max", "20", "--t-val", "25"], id="t_val_above_t_max"),
+    pytest.param("run-pipeline", ["--patience", "0"], id="patience_0"),
+    pytest.param("run-pipeline", ["--base-lr", "0"], id="base_lr_0"),
 ]
 
 
-@pytest.mark.parametrize("command, flags, config", BAD_CONFIGS)
-def test_bad_config_exits_2_before_any_work(split_dir, tmp_path, capsys, command, flags, config):
-    argv = [command, "--split", str(split_dir), "--out", str(tmp_path / "o"), *flags]
-    if config is not None:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(config if isinstance(config, str) else json.dumps(config))
-        argv += ["--config", str(cfg)]
-    assert main(argv) == EXIT_CONFIG
+@pytest.mark.parametrize("command, flags", BAD_CONFIGS)
+def test_bad_config_exits_2_before_any_work(split_dir, tmp_path, capsys, command, flags):
+    assert main([command, "--split", str(split_dir), "--out", str(tmp_path / "o"), *flags]) == EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
-
-
-# the network's layout, its SGD and its batch sizes are fixed, not config fields
-REMOVED_FIELDS = {"hidden_dims": [64, 64], "feature_dim": 32, "temperature": 0.05, "sgd_momentum": 0.9,
-                  "weight_decay": 5e-4, "batch_labeled": 32, "batch_unlabeled": 32, "batch_pseudo": 64}
-
-
-@pytest.mark.parametrize("name", sorted(REMOVED_FIELDS))
-def test_removed_field_exits_2_before_any_work(split_dir, tmp_path, capsys, name):
-    """Even at the value the run uses, a config file naming a fixed setting is refused as unknown."""
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({name: REMOVED_FIELDS[name]}))
-    argv = ["run-pipeline", "--split", str(split_dir), "--out", str(tmp_path / "o"), "--config", str(cfg)]
-    assert main(argv) == EXIT_CONFIG
-    assert f"unknown config fields: ['{name}']" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -278,6 +268,48 @@ def _exits_unrecognized(argv: list, capsys, unrecognized: str) -> None:
 def test_temperature_flag_is_unrecognized(split_dir, tmp_path, capsys):
     _exits_unrecognized(["run-pipeline", "--split", str(split_dir), "--out", str(tmp_path / "o"),
                          "--temperature", "0"], capsys, "--temperature 0")
+    assert not (tmp_path / "o").exists()
+
+
+# the network's layout, its SGD and its batch sizes are fixed, not config fields
+FIXED_SETTINGS = {"hidden_dims": "64,64", "feature_dim": "32", "temperature": "0.05", "sgd_momentum": "0.9",
+                  "weight_decay": "5e-4", "batch_labeled": "32", "batch_unlabeled": "32", "batch_pseudo": "64"}
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_SETTINGS))
+def test_fixed_setting_flag_is_unrecognized(split_dir, tmp_path, capsys, name):
+    """Even at the value the run uses, no flag names a fixed setting."""
+    flag = "--" + name.replace("_", "-")
+    _exits_unrecognized(["run-pipeline", "--split", str(split_dir), "--out", str(tmp_path / "o"),
+                         flag, FIXED_SETTINGS[name]], capsys, f"{flag} {FIXED_SETTINGS[name]}")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--t-max", "abc"), ("--t-val", "2.5"), ("--patience", "true"),
+                                         ("--seed", "0x1"), ("--base-lr", "fast"), ("--lambda", "0.1.0"),
+                                         ("--r-u", "20%"), ("--label-momentum", "")],
+                         ids=lambda v: v.strip("-") or "empty")
+def test_flag_of_wrong_type_exits_2_before_any_work(split_dir, tmp_path, capsys, flag, value):
+    """argparse types each config flag, so a value that does not parse never reaches the config."""
+    with pytest.raises(SystemExit) as exited:
+        main(["run-pipeline", "--split", str(split_dir), "--out", str(tmp_path / "o"), flag, value])
+    assert exited.value.code == EXIT_CONFIG
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, inputs", [
+    ("train-baseline", []), ("pseudo-label", ["checkpoint"]), ("self-train", ["checkpoint", "selection"]),
+    ("run-pipeline", []), ("ablate-ru", []), ("ablate-noise", []),
+])
+def test_config_file_flag_is_unrecognized(split_dir, stage2, tmp_path, capsys, command, inputs):
+    """Flags are the only source of a run's config, so every stage and grid command refuses a config file."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"t_max": 200}))
+    paths = {"checkpoint": stage2[0], "selection": stage2[1]}
+    argv = [command, "--split", str(split_dir), "--out", str(tmp_path / "o"), "--config", str(cfg),
+            *(arg for name in inputs for arg in (f"--{name}", str(paths[name])))]
+    _exits_unrecognized(argv, capsys, f"--config {cfg}")
     assert not (tmp_path / "o").exists()
 
 
@@ -305,42 +337,31 @@ class TestUnusableOutput:
         assert stdout == "" and f"{blocker} is not a directory" in err
         assert blocker.read_text() == "keep"
 
-    @pytest.mark.parametrize("with_split", [True, False], ids=["split", "stored"])
     @pytest.mark.parametrize("csv, blocker, problem", [("d", "d", "is a directory"),
                                                        ("f/r.csv", "f", "is not a directory")],
                              ids=["directory", "below_file"])
-    def test_reliability_csv(self, split_dir, stage2, tmp_path, capsys, csv, blocker, problem, with_split):
+    def test_reliability_csv(self, split_dir, stage2, tmp_path, capsys, csv, blocker, problem):
         (tmp_path / "d").mkdir()
         (tmp_path / "f").write_text("keep")
-        argv = ["report-reliability", "--selection", str(stage2[1]), "--csv", str(tmp_path / csv)]
-        assert main(argv + (["--split", str(split_dir)] if with_split else [])) == EXIT_CONFIG
+        argv = ["report-reliability", "--selection", str(stage2[1]), "--split", str(split_dir),
+                "--csv", str(tmp_path / csv)]
+        assert main(argv) == EXIT_CONFIG
         stdout, err = capsys.readouterr()
         assert stdout == "" and f"{tmp_path / blocker} {problem}" in err
         assert (tmp_path / "f").read_text() == "keep" and list((tmp_path / "d").iterdir()) == []
 
 
-class TestConfigPrecedence:
-    def test_file_overrides_defaults_and_flags_override_file(self, split_dir, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"t_max": 200, "t_val": 25, "patience": 3, "base_lr": 0.004}))
+class TestConfigFromFlags:
+    def test_flags_override_defaults(self, split_dir, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["train-baseline", "--split", str(split_dir), "--out", str(out),
-                     "--config", str(cfg), "--base-lr", "0.006"]) == EXIT_OK
+                     "--t-max", "200", "--t-val", "25", "--patience", "3", "--base-lr", "0.006"]) == EXIT_OK
         stdout = capsys.readouterr().out
         effective = json.loads(stdout.split("effective config: ")[1].split("\n")[0])
-        assert effective["t_max"] == 200      # from file
-        assert effective["base_lr"] == 0.006  # flag beats file
+        assert effective["t_max"] == 200      # from a flag
+        assert effective["base_lr"] == 0.006  # from a flag
         assert effective["lambda_"] == 0.1    # default survives
-
-    def test_unknown_config_field_rejected(self, split_dir, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"learning_rate": 0.1}))
-        assert main(["train-baseline", "--split", str(split_dir), "--out", str(tmp_path / "o"),
-                     "--config", str(cfg)]) == EXIT_CONFIG
-
-    def test_missing_config_file_rejected(self, split_dir, tmp_path):
-        assert main(["train-baseline", "--split", str(split_dir), "--out", str(tmp_path / "o"),
-                     "--config", str(tmp_path / "none.json")]) == EXIT_CONFIG
+        assert json.loads((out / "manifest.json").read_text())["config"] == effective
 
 
 class TestStagedCommands:
@@ -401,6 +422,31 @@ class TestStagedCommands:
         assert manifest["command"] == "pseudo-label"
         assert manifest["artifacts"] == {"selection": str(tmp_path / "sel" / "selection.json")}
         assert set(manifest["timings_s"]) == {"stage2"}
+
+    def test_pseudo_label_records_only_r_u(self, split_dir, stage2, tmp_path, capsys):
+        """Stage 2 reads only ``r_u``: training flags are accepted, change no byte, and are not recorded."""
+        common = ["pseudo-label", "--split", str(split_dir), "--checkpoint", str(stage2[0]), "--r-u", "0.5"]
+        assert main([*common, "--out", str(tmp_path / "plain")]) == EXIT_OK
+        capsys.readouterr()
+        out = tmp_path / "flagged"
+        assert main([*common, "--out", str(out), "--seed", "3", "--t-max", "70", "--lambda", "0.9"]) == EXIT_OK
+        printed = capsys.readouterr().out.split("effective config: ")[1].split("\n")[0]
+        assert json.loads(printed) == json.loads((out / "manifest.json").read_text())["config"] == {"r_u": 0.5}
+        for name in ("selection.json", *(f"selection.{c}.npy" for c in COLUMNS)):
+            assert (out / name).read_bytes() == (tmp_path / "plain" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("flags", [["--seed", "3"], ["--t-max", "70"], ["--t-val", "5"], ["--patience", "1"],
+                                       ["--base-lr", "0.5"], ["--lambda", "0.9"], ["--label-momentum", "0"],
+                                       ["--hard-labels"]], ids=lambda flags: flags[0].strip("-"))
+    def test_pseudo_label_ignores_each_training_flag(self, split_dir, stage2, tmp_path, capsys, flags):
+        """Each flag that stage 2 does not read leaves the ``stage2`` fixture's dump and its tables unchanged."""
+        out = tmp_path / "flagged"
+        assert main(["pseudo-label", "--split", str(split_dir), "--checkpoint", str(stage2[0]),
+                     "--out", str(out), *flags]) == EXIT_OK
+        assert "effective config: {\"r_u\": 0.2}\n" in capsys.readouterr().out
+        assert json.loads((out / "manifest.json").read_text())["config"] == {"r_u": 0.2}
+        for name in ("selection.json", *(f"selection.{c}.npy" for c in COLUMNS)):
+            assert (out / name).read_bytes() == stage2[1].with_name(name).read_bytes(), name
 
     @pytest.mark.parametrize("field, value", [("scale", -1.0), ("input_dim", 3),
                                               ("seed", -1), ("seed", 2**64)])
@@ -624,10 +670,6 @@ def _first_listed(dump: dict) -> dict:
     return next(entries for entries in dump["selected_by_class"].values() if entries)[0]
 
 
-def _first_selected(dump: dict) -> dict:
-    return next(entry for entry in dump["annotations"] if entry["selected"])
-
-
 def _move_first_listed(dump: dict) -> None:
     """File the first listed row under the next class, whose key is then not its hard label."""
     key = next(k for k, entries in dump["selected_by_class"].items() if entries)
@@ -639,11 +681,6 @@ def _duplicate_first_listed(dump: dict) -> None:
     """List the first listed row a second time in place of its class's next row."""
     entries = next(entries for entries in dump["selected_by_class"].values() if len(entries) > 1)
     entries[1]["index"] = entries[0]["index"]
-
-
-def _swap_selected_flag(dump: dict) -> None:
-    _first_selected(dump)["selected"] = False
-    next(entry for entry in dump["annotations"] if not entry["selected"])["selected"] = True
 
 
 def _table_cases(column: str) -> list:
@@ -774,65 +811,13 @@ BAD_SELECTIONS = [
       for column in COLUMNS for case, write, reason in _table_cases(column)),
 ]
 
-# Edits of a version-1 dump that its reader once caught row by row. The format check refuses
-# every one at load, before a row is read, and names the command that rebuilds the dump.
-REBUILD = "run pseudo-label again"
-BAD_VERSION_1_SELECTIONS = [
-    pytest.param(_edited(lambda text: text[: len(text) // 2]), "", id="truncated"),
-    pytest.param(_edited_json(lambda d: d.pop("r_u")), REBUILD, id="missing_key"),
-    pytest.param(_edited_json(lambda d: d.update(n_selected=d["n_selected"] + 1)), REBUILD, id="n_selected_off_by_1"),
-    pytest.param(_edited_json(lambda d: d.update(per_class_quota=1)), REBUILD, id="quota_not_from_r_u"),
-    pytest.param(_edited_json(lambda d: d.update(r_u=0.01, per_class_quota=1)), REBUILD, id="class_over_quota"),
-    pytest.param(_edited_json(_move_first_listed), REBUILD, id="class_key_not_hard_label"),
-    pytest.param(_edited_json(lambda d: d.update(format_version=4)), REBUILD, id="format_version_4"),
-    pytest.param(_edited_json(lambda d: d["annotations"][0].pop("selected")), REBUILD, id="missing_entry_key"),
-    pytest.param(_edited_json(lambda d: d["annotations"][0].update(index=486)), REBUILD,
-                 id="index_from_larger_split"),
-    pytest.param(_edited_json(lambda d: d["annotations"][1].update(index=0)), REBUILD, id="duplicate_index"),
-    pytest.param(_edited_json(lambda d: d["annotations"][0].update(hard_label=3)), REBUILD, id="hard_label_3"),
-    pytest.param(_edited_json(lambda d: d["annotations"][0].update(distance=None)), REBUILD, id="null_distance"),
-    pytest.param(_edited_json(lambda d: _first_selected(d)["soft_label"].append(0.0)), REBUILD, id="soft_width_4"),
-    pytest.param(_edited_json(lambda d: [a.update(selected=False) for a in d["annotations"]]), REBUILD,
-                 id="none_selected"),
-    pytest.param(_edited_json(_swap_selected_flag), REBUILD, id="selected_flag_not_listed"),
-    pytest.param(_edited_json(lambda d: _first_selected(d)["soft_label"].__setitem__(0, float("nan"))), REBUILD,
-                 id="soft_nan"),
-    pytest.param(_edited_json(lambda d: _first_selected(d).update(soft_label=[2.0, -1.0, 0.0])), REBUILD,
-                 id="soft_outside_0_1"),
-    pytest.param(_edited_json(lambda d: _first_selected(d).update(soft_label=[1.0, 1.0, 0.0])), REBUILD,
-                 id="soft_sum_2"),
-    pytest.param(_edited_json(lambda d: _first_selected(d).update(soft_label=["a", "b", "c"])), REBUILD,
-                 id="soft_strings"),
-    pytest.param(_edited_json(lambda d: d.update(n_selected=999, per_class_quota=1, selected_by_class={"0": []})),
-                 REBUILD, id="edited_counts"),
-]
-
-
-def _version1_dump(split_dir: Path, ckpt: Path) -> dict:
-    """What stage 2 made from ``ckpt`` in the version-1 layout: every unlabeled row with its soft label."""
-    split = load_split(split_dir)
-    annotations, selected = cli._stage2(split, load_checkpoint(ckpt)["params"], TrainConfig().r_u)
-    by_class: dict = {}
-    for a in selected.annotations:
-        by_class.setdefault(str(a.hard_label), []).append({"index": a.index, "distance": a.distance})
-    return {
-        "r_u": selected.r_u,
-        "per_class_quota": selected.per_class_quota,
-        "n_selected": len(selected),
-        "selected_by_class": by_class,
-        "annotations": [{"index": a.index, "hard_label": a.hard_label, "distance": a.distance,
-                         "soft_label": a.soft_label.tolist(), "selected": a.index in selected.index_set}
-                        for a in annotations],
-        "reliability_before": reliability(annotations, split.unlabeled_truth),
-        "reliability_after": reliability(selected.annotations, split.unlabeled_truth),
-    }
-
-
 @pytest.fixture(scope="module")
-def stage2_v1(split_dir, stage2, tmp_path_factory):
-    """``stage2``'s selection in the version-1 layout, which no reader accepts."""
-    path = tmp_path_factory.mktemp("stage2_v1") / "selection.json"
-    path.write_text(json.dumps(_version1_dump(split_dir, stage2[0])))
+def stage2_v1(stage2, tmp_path_factory):
+    """``stage2``'s selection without a ``format_version``, as the per-row layout was written, beside its tables."""
+    path = _copy_selection(stage2[1], tmp_path_factory.mktemp("stage2_v1") / "selection.json")
+    dump = json.loads(stage2[1].read_text())
+    del dump["format_version"]
+    path.write_text(json.dumps(dump))
     return path
 
 
@@ -898,24 +883,6 @@ class TestArtifactChecks:
         assert "data error:" in err and f"checksum mismatch for selection.{column}.npy" in err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("command", ["self-train", "report-reliability"])
-    @pytest.mark.parametrize("write, reason", BAD_VERSION_1_SELECTIONS)
-    def test_unusable_version_1_selection_exits_3_before_out_exists(self, split_dir, stage2, stage2_v1, tmp_path,
-                                                                    capsys, command, write, reason):
-        bad = tmp_path / "selection.json"
-        write(bad, stage2_v1)
-        assert main(_selection_argv(command, split_dir, stage2[0], bad, tmp_path / "o")) == EXIT_DATA
-        err = capsys.readouterr().err
-        assert "data error:" in err and reason in err
-        assert not (tmp_path / "o").exists()
-
-    def test_truncated_selection_without_split_exits_3(self, stage2, tmp_path, capsys):
-        bad = _copy_selection(stage2[1], tmp_path / "selection.json")
-        bad.write_text(stage2[1].read_text()[:100])
-        assert main(["report-reliability", "--selection", str(bad), "--csv", str(tmp_path / "o")]) == EXIT_DATA
-        assert "data error:" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
-
     def test_recomputed_reliability_equals_stored(self, split_dir, stage2, tmp_path):
         dump = json.loads(stage2[1].read_text())
         csv_path = tmp_path / "rel.csv"
@@ -923,6 +890,25 @@ class TestArtifactChecks:
                      "--csv", str(csv_path)]) == EXIT_OK
         assert csv_path.read_text() == (f"metric,value\nreliability_before,{dump['reliability_before']!r}\n"
                                         f"reliability_after,{dump['reliability_after']!r}\n")
+
+    @pytest.mark.parametrize("command, written", [("self-train", ["final_checkpoint.json", "final_report.csv"]),
+                                                  ("report-reliability", [])], ids=["self_train", "report"])
+    @pytest.mark.parametrize("value", ["x", [0.5], True, 7.5, float("nan"), -1.0],
+                             ids=["string", "list", "bool", "above_1", "nan", "negative"])
+    def test_stored_reliability_is_never_read(self, split_dir, stage2, tmp_path, command, written, value):
+        """Stage 2 still writes its reliabilities into the dump, but each reader measures them from the split,
+        so an edited stored value changes no byte of what it writes."""
+        dump = json.loads(stage2[1].read_text())
+        dump["reliability_before"] = dump["reliability_after"] = value
+        (tmp_path / "edited").mkdir()
+        edited = _copy_selection(stage2[1], tmp_path / "edited" / "selection.json")
+        edited.write_text(json.dumps(dump))
+        for selection, out in ((stage2[1], tmp_path / "plain"), (edited, tmp_path / "read")):
+            assert main(_selection_argv(command, split_dir, stage2[0], selection, out)) == EXIT_OK
+        for name in written:
+            assert (tmp_path / "read" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes(), name
+        if command == "report-reliability":
+            assert (tmp_path / "read").read_text() == (tmp_path / "plain").read_text()
 
 
 class TestSelectionVersions:
@@ -944,16 +930,10 @@ class TestSelectionVersions:
         assert dump["checkpoint_sha256"] == hashlib.sha256(ckpt.read_bytes()).hexdigest()
 
     @pytest.mark.parametrize("layout", ["stage2_v1", "stage2_v2"], ids=["version_1", "version_2"])
-    @pytest.mark.parametrize("command, with_split", [("self-train", True), ("report-reliability", True),
-                                                     ("report-reliability", False)],
-                             ids=["self_train", "report_with_split", "report_stored"])
-    def test_earlier_layout_exits_3(self, request, split_dir, stage2, tmp_path, capsys, layout, command,
-                                    with_split):
-        """The per-row layout (no ``format_version``) and the JSON-column layout (version 2) are refused,
-        even where only the stored reliabilities would be read."""
+    @pytest.mark.parametrize("command", ["self-train", "report-reliability"])
+    def test_earlier_layout_exits_3(self, request, split_dir, stage2, tmp_path, capsys, layout, command):
+        """The per-row layout (no ``format_version``) and the JSON-column layout (version 2) are refused."""
         argv = _selection_argv(command, split_dir, stage2[0], request.getfixturevalue(layout), tmp_path / "o")
-        if not with_split:
-            argv = argv[:3] + argv[5:]  # drop "--split" and its value
         assert main(argv) == EXIT_DATA
         err = capsys.readouterr().err
         assert "data error:" in err and "run pseudo-label again" in err
@@ -982,20 +962,6 @@ class TestSelectionProvenance:
 
 class TestCheckpointArchitecture:
     """Stages 2 and 3 run the network their checkpoint holds: no config field or flag describes one."""
-
-    @pytest.mark.parametrize("command", ["pseudo-label", "self-train"])
-    def test_architecture_config_file_exits_2_before_out_exists(self, split_dir, stage2, tmp_path, capsys,
-                                                                command):
-        ckpt, selection = stage2
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"hidden_dims": [16], "feature_dim": 8, "temperature": 0.5}))
-        argv = [command, "--split", str(split_dir), "--checkpoint", str(ckpt), "--out", str(tmp_path / "o"),
-                "--config", str(cfg), *FAST]
-        if command == "self-train":
-            argv += ["--selection", str(selection)]
-        assert main(argv) == EXIT_CONFIG
-        assert "unknown config fields: ['feature_dim', 'hidden_dims', 'temperature']" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["pseudo-label", "self-train"])
     def test_temperature_flag_exits_2_before_out_exists(self, split_dir, stage2, tmp_path, capsys, command):
@@ -1040,28 +1006,16 @@ class TestReportReliability:
         after = float(lines[2].split(",")[1])
         assert stdout == f"{100 * before:.1f} -> {100 * after:.1f}"
 
-    def test_stored_values_used_without_split(self, split_dir, tmp_path, capsys):
-        base = tmp_path / "base"
-        main(["train-baseline", "--split", str(split_dir), "--out", str(base), *FAST])
-        sel = tmp_path / "sel"
-        main(["pseudo-label", "--split", str(split_dir),
-              "--checkpoint", str(base / "baseline_checkpoint.json"), "--out", str(sel), *FAST])
-        capsys.readouterr()
-        assert main(["report-reliability", "--selection", str(sel / "selection.json")]) == EXIT_OK
-        assert " -> " in capsys.readouterr().out
-
-    @pytest.mark.parametrize("value", ["x", [0.5], True, 7.5, float("nan"), -1.0],
-                             ids=["string", "list", "bool", "above_1", "nan", "negative"])
-    def test_bad_stored_value_exits_3_before_csv(self, stage2, tmp_path, capsys, value):
-        dump = json.loads(stage2[1].read_text())
-        dump["reliability_before"] = value
-        bad = _copy_selection(stage2[1], tmp_path / "selection.json")
-        bad.write_text(json.dumps(dump))
-        assert main(["report-reliability", "--selection", str(bad), "--csv", str(tmp_path / "o")]) == EXIT_DATA
-        assert "data error:" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
-
-    def test_csv_directory_is_created(self, stage2, tmp_path, capsys):
+    def test_csv_directory_is_created(self, split_dir, stage2, tmp_path, capsys):
         csv = tmp_path / "missing_dir" / "r.csv"
-        assert main(["report-reliability", "--selection", str(stage2[1]), "--csv", str(csv)]) == EXIT_OK
+        assert main(["report-reliability", "--selection", str(stage2[1]), "--split", str(split_dir),
+                     "--csv", str(csv)]) == EXIT_OK
         assert csv.read_text().startswith("metric,value\n")
+
+    def test_split_is_required(self, stage2, tmp_path, capsys):
+        """Reliability is measured against the split's hidden truth; a dump's stored values are never read."""
+        with pytest.raises(SystemExit) as exited:
+            main(["report-reliability", "--selection", str(stage2[1]), "--csv", str(tmp_path / "r.csv")])
+        assert exited.value.code == EXIT_CONFIG
+        assert "the following arguments are required: --split" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()

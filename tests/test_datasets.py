@@ -312,6 +312,17 @@ class TestManifestChecks:
         with pytest.raises(DataError, match=r"labeled_target.npy has labels outside \[0, 3\)"):
             load_split(tmp_path / "split")
 
+    @pytest.mark.parametrize("name, per_class", [("labeled_target.npy", 3), ("validation_target.npy", 2)])
+    def test_class_short_of_its_rows_under_valid_checksum(self, tmp_path, name, per_class):
+        """Relabeling a row moves it to another class, so one class holds fewer rows than split_target draws."""
+        save_split(gen_split(small_spec(), 3, 2), tmp_path / "split")
+        rows = np.load(tmp_path / "split" / name)
+        rows["y"][rows["y"] == 2] = 0
+        _restamped(tmp_path / "split", name, _npy(rows))
+        with pytest.raises(DataError, match=rf"{name} holds \[{2 * per_class}, {per_class}, 0\] rows per class, "
+                                            rf"not the {per_class} each"):
+            load_split(tmp_path / "split")
+
 
 def _npy(array: np.ndarray, allow_pickle: bool = False) -> bytes:
     buf = io.BytesIO()

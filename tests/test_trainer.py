@@ -398,6 +398,35 @@ class TestTrainBaseline:
             train_baseline(split, quick_config(lambda_=-1.0))
 
 
+# argparse types every flag, so a wrongly typed field reaches validate only from a Python caller
+BAD_FIELD_TYPES = [
+    pytest.param({"t_max": "abc"}, "t_max must be an integer", id="t_max_str"),
+    pytest.param({"t_max": 2.5}, "t_max must be an integer", id="t_max_float"),
+    pytest.param({"t_val": "25"}, "t_val must be an integer", id="t_val_str"),
+    pytest.param({"t_val": 25.0}, "t_val must be an integer", id="t_val_float"),
+    pytest.param({"patience": True}, "patience must be an integer", id="patience_bool"),
+    pytest.param({"patience": "3"}, "patience must be an integer", id="patience_str"),
+    pytest.param({"seed": "0"}, "seed must be an integer", id="seed_str"),
+    pytest.param({"seed": 0.0}, "seed must be an integer", id="seed_float"),
+    pytest.param({"base_lr": "0.005"}, "base_lr must be a finite number", id="base_lr_str"),
+    pytest.param({"base_lr": math.inf}, "base_lr must be a finite number", id="base_lr_inf"),
+    pytest.param({"lambda_": "0.1"}, "lambda_ must be a finite number", id="lambda_str"),
+    pytest.param({"lambda_": False}, "lambda_ must be a finite number", id="lambda_bool"),
+    pytest.param({"r_u": True}, "r_u must be a finite number", id="r_u_bool"),
+    pytest.param({"r_u": math.nan}, "r_u must be a finite number", id="r_u_nan"),
+    pytest.param({"label_momentum": None}, "label_momentum must be a finite number", id="label_momentum_none"),
+    pytest.param({"label_momentum": "0.9"}, "label_momentum must be a finite number", id="label_momentum_str"),
+    pytest.param({"use_hard_labels": 1}, "use_hard_labels must be true or false", id="hard_labels_int"),
+    pytest.param({"use_hard_labels": "true"}, "use_hard_labels must be true or false", id="hard_labels_str"),
+]
+
+
+@pytest.mark.parametrize("values, message", BAD_FIELD_TYPES)
+def test_wrongly_typed_field_is_refused(values, message):
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(**values).validate()
+
+
 class TestProgressiveSelfTrain:
     def _selected(self, split, params, r_u=0.5):
         annotations = infer_pseudo(params, split.unlabeled_x())
