@@ -198,14 +198,14 @@ def _stage_inputs(args: argparse.Namespace, per_cell: frozenset = frozenset()):
 
 
 def _write_trained(out: Path, prefix: str, stage: str, params: NetworkParams, report, config: TrainConfig,
-                   artifacts: dict) -> None:
-    """Write ``{prefix}_checkpoint.json`` and ``{prefix}_report.{json,csv}``, record them, print the stage line."""
+                   artifacts: dict) -> str:
+    """Write ``{prefix}_checkpoint.json`` and ``{prefix}_report.{json,csv}``, record them, return the stage line."""
     ckpt = artifacts[f"{prefix}_checkpoint"] = out / f"{prefix}_checkpoint.json"
     csv = artifacts[f"{prefix}_report_csv"] = out / f"{prefix}_report.csv"
     save_checkpoint(ckpt, params, extra={"stage": stage, "config": asdict(config)})
     save_report(report, out / f"{prefix}_report.json", csv)
-    print(f"{prefix} accuracy: {report.final_test_acc:.4f} "
-          f"(stop={report.stop_reason}, best_val={report.best_val_acc:.4f})")
+    return (f"{prefix} accuracy: {report.final_test_acc:.4f} "
+            f"(stop={report.stop_reason}, best_val={report.best_val_acc:.4f})")
 
 
 # -- commands --
@@ -247,11 +247,12 @@ def cmd_stages(args) -> int:
     config, split, params, selected, out = _stage_inputs(args)
     artifacts: dict = {}
     timings: dict = {}
+    lines = []  # printed after the manifest is written, so that a closed stdout cannot cost the run its record
     for n in args.stages:
         with _timed(timings, f"stage{n}"):
             if n == 1:
                 params, report = _stage1(split, config)
-                _write_trained(out, "baseline", "baseline", params, report, config, artifacts)
+                lines.append(_write_trained(out, "baseline", "baseline", params, report, config, artifacts))
             elif n == 2:
                 annotations, selected = _stage2(split, params, config.r_u)
                 before = reliability(annotations, split.unlabeled_truth)
@@ -261,13 +262,15 @@ def cmd_stages(args) -> int:
                 save_selection(artifacts["selection"], selection_dump(
                     selected, annotations, before, after,
                     split_checksum=split_checksum(args.split), checkpoint_sha256=sha256(source)))
-                print(f"selected {len(selected)} of {len(split.unlabeled_target)} "
-                      f"(quota {selected.per_class_quota}/class, r_u={config.r_u})")
-                print(f"reliability before/after selection: {100 * before:.1f} -> {100 * after:.1f}")
+                lines += [f"selected {len(selected)} of {len(split.unlabeled_target)} "
+                          f"(quota {selected.per_class_quota}/class, r_u={config.r_u})",
+                          f"reliability before/after selection: {100 * before:.1f} -> {100 * after:.1f}"]
             else:
                 final, report = _stage3(split, selected, params, config)
-                _write_trained(out, "final", "selftrain", final, report, config, artifacts)
+                lines.append(_write_trained(out, "final", "selftrain", final, report, config, artifacts))
     _write_manifest(args, out, config, artifacts, timings)
+    for line in lines:
+        print(line)
     return EXIT_OK
 
 

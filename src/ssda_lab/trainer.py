@@ -1,8 +1,11 @@
 """Training stages: minimax-entropy baseline and progressive self-training.
 
-Each iteration draws one labeled batch (source plus labeled target,
+Each iteration takes one labeled batch (source plus labeled target,
 uniform), one unlabeled batch, and, during self-training, one batch from
-the trusted pseudo-labeled set.  The extractor descends
+the trusted pseudo-labeled set.  The batches of a whole validation window
+are drawn and gathered at once, with the bits of one draw per iteration:
+each role has its own stream, and the live labels change only at the
+validation that ends the window.  The extractor descends
 supervised + pseudo + lambda * entropy while the classifier descends
 supervised + pseudo - lambda * entropy, both from gradients taken at the
 same evaluation point (the entropy term's sign is flipped for the
@@ -316,25 +319,29 @@ def run_train_loop(
 
     rngs = _batch_rngs(config, state.stage)
     while state.stop_reason is None and state.t_iter < config.t_max:
-        state.t_iter += 1
-        lr = anneal_lr(config.base_lr, state.t_iter / config.t_max)
+        # One validation window's batches, drawn and gathered at once. A (w, b) draw has the
+        # values of w draws of b and leaves the stream where they would; the live labels change
+        # only at the validation that ends the window, and patience stops a stage only there.
+        w = min(config.t_val - state.t_iter % config.t_val, config.t_max - state.t_iter)
+        li = rngs["labeled"].integers(0, len(labeled_x), size=(w, BATCH_LABELED))
+        ui = rngs["unlabeled"].integers(0, len(unlabeled_x), size=(w, BATCH_UNLABELED))
+        lx, ly, ux = labeled_x[li], labeled_y[li], unlabeled_x[ui]
+        if pseudo_x is not None:
+            pi = rngs["pseudo"].integers(0, len(pseudo_x), size=(w, BATCH_PSEUDO))
+            px, psoft = pseudo_x[pi], state.live_soft[pi]
 
-        li = rngs["labeled"].integers(0, len(labeled_x), size=BATCH_LABELED)
-        ui = rngs["unlabeled"].integers(0, len(unlabeled_x), size=BATCH_UNLABELED)
-        pseudo_batch = None
-        if state.stage == "selftrain":
-            pi = rngs["pseudo"].integers(0, len(pseudo_x), size=BATCH_PSEUDO)
-            pseudo_batch = (pseudo_x[pi], state.live_soft[pi])
+        for j in range(w):
+            state.t_iter += 1
+            lr = anneal_lr(config.base_lr, state.t_iter / config.t_max)
+            losses = minimax_step(state.params, state.velocities, lr, config, labeled=(lx[j], ly[j]),
+                                  pseudo=None if pseudo_x is None else (px[j], psoft[j]), unlabeled=ux[j],
+                                  combined=state.grads, term=state.term_grads)
 
-        losses = minimax_step(state.params, state.velocities, lr, config, labeled=(labeled_x[li], labeled_y[li]),
-                              pseudo=pseudo_batch, unlabeled=unlabeled_x[ui],
-                              combined=state.grads, term=state.term_grads)
-
-        state.loss_sums["labeled"] += losses["labeled"]
-        state.loss_sums["entropy"] += losses["entropy"]
-        if losses["pseudo"] is not None:
-            state.loss_sums["pseudo"] += losses["pseudo"]
-        state.loss_sums["count"] += 1
+            state.loss_sums["labeled"] += losses["labeled"]
+            state.loss_sums["entropy"] += losses["entropy"]
+            if losses["pseudo"] is not None:
+                state.loss_sums["pseudo"] += losses["pseudo"]
+            state.loss_sums["count"] += 1
 
         if state.t_iter % config.t_val == 0:
             _validation_phase(config, state, val_x, val_y, pseudo_x, pseudo_truth)

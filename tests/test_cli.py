@@ -403,6 +403,20 @@ class TestStagedCommands:
         assert not (out / "baseline_checkpoint.json").exists()
         assert list(out.iterdir()) == []
 
+    def test_closed_stdout_keeps_the_manifest(self, split_dir, tmp_path, monkeypatch):
+        """A reader that goes away after the ``effective config`` line costs the run its summary, not its record."""
+        class ClosedAfterFirstLine(io.StringIO):
+            def write(self, text):
+                if self.getvalue().startswith("effective config: ") and self.getvalue().endswith("\n"):
+                    raise BrokenPipeError(32, "Broken pipe")
+                return super().write(text)
+
+        out = tmp_path / "run"
+        monkeypatch.setattr(sys, "stdout", ClosedAfterFirstLine())
+        assert main(["run-pipeline", "--split", str(split_dir), "--out", str(out), *FAST]) == EXIT_RUNTIME
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["artifacts"]) >= {"baseline_checkpoint", "selection", "final_checkpoint"}
+
     def test_evaluate_prints_accuracy(self, split_dir, tmp_path, capsys):
         base = tmp_path / "base"
         main(["train-baseline", "--split", str(split_dir), "--out", str(base), *FAST])

@@ -427,22 +427,23 @@ def test_wrongly_typed_field_is_refused(values, message):
         TrainConfig(**values).validate()
 
 
-class TestProgressiveSelfTrain:
-    def _selected(self, split, params, r_u=0.5):
-        annotations = infer_pseudo(params, split.unlabeled_x())
-        anchors = {c: forward_features(x, params) for c, x in split.labeled_target_by_class().items()}
-        return select(annotations, anchors, r_u, len(split.unlabeled_target), split.n_classes)
+def _selected(split, params, r_u=0.5):
+    annotations = infer_pseudo(params, split.unlabeled_x())
+    anchors = {c: forward_features(x, params) for c, x in split.labeled_target_by_class().items()}
+    return select(annotations, anchors, r_u, len(split.unlabeled_target), split.n_classes)
 
+
+class TestProgressiveSelfTrain:
     def test_membership_frozen_through_training(self, trained_separable):
         split, config, params, _ = trained_separable
-        selected = self._selected(split, params)
+        selected = _selected(split, params)
         before = list(selected.index_set)
         progressive_self_train(split, selected, params, quick_config(), split.unlabeled_truth)
         assert selected.index_set == before
 
     def test_empty_selection_rejected(self, trained_separable):
         split, config, params, _ = trained_separable
-        selected = self._selected(split, params)
+        selected = _selected(split, params)
         selected.annotations = []
         selected.index_set = []
         with pytest.raises(ValueError, match="nonempty"):
@@ -450,7 +451,7 @@ class TestProgressiveSelfTrain:
 
     def test_hard_label_arm_freezes_onehot_targets(self, trained_separable):
         split, config, params, _ = trained_separable
-        selected = self._selected(split, params)
+        selected = _selected(split, params)
         cfg = quick_config(use_hard_labels=True, label_momentum=1.0, t_max=90, patience=100)
         state = init_train_state(split, cfg, "selftrain", selected=selected, resume_params=params)
         live_before = state.live_soft.copy()
@@ -460,7 +461,7 @@ class TestProgressiveSelfTrain:
 
     def test_soft_labels_refresh_at_validation_phases(self, trained_separable):
         split, config, params, _ = trained_separable
-        selected = self._selected(split, params)
+        selected = _selected(split, params)
         cfg = quick_config(t_max=90, t_val=30, patience=100)
         state = init_train_state(split, cfg, "selftrain", selected=selected, resume_params=params)
         live_before = state.live_soft.copy()
@@ -470,8 +471,87 @@ class TestProgressiveSelfTrain:
 
     def test_reliability_snapshots_recorded_with_truth(self, trained_separable):
         split, config, params, _ = trained_separable
-        selected = self._selected(split, params)
+        selected = _selected(split, params)
         _, report = progressive_self_train(split, selected, params, quick_config(), split.unlabeled_truth)
         assert all(row.reliability is not None for row in report.history)
         assert all(0.0 <= row.reliability <= 1.0 for row in report.history)
 
+
+def _per_iteration_loop(split, config, state, unlabeled_truth):
+    """``run_train_loop`` as one draw and one gather per iteration: the reference for its per-window batches."""
+    labeled_x, labeled_y = split.labeled_xy()
+    unlabeled_x = split.unlabeled_x()
+    val_x, val_y = split.validation_xy()
+    pseudo_x = pseudo_truth = None
+    if state.stage == "selftrain":
+        pseudo_x = unlabeled_x[state.selected_indices]
+        pseudo_truth = unlabeled_truth[state.selected_indices]
+    rngs = trainer._batch_rngs(config, state.stage)
+    while state.stop_reason is None and state.t_iter < config.t_max:
+        state.t_iter += 1
+        lr = anneal_lr(config.base_lr, state.t_iter / config.t_max)
+        li = rngs["labeled"].integers(0, len(labeled_x), size=trainer.BATCH_LABELED)
+        ui = rngs["unlabeled"].integers(0, len(unlabeled_x), size=trainer.BATCH_UNLABELED)
+        pseudo = None
+        if pseudo_x is not None:
+            pi = rngs["pseudo"].integers(0, len(pseudo_x), size=trainer.BATCH_PSEUDO)
+            pseudo = (pseudo_x[pi], state.live_soft[pi])
+        losses = minimax_step(state.params, state.velocities, lr, config, (labeled_x[li], labeled_y[li]), pseudo,
+                              unlabeled_x[ui], state.grads, state.term_grads)
+        for key in ("labeled", "entropy", "pseudo"):
+            if losses[key] is not None:
+                state.loss_sums[key] += losses[key]
+        state.loss_sums["count"] += 1
+        if state.t_iter % config.t_val == 0:
+            trainer._validation_phase(config, state, val_x, val_y, pseudo_x, pseudo_truth)
+    if state.stop_reason is None:
+        state.stop_reason = "t_max"
+    return state
+
+
+LOOP_CASES = {
+    # name: (stage, config overrides, the stop the case must reach)
+    "baseline": ("baseline", dict(patience=100), "t_max"),
+    "baseline_lambda_0": ("baseline", dict(lambda_=0.0, patience=100), "t_max"),
+    "selftrain_soft_refresh": ("selftrain", dict(patience=100), "t_max"),
+    "selftrain_hard_labels": ("selftrain", dict(use_hard_labels=True, patience=100), "t_max"),
+    "short_last_window": ("selftrain", dict(t_max=130, t_val=50, patience=100), "t_max"),
+    "patience_stops_mid_stage": ("baseline", dict(patience=1), "patience"),
+}
+
+
+class TestWindowedLoop:
+    @pytest.mark.parametrize("case", sorted(LOOP_CASES))
+    def test_matches_per_iteration_loop_bit_for_bit(self, trained_separable, case):
+        stage, overrides, stop = LOOP_CASES[case]
+        split, _, params, _ = trained_separable
+        config = quick_config(**overrides)
+        selected = _selected(split, params) if stage == "selftrain" else None
+
+        def fresh():
+            return init_train_state(split, config, stage, selected=selected, resume_params=params)
+
+        got = run_train_loop(split, config, fresh(), split.unlabeled_truth)
+        want = _per_iteration_loop(split, config, fresh(), split.unlabeled_truth)
+        assert (got.stop_reason, got.t_iter) == (want.stop_reason, want.t_iter)
+        assert got.stop_reason == stop and (got.t_iter < config.t_max) == (stop == "patience")
+        assert got.history == want.history
+        assert (got.best_iteration, got.best_val_acc) == (want.best_iteration, want.best_val_acc)
+        for name in ("params", "velocities", "best_params"):
+            np.testing.assert_array_equal(getattr(got, name).flat, getattr(want, name).flat, err_msg=name)
+        if stage == "selftrain":
+            np.testing.assert_array_equal(got.live_soft, want.live_soft)
+            assert got.history[-1].reliability is not None
+
+    @pytest.mark.parametrize("w", [1, 50])
+    @pytest.mark.parametrize("b", [1, 31, 32, 33, 64])
+    @pytest.mark.parametrize("n", [3, 7, 100, 485, 1015, 19960])
+    def test_window_draw_equals_per_iteration_draws(self, n, b, w):
+        """The numpy property the loop relies on: one (w, b) draw has the values of w draws of b and leaves
+        the stream where they leave it. A numpy release that breaks it fails here, by name."""
+        blocked, stepped = (seeded_rng(n, "batch", f"{b}x{w}") for _ in range(2))
+        window = blocked.integers(0, n, size=(w, b))
+        rows = np.stack([stepped.integers(0, n, size=b) for _ in range(w)])
+        np.testing.assert_array_equal(window, rows, err_msg=f"numpy {np.__version__}: (w, b) draw differs")
+        np.testing.assert_array_equal(blocked.integers(0, n, size=b), stepped.integers(0, n, size=b),
+                                      err_msg=f"numpy {np.__version__}: the stream ends elsewhere")
