@@ -132,7 +132,7 @@ def _recorded(args: argparse.Namespace, config: TrainConfig, per_cell: frozenset
 
 def _write_manifest(args: argparse.Namespace, out_dir: Path, config: TrainConfig,
                     artifacts: dict, timings: dict, per_cell: frozenset = frozenset(), **extra) -> None:
-    """The grids add the ``seeds`` that ran."""
+    """The grids add the ``seeds`` that ran, stage 2 its ``reliability_before`` and ``reliability_after``."""
     manifest = {
         "command": args.command,
         "argv": args.argv,
@@ -171,8 +171,14 @@ def _stage2(split: SSDASplit, params: NetworkParams, r_u: float):
 
 
 def _stage3(split: SSDASplit, selected, params: NetworkParams, config: TrainConfig):
-    """Progressive self-training from ``params``: (params, report with reliability and test accuracy)."""
-    final, report = progressive_self_train(split, selected, params, config, unlabeled_truth=split.unlabeled_truth)
+    """Progressive self-training from ``params``: (params, report with reliability and test accuracy).
+
+    Training never sees the hidden truth; each row's reliability scores that phase's live hard labels against it.
+    """
+    final, report = progressive_self_train(split, selected, params, config)
+    truth = split.unlabeled_truth[selected.index_set]
+    for row, hard in zip(report.history, report.live_hard, strict=True):
+        row.reliability = float(np.mean(hard == truth))
     report.final_test_acc = evaluate(final, split.unlabeled_x(), split.unlabeled_truth)
     return final, report
 
@@ -247,6 +253,7 @@ def cmd_stages(args) -> int:
     config, split, params, selected, out = _stage_inputs(args)
     artifacts: dict = {}
     timings: dict = {}
+    extra: dict = {}  # stage 2's reliabilities, which the manifest holds beside its config
     lines = []  # printed after the manifest is written, so that a closed stdout cannot cost the run its record
     for n in args.stages:
         with _timed(timings, f"stage{n}"):
@@ -257,18 +264,18 @@ def cmd_stages(args) -> int:
                 annotations, selected = _stage2(split, params, config.r_u)
                 before = reliability(annotations, split.unlabeled_truth)
                 after = reliability(selected.annotations, split.unlabeled_truth)
+                extra.update(reliability_before=before, reliability_after=after)
                 source = artifacts.get("baseline_checkpoint") or args.checkpoint
                 artifacts["selection"] = out / "selection.json"
                 save_selection(artifacts["selection"], selection_dump(
-                    selected, annotations, before, after,
-                    split_checksum=split_checksum(args.split), checkpoint_sha256=sha256(source)))
+                    selected, annotations, split_checksum=split_checksum(args.split), checkpoint_sha256=sha256(source)))
                 lines += [f"selected {len(selected)} of {len(split.unlabeled_target)} "
                           f"(quota {selected.per_class_quota}/class, r_u={config.r_u})",
                           f"reliability before/after selection: {100 * before:.1f} -> {100 * after:.1f}"]
             else:
                 final, report = _stage3(split, selected, params, config)
                 lines.append(_write_trained(out, "final", "selftrain", final, report, config, artifacts))
-    _write_manifest(args, out, config, artifacts, timings)
+    _write_manifest(args, out, config, artifacts, timings, **extra)
     for line in lines:
         print(line)
     return EXIT_OK

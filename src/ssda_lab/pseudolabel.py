@@ -137,8 +137,6 @@ _COLUMNS = {"hard_label": (np.dtype("<i8"), 1), "distance": (np.dtype("<f8"), 1)
 def selection_dump(
     selected: SelectedSet,
     all_annotations: list[PseudoAnnotation],
-    reliability_before: float | None = None,
-    reliability_after: float | None = None,
     *,
     split_checksum: str,
     checkpoint_sha256: str,
@@ -166,8 +164,6 @@ def selection_dump(
         "hard_label": np.array([a.hard_label for a in all_annotations], dtype="<i8"),
         "distance": np.array([a.distance for a in all_annotations], dtype="<f8"),
         "soft_label": np.array([a.soft_label for a in rows], dtype="<f8"),
-        "reliability_before": reliability_before,
-        "reliability_after": reliability_after,
     }
 
 
@@ -196,8 +192,7 @@ def load_selection(path: str | Path) -> dict:
 
 
 _DUMP_KEYS = ("format_version", "split_checksum", "checkpoint_sha256", "r_u", "per_class_quota", "n_selected",
-              "selected_by_class", "hard_label", "distance", "soft_label", "reliability_before",
-              "reliability_after")
+              "selected_by_class", "hard_label", "distance", "soft_label")
 _PROVENANCE_KEYS = ("split_checksum", "checkpoint_sha256")
 
 

@@ -13,10 +13,12 @@ classifier, gradient-reversal style).
 
 During self-training the live soft labels of the trusted set are blended
 with fresh predictions (momentum 0.9) after every validation phase; the
-membership of the set never changes, only the labels do.  Training stops
-at the iteration cap or after ``patience`` validations without a
-validation-accuracy improvement, and the best-validation snapshot is the
-result of a stage.
+membership of the set never changes, only the labels do.  Each phase's
+live hard labels (their argmax) are kept in the report.  The unlabeled
+target's hidden truth never enters this module: scoring those labels
+against it is the caller's job.  Training stops at the iteration cap or
+after ``patience`` validations without a validation-accuracy improvement,
+and the best-validation snapshot is the result of a stage.
 """
 
 from __future__ import annotations
@@ -107,12 +109,19 @@ class TrainConfig:
 
 @dataclass
 class ValidationRecord:
+    """One validation phase's row of the report CSV.
+
+    ``reliability`` (the fraction of live hard labels matching the hidden
+    truth) is left None here; a caller that holds the truth fills it from
+    ``TrainReport.live_hard``.
+    """
+
     iteration: int
     val_acc: float
     loss_labeled: float
     loss_pseudo: float | None
     loss_entropy: float
-    reliability: float | None
+    reliability: float | None = None
 
 
 @dataclass
@@ -122,6 +131,8 @@ class TrainReport:
     best_iteration: int
     best_val_acc: float
     final_test_acc: float | None = None
+    # stage 3 only: each validation phase's live hard labels over the trusted rows, in index order
+    live_hard: list[np.ndarray] = field(default_factory=list)
 
 
 # -- loss values (forward only) --
@@ -243,6 +254,7 @@ class TrainState:
     live_soft: np.ndarray | None
     selected_indices: list[int] | None
     history: list[ValidationRecord] = field(default_factory=list)
+    live_hard: list[np.ndarray] = field(default_factory=list)
     best_val_acc: float = -1.0
     best_iteration: int = 0
     best_params: NetworkParams | None = None
@@ -296,26 +308,13 @@ def init_train_state(
     )
 
 
-def run_train_loop(
-    split: SSDASplit,
-    config: TrainConfig,
-    state: TrainState,
-    unlabeled_truth: np.ndarray | None = None,
-) -> TrainState:
-    """Run a fresh state's loop to patience or t_max; batches come from ``_batch_rngs``.
-
-    ``unlabeled_truth`` is used only to stamp a reliability snapshot of the
-    live hard labels into the history; it never influences an update.
-    """
+def run_train_loop(split: SSDASplit, config: TrainConfig, state: TrainState) -> TrainState:
+    """Run a fresh state's loop to patience or t_max; batches come from ``_batch_rngs``."""
     labeled_x, labeled_y = split.labeled_xy()
     unlabeled_x = split.unlabeled_x()
     val_x, val_y = split.validation_xy()
-    # the trusted rows and their truth, gathered once: membership is frozen
-    pseudo_x = pseudo_truth = None
-    if state.stage == "selftrain":
-        pseudo_x = unlabeled_x[state.selected_indices]
-        if unlabeled_truth is not None:
-            pseudo_truth = np.asarray(unlabeled_truth)[state.selected_indices]
+    # the trusted rows, gathered once: membership is frozen
+    pseudo_x = unlabeled_x[state.selected_indices] if state.stage == "selftrain" else None
 
     rngs = _batch_rngs(config, state.stage)
     while state.stop_reason is None and state.t_iter < config.t_max:
@@ -344,7 +343,7 @@ def run_train_loop(
             state.loss_sums["count"] += 1
 
         if state.t_iter % config.t_val == 0:
-            _validation_phase(config, state, val_x, val_y, pseudo_x, pseudo_truth)
+            _validation_phase(config, state, val_x, val_y, pseudo_x)
 
     if state.stop_reason is None:
         state.stop_reason = "t_max"
@@ -357,22 +356,16 @@ def _validation_phase(
     val_x: np.ndarray,
     val_y: np.ndarray,
     pseudo_x: np.ndarray | None,
-    pseudo_truth: np.ndarray | None,
 ) -> None:
-    """Validate, refresh the trusted rows' live labels, record history, check patience.
-
-    ``pseudo_truth`` only stamps the live labels' reliability into the record.
-    """
+    """Validate, refresh the trusted rows' live labels, record history, check patience."""
     val_acc = evaluate(state.params, val_x, val_y)
 
     # refresh live labels with the updated network, full pass over the set
-    if state.stage == "selftrain" and config.label_momentum < 1.0:
-        fresh = forward(pseudo_x, state.params)
-        state.live_soft = momentum_update_labels(state.live_soft, fresh, config.label_momentum)
-
-    snapshot = None
-    if pseudo_truth is not None:
-        snapshot = float(np.mean(np.argmax(state.live_soft, axis=1) == pseudo_truth))
+    if state.stage == "selftrain":
+        if config.label_momentum < 1.0:
+            fresh = forward(pseudo_x, state.params)
+            state.live_soft = momentum_update_labels(state.live_soft, fresh, config.label_momentum)
+        state.live_hard.append(np.argmax(state.live_soft, axis=1))
 
     count = max(state.loss_sums["count"], 1)
     means = {k: state.loss_sums[k] / count for k in ("labeled", "pseudo", "entropy")}
@@ -385,7 +378,6 @@ def _validation_phase(
             loss_labeled=means["labeled"],
             loss_pseudo=means["pseudo"] if state.stage == "selftrain" else None,
             loss_entropy=means["entropy"],
-            reliability=snapshot,
         )
     )
     state.loss_sums = {"labeled": 0.0, "pseudo": 0.0, "entropy": 0.0, "count": 0}
@@ -412,6 +404,7 @@ def _report_from_state(state: TrainState) -> TrainReport:
         stop_reason=state.stop_reason,
         best_iteration=state.best_iteration,
         best_val_acc=state.best_val_acc,
+        live_hard=list(state.live_hard),
     )
 
 
@@ -427,7 +420,6 @@ def progressive_self_train(
     selected: SelectedSet,
     checkpoint_params: NetworkParams,
     config: TrainConfig,
-    unlabeled_truth: np.ndarray | None = None,
 ) -> tuple[NetworkParams, TrainReport]:
     """Stage 3: resume from the baseline and train on all three loss terms.
 
@@ -436,7 +428,7 @@ def progressive_self_train(
     """
     state = init_train_state(split, config, "selftrain", selected=selected, resume_params=checkpoint_params)
     frozen = list(state.selected_indices)
-    state = run_train_loop(split, config, state, unlabeled_truth=unlabeled_truth)
+    state = run_train_loop(split, config, state)
     assert state.selected_indices == frozen, "selected-set membership must not change"
     return state.best_params, _report_from_state(state)
 

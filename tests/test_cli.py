@@ -21,6 +21,7 @@ from ssda_lab.trainer import TrainConfig, evaluate, progressive_self_train, trai
 FAST = ["--t-max", "200", "--t-val", "25", "--patience", "4"]
 FAST_CONFIG = TrainConfig(t_max=200, t_val=25, patience=4)
 COLUMNS = ("hard_label", "distance", "soft_label")
+RELIABILITIES = ("reliability_before", "reliability_after")
 
 
 def gen_args(out, seed=0, shots=3, extra=()):
@@ -392,6 +393,10 @@ class TestStagedCommands:
         manifests = [json.loads((out / "manifest.json").read_text()) for out in (pipe, base, sel, st)]
         for key in ("artifacts", "timings_s"):
             assert set(manifests[0][key]) == set().union(*(m[key] for m in manifests[1:])), key
+        # stage 2 records its reliabilities; the stages that do not run it record none
+        recorded = [{k: m[k] for k in RELIABILITIES if k in m} for m in manifests]
+        assert set(recorded[0]) == set(RELIABILITIES) and recorded[0] == recorded[2]
+        assert recorded[1] == recorded[3] == {}
 
     @pytest.mark.parametrize("command, flags", [("train-baseline", []),
                                                 ("run-pipeline", ["--hard-labels", "--label-momentum", "1.0"])])
@@ -898,22 +903,25 @@ class TestArtifactChecks:
         assert not (tmp_path / "o").exists()
 
     def test_recomputed_reliability_equals_stored(self, split_dir, stage2, tmp_path):
-        dump = json.loads(stage2[1].read_text())
+        """``report-reliability`` measures with array code what stage 2 measured with ``pseudolabel.reliability``
+        and recorded in its manifest; the two must agree to the bit."""
+        manifest = json.loads(stage2[1].with_name("manifest.json").read_text())
         csv_path = tmp_path / "rel.csv"
         assert main(["report-reliability", "--selection", str(stage2[1]), "--split", str(split_dir),
                      "--csv", str(csv_path)]) == EXIT_OK
-        assert csv_path.read_text() == (f"metric,value\nreliability_before,{dump['reliability_before']!r}\n"
-                                        f"reliability_after,{dump['reliability_after']!r}\n")
+        assert csv_path.read_text() == "metric,value\n" + "".join(f"{k},{manifest[k]!r}\n" for k in RELIABILITIES)
 
     @pytest.mark.parametrize("command, written", [("self-train", ["final_checkpoint.json", "final_report.csv"]),
                                                   ("report-reliability", [])], ids=["self_train", "report"])
     @pytest.mark.parametrize("value", ["x", [0.5], True, 7.5, float("nan"), -1.0],
                              ids=["string", "list", "bool", "above_1", "nan", "negative"])
-    def test_stored_reliability_is_never_read(self, split_dir, stage2, tmp_path, command, written, value):
-        """Stage 2 still writes its reliabilities into the dump, but each reader measures them from the split,
-        so an edited stored value changes no byte of what it writes."""
+    def test_older_dump_with_stored_reliabilities(self, split_dir, stage2, tmp_path, command, written, value):
+        """Dumps of the same format version written before stage 2 stopped storing its reliabilities carry them
+        as two more keys. No reader reads them, so whatever they hold, such a dump loads and writes the same
+        bytes as the dump without them."""
         dump = json.loads(stage2[1].read_text())
-        dump["reliability_before"] = dump["reliability_after"] = value
+        assert not set(RELIABILITIES) & set(dump)
+        dump.update(dict.fromkeys(RELIABILITIES, value))
         (tmp_path / "edited").mkdir()
         edited = _copy_selection(stage2[1], tmp_path / "edited" / "selection.json")
         edited.write_text(json.dumps(dump))

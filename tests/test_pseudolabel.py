@@ -217,8 +217,8 @@ class TestSelectionDump:
         annotations, anchors, n, k = random_pool(seed=11, n=40, k=4)
         selected = select(annotations, anchors, r_u=0.3, n_u=n, n_classes=k)
         path = tmp_path / "selection.json"
-        save_selection(path, selection_dump(selected, annotations, reliability_before=0.5, reliability_after=0.8,
-                                            split_checksum="split", checkpoint_sha256="checkpoint"))
+        save_selection(path, selection_dump(selected, annotations, split_checksum="split",
+                                            checkpoint_sha256="checkpoint"))
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "selection.distance.npy", "selection.hard_label.npy", "selection.json", "selection.soft_label.npy"]
         dump = load_selection(path)
@@ -231,6 +231,5 @@ class TestSelectionDump:
             np.stack([a.soft_label for a in rows]).tobytes()
         assert dump["hard_label"].tobytes() == np.array([a.hard_label for a in annotations], "<i8").tobytes()
         assert dump["distance"].tobytes() == np.array([a.distance for a in annotations], "<f8").tobytes()
-        assert dump["reliability_before"] == 0.5
         assert dump["n_selected"] == len(selected) == len(dump["soft_label"])
         assert (dump["split_checksum"], dump["checkpoint_sha256"]) == ("split", "checkpoint")

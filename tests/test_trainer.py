@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -438,7 +439,7 @@ class TestProgressiveSelfTrain:
         split, config, params, _ = trained_separable
         selected = _selected(split, params)
         before = list(selected.index_set)
-        progressive_self_train(split, selected, params, quick_config(), split.unlabeled_truth)
+        progressive_self_train(split, selected, params, quick_config())
         assert selected.index_set == before
 
     def test_empty_selection_rejected(self, trained_separable):
@@ -469,23 +470,43 @@ class TestProgressiveSelfTrain:
         assert not np.array_equal(state.live_soft, live_before)
         np.testing.assert_allclose(state.live_soft.sum(axis=1), 1.0, atol=1e-9)
 
-    def test_reliability_snapshots_recorded_with_truth(self, trained_separable):
+    @pytest.mark.parametrize("overrides", [{}, {"use_hard_labels": True, "label_momentum": 1.0}],
+                             ids=["progressive", "vanilla"])
+    def test_live_hard_labels_recorded_per_validation(self, trained_separable, overrides):
+        """The trainer leaves ``reliability`` to a caller that holds the truth, and gives it one row of live hard
+        labels per validation, over the selected rows, also when no refresh runs."""
         split, config, params, _ = trained_separable
         selected = _selected(split, params)
-        _, report = progressive_self_train(split, selected, params, quick_config(), split.unlabeled_truth)
-        assert all(row.reliability is not None for row in report.history)
-        assert all(0.0 <= row.reliability <= 1.0 for row in report.history)
+        _, report = progressive_self_train(split, selected, params, quick_config(**overrides))
+        assert report.history and all(row.reliability is None for row in report.history)
+        assert len(report.live_hard) == len(report.history)
+        for hard in report.live_hard:
+            assert hard.shape == (len(selected),) and hard.dtype.kind == "i"
+            assert 0 <= hard.min() and hard.max() < split.n_classes
+
+    def test_training_never_reads_the_unlabeled_truth(self, trained_separable):
+        """Both stages train the same bits on a split whose hidden truth is shuffled."""
+        split, _, params, _ = trained_separable
+        shuffled = replace(split, unlabeled_truth=seeded_rng(0, "shuffle").permutation(split.unlabeled_truth))
+        assert not np.array_equal(shuffled.unlabeled_truth, split.unlabeled_truth)
+        config = quick_config(t_max=120, patience=100)
+        selected = _selected(split, params)
+        runs = [(train_baseline(s, config), progressive_self_train(s, selected, params, config))
+                for s in (split, shuffled)]
+        for stage, ((got, got_report), (want, want_report)) in enumerate(zip(*runs), start=1):
+            np.testing.assert_array_equal(got.flat, want.flat, err_msg=f"stage {2 * stage - 1}")
+            assert got_report.history == want_report.history
+            assert len(got_report.live_hard) == len(want_report.live_hard) == (4 if stage == 2 else 0)
+            for a, b in zip(got_report.live_hard, want_report.live_hard):
+                np.testing.assert_array_equal(a, b)
 
 
-def _per_iteration_loop(split, config, state, unlabeled_truth):
+def _per_iteration_loop(split, config, state):
     """``run_train_loop`` as one draw and one gather per iteration: the reference for its per-window batches."""
     labeled_x, labeled_y = split.labeled_xy()
     unlabeled_x = split.unlabeled_x()
     val_x, val_y = split.validation_xy()
-    pseudo_x = pseudo_truth = None
-    if state.stage == "selftrain":
-        pseudo_x = unlabeled_x[state.selected_indices]
-        pseudo_truth = unlabeled_truth[state.selected_indices]
+    pseudo_x = unlabeled_x[state.selected_indices] if state.stage == "selftrain" else None
     rngs = trainer._batch_rngs(config, state.stage)
     while state.stop_reason is None and state.t_iter < config.t_max:
         state.t_iter += 1
@@ -503,7 +524,7 @@ def _per_iteration_loop(split, config, state, unlabeled_truth):
                 state.loss_sums[key] += losses[key]
         state.loss_sums["count"] += 1
         if state.t_iter % config.t_val == 0:
-            trainer._validation_phase(config, state, val_x, val_y, pseudo_x, pseudo_truth)
+            trainer._validation_phase(config, state, val_x, val_y, pseudo_x)
     if state.stop_reason is None:
         state.stop_reason = "t_max"
     return state
@@ -531,17 +552,19 @@ class TestWindowedLoop:
         def fresh():
             return init_train_state(split, config, stage, selected=selected, resume_params=params)
 
-        got = run_train_loop(split, config, fresh(), split.unlabeled_truth)
-        want = _per_iteration_loop(split, config, fresh(), split.unlabeled_truth)
+        got = run_train_loop(split, config, fresh())
+        want = _per_iteration_loop(split, config, fresh())
         assert (got.stop_reason, got.t_iter) == (want.stop_reason, want.t_iter)
         assert got.stop_reason == stop and (got.t_iter < config.t_max) == (stop == "patience")
         assert got.history == want.history
         assert (got.best_iteration, got.best_val_acc) == (want.best_iteration, want.best_val_acc)
         for name in ("params", "velocities", "best_params"):
             np.testing.assert_array_equal(getattr(got, name).flat, getattr(want, name).flat, err_msg=name)
+        assert len(got.live_hard) == len(want.live_hard) == (len(got.history) if stage == "selftrain" else 0)
+        for i, (a, b) in enumerate(zip(got.live_hard, want.live_hard)):
+            np.testing.assert_array_equal(a, b, err_msg=f"live_hard[{i}]")
         if stage == "selftrain":
             np.testing.assert_array_equal(got.live_soft, want.live_soft)
-            assert got.history[-1].reliability is not None
 
     @pytest.mark.parametrize("w", [1, 50])
     @pytest.mark.parametrize("b", [1, 31, 32, 33, 64])
