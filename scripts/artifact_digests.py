@@ -5,7 +5,11 @@ Runs, with ``OPENBLAS_NUM_THREADS=1`` and the ``ssda_lab`` package under
 ``--src``: gen-data; run-pipeline, default and with ``--lambda 0
 --no-pseudo``; train-baseline, pseudo-label, self-train and evaluate;
 report-reliability --split --csv; and the ablate-ru --regen and
-ablate-noise grids.
+ablate-noise grids. Then, in ``large_pool/``, the stages one by one on a
+2 600-row target split with ``--r-u 1.0``: its pool (2 570 rows) and its
+trusted set (2 118) are each more than two ``network.ROW_BLOCK``s, so
+inference over the pool, the stage-3 label refresh and the test pass each
+run in several row blocks.
 Prints one ``sha256  path`` line per output file, sorted by path; evaluate
 writes no file, so its stdout is digested as ``evaluate.stdout``. A
 ``manifest.json`` holds timings, so it gets only a ``sha256  path decoded``
@@ -56,6 +60,15 @@ COMMANDS = [
     ["ablate-ru", *SPLIT, "--out", "ru", "--grid", "0.2,1.0", "--seeds", "0,1", "--regen", *T_MAX],
     ["ablate-noise", *SPLIT, "--out", "noise", "--seeds", "0,1", *T_MAX],
 ]
+SHORT = ["--t-max", "200"]
+LARGE_POOL_COMMANDS = [
+    ["gen-data", "--out", "split", "--n-target", "2600"],
+    ["train-baseline", *SPLIT, "--out", "base", *SHORT],
+    ["pseudo-label", *SPLIT, *CKPT, "--out", "sel", "--r-u", "1.0"],
+    ["self-train", *SPLIT, *CKPT, "--selection", "sel/selection.json", "--out", "st", *SHORT],
+    ["evaluate", *SPLIT, "--checkpoint", "st/final_checkpoint.json"],
+]
+RUNS = [(".", COMMANDS), ("large_pool", LARGE_POOL_COMMANDS)]
 
 
 def decoded_digest(path: Path) -> str:
@@ -108,14 +121,19 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         env = {**os.environ, "PYTHONPATH": str(Path(args.src).resolve()), "OPENBLAS_NUM_THREADS": "1"}
-        for argv in COMMANDS:
-            proc = subprocess.run([sys.executable, "-m", "ssda_lab.cli", *argv], cwd=work, env=env,
-                                  capture_output=True, text=True, check=False)
-            if proc.returncode != 0:
-                sys.exit(f"ssda-lab {' '.join(argv)} exited {proc.returncode}:\n{proc.stderr}")
-            if argv[0] == "evaluate":
-                (work / "evaluate.stdout").write_text(proc.stdout, encoding="utf-8")
-        splits = [work / argv[argv.index("--out") + 1] for argv in COMMANDS if argv[0] == "gen-data"]
+        splits = []
+        for subdir, commands in RUNS:
+            cwd = work / subdir
+            cwd.mkdir(exist_ok=True)
+            for argv in commands:
+                proc = subprocess.run([sys.executable, "-m", "ssda_lab.cli", *argv], cwd=cwd, env=env,
+                                      capture_output=True, text=True, check=False)
+                if proc.returncode != 0:
+                    sys.exit(f"ssda-lab {' '.join(argv)} in {subdir} exited {proc.returncode}:\n{proc.stderr}")
+                if argv[0] == "evaluate":
+                    (cwd / "evaluate.stdout").write_text(proc.stdout, encoding="utf-8")
+                if argv[0] == "gen-data":
+                    splits.append(cwd / argv[argv.index("--out") + 1])
         for path in sorted([*splits, *(p for p in work.rglob("*") if p.is_file())]):
             if path in splits:
                 print(f"{decoded_split_digest(path)}  {path.relative_to(work)} decoded")

@@ -52,10 +52,9 @@ class SelectedSet:
 
 def infer_pseudo(params: NetworkParams, unlabeled_x: np.ndarray) -> list[PseudoAnnotation]:
     """Forward-pass the unlabeled pool; one annotation per sample, distances unset."""
-    unlabeled_x = np.asarray(unlabeled_x, dtype=np.float64)
-    if unlabeled_x.ndim != 2 or unlabeled_x.shape[0] == 0:
-        raise ValueError("empty unlabeled set")
     features = forward_features(unlabeled_x, params)
+    if not len(features):
+        raise ValueError("empty unlabeled set")
     probs = forward_classifier(features, params)
     hard = probs.argmax(axis=1).tolist()
     return [

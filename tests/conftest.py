@@ -13,6 +13,12 @@ def max_rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b))) / scale
 
 
+def blas_version() -> str:
+    """Name and version of the BLAS numpy was built with, on which float64 bits depend."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"{blas.get('name')} {blas.get('version')}"
+
+
 def small_net(seed: int = 0, input_dim: int = 4, n_classes: int = 3, temperature: float = 1.0) -> NetworkParams:
     """Compact network for gradient checks; perturbed off init so no gradient is degenerate."""
     rng = seeded_rng(seed, "init")

@@ -5,18 +5,23 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ssda_lab
-from conftest import max_rel_err, small_net
+from conftest import blas_version, max_rel_err, small_net
 from ssda_lab.artifacts import DataError
 from ssda_lab.coremath import finite_diff_grad, seeded_rng
 from ssda_lab.network import (
+    ROW_BLOCK,
     GradientBundle,
     NetworkParams,
+    _by_row_blocks,
+    _forward_extractor,
+    _head,
     anneal_lr,
     backward,
     degenerate_feature_events,
@@ -33,6 +38,8 @@ from ssda_lab.network import (
     unflatten_params,
     zero_grads,
 )
+from ssda_lab.pseudolabel import infer_pseudo
+from ssda_lab.trainer import FEATURE_DIM, HIDDEN_DIMS, TEMPERATURE, evaluate
 
 LOSS_KINDS = ["hard", "soft", "entropy"]
 
@@ -133,6 +140,65 @@ class TestForwardClassifier:
         p = forward_classifier(np.zeros((1, 6)), params)
         assert degenerate_feature_events.count == 1
         assert np.all(np.isfinite(p))
+
+
+def _pool_net(input_dim: int, n_classes: int) -> NetworkParams:
+    """The pipeline's network layout with a random classifier, so predictions are not uniform."""
+    params = init_params(input_dim, HIDDEN_DIMS, FEATURE_DIM, n_classes, TEMPERATURE, seeded_rng(input_dim, "init"))
+    params.classifier_weights[:] = seeded_rng(input_dim, "classifier").standard_normal((n_classes, FEATURE_DIM))
+    return params
+
+
+class TestRowBlocks:
+    SIZES = [1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1, 19960]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_blocks_are_near_equal_and_never_small(self, n):
+        # a block of one row would take BLAS's vector path, whose bits can differ from the matrix path
+        sizes = []
+        out = _by_row_blocks(lambda xb: sizes.append(len(xb)) or xb[:, :1] + 1.0, np.zeros((n, 3)), 1)
+        assert sum(sizes) == n and max(sizes) <= ROW_BLOCK and max(sizes) - min(sizes) <= 1
+        assert n <= ROW_BLOCK or min(sizes) >= ROW_BLOCK // 2
+        np.testing.assert_array_equal(out, np.ones((n, 1)))
+
+    @pytest.mark.parametrize("input_dim, n_classes", [(2, 5), (8, 10)])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_blocked_passes_match_one_shot_bits(self, n, input_dim, n_classes):
+        params = _pool_net(input_dim, n_classes)
+        x = seeded_rng(n, "pool").standard_normal((n, input_dim))
+        x[::97] = 0.0  # zero rows give zero features, which the head counts as degenerate
+        degenerate_feature_events.reset()
+        features = _forward_extractor(x, params)[-1]
+        probs = _head(features, params)[3]
+        one_shot_events = degenerate_feature_events.count
+        assert one_shot_events > 0
+        checks = [("forward_features", lambda: forward_features(x, params), features),
+                  ("forward_classifier", lambda: forward_classifier(features, params), probs),
+                  ("forward", lambda: forward(x, params), probs)]
+        for name, call, one_shot in checks:
+            degenerate_feature_events.reset()
+            np.testing.assert_array_equal(call(), one_shot, err_msg=f"numpy {np.__version__}, blas "
+                                          f"{blas_version()}: blocked {name} differs at n={n}")
+            assert degenerate_feature_events.count == (0 if name == "forward_features" else one_shot_events)
+
+    # tracemalloc peaks on a 19 960 x 8 pool: a one-shot pass holds two (n, 64) float64 activations and
+    # peaks near 25 MB in both calls; in row blocks evaluate peaks near 3 MB, and infer_pseudo near 14 MB,
+    # most of it the per-row annotations it returns.
+    @pytest.mark.parametrize("call, bound_mb", [
+        (lambda params, x: evaluate(params, x, np.zeros(len(x), dtype=int)), 6),
+        (infer_pseudo, 16),
+    ], ids=["evaluate", "infer_pseudo"])
+    def test_full_pool_peak_memory_is_bounded(self, call, bound_mb):
+        params = _pool_net(8, 10)
+        x = seeded_rng(8, "pool").standard_normal((19960, 8))
+        call(params, x)
+        tracemalloc.start()
+        try:
+            call(params, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mb * 1e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestBackward:

@@ -63,6 +63,10 @@ class TestInferPseudo:
         with pytest.raises(ValueError, match="empty unlabeled set"):
             infer_pseudo(small_net(), np.zeros((0, 4)))
 
+    def test_one_dimensional_pool_is_a_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            infer_pseudo(small_net(), np.zeros(4))
+
 
 class TestSelect:
     def test_quota_formula(self):
