@@ -267,8 +267,12 @@ def cmd_stages(args) -> int:
                 extra.update(reliability_before=before, reliability_after=after)
                 source = artifacts.get("baseline_checkpoint") or args.checkpoint
                 artifacts["selection"] = out / "selection.json"
-                save_selection(artifacts["selection"], selection_dump(
-                    selected, annotations, split_checksum=split_checksum(args.split), checkpoint_sha256=sha256(source)))
+                dump = selection_dump(
+                    selected, annotations, split_checksum=split_checksum(args.split), checkpoint_sha256=sha256(source))
+                save_selection(artifacts["selection"], dump)
+                if 3 in args.stages:  # the set self-train reads: rows of the dump, not views into the pool
+                    selected = selected_set_from_dump(dump)
+                del annotations, dump
                 lines += [f"selected {len(selected)} of {len(split.unlabeled_target)} "
                           f"(quota {selected.per_class_quota}/class, r_u={config.r_u})",
                           f"reliability before/after selection: {100 * before:.1f} -> {100 * after:.1f}"]

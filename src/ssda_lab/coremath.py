@@ -43,9 +43,9 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     logits = np.asarray(logits, dtype=np.float64)
     if logits.size == 0:
         raise ValueError("empty logits")
-    exp = logits - logits.max(axis=-1, keepdims=True)
+    exp = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     np.exp(exp, out=exp)
-    exp /= exp.sum(axis=-1, keepdims=True)
+    exp /= np.add.reduce(exp, axis=-1, keepdims=True)
     return exp
 
 

@@ -13,6 +13,13 @@ Inference over more than ``ROW_BLOCK`` rows (a whole unlabeled pool, a
 test set) runs in row blocks, so the pool's hidden activations are never
 held at once; every row gets the bits a one-shot pass gives it.  Training
 batches and validation sets are smaller than one block and never split.
+
+The step's reductions call the ufuncs themselves (``np.add.reduce``,
+``np.maximum.reduce``, and ``np.add.reduce(v) / n`` for a mean): these are
+the ops ``ndarray.sum``, ``.max`` and ``.mean`` run behind their Python
+wrappers, so every value keeps its bits at fewer calls.  The head builds its
+degenerate-row mask only when the smallest row norm is below the floor, and
+passes None otherwise.
 """
 
 from __future__ import annotations
@@ -255,17 +262,20 @@ def forward_features(x: np.ndarray, params: NetworkParams) -> np.ndarray:
                           params.classifier_weights.shape[1])
 
 
-def _head(f: np.ndarray, params: NetworkParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _head(f: np.ndarray, params: NetworkParams) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
     """The classifier on an (n, feature_dim) batch: L2-normalize rows, then logits / T, then softmax.
 
     Rows with near-zero norm pass through unnormalized.  Returns the
     normalized rows, the (n, 1) divisors, the degenerate-row mask and the
-    predictions.
+    predictions.  The mask is None when no row is degenerate (the smallest
+    norm clears ``FEATURE_NORM_FLOOR``), so the common path builds and
+    applies none.
     """
     norms = np.sqrt(np.add.reduce(f * f, axis=1, keepdims=True))
-    degenerate = norms[:, 0] < FEATURE_NORM_FLOOR
-    if degenerate.any():
-        degenerate_feature_events.bump(int(degenerate.sum()))
+    degenerate = None
+    if np.minimum.reduce(norms, axis=None, initial=np.inf) < FEATURE_NORM_FLOOR:
+        degenerate = norms[:, 0] < FEATURE_NORM_FLOOR
+        degenerate_feature_events.bump(int(np.count_nonzero(degenerate)))
         norms[degenerate] = 1.0
     g = f / norms
     logits = g @ params.classifier_weights.T
@@ -315,19 +325,17 @@ def backward(
     np.log(logp, out=logp)
 
     if kind == "hard":  # one-hot rows, then the soft-target path
-        onehot = np.zeros_like(p)
-        onehot[np.arange(n), np.asarray(targets, dtype=int)] = 1.0
-        kind, targets = "soft", onehot
+        kind, targets = "soft", np.eye(p.shape[1])[np.asarray(targets, dtype=int)]
     if kind == "soft":
         soft = np.asarray(targets, dtype=np.float64)
         if soft.shape != p.shape:
             raise ValueError(f"soft targets shape {soft.shape} does not match predictions {p.shape}")
-        loss = float(-(soft * logp).sum() / n)
+        loss = float(-np.add.reduce(soft * logp, axis=None) / n)
         dlogits = p - soft
         dlogits /= n
     elif kind == "entropy":
-        row_h = -(p * logp).sum(axis=1, keepdims=True)
-        loss = float(row_h[:, 0].mean())
+        row_h = -np.add.reduce(p * logp, axis=1, keepdims=True)
+        loss = float(np.add.reduce(row_h[:, 0]) / n)
         # -p (logp + H) / n, negated through the divisor (exact in IEEE arithmetic)
         dlogits = logp
         dlogits += row_h
@@ -346,10 +354,10 @@ def backward(
     # Through L2 normalization g = f/r: df = (dg - g (g . dg)) / r. The forward
     # divides a degenerate row by a constant 1, not by its norm, so dg is that
     # row's exact derivative; the formula would also subtract g (g . dg).
-    df = g * (g * dg).sum(axis=1, keepdims=True)
+    df = g * np.add.reduce(g * dg, axis=1, keepdims=True)
     np.subtract(dg, df, out=df)
     df /= norms
-    if degenerate.any():
+    if degenerate is not None:
         df[degenerate] = dg[degenerate]
 
     # Through the extractor; final layer is linear, hidden layers ReLU
@@ -358,7 +366,7 @@ def backward(
     for i in range(len(params.extractor_layers) - 1, -1, -1):
         gw, gb = out.grad_layers[i]
         np.matmul(h[i].T, dz, out=gw)
-        dz.sum(axis=0, out=gb)
+        np.add.reduce(dz, axis=0, out=gb)
         if i > 0:
             dz = dz @ params.extractor_layers[i][0].T
             dz *= h[i] > 0

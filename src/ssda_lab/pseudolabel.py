@@ -5,6 +5,12 @@ prediction vector) and a hard pseudo label (its argmax).  Within each
 hard-label class, samples are ranked by mean L1 distance between their
 feature vector and the few labeled target anchors of that class, and the
 closest ceil(r_u * n_u / K) are kept as the trusted set.
+
+Each sample is one slotted ``PseudoAnnotation``: no record carries a
+``__dict__``, and setting an unknown attribute raises ``AttributeError``.
+``infer_pseudo``'s records view rows of the pool's feature and prediction
+arrays.  A set rebuilt from a selection dump views rows of the dump's soft
+table instead, and its records share one empty feature array.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +28,7 @@ from .coremath import l1_distance
 from .network import NetworkParams, forward_classifier, forward_features
 
 
-@dataclass
+@dataclass(slots=True)
 class PseudoAnnotation:
     """Per-sample pseudo label plus the feature used for distance ranking.
 
@@ -56,11 +63,7 @@ def infer_pseudo(params: NetworkParams, unlabeled_x: np.ndarray) -> list[PseudoA
     if not len(features):
         raise ValueError("empty unlabeled set")
     probs = forward_classifier(features, params)
-    hard = probs.argmax(axis=1).tolist()
-    return [
-        PseudoAnnotation(index=i, soft_label=p, hard_label=h, feature=f)
-        for i, (p, h, f) in enumerate(zip(probs, hard, features))
-    ]
+    return list(map(PseudoAnnotation, range(len(probs)), probs, probs.argmax(axis=1).tolist(), features))
 
 
 def per_class_quota(r_u: float, n_u: int, n_classes: int) -> int:
@@ -97,8 +100,8 @@ def select(
         anchors = np.asarray(anchor_features_by_class.get(c, ()), dtype=np.float64)
         if anchors.size == 0:
             raise ValueError(f"class {c} has annotated samples but no anchors")
-        rows = [annotations[i] for i in members]
-        dist = l1_distance(np.stack([a.feature for a in rows])[:, None, :], anchors).mean(axis=1)
+        rows = [annotations[i] for i in members.tolist()]
+        dist = l1_distance(np.array([a.feature for a in rows])[:, None, :], anchors).mean(axis=1)
         for a, d in zip(rows, dist.tolist()):
             a.distance = d
         order = np.lexsort((np.array([a.index for a in rows]), dist))
@@ -262,16 +265,13 @@ def check_selection(dump: dict, n_unlabeled: int, n_classes: int) -> None:
 
 def selected_set_from_dump(dump: dict) -> SelectedSet:
     """Rebuild the trusted set (without features) from a dump, in ascending index order."""
-    index = np.sort(_selected_rows(dump["selected_by_class"])[1]).tolist()
-    hard, distance = dump["hard_label"], dump["distance"]
+    index = np.sort(_selected_rows(dump["selected_by_class"])[1])
     soft = np.asarray(dump["soft_label"], dtype=np.float64)
-    annotations = [
-        PseudoAnnotation(index=i, soft_label=row, hard_label=int(hard[i]), feature=np.empty(0), distance=distance[i])
-        for i, row in zip(index, soft)
-    ]
+    annotations = list(map(PseudoAnnotation, index.tolist(), soft, dump["hard_label"][index].tolist(),
+                           repeat(np.empty(0)), dump["distance"][index]))
     return SelectedSet(
         annotations=annotations,
-        index_set=index,
+        index_set=index.tolist(),
         r_u=dump["r_u"],
         per_class_quota=dump["per_class_quota"],
     )

@@ -149,7 +149,8 @@ def entropy_loss(params: NetworkParams, x: np.ndarray) -> float:
     p = forward(x, params)
     logp = np.maximum(p, LOG_CLAMP)
     np.log(logp, out=logp)
-    return float((-(p * logp).sum(axis=1, keepdims=True))[:, 0].mean())
+    row_h = -np.add.reduce(p * logp, axis=1, keepdims=True)
+    return float(np.add.reduce(row_h[:, 0]) / len(row_h))
 
 
 def evaluate(params: NetworkParams, x: np.ndarray, truth: np.ndarray) -> float:

@@ -133,6 +133,19 @@ class TestRunPipeline:
             record = json.loads((out / name).read_text())
             assert set(record) == {"format_version", "params", "checksum", "extra"}, name
 
+    def test_stage3_rows_hold_only_the_kept_rows(self, tmp_path, monkeypatch):
+        """Stage 3 runs on the dump's set, so no pool-sized feature or prediction array stays alive through it."""
+        split = tmp_path / "split"
+        assert main(["gen-data", "--out", str(split), "--n-target", "2600"]) == EXIT_OK
+        stage3, seen = cli._stage3, []
+        monkeypatch.setattr(cli, "_stage3", lambda data, selected, *rest: stage3(data, seen.append(selected) or
+                                                                                  selected, *rest))
+        assert main(["run-pipeline", "--split", str(split), "--out", str(tmp_path / "run"), *FAST]) == EXIT_OK
+        (selected,) = seen
+        assert len(load_split(split).unlabeled_target) > 2 * len(selected) > 0
+        assert {a.soft_label.base.shape for a in selected.annotations} == {(len(selected), 5)}
+        assert {a.feature.size for a in selected.annotations} == {0}
+
     def test_byte_identical_reports_for_identical_config(self, split_dir, tmp_path):
         for name in ("r1", "r2"):
             assert main(["run-pipeline", "--split", str(split_dir), "--out", str(tmp_path / name),

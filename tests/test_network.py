@@ -14,8 +14,9 @@ import pytest
 import ssda_lab
 from conftest import blas_version, max_rel_err, small_net
 from ssda_lab.artifacts import DataError
-from ssda_lab.coremath import finite_diff_grad, seeded_rng
+from ssda_lab.coremath import LOG_CLAMP, finite_diff_grad, seeded_rng
 from ssda_lab.network import (
+    FEATURE_NORM_FLOOR,
     ROW_BLOCK,
     GradientBundle,
     NetworkParams,
@@ -39,7 +40,7 @@ from ssda_lab.network import (
     zero_grads,
 )
 from ssda_lab.pseudolabel import infer_pseudo
-from ssda_lab.trainer import FEATURE_DIM, HIDDEN_DIMS, TEMPERATURE, evaluate
+from ssda_lab.trainer import FEATURE_DIM, HIDDEN_DIMS, TEMPERATURE, entropy_loss, evaluate
 
 LOSS_KINDS = ["hard", "soft", "entropy"]
 
@@ -276,6 +277,110 @@ class TestBackward:
         assert n_ext + n_cls == flatten_params(params).size
         grads = zero_grads(params)
         assert flatten_grads(grads).size == n_ext + n_cls
+
+
+def _reference_softmax(logits):
+    exp = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(exp, out=exp)
+    exp /= exp.sum(axis=-1, keepdims=True)
+    return exp
+
+
+def _reference_forward(x, params):
+    """Activations, head outputs and degenerate-row count, by the ``ndarray`` methods and an always-built mask."""
+    h = [x]
+    for i, (w, b) in enumerate(params.extractor_layers):
+        zi = h[-1] @ w
+        zi += b
+        h.append(zi if i == len(params.extractor_layers) - 1 else np.maximum(zi, 0.0, out=zi))
+    norms = np.sqrt(np.add.reduce(h[-1] * h[-1], axis=1, keepdims=True))
+    degenerate = norms[:, 0] < FEATURE_NORM_FLOOR
+    if degenerate.any():
+        norms[degenerate] = 1.0
+    g = h[-1] / norms
+    logits = g @ params.classifier_weights.T
+    logits /= params.temperature
+    p = _reference_softmax(logits)
+    logp = np.maximum(p, LOG_CLAMP)
+    np.log(logp, out=logp)
+    return h, g, norms, degenerate, p, logp
+
+
+def _reference_backward(x, params, kind, targets=None):
+    """``backward`` as written with ``.max``/``.sum``/``.mean`` and a zeros-then-setitem one-hot."""
+    n = x.shape[0]
+    h, g, norms, degenerate, p, logp = _reference_forward(x, params)
+    if kind == "hard":
+        onehot = np.zeros_like(p)
+        onehot[np.arange(n), np.asarray(targets, dtype=int)] = 1.0
+        kind, targets = "soft", onehot
+    if kind == "soft":
+        loss = float(-(targets * logp).sum() / n)
+        dlogits = p - targets
+        dlogits /= n
+    else:
+        row_h = -(p * logp).sum(axis=1, keepdims=True)
+        loss = float(row_h[:, 0].mean())
+        dlogits = logp
+        dlogits += row_h
+        dlogits *= p
+        dlogits /= -n
+    grads = zero_grads(params)
+    gc = np.matmul(dlogits.T, g, out=grads.grad_classifier)
+    gc /= params.temperature
+    dg = dlogits @ params.classifier_weights
+    dg /= params.temperature
+    df = g * (g * dg).sum(axis=1, keepdims=True)
+    np.subtract(dg, df, out=df)
+    df /= norms
+    if degenerate.any():
+        df[degenerate] = dg[degenerate]
+    dz = df
+    for i in range(len(params.extractor_layers) - 1, -1, -1):
+        gw, gb = grads.grad_layers[i]
+        np.matmul(h[i].T, dz, out=gw)
+        dz.sum(axis=0, out=gb)
+        if i > 0:
+            dz = dz @ params.extractor_layers[i][0].T
+            dz *= h[i] > 0
+    return loss, grads, int(degenerate.sum())
+
+
+class TestFrozenReference:
+    """``backward``, ``_head`` and ``entropy_loss`` give the bits of the method-call ops they replaced."""
+
+    @pytest.mark.parametrize("input_dim, n_classes", [(2, 5), (8, 10)])
+    @pytest.mark.parametrize("n", [1, 2, 15, 32, 64, 1025])
+    @pytest.mark.parametrize("with_degenerate", [False, True])
+    def test_losses_gradients_and_events_match(self, input_dim, n_classes, n, with_degenerate):
+        params = _pool_net(input_dim, n_classes)
+        rng = seeded_rng(n, "reference", str(input_dim))
+        x = rng.standard_normal((n, input_dim))
+        if with_degenerate:
+            x[::7] = 0.0  # zero input, zero biases: a zero feature row
+        version = f"numpy {np.__version__}, blas {blas_version()}"
+        for kind in LOSS_KINDS:
+            targets = _targets_for(kind, rng, n, n_classes)
+            want_loss, want, want_events = _reference_backward(x, params, kind, targets)
+            degenerate_feature_events.reset()
+            loss, grads = backward(x, params, kind, targets)
+            assert degenerate_feature_events.count == want_events == (len(x[::7]) if with_degenerate else 0)
+            assert loss == want_loss, f"{version}: {kind} loss at n={n}"
+            np.testing.assert_array_equal(grads.flat, want.flat, err_msg=f"{version}: {kind} gradient at n={n}")
+        _, _, _, _, p, logp = _reference_forward(x, params)
+        degenerate_feature_events.reset()
+        assert entropy_loss(params, x) == float((-(p * logp).sum(axis=1, keepdims=True))[:, 0].mean())
+        assert degenerate_feature_events.count == want_events
+        assert (_head(_forward_extractor(x, params)[-1], params)[2] is None) is not with_degenerate
+
+    def test_one_hot_keeps_index_semantics(self):
+        params = _pool_net(2, 5)
+        x = seeded_rng(3, "one-hot").standard_normal((3, 2))
+        with pytest.raises(IndexError):
+            backward(x, params, "hard", np.array([0, 5, 1]))
+        wrapped = backward(x, params, "hard", np.array([0, -1, 1]))
+        np.testing.assert_array_equal(wrapped[1].flat, backward(x, params, "hard", np.array([0, 4, 1]))[1].flat)
+        assert wrapped[0] == _reference_backward(x, params, "hard", np.array([0, -1, 1]))[0]
 
 
 class TestSgdStep:

@@ -216,6 +216,41 @@ class TestReliability:
             reliability([], np.array([0]))
 
 
+class TestSlottedRecords:
+    def test_unknown_attribute_is_refused(self):
+        a = PseudoAnnotation(index=0, soft_label=np.ones(1), hard_label=0, feature=np.zeros(2))
+        assert not hasattr(a, "__dict__")
+        with pytest.raises(AttributeError):
+            a.confidence = 1.0
+
+    def test_select_fills_distance_on_every_hand_built_row(self):
+        annotations, anchors, n, k = random_pool(seed=21, n=30, k=3)
+        assert all(a.distance is None for a in annotations)
+        select(annotations, anchors, r_u=0.2, n_u=n, n_classes=k)
+        assert all(type(a.distance) is float and a.distance >= 0 for a in annotations)
+
+    def test_infer_pseudo_indexes_rows_in_order(self):
+        params = small_net(seed=3)
+        annotations = infer_pseudo(params, seeded_rng(3).standard_normal((17, params.input_dim)))
+        assert [a.index for a in annotations] == list(range(17))
+        assert all(type(a.index) is int and type(a.hard_label) is int for a in annotations)
+
+    def test_rebuilt_rows_match_per_row_construction(self):
+        annotations, anchors, n, k = random_pool(seed=22, n=50, k=4)
+        dump = selection_dump(select(annotations, anchors, r_u=0.4, n_u=n, n_classes=k), annotations,
+                              split_checksum="split", checkpoint_sha256="checkpoint")
+        index = sorted(e["index"] for entries in dump["selected_by_class"].values() for e in entries)
+        hard, distance = dump["hard_label"], dump["distance"]
+        expected = [PseudoAnnotation(index=i, soft_label=row, hard_label=int(hard[i]), feature=np.empty(0),
+                                     distance=distance[i]) for i, row in zip(index, dump["soft_label"])]
+        rebuilt = selected_set_from_dump(dump).annotations
+        assert len(rebuilt) == len(expected) > 0
+        for got, want in zip(rebuilt, expected):
+            assert (got.index, got.hard_label, got.distance) == (want.index, want.hard_label, want.distance)
+            assert [type(v) for v in (got.index, got.hard_label, got.distance)] == [int, int, np.float64]
+            assert got.soft_label.tobytes() == want.soft_label.tobytes() and got.feature.shape == (0,)
+
+
 class TestSelectionDump:
     def test_round_trip_through_files_is_bit_exact(self, tmp_path):
         annotations, anchors, n, k = random_pool(seed=11, n=40, k=4)

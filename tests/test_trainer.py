@@ -1,5 +1,12 @@
+import json
 import math
+import os
+import runpy
+import subprocess
+import sys
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,6 +265,24 @@ STEP_MIXES = {
     "hard+entropy_lambda_0": (0.0, False),
     "hard+soft+entropy_lambda_0": (0.0, True),
 }
+
+
+def test_microbench_times_every_mix_in_one_line():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "microbench.py"
+    assert runpy.run_path(str(script))["STEP_MIXES"] == STEP_MIXES
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, str(script), "--repeats", "1"], capture_output=True, text=True,
+                          timeout=60, check=False,
+                          env={**os.environ, "PYTHONPATH": str(script.parents[1] / "src"), "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 0, proc.stderr
+    assert time.perf_counter() - start < 5
+    (line,) = proc.stdout.splitlines()
+    result = json.loads(line)
+    assert set(result["backward_us"]) == {"hard", "soft", "entropy"}
+    assert set(result["minimax_step_us"]) == set(STEP_MIXES)
+    assert set(result["stage2_ms"]) == {"infer_pseudo+select", "selected_set_from_dump"}
+    assert all(v > 0 for key in ("backward_us", "minimax_step_us", "stage2_ms") for v in result[key].values())
+    assert (result["settings"]["repeats"], result["settings"]["OPENBLAS_NUM_THREADS"]) == (1, "1")
 
 
 class TestStepOracle:
