@@ -3,10 +3,10 @@
 
 ``backward`` per loss kind and ``minimax_step`` per batch mix on the default 5-class 2-D network, then
 ``infer_pseudo`` plus ``select``, and ``selected_set_from_dump``, on a 19 960-row 8-D pool (10 classes).
-Each figure is the median of ``--repeats`` x ``--calls`` calls timed one by one (``--calls // 50`` for
-stage 2), so a burst of load on a shared machine moves it little. One JSON line prints them.
+Each figure is the median of ``--repeats`` x 500 step calls (x 10 stage-2 calls), each timed alone, so a
+burst of load on a shared machine moves it little. One JSON line prints them.
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/microbench.py [--repeats 7] [--calls 500]
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/microbench.py [--repeats 7]
 """
 
 import argparse
@@ -22,10 +22,12 @@ from ssda_lab.coremath import seeded_rng
 from ssda_lab.network import backward, forward_features, init_params, zero_grads
 from ssda_lab.pseudolabel import infer_pseudo, select, selected_set_from_dump, selection_dump
 
-# name: (lambda, whether the step takes a pseudo batch), as the loops run them
+# name: (lambda, whether the step takes a pseudo batch), as the loops run them; the lambda-0
+# mixes are the S+T arm (stage 1) and stage 3 under --lambda 0
 STEP_MIXES = {"hard+entropy": (0.1, False), "hard+soft+entropy": (0.1, True),
               "hard+entropy_lambda_0": (0.0, False), "hard+soft+entropy_lambda_0": (0.0, True)}
 POOL_ROWS, POOL_DIM, POOL_CLASSES = 19_960, 8, 10
+STEP_CALLS, STAGE2_CALLS = 500, 10  # per repeat
 
 
 def net(input_dim: int, n_classes: int):
@@ -78,11 +80,9 @@ def stage2_costs(calls: int) -> dict:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=7)
-    parser.add_argument("--calls", type=int, default=500)
     args = parser.parse_args()
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    print(json.dumps({**step_costs(args.repeats * args.calls),
-                      "stage2_ms": stage2_costs(args.repeats * max(1, args.calls // 50)),
+    print(json.dumps({**step_costs(args.repeats * STEP_CALLS), "stage2_ms": stage2_costs(args.repeats * STAGE2_CALLS),
                       "settings": {**vars(args), "numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
                                    "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}}))
 

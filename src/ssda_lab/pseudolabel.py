@@ -34,7 +34,9 @@ class PseudoAnnotation:
 
     ``hard_label`` is argmax of ``soft_label`` with ties broken toward the
     lowest class index.  ``distance`` stays None until a selection pass
-    fills it against the sample's hard-label anchors.
+    fills it against the sample's hard-label anchors.  ``infer_pseudo`` and
+    ``selected_set_from_dump`` build records by position, so the field
+    order is part of the contract.
     """
 
     index: int

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -217,6 +218,11 @@ class TestReliability:
 
 
 class TestSlottedRecords:
+    def test_field_order_is_the_positional_one(self):
+        # infer_pseudo and selected_set_from_dump pass the fields by position
+        names = [f.name for f in fields(PseudoAnnotation)]
+        assert names == ["index", "soft_label", "hard_label", "feature", "distance"]
+
     def test_unknown_attribute_is_refused(self):
         a = PseudoAnnotation(index=0, soft_label=np.ones(1), hard_label=0, feature=np.zeros(2))
         assert not hasattr(a, "__dict__")
