@@ -71,7 +71,7 @@ def stage2_costs(calls: int) -> dict:
     anchors = {c: forward_features(rng.standard_normal((1, POOL_DIM)), params) for c in range(POOL_CLASSES)}
     stage2 = lambda annotations: select(annotations, anchors, 0.2, POOL_ROWS, POOL_CLASSES)  # noqa: E731
     annotations = infer_pseudo(params, pool)
-    dump = selection_dump(stage2(annotations), annotations, split_checksum="", checkpoint_sha256="")
+    dump = selection_dump(stage2(annotations), annotations)
     return {name: round(1e3 * per_call(fn, calls), 2) for name, fn in (
         ("infer_pseudo+select", lambda: stage2(infer_pseudo(params, pool))),
         ("selected_set_from_dump", lambda: selected_set_from_dump(dump)))}

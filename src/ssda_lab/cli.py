@@ -1,6 +1,7 @@
 """Command-line orchestration for data generation, training stages, and ablations.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 runtime error.
+Each command returns its summary lines, which ``main`` prints once the command has written every file.
 A run's config is the built-in defaults with its flags applied; flags are the only source.
 The ablation grids run every cell in this process, one seed at a time.
 """
@@ -163,11 +164,17 @@ def _stage1(split: SSDASplit, config: TrainConfig):
     return params, report
 
 
-def _stage2(split: SSDASplit, params: NetworkParams, r_u: float):
-    """Pseudo labels: (every unlabeled row's annotation, the selected set nearest its class anchors)."""
+def _stage2(split: SSDASplit, params: NetworkParams, r_u: float) -> dict:
+    """Pseudo labels: the selection dump of the set nearest its class anchors, which every stage 3 starts from."""
     annotations = infer_pseudo(params, split.unlabeled_x())
     anchors = {c: forward_features(x, params) for c, x in split.labeled_target_by_class().items()}
-    return annotations, select(annotations, anchors, r_u, len(split.unlabeled_target), split.n_classes)
+    return selection_dump(select(annotations, anchors, r_u, len(split.unlabeled_target), split.n_classes), annotations)
+
+
+def _reliabilities(dump: dict, selected, truth: np.ndarray) -> tuple[float, float]:
+    """The reliability of every row's hard pseudo label and of the ``selected`` rows' labels: before and after."""
+    hard, index = dump["hard_label"], selected.index_set
+    return reliability(hard, truth), reliability(hard[index], truth[index])
 
 
 def _stage3(split: SSDASplit, selected, params: NetworkParams, config: TrainConfig):
@@ -178,7 +185,7 @@ def _stage3(split: SSDASplit, selected, params: NetworkParams, config: TrainConf
     final, report = progressive_self_train(split, selected, params, config)
     truth = split.unlabeled_truth[selected.index_set]
     for row, hard in zip(report.history, report.live_hard, strict=True):
-        row.reliability = float(np.mean(hard == truth))
+        row.reliability = reliability(hard, truth)
     report.final_test_acc = evaluate(final, split.unlabeled_x(), split.unlabeled_truth)
     return final, report
 
@@ -217,7 +224,7 @@ def _write_trained(out: Path, prefix: str, stage: str, params: NetworkParams, re
 # -- commands --
 
 
-def cmd_gen_data(args) -> int:
+def cmd_gen_data(args) -> list[str]:
     try:
         translation = tuple(float(v) for v in args.translation.split(",")) if args.translation else ()
     except ValueError as err:
@@ -242,37 +249,31 @@ def cmd_gen_data(args) -> int:
     except ValueError as err:
         raise ConfigError(str(err)) from err
     manifest_path = save_split(split, args.out)
-    print(f"wrote split to {args.out} ({len(split.labeled_target[0])} labeled target, "
-          f"{len(split.unlabeled_target)} unlabeled, checksum {split_checksum(args.out)[:12]})")
-    print(f"manifest: {manifest_path}")
-    return EXIT_OK
+    return [f"wrote split to {args.out} ({len(split.labeled_target[0])} labeled target, "
+            f"{len(split.unlabeled_target)} unlabeled, checksum {split_checksum(args.out)[:12]})",
+            f"manifest: {manifest_path}"]
 
 
-def cmd_stages(args) -> int:
+def cmd_stages(args) -> list[str]:
     """Run the stages ``args.stages`` names; each writes, records and prints the same whichever command runs it."""
     config, split, params, selected, out = _stage_inputs(args)
     artifacts: dict = {}
     timings: dict = {}
     extra: dict = {}  # stage 2's reliabilities, which the manifest holds beside its config
-    lines = []  # printed after the manifest is written, so that a closed stdout cannot cost the run its record
+    lines = []
     for n in args.stages:
         with _timed(timings, f"stage{n}"):
             if n == 1:
                 params, report = _stage1(split, config)
                 lines.append(_write_trained(out, "baseline", "baseline", params, report, config, artifacts))
             elif n == 2:
-                annotations, selected = _stage2(split, params, config.r_u)
-                before = reliability(annotations, split.unlabeled_truth)
-                after = reliability(selected.annotations, split.unlabeled_truth)
-                extra.update(reliability_before=before, reliability_after=after)
-                source = artifacts.get("baseline_checkpoint") or args.checkpoint
+                dump = _stage2(split, params, config.r_u)
                 artifacts["selection"] = out / "selection.json"
-                dump = selection_dump(
-                    selected, annotations, split_checksum=split_checksum(args.split), checkpoint_sha256=sha256(source))
-                save_selection(artifacts["selection"], dump)
-                if 3 in args.stages:  # the set self-train reads: rows of the dump, not views into the pool
-                    selected = selected_set_from_dump(dump)
-                del annotations, dump
+                save_selection(artifacts["selection"], dump, split_checksum=split_checksum(args.split),
+                               checkpoint_sha256=sha256(artifacts.get("baseline_checkpoint") or args.checkpoint))
+                selected = selected_set_from_dump(dump)
+                before, after = _reliabilities(dump, selected, split.unlabeled_truth)
+                extra.update(reliability_before=before, reliability_after=after)
                 lines += [f"selected {len(selected)} of {len(split.unlabeled_target)} "
                           f"(quota {selected.per_class_quota}/class, r_u={config.r_u})",
                           f"reliability before/after selection: {100 * before:.1f} -> {100 * after:.1f}"]
@@ -280,16 +281,13 @@ def cmd_stages(args) -> int:
                 final, report = _stage3(split, selected, params, config)
                 lines.append(_write_trained(out, "final", "selftrain", final, report, config, artifacts))
     _write_manifest(args, out, config, artifacts, timings, **extra)
-    for line in lines:
-        print(line)
-    return EXIT_OK
+    return lines
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> list[str]:
     split = load_split(args.split)
     acc = evaluate(_load_params(args.checkpoint, split), split.unlabeled_x(), split.unlabeled_truth)
-    print(f"accuracy on unlabeled target: {acc:.4f}")
-    return EXIT_OK
+    return [f"accuracy on unlabeled target: {acc:.4f}"]
 
 
 # -- ablation grids --
@@ -308,8 +306,9 @@ def _parse_list(raw: str, flag: str, kind: type) -> list:
     return values
 
 
-def _run_ablation(args: argparse.Namespace, arms: list[tuple[object, dict]], write_tables, min_seeds: int = 1) -> int:
-    """Run every (arm, seed) cell, then ``write_tables(out, {(tag, seed): accuracy})`` and the manifest.
+def _run_ablation(args: argparse.Namespace, arms: list[tuple[object, dict]], write_tables, min_seeds: int = 1) -> list:
+    """Run every (arm, seed) cell, then ``write_tables(out, {(tag, seed): accuracy})``, which returns its tables
+    and summary lines, and the manifest.
 
     Each cell runs at its ``--seeds`` value with its arm's fields, so a flag for
     ``seed`` or for a field that every arm sets is refused, and the manifest's
@@ -334,14 +333,15 @@ def _run_ablation(args: argparse.Namespace, arms: list[tuple[object, dict]], wri
         for tag, arm in arms:
             cell = replace(config, **arm, seed=seed)
             with _timed(timings, "stage2"):
-                selected = _stage2(data, params, cell.r_u)[1]
+                selected = selected_set_from_dump(_stage2(data, params, cell.r_u))
             with _timed(timings, "stage3"):
                 accuracy[tag, seed] = _stage3(data, selected, params, cell)[1].final_test_acc
-    _write_manifest(args, out, config, write_tables(out, accuracy), timings, per_cell, seeds=seeds)
-    return EXIT_OK
+    tables, lines = write_tables(out, accuracy)
+    _write_manifest(args, out, config, tables, timings, per_cell, seeds=seeds)
+    return lines
 
 
-def _write_ru_tables(out: Path, accuracy: dict) -> dict:
+def _write_ru_tables(out: Path, accuracy: dict) -> tuple[dict, list[str]]:
     rows = sorted((r_u, seed, acc) for (r_u, seed), acc in accuracy.items())
     lines = ["r_u,seed,accuracy"] + [f"{r!r},{s},{a!r}" for r, s, a in rows]
     (out / "ru_sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -356,20 +356,19 @@ def _write_ru_tables(out: Path, accuracy: dict) -> dict:
         slines.append(f"{r_u!r},{mean!r},{std!r},{'*' if r_u == best else ''}")
     (out / "ru_summary.csv").write_text("\n".join(slines) + "\n", encoding="utf-8")
 
-    for r_u, mean, std in summary:
-        marker = "  <- best" if r_u == best else ""
-        print(f"r_u={r_u}: mean={mean:.4f} std={std:.4f}{marker}")
-    return {"sweep": out / "ru_sweep.csv", "summary": out / "ru_summary.csv"}
+    return ({"sweep": out / "ru_sweep.csv", "summary": out / "ru_summary.csv"},
+            [f"r_u={r_u}: mean={mean:.4f} std={std:.4f}{'  <- best' if r_u == best else ''}"
+             for r_u, mean, std in summary])
 
 
-def cmd_ablate_ru(args) -> int:
+def cmd_ablate_ru(args) -> list[str]:
     grid = _parse_list(args.grid, "--grid", float)
     if any(not 0.0 < r <= 1.0 for r in grid):
         raise ConfigError("grid values must lie in (0, 1]")
     return _run_ablation(args, [(r_u, {"r_u": r_u}) for r_u in grid], _write_ru_tables)
 
 
-def _write_noise_table(out: Path, accuracy: dict) -> dict:
+def _write_noise_table(out: Path, accuracy: dict) -> tuple[dict, list[str]]:
     seeds = sorted({seed for _, seed in accuracy})
     pairs = [(accuracy["progressive", s], accuracy["vanilla", s]) for s in seeds]
     lines = ["seed,progressive_accuracy,vanilla_accuracy,paired_difference"]
@@ -377,31 +376,25 @@ def _write_noise_table(out: Path, accuracy: dict) -> dict:
     (out / "noise_ablation.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     mean_diff = float(np.mean([p - v for p, v in pairs]))
-    print(f"paired mean difference (progressive - vanilla): {mean_diff:+.4f} over {len(seeds)} seeds")
-    return {"table": out / "noise_ablation.csv"}
+    return ({"table": out / "noise_ablation.csv"},
+            [f"paired mean difference (progressive - vanilla): {mean_diff:+.4f} over {len(seeds)} seeds"])
 
 
-def cmd_ablate_noise(args) -> int:
+def cmd_ablate_noise(args) -> list[str]:
     arms = [("progressive", {"use_hard_labels": False}),
             ("vanilla", {"use_hard_labels": True, "label_momentum": 1.0})]
     return _run_ablation(args, arms, _write_noise_table, min_seeds=2)
 
 
-def cmd_report_reliability(args) -> int:
+def cmd_report_reliability(args) -> list[str]:
     csv = _output_path(args.csv, is_dir=False) if args.csv else None
     split = load_split(args.split)
     dump = _load_dump(args, split)
-    hits = np.asarray(dump["hard_label"]) == split.unlabeled_truth
-    before = float(np.mean(hits))
-    after = float(np.mean(hits[selected_set_from_dump(dump).index_set]))
-    print(f"{100 * before:.1f} -> {100 * after:.1f}")
+    before, after = _reliabilities(dump, selected_set_from_dump(dump), split.unlabeled_truth)
     if csv:
         csv.parent.mkdir(parents=True, exist_ok=True)
-        csv.write_text(
-            f"metric,value\nreliability_before,{before!r}\nreliability_after,{after!r}\n",
-            encoding="utf-8",
-        )
-    return EXIT_OK
+        csv.write_text(f"metric,value\nreliability_before,{before!r}\nreliability_after,{after!r}\n", encoding="utf-8")
+    return [f"{100 * before:.1f} -> {100 * after:.1f}"]
 
 
 # -- parser --
@@ -484,7 +477,9 @@ def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     args.argv = argv  # what the manifest records, also for in-process callers
     try:
-        return args.func(args)
+        for line in args.func(args):
+            print(line)
+        return EXIT_OK
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -9,8 +9,9 @@ closest ceil(r_u * n_u / K) are kept as the trusted set.
 Each sample is one slotted ``PseudoAnnotation``: no record carries a
 ``__dict__``, and setting an unknown attribute raises ``AttributeError``.
 ``infer_pseudo``'s records view rows of the pool's feature and prediction
-arrays.  A set rebuilt from a selection dump views rows of the dump's soft
-table instead, and its records share one empty feature array.
+arrays.  Stage 2's one product is the selection dump, whose columns are
+arrays; the set rebuilt from it views rows of the dump's soft table, and
+its records share one empty feature array.
 """
 
 from __future__ import annotations
@@ -116,18 +117,19 @@ def select(
     )
 
 
-def reliability(annotations: list[PseudoAnnotation], hidden_truth: np.ndarray) -> float:
-    """Fraction of hard pseudo labels that match the quarantined ground truth.
+def reliability(hard: np.ndarray, hidden_truth: np.ndarray) -> float:
+    """Fraction of hard pseudo labels that match the quarantined ground truth, row for aligned row.
 
     Evaluation context only: this is the one consumer of hidden labels on
-    the pseudo-labeling side.
+    the pseudo-labeling side.  An empty input and rows that do not align
+    are refused, so one label cannot broadcast against a whole pool.
     """
-    if not annotations:
-        raise ValueError("empty annotation set")
-    hard = np.array([a.hard_label for a in annotations])
-    index = np.array([a.index for a in annotations])
-    hits = int(np.count_nonzero(hard == np.asarray(hidden_truth)[index]))
-    return hits / len(annotations)
+    hard, hidden_truth = np.asarray(hard), np.asarray(hidden_truth)
+    if not hard.size:
+        raise ValueError("empty hard-label set")
+    if hard.shape != hidden_truth.shape:
+        raise ValueError(f"hard labels of shape {hard.shape} do not align with truth of shape {hidden_truth.shape}")
+    return float(np.mean(hard == hidden_truth))
 
 
 # -- selection dump --
@@ -138,29 +140,21 @@ SELECTION_VERSION = 3
 _COLUMNS = {"hard_label": (np.dtype("<i8"), 1), "distance": (np.dtype("<f8"), 1), "soft_label": (np.dtype("<f8"), 2)}
 
 
-def selection_dump(
-    selected: SelectedSet,
-    all_annotations: list[PseudoAnnotation],
-    *,
-    split_checksum: str,
-    checkpoint_sha256: str,
-) -> dict:
-    """The selection dump: each fact once, and the split and checkpoint it came from.
+def selection_dump(selected: SelectedSet, all_annotations: list[PseudoAnnotation]) -> dict:
+    """The selection dump, stage 2's one product: each fact once.
 
     ``hard_label`` (int64) and ``distance`` (float64) are columns over every
     unlabeled row (row i of ``all_annotations``, as ``infer_pseudo`` returns
     them, has index i); ``soft_label`` (float64) holds the rows of the
     selected samples only, in ascending index order, because self-training
-    reads no other.  ``save_selection`` writes these three arrays as tables.
+    reads no other.  The dump holds no pool-sized feature or prediction
+    array, and no provenance: ``save_selection`` records that.
     """
     by_class: dict[str, list] = {}
     for a in selected.annotations:
         by_class.setdefault(str(a.hard_label), []).append({"index": a.index})
     rows = sorted(selected.annotations, key=lambda a: a.index)
     return {
-        "format_version": SELECTION_VERSION,
-        "split_checksum": split_checksum,
-        "checkpoint_sha256": checkpoint_sha256,
         "r_u": selected.r_u,
         "per_class_quota": selected.per_class_quota,
         "n_selected": len(selected),
@@ -171,10 +165,12 @@ def selection_dump(
     }
 
 
-def save_selection(path: str | Path, dump: dict) -> None:
-    """Write the three column tables, then the JSON with their checksums in place of the columns."""
+def save_selection(path: str | Path, dump: dict, *, split_checksum: str, checkpoint_sha256: str) -> None:
+    """Write the dump's three columns as tables, then the JSON: the format version and the split and
+    checkpoint the dump came from, the dump's other keys in order, and the tables' checksums."""
     checksums = {c: write_table(table_path(path, c), dump[c]) for c in _COLUMNS}
-    record = {k: v for k, v in dump.items() if k not in _COLUMNS}
+    record = {"format_version": SELECTION_VERSION, "split_checksum": split_checksum,
+              "checkpoint_sha256": checkpoint_sha256, **{k: v for k, v in dump.items() if k not in _COLUMNS}}
     Path(path).write_text(json.dumps({**record, "checksums": checksums}), encoding="utf-8")
 
 

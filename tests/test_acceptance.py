@@ -76,8 +76,9 @@ def pipeline_cells():
 
         cell = {
             "baseline": evaluate(params, ux, truth),
-            "rel_all": reliability(annotations, truth),
-            "rel_selected": reliability(selections[0.2].annotations, truth),
+            "rel_all": reliability(np.array([a.hard_label for a in annotations]), truth),
+            "rel_selected": reliability(np.array([a.hard_label for a in annotations])[selections[0.2].index_set],
+                                        truth[selections[0.2].index_set]),
         }
         for r, sel in selections.items():
             arm, _ = progressive_self_train(split, sel, params, TrainConfig(seed=seed, r_u=r))

@@ -133,18 +133,24 @@ class TestRunPipeline:
             record = json.loads((out / name).read_text())
             assert set(record) == {"format_version", "params", "checksum", "extra"}, name
 
-    def test_stage3_rows_hold_only_the_kept_rows(self, tmp_path, monkeypatch):
-        """Stage 3 runs on the dump's set, so no pool-sized feature or prediction array stays alive through it."""
+    @pytest.mark.parametrize("argv, cells", [(["run-pipeline"], 1),
+                                             (["ablate-ru", "--grid", "0.2", "--seeds", "0"], 1),
+                                             (["ablate-noise", "--seeds", "0,1"], 4)],
+                             ids=["run_pipeline", "ablate_ru", "ablate_noise"])
+    def test_stage3_rows_hold_only_the_kept_rows(self, tmp_path, monkeypatch, argv, cells):
+        """Every stage 3 runs on the dump's set, so no pool-sized feature or prediction array stays alive
+        through it."""
         split = tmp_path / "split"
         assert main(["gen-data", "--out", str(split), "--n-target", "2600"]) == EXIT_OK
         stage3, seen = cli._stage3, []
         monkeypatch.setattr(cli, "_stage3", lambda data, selected, *rest: stage3(data, seen.append(selected) or
                                                                                   selected, *rest))
-        assert main(["run-pipeline", "--split", str(split), "--out", str(tmp_path / "run"), *FAST]) == EXIT_OK
-        (selected,) = seen
-        assert len(load_split(split).unlabeled_target) > 2 * len(selected) > 0
-        assert {a.soft_label.base.shape for a in selected.annotations} == {(len(selected), 5)}
-        assert {a.feature.size for a in selected.annotations} == {0}
+        assert main([*argv, "--split", str(split), "--out", str(tmp_path / "run"), *FAST]) == EXIT_OK
+        assert len(seen) == cells
+        for selected in seen:
+            assert len(load_split(split).unlabeled_target) > 2 * len(selected) > 0
+            assert {a.soft_label.base.shape for a in selected.annotations} == {(len(selected), 5)}
+            assert {a.feature.size for a in selected.annotations} == {0}
 
     def test_byte_identical_reports_for_identical_config(self, split_dir, tmp_path):
         for name in ("r1", "r2"):
@@ -421,19 +427,32 @@ class TestStagedCommands:
         assert not (out / "baseline_checkpoint.json").exists()
         assert list(out.iterdir()) == []
 
-    def test_closed_stdout_keeps_the_manifest(self, split_dir, tmp_path, monkeypatch):
-        """A reader that goes away after the ``effective config`` line costs the run its summary, not its record."""
-        class ClosedAfterFirstLine(io.StringIO):
+    @pytest.mark.parametrize("argv, artifacts", [
+        (["run-pipeline"], {"baseline_checkpoint", "selection", "final_checkpoint"}),
+        (["ablate-ru", "--grid", "0.2,1.0", "--seeds", "0"], {"sweep", "summary"}),
+        (["ablate-noise", "--seeds", "0,1"], {"table"}),
+        (["report-reliability"], None),
+    ], ids=["run_pipeline", "ablate_ru", "ablate_noise", "report_reliability_csv"])
+    def test_closed_stdout_keeps_the_manifest(self, split_dir, stage2, tmp_path, monkeypatch, argv, artifacts):
+        """A reader that goes away after the ``effective config`` line, or before the first line where a command
+        prints none, costs the run its summary, not its record: every file is written before the summary."""
+        class ClosedAfterConfigLine(io.StringIO):
             def write(self, text):
-                if self.getvalue().startswith("effective config: ") and self.getvalue().endswith("\n"):
+                if "\n" in self.getvalue() or not (self.getvalue() + text).startswith("effective config: "):
                     raise BrokenPipeError(32, "Broken pipe")
                 return super().write(text)
 
         out = tmp_path / "run"
-        monkeypatch.setattr(sys, "stdout", ClosedAfterFirstLine())
-        assert main(["run-pipeline", "--split", str(split_dir), "--out", str(out), *FAST]) == EXIT_RUNTIME
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert set(manifest["artifacts"]) >= {"baseline_checkpoint", "selection", "final_checkpoint"}
+        if artifacts is None:
+            argv = _selection_argv("report-reliability", split_dir, stage2[0], stage2[1], out / "r.csv")
+        else:
+            argv = [*argv, "--split", str(split_dir), "--out", str(out), *FAST]
+        monkeypatch.setattr(sys, "stdout", ClosedAfterConfigLine())
+        assert main(argv) == EXIT_RUNTIME
+        if artifacts is None:
+            assert (out / "r.csv").read_text().startswith("metric,value\nreliability_before,")
+        else:
+            assert set(json.loads((out / "manifest.json").read_text())["artifacts"]) >= artifacts
 
     def test_evaluate_prints_accuracy(self, split_dir, tmp_path, capsys):
         base = tmp_path / "base"
@@ -916,8 +935,8 @@ class TestArtifactChecks:
         assert not (tmp_path / "o").exists()
 
     def test_recomputed_reliability_equals_stored(self, split_dir, stage2, tmp_path):
-        """``report-reliability`` measures with array code what stage 2 measured with ``pseudolabel.reliability``
-        and recorded in its manifest; the two must agree to the bit."""
+        """``report-reliability`` and stage 2 both measure with ``pseudolabel.reliability``; the bit equality of
+        the CSV with stage 2's manifest guards how each formats and records the two values."""
         manifest = json.loads(stage2[1].with_name("manifest.json").read_text())
         csv_path = tmp_path / "rel.csv"
         assert main(["report-reliability", "--selection", str(stage2[1]), "--split", str(split_dir),

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import fields
 
@@ -198,23 +199,26 @@ def test_selection_monotone_in_ratio(seed, r_small, bump):
 
 
 class TestReliability:
+    """One definition: the mean of ``hard == truth`` over aligned rows."""
+
     def test_hand_count(self):
-        annotations = [
-            PseudoAnnotation(index=i, soft_label=np.eye(2)[0], hard_label=h, feature=np.zeros(1))
-            for i, h in enumerate([0, 0, 1, 1])
-        ]
-        assert reliability(annotations, np.array([0, 0, 1, 0])) == 0.75
+        assert reliability(np.array([0, 0, 1, 1]), np.array([0, 0, 1, 0])) == 0.75
 
     def test_all_correct(self):
-        annotations = [
-            PseudoAnnotation(index=i, soft_label=np.eye(2)[0], hard_label=1, feature=np.zeros(1))
-            for i in range(5)
-        ]
-        assert reliability(annotations, np.ones(5, dtype=int)) == 1.0
+        assert reliability(np.ones(5, dtype=np.int64), np.ones(5, dtype=int)) == 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            reliability([], np.array([0]))
+            reliability(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+
+    @pytest.mark.parametrize("hard, truth", [(np.array([1]), np.array([1, 1, 0])),
+                                             (np.array([1, 1, 0]), np.array([1, 1])),
+                                             (np.array([[1, 0]]), np.array([1, 0]))],
+                             ids=["one_label_against_a_pool", "pool_against_fewer_rows", "2d_against_1d"])
+    def test_misaligned_rows_rejected(self, hard, truth):
+        """A 1-row ``hard`` would otherwise broadcast against every truth row."""
+        with pytest.raises(ValueError, match="align"):
+            reliability(hard, truth)
 
 
 class TestSlottedRecords:
@@ -243,8 +247,7 @@ class TestSlottedRecords:
 
     def test_rebuilt_rows_match_per_row_construction(self):
         annotations, anchors, n, k = random_pool(seed=22, n=50, k=4)
-        dump = selection_dump(select(annotations, anchors, r_u=0.4, n_u=n, n_classes=k), annotations,
-                              split_checksum="split", checkpoint_sha256="checkpoint")
+        dump = selection_dump(select(annotations, anchors, r_u=0.4, n_u=n, n_classes=k), annotations)
         index = sorted(e["index"] for entries in dump["selected_by_class"].values() for e in entries)
         hard, distance = dump["hard_label"], dump["distance"]
         expected = [PseudoAnnotation(index=i, soft_label=row, hard_label=int(hard[i]), feature=np.empty(0),
@@ -258,12 +261,19 @@ class TestSlottedRecords:
 
 
 class TestSelectionDump:
+    def test_dump_holds_no_provenance(self):
+        """The split and checkpoint a dump came from are the writer's to record, not stage 2's."""
+        annotations, anchors, n, k = random_pool(seed=12, n=30, k=3)
+        dump = selection_dump(select(annotations, anchors, r_u=0.3, n_u=n, n_classes=k), annotations)
+        assert list(dump) == ["r_u", "per_class_quota", "n_selected", "selected_by_class",
+                              "hard_label", "distance", "soft_label"]
+
     def test_round_trip_through_files_is_bit_exact(self, tmp_path):
         annotations, anchors, n, k = random_pool(seed=11, n=40, k=4)
         selected = select(annotations, anchors, r_u=0.3, n_u=n, n_classes=k)
         path = tmp_path / "selection.json"
-        save_selection(path, selection_dump(selected, annotations, split_checksum="split",
-                                            checkpoint_sha256="checkpoint"))
+        save_selection(path, selection_dump(selected, annotations), split_checksum="split",
+                       checkpoint_sha256="checkpoint")
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "selection.distance.npy", "selection.hard_label.npy", "selection.json", "selection.soft_label.npy"]
         dump = load_selection(path)
@@ -278,3 +288,6 @@ class TestSelectionDump:
         assert dump["distance"].tobytes() == np.array([a.distance for a in annotations], "<f8").tobytes()
         assert dump["n_selected"] == len(selected) == len(dump["soft_label"])
         assert (dump["split_checksum"], dump["checkpoint_sha256"]) == ("split", "checkpoint")
+        written = json.loads(path.read_text())
+        assert list(written)[:3] == ["format_version", "split_checksum", "checkpoint_sha256"]
+        assert list(written)[-1] == "checksums"

@@ -392,7 +392,7 @@ class TestTrainBaseline:
     def test_pseudo_labels_on_separable_split_exceed_95pct(self, trained_separable):
         split, config, params, _ = trained_separable
         annotations = infer_pseudo(params, split.unlabeled_x())
-        assert reliability(annotations, split.unlabeled_truth) > 0.95
+        assert reliability(np.array([a.hard_label for a in annotations]), split.unlabeled_truth) > 0.95
 
     def test_deterministic_history(self):
         split = separable_split()
