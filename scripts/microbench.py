@@ -2,9 +2,10 @@
 """Per-call cost of the training step and of stage 2, timed in process on fixed inputs.
 
 ``backward`` per loss kind and ``minimax_step`` per batch mix on the default 5-class 2-D network, then
-``infer_pseudo`` plus ``select``, and ``selected_set_from_dump``, on a 19 960-row 8-D pool (10 classes).
-Each figure is the median of ``--repeats`` x 500 step calls (x 10 stage-2 calls), each timed alone, so a
-burst of load on a shared machine moves it little. One JSON line prints them.
+``infer_pseudo`` plus ``select``, and ``selected_set_from_dump``, on a 19 960-row 8-D pool (10 classes), and
+the validation phase's label refresh (``momentum_update_labels``) over the 4 000 rows that r_u 0.2 keeps of
+that pool. Each figure is the median of ``--repeats`` x 500 step or refresh calls (x 10 stage-2 calls), each
+timed alone, so a burst of load on a shared machine moves it little. One JSON line prints them.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/microbench.py [--repeats 7]
 """
@@ -20,13 +21,14 @@ import numpy as np
 from ssda_lab import trainer
 from ssda_lab.coremath import seeded_rng
 from ssda_lab.network import backward, forward_features, init_params, zero_grads
-from ssda_lab.pseudolabel import infer_pseudo, select, selected_set_from_dump, selection_dump
+from ssda_lab.pseudolabel import infer_pseudo, per_class_quota, select, selected_set_from_dump, selection_dump
 
 # name: (lambda, whether the step takes a pseudo batch), as the loops run them; the lambda-0
 # mixes are the S+T arm (stage 1) and stage 3 under --lambda 0
 STEP_MIXES = {"hard+entropy": (0.1, False), "hard+soft+entropy": (0.1, True),
               "hard+entropy_lambda_0": (0.0, False), "hard+soft+entropy_lambda_0": (0.0, True)}
 POOL_ROWS, POOL_DIM, POOL_CLASSES = 19_960, 8, 10
+TRUSTED_ROWS = per_class_quota(0.2, POOL_ROWS, POOL_CLASSES) * POOL_CLASSES  # 4 000
 STEP_CALLS, STAGE2_CALLS = 500, 10  # per repeat
 
 
@@ -77,12 +79,20 @@ def stage2_costs(calls: int) -> dict:
         ("selected_set_from_dump", lambda: selected_set_from_dump(dump)))}
 
 
+def refresh_cost(calls: int) -> float:
+    """Microseconds of one label refresh: Dirichlet live labels blended toward Dirichlet predictions."""
+    rng = seeded_rng(3, "microbench")
+    live, fresh = (rng.dirichlet(np.ones(POOL_CLASSES), TRUSTED_ROWS) for _ in range(2))
+    return round(1e6 * per_call(lambda: trainer.momentum_update_labels(live, fresh, 0.9), calls), 1)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=7)
     args = parser.parse_args()
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     print(json.dumps({**step_costs(args.repeats * STEP_CALLS), "stage2_ms": stage2_costs(args.repeats * STAGE2_CALLS),
+                      "refresh_us": refresh_cost(args.repeats * STEP_CALLS),
                       "settings": {**vars(args), "numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
                                    "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}}))
 

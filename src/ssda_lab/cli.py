@@ -24,6 +24,7 @@ from .datasets import (
     DomainPairSpec,
     ShiftSpec,
     SSDASplit,
+    default_benchmark_spec,
     gen_split,
     load_split,
     save_split,
@@ -407,20 +408,21 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    spec = default_benchmark_spec()
     p = sub.add_parser("gen-data", help="generate and serialize a benchmark split")
     p.add_argument("--out", required=True)
-    p.add_argument("--classes", type=int, default=5)
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--n-source", dest="n_source", type=int, default=500)
-    p.add_argument("--n-target", dest="n_target", type=int, default=500)
-    p.add_argument("--separation", type=float, default=4.0)
-    p.add_argument("--rotation", type=float, default=30.0)
-    p.add_argument("--translation", default="1,1")
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--skew", type=float, default=0.0)
+    p.add_argument("--classes", type=int, default=spec.n_classes)
+    p.add_argument("--dim", type=int, default=spec.input_dim)
+    p.add_argument("--n-source", dest="n_source", type=int, default=spec.n_source)
+    p.add_argument("--n-target", dest="n_target", type=int, default=spec.n_target)
+    p.add_argument("--separation", type=float, default=spec.class_separation)
+    p.add_argument("--rotation", type=float, default=spec.shift.rotation_degrees)
+    p.add_argument("--translation", default=",".join(map(repr, spec.shift.translation)))
+    p.add_argument("--scale", type=float, default=spec.shift.scale)
+    p.add_argument("--skew", type=float, default=spec.shift.label_skew)
     p.add_argument("--shots", type=int, choices=(1, 3), default=3)
     p.add_argument("--val-per-class", dest="val_per_class", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=spec.seed)
     p.set_defaults(func=cmd_gen_data)
 
     for name, help_, inputs, stages in (

@@ -46,6 +46,9 @@ FEATURE_NORM_FLOOR = 1e-12
 # memory grows with the block.
 ROW_BLOCK = 1024
 
+# SGD momentum and weight decay, fixed as in MME (Saito et al., 2019)
+SGD_MOMENTUM, WEIGHT_DECAY = 0.9, 5e-4
+
 
 class _EventCounter:
     """Counts degenerate-feature fallbacks for diagnostics."""
@@ -53,7 +56,7 @@ class _EventCounter:
     def __init__(self) -> None:
         self.count = 0
 
-    def bump(self, n: int = 1) -> None:
+    def bump(self, n: int) -> None:
         self.count += n
 
     def reset(self) -> None:
@@ -373,26 +376,15 @@ def backward(
     return loss, out
 
 
-def sgd_step(
-    params: NetworkParams,
-    grads: GradientBundle,
-    velocities: GradientBundle,
-    lr: float,
-    momentum: float = 0.9,
-    weight_decay: float = 0.0,
-) -> None:
-    """In-place SGD with momentum: v <- mu v + g + wd*theta; theta <- theta - lr*v."""
+def sgd_step(params: NetworkParams, grads: GradientBundle, velocities: GradientBundle, lr: float) -> None:
+    """In-place SGD at the fixed settings: v <- mu v + g + wd*theta; theta <- theta - lr*v."""
     if lr <= 0:
         raise ValueError("lr must be positive")
-    if not 0 <= momentum < 1:
-        raise ValueError("momentum must be in [0, 1)")
-    if weight_decay < 0:
-        raise ValueError("weight_decay must be nonnegative")
     theta, g, v = params.flat, grads.flat, velocities.flat
     if theta.shape != g.shape or theta.shape != v.shape:
         raise ValueError(f"shape mismatch: {theta.shape} vs {g.shape} vs {v.shape}")
-    v *= momentum
-    v += g + weight_decay * theta
+    v *= SGD_MOMENTUM
+    v += g + WEIGHT_DECAY * theta
     theta -= lr * v
 
 
@@ -401,27 +393,6 @@ def anneal_lr(base_lr: float, progress: float) -> float:
     if not 0.0 <= progress <= 1.0:
         raise ValueError(f"progress must be in [0, 1], got {progress}")
     return base_lr / (1.0 + 10.0 * progress) ** 0.75
-
-
-# -- flattening (used by the finite-difference oracle and parameter audits) --
-
-
-def flatten_params(params: NetworkParams) -> np.ndarray:
-    """A copy of ``params.flat``: later steps on ``params`` do not move it."""
-    return params.flat.copy()
-
-
-def unflatten_params(flat: np.ndarray, like: NetworkParams) -> NetworkParams:
-    """Params shaped like ``like`` holding a copy of ``flat``."""
-    flat = np.array(flat, dtype=np.float64).ravel()
-    if flat.size != like.flat.size:
-        raise ValueError(f"flat vector has {flat.size} entries, network needs {like.flat.size}")
-    return like._rebound(flat)
-
-
-def flatten_grads(bundle: GradientBundle) -> np.ndarray:
-    """A copy of ``bundle.flat``."""
-    return bundle.flat.copy()
 
 
 def group_sizes(params: NetworkParams) -> tuple[int, int]:
@@ -433,12 +404,12 @@ def group_sizes(params: NetworkParams) -> tuple[int, int]:
 # -- checkpointing --
 
 
-def save_checkpoint(path: str | Path, params: NetworkParams, extra: dict | None = None) -> None:
+def save_checkpoint(path: str | Path, params: NetworkParams, extra: dict) -> None:
     """Write ``params.flat`` as the ``<f8`` table ``{stem}.flat.npy``, then the JSON record: the layout that
     ``__getstate__`` gives (``layer_shapes``, ``last_shape``, ``temperature``), the table's sha256 and ``extra``."""
     state = params.__getstate__()
     checksum = write_table(table_path(path, "flat"), np.asarray(state.pop("flat"), dtype="<f8"))
-    record = {"format_version": CHECKPOINT_VERSION, "params": state, "checksum": checksum, "extra": extra or {}}
+    record = {"format_version": CHECKPOINT_VERSION, "params": state, "checksum": checksum, "extra": extra}
     Path(path).write_text(json.dumps(record), encoding="utf-8")
 
 

@@ -43,7 +43,7 @@ from .network import (
     sgd_step,
     zero_grads,
 )
-from .pseudolabel import SelectedSet
+from .pseudolabel import SelectedSet, reliability
 
 
 # TrainConfig annotation -> (type test, what the message asks for)
@@ -56,7 +56,6 @@ _FIELD_TYPES = {
 # Fixed as in MME (Saito et al., 2019). Stage 1 builds its network with this layout;
 # stages 2 and 3 run the layout their checkpoint records.
 HIDDEN_DIMS, FEATURE_DIM, TEMPERATURE = (64, 64), 32, 0.05
-SGD_MOMENTUM, WEIGHT_DECAY = 0.9, 5e-4
 BATCH_LABELED, BATCH_UNLABELED, BATCH_PSEUDO = 32, 32, 64
 
 
@@ -154,28 +153,24 @@ def entropy_loss(params: NetworkParams, x: np.ndarray) -> float:
 
 
 def evaluate(params: NetworkParams, x: np.ndarray, truth: np.ndarray) -> float:
-    """Fraction of argmax predictions matching ground truth (evaluation context)."""
+    """Fraction of argmax predictions matching the truth, row for row, by ``reliability`` (evaluation context)."""
     if len(x) == 0:
         raise ValueError("empty evaluation set")
-    preds = np.argmax(forward(np.asarray(x, dtype=np.float64), params), axis=1)
-    return float(np.mean(preds == np.asarray(truth)))
+    return reliability(np.argmax(forward(x, params), axis=1), truth)
 
 
 def momentum_update_labels(live: np.ndarray, fresh: np.ndarray, m: float) -> np.ndarray:
-    """Blend live soft labels toward fresh predictions: m * live + (1 - m) * fresh."""
+    """Blend (n, K) live soft labels toward (n, K) fresh predictions: m * live + (1 - m) * fresh."""
     if not 0.0 <= m <= 1.0:
         raise ValueError(f"label momentum must be in [0, 1], got {m}")
     live = np.asarray(live, dtype=np.float64)
-    single = live.ndim == 1
-    live2 = np.atleast_2d(live)
-    fresh2 = np.atleast_2d(np.asarray(fresh, dtype=np.float64))
-    for name, mat in (("live", live2), ("fresh", fresh2)):
+    fresh = np.asarray(fresh, dtype=np.float64)
+    for name, mat in (("live", live), ("fresh", fresh)):
         # accept only in-range rows, so NaN (false in every comparison) is refused
         on_simplex = np.all(np.abs(mat.sum(axis=1) - 1.0) <= 1e-9) and np.all((mat >= -1e-9) & (mat <= 1.0 + 1e-9))
         if not on_simplex:
             raise ValueError(f"simplex violation in {name} labels")
-    out = m * live2 + (1.0 - m) * fresh2
-    return out[0] if single else out
+    return m * live + (1.0 - m) * fresh
 
 
 # -- one optimization step --
@@ -234,7 +229,7 @@ def minimax_step(
     and ``term`` are the workspaces of ``minimax_gradients``.
     """
     losses, combined = minimax_gradients(params, config.lambda_, labeled, pseudo, unlabeled, combined, term)
-    sgd_step(params, combined, velocities, lr, SGD_MOMENTUM, WEIGHT_DECAY)
+    sgd_step(params, combined, velocities, lr)
     return losses
 
 

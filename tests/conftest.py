@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,13 @@ def max_rel_err(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64)
     scale = max(float(np.max(np.abs(b))), 1e-12)
     return float(np.max(np.abs(a - b))) / scale
+
+
+def npy_bytes(array: np.ndarray, allow_pickle: bool = False) -> bytes:
+    """The bytes ``np.save`` writes for ``array``."""
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=allow_pickle)
+    return buf.getvalue()
 
 
 def blas_version() -> str:

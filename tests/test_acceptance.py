@@ -28,10 +28,7 @@ from ssda_lab.datasets import default_benchmark_spec, gen_split
 from ssda_lab.network import (
     anneal_lr,
     backward,
-    flatten_grads,
-    flatten_params,
     forward_features,
-    unflatten_params,
 )
 from ssda_lab.pseudolabel import (
     PseudoAnnotation,
@@ -113,10 +110,12 @@ def test_criterion_1_gradient_correctness():
             _, grads = backward(x, params, kind, targets)
 
             def loss_at(flat, kind=kind, targets=targets, x=x, params=params):
-                return backward(x, unflatten_params(flat, params), kind, targets)[0]
+                candidate = params.copy()
+                candidate.flat[:] = flat
+                return backward(x, candidate, kind, targets)[0]
 
-            fd = finite_diff_grad(loss_at, flatten_params(params), eps=1e-5)
-            worst = max(worst, max_rel_err(flatten_grads(grads), fd))
+            fd = finite_diff_grad(loss_at, params.flat, eps=1e-5)
+            worst = max(worst, max_rel_err(grads.flat, fd))
     elapsed = time.perf_counter() - t0
     passed = worst < 1e-4 and elapsed < 30.0
     _report("1 gradient correctness", passed, f"max rel err {worst:.2e}, {elapsed:.1f}s")
@@ -155,7 +154,7 @@ def test_criterion_2_equation_unit_suite():
     assert int(np.argmax(softmax(np.array([3.0, 3.0, 1.0])))) == 0  # argmax tie -> lowest index
     # label refresh convex blend
     np.testing.assert_allclose(
-        momentum_update_labels(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.9), [0.9, 0.1], atol=1e-12
+        momentum_update_labels(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), 0.9), [[0.9, 0.1]], atol=1e-12
     )
     elapsed = time.perf_counter() - t0
     _report("2 equation unit suite", elapsed < 10.0, f"{elapsed:.2f}s")

@@ -4,16 +4,18 @@ import json
 import math
 import shutil
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import npy_bytes
 from ssda_lab import cli
+from ssda_lab.artifacts import table_path
 from ssda_lab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME, main
 from ssda_lab.coremath import seeded_rng
-from ssda_lab.datasets import load_split, split_checksum
+from ssda_lab.datasets import default_benchmark_spec, load_split, split_checksum
 from ssda_lab.network import forward_features, init_params, load_checkpoint, save_checkpoint
 from ssda_lab.pseudolabel import infer_pseudo, load_selection, select
 from ssda_lab.trainer import TrainConfig, evaluate, progressive_self_train, train_baseline
@@ -42,14 +44,9 @@ def _tree_digest(root: Path) -> dict:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(root.iterdir())}
 
 
-def _table(selection: Path, column: str) -> Path:
-    """The table of one column beside a selection dump, named from the dump's stem."""
-    return selection.with_name(f"{selection.stem}.{column}.npy")
-
-
 def _copy_selection(good: Path, dest: Path) -> Path:
     """Copy a selection dump and its three tables to ``dest`` and the table names its stem gives."""
-    for src, dst in [(good, dest), *((_table(good, c), _table(dest, c)) for c in COLUMNS)]:
+    for src, dst in [(good, dest), *((table_path(good, c), table_path(dest, c)) for c in COLUMNS)]:
         shutil.copyfile(src, dst)
     return dest
 
@@ -80,8 +77,8 @@ class TestGenData:
         assert main(["gen-data", "--out", str(tmp_path / "s")]) == EXIT_OK
         manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
         assert manifest["counts"]["labeled_target"] == 15  # 3-shot, 5 classes
-        assert manifest["spec"]["n_classes"] == 5
-        assert manifest["spec"]["shift"]["rotation_degrees"] == 30.0
+        # through JSON, which holds the translation tuple as a list
+        assert manifest["spec"] == json.loads(json.dumps(asdict(default_benchmark_spec())))
 
     def test_one_shot_flag(self, tmp_path):
         assert main(gen_args(tmp_path / "s", shots=1)) == EXIT_OK
@@ -660,17 +657,11 @@ def _edited_json(change):
     return _edited(edit)
 
 
-def _npy(array: np.ndarray, allow_pickle: bool = False) -> bytes:
-    buf = io.BytesIO()
-    np.save(buf, array, allow_pickle=allow_pickle)
-    return buf.getvalue()
-
-
 def _restamped(column: str, rewrite):
     """Rewrite one table's bytes as ``rewrite(array, bytes)`` gives them and restamp its checksum in the JSON,
     so that only the checks of the table's content can object.  A checkpoint's one table is ``flat``."""
     def write(path: Path, good: Path) -> None:
-        table = _table(path, column)
+        table = table_path(path, column)
         data = table.read_bytes()
         table.write_bytes(rewrite(np.load(io.BytesIO(data)).copy(), data))
         record = json.loads(path.read_text())
@@ -687,34 +678,34 @@ def _set(index, value):
     """A table rewrite that sets ``array[index] = value``."""
     def rewrite(array: np.ndarray, data: bytes) -> bytes:
         array[index] = value
-        return _npy(array)
+        return npy_bytes(array)
     return rewrite
 
 
 def _flipped(column: str):
     """Flip one bit of a table's last byte and leave its checksum as it was."""
     def write(path: Path, good: Path) -> None:
-        data = bytearray(_table(path, column).read_bytes())
+        data = bytearray(table_path(path, column).read_bytes())
         data[-1] ^= 1
-        _table(path, column).write_bytes(bytes(data))
+        table_path(path, column).write_bytes(bytes(data))
     return write
 
 
 def _missing(column: str):
-    return lambda path, good: _table(path, column).unlink()
+    return lambda path, good: table_path(path, column).unlink()
 
 
 def _directory(column: str):
     def write(path: Path, good: Path) -> None:
-        _table(path, column).unlink()
-        _table(path, column).mkdir()
+        table_path(path, column).unlink()
+        table_path(path, column).mkdir()
     return write
 
 
 def _drop_last_rows(path: Path, good: Path) -> None:
     """The hard_label and distance columns of a split one unlabeled row smaller."""
     for column in ("hard_label", "distance"):
-        _restamped(column, lambda array, data: _npy(array[:-1]))(path, good)
+        _restamped(column, lambda array, data: npy_bytes(array[:-1]))(path, good)
 
 
 def _first_listed(dump: dict) -> dict:
@@ -741,9 +732,9 @@ def _table_cases(column: str) -> list:
         ("flipped_bit", _flipped(column), "checksum mismatch"),
         ("missing", _missing(column), "missing table"),
         ("directory", _directory(column), "missing table"),
-        ("float32", _restamped(column, lambda a, d: _npy(a.astype(np.float32))), "dtype"),
-        ("extra_axis", _restamped(column, lambda a, d: _npy(a[..., None])), "shape"),
-        ("pickled_objects", _restamped(column, lambda a, d: _npy(a.astype(object), allow_pickle=True)),
+        ("float32", _restamped(column, lambda a, d: npy_bytes(a.astype(np.float32))), "dtype"),
+        ("extra_axis", _restamped(column, lambda a, d: npy_bytes(a[..., None])), "shape"),
+        ("pickled_objects", _restamped(column, lambda a, d: npy_bytes(a.astype(object), allow_pickle=True)),
          "allow_pickle=False"),
         ("trailing_bytes", _restamped(column, lambda a, d: d + bytes(8)), "8 bytes after the array"),
     ]
@@ -751,7 +742,7 @@ def _table_cases(column: str) -> list:
 
 def _copy_checkpoint(good: Path, dest: Path) -> Path:
     """Copy a checkpoint and its weight table to ``dest`` and the table name its stem gives."""
-    for src, dst in [(good, dest), (_table(good, "flat"), _table(dest, "flat"))]:
+    for src, dst in [(good, dest), (table_path(good, "flat"), table_path(dest, "flat"))]:
         shutil.copyfile(src, dst)
     return dest
 
@@ -775,9 +766,9 @@ def _version1_checkpoint(path: Path, good: Path) -> None:
 
 def _weight_plus_5(path: Path, good: Path) -> None:
     """Add 5.0 to the last classifier weight in the table and leave its checksum as it was."""
-    flat = np.load(_table(path, "flat"))
+    flat = np.load(table_path(path, "flat"))
     flat[-1] += 5.0
-    np.save(_table(path, "flat"), flat, allow_pickle=False)
+    np.save(table_path(path, "flat"), flat, allow_pickle=False)
 
 
 RETRAIN = "run train-baseline"
@@ -807,7 +798,7 @@ BAD_CHECKPOINTS = [
     # a -1 would let numpy infer the width of a layer from the table
     pytest.param(_layout(lambda p: p["layer_shapes"][0].__setitem__(0, [-1, 64])), "integers >= 0",
                  id="shape_negative"),
-    pytest.param(_restamped("flat", lambda a, d: _npy(a[:-1])), "its table holds", id="flat_shorter_than_shapes"),
+    pytest.param(_restamped("flat", lambda a, d: npy_bytes(a[:-1])), "its table holds", id="flat_shorter_than_shapes"),
     # the edit that evaluate once scored as a checkpoint of its own
     pytest.param(_weight_plus_5, "checksum mismatch for checkpoint.flat.npy", id="classifier_weight_plus_5"),
     *(pytest.param(write, reason, id=f"flat_{case}") for case, write, reason in _table_cases("flat")),
@@ -840,15 +831,15 @@ BAD_SELECTIONS = [
     pytest.param(_restamped("hard_label", _set(0, 3)), "hard labels must lie in", id="hard_label_3"),
     pytest.param(_restamped("distance", _set(0, np.nan)), "distances must be numbers", id="nan_distance"),
     pytest.param(_restamped("distance", _set(0, -1.0)), "distances must be numbers", id="negative_distance"),
-    pytest.param(_restamped("soft_label", lambda a, d: _npy(np.hstack([a, np.zeros((len(a), 1))]))), "widths",
+    pytest.param(_restamped("soft_label", lambda a, d: npy_bytes(np.hstack([a, np.zeros((len(a), 1))]))), "widths",
                  id="soft_width_4"),
     pytest.param(_edited_json(lambda d: d.update(selected_by_class={}, n_selected=0)), "selects no rows",
                  id="none_selected"),
     pytest.param(_restamped("soft_label", _set((0, 0), np.nan)), "sum to 1", id="soft_nan"),
     pytest.param(_restamped("soft_label", _set(0, [2.0, -1.0, 0.0])), "sum to 1", id="soft_outside_0_1"),
     pytest.param(_restamped("soft_label", _set(0, [1.0, 1.0, 0.0])), "sum to 1", id="soft_sum_2"),
-    pytest.param(_restamped("soft_label", lambda a, d: _npy(a.astype(str))), "dtype", id="soft_strings"),
-    pytest.param(_restamped("soft_label", lambda a, d: _npy(a[:-1])), "soft rows for", id="soft_row_missing"),
+    pytest.param(_restamped("soft_label", lambda a, d: npy_bytes(a.astype(str))), "dtype", id="soft_strings"),
+    pytest.param(_restamped("soft_label", lambda a, d: npy_bytes(a[:-1])), "soft rows for", id="soft_row_missing"),
     pytest.param(_drop_last_rows, "one entry per unlabeled row", id="columns_of_smaller_split"),
     pytest.param(_edited_json(lambda d: d.update(split_checksum=5)), "must be strings", id="provenance_number"),
     pytest.param(_edited_json(lambda d: d.update(split_checksum=None)), "must be strings",
@@ -927,8 +918,8 @@ class TestArtifactChecks:
                                                        command, column):
         ckpt, good_selection = stage2
         bad = _copy_selection(good_selection, tmp_path / "selection.json")
-        assert _table(stage2_other, column).read_bytes() != _table(bad, column).read_bytes()
-        shutil.copyfile(_table(stage2_other, column), _table(bad, column))
+        assert table_path(stage2_other, column).read_bytes() != table_path(bad, column).read_bytes()
+        shutil.copyfile(table_path(stage2_other, column), table_path(bad, column))
         assert main(_selection_argv(command, split_dir, ckpt, bad, tmp_path / "o")) == EXIT_DATA
         err = capsys.readouterr().err
         assert "data error:" in err and f"checksum mismatch for selection.{column}.npy" in err
@@ -973,9 +964,9 @@ class TestSelectionVersions:
         dump = json.loads(selection.read_text())
         assert dump["format_version"] == 3
         assert not set(COLUMNS) & set(dump)
-        assert dump["checksums"] == {c: hashlib.sha256(_table(selection, c).read_bytes()).hexdigest()
+        assert dump["checksums"] == {c: hashlib.sha256(table_path(selection, c).read_bytes()).hexdigest()
                                      for c in COLUMNS}
-        tables = {c: np.load(_table(selection, c), allow_pickle=False) for c in COLUMNS}
+        tables = {c: np.load(table_path(selection, c), allow_pickle=False) for c in COLUMNS}
         assert (tables["hard_label"].dtype, tables["hard_label"].shape) == (np.dtype("<i8"), (72,))
         assert (tables["distance"].dtype, tables["distance"].shape) == (np.dtype("<f8"), (72,))
         assert (tables["soft_label"].dtype, tables["soft_label"].shape) == (np.dtype("<f8"), (dump["n_selected"], 3))
@@ -1032,7 +1023,7 @@ class TestCheckpointArchitecture:
         params = init_params(input_dim=2, hidden_dims=(), feature_dim=4, n_classes=3, temperature=0.05,
                              rng=seeded_rng(0, "init"))
         ckpt = tmp_path / "shallow.json"
-        save_checkpoint(ckpt, params)
+        save_checkpoint(ckpt, params, extra={})
         common = ["--split", str(split_dir), "--checkpoint", str(ckpt), *FAST]
         assert main(["pseudo-label", *common, "--out", str(tmp_path / "sel")]) == EXIT_OK
         assert main(["self-train", *common, "--selection", str(tmp_path / "sel" / "selection.json"),

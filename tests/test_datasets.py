@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import npy_bytes
 from ssda_lab.artifacts import DataError
 from ssda_lab.coremath import seeded_rng
 from ssda_lab.datasets import (
@@ -308,7 +309,7 @@ class TestManifestChecks:
         save_split(gen_split(small_spec()), tmp_path / "split")
         rows = np.load(tmp_path / "split" / "labeled_target.npy")
         rows["y"][0] = 7
-        _restamped(tmp_path / "split", "labeled_target.npy", _npy(rows))
+        _restamped(tmp_path / "split", "labeled_target.npy", npy_bytes(rows))
         with pytest.raises(DataError, match=r"labeled_target.npy has labels outside \[0, 3\)"):
             load_split(tmp_path / "split")
 
@@ -318,16 +319,10 @@ class TestManifestChecks:
         save_split(gen_split(small_spec(), 3, 2), tmp_path / "split")
         rows = np.load(tmp_path / "split" / name)
         rows["y"][rows["y"] == 2] = 0
-        _restamped(tmp_path / "split", name, _npy(rows))
+        _restamped(tmp_path / "split", name, npy_bytes(rows))
         with pytest.raises(DataError, match=rf"{name} holds \[{2 * per_class}, {per_class}, 0\] rows per class, "
                                             rf"not the {per_class} each"):
             load_split(tmp_path / "split")
-
-
-def _npy(array: np.ndarray, allow_pickle: bool = False) -> bytes:
-    buf = io.BytesIO()
-    np.save(buf, array, allow_pickle=allow_pickle)
-    return buf.getvalue()
 
 
 def _restamped(split, name: str, data: bytes) -> None:
@@ -360,27 +355,27 @@ def _huge_header() -> bytes:
 
 # (table, how to rewrite its bytes from (split, the bytes as saved), the reader's complaint)
 BAD_TABLES = [
-    pytest.param("source.npy", lambda s, d: _npy(_rows(*s.source, y_type="<f8")), "dtype", id="float_labels"),
-    pytest.param("source.npy", lambda s, d: _npy(_rows(s.source[0].astype(int), s.source[1], x_type="<i8")),
+    pytest.param("source.npy", lambda s, d: npy_bytes(_rows(*s.source, y_type="<f8")), "dtype", id="float_labels"),
+    pytest.param("source.npy", lambda s, d: npy_bytes(_rows(s.source[0].astype(int), s.source[1], x_type="<i8")),
                  "dtype", id="integer_features"),
-    pytest.param("source.npy", lambda s, d: _npy(_rows(*s.source, x_type=">f8")), "dtype", id="big_endian"),
-    pytest.param("unlabeled_target.npy", lambda s, d: _npy(s.unlabeled_target.astype(">f8")), "dtype",
+    pytest.param("source.npy", lambda s, d: npy_bytes(_rows(*s.source, x_type=">f8")), "dtype", id="big_endian"),
+    pytest.param("unlabeled_target.npy", lambda s, d: npy_bytes(s.unlabeled_target.astype(">f8")), "dtype",
                  id="unlabeled_big_endian"),
-    pytest.param("unlabeled_target.npy", lambda s, d: _npy(s.unlabeled_target[:, :1]), r"shape \(102, 1\)",
+    pytest.param("unlabeled_target.npy", lambda s, d: npy_bytes(s.unlabeled_target[:, :1]), r"shape \(102, 1\)",
                  id="unlabeled_width"),
-    pytest.param("source.npy", lambda s, d: _npy(_rows(*s.source)[1:]), r"shape \(119,\)", id="row_count"),
-    pytest.param("unlabeled_truth.npy", lambda s, d: _npy(s.unlabeled_truth[:-1]), r"shape \(101,\)",
+    pytest.param("source.npy", lambda s, d: npy_bytes(_rows(*s.source)[1:]), r"shape \(119,\)", id="row_count"),
+    pytest.param("unlabeled_truth.npy", lambda s, d: npy_bytes(s.unlabeled_truth[:-1]), r"shape \(101,\)",
                  id="truth_short"),
-    pytest.param("unlabeled_truth.npy", lambda s, d: _npy(s.unlabeled_truth[:, None]), r"shape \(102, 1\)",
+    pytest.param("unlabeled_truth.npy", lambda s, d: npy_bytes(s.unlabeled_truth[:, None]), r"shape \(102, 1\)",
                  id="truth_rank_2"),
-    pytest.param("unlabeled_truth.npy", lambda s, d: _npy(s.unlabeled_truth.astype(np.int32)), "dtype",
+    pytest.param("unlabeled_truth.npy", lambda s, d: npy_bytes(s.unlabeled_truth.astype(np.int32)), "dtype",
                  id="truth_int32"),
     pytest.param("source.npy", lambda s, d: b"", "EOF", id="empty_file"),
     pytest.param("source.npy", lambda s, d: d[:-8], "EOF", id="truncated"),
     pytest.param("source.npy", lambda s, d: d + bytes(8), "8 bytes after the array", id="trailing_bytes"),
     pytest.param("source.npy", lambda s, d: _zip_of(d), "magic string", id="npz_zip"),
     pytest.param("unlabeled_truth.npy",
-                 lambda s, d: _npy(np.array([int(v) for v in s.unlabeled_truth], dtype=object), allow_pickle=True),
+                 lambda s, d: npy_bytes(np.array([int(v) for v in s.unlabeled_truth], dtype=object), allow_pickle=True),
                  "allow_pickle=False", id="pickled_objects"),
     pytest.param("unlabeled_target.npy", lambda s, d: _huge_header(), "", id="huge_header_shape"),
 ]
@@ -397,7 +392,7 @@ class TestTableParsing:
         with pytest.raises(DataError, match=f"malformed table {name}: .*{complaint}"):
             load_split(tmp_path / "split")
 
-    def test_tables_are_plain_npy(self, tmp_path):
+    def test_tables_are_plainnpy_bytes(self, tmp_path):
         split = gen_split(small_spec())
         save_split(split, tmp_path / "split")
         rows = np.load(tmp_path / "split" / "source.npy", allow_pickle=False)

@@ -19,6 +19,8 @@ from ssda_lab.network import (
     FEATURE_NORM_FLOOR,
     ROW_BLOCK,
     GradientBundle,
+    SGD_MOMENTUM,
+    WEIGHT_DECAY,
     NetworkParams,
     _by_row_blocks,
     _forward_extractor,
@@ -26,8 +28,6 @@ from ssda_lab.network import (
     anneal_lr,
     backward,
     degenerate_feature_events,
-    flatten_grads,
-    flatten_params,
     forward,
     forward_classifier,
     forward_features,
@@ -36,7 +36,6 @@ from ssda_lab.network import (
     load_checkpoint,
     save_checkpoint,
     sgd_step,
-    unflatten_params,
     zero_grads,
 )
 from ssda_lab.pseudolabel import infer_pseudo
@@ -213,11 +212,12 @@ class TestBackward:
             _, grads = backward(x, params, kind, targets)
 
             def loss_at(flat):
-                candidate = unflatten_params(flat, params)
+                candidate = params.copy()
+                candidate.flat[:] = flat
                 return backward(x, candidate, kind, targets)[0]
 
-            fd = finite_diff_grad(loss_at, flatten_params(params), eps=1e-5)
-            assert max_rel_err(flatten_grads(grads), fd) < 1e-4
+            fd = finite_diff_grad(loss_at, params.flat, eps=1e-5)
+            assert max_rel_err(grads.flat, fd) < 1e-4
 
     def test_loss_at_init_is_chance_level(self):
         params = init_params(2, (64, 64), 32, 5, 0.05, seeded_rng(0, "init"))
@@ -234,7 +234,7 @@ class TestBackward:
         loss1, g1 = backward(x, params, "hard", labels)
         loss2, g2 = backward(np.vstack([x, x]), params, "hard", np.concatenate([labels, labels]))
         assert loss1 == pytest.approx(loss2, abs=1e-12)
-        np.testing.assert_allclose(flatten_grads(g1), flatten_grads(g2), atol=1e-12)
+        np.testing.assert_allclose(g1.flat, g2.flat, atol=1e-12)
 
     def test_empty_batch_rejected(self):
         params = small_net()
@@ -274,9 +274,9 @@ class TestBackward:
     def test_gradient_partition_covers_every_parameter_once(self):
         params = small_net()
         n_ext, n_cls = group_sizes(params)
-        assert n_ext + n_cls == flatten_params(params).size
+        assert n_ext + n_cls == params.flat.size
         grads = zero_grads(params)
-        assert flatten_grads(grads).size == n_ext + n_cls
+        assert grads.flat.size == n_ext + n_cls
 
 
 def _reference_softmax(logits):
@@ -384,32 +384,40 @@ class TestFrozenReference:
 
 
 class TestSgdStep:
-    def test_zero_gradient_leaves_params_unchanged(self):
+    def test_zero_gradient_only_decays(self):
         params = small_net()
-        before = flatten_params(params)
-        sgd_step(params, zero_grads(params), zero_grads(params), lr=0.1, momentum=0.9, weight_decay=0.0)
-        np.testing.assert_array_equal(flatten_params(params), before)
+        before = params.flat.copy()
+        sgd_step(params, zero_grads(params), zero_grads(params), lr=0.1)
+        np.testing.assert_allclose(params.flat, before - 0.1 * WEIGHT_DECAY * before, rtol=1e-15, atol=0.0)
 
-    def test_single_plain_step_is_definition(self, rng):
+    def test_single_step_is_definition(self, rng):
         params = small_net()
         grads = zero_grads(params)
-        grads.grad_classifier[:] = rng.standard_normal(grads.grad_classifier.shape)
-        before = params.classifier_weights.copy()
-        sgd_step(params, grads, zero_grads(params), lr=0.05, momentum=0.0, weight_decay=0.0)
-        np.testing.assert_allclose(params.classifier_weights, before - 0.05 * grads.grad_classifier, atol=1e-15)
+        grads.flat[:] = rng.standard_normal(grads.flat.shape)
+        before = params.flat.copy()
+        sgd_step(params, grads, zero_grads(params), lr=0.05)
+        np.testing.assert_allclose(params.flat, before - 0.05 * (grads.flat + WEIGHT_DECAY * before), atol=1e-15)
 
     def test_two_momentum_steps_on_constant_gradient(self, rng):
-        # v1 = g, v2 = 0.9 g + g, total displacement lr * g * (1 + 1.9)
         params = small_net()
-        g = rng.standard_normal(params.classifier_weights.shape)
+        g = rng.standard_normal(params.flat.shape)
         grads = zero_grads(params)
-        grads.grad_classifier[:] = g
+        grads.flat[:] = g
         vel = zero_grads(params)
-        before = params.classifier_weights.copy()
-        sgd_step(params, grads, vel, lr=0.01, momentum=0.9, weight_decay=0.0)
-        grads.grad_classifier[:] = g  # sgd_step must not consume the gradient
-        sgd_step(params, grads, vel, lr=0.01, momentum=0.9, weight_decay=0.0)
-        np.testing.assert_allclose(params.classifier_weights, before - 0.01 * g * (1.0 + 1.9), atol=1e-12)
+        theta0 = params.flat.copy()
+        sgd_step(params, grads, vel, lr=0.01)
+        grads.flat[:] = g  # sgd_step must not consume the gradient
+        sgd_step(params, grads, vel, lr=0.01)
+        v1 = g + WEIGHT_DECAY * theta0
+        theta1 = theta0 - 0.01 * v1
+        v2 = SGD_MOMENTUM * v1 + g + WEIGHT_DECAY * theta1
+        np.testing.assert_allclose(vel.flat, v2, atol=1e-12)
+        np.testing.assert_allclose(params.flat, theta1 - 0.01 * v2, atol=1e-12)
+
+    def test_nonpositive_lr_rejected(self):
+        params = small_net()
+        with pytest.raises(ValueError, match="lr must be positive"):
+            sgd_step(params, zero_grads(params), zero_grads(params), lr=0.0)
 
     def test_shape_mismatch_rejected(self):
         params = small_net()
@@ -461,14 +469,9 @@ class TestFlatStorage:
         x = rng.standard_normal((5, params.input_dim))
         before = forward(x, params)
         _, grads = backward(x, params, "hard", np.array([0, 1, 2, 0, 1]))
-        sgd_step(params, grads, velocities, lr=0.5, momentum=0.9)
+        sgd_step(params, grads, velocities, lr=0.5)
         assert not np.array_equal(forward(x, params), before)
         np.testing.assert_array_equal(forward(x, original), before)
-
-    def test_unflatten_rejects_wrong_size(self):
-        params = small_net()
-        with pytest.raises(ValueError, match="network needs"):
-            unflatten_params(np.zeros(params.flat.size + 1), params)
 
 
 class TestAnnealLr:
@@ -499,20 +502,20 @@ class TestDeterminismAndCheckpoint:
             x = rng.standard_normal((8, 3))
             labels = rng.integers(0, 3, size=8)
             _, grads = backward(x, params, "hard", labels)
-            sgd_step(params, grads, vel, lr=anneal_lr(0.01, t / n_steps), momentum=0.9, weight_decay=5e-4)
+            sgd_step(params, grads, vel, lr=anneal_lr(0.01, t / n_steps))
         return params
 
     def test_identical_seed_bit_identical_params(self):
         a = self._run_steps(50)
         b = self._run_steps(50)
-        np.testing.assert_array_equal(flatten_params(a), flatten_params(b))
+        np.testing.assert_array_equal(a.flat, b.flat)
 
     def test_checkpoint_round_trips_bit_exactly(self, tmp_path):
         params = small_net(seed=8)
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, params, extra={"t_iter": 17})
         loaded = load_checkpoint(path)
-        np.testing.assert_array_equal(flatten_params(loaded["params"]), flatten_params(params))
+        np.testing.assert_array_equal(loaded["params"].flat, params.flat)
         assert loaded["params"].temperature == params.temperature
         assert loaded["extra"]["t_iter"] == 17
         # the weights are one <f8 vector in the table beside the JSON, which holds its sha256
@@ -534,7 +537,7 @@ class TestDeterminismAndCheckpoint:
     def test_checkpoint_version_mismatch(self, tmp_path):
         params = small_net()
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, params)
+        save_checkpoint(path, params, extra={})
         text = path.read_text().replace('"format_version": 2', '"format_version": 99')
         path.write_text(text)
         with pytest.raises(DataError, match="version"):

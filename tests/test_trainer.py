@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 from conftest import small_net
 from ssda_lab.coremath import cross_entropy, entropy, seeded_rng, softmax
 from ssda_lab.datasets import DomainPairSpec, ShiftSpec, gen_split
-from ssda_lab.network import anneal_lr, backward, flatten_grads, forward, forward_features, group_sizes, zero_grads
+from ssda_lab.network import anneal_lr, backward, forward, forward_features, group_sizes, zero_grads
 from ssda_lab.pseudolabel import infer_pseudo, reliability, select
-from ssda_lab import trainer
+from ssda_lab import network, trainer
 from ssda_lab.trainer import (
     TrainConfig,
     entropy_loss,
@@ -141,7 +141,7 @@ class TestLossValues:
         soft = raw / raw.sum(axis=1, keepdims=True)
         _, g1 = backward(x, params, "soft", soft)
         _, g2 = backward(x, params, "soft", soft.copy())
-        np.testing.assert_array_equal(flatten_grads(g1), flatten_grads(g2))
+        np.testing.assert_array_equal(g1.flat, g2.flat)
         np.testing.assert_array_equal(soft, raw / raw.sum(axis=1, keepdims=True))
 
     def test_empty_batches_rejected(self):
@@ -241,17 +241,17 @@ def _reference_step(params, velocity, lr, config, labeled, pseudo, unlabeled):
     """
     losses = {"labeled": None, "pseudo": None, "entropy": None}
     losses["labeled"], g = backward(labeled[0], params, "hard", labeled[1])
-    total = flatten_grads(g)
+    total = g.flat
     if pseudo is not None:
         losses["pseudo"], g = backward(pseudo[0], params, "soft", pseudo[1])
-        total = total + flatten_grads(g)
+        total = total + g.flat
     losses["entropy"], g = backward(unlabeled, params, "entropy")
     if config.lambda_ != 0.0:  # at lambda 0, H is reported but adds nothing
         n_ext, n_cls = group_sizes(params)
         sign = np.concatenate([np.ones(n_ext), -np.ones(n_cls)])  # +lambda extractor, -lambda classifier
-        total = total + sign * (config.lambda_ * flatten_grads(g))
+        total = total + sign * (config.lambda_ * g.flat)
     theta = params.flat.copy()
-    velocity[:] = trainer.SGD_MOMENTUM * velocity + (total + trainer.WEIGHT_DECAY * theta)
+    velocity[:] = network.SGD_MOMENTUM * velocity + (total + network.WEIGHT_DECAY * theta)
     params.flat[:] = theta - lr * velocity
     return losses
 
@@ -275,6 +275,7 @@ def test_microbench_times_every_mix_in_one_line():
     assert set(result["minimax_step_us"]) == set(STEP_MIXES)
     assert set(result["stage2_ms"]) == {"infer_pseudo+select", "selected_set_from_dump"}
     assert all(v > 0 for key in ("backward_us", "minimax_step_us", "stage2_ms") for v in result[key].values())
+    assert result["refresh_us"] > 0
     assert (result["settings"]["repeats"], result["settings"]["OPENBLAS_NUM_THREADS"]) == (1, "1")
 
 
@@ -315,11 +316,11 @@ class TestStepOracle:
 
 class TestMomentumUpdateLabels:
     def test_convex_blend(self):
-        out = momentum_update_labels(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.9)
-        np.testing.assert_allclose(out, [0.9, 0.1], atol=1e-15)
+        out = momentum_update_labels(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), 0.9)
+        np.testing.assert_allclose(out, [[0.9, 0.1]], atol=1e-15)
 
     def test_fixed_point(self):
-        p = np.array([0.3, 0.7])
+        p = np.array([[0.3, 0.7]])
         np.testing.assert_array_equal(momentum_update_labels(p, p, 0.9), p)
 
     def test_geometric_convergence_ratio(self):
@@ -335,9 +336,9 @@ class TestMomentumUpdateLabels:
 
     def test_simplex_violation_rejected(self):
         with pytest.raises(ValueError, match="simplex violation"):
-            momentum_update_labels(np.array([0.9, 0.3]), np.array([0.5, 0.5]), 0.9)
+            momentum_update_labels(np.array([[0.9, 0.3]]), np.array([[0.5, 0.5]]), 0.9)
         with pytest.raises(ValueError, match="simplex violation"):
-            momentum_update_labels(np.array([0.5, 0.5]), np.array([1.2, -0.2]), 0.9)
+            momentum_update_labels(np.array([[0.5, 0.5]]), np.array([[1.2, -0.2]]), 0.9)
         with pytest.raises(ValueError, match="simplex violation"):  # NaN fails every comparison
             momentum_update_labels(np.array([[0.5, 0.5], [np.nan, 0.5]]), np.full((2, 2), 0.5), 0.9)
 
@@ -382,6 +383,10 @@ class TestEvaluate:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             evaluate(small_net(), np.zeros((0, 4)), np.zeros(0))
+
+    def test_one_label_does_not_broadcast_over_the_rows(self):
+        with pytest.raises(ValueError, match="do not align"):
+            evaluate(small_net(), np.zeros((50, 4)), np.array([0]))
 
 
 class TestTrainBaseline:
