@@ -68,7 +68,9 @@ def read_record(path: str | Path, version: int, what: str, remedy: str) -> dict:
     """The JSON object at ``path``, refused unless its ``format_version`` is ``version``.
 
     ``what`` names the artifact in each refusal; ``remedy``, the command
-    that rewrites it, follows a version that does not match.
+    that rewrites it, follows an integer version below ``version``.  Any
+    other record (no version, or one this reader never wrote) is not a
+    ``what`` at all.
     """
     path = Path(path)
     if not path.is_file():
@@ -79,9 +81,11 @@ def read_record(path: str | Path, version: int, what: str, remedy: str) -> dict:
         raise DataError(f"{what} {path} is not valid JSON: {err}") from err
     if not isinstance(record, dict):
         raise DataError(f"{what} {path} must be a JSON object")
-    if record.get("format_version") != version:
-        raise DataError(f"{what} {path} has format_version {record.get('format_version')!r}, not {version}; "
-                        f"{remedy}")
+    found = record.get("format_version")
+    if type(found) is int and found < version:
+        raise DataError(f"{what} {path} has format_version {found}, not {version}; {remedy}")
+    if found != version:
+        raise DataError(f"{path} is not a {what}: its format_version is {found!r}, not {version}")
     return record
 
 

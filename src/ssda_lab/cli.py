@@ -195,7 +195,8 @@ def _stage_inputs(args: argparse.Namespace, per_cell: frozenset = frozenset()):
     """config (printed as recorded), split, checkpoint params, selected set (None where not taken), then ``--out``.
 
     A grid sets its ``per_cell`` fields itself, so a flag for one would go unused and is refused.
-    Every input is checked before ``--out`` is made, so a bad one leaves no output directory.
+    Every input is checked before ``--out`` is made, so a bad one leaves no output directory; an ``--out``
+    that is the ``--split`` directory is refused, since the run's manifest would overwrite the split's.
     """
     flagged = sorted(name for name in per_cell if getattr(args, name, None) is not None)
     if flagged:
@@ -203,6 +204,8 @@ def _stage_inputs(args: argparse.Namespace, per_cell: frozenset = frozenset()):
                           f"{', '.join(flagged)}")
     config = build_config(args)
     out = _output_path(args.out, is_dir=True)
+    if out.resolve() == Path(args.split).resolve():
+        raise ConfigError(f"--out {args.out} is the --split directory, whose manifest.json the run would overwrite")
     split = load_split(args.split)
     params = _load_params(args.checkpoint, split) if "checkpoint" in args else None
     print("effective config: " + json.dumps(_recorded(args, config, per_cell), sort_keys=True))
@@ -389,6 +392,8 @@ def cmd_ablate_noise(args) -> list[str]:
 
 def cmd_report_reliability(args) -> list[str]:
     csv = _output_path(args.csv, is_dir=False) if args.csv else None
+    if csv and csv.resolve().parent == Path(args.split).resolve():
+        raise ConfigError(f"--csv {args.csv} lies in the --split directory, which holds the split's own files")
     split = load_split(args.split)
     dump = _load_dump(args, split)
     before, after = _reliabilities(dump, selected_set_from_dump(dump), split.unlabeled_truth)

@@ -14,11 +14,12 @@ classifier, gradient-reversal style).
 During self-training the live soft labels of the trusted set are blended
 with fresh predictions (momentum 0.9) after every validation phase; the
 membership of the set never changes, only the labels do.  Each phase's
-live hard labels (their argmax) are kept in the report.  The unlabeled
-target's hidden truth never enters this module: scoring those labels
-against it is the caller's job.  Training stops at the iteration cap or
-after ``patience`` validations without a validation-accuracy improvement,
-and the best-validation snapshot is the result of a stage.
+live hard labels (their argmax) are kept in the loop's state, which is
+a stage's report.  The unlabeled target's hidden truth never enters this
+module: scoring those labels against it is the caller's job.  Training
+stops at the iteration cap or after ``patience`` validations without a
+validation-accuracy improvement, and the best-validation snapshot is the
+result of a stage.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ class ValidationRecord:
 
     ``reliability`` (the fraction of live hard labels matching the hidden
     truth) is left None here; a caller that holds the truth fills it from
-    ``TrainReport.live_hard``.
+    ``TrainState.live_hard``.
     """
 
     iteration: int
@@ -121,17 +122,6 @@ class ValidationRecord:
     loss_pseudo: float | None
     loss_entropy: float
     reliability: float | None = None
-
-
-@dataclass
-class TrainReport:
-    history: list[ValidationRecord]
-    stop_reason: str
-    best_iteration: int
-    best_val_acc: float
-    final_test_acc: float | None = None
-    # stage 3 only: each validation phase's live hard labels over the trusted rows, in index order
-    live_hard: list[np.ndarray] = field(default_factory=list)
 
 
 # -- loss values (forward only) --
@@ -159,18 +149,22 @@ def evaluate(params: NetworkParams, x: np.ndarray, truth: np.ndarray) -> float:
     return reliability(np.argmax(forward(x, params), axis=1), truth)
 
 
+def _check_simplex(name: str, labels: np.ndarray) -> np.ndarray:
+    """``labels`` as float64, refused unless every row is a distribution."""
+    labels = np.asarray(labels, dtype=np.float64)
+    # accept only in-range rows, so NaN (false in every comparison) is refused
+    if not (np.all(np.abs(labels.sum(axis=1) - 1.0) <= 1e-9) and np.all((labels >= -1e-9) & (labels <= 1.0 + 1e-9))):
+        raise ValueError(f"simplex violation in {name} labels")
+    return labels
+
+
 def momentum_update_labels(live: np.ndarray, fresh: np.ndarray, m: float) -> np.ndarray:
-    """Blend (n, K) live soft labels toward (n, K) fresh predictions: m * live + (1 - m) * fresh."""
+    """Blend (n, K) live soft labels toward (n, K) fresh predictions: m * live + (1 - m) * fresh.
+
+    Only ``fresh`` is checked (a diverged network fails here): ``live`` is checked rows or their blends."""
     if not 0.0 <= m <= 1.0:
         raise ValueError(f"label momentum must be in [0, 1], got {m}")
-    live = np.asarray(live, dtype=np.float64)
-    fresh = np.asarray(fresh, dtype=np.float64)
-    for name, mat in (("live", live), ("fresh", fresh)):
-        # accept only in-range rows, so NaN (false in every comparison) is refused
-        on_simplex = np.all(np.abs(mat.sum(axis=1) - 1.0) <= 1e-9) and np.all((mat >= -1e-9) & (mat <= 1.0 + 1e-9))
-        if not on_simplex:
-            raise ValueError(f"simplex violation in {name} labels")
-    return m * live + (1.0 - m) * fresh
+    return m * np.asarray(live, dtype=np.float64) + (1.0 - m) * _check_simplex("fresh", fresh)
 
 
 # -- one optimization step --
@@ -238,25 +232,23 @@ def minimax_step(
 
 @dataclass
 class TrainState:
-    """Everything one stage's loop owns, from a fresh start to its stop."""
+    """Everything one stage's loop owns, from a fresh start to its stop; the stage returns it as its report."""
 
     stage: str  # "baseline" or "selftrain"
     params: NetworkParams
     velocities: GradientBundle
     t_iter: int
-    # minimax_step workspaces: the summed gradient and one term's gradient
-    grads: GradientBundle
-    term_grads: GradientBundle
     live_soft: np.ndarray | None
     selected_indices: list[int] | None
     history: list[ValidationRecord] = field(default_factory=list)
+    # stage 3 only: each validation phase's live hard labels over the trusted rows, in index order
     live_hard: list[np.ndarray] = field(default_factory=list)
     best_val_acc: float = -1.0
     best_iteration: int = 0
-    best_params: NetworkParams | None = None
+    best_params: NetworkParams | None = None  # taken at the first validation, which always ties -1.0 or beats it
     validations_since_improve: int = 0
     stop_reason: str | None = None
-    loss_sums: dict = field(default_factory=lambda: {"labeled": 0.0, "pseudo": 0.0, "entropy": 0.0, "count": 0})
+    final_test_acc: float | None = None  # the caller's score of best_params on the unlabeled target
 
 
 def _batch_rngs(config: TrainConfig, stage: str) -> dict:
@@ -285,7 +277,7 @@ def init_train_state(
         if config.use_hard_labels:
             live = np.eye(split.n_classes)[[a.hard_label for a in rows]]
         else:
-            live = np.array([a.soft_label for a in rows])
+            live = _check_simplex("live", [a.soft_label for a in rows])
     else:
         params = init_params(input_dim=split.spec.input_dim, hidden_dims=HIDDEN_DIMS, feature_dim=FEATURE_DIM,
                              n_classes=split.n_classes, temperature=TEMPERATURE, rng=seeded_rng(config.seed, "init"))
@@ -296,11 +288,8 @@ def init_train_state(
         params=params,
         velocities=zero_grads(params),
         t_iter=0,
-        grads=zero_grads(params),
-        term_grads=zero_grads(params),
         live_soft=live,
         selected_indices=selected_indices,
-        best_params=params.copy(),
     )
 
 
@@ -311,6 +300,8 @@ def run_train_loop(split: SSDASplit, config: TrainConfig, state: TrainState) -> 
     val_x, val_y = split.validation_xy()
     # the trusted rows, gathered once: membership is frozen
     pseudo_x = unlabeled_x[state.selected_indices] if state.stage == "selftrain" else None
+    # minimax_step's workspaces: the summed gradient and one term's gradient
+    combined, term = zero_grads(state.params), zero_grads(state.params)
 
     rngs = _batch_rngs(config, state.stage)
     while state.stop_reason is None and state.t_iter < config.t_max:
@@ -325,21 +316,23 @@ def run_train_loop(split: SSDASplit, config: TrainConfig, state: TrainState) -> 
             pi = rngs["pseudo"].integers(0, len(pseudo_x), size=(w, BATCH_PSEUDO))
             px, psoft = pseudo_x[pi], state.live_soft[pi]
 
+        labeled_sum = pseudo_sum = entropy_sum = 0.0
         for j in range(w):
             state.t_iter += 1
             lr = anneal_lr(config.base_lr, state.t_iter / config.t_max)
             losses = minimax_step(state.params, state.velocities, lr, config, labeled=(lx[j], ly[j]),
                                   pseudo=None if pseudo_x is None else (px[j], psoft[j]), unlabeled=ux[j],
-                                  combined=state.grads, term=state.term_grads)
+                                  combined=combined, term=term)
+            labeled_sum += losses["labeled"]
+            entropy_sum += losses["entropy"]
+            if pseudo_x is not None:
+                pseudo_sum += losses["pseudo"]
 
-            state.loss_sums["labeled"] += losses["labeled"]
-            state.loss_sums["entropy"] += losses["entropy"]
-            if losses["pseudo"] is not None:
-                state.loss_sums["pseudo"] += losses["pseudo"]
-            state.loss_sums["count"] += 1
-
+        # only a full window ends at a validation (t_val <= t_max), so its means divide by w;
+        # a last window that t_max cuts short is never recorded
         if state.t_iter % config.t_val == 0:
-            _validation_phase(config, state, val_x, val_y, pseudo_x)
+            means = {"labeled": labeled_sum / w, "pseudo": pseudo_sum / w, "entropy": entropy_sum / w}
+            _validation_phase(config, state, val_x, val_y, pseudo_x, means)
 
     if state.stop_reason is None:
         state.stop_reason = "t_max"
@@ -352,8 +345,9 @@ def _validation_phase(
     val_x: np.ndarray,
     val_y: np.ndarray,
     pseudo_x: np.ndarray | None,
+    means: dict,
 ) -> None:
-    """Validate, refresh the trusted rows' live labels, record history, check patience."""
+    """Validate, refresh the trusted rows' live labels, record the window's mean losses, check patience."""
     val_acc = evaluate(state.params, val_x, val_y)
 
     # refresh live labels with the updated network, full pass over the set
@@ -363,8 +357,6 @@ def _validation_phase(
             state.live_soft = momentum_update_labels(state.live_soft, fresh, config.label_momentum)
         state.live_hard.append(np.argmax(state.live_soft, axis=1))
 
-    count = max(state.loss_sums["count"], 1)
-    means = {k: state.loss_sums[k] / count for k in ("labeled", "pseudo", "entropy")}
     if not all(map(math.isfinite, means.values())):
         raise FloatingPointError(f"{state.stage} diverged by iteration {state.t_iter}: mean losses {means}")
     state.history.append(
@@ -376,7 +368,6 @@ def _validation_phase(
             loss_entropy=means["entropy"],
         )
     )
-    state.loss_sums = {"labeled": 0.0, "pseudo": 0.0, "entropy": 0.0, "count": 0}
 
     # snapshot the latest validation that ties the best accuracy (the most-trained
     # model among equals); patience counts only strict improvements
@@ -394,21 +385,10 @@ def _validation_phase(
         state.stop_reason = "patience"
 
 
-def _report_from_state(state: TrainState) -> TrainReport:
-    return TrainReport(
-        history=list(state.history),
-        stop_reason=state.stop_reason,
-        best_iteration=state.best_iteration,
-        best_val_acc=state.best_val_acc,
-        live_hard=list(state.live_hard),
-    )
-
-
-def train_baseline(split: SSDASplit, config: TrainConfig) -> tuple[NetworkParams, TrainReport]:
-    """Stage 1: minimax-entropy training without pseudo labels; best-val snapshot."""
-    state = init_train_state(split, config, "baseline")
-    state = run_train_loop(split, config, state)
-    return state.best_params, _report_from_state(state)
+def train_baseline(split: SSDASplit, config: TrainConfig) -> tuple[NetworkParams, TrainState]:
+    """Stage 1: minimax-entropy training without pseudo labels; the best-val snapshot and the loop's state."""
+    state = run_train_loop(split, config, init_train_state(split, config, "baseline"))
+    return state.best_params, state
 
 
 def progressive_self_train(
@@ -416,7 +396,7 @@ def progressive_self_train(
     selected: SelectedSet,
     checkpoint_params: NetworkParams,
     config: TrainConfig,
-) -> tuple[NetworkParams, TrainReport]:
+) -> tuple[NetworkParams, TrainState]:
     """Stage 3: resume from the baseline and train on all three loss terms.
 
     The trusted set's membership is frozen; only its soft labels evolve
@@ -426,31 +406,25 @@ def progressive_self_train(
     frozen = list(state.selected_indices)
     state = run_train_loop(split, config, state)
     assert state.selected_indices == frozen, "selected-set membership must not change"
-    return state.best_params, _report_from_state(state)
+    return state.best_params, state
 
 
 # -- report serialization --
 
 
-def report_csv_lines(report: TrainReport) -> str:
+def _csv_cell(value: float | None) -> str:
+    return "" if value is None else repr(float(value))
+
+
+def report_csv_lines(report: TrainState) -> str:
     lines = ["iter,val_acc,L_l,L_pl,H,reliability"]
     for row in report.history:
-        lines.append(
-            ",".join(
-                [
-                    str(row.iteration),
-                    repr(float(row.val_acc)),
-                    repr(float(row.loss_labeled)),
-                    "" if row.loss_pseudo is None else repr(float(row.loss_pseudo)),
-                    repr(float(row.loss_entropy)),
-                    "" if row.reliability is None else repr(float(row.reliability)),
-                ]
-            )
-        )
+        values = (row.val_acc, row.loss_labeled, row.loss_pseudo, row.loss_entropy, row.reliability)
+        lines.append(",".join([str(row.iteration), *map(_csv_cell, values)]))
     return "\n".join(lines) + "\n"
 
 
-def report_to_jsonable(report: TrainReport) -> dict:
+def report_to_jsonable(report: TrainState) -> dict:
     return {
         "history": [asdict(row) for row in report.history],
         "stop_reason": report.stop_reason,
@@ -460,6 +434,6 @@ def report_to_jsonable(report: TrainReport) -> dict:
     }
 
 
-def save_report(report: TrainReport, json_path: str | Path, csv_path: str | Path) -> None:
+def save_report(report: TrainState, json_path: str | Path, csv_path: str | Path) -> None:
     Path(json_path).write_text(json.dumps(report_to_jsonable(report)), encoding="utf-8")
     Path(csv_path).write_text(report_csv_lines(report), encoding="utf-8")

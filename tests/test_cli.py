@@ -367,6 +367,22 @@ class TestUnusableOutput:
         assert stdout == "" and f"{tmp_path / blocker} {problem}" in err
         assert (tmp_path / "f").read_text() == "keep" and list((tmp_path / "d").iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["train-baseline", "ablate-noise", "report-reliability"])
+    def test_output_into_the_split_directory(self, split_dir, stage2, tmp_path, capsys, command):
+        """A run's manifest.json, or a CSV, written into ``--split`` would leave a split the next command refuses."""
+        split = shutil.copytree(split_dir, tmp_path / "split")
+        manifest = split / "manifest.json"
+        before = hashlib.sha256(manifest.read_bytes()).hexdigest()
+        if command == "report-reliability":
+            argv = [command, "--selection", str(stage2[1]), "--split", str(split), "--csv", str(manifest)]
+        else:  # the same directory by another spelling
+            argv = [command, "--split", str(split), "--out", str(split / ".." / "split"), *FAST]
+        assert main(argv) == EXIT_CONFIG
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and "config error:" in err and "the --split directory" in err
+        assert hashlib.sha256(manifest.read_bytes()).hexdigest() == before
+        assert main(["evaluate", "--split", str(split), "--checkpoint", str(stage2[0])]) == EXIT_OK
+
 
 class TestConfigFromFlags:
     def test_flags_override_defaults(self, split_dir, tmp_path, capsys):
@@ -416,6 +432,9 @@ class TestStagedCommands:
 
     @pytest.mark.parametrize("command, flags", [("train-baseline", []),
                                                 ("run-pipeline", ["--hard-labels", "--label-momentum", "1.0"])])
+    # the run diverges on purpose, and numpy warns as its values overflow and then turn NaN
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
     def test_diverged_stage_exits_4_before_writing(self, split_dir, tmp_path, capsys, command, flags):
         out = tmp_path / "o"
         assert main([command, "--split", str(split_dir), "--out", str(out),
@@ -777,7 +796,8 @@ BAD_CHECKPOINTS = [
     pytest.param(_foreign_checkpoint(3, 3), "has input dim 3", id="input_dim_3"),
     pytest.param(_foreign_checkpoint(2, 5), "and 5 classes", id="classes_5"),
     pytest.param(_edited(lambda text: text[: len(text) // 2]), "not valid JSON", id="truncated"),
-    pytest.param(_edited_json(lambda d: d.update(format_version=3)), RETRAIN, id="version_3"),
+    # a later version than this reader writes is no checkpoint it knows: a selection dump also holds 3
+    pytest.param(_edited_json(lambda d: d.update(format_version=3)), "is not a checkpoint", id="version_3"),
     pytest.param(_version1_checkpoint, RETRAIN, id="version_1"),
     pytest.param(_edited(lambda text: "[]"), "must be a JSON object", id="not_an_object"),
     pytest.param(_edited_json(lambda d: d.pop("checksum")), "missing keys ['checksum']", id="no_checksum"),
@@ -816,7 +836,7 @@ BAD_SELECTIONS = [
     pytest.param(_edited_json(lambda d: d.update(r_u=0.01, per_class_quota=1)), "more than its quota",
                  id="class_over_quota"),
     pytest.param(_edited_json(_move_first_listed), "hard label of its rows", id="class_key_not_hard_label"),
-    pytest.param(_edited_json(lambda d: d.update(format_version=4)), "run pseudo-label again",
+    pytest.param(_edited_json(lambda d: d.update(format_version=4)), "is not a selection dump",
                  id="format_version_4"),
     pytest.param(_edited_json(lambda d: d.pop("checksums")), "lacks its table checksums", id="no_checksums"),
     pytest.param(_edited_json(lambda d: _first_listed(d).pop("index")), "selected_by_class must map",
@@ -974,15 +994,36 @@ class TestSelectionVersions:
         assert dump["split_checksum"] == split_checksum(split_dir)
         assert dump["checkpoint_sha256"] == hashlib.sha256(ckpt.read_bytes()).hexdigest()
 
-    @pytest.mark.parametrize("layout", ["stage2_v1", "stage2_v2"], ids=["version_1", "version_2"])
+    @pytest.mark.parametrize("layout, reason", [("stage2_v1", "is not a selection dump: its format_version is None"),
+                                                ("stage2_v2", "run pseudo-label again")],
+                             ids=["version_1", "version_2"])
     @pytest.mark.parametrize("command", ["self-train", "report-reliability"])
-    def test_earlier_layout_exits_3(self, request, split_dir, stage2, tmp_path, capsys, layout, command):
-        """The per-row layout (no ``format_version``) and the JSON-column layout (version 2) are refused."""
+    def test_earlier_layout_exits_3(self, request, split_dir, stage2, tmp_path, capsys, layout, reason, command):
+        """The per-row layout (no ``format_version``, so no version to be older than) and the JSON-column layout
+        (version 2, which gets the remedy) are refused."""
         argv = _selection_argv(command, split_dir, stage2[0], request.getfixturevalue(layout), tmp_path / "o")
         assert main(argv) == EXIT_DATA
         err = capsys.readouterr().err
-        assert "data error:" in err and "run pseudo-label again" in err
+        assert "data error:" in err and reason in err
         assert not (tmp_path / "o").exists()
+
+
+class TestAnotherKindOfRecord:
+    """A record of another kind is refused as not the artifact its flag takes, without an older version's remedy."""
+
+    def test_run_directory_as_split(self, stage2, tmp_path, capsys):
+        run_dir = stage2[0].parent  # train-baseline's --out: its manifest.json holds no format_version
+        assert main(["train-baseline", "--split", str(run_dir), "--out", str(tmp_path / "o"), *FAST]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{run_dir / 'manifest.json'} is not a manifest: its format_version is None, not 2" in err
+        assert "gen-data" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_selection_as_checkpoint(self, split_dir, stage2, capsys):
+        assert main(["evaluate", "--split", str(split_dir), "--checkpoint", str(stage2[1])]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{stage2[1]} is not a checkpoint: its format_version is 3, not 2" in err
+        assert RETRAIN not in err
 
 
 class TestSelectionProvenance:

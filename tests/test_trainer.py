@@ -16,7 +16,7 @@ from conftest import small_net
 from ssda_lab.coremath import cross_entropy, entropy, seeded_rng, softmax
 from ssda_lab.datasets import DomainPairSpec, ShiftSpec, gen_split
 from ssda_lab.network import anneal_lr, backward, forward, forward_features, group_sizes, zero_grads
-from ssda_lab.pseudolabel import infer_pseudo, reliability, select
+from ssda_lab.pseudolabel import PseudoAnnotation, SelectedSet, infer_pseudo, reliability, select
 from ssda_lab import network, trainer
 from ssda_lab.trainer import (
     TrainConfig,
@@ -286,6 +286,7 @@ class TestStepOracle:
         split = separable_split()
         config = quick_config(lambda_=lam)
         state = init_train_state(split, config, "baseline")
+        combined, term = zero_grads(state.params), zero_grads(state.params)
         ref_params, ref_velocity = state.params.copy(), np.zeros_like(state.params.flat)
         labeled_x, labeled_y = split.labeled_xy()
         unlabeled_x = split.unlabeled_x()
@@ -300,7 +301,7 @@ class TestStepOracle:
             lr = anneal_lr(config.base_lr, t / config.t_max)
             expected = _reference_step(ref_params, ref_velocity, lr, config, labeled, pseudo, unlabeled_x[ui])
             losses = minimax_step(state.params, state.velocities, lr, config, labeled, pseudo, unlabeled_x[ui],
-                                  state.grads, state.term_grads)
+                                  combined, term)
             assert losses == expected
         np.testing.assert_array_equal(state.params.flat, ref_params.flat)
         np.testing.assert_array_equal(state.velocities.flat, ref_velocity)
@@ -335,12 +336,20 @@ class TestMomentumUpdateLabels:
             assert b / a == pytest.approx(0.9, abs=1e-9)
 
     def test_simplex_violation_rejected(self):
-        with pytest.raises(ValueError, match="simplex violation"):
-            momentum_update_labels(np.array([[0.9, 0.3]]), np.array([[0.5, 0.5]]), 0.9)
-        with pytest.raises(ValueError, match="simplex violation"):
+        with pytest.raises(ValueError, match="simplex violation in fresh labels"):
             momentum_update_labels(np.array([[0.5, 0.5]]), np.array([[1.2, -0.2]]), 0.9)
-        with pytest.raises(ValueError, match="simplex violation"):  # NaN fails every comparison
-            momentum_update_labels(np.array([[0.5, 0.5], [np.nan, 0.5]]), np.full((2, 2), 0.5), 0.9)
+
+    @pytest.mark.parametrize("live", [[[0.9, 0.3]], [[0.5, 0.5], [np.nan, 0.5]]], ids=["sum_1_2", "nan"])
+    def test_trusted_rows_off_the_simplex_rejected_where_stage_3_starts(self, live):
+        """The refresh checks only ``fresh``; the trusted soft rows it blends into are checked once, here
+        (NaN fails every comparison)."""
+        split = separable_split()
+        config = quick_config()
+        params = init_train_state(split, config, "baseline").params
+        rows = [PseudoAnnotation(i, np.array(row), 0, np.zeros(1)) for i, row in enumerate(live)]
+        selected = SelectedSet(rows, [a.index for a in rows], 1.0, len(rows))
+        with pytest.raises(ValueError, match="simplex violation in live labels"):
+            init_train_state(split, config, "selftrain", selected=selected, resume_params=params)
 
     @settings(max_examples=100)
     @given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=1, max_value=50))
@@ -530,6 +539,8 @@ def _per_iteration_loop(split, config, state):
     unlabeled_x = split.unlabeled_x()
     val_x, val_y = split.validation_xy()
     pseudo_x = unlabeled_x[state.selected_indices] if state.stage == "selftrain" else None
+    combined, term = zero_grads(state.params), zero_grads(state.params)
+    sums, count = dict.fromkeys(("labeled", "entropy", "pseudo"), 0.0), 0
     rngs = trainer._batch_rngs(config, state.stage)
     while state.stop_reason is None and state.t_iter < config.t_max:
         state.t_iter += 1
@@ -541,13 +552,14 @@ def _per_iteration_loop(split, config, state):
             pi = rngs["pseudo"].integers(0, len(pseudo_x), size=trainer.BATCH_PSEUDO)
             pseudo = (pseudo_x[pi], state.live_soft[pi])
         losses = minimax_step(state.params, state.velocities, lr, config, (labeled_x[li], labeled_y[li]), pseudo,
-                              unlabeled_x[ui], state.grads, state.term_grads)
-        for key in ("labeled", "entropy", "pseudo"):
+                              unlabeled_x[ui], combined, term)
+        for key in sums:
             if losses[key] is not None:
-                state.loss_sums[key] += losses[key]
-        state.loss_sums["count"] += 1
+                sums[key] += losses[key]
+        count += 1
         if state.t_iter % config.t_val == 0:
-            trainer._validation_phase(config, state, val_x, val_y, pseudo_x)
+            trainer._validation_phase(config, state, val_x, val_y, pseudo_x, {k: v / count for k, v in sums.items()})
+            sums, count = dict.fromkeys(sums, 0.0), 0
     if state.stop_reason is None:
         state.stop_reason = "t_max"
     return state
@@ -560,6 +572,9 @@ LOOP_CASES = {
     "selftrain_soft_refresh": ("selftrain", dict(patience=100), "t_max"),
     "selftrain_hard_labels": ("selftrain", dict(use_hard_labels=True, patience=100), "t_max"),
     "short_last_window": ("selftrain", dict(t_max=130, t_val=50, patience=100), "t_max"),
+    # the two window extremes behind the loop's per-window loss means
+    "window_of_1": ("selftrain", dict(t_max=40, t_val=1, patience=100), "t_max"),
+    "one_window_to_t_max": ("selftrain", dict(t_max=120, t_val=120, patience=100), "t_max"),
     "patience_stops_mid_stage": ("baseline", dict(patience=1), "patience"),
 }
 
