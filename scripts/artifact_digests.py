@@ -4,9 +4,9 @@
 Runs, with ``OPENBLAS_NUM_THREADS=1`` and the ``ssda_lab`` package under
 ``--src``: gen-data; run-pipeline, default and with ``--lambda 0
 --no-pseudo``; train-baseline, pseudo-label, self-train and evaluate;
-report-reliability --split --csv; and the ablate-ru --regen and
-ablate-noise grids. Then, in ``large_pool/``, the stages one by one on a
-2 600-row target split with ``--r-u 1.0``: its pool (2 570 rows) and its
+and the ablate-ru --regen and ablate-noise grids. Then, in
+``large_pool/``, the stages one by one on a 2 600-row target split with
+``--r-u 1.0``: its pool (2 570 rows) and its
 trusted set (2 118) are each more than two ``network.ROW_BLOCK``s, so
 inference over the pool, the stage-3 label refresh and the test pass each
 run in several row blocks.
@@ -56,7 +56,6 @@ COMMANDS = [
     ["pseudo-label", *SPLIT, *CKPT, "--out", "sel"],
     ["self-train", *SPLIT, *CKPT, "--selection", "sel/selection.json", "--out", "st", *T_MAX],
     ["evaluate", *SPLIT, "--checkpoint", "st/final_checkpoint.json"],
-    ["report-reliability", "--selection", "pipeline/selection.json", *SPLIT, "--csv", "reliability.csv"],
     ["ablate-ru", *SPLIT, "--out", "ru", "--grid", "0.2,1.0", "--seeds", "0,1", "--regen", *T_MAX],
     ["ablate-noise", *SPLIT, "--out", "noise", "--seeds", "0,1", *T_MAX],
 ]

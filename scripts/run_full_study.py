@@ -3,7 +3,10 @@
 
 Produces, under --out:
   split/            the serialized benchmark split
-  pipeline/         stage artifacts for the default configuration
+  pipeline/         stage artifacts for the default configuration; its
+                    manifest.json records the reliability of the hard
+                    pseudo labels before and after selection, which
+                    run-pipeline also prints
   ru_sweep/         selection-ratio grid (ru_sweep.csv, ru_summary.csv)
   noise_ablation/   progressive vs vanilla pairing (noise_ablation.csv)
 
@@ -41,8 +44,6 @@ def main() -> None:
     run(["gen-data", "--out", str(split), "--seed", str(args.seed), "--shots", str(args.shots)])
     run(["run-pipeline", "--split", str(split), "--out", str(out / "pipeline"),
          "--seed", str(args.seed), *tm])
-    run(["report-reliability", "--selection", str(out / "pipeline" / "selection.json"),
-         "--split", str(split), "--csv", str(out / "pipeline" / "reliability.csv")])
     run(["ablate-ru", "--split", str(split), "--out", str(out / "ru_sweep"),
          "--seeds", args.seeds, "--regen", *tm])
     run(["ablate-noise", "--split", str(split), "--out", str(out / "noise_ablation"),

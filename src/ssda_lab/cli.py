@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 runtime error.
 Each command returns its summary lines, which ``main`` prints once the command has written every file.
-A run's config is the built-in defaults with its flags applied; flags are the only source.
+A run's config is the built-in defaults with its flags applied; flags are the only source, but for the ``r_u`` of
+``self-train``, which is its selection dump's.
 The ablation grids run every cell in this process, one seed at a time.
 """
 
@@ -64,9 +65,10 @@ class ConfigError(Exception):
 _CONFIG_FIELDS = {f.name for f in fields(TrainConfig)}
 
 
-def _config_flags(parser: argparse.ArgumentParser) -> None:
+def _config_flags(parser: argparse.ArgumentParser, r_u: bool = True) -> None:
     parser.add_argument("--lambda", dest="lambda_", type=float, help="entropy weight")
-    parser.add_argument("--r-u", dest="r_u", type=float, help="pseudo-label selection ratio")
+    if r_u:
+        parser.add_argument("--r-u", dest="r_u", type=float, help="pseudo-label selection ratio")
     parser.add_argument("--label-momentum", dest="label_momentum", type=float)
     parser.add_argument("--hard-labels", dest="use_hard_labels", action="store_true", default=None)
     parser.add_argument("--base-lr", dest="base_lr", type=float)
@@ -86,12 +88,12 @@ def build_config(args: argparse.Namespace) -> TrainConfig:
     return config
 
 
-def _output_path(raw: str, is_dir: bool) -> Path:
-    """``raw`` as a Path, a config error unless it is, or can be made, a directory (``is_dir``) or a file."""
+def _output_path(raw: str) -> Path:
+    """``raw`` as a Path, a config error unless it is, or can be made, a directory."""
     path = Path(raw)
     existing = next(p for p in (path, *path.parents) if p.exists())
-    if existing.is_dir() != (is_dir or existing != path):
-        raise ConfigError(f"cannot write {path}: {existing} is {'a' if existing.is_dir() else 'not a'} directory")
+    if not existing.is_dir():
+        raise ConfigError(f"cannot write {path}: {existing} is not a directory")
     return path
 
 
@@ -108,14 +110,12 @@ def _load_params(path: str, split: SSDASplit) -> NetworkParams:
 
 
 def _load_dump(args: argparse.Namespace, split: SSDASplit) -> dict:
-    """``--selection``, checked against ``split``; it must name the ``--split`` and, where the command takes one,
-    the ``--checkpoint`` it was made from."""
+    """``--selection``, checked against ``split``; it must name the ``--split`` and ``--checkpoint`` it was made
+    from."""
     dump = load_selection(args.selection)
     check_selection(dump, len(split.unlabeled_target), split.n_classes)
-    inputs = {"split_checksum": ("--split", split_checksum(args.split))}
-    if "checkpoint" in args:
-        inputs["checkpoint_sha256"] = ("--checkpoint", sha256(args.checkpoint))
-    for key, (flag, actual) in inputs.items():
+    for key, flag, actual in (("split_checksum", "--split", split_checksum(args.split)),
+                              ("checkpoint_sha256", "--checkpoint", sha256(args.checkpoint))):
         if dump[key] != actual:
             raise DataError(f"{args.selection} records {key} {dump[key]}, but {flag} has {actual}")
     return dump
@@ -172,12 +172,6 @@ def _stage2(split: SSDASplit, params: NetworkParams, r_u: float) -> dict:
     return selection_dump(select(annotations, anchors, r_u, len(split.unlabeled_target), split.n_classes), annotations)
 
 
-def _reliabilities(dump: dict, selected, truth: np.ndarray) -> tuple[float, float]:
-    """The reliability of every row's hard pseudo label and of the ``selected`` rows' labels: before and after."""
-    hard, index = dump["hard_label"], selected.index_set
-    return reliability(hard, truth), reliability(hard[index], truth[index])
-
-
 def _stage3(split: SSDASplit, selected, params: NetworkParams, config: TrainConfig):
     """Progressive self-training from ``params``: (params, report with reliability and test accuracy).
 
@@ -194,7 +188,8 @@ def _stage3(split: SSDASplit, selected, params: NetworkParams, config: TrainConf
 def _stage_inputs(args: argparse.Namespace, per_cell: frozenset = frozenset()):
     """config (printed as recorded), split, checkpoint params, selected set (None where not taken), then ``--out``.
 
-    A grid sets its ``per_cell`` fields itself, so a flag for one would go unused and is refused.
+    A grid sets its ``per_cell`` fields itself, so a flag for one would go unused and is refused; ``self-train``
+    has no ``--r-u`` and takes the ``r_u`` its dump's set was selected with.
     Every input is checked before ``--out`` is made, so a bad one leaves no output directory; an ``--out``
     that is the ``--split`` directory is refused, since the run's manifest would overwrite the split's.
     """
@@ -203,13 +198,15 @@ def _stage_inputs(args: argparse.Namespace, per_cell: frozenset = frozenset()):
         raise ConfigError(f"{args.command} sets these fields itself, so their flags would go unused: "
                           f"{', '.join(flagged)}")
     config = build_config(args)
-    out = _output_path(args.out, is_dir=True)
+    out = _output_path(args.out)
     if out.resolve() == Path(args.split).resolve():
         raise ConfigError(f"--out {args.out} is the --split directory, whose manifest.json the run would overwrite")
     split = load_split(args.split)
     params = _load_params(args.checkpoint, split) if "checkpoint" in args else None
-    print("effective config: " + json.dumps(_recorded(args, config, per_cell), sort_keys=True))
     selected = selected_set_from_dump(_load_dump(args, split)) if "selection" in args else None
+    if selected is not None:
+        config = replace(config, r_u=float(selected.r_u))
+    print("effective config: " + json.dumps(_recorded(args, config, per_cell), sort_keys=True))
     out.mkdir(parents=True, exist_ok=True)
     return config, split, params, selected, out
 
@@ -233,7 +230,7 @@ def cmd_gen_data(args) -> list[str]:
         translation = tuple(float(v) for v in args.translation.split(",")) if args.translation else ()
     except ValueError as err:
         raise ConfigError(f"bad --translation list: {args.translation!r}") from err
-    _output_path(args.out, is_dir=True)
+    _output_path(args.out)
     spec = DomainPairSpec(
         n_classes=args.classes,
         input_dim=args.dim,
@@ -276,7 +273,9 @@ def cmd_stages(args) -> list[str]:
                 save_selection(artifacts["selection"], dump, split_checksum=split_checksum(args.split),
                                checkpoint_sha256=sha256(artifacts.get("baseline_checkpoint") or args.checkpoint))
                 selected = selected_set_from_dump(dump)
-                before, after = _reliabilities(dump, selected, split.unlabeled_truth)
+                # the share of right hard pseudo labels over every unlabeled row, then over the selected rows
+                hard, truth, index = dump["hard_label"], split.unlabeled_truth, selected.index_set
+                before, after = reliability(hard, truth), reliability(hard[index], truth[index])
                 extra.update(reliability_before=before, reliability_after=after)
                 lines += [f"selected {len(selected)} of {len(split.unlabeled_target)} "
                           f"(quota {selected.per_class_quota}/class, r_u={config.r_u})",
@@ -390,19 +389,6 @@ def cmd_ablate_noise(args) -> list[str]:
     return _run_ablation(args, arms, _write_noise_table, min_seeds=2)
 
 
-def cmd_report_reliability(args) -> list[str]:
-    csv = _output_path(args.csv, is_dir=False) if args.csv else None
-    if csv and csv.resolve().parent == Path(args.split).resolve():
-        raise ConfigError(f"--csv {args.csv} lies in the --split directory, which holds the split's own files")
-    split = load_split(args.split)
-    dump = _load_dump(args, split)
-    before, after = _reliabilities(dump, selected_set_from_dump(dump), split.unlabeled_truth)
-    if csv:
-        csv.parent.mkdir(parents=True, exist_ok=True)
-        csv.write_text(f"metric,value\nreliability_before,{before!r}\nreliability_after,{after!r}\n", encoding="utf-8")
-    return [f"{100 * before:.1f} -> {100 * after:.1f}"]
-
-
 # -- parser --
 
 
@@ -441,7 +427,7 @@ def make_parser() -> argparse.ArgumentParser:
         for flag in inputs:
             p.add_argument(flag, required=True)
         p.add_argument("--out", required=True)
-        _config_flags(p)
+        _config_flags(p, r_u="--selection" not in inputs)
         p.set_defaults(func=cmd_stages, stages=stages)
     # p is run-pipeline's parser, the loop's last
     p.add_argument("--no-pseudo", dest="stages", action="store_const", const=(1,),
@@ -469,12 +455,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--regen", action="store_true")
     _config_flags(p)
     p.set_defaults(func=cmd_ablate_noise)
-
-    p = sub.add_parser("report-reliability", help="before/after selection reliability")
-    p.add_argument("--selection", required=True)
-    p.add_argument("--split", required=True, help="the split the dump was made from, for its ground truth")
-    p.add_argument("--csv", help="also write the table to this CSV path")
-    p.set_defaults(func=cmd_report_reliability)
 
     return parser
 

@@ -346,7 +346,8 @@ def load_split(split_dir: str | Path) -> SSDASplit:
     manifest's ``input_dim`` and ``counts`` give, features must be finite
     and labels in [0, n_classes), and the labeled and validation targets
     must hold ``n_t_per_class`` and ``n_val_per_class`` rows of every class,
-    as ``split_target`` draws them; each failure is a ``DataError``.
+    as ``split_target`` draws them, and the unlabeled target at least one
+    row, which every stage scores; each failure is a ``DataError``.
     """
     root = Path(split_dir)
     manifest = read_record(root / "manifest.json", SPLIT_FORMAT_VERSION, "manifest",
@@ -367,6 +368,8 @@ def load_split(split_dir: str | Path) -> SSDASplit:
     }
     arrays = {name: read_table(root / name, manifest["checksums"][name], dtype, shape)
               for name, (dtype, shape) in layouts.items()}
+    if not counts["unlabeled_target"]:
+        raise DataError(f"{root} holds no unlabeled target rows, so no stage has rows to label or score")
 
     def xy(name: str, per_class: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         rows = arrays[name]

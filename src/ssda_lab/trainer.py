@@ -347,7 +347,10 @@ def _validation_phase(
     pseudo_x: np.ndarray | None,
     means: dict,
 ) -> None:
-    """Validate, refresh the trusted rows' live labels, record the window's mean losses, check patience."""
+    """Check the window's mean losses, validate, refresh the trusted rows' live labels, record the means, check
+    patience. A diverged window is reported as such before the refresh can find its labels off the simplex."""
+    if not all(map(math.isfinite, means.values())):
+        raise FloatingPointError(f"{state.stage} diverged by iteration {state.t_iter}: mean losses {means}")
     val_acc = evaluate(state.params, val_x, val_y)
 
     # refresh live labels with the updated network, full pass over the set
@@ -357,8 +360,6 @@ def _validation_phase(
             state.live_soft = momentum_update_labels(state.live_soft, fresh, config.label_momentum)
         state.live_hard.append(np.argmax(state.live_soft, axis=1))
 
-    if not all(map(math.isfinite, means.values())):
-        raise FloatingPointError(f"{state.stage} diverged by iteration {state.t_iter}: mean losses {means}")
     state.history.append(
         ValidationRecord(
             iteration=state.t_iter,

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import shutil
 import sys
 from dataclasses import asdict, replace
@@ -12,12 +13,12 @@ import pytest
 
 from conftest import npy_bytes
 from ssda_lab import cli
-from ssda_lab.artifacts import table_path
+from ssda_lab.artifacts import DataError, table_path
 from ssda_lab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME, main
 from ssda_lab.coremath import seeded_rng
 from ssda_lab.datasets import default_benchmark_spec, load_split, split_checksum
 from ssda_lab.network import forward_features, init_params, load_checkpoint, save_checkpoint
-from ssda_lab.pseudolabel import infer_pseudo, load_selection, select
+from ssda_lab.pseudolabel import check_selection, infer_pseudo, load_selection, select
 from ssda_lab.trainer import TrainConfig, evaluate, progressive_self_train, train_baseline
 
 FAST = ["--t-max", "200", "--t-val", "25", "--patience", "4"]
@@ -192,7 +193,7 @@ class TestRunPipeline:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["train-baseline", "pseudo-label", "self-train", "run-pipeline",
-                                         "ablate-ru", "ablate-noise", "report-reliability"])
+                                         "ablate-ru", "ablate-noise"])
     @pytest.mark.parametrize("table", ["labeled_target.npy", "validation_target.npy"])
     def test_split_without_a_class_anchors_exits_3_before_out(self, split_dir, stage2, tmp_path, capsys, command,
                                                               table):
@@ -201,13 +202,34 @@ class TestRunPipeline:
         bad = tmp_path / "no_anchors"
         shutil.copytree(split_dir, bad)
         _edit_split_table(bad, table, lambda rows: rows["y"].fill(0))
-        if command in ("self-train", "report-reliability"):
-            argv = _selection_argv(command, bad, stage2[0], stage2[1], tmp_path / "o")
+        if command == "self-train":
+            argv = _self_train_argv(bad, stage2[0], stage2[1], tmp_path / "o")
         else:
             argv = [command, "--split", str(bad), "--out", str(tmp_path / "o"), *FAST]
             argv += ["--checkpoint", str(stage2[0])] if command == "pseudo-label" else []
         assert main(argv) == EXIT_DATA
         assert f"{table} holds [9, 0, 0] rows per class, not the 3 each" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["train-baseline", "pseudo-label", "self-train", "run-pipeline",
+                                         "ablate-ru", "ablate-noise", "evaluate"])
+    def test_split_without_unlabeled_rows_exits_3_before_out(self, split_dir, stage2, tmp_path, capsys, command):
+        """A split restamped for no unlabeled target rows leaves stage 2 nothing to label and every accuracy
+        nothing to score, so it does not load."""
+        empty = shutil.copytree(split_dir, tmp_path / "empty")
+        manifest = json.loads((empty / "manifest.json").read_text())
+        for name in ("unlabeled_target.npy", "unlabeled_truth.npy"):
+            np.save(empty / name, np.load(empty / name)[:0], allow_pickle=False)
+            manifest["checksums"][name] = hashlib.sha256((empty / name).read_bytes()).hexdigest()
+        manifest["counts"]["unlabeled_target"] = 0
+        (empty / "manifest.json").write_text(json.dumps(manifest))
+        out = ["--out", str(tmp_path / "o"), *FAST]
+        rest = {"pseudo-label": [*out, "--checkpoint", str(stage2[0])],
+                "self-train": [*out, "--checkpoint", str(stage2[0]), "--selection", str(stage2[1])],
+                "ablate-ru": [*out, "--grid", "0.2,1.0", "--seeds", "0"], "ablate-noise": [*out, "--seeds", "0,1"],
+                "evaluate": ["--checkpoint", str(stage2[0])]}.get(command, out)
+        assert main([command, "--split", str(empty), *rest]) == EXIT_DATA
+        assert "holds no unlabeled target rows" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_version_1_split_is_refused_before_out(self, tmp_path, capsys):
@@ -354,30 +376,18 @@ class TestUnusableOutput:
         assert stdout == "" and f"{blocker} is not a directory" in err
         assert blocker.read_text() == "keep"
 
-    @pytest.mark.parametrize("csv, blocker, problem", [("d", "d", "is a directory"),
-                                                       ("f/r.csv", "f", "is not a directory")],
-                             ids=["directory", "below_file"])
-    def test_reliability_csv(self, split_dir, stage2, tmp_path, capsys, csv, blocker, problem):
-        (tmp_path / "d").mkdir()
-        (tmp_path / "f").write_text("keep")
-        argv = ["report-reliability", "--selection", str(stage2[1]), "--split", str(split_dir),
-                "--csv", str(tmp_path / csv)]
-        assert main(argv) == EXIT_CONFIG
-        stdout, err = capsys.readouterr()
-        assert stdout == "" and f"{tmp_path / blocker} {problem}" in err
-        assert (tmp_path / "f").read_text() == "keep" and list((tmp_path / "d").iterdir()) == []
-
-    @pytest.mark.parametrize("command", ["train-baseline", "ablate-noise", "report-reliability"])
+    @pytest.mark.parametrize("command", ["train-baseline", "pseudo-label", "self-train", "run-pipeline",
+                                         "ablate-ru", "ablate-noise"])
     def test_output_into_the_split_directory(self, split_dir, stage2, tmp_path, capsys, command):
-        """A run's manifest.json, or a CSV, written into ``--split`` would leave a split the next command refuses."""
+        """A run's manifest.json written into ``--split`` would leave a split the next command refuses."""
         split = shutil.copytree(split_dir, tmp_path / "split")
         manifest = split / "manifest.json"
         before = hashlib.sha256(manifest.read_bytes()).hexdigest()
-        if command == "report-reliability":
-            argv = [command, "--selection", str(stage2[1]), "--split", str(split), "--csv", str(manifest)]
-        else:  # the same directory by another spelling
-            argv = [command, "--split", str(split), "--out", str(split / ".." / "split"), *FAST]
-        assert main(argv) == EXIT_CONFIG
+        inputs = {"pseudo-label": ["--checkpoint", str(stage2[0])],
+                  "self-train": ["--checkpoint", str(stage2[0]), "--selection", str(stage2[1])]}.get(command, [])
+        # the same directory by another spelling
+        assert main([command, "--split", str(split), "--out", str(split / ".." / "split"), *inputs,
+                     *FAST]) == EXIT_CONFIG
         stdout, err = capsys.readouterr()
         assert stdout == "" and "config error:" in err and "the --split directory" in err
         assert hashlib.sha256(manifest.read_bytes()).hexdigest() == before
@@ -431,12 +441,16 @@ class TestStagedCommands:
         assert recorded[1] == recorded[3] == {}
 
     @pytest.mark.parametrize("command, flags", [("train-baseline", []),
-                                                ("run-pipeline", ["--hard-labels", "--label-momentum", "1.0"])])
+                                                ("run-pipeline", ["--hard-labels", "--label-momentum", "1.0"]),
+                                                ("self-train", [])])
     # the run diverges on purpose, and numpy warns as its values overflow and then turn NaN
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
-    def test_diverged_stage_exits_4_before_writing(self, split_dir, tmp_path, capsys, command, flags):
+    def test_diverged_stage_exits_4_before_writing(self, split_dir, stage2, tmp_path, capsys, command, flags):
+        """Reported as diverged, also where the soft labels' refresh would first meet the NaN predictions."""
         out = tmp_path / "o"
+        if command == "self-train":
+            flags = ["--checkpoint", str(stage2[0]), "--selection", str(stage2[1])]
         assert main([command, "--split", str(split_dir), "--out", str(out),
                      "--base-lr", "1e10", "--t-max", "100", *flags]) == EXIT_RUNTIME
         assert "diverged" in capsys.readouterr().err
@@ -444,14 +458,16 @@ class TestStagedCommands:
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("argv, artifacts", [
+        (["train-baseline"], {"baseline_checkpoint"}),
+        (["pseudo-label", "--checkpoint", "{checkpoint}"], {"selection"}),
+        (["self-train", "--checkpoint", "{checkpoint}", "--selection", "{selection}"], {"final_checkpoint"}),
         (["run-pipeline"], {"baseline_checkpoint", "selection", "final_checkpoint"}),
         (["ablate-ru", "--grid", "0.2,1.0", "--seeds", "0"], {"sweep", "summary"}),
         (["ablate-noise", "--seeds", "0,1"], {"table"}),
-        (["report-reliability"], None),
-    ], ids=["run_pipeline", "ablate_ru", "ablate_noise", "report_reliability_csv"])
+    ], ids=["train_baseline", "pseudo_label", "self_train", "run_pipeline", "ablate_ru", "ablate_noise"])
     def test_closed_stdout_keeps_the_manifest(self, split_dir, stage2, tmp_path, monkeypatch, argv, artifacts):
-        """A reader that goes away after the ``effective config`` line, or before the first line where a command
-        prints none, costs the run its summary, not its record: every file is written before the summary."""
+        """A reader that goes away after the ``effective config`` line costs the run its summary, not its record:
+        every file is written before the summary."""
         class ClosedAfterConfigLine(io.StringIO):
             def write(self, text):
                 if "\n" in self.getvalue() or not (self.getvalue() + text).startswith("effective config: "):
@@ -459,16 +475,10 @@ class TestStagedCommands:
                 return super().write(text)
 
         out = tmp_path / "run"
-        if artifacts is None:
-            argv = _selection_argv("report-reliability", split_dir, stage2[0], stage2[1], out / "r.csv")
-        else:
-            argv = [*argv, "--split", str(split_dir), "--out", str(out), *FAST]
+        argv = [arg.format(checkpoint=stage2[0], selection=stage2[1]) for arg in argv]
         monkeypatch.setattr(sys, "stdout", ClosedAfterConfigLine())
-        assert main(argv) == EXIT_RUNTIME
-        if artifacts is None:
-            assert (out / "r.csv").read_text().startswith("metric,value\nreliability_before,")
-        else:
-            assert set(json.loads((out / "manifest.json").read_text())["artifacts"]) >= artifacts
+        assert main([*argv, "--split", str(split_dir), "--out", str(out), *FAST]) == EXIT_RUNTIME
+        assert set(json.loads((out / "manifest.json").read_text())["artifacts"]) >= artifacts
 
     def test_evaluate_prints_accuracy(self, split_dir, tmp_path, capsys):
         base = tmp_path / "base"
@@ -514,6 +524,24 @@ class TestStagedCommands:
         assert json.loads((out / "manifest.json").read_text())["config"] == {"r_u": 0.2}
         for name in ("selection.json", *(f"selection.{c}.npy" for c in COLUMNS)):
             assert (out / name).read_bytes() == stage2[1].with_name(name).read_bytes(), name
+
+    def test_self_train_has_no_r_u_flag(self, split_dir, stage2, tmp_path, capsys):
+        """Stage 3 keeps the set its dump selected, so an ``r_u`` flag would go unused."""
+        _exits_unrecognized([*_self_train_argv(split_dir, *stage2, tmp_path / "o"), "--r-u", "0.5"], capsys,
+                            "--r-u 0.5")
+        assert not (tmp_path / "o").exists()
+
+    def test_self_train_records_the_r_u_of_its_dump(self, split_dir, stage2, tmp_path, capsys):
+        """Printed, in the run manifest and in the final checkpoint: the r_u its trusted set was selected with."""
+        sel, st = tmp_path / "sel", tmp_path / "st"
+        assert main(["pseudo-label", "--split", str(split_dir), "--checkpoint", str(stage2[0]), "--r-u", "1.0",
+                     "--out", str(sel)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(_self_train_argv(split_dir, stage2[0], sel / "selection.json", st)) == EXIT_OK
+        printed = json.loads(capsys.readouterr().out.split("effective config: ")[1].split("\n")[0])
+        recorded = (printed, json.loads((st / "manifest.json").read_text())["config"],
+                    load_checkpoint(st / "final_checkpoint.json")["extra"]["config"])
+        assert [config["r_u"] for config in recorded] == [1.0, 1.0, 1.0]
 
     @pytest.mark.parametrize("field, value", [("scale", -1.0), ("input_dim", 3),
                                               ("seed", -1), ("seed", 2**64)])
@@ -893,11 +921,9 @@ def stage2_v2(stage2, tmp_path_factory):
     return path
 
 
-def _selection_argv(command: str, split_dir: Path, ckpt: Path, selection: Path, out: Path) -> list:
-    if command == "self-train":
-        return [command, "--split", str(split_dir), "--checkpoint", str(ckpt), "--selection", str(selection),
-                "--out", str(out), *FAST]
-    return [command, "--selection", str(selection), "--split", str(split_dir), "--csv", str(out)]
+def _self_train_argv(split_dir: Path, ckpt: Path, selection: Path, out: Path) -> list:
+    return ["self-train", "--split", str(split_dir), "--checkpoint", str(ckpt), "--selection", str(selection),
+            "--out", str(out), *FAST]
 
 
 class TestArtifactChecks:
@@ -920,45 +946,62 @@ class TestArtifactChecks:
         assert "data error:" in err and reason in err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("command", ["self-train", "report-reliability"])
     @pytest.mark.parametrize("write, reason", BAD_SELECTIONS)
-    def test_unusable_selection_exits_3_before_out_exists(self, split_dir, stage2, tmp_path, capsys,
-                                                          command, write, reason):
+    def test_unusable_selection_exits_3_before_out_exists(self, split_dir, stage2, tmp_path, capsys, write, reason):
         ckpt, good_selection = stage2
         bad = _copy_selection(good_selection, tmp_path / "selection.json")
         write(bad, good_selection)
-        assert main(_selection_argv(command, split_dir, ckpt, bad, tmp_path / "o")) == EXIT_DATA
+        assert main(_self_train_argv(split_dir, ckpt, bad, tmp_path / "o")) == EXIT_DATA
         err = capsys.readouterr().err
         assert "data error:" in err and reason in err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("command", ["self-train", "report-reliability"])
+    @pytest.mark.parametrize("write, reason", BAD_SELECTIONS)
+    def test_unusable_selection_is_refused_by_the_package_checks(self, stage2, tmp_path, write, reason):
+        """A reader of the package, not only ``self-train``, gets the same data error from ``load_selection``
+        and ``check_selection``: the checks that need neither the split's files nor the checkpoint."""
+        bad = _copy_selection(stage2[1], tmp_path / "selection.json")
+        write(bad, stage2[1])
+        with pytest.raises(DataError, match=re.escape(reason) or None):  # "" names no message
+            check_selection(load_selection(bad), 72, 3)
+
+    @pytest.mark.parametrize("column", COLUMNS)
+    def test_table_of_another_run_is_refused_by_load_selection(self, stage2, stage2_other, tmp_path, column):
+        bad = _copy_selection(stage2[1], tmp_path / "selection.json")
+        shutil.copyfile(table_path(stage2_other, column), table_path(bad, column))
+        with pytest.raises(DataError, match=f"checksum mismatch for selection.{column}.npy"):
+            load_selection(bad)
+
     @pytest.mark.parametrize("column", COLUMNS)
     def test_table_left_over_from_another_run_exits_3(self, split_dir, stage2, stage2_other, tmp_path, capsys,
-                                                       command, column):
+                                                       column):
         ckpt, good_selection = stage2
         bad = _copy_selection(good_selection, tmp_path / "selection.json")
         assert table_path(stage2_other, column).read_bytes() != table_path(bad, column).read_bytes()
         shutil.copyfile(table_path(stage2_other, column), table_path(bad, column))
-        assert main(_selection_argv(command, split_dir, ckpt, bad, tmp_path / "o")) == EXIT_DATA
+        assert main(_self_train_argv(split_dir, ckpt, bad, tmp_path / "o")) == EXIT_DATA
         err = capsys.readouterr().err
         assert "data error:" in err and f"checksum mismatch for selection.{column}.npy" in err
         assert not (tmp_path / "o").exists()
 
-    def test_recomputed_reliability_equals_stored(self, split_dir, stage2, tmp_path):
-        """``report-reliability`` and stage 2 both measure with ``pseudolabel.reliability``; the bit equality of
-        the CSV with stage 2's manifest guards how each formats and records the two values."""
-        manifest = json.loads(stage2[1].with_name("manifest.json").read_text())
-        csv_path = tmp_path / "rel.csv"
-        assert main(["report-reliability", "--selection", str(stage2[1]), "--split", str(split_dir),
-                     "--csv", str(csv_path)]) == EXIT_OK
-        assert csv_path.read_text() == "metric,value\n" + "".join(f"{k},{manifest[k]!r}\n" for k in RELIABILITIES)
+    def test_recomputed_reliability_equals_stored(self, split_dir, stage2, tmp_path, capsys):
+        """Stage 2's manifest and its summary line hold the share of right hard pseudo labels over every
+        unlabeled row and over the selected rows, recomputed here from the dump and the split's hidden truth."""
+        out = tmp_path / "sel"
+        assert main(["pseudo-label", "--split", str(split_dir), "--checkpoint", str(stage2[0]),
+                     "--out", str(out)]) == EXIT_OK
+        dump, truth = load_selection(out / "selection.json"), load_split(split_dir).unlabeled_truth
+        index = [entry["index"] for entries in dump["selected_by_class"].values() for entry in entries]
+        hard = dump["hard_label"]
+        before, after = np.mean(hard == truth), np.mean(hard[index] == truth[index])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["reliability_before"], manifest["reliability_after"]) == (before, after)
+        assert (f"reliability before/after selection: {100 * before:.1f} -> {100 * after:.1f}\n"
+                in capsys.readouterr().out)
 
-    @pytest.mark.parametrize("command, written", [("self-train", ["final_checkpoint.json", "final_report.csv"]),
-                                                  ("report-reliability", [])], ids=["self_train", "report"])
     @pytest.mark.parametrize("value", ["x", [0.5], True, 7.5, float("nan"), -1.0],
                              ids=["string", "list", "bool", "above_1", "nan", "negative"])
-    def test_older_dump_with_stored_reliabilities(self, split_dir, stage2, tmp_path, command, written, value):
+    def test_older_dump_with_stored_reliabilities(self, split_dir, stage2, tmp_path, value):
         """Dumps of the same format version written before stage 2 stopped storing its reliabilities carry them
         as two more keys. No reader reads them, so whatever they hold, such a dump loads and writes the same
         bytes as the dump without them."""
@@ -969,11 +1012,9 @@ class TestArtifactChecks:
         edited = _copy_selection(stage2[1], tmp_path / "edited" / "selection.json")
         edited.write_text(json.dumps(dump))
         for selection, out in ((stage2[1], tmp_path / "plain"), (edited, tmp_path / "read")):
-            assert main(_selection_argv(command, split_dir, stage2[0], selection, out)) == EXIT_OK
-        for name in written:
+            assert main(_self_train_argv(split_dir, stage2[0], selection, out)) == EXIT_OK
+        for name in ("final_checkpoint.json", "final_report.csv"):
             assert (tmp_path / "read" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes(), name
-        if command == "report-reliability":
-            assert (tmp_path / "read").read_text() == (tmp_path / "plain").read_text()
 
 
 class TestSelectionVersions:
@@ -997,11 +1038,10 @@ class TestSelectionVersions:
     @pytest.mark.parametrize("layout, reason", [("stage2_v1", "is not a selection dump: its format_version is None"),
                                                 ("stage2_v2", "run pseudo-label again")],
                              ids=["version_1", "version_2"])
-    @pytest.mark.parametrize("command", ["self-train", "report-reliability"])
-    def test_earlier_layout_exits_3(self, request, split_dir, stage2, tmp_path, capsys, layout, reason, command):
+    def test_earlier_layout_exits_3(self, request, split_dir, stage2, tmp_path, capsys, layout, reason):
         """The per-row layout (no ``format_version``, so no version to be older than) and the JSON-column layout
         (version 2, which gets the remedy) are refused."""
-        argv = _selection_argv(command, split_dir, stage2[0], request.getfixturevalue(layout), tmp_path / "o")
+        argv = _self_train_argv(split_dir, stage2[0], request.getfixturevalue(layout), tmp_path / "o")
         assert main(argv) == EXIT_DATA
         err = capsys.readouterr().err
         assert "data error:" in err and reason in err
@@ -1035,13 +1075,12 @@ class TestSelectionProvenance:
         assert "records checkpoint_sha256" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("command", ["self-train", "report-reliability"])
-    def test_dump_of_another_split_of_the_same_size(self, stage2, tmp_path, capsys, command):
+    def test_dump_of_another_split_of_the_same_size(self, stage2, tmp_path, capsys):
         other = tmp_path / "other_split"
         assert main(gen_args(other, seed=1)) == EXIT_OK
         assert len(load_split(other).unlabeled_target) == 72
         capsys.readouterr()
-        assert main(_selection_argv(command, other, stage2[0], stage2[1], tmp_path / "o")) == EXIT_DATA
+        assert main(_self_train_argv(other, stage2[0], stage2[1], tmp_path / "o")) == EXIT_DATA
         assert "records split_checksum" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
@@ -1073,35 +1112,3 @@ class TestCheckpointArchitecture:
         assert [w.shape for w, _ in final.extractor_layers] == [(2, 4)]
         assert "final accuracy:" in capsys.readouterr().out
 
-
-class TestReportReliability:
-    def test_arrow_format_and_csv_agreement(self, split_dir, tmp_path, capsys):
-        base = tmp_path / "base"
-        main(["train-baseline", "--split", str(split_dir), "--out", str(base), *FAST])
-        sel = tmp_path / "sel"
-        main(["pseudo-label", "--split", str(split_dir),
-              "--checkpoint", str(base / "baseline_checkpoint.json"), "--out", str(sel), *FAST])
-        capsys.readouterr()
-        csv_path = tmp_path / "rel.csv"
-        assert main(["report-reliability", "--selection", str(sel / "selection.json"),
-                     "--split", str(split_dir), "--csv", str(csv_path)]) == EXIT_OK
-        stdout = capsys.readouterr().out.strip()
-        assert " -> " in stdout
-        lines = csv_path.read_text().strip().split("\n")
-        before = float(lines[1].split(",")[1])
-        after = float(lines[2].split(",")[1])
-        assert stdout == f"{100 * before:.1f} -> {100 * after:.1f}"
-
-    def test_csv_directory_is_created(self, split_dir, stage2, tmp_path, capsys):
-        csv = tmp_path / "missing_dir" / "r.csv"
-        assert main(["report-reliability", "--selection", str(stage2[1]), "--split", str(split_dir),
-                     "--csv", str(csv)]) == EXIT_OK
-        assert csv.read_text().startswith("metric,value\n")
-
-    def test_split_is_required(self, stage2, tmp_path, capsys):
-        """Reliability is measured against the split's hidden truth; a dump's stored values are never read."""
-        with pytest.raises(SystemExit) as exited:
-            main(["report-reliability", "--selection", str(stage2[1]), "--csv", str(tmp_path / "r.csv")])
-        assert exited.value.code == EXIT_CONFIG
-        assert "the following arguments are required: --split" in capsys.readouterr().err
-        assert not (tmp_path / "r.csv").exists()
