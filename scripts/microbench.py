@@ -90,6 +90,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=7)
     args = parser.parse_args()
+    if args.repeats < 1:
+        parser.error(f"--repeats must be at least 1, got {args.repeats}")
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     print(json.dumps({**step_costs(args.repeats * STEP_CALLS), "stage2_ms": stage2_costs(args.repeats * STAGE2_CALLS),
                       "refresh_us": refresh_cost(args.repeats * STEP_CALLS),

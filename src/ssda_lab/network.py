@@ -3,11 +3,12 @@
 The model is p(x) = softmax(W @ (f/||f||_2) / T) where f = F(x) is the
 output of a small fully connected extractor.  Gradients are computed
 analytically and kept partitioned into extractor / classifier groups so
-the two can be driven by losses with opposite entropy signs.  Weights and
-gradients each live in one flat float64 vector, extractor layers first and
-the classifier last, with per-layer views into it; an SGD step, a copy or
-a sum of gradients is one vector op.  A checkpoint stores that vector as a
-``.npy`` table beside a JSON record of its layout.
+the two can be driven by losses with opposite entropy signs.  Weights,
+gradients and velocities are each a ``NetworkParams``: one flat float64
+vector, extractor layers first and the classifier last, with per-layer
+views into it; an SGD step, a copy or a sum of gradients is one vector op.
+A checkpoint stores that vector as a ``.npy`` table beside a JSON record of
+its ``layout()``.
 
 Inference over more than ``ROW_BLOCK`` rows (a whole unlabeled pool, a
 test set) runs in row blocks, so the pool's hidden activations are never
@@ -66,23 +67,23 @@ class _EventCounter:
 degenerate_feature_events = _EventCounter()
 
 
-class _FlatBuffer:
-    """One contiguous float64 vector ``flat`` with per-layer views bound into it.
+class NetworkParams:
+    """One flat float64 vector ``flat`` with per-layer views bound into it: the weights, or a gradient or
+    velocity laid out like them.
 
-    The views are read-only properties: they cannot be re-bound, and
-    writing into one (``w[:] = ...``, ``w += ...``) writes ``flat``.  Whole-
-    network arithmetic (updates, copies, sums of gradients) is then one
-    vector op on ``flat``.  Pickling and ``copy.deepcopy`` store ``flat`` and
-    the shapes and bind fresh views, so a copy's views still share its buffer.
+    ``extractor_layers`` is a tuple of (W, b) with W of shape (d_in, d_out);
+    hidden layers apply ReLU, the final layer is linear and produces the
+    feature vector.  ``classifier_weights`` has shape (K, feature_dim) and
+    fills the tail of ``flat``.  The views are read-only properties: they
+    cannot be re-bound, and writing into one (``w[:] = ...``, ``w += ...``)
+    writes ``flat``, so whole-network arithmetic (updates, copies, sums of
+    gradients) is one vector op.  ``temperature`` is a fixed positive scalar,
+    not trained; a gradient carries its params' and nothing reads it.
+    Pickling and ``copy.deepcopy`` rebuild from ``flat`` and ``layout()``, so
+    a clone's views sit on its own buffer.
     """
 
-    def __init__(self, layers, last) -> None:
-        arrays = [np.asarray(a, dtype=np.float64) for pair in layers for a in pair]
-        last = np.asarray(last, dtype=np.float64)
-        flat = np.concatenate([a.ravel() for a in arrays] + [last.ravel()])
-        self._bind(flat, [(w.shape, b.shape) for w, b in zip(arrays[::2], arrays[1::2])], last.shape)
-
-    def _bind(self, flat: np.ndarray, layer_shapes, last_shape) -> None:
+    def __init__(self, flat: np.ndarray, layer_shapes, last_shape, temperature: float) -> None:
         views, i = [], 0
         for shapes in layer_shapes:
             pair = []
@@ -94,41 +95,11 @@ class _FlatBuffer:
         self._layers = tuple(views)
         self._last = flat[i:].reshape(last_shape)
         self._flat = flat
-
-    def _rebound(self, flat: np.ndarray, cls: type | None = None):
-        """An object shaped like this one, of type ``cls`` (default this type), viewing ``flat``."""
-        other = object.__new__(cls or type(self))
-        other.__setstate__({**self.__getstate__(), "flat": flat})
-        return other
+        self.temperature = temperature
 
     @property
     def flat(self) -> np.ndarray:
         return self._flat
-
-    def __getstate__(self) -> dict:
-        return {
-            "flat": self._flat,
-            "layer_shapes": [(w.shape, b.shape) for w, b in self._layers],
-            "last_shape": self._last.shape,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self._bind(state["flat"], state["layer_shapes"], state["last_shape"])
-
-
-class NetworkParams(_FlatBuffer):
-    """Trainable weights: extractor layers plus the classifier matrix, in one ``flat`` vector.
-
-    ``extractor_layers`` is a tuple of (W, b) with W of shape (d_in, d_out);
-    hidden layers apply ReLU, the final layer is linear and produces the
-    feature vector.  ``classifier_weights`` has shape (K, feature_dim) and
-    fills the tail of ``flat``.  The constructor copies its arrays in.
-    ``temperature`` is a fixed positive scalar, not trained.
-    """
-
-    def __init__(self, extractor_layers, classifier_weights, temperature: float) -> None:
-        super().__init__(extractor_layers, classifier_weights)
-        self.temperature = temperature
 
     @property
     def extractor_layers(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -138,12 +109,16 @@ class NetworkParams(_FlatBuffer):
     def classifier_weights(self) -> np.ndarray:
         return self._last
 
-    def __getstate__(self) -> dict:
-        return {**super().__getstate__(), "temperature": self.temperature}
+    def layout(self) -> dict:
+        """The constructor's arguments besides ``flat``, in the key order a checkpoint records them."""
+        return {
+            "layer_shapes": [(w.shape, b.shape) for w, b in self._layers],
+            "last_shape": self._last.shape,
+            "temperature": self.temperature,
+        }
 
-    def __setstate__(self, state: dict) -> None:
-        super().__setstate__(state)
-        self.temperature = state["temperature"]
+    def __reduce__(self):
+        return NetworkParams, (self._flat, *self.layout().values())
 
     def validate(self) -> None:
         if not (math.isfinite(self.temperature) and self.temperature > 0):
@@ -170,7 +145,7 @@ class NetworkParams(_FlatBuffer):
             raise ValueError("classifier has non-finite entries")
 
     def copy(self) -> "NetworkParams":
-        return self._rebound(self.flat.copy())
+        return NetworkParams(self.flat.copy(), **self.layout())
 
     @property
     def input_dim(self) -> int:
@@ -181,24 +156,9 @@ class NetworkParams(_FlatBuffer):
         return self.classifier_weights.shape[0]
 
 
-class GradientBundle(_FlatBuffer):
-    """Gradients laid out like their NetworkParams' ``flat``, split by parameter group.
-
-    The extractor group is ``flat[:n_ext]`` and the classifier group
-    ``flat[n_ext:]``, with ``n_ext`` from ``group_sizes``.
-    """
-
-    @property
-    def grad_layers(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        return self._layers
-
-    @property
-    def grad_classifier(self) -> np.ndarray:
-        return self._last
-
-
-def zero_grads(params: NetworkParams) -> GradientBundle:
-    return params._rebound(np.zeros_like(params.flat), GradientBundle)
+def zero_grads(params: NetworkParams) -> NetworkParams:
+    """A zero gradient or velocity laid out like ``params``."""
+    return NetworkParams(np.zeros_like(params.flat), **params.layout())
 
 
 def init_params(
@@ -215,14 +175,14 @@ def init_params(
     with a cosine head at temperature 0.05 a He-scale classifier would
     start saturated and the initial loss would sit far above chance.
     """
-    layers = []
     dims = (input_dim, *hidden_dims, feature_dim)
-    for d_in, d_out in zip(dims[:-1], dims[1:]):
+    layer_shapes = [((d_in, d_out), (d_out,)) for d_in, d_out in zip(dims[:-1], dims[1:])]
+    draws = []
+    for (d_in, d_out), _ in layer_shapes:
         limit = np.sqrt(6.0 / d_in)
-        w = rng.uniform(-limit, limit, size=(d_in, d_out))
-        layers.append((w, np.zeros(d_out)))
-    classifier = np.zeros((n_classes, feature_dim))
-    params = NetworkParams(extractor_layers=layers, classifier_weights=classifier, temperature=temperature)
+        draws += [rng.uniform(-limit, limit, size=d_in * d_out), np.zeros(d_out)]
+    flat = np.concatenate([*draws, np.zeros(n_classes * feature_dim)])
+    params = NetworkParams(flat, layer_shapes, (n_classes, feature_dim), temperature)
     params.validate()
     return params
 
@@ -302,8 +262,8 @@ def backward(
     params: NetworkParams,
     kind: str,
     targets: np.ndarray | None = None,
-    out: GradientBundle | None = None,
-) -> tuple[float, GradientBundle]:
+    out: NetworkParams | None = None,
+) -> tuple[float, NetworkParams]:
     """Batch-mean loss and its exact gradient, split into extractor/classifier groups.
 
     kind:
@@ -312,13 +272,13 @@ def backward(
                  (targets are constants; no gradient flows into them)
       "entropy"  mean prediction entropy, no targets
 
-    The gradient is written into ``out`` (shaped like ``params``) when given,
-    else into a new bundle; either way that bundle is returned.
+    The gradient is written into ``out`` (laid out like ``params``) when
+    given, else into a new ``zero_grads(params)``; either way it is returned.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ValueError("empty batch")
+    x = _checked_input(x, params)
     n = x.shape[0]
+    if n == 0:
+        raise ValueError("empty batch")
 
     h = _forward_extractor(x, params)
     g, norms, degenerate, p = _head(h[-1], params)
@@ -350,7 +310,7 @@ def backward(
     if out is None:
         out = zero_grads(params)
     # Classifier and feature gradients through the temperature-scaled head.
-    gc = np.matmul(dlogits.T, g, out=out.grad_classifier)
+    gc = np.matmul(dlogits.T, g, out=out.classifier_weights)
     gc /= t
     dg = dlogits @ wc
     dg /= t
@@ -367,7 +327,7 @@ def backward(
     # (a hidden unit passes gradient where its output h is positive).
     dz = df
     for i in range(len(params.extractor_layers) - 1, -1, -1):
-        gw, gb = out.grad_layers[i]
+        gw, gb = out.extractor_layers[i]
         np.matmul(h[i].T, dz, out=gw)
         np.add.reduce(dz, axis=0, out=gb)
         if i > 0:
@@ -376,7 +336,7 @@ def backward(
     return loss, out
 
 
-def sgd_step(params: NetworkParams, grads: GradientBundle, velocities: GradientBundle, lr: float) -> None:
+def sgd_step(params: NetworkParams, grads: NetworkParams, velocities: NetworkParams, lr: float) -> None:
     """In-place SGD at the fixed settings: v <- mu v + g + wd*theta; theta <- theta - lr*v."""
     if lr <= 0:
         raise ValueError("lr must be positive")
@@ -405,11 +365,10 @@ def group_sizes(params: NetworkParams) -> tuple[int, int]:
 
 
 def save_checkpoint(path: str | Path, params: NetworkParams, extra: dict) -> None:
-    """Write ``params.flat`` as the ``<f8`` table ``{stem}.flat.npy``, then the JSON record: the layout that
-    ``__getstate__`` gives (``layer_shapes``, ``last_shape``, ``temperature``), the table's sha256 and ``extra``."""
-    state = params.__getstate__()
-    checksum = write_table(table_path(path, "flat"), np.asarray(state.pop("flat"), dtype="<f8"))
-    record = {"format_version": CHECKPOINT_VERSION, "params": state, "checksum": checksum, "extra": extra}
+    """Write ``params.flat`` as the ``<f8`` table ``{stem}.flat.npy``, then the JSON record: ``params.layout()``
+    (``layer_shapes``, ``last_shape``, ``temperature``), the table's sha256 and ``extra``."""
+    checksum = write_table(table_path(path, "flat"), np.asarray(params.flat, dtype="<f8"))
+    record = {"format_version": CHECKPOINT_VERSION, "params": params.layout(), "checksum": checksum, "extra": extra}
     Path(path).write_text(json.dumps(record), encoding="utf-8")
 
 
@@ -433,8 +392,7 @@ def load_checkpoint(path: str | Path) -> dict:
     size = sum(math.prod(shape) for shape in shapes)
     if flat.size != size:
         raise DataError(f"checkpoint {path}: its table holds {flat.size} weights, its shapes {size}")
-    params = object.__new__(NetworkParams)  # bound as ``_rebound`` binds a copy
-    params.__setstate__({**state, "temperature": float(state["temperature"]), "flat": flat})
+    params = NetworkParams(flat, layers, state["last_shape"], float(state["temperature"]))
     try:
         params.validate()
     except ValueError as err:

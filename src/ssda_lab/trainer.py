@@ -34,7 +34,6 @@ import numpy as np
 from .coremath import LOG_CLAMP, SEED_LIMIT, is_finite_number, is_int, seeded_rng
 from .datasets import SSDASplit
 from .network import (
-    GradientBundle,
     NetworkParams,
     anneal_lr,
     backward,
@@ -176,19 +175,20 @@ def minimax_gradients(
     labeled: tuple[np.ndarray, np.ndarray],
     pseudo: tuple[np.ndarray, np.ndarray] | None,
     unlabeled: np.ndarray,
-    combined: GradientBundle,
-    term: GradientBundle,
-) -> tuple[dict, GradientBundle]:
+    combined: NetworkParams,
+    term: NetworkParams,
+) -> tuple[dict, NetworkParams]:
     """Combined gradients for the two objectives, one shared evaluation point.
 
     Extractor rows carry d(L_sup + L_pseudo + lambda H); the classifier row
     carries d(L_sup + L_pseudo - lambda H).  Returns per-term loss values
-    and the combined bundle.  ``pseudo`` is None outside self-training.  At
+    and the combined gradient.  ``pseudo`` is None outside self-training.  At
     lambda 0, H drops out of both objectives: its value at this point is
     still reported, from a forward pass alone.
 
     ``combined`` receives the sum and ``term`` is scratch for the pseudo and
-    entropy terms; both are shaped like ``params``.
+    entropy terms; both are ``NetworkParams`` laid out like ``params``, as
+    ``zero_grads`` makes them.
     """
     losses = {"labeled": backward(labeled[0], params, "hard", labeled[1], out=combined)[0], "pseudo": None}
     if pseudo is not None:
@@ -208,14 +208,14 @@ def minimax_gradients(
 
 def minimax_step(
     params: NetworkParams,
-    velocities: GradientBundle,
+    velocities: NetworkParams,
     lr: float,
     config: TrainConfig,
     labeled: tuple[np.ndarray, np.ndarray],
     pseudo: tuple[np.ndarray, np.ndarray] | None,
     unlabeled: np.ndarray,
-    combined: GradientBundle,
-    term: GradientBundle,
+    combined: NetworkParams,
+    term: NetworkParams,
 ) -> dict:
     """Apply one SGD step of the minimax objectives; returns the per-term losses.
 
@@ -236,7 +236,7 @@ class TrainState:
 
     stage: str  # "baseline" or "selftrain"
     params: NetworkParams
-    velocities: GradientBundle
+    velocities: NetworkParams
     t_iter: int
     live_soft: np.ndarray | None
     selected_indices: list[int] | None

@@ -5,6 +5,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -18,7 +19,6 @@ from ssda_lab.coremath import LOG_CLAMP, finite_diff_grad, seeded_rng
 from ssda_lab.network import (
     FEATURE_NORM_FLOOR,
     ROW_BLOCK,
-    GradientBundle,
     SGD_MOMENTUM,
     WEIGHT_DECAY,
     NetworkParams,
@@ -53,34 +53,33 @@ def _targets_for(kind, rng, n, k):
     return None
 
 
+# every function that takes a raw (n, input_dim) batch, called with its batch and the network
+BATCH_TAKERS = {"forward_features": forward_features, "forward": forward,
+                "backward": lambda x, params: backward(x, params, "entropy")}
+
+
 class TestForwardFeatures:
     def test_zero_weights_give_zero_features(self):
-        params = NetworkParams(
-            extractor_layers=[(np.zeros((3, 4)), np.zeros(4)), (np.zeros((4, 2)), np.zeros(2))],
-            classifier_weights=np.zeros((2, 2)),
-            temperature=1.0,
-        )
+        params = NetworkParams(np.zeros(3 * 4 + 4 + 4 * 2 + 2 + 2 * 2), [((3, 4), (4,)), ((4, 2), (2,))], (2, 2), 1.0)
         np.testing.assert_array_equal(forward_features(np.array([[1.0, -2.0, 3.0]]), params), np.zeros((1, 2)))
 
     def test_single_identity_layer_passes_input_through(self):
         # Final extractor layer is linear, so identity weights reproduce x.
-        params = NetworkParams(
-            extractor_layers=[(np.eye(3), np.zeros(3))],
-            classifier_weights=np.zeros((2, 3)),
-            temperature=1.0,
-        )
+        params = NetworkParams(np.concatenate([np.eye(3).ravel(), np.zeros(3 + 2 * 3)]), [((3, 3), (3,))], (2, 3), 1.0)
         x = np.array([[0.5, -1.5, 2.0]])
         np.testing.assert_array_equal(forward_features(x, params), x)
 
-    def test_dimension_mismatch(self):
+    @pytest.mark.parametrize("fn", BATCH_TAKERS.values(), ids=BATCH_TAKERS.keys())
+    def test_dimension_mismatch(self, fn):
         params = small_net()
         with pytest.raises(ValueError, match="dimension mismatch"):
-            forward_features(np.zeros((1, params.input_dim + 1)), params)
+            fn(np.zeros((1, params.input_dim + 1)), params)
 
-    def test_single_vector_rejected(self):
+    @pytest.mark.parametrize("fn", BATCH_TAKERS.values(), ids=BATCH_TAKERS.keys())
+    def test_single_vector_rejected(self, fn):
         params = small_net()
         with pytest.raises(ValueError, match="dimension mismatch"):
-            forward_features(np.zeros(params.input_dim), params)
+            fn(np.zeros(params.input_dim), params)
 
     def test_batch_matches_per_sample(self, rng):
         params = small_net()
@@ -246,9 +245,9 @@ class TestBackward:
         rng = seeded_rng(11)
         x = rng.standard_normal((6, params.input_dim))
         _, grads = backward(x, params, "entropy")
-        ext = np.concatenate([gw.ravel() for gw, _ in grads.grad_layers])
+        ext = np.concatenate([gw.ravel() for gw, _ in grads.extractor_layers])
         assert np.max(np.abs(ext)) > 0
-        assert np.max(np.abs(grads.grad_classifier)) > 0
+        assert np.max(np.abs(grads.classifier_weights)) > 0
 
     def test_degenerate_feature_row_passes_gradient_through(self):
         """A feature row below the norm floor skips the normalization, so its feature gradient is dg itself.
@@ -269,7 +268,7 @@ class TestBackward:
         # the last layer is linear, so its bias gradient is the feature gradient
         expected = (p - np.eye(params.n_classes)[1]) @ params.classifier_weights / params.temperature
         assert expected[0] == 0.0 and np.all(expected[1:] != 0.0)
-        np.testing.assert_allclose(grads.grad_layers[-1][1], expected, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(grads.extractor_layers[-1][1], expected, rtol=1e-12, atol=0.0)
 
     def test_gradient_partition_covers_every_parameter_once(self):
         params = small_net()
@@ -326,7 +325,7 @@ def _reference_backward(x, params, kind, targets=None):
         dlogits *= p
         dlogits /= -n
     grads = zero_grads(params)
-    gc = np.matmul(dlogits.T, g, out=grads.grad_classifier)
+    gc = np.matmul(dlogits.T, g, out=grads.classifier_weights)
     gc /= params.temperature
     dg = dlogits @ params.classifier_weights
     dg /= params.temperature
@@ -337,7 +336,7 @@ def _reference_backward(x, params, kind, targets=None):
         df[degenerate] = dg[degenerate]
     dz = df
     for i in range(len(params.extractor_layers) - 1, -1, -1):
-        gw, gb = grads.grad_layers[i]
+        gw, gb = grads.extractor_layers[i]
         np.matmul(h[i].T, dz, out=gw)
         dz.sum(axis=0, out=gb)
         if i > 0:
@@ -430,6 +429,13 @@ def _pickle_round_trip(obj):
     return pickle.loads(pickle.dumps(obj))
 
 
+def _checkpoint_round_trip(params):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ckpt.json"
+        save_checkpoint(path, params, extra={})
+        return load_checkpoint(path)["params"]
+
+
 class TestFlatStorage:
     def test_every_layer_is_a_view_of_flat(self):
         params = small_net()
@@ -439,14 +445,14 @@ class TestFlatStorage:
         params.classifier_weights[0, 0] = 7.0  # writing a view writes flat
         assert params.flat[-params.classifier_weights.size] == 7.0
 
-    def test_bindings_cannot_be_rebound(self):
+    def test_bindings_cannot_be_reassigned(self):
         params = small_net()
         with pytest.raises(AttributeError):
             params.classifier_weights = np.zeros_like(params.classifier_weights)
         with pytest.raises(TypeError):
             params.extractor_layers[0] = params.extractor_layers[1]
         with pytest.raises(AttributeError):
-            zero_grads(params).grad_classifier = np.zeros_like(params.classifier_weights)
+            zero_grads(params).classifier_weights = np.zeros_like(params.classifier_weights)
 
     def test_copy_owns_its_buffer(self):
         params = small_net()
@@ -455,7 +461,8 @@ class TestFlatStorage:
         assert np.all(params.classifier_weights != 0.0)
         assert np.shares_memory(clone.classifier_weights, clone.flat)
 
-    @pytest.mark.parametrize("clone", [_pickle_round_trip, copy.deepcopy], ids=["pickle", "deepcopy"])
+    @pytest.mark.parametrize("clone", [_pickle_round_trip, copy.deepcopy, _checkpoint_round_trip],
+                             ids=["pickle", "deepcopy", "checkpoint"])
     def test_clone_keeps_views_on_flat_and_trains(self, clone, rng):
         original = small_net()
         params = clone(original)
@@ -464,7 +471,7 @@ class TestFlatStorage:
         assert np.shares_memory(params.classifier_weights, params.flat)
         assert all(np.shares_memory(w, params.flat) for w, _ in params.extractor_layers)
         velocities = clone(zero_grads(params))
-        assert np.shares_memory(velocities.grad_classifier, velocities.flat)
+        assert np.shares_memory(velocities.classifier_weights, velocities.flat)
 
         x = rng.standard_normal((5, params.input_dim))
         before = forward(x, params)
@@ -524,8 +531,7 @@ class TestDeterminismAndCheckpoint:
         assert (flat.dtype, flat.shape) == (np.dtype("<f8"), params.flat.shape)
         record = json.loads(path.read_text())
         assert record["checksum"] == hashlib.sha256(table.read_bytes()).hexdigest()
-        assert record["params"] == json.loads(json.dumps({k: v for k, v in params.__getstate__().items()
-                                                          if k != "flat"}))
+        assert record["params"] == json.loads(json.dumps(params.layout()))
 
     @pytest.mark.parametrize("temperature", [float("nan"), float("inf"), 0.0, -1.0])
     def test_temperature_must_be_finite_and_positive(self, temperature):

@@ -35,3 +35,10 @@ def test_microbench_prints_one_json_line(tmp_path):
     lines = proc.stdout.splitlines()
     assert len(lines) == 1
     assert set(json.loads(lines[0])) == {"backward_us", "minimax_step_us", "stage2_ms", "refresh_us", "settings"}
+
+
+def test_microbench_refuses_fewer_than_one_repeat(tmp_path):
+    proc = run_script("microbench.py", "--repeats", "0", cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--repeats must be at least 1, got 0" in proc.stderr

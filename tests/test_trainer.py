@@ -133,7 +133,7 @@ class TestLossValues:
 
     def test_soft_targets_receive_no_gradient_within_a_step(self):
         # finite-differencing the loss in the target direction changes the value,
-        # but the parameter gradient bundle is computed with targets held constant
+        # but the parameter gradient is computed with targets held constant
         params = small_net(seed=7)
         rng = seeded_rng(7)
         x = rng.standard_normal((5, params.input_dim))
@@ -173,13 +173,13 @@ class TestMinimaxStep:
         _, g_pl = backward(pseudo[0], params, "soft", pseudo[1])
         _, g_h = backward(unlabeled, params, "entropy")
         for (cw, cb), (lw, lb), (pw, pb), (hw, hb) in zip(
-            combined.grad_layers, g_l.grad_layers, g_pl.grad_layers, g_h.grad_layers
+            combined.extractor_layers, g_l.extractor_layers, g_pl.extractor_layers, g_h.extractor_layers
         ):
             np.testing.assert_allclose(cw, lw + pw + lam * hw, atol=1e-12)
             np.testing.assert_allclose(cb, lb + pb + lam * hb, atol=1e-12)
         np.testing.assert_allclose(
-            combined.grad_classifier,
-            g_l.grad_classifier + g_pl.grad_classifier - lam * g_h.grad_classifier,
+            combined.classifier_weights,
+            g_l.classifier_weights + g_pl.classifier_weights - lam * g_h.classifier_weights,
             atol=1e-12,
         )
 
@@ -192,7 +192,7 @@ class TestMinimaxStep:
         _, with_h = minimax_gradients(params, lam, labeled, None, unlabeled, zero_grads(params), zero_grads(params))
         _, without = minimax_gradients(params, 0.0, labeled, None, unlabeled, zero_grads(params), zero_grads(params))
         _, g_h = backward(unlabeled, params, "entropy")
-        np.testing.assert_allclose(with_h.grad_classifier - without.grad_classifier, -lam * g_h.grad_classifier,
+        np.testing.assert_allclose(with_h.classifier_weights - without.classifier_weights, -lam * g_h.classifier_weights,
                                    atol=1e-12)
 
     def test_entropy_directional_derivatives_after_one_step(self):
@@ -227,7 +227,7 @@ class TestMinimaxStep:
         _, g_l = backward(labeled[0], params, "hard", labeled[1])
         _, g_pl = backward(pseudo[0], params, "soft", pseudo[1])
         np.testing.assert_allclose(
-            combined.grad_classifier, g_l.grad_classifier + g_pl.grad_classifier, atol=1e-12
+            combined.classifier_weights, g_l.classifier_weights + g_pl.classifier_weights, atol=1e-12
         )
 
     def test_lambda_default_is_point_one(self):
@@ -235,7 +235,7 @@ class TestMinimaxStep:
 
 
 def _reference_step(params, velocity, lr, config, labeled, pseudo, unlabeled):
-    """One minimax step written out: fresh backward bundles, explicit sums, the SGD formula.
+    """One minimax step written out: fresh backward gradients, explicit sums, the SGD formula.
 
     Updates ``params`` (through its flat vector) and ``velocity`` in place; returns the losses.
     """
