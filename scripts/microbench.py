@@ -7,14 +7,23 @@ the validation phase's label refresh (``momentum_update_labels``) over the 4 000
 that pool. Each figure is the median of ``--repeats`` x 500 step or refresh calls (x 10 stage-2 calls), each
 timed alone, so a burst of load on a shared machine moves it little. One JSON line prints them.
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/microbench.py [--repeats 7]
+With ``--against SRC`` the figures are paired instead: each of ``--repeats`` rounds times every figure once
+(one ``--repeats 1`` run in a fresh interpreter) on this checkout's ``src`` and once on ``SRC``, the side that
+goes first switching every round. The JSON line then holds each side's median per figure and, per figure,
+``wins``: the rounds in which this checkout's figure was the lower. Figures swing between runs minutes apart
+by more than a few-microsecond change, so only paired rounds compare two trees.
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/microbench.py [--repeats 7] [--against OTHER/src]
 """
 
 import argparse
 import json
 import os
 import statistics
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -86,17 +95,52 @@ def refresh_cost(calls: int) -> float:
     return round(1e6 * per_call(lambda: trainer.momentum_update_labels(live, fresh, 0.9), calls), 1)
 
 
+def one_run(src: Path) -> dict:
+    """The figures of one ``--repeats 1`` run in a fresh interpreter importing ``ssda_lab`` from ``src``, keyed
+    by dotted name (``backward_us.hard``, ``refresh_us``)."""
+    proc = subprocess.run([sys.executable, __file__, "--repeats", "1"], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        raise SystemExit(f"microbench on {src} failed:\n{proc.stderr}")
+    run = json.loads(proc.stdout)
+    del run["settings"]
+    figures = {}
+    for group, value in run.items():
+        figures.update({f"{group}.{name}": v for name, v in value.items()} if isinstance(value, dict)
+                       else {group: value})
+    return figures
+
+
+def paired(against: Path, rounds: int) -> dict:
+    """Each side's median per figure over ``rounds`` alternating rounds, and this checkout's wins per figure."""
+    sides = {"this": Path(__file__).resolve().parents[1] / "src", "against": against}
+    runs = {side: [] for side in sides}
+    for r in range(rounds):
+        for side in ("this", "against") if r % 2 == 0 else ("against", "this"):
+            runs[side].append(one_run(sides[side]))
+    names = runs["this"][0]
+    return {**{side: {n: round(statistics.median(run[n] for run in runs[side]), 2) for n in names} for side in sides},
+            "wins": {n: sum(a[n] < b[n] for a, b in zip(runs["this"], runs["against"])) for n in names}}
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=7)
+    parser.add_argument("--against", type=Path, help="another checkout's src directory to pair this one's with")
     args = parser.parse_args()
     if args.repeats < 1:
         parser.error(f"--repeats must be at least 1, got {args.repeats}")
+    if args.against is not None and not (args.against / "ssda_lab").is_dir():
+        parser.error(f"--against {args.against} holds no ssda_lab package")
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    settings = {**vars(args), "numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
+                "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}
+    if args.against is not None:
+        settings["against"] = str(args.against.resolve())
+        print(json.dumps({**paired(args.against, args.repeats), "settings": settings}))
+        return
     print(json.dumps({**step_costs(args.repeats * STEP_CALLS), "stage2_ms": stage2_costs(args.repeats * STAGE2_CALLS),
-                      "refresh_us": refresh_cost(args.repeats * STEP_CALLS),
-                      "settings": {**vars(args), "numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
-                                   "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}}))
+                      "refresh_us": refresh_cost(args.repeats * STEP_CALLS), "settings": settings}))
 
 
 if __name__ == "__main__":

@@ -346,7 +346,8 @@ def _reference_backward(x, params, kind, targets=None):
 
 
 class TestFrozenReference:
-    """``backward``, ``_head`` and ``entropy_loss`` give the bits of the method-call ops they replaced."""
+    """``backward``, ``_head``, ``entropy_loss`` and ``sgd_step`` give the bits of the ops they replaced: the
+    ``ndarray`` methods, ``@`` and ``np.matmul`` where the module calls ``np.dot``, and fresh temporaries."""
 
     @pytest.mark.parametrize("input_dim, n_classes", [(2, 5), (8, 10)])
     @pytest.mark.parametrize("n", [1, 2, 15, 32, 64, 1025])
@@ -371,6 +372,21 @@ class TestFrozenReference:
         assert entropy_loss(params, x) == float((-(p * logp).sum(axis=1, keepdims=True))[:, 0].mean())
         assert degenerate_feature_events.count == want_events
         assert (_head(_forward_extractor(x, params)[-1], params)[2] is None) is not with_degenerate
+
+    def test_sgd_step_keeps_the_op_order(self):
+        params = small_net()
+        grads, velocities = zero_grads(params), zero_grads(params)
+        rng = seeded_rng(5, "sgd-reference")
+        grads.flat[:] = rng.standard_normal(grads.flat.shape)
+        velocities.flat[:] = rng.standard_normal(velocities.flat.shape)
+        theta, g, v, lr = params.flat.copy(), grads.flat.copy(), velocities.flat.copy(), 0.0123
+        v = SGD_MOMENTUM * v
+        v = v + (g + WEIGHT_DECAY * theta)
+        theta = theta - lr * v
+        sgd_step(params, grads, velocities, lr)
+        np.testing.assert_array_equal(velocities.flat, v)
+        np.testing.assert_array_equal(params.flat, theta)
+        np.testing.assert_array_equal(grads.flat, g)
 
     def test_one_hot_keeps_index_semantics(self):
         params = _pool_net(2, 5)
@@ -413,10 +429,13 @@ class TestSgdStep:
         np.testing.assert_allclose(vel.flat, v2, atol=1e-12)
         np.testing.assert_allclose(params.flat, theta1 - 0.01 * v2, atol=1e-12)
 
-    def test_nonpositive_lr_rejected(self):
+    @pytest.mark.parametrize("lr", [0.0, -0.1, float("nan"), float("inf")])
+    def test_nonpositive_lr_rejected(self, lr):
         params = small_net()
+        before = params.flat.copy()
         with pytest.raises(ValueError, match="lr must be positive"):
-            sgd_step(params, zero_grads(params), zero_grads(params), lr=0.0)
+            sgd_step(params, zero_grads(params), zero_grads(params), lr=lr)
+        np.testing.assert_array_equal(params.flat, before)
 
     def test_shape_mismatch_rejected(self):
         params = small_net()

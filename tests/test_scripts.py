@@ -37,6 +37,29 @@ def test_microbench_prints_one_json_line(tmp_path):
     assert set(json.loads(lines[0])) == {"backward_us", "minimax_step_us", "stage2_ms", "refresh_us", "settings"}
 
 
+def test_microbench_against_prints_both_sides_of_every_figure(tmp_path):
+    proc = run_script("microbench.py", "--against", str(ROOT / "src"), "--repeats", "1", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1
+    paired = json.loads(lines[0])
+    assert set(paired) == {"this", "against", "wins", "settings"}
+    names = {"backward_us.hard", "backward_us.soft", "backward_us.entropy", "stage2_ms.infer_pseudo+select",
+             "stage2_ms.selected_set_from_dump", "refresh_us"}
+    assert names < set(paired["this"]) == set(paired["against"]) == set(paired["wins"])
+    assert len([n for n in paired["this"] if n.startswith("minimax_step_us.")]) == 4
+    assert all(paired[side][n] > 0 for side in ("this", "against") for n in paired["this"])
+    assert all(wins in (0, 1) for wins in paired["wins"].values())
+    assert paired["settings"]["against"] == str(ROOT / "src")
+
+
+def test_microbench_against_refuses_a_tree_without_the_package(tmp_path):
+    proc = run_script("microbench.py", "--against", str(tmp_path), cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "holds no ssda_lab package" in proc.stderr
+
+
 def test_microbench_refuses_fewer_than_one_repeat(tmp_path):
     proc = run_script("microbench.py", "--repeats", "0", cwd=tmp_path)
     assert proc.returncode == 2
