@@ -20,11 +20,11 @@ The step's reductions call the ufuncs themselves (``np.add.reduce``,
 the ops ``ndarray.sum``, ``.max`` and ``.mean`` run behind their Python
 wrappers, so every value keeps its bits at fewer calls.  The head builds its
 degenerate-row mask only when the smallest row norm is below the floor, and
-passes None otherwise.  A 2-D product over at most ``DOT_ROWS`` rows calls
-``np.dot``: on float64 operands that are C- or F-contiguous, as every
-right-hand operand here is, it calls the same BLAS ``gemm``/``gemv`` that
-``np.matmul`` calls, without the matmul ufunc's dispatch, so it gives the
-same bits at less cost per call.
+passes None otherwise.  ``backward``'s products, and the forward's over at
+most ``DOT_ROWS`` rows, call ``np.dot``: on float64 operands that are C- or
+F-contiguous, as every right-hand operand here is, it calls the same BLAS
+``gemm``/``gemv`` that ``np.matmul`` calls, without the matmul ufunc's
+dispatch, so it gives the same bits at less cost per call.
 """
 
 from __future__ import annotations
@@ -51,10 +51,11 @@ FEATURE_NORM_FLOOR = 1e-12
 # memory grows with the block.
 ROW_BLOCK = 1024
 
-# Most rows a product runs through np.dot rather than np.matmul (same BLAS
-# call, same bits).  np.dot skips the ufunc dispatch, about 0.3 us a call,
-# but zero-fills its output first; from about 96 rows of 64 columns that
-# costs more than it saves.  Training batches are at most 64 rows.
+# Most rows a forward pass runs through np.dot rather than np.matmul (same
+# BLAS call, same bits, no ufunc dispatch).  Training batches are at most 64
+# rows (trainer.BATCH_*); sending ~1 000-row inference blocks through np.dot
+# as well lost large-split-staged wall_s in 5 of 5 pairs (BENCH_30.json), as
+# np.dot zero-fills its output first.  backward sees only training batches.
 DOT_ROWS = 64
 
 # SGD momentum and weight decay, fixed as in MME (Saito et al., 2019)
@@ -321,11 +322,10 @@ def backward(
 
     if out is None:
         out = zero_grads(params)
-    dot = np.dot if n <= DOT_ROWS else np.matmul
     # Classifier and feature gradients through the temperature-scaled head.
-    gc = dot(dlogits.T, g, out=out.classifier_weights)
+    gc = np.dot(dlogits.T, g, out=out.classifier_weights)
     gc /= t
-    dg = dot(dlogits, wc)
+    dg = np.dot(dlogits, wc)
     dg /= t
     # Through L2 normalization g = f/r: df = (dg - g (g . dg)) / r. The forward
     # divides a degenerate row by a constant 1, not by its norm, so dg is that
@@ -341,10 +341,10 @@ def backward(
     dz = df
     for i in range(len(params.extractor_layers) - 1, -1, -1):
         gw, gb = out.extractor_layers[i]
-        dot(h[i].T, dz, out=gw)
+        np.dot(h[i].T, dz, out=gw)
         np.add.reduce(dz, axis=0, out=gb)
         if i > 0:
-            dz = dot(dz, params.extractor_layers[i][0].T)
+            dz = np.dot(dz, params.extractor_layers[i][0].T)
             dz *= h[i] > 0
     return loss, out
 
