@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Per-call cost of the training step and of stage 2, timed in process on fixed inputs.
+"""Per-call cost of the training step, of stage 2 and of checkpoint I/O, timed in process on fixed inputs.
 
 ``backward`` per loss kind and ``minimax_step`` per batch mix on the default 5-class 2-D network, then
-``infer_pseudo`` plus ``select``, and ``selected_set_from_dump``, on a 19 960-row 8-D pool (10 classes), and
-the validation phase's label refresh (``momentum_update_labels``) over the 4 000 rows that r_u 0.2 keeps of
-that pool. Each figure is the median of ``--repeats`` x 500 step or refresh calls (x 10 stage-2 calls), each
-timed alone, so a burst of load on a shared machine moves it little. One JSON line prints them.
+``infer_pseudo`` plus ``select``, and ``selected_set_from_dump``, on a 19 960-row 8-D pool (10 classes), the
+validation phase's label refresh (``momentum_update_labels``) over the 4 000 rows that r_u 0.2 keeps of that
+pool, and ``save_checkpoint`` and ``load_checkpoint`` of the default network. The checkpoint is written to and
+read from a temporary directory with a warm page cache: its files are rewritten on every call, and the cache is
+not dropped, since that would change the machine's settings. Each figure is the median of ``--repeats`` x 500
+step, refresh or checkpoint calls (x 10 stage-2 calls), each timed alone, so a burst of load on a shared
+machine moves it little. Every figure is in microseconds; one JSON line prints them.
 
 With ``--against SRC`` the figures are paired instead: each of ``--repeats`` rounds times every figure once
 (one ``--repeats 1`` run in a fresh interpreter) on this checkout's ``src`` and once on ``SRC``, the side that
@@ -22,6 +25,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -29,7 +33,7 @@ import numpy as np
 
 from ssda_lab import trainer
 from ssda_lab.coremath import seeded_rng
-from ssda_lab.network import backward, forward_features, init_params, zero_grads
+from ssda_lab.network import backward, forward_features, init_params, load_checkpoint, save_checkpoint, zero_grads
 from ssda_lab.pseudolabel import infer_pseudo, per_class_quota, select, selected_set_from_dump, selection_dump
 
 # name: (lambda, whether the step takes a pseudo batch), as the loops run them; the lambda-0
@@ -83,7 +87,7 @@ def stage2_costs(calls: int) -> dict:
     stage2 = lambda annotations: select(annotations, anchors, 0.2, POOL_ROWS, POOL_CLASSES)  # noqa: E731
     annotations = infer_pseudo(params, pool)
     dump = selection_dump(stage2(annotations), annotations)
-    return {name: round(1e3 * per_call(fn, calls), 2) for name, fn in (
+    return {name: round(1e6 * per_call(fn, calls), 1) for name, fn in (
         ("infer_pseudo+select", lambda: stage2(infer_pseudo(params, pool))),
         ("selected_set_from_dump", lambda: selected_set_from_dump(dump)))}
 
@@ -93,6 +97,16 @@ def refresh_cost(calls: int) -> float:
     rng = seeded_rng(3, "microbench")
     live, fresh = (rng.dirichlet(np.ones(POOL_CLASSES), TRUSTED_ROWS) for _ in range(2))
     return round(1e6 * per_call(lambda: trainer.momentum_update_labels(live, fresh, 0.9), calls), 1)
+
+
+def checkpoint_costs(calls: int) -> dict:
+    """Microseconds of one ``save_checkpoint`` and of one ``load_checkpoint`` of the default network."""
+    params = net(2, 5)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "checkpoint.json"
+        save = per_call(lambda: save_checkpoint(path, params, extra={"stage": "baseline"}), calls)
+        load = per_call(lambda: load_checkpoint(path), calls)
+    return {"save": round(1e6 * save, 1), "load": round(1e6 * load, 1)}
 
 
 def one_run(src: Path) -> dict:
@@ -139,8 +153,9 @@ def main() -> None:
         settings["against"] = str(args.against.resolve())
         print(json.dumps({**paired(args.against, args.repeats), "settings": settings}))
         return
-    print(json.dumps({**step_costs(args.repeats * STEP_CALLS), "stage2_ms": stage2_costs(args.repeats * STAGE2_CALLS),
-                      "refresh_us": refresh_cost(args.repeats * STEP_CALLS), "settings": settings}))
+    print(json.dumps({**step_costs(args.repeats * STEP_CALLS), "stage2_us": stage2_costs(args.repeats * STAGE2_CALLS),
+                      "refresh_us": refresh_cost(args.repeats * STEP_CALLS),
+                      "checkpoint_us": checkpoint_costs(args.repeats * STEP_CALLS), "settings": settings}))
 
 
 if __name__ == "__main__":

@@ -64,13 +64,14 @@ def read_table(path: str | Path, checksum, dtype: np.dtype, shape: tuple) -> np.
     return array
 
 
-def read_record(path: str | Path, version: int, what: str, remedy: str) -> dict:
-    """The JSON object at ``path``, refused unless its ``format_version`` is ``version``.
+def read_record(path: str | Path, version: int, what: str, key: str, remedy: str) -> dict:
+    """The JSON object at ``path``, refused unless it holds ``key`` and its ``format_version`` is ``version``.
 
-    ``what`` names the artifact in each refusal; ``remedy``, the command
-    that rewrites it, follows an integer version below ``version``.  Any
-    other record (no version, or one this reader never wrote) is not a
-    ``what`` at all.
+    ``what`` names the artifact in each refusal, and ``key`` is one that
+    every version of it has held.  ``remedy``, the command that rewrites
+    it, follows an integer version below ``version``.  Any other record (no
+    ``key``, no version, or one this reader never wrote) is not a ``what``
+    at all, and gets no remedy.
     """
     path = Path(path)
     if not path.is_file():
@@ -82,6 +83,8 @@ def read_record(path: str | Path, version: int, what: str, remedy: str) -> dict:
     if not isinstance(record, dict):
         raise DataError(f"{what} {path} must be a JSON object")
     found = record.get("format_version")
+    if key not in record:
+        raise DataError(f"{path} is not a {what}: it holds no {key!r}")
     if type(found) is int and found < version:
         raise DataError(f"{what} {path} has format_version {found}, not {version}; {remedy}")
     if found != version:

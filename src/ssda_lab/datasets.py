@@ -228,8 +228,16 @@ class SSDASplit:
 
 
 def gen_split(spec: DomainPairSpec, n_t_per_class: int = 3, n_val_per_class: int = 3) -> SSDASplit:
-    """Generate a domain pair and apply the split protocol, all from spec.seed."""
-    source, target = gen_domain_pair(spec)
+    """Generate a domain pair and apply the split protocol, all from spec.seed.
+
+    A ``ValueError`` if any drawn feature is not finite (a shift or separation so large that it overflows),
+    since no stage can use such a split.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, so the warning would only repeat it
+        source, target = gen_domain_pair(spec)
+    if not (np.all(np.isfinite(source[0])) and np.all(np.isfinite(target[0]))):
+        raise ValueError("the drawn features overflow to non-finite values; lower the class separation "
+                         "(--separation) or the shift (--scale, --translation, --skew)")
     labeled, validation, unlabeled, truth = split_target(target, n_t_per_class, n_val_per_class, spec.seed)
     return SSDASplit(
         spec=spec,
@@ -350,7 +358,7 @@ def load_split(split_dir: str | Path) -> SSDASplit:
     row, which every stage scores; each failure is a ``DataError``.
     """
     root = Path(split_dir)
-    manifest = read_record(root / "manifest.json", SPLIT_FORMAT_VERSION, "manifest",
+    manifest = read_record(root / "manifest.json", SPLIT_FORMAT_VERSION, "split manifest", "spec",
                            "version-1 (CSV) splits are no longer read; run gen-data again with the spec, seed and "
                            "shot counts of its manifest: the same numpy writes the same arrays")
     check_keys(manifest, _MANIFEST_KEYS, "manifest")

@@ -38,7 +38,7 @@ import numpy as np
 from .artifacts import DataError, check_keys, read_record, read_table, table_path, write_table
 from .coremath import LOG_CLAMP, is_int, softmax
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 # Feature rows with an L2 norm below this are passed through unnormalized
 # instead of dividing by ~0; each such row bumps the diagnostics counter.
@@ -82,29 +82,30 @@ class NetworkParams:
     """One flat float64 vector ``flat`` with per-layer views bound into it: the weights, or a gradient or
     velocity laid out like them.
 
-    ``extractor_layers`` is a tuple of (W, b) with W of shape (d_in, d_out);
-    hidden layers apply ReLU, the final layer is linear and produces the
-    feature vector.  ``classifier_weights`` has shape (K, feature_dim) and
-    fills the tail of ``flat``.  The views are read-only properties: they
-    cannot be re-bound, and writing into one (``w[:] = ...``, ``w += ...``)
-    writes ``flat``, so whole-network arithmetic (updates, copies, sums of
-    gradients) is one vector op.  ``temperature`` is a fixed positive scalar,
-    not trained; a gradient carries its params' and nothing reads it.
-    Pickling and ``copy.deepcopy`` rebuild from ``flat`` and ``layout()``, so
-    a clone's views sit on its own buffer.
+    ``widths`` is ``[input_dim, *hidden_dims, feature_dim, n_classes]``, the
+    whole architecture.  ``extractor_layers`` is a tuple of (W, b), one per
+    pair of neighbouring widths up to the feature width, with W of shape
+    (d_in, d_out); hidden layers apply ReLU, the final layer is linear and
+    produces the feature vector.  ``classifier_weights`` has shape
+    (n_classes, feature_dim) and fills the tail of ``flat``.  The views are
+    read-only properties: they cannot be re-bound, and writing into one
+    (``w[:] = ...``, ``w += ...``) writes ``flat``, so whole-network
+    arithmetic (updates, copies, sums of gradients) is one vector op.
+    ``temperature`` is a fixed positive scalar, not trained; a gradient
+    carries its params' and nothing reads it.  Pickling and
+    ``copy.deepcopy`` rebuild from ``flat`` and ``layout()``, so a clone's
+    views sit on its own buffer.
     """
 
-    def __init__(self, flat: np.ndarray, layer_shapes, last_shape, temperature: float) -> None:
+    def __init__(self, flat: np.ndarray, widths, temperature: float) -> None:
+        self.widths = tuple(widths)
         views, i = [], 0
-        for shapes in layer_shapes:
-            pair = []
-            for shape in shapes:
-                n = math.prod(shape)
-                pair.append(flat[i : i + n].reshape(shape))
-                i += n
-            views.append(tuple(pair))
+        for d_in, d_out in zip(self.widths[:-2], self.widths[1:-1]):
+            w, b = flat[i : i + d_in * d_out], flat[i + d_in * d_out : i + (d_in + 1) * d_out]
+            views.append((w.reshape(d_in, d_out), b))
+            i += (d_in + 1) * d_out
         self._layers = tuple(views)
-        self._last = flat[i:].reshape(last_shape)
+        self._last = flat[i:].reshape(self.widths[-1], self.widths[-2])
         self._flat = flat
         self.temperature = temperature
 
@@ -122,54 +123,32 @@ class NetworkParams:
 
     def layout(self) -> dict:
         """The constructor's arguments besides ``flat``, in the key order a checkpoint records them."""
-        return {
-            "layer_shapes": [(w.shape, b.shape) for w, b in self._layers],
-            "last_shape": self._last.shape,
-            "temperature": self.temperature,
-        }
+        return {"widths": self.widths, "temperature": self.temperature}
 
     def __reduce__(self):
-        return NetworkParams, (self._flat, *self.layout().values())
+        return NetworkParams, (self._flat, self.widths, self.temperature)
 
     def validate(self) -> None:
         if not (math.isfinite(self.temperature) and self.temperature > 0):
             raise ValueError(f"temperature must be finite and positive, got {self.temperature}")
-        if not self.extractor_layers:
-            raise ValueError("the extractor needs at least one layer")
-        if self.classifier_weights.ndim != 2:
-            raise ValueError(f"classifier must be 2-D, got shape {self.classifier_weights.shape}")
-        for i, (w, b) in enumerate(self.extractor_layers):
-            if w.ndim != 2 or b.ndim != 1:
-                raise ValueError(f"layer {i} needs a 2-D weight and a 1-D bias, got {w.shape} and {b.shape}")
-            if i > 0 and w.shape[0] != d:
-                raise ValueError(f"layer {i} expects input dim {w.shape[0]}, chain gives {d}")
-            if b.shape != (w.shape[1],):
-                raise ValueError(f"layer {i} bias shape {b.shape} does not match width {w.shape[1]}")
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ValueError(f"layer {i} has non-finite entries")
-            d = w.shape[1]
-        if self.classifier_weights.shape[1] != d:
-            raise ValueError(
-                f"classifier expects feature dim {self.classifier_weights.shape[1]}, extractor gives {d}"
-            )
-        if not np.all(np.isfinite(self.classifier_weights)):
-            raise ValueError("classifier has non-finite entries")
+        if not np.all(np.isfinite(self.flat)):
+            raise ValueError("the weights have non-finite entries")
 
     def copy(self) -> "NetworkParams":
-        return NetworkParams(self.flat.copy(), **self.layout())
+        return NetworkParams(self.flat.copy(), self.widths, self.temperature)
 
     @property
     def input_dim(self) -> int:
-        return self.extractor_layers[0][0].shape[0]
+        return self.widths[0]
 
     @property
     def n_classes(self) -> int:
-        return self.classifier_weights.shape[0]
+        return self.widths[-1]
 
 
 def zero_grads(params: NetworkParams) -> NetworkParams:
     """A zero gradient or velocity laid out like ``params``."""
-    return NetworkParams(np.zeros_like(params.flat), **params.layout())
+    return NetworkParams(np.zeros_like(params.flat), params.widths, params.temperature)
 
 
 def init_params(
@@ -186,14 +165,13 @@ def init_params(
     with a cosine head at temperature 0.05 a He-scale classifier would
     start saturated and the initial loss would sit far above chance.
     """
-    dims = (input_dim, *hidden_dims, feature_dim)
-    layer_shapes = [((d_in, d_out), (d_out,)) for d_in, d_out in zip(dims[:-1], dims[1:])]
+    widths = (input_dim, *hidden_dims, feature_dim, n_classes)
     draws = []
-    for (d_in, d_out), _ in layer_shapes:
+    for d_in, d_out in zip(widths[:-2], widths[1:-1]):
         limit = np.sqrt(6.0 / d_in)
         draws += [rng.uniform(-limit, limit, size=d_in * d_out), np.zeros(d_out)]
     flat = np.concatenate([*draws, np.zeros(n_classes * feature_dim)])
-    params = NetworkParams(flat, layer_shapes, (n_classes, feature_dim), temperature)
+    params = NetworkParams(flat, widths, temperature)
     params.validate()
     return params
 
@@ -234,7 +212,7 @@ def _checked_input(x: np.ndarray, params: NetworkParams) -> np.ndarray:
 def forward_features(x: np.ndarray, params: NetworkParams) -> np.ndarray:
     """Features F(x) of an (n, input_dim) batch."""
     return _by_row_blocks(lambda xb: _forward_extractor(xb, params)[-1], _checked_input(x, params),
-                          params.classifier_weights.shape[1])
+                          params.widths[-2])
 
 
 def _head(f: np.ndarray, params: NetworkParams) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
@@ -385,33 +363,30 @@ def group_sizes(params: NetworkParams) -> tuple[int, int]:
 
 def save_checkpoint(path: str | Path, params: NetworkParams, extra: dict) -> None:
     """Write ``params.flat`` as the ``<f8`` table ``{stem}.flat.npy``, then the JSON record: ``params.layout()``
-    (``layer_shapes``, ``last_shape``, ``temperature``), the table's sha256 and ``extra``."""
+    (``widths``, ``temperature``), the table's sha256 and ``extra``."""
     checksum = write_table(table_path(path, "flat"), np.asarray(params.flat, dtype="<f8"))
     record = {"format_version": CHECKPOINT_VERSION, "params": params.layout(), "checksum": checksum, "extra": extra}
     Path(path).write_text(json.dumps(record), encoding="utf-8")
 
 
 def load_checkpoint(path: str | Path) -> dict:
-    """The params and ``extra`` of a checkpoint, a ``DataError`` unless its layout is integer shapes and a number,
-    its table one ``<f8`` vector of the length the shapes give, and its params pass ``validate``."""
-    record = read_record(path, CHECKPOINT_VERSION, "checkpoint", "run train-baseline, or self-train for a final "
-                         "checkpoint, again with flags for the settings its extra records: the same seed gives "
-                         "the same weights")
+    """The params and ``extra`` of a checkpoint, a ``DataError`` unless its ``widths`` list at least three integers
+    >= 1 and its temperature is a number, its table is one ``<f8`` vector of the length the widths give, and its
+    params pass ``validate``."""
+    record = read_record(path, CHECKPOINT_VERSION, "checkpoint", "params", "run train-baseline, or self-train for "
+                         "a final checkpoint, again with flags for the settings its extra records: the same seed "
+                         "gives the same weights")
     check_keys(record, {"format_version", "params", "checksum", "extra"}, f"checkpoint {path}")
     state = record["params"]
-    check_keys(state, {"layer_shapes", "last_shape", "temperature"}, f"checkpoint {path} params")
-    layers = state["layer_shapes"]
-    pairs = isinstance(layers, list) and all(isinstance(pair, list) and len(pair) == 2 for pair in layers)
-    shapes = [*(shape for pair in layers for shape in pair), state["last_shape"]] if pairs else [None]
-    if not (all(isinstance(s, list) and all(is_int(n) and n >= 0 for n in s) for s in shapes)
-            and type(state["temperature"]) in (int, float)):
-        raise DataError(f"checkpoint {path}: layer_shapes must list [weight, bias] pairs and last_shape be one "
-                        "shape, of integers >= 0, and temperature must be a number")
-    flat = read_table(table_path(path, "flat"), record["checksum"], np.dtype("<f8"), (None,))
-    size = sum(math.prod(shape) for shape in shapes)
-    if flat.size != size:
-        raise DataError(f"checkpoint {path}: its table holds {flat.size} weights, its shapes {size}")
-    params = NetworkParams(flat, layers, state["last_shape"], float(state["temperature"]))
+    check_keys(state, {"widths", "temperature"}, f"checkpoint {path} params")
+    widths, temperature = state["widths"], state["temperature"]
+    if not (isinstance(widths, list) and len(widths) >= 3 and all(is_int(n) and n >= 1 for n in widths)
+            and type(temperature) in (int, float)):
+        raise DataError(f"checkpoint {path}: widths must list at least three integers >= 1, and temperature must "
+                        "be a number")
+    size = sum((d_in + 1) * d_out for d_in, d_out in zip(widths[:-2], widths[1:-1])) + widths[-2] * widths[-1]
+    flat = read_table(table_path(path, "flat"), record["checksum"], np.dtype("<f8"), (size,))
+    params = NetworkParams(flat, widths, float(temperature))
     try:
         params.validate()
     except ValueError as err:

@@ -181,7 +181,7 @@ def load_selection(path: str | Path) -> dict:
     array of its column's dtype and rank, else a ``DataError``;
     ``check_selection`` fixes the lengths.
     """
-    dump = read_record(path, SELECTION_VERSION, "selection dump",
+    dump = read_record(path, SELECTION_VERSION, "selection dump", "selected_by_class",
                        "run pseudo-label again on the checkpoint it came from")
     checksums = dump.get("checksums")
     if not isinstance(checksums, dict):

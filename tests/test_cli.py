@@ -1,7 +1,6 @@
 import hashlib
 import io
 import json
-import math
 import re
 import shutil
 import sys
@@ -103,6 +102,8 @@ class TestGenData:
             ["--scale", "nan"],
             ["--skew", "inf"],
             ["--seed=-1"],                   # seeded_rng would draw what 2**64 - 1 draws
+            ["--skew", "1e308"],             # finite, but the drawn target features overflow to inf
+            ["--scale", "1e308"],
         ]
         for flags in cases:
             out = tmp_path / "s"
@@ -799,16 +800,22 @@ def _layout(change):
     return _edited_json(lambda d: change(d["params"]))
 
 
-def _n_weights(layout: dict) -> int:
-    return sum(math.prod(shape) for pair in layout["layer_shapes"] for shape in pair) + math.prod(layout["last_shape"])
-
-
 def _version1_checkpoint(path: Path, good: Path) -> None:
     """The checkpoint in the version-1 layout: every weight as JSON text."""
     params = load_checkpoint(good)["params"]
     path.write_text(json.dumps({"format_version": 1, "extra": json.loads(good.read_text())["extra"], "params": {
         "extractor_layers": [[w.tolist(), b.tolist()] for w, b in params.extractor_layers],
         "classifier_weights": params.classifier_weights.tolist(), "temperature": params.temperature}}))
+
+
+def _version2_checkpoint(path: Path, good: Path) -> None:
+    """The checkpoint in the version-2 layout: a [weight shape, bias shape] pair per extractor layer and the
+    classifier's shape, each width written out where the version-3 ``widths`` holds it once."""
+    record = json.loads(good.read_text())
+    widths, temperature = record["params"]["widths"], record["params"]["temperature"]
+    record["params"] = {"layer_shapes": [[[a, b], [b]] for a, b in zip(widths[:-2], widths[1:-1])],
+                        "last_shape": widths[:-3:-1], "temperature": temperature}
+    path.write_text(json.dumps({**record, "format_version": 2}))
 
 
 def _weight_plus_5(path: Path, good: Path) -> None:
@@ -824,29 +831,32 @@ BAD_CHECKPOINTS = [
     pytest.param(_foreign_checkpoint(3, 3), "has input dim 3", id="input_dim_3"),
     pytest.param(_foreign_checkpoint(2, 5), "and 5 classes", id="classes_5"),
     pytest.param(_edited(lambda text: text[: len(text) // 2]), "not valid JSON", id="truncated"),
-    # a later version than this reader writes is no checkpoint it knows: a selection dump also holds 3
-    pytest.param(_edited_json(lambda d: d.update(format_version=3)), "is not a checkpoint", id="version_3"),
+    # a later version than this reader writes is no checkpoint it knows
+    pytest.param(_edited_json(lambda d: d.update(format_version=4)), "is not a checkpoint", id="version_4"),
+    pytest.param(_version2_checkpoint, RETRAIN, id="version_2"),
     pytest.param(_version1_checkpoint, RETRAIN, id="version_1"),
     pytest.param(_edited(lambda text: "[]"), "must be a JSON object", id="not_an_object"),
     pytest.param(_edited_json(lambda d: d.pop("checksum")), "missing keys ['checksum']", id="no_checksum"),
-    pytest.param(_layout(lambda p: p["layer_shapes"][0].__setitem__(0, [2 * 64])), "needs a 2-D weight",
-                 id="weight_1d"),
-    pytest.param(_layout(lambda p: p.update(layer_shapes=[], last_shape=[_n_weights(p)])), "at least one layer",
+    pytest.param(_layout(lambda p: p.update(widths=p["widths"][-2:])), "at least three integers >= 1",
                  id="no_extractor_layer"),
-    pytest.param(_layout(lambda p: p.update(last_shape=[math.prod(p["last_shape"])])), "classifier must be 2-D",
-                 id="classifier_1d"),
+    pytest.param(_layout(lambda p: p.update(widths=",".join(map(str, p["widths"])))), "at least three integers",
+                 id="widths_str"),
     pytest.param(_layout(lambda p: p.update(temperature=float("nan"))), "temperature must be finite",
                  id="temperature_nan"),
     pytest.param(_layout(lambda p: p.update(temperature=float("inf"))), "temperature must be finite",
                  id="temperature_inf"),
     pytest.param(_layout(lambda p: p.update(temperature="0.05")), "temperature must be a number",
                  id="temperature_str"),
-    pytest.param(_layout(lambda p: p["layer_shapes"][0].__setitem__(0, [2.0, 64.0])), "integers >= 0",
-                 id="shape_floats"),
-    # a -1 would let numpy infer the width of a layer from the table
-    pytest.param(_layout(lambda p: p["layer_shapes"][0].__setitem__(0, [-1, 64])), "integers >= 0",
-                 id="shape_negative"),
-    pytest.param(_restamped("flat", lambda a, d: npy_bytes(a[:-1])), "its table holds", id="flat_shorter_than_shapes"),
+    pytest.param(_layout(lambda p: p["widths"].__setitem__(0, 2.0)), "integers >= 1", id="widths_floats"),
+    # a -1 would let numpy infer a width from the table
+    pytest.param(_layout(lambda p: p["widths"].__setitem__(1, -1)), "integers >= 1", id="widths_negative"),
+    pytest.param(_layout(lambda p: p["widths"].__setitem__(1, 0)), "integers >= 1", id="widths_zero"),
+    # a hidden width one wider asks for more weights than the table holds
+    pytest.param(_layout(lambda p: p["widths"].__setitem__(1, p["widths"][1] + 1)),
+                 "malformed table checkpoint.flat.npy: shape", id="widths_wider_than_table"),
+    pytest.param(_restamped("flat", lambda a, d: npy_bytes(a[:-1])), "malformed table checkpoint.flat.npy: shape",
+                 id="flat_shorter_than_widths"),
+    pytest.param(_restamped("flat", _set(0, np.nan)), "non-finite entries", id="flat_nan"),
     # the edit that evaluate once scored as a checkpoint of its own
     pytest.param(_weight_plus_5, "checksum mismatch for checkpoint.flat.npy", id="classifier_weight_plus_5"),
     *(pytest.param(write, reason, id=f"flat_{case}") for case, write, reason in _table_cases("flat")),
@@ -1048,21 +1058,41 @@ class TestSelectionVersions:
         assert not (tmp_path / "o").exists()
 
 
+# each kind of record a flag takes, and a key that every version of that kind has held
+KIND_KEYS = {"split manifest": "spec", "checkpoint": "params", "selection dump": "selected_by_class"}
+REMEDIES = ("gen-data", RETRAIN, "pseudo-label again")
+CROSS_PAIRS = [(given, expected) for expected in KIND_KEYS for given in (*KIND_KEYS, "run manifest")
+               if given != expected]
+
+
 class TestAnotherKindOfRecord:
     """A record of another kind is refused as not the artifact its flag takes, without an older version's remedy."""
 
-    def test_run_directory_as_split(self, stage2, tmp_path, capsys):
-        run_dir = stage2[0].parent  # train-baseline's --out: its manifest.json holds no format_version
-        assert main(["train-baseline", "--split", str(run_dir), "--out", str(tmp_path / "o"), *FAST]) == EXIT_DATA
+    @pytest.mark.parametrize("given, expected", CROSS_PAIRS,
+                             ids=[f"{g}_as_{e}".replace(" ", "_") for g, e in CROSS_PAIRS])
+    def test_record_of_another_kind_exits_3_before_out(self, split_dir, stage2, tmp_path, capsys, given, expected):
+        ckpt, selection = stage2
+        record = {"split manifest": split_dir / "manifest.json", "run manifest": ckpt.parent / "manifest.json",
+                  "checkpoint": ckpt, "selection dump": selection}[given]
+        if expected == "split manifest":
+            if given != "run manifest":  # a run directory is passed as it is
+                (tmp_path / "split").mkdir()
+                record = shutil.copyfile(record, tmp_path / "split" / "manifest.json")
+            argv = ["train-baseline", "--split", str(record.parent)]
+        elif expected == "checkpoint":
+            argv = ["pseudo-label", "--split", str(split_dir), "--checkpoint", str(record)]
+        else:
+            argv = ["self-train", "--split", str(split_dir), "--checkpoint", str(ckpt), "--selection", str(record)]
+        assert main([*argv, "--out", str(tmp_path / "o"), *FAST]) == EXIT_DATA
         err = capsys.readouterr().err
-        assert f"{run_dir / 'manifest.json'} is not a manifest: its format_version is None, not 2" in err
-        assert "gen-data" not in err
+        assert f"{record} is not a {expected}: it holds no {KIND_KEYS[expected]!r}" in err
+        assert not any(remedy in err for remedy in REMEDIES)
         assert not (tmp_path / "o").exists()
 
     def test_selection_as_checkpoint(self, split_dir, stage2, capsys):
         assert main(["evaluate", "--split", str(split_dir), "--checkpoint", str(stage2[1])]) == EXIT_DATA
         err = capsys.readouterr().err
-        assert f"{stage2[1]} is not a checkpoint: its format_version is 3, not 2" in err
+        assert f"{stage2[1]} is not a checkpoint: it holds no 'params'" in err
         assert RETRAIN not in err
 
 

@@ -226,7 +226,7 @@ class TestSerialization:
         }
 
     def test_missing_manifest(self, tmp_path):
-        with pytest.raises(DataError, match="missing manifest"):
+        with pytest.raises(DataError, match="missing split manifest"):
             load_split(tmp_path / "nope")
 
     def test_version_mismatch(self, tmp_path):

@@ -17,6 +17,7 @@ from conftest import blas_version, max_rel_err, small_net
 from ssda_lab.artifacts import DataError
 from ssda_lab.coremath import LOG_CLAMP, finite_diff_grad, seeded_rng
 from ssda_lab.network import (
+    CHECKPOINT_VERSION,
     FEATURE_NORM_FLOOR,
     ROW_BLOCK,
     SGD_MOMENTUM,
@@ -60,12 +61,12 @@ BATCH_TAKERS = {"forward_features": forward_features, "forward": forward,
 
 class TestForwardFeatures:
     def test_zero_weights_give_zero_features(self):
-        params = NetworkParams(np.zeros(3 * 4 + 4 + 4 * 2 + 2 + 2 * 2), [((3, 4), (4,)), ((4, 2), (2,))], (2, 2), 1.0)
+        params = NetworkParams(np.zeros(3 * 4 + 4 + 4 * 2 + 2 + 2 * 2), [3, 4, 2, 2], 1.0)
         np.testing.assert_array_equal(forward_features(np.array([[1.0, -2.0, 3.0]]), params), np.zeros((1, 2)))
 
     def test_single_identity_layer_passes_input_through(self):
         # Final extractor layer is linear, so identity weights reproduce x.
-        params = NetworkParams(np.concatenate([np.eye(3).ravel(), np.zeros(3 + 2 * 3)]), [((3, 3), (3,))], (2, 3), 1.0)
+        params = NetworkParams(np.concatenate([np.eye(3).ravel(), np.zeros(3 + 2 * 3)]), [3, 3, 2], 1.0)
         x = np.array([[0.5, -1.5, 2.0]])
         np.testing.assert_array_equal(forward_features(x, params), x)
 
@@ -563,7 +564,7 @@ class TestDeterminismAndCheckpoint:
         params = small_net()
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, params, extra={})
-        text = path.read_text().replace('"format_version": 2', '"format_version": 99')
+        text = path.read_text().replace(f'"format_version": {CHECKPOINT_VERSION}', '"format_version": 99')
         path.write_text(text)
         with pytest.raises(DataError, match="version"):
             load_checkpoint(path)

@@ -34,7 +34,8 @@ def test_microbench_prints_one_json_line(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert len(lines) == 1
-    assert set(json.loads(lines[0])) == {"backward_us", "minimax_step_us", "stage2_ms", "refresh_us", "settings"}
+    assert set(json.loads(lines[0])) == {"backward_us", "minimax_step_us", "stage2_us", "refresh_us",
+                                           "checkpoint_us", "settings"}
 
 
 def test_microbench_against_prints_both_sides_of_every_figure(tmp_path):
@@ -44,8 +45,8 @@ def test_microbench_against_prints_both_sides_of_every_figure(tmp_path):
     assert len(lines) == 1
     paired = json.loads(lines[0])
     assert set(paired) == {"this", "against", "wins", "settings"}
-    names = {"backward_us.hard", "backward_us.soft", "backward_us.entropy", "stage2_ms.infer_pseudo+select",
-             "stage2_ms.selected_set_from_dump", "refresh_us"}
+    names = {"backward_us.hard", "backward_us.soft", "backward_us.entropy", "stage2_us.infer_pseudo+select",
+             "stage2_us.selected_set_from_dump", "refresh_us", "checkpoint_us.save", "checkpoint_us.load"}
     assert names < set(paired["this"]) == set(paired["against"]) == set(paired["wins"])
     assert len([n for n in paired["this"] if n.startswith("minimax_step_us.")]) == 4
     assert all(paired[side][n] > 0 for side in ("this", "against") for n in paired["this"])

@@ -1,8 +1,11 @@
-"""Every name ``perfbench/worker.py`` traces or reads is still on the package, so a refactor that moves one
-fails here rather than only in a traced benchmark run."""
+"""Every name ``perfbench/worker.py`` traces or reads is still on the package, and the benchmark's own smoke
+test passes, so a refactor that moves a name, or changes an argument or attribute that a traced run reads,
+fails here rather than only in a benchmark run."""
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,7 +13,8 @@ import pytest
 from ssda_lab import network
 from ssda_lab.datasets import SSDASplit
 
-WORKER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
+ROOT = Path(__file__).resolve().parent.parent
+WORKER_PATH = ROOT / "perfbench" / "worker.py"
 
 
 def _load_worker():
@@ -38,3 +42,11 @@ def test_degenerate_feature_events_can_be_reset_and_read():
     events = network.degenerate_feature_events
     assert callable(events.reset)
     assert isinstance(events.count, int)
+
+
+def test_perfbench_smoke_passes():
+    """``perfbench/test_smoke.py`` runs every workload at its tiny size, untraced and traced, from the checkout
+    root as its docstring says."""
+    proc = subprocess.run([sys.executable, "-m", "unittest", "perfbench/test_smoke.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=600, check=False)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -273,8 +273,10 @@ def test_microbench_times_every_mix_in_one_line():
     result = json.loads(line)
     assert set(result["backward_us"]) == {"hard", "soft", "entropy"}
     assert set(result["minimax_step_us"]) == set(STEP_MIXES)
-    assert set(result["stage2_ms"]) == {"infer_pseudo+select", "selected_set_from_dump"}
-    assert all(v > 0 for key in ("backward_us", "minimax_step_us", "stage2_ms") for v in result[key].values())
+    assert set(result["stage2_us"]) == {"infer_pseudo+select", "selected_set_from_dump"}
+    assert set(result["checkpoint_us"]) == {"save", "load"}
+    assert all(v > 0 for key in ("backward_us", "minimax_step_us", "stage2_us", "checkpoint_us")
+               for v in result[key].values())
     assert result["refresh_us"] > 0
     assert (result["settings"]["repeats"], result["settings"]["OPENBLAS_NUM_THREADS"]) == (1, "1")
 
