@@ -2,13 +2,13 @@
 """Per-call cost of the training step, of stage 2 and of checkpoint I/O, timed in process on fixed inputs.
 
 ``backward`` per loss kind and ``minimax_step`` per batch mix on the default 5-class 2-D network, then
-``infer_pseudo`` plus ``select``, and ``selected_set_from_dump``, on a 19 960-row 8-D pool (10 classes), the
-validation phase's label refresh (``momentum_update_labels``) over the 4 000 rows that r_u 0.2 keeps of that
-pool, and ``save_checkpoint`` and ``load_checkpoint`` of the default network. The checkpoint is written to and
-read from a temporary directory with a warm page cache: its files are rewritten on every call, and the cache is
-not dropped, since that would change the machine's settings. Each figure is the median of ``--repeats`` x 500
-step, refresh or checkpoint calls (x 10 stage-2 calls), each timed alone, so a burst of load on a shared
-machine moves it little. Every figure is in microseconds; one JSON line prints them.
+``infer_pseudo`` plus ``select``, ``selection_dump`` and ``selected_set_from_dump`` on a 19 960-row 8-D pool
+(10 classes), the validation phase's label refresh (``momentum_update_labels``) over the 4 000 rows that r_u 0.2
+keeps of that pool, and ``save_checkpoint`` and ``load_checkpoint`` of the default network. The checkpoint is
+written to and read from a temporary directory with a warm page cache: its files are rewritten on every call, and
+the cache is not dropped, since that would change the machine's settings. Each figure is the median of
+``--repeats`` x 500 step, refresh or checkpoint calls (x 10 stage-2 calls), each timed alone, so a burst of load
+on a shared machine moves it little. Every figure is in microseconds; one JSON line prints them.
 
 With ``--against SRC`` the figures are paired instead: each of ``--repeats`` rounds times every figure once
 (one ``--repeats 1`` run in a fresh interpreter) on this checkout's ``src`` and once on ``SRC``, the side that
@@ -86,9 +86,11 @@ def stage2_costs(calls: int) -> dict:
     anchors = {c: forward_features(rng.standard_normal((1, POOL_DIM)), params) for c in range(POOL_CLASSES)}
     stage2 = lambda annotations: select(annotations, anchors, 0.2, POOL_ROWS, POOL_CLASSES)  # noqa: E731
     annotations = infer_pseudo(params, pool)
-    dump = selection_dump(stage2(annotations), annotations)
+    selected = stage2(annotations)
+    dump = selection_dump(selected, annotations)
     return {name: round(1e6 * per_call(fn, calls), 1) for name, fn in (
         ("infer_pseudo+select", lambda: stage2(infer_pseudo(params, pool))),
+        ("selection_dump", lambda: selection_dump(selected, annotations)),
         ("selected_set_from_dump", lambda: selected_set_from_dump(dump)))}
 
 

@@ -6,12 +6,12 @@ hard-label class, samples are ranked by mean L1 distance between their
 feature vector and the few labeled target anchors of that class, and the
 closest ceil(r_u * n_u / K) are kept as the trusted set.
 
-Each sample is one slotted ``PseudoAnnotation``: no record carries a
-``__dict__``, and setting an unknown attribute raises ``AttributeError``.
-``infer_pseudo``'s records view rows of the pool's feature and prediction
-arrays.  Stage 2's one product is the selection dump, whose columns are
-arrays; the set rebuilt from it views rows of the dump's soft table, and
-its records share one empty feature array.
+A pool of samples is one record array, built by ``pseudo_rows``: row i
+holds sample ``index``, its ``soft_label`` and ``hard_label``, the
+``feature`` it is ranked by and its anchor ``distance``.  Stage 2 works
+on those columns, not on per-row objects.  Its one product is the
+selection dump, whose columns are arrays; the set rebuilt from it holds
+the kept rows only, with zero-width features.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -29,29 +28,30 @@ from .coremath import l1_distance
 from .network import NetworkParams, forward_classifier, forward_features
 
 
-@dataclass(slots=True)
-class PseudoAnnotation:
-    """Per-sample pseudo label plus the feature used for distance ranking.
+def pseudo_rows(soft, hard, features, index=None, distance=None) -> np.recarray:
+    """One record per sample: fields ``index`` (0..n-1 by default), ``soft_label`` (K,), ``hard_label``,
+    ``feature`` (F,) and ``distance`` (NaN until ``select`` fills it).
 
-    ``hard_label`` is argmax of ``soft_label`` with ties broken toward the
-    lowest class index.  ``distance`` stays None until a selection pass
-    fills it against the sample's hard-label anchors.  ``infer_pseudo`` and
-    ``selected_set_from_dump`` build records by position, so the field
-    order is part of the contract.
+    A ``np.recarray`` rather than a plain structured array, because its readers (the benchmark's counters, the
+    acceptance tests and ``scripts/artifact_digests.py``) read ``a.soft_label``, ``a.hard_label``,
+    ``a.distance`` and ``a.index`` row by row.
     """
-
-    index: int
-    soft_label: np.ndarray
-    hard_label: int
-    feature: np.ndarray
-    distance: float | None = None
+    n = len(soft)
+    dtype = [("index", "<i8"), ("soft_label", "<f8", np.shape(soft)[1:]), ("hard_label", "<i8"),
+             ("feature", "<f8", np.shape(features)[1:]), ("distance", "<f8")]
+    return np.rec.fromarrays([np.arange(n) if index is None else index, soft, hard, features,
+                              np.full(n, np.nan) if distance is None else distance], dtype=dtype)
 
 
 @dataclass
 class SelectedSet:
-    """The trusted pseudo-labeled subset and the quota that produced it."""
+    """The trusted pseudo-labeled subset and the quota that produced it.
 
-    annotations: list[PseudoAnnotation]
+    ``annotations`` holds the kept rows (``pseudo_rows`` records), in (class, distance) order from ``select`` and
+    in index order from ``selected_set_from_dump``; ``index_set`` holds their indices in ascending order.
+    """
+
+    annotations: np.recarray
     index_set: list[int]
     r_u: float
     per_class_quota: int
@@ -60,42 +60,38 @@ class SelectedSet:
         return len(self.annotations)
 
 
-def infer_pseudo(params: NetworkParams, unlabeled_x: np.ndarray) -> list[PseudoAnnotation]:
-    """Forward-pass the unlabeled pool; one annotation per sample, distances unset."""
+def infer_pseudo(params: NetworkParams, unlabeled_x: np.ndarray) -> np.recarray:
+    """Forward-pass the unlabeled pool: row i is sample i, its hard label the argmax (ties to the lowest class)."""
     features = forward_features(unlabeled_x, params)
     if not len(features):
         raise ValueError("empty unlabeled set")
     probs = forward_classifier(features, params)
-    return list(map(PseudoAnnotation, range(len(probs)), probs, probs.argmax(axis=1).tolist(), features))
+    return pseudo_rows(probs, probs.argmax(axis=1), features)
 
 
 def per_class_quota(r_u: float, n_u: int, n_classes: int) -> int:
     return math.ceil(r_u * n_u / n_classes)
 
 
-def select(
-    annotations: list[PseudoAnnotation],
-    anchor_features_by_class: dict[int, np.ndarray],
-    r_u: float,
-    n_u: int,
-    n_classes: int,
-) -> SelectedSet:
-    """Keep, per hard-label class, the quota of samples nearest to its anchors.
+def select(annotations: np.recarray, anchor_features_by_class: dict[int, np.ndarray], r_u: float, n_u: int,
+           n_classes: int) -> SelectedSet:
+    """Keep, per hard-label class, the quota of rows nearest to its anchors.
 
-    Fills ``distance`` on every annotation with its mean L1 distance to
-    the anchors of its hard-label class.  Sorting is stable on
-    (distance, index); classes are merged in ascending order so the
-    result is deterministic.  A class with no annotated members simply
-    contributes nothing; a populated class without anchors is an error
-    because the split protocol guarantees anchors for every class.
+    Fills the pool's ``distance`` column in place with each row's mean L1
+    distance to the anchors of its hard-label class.  Sorting is stable on
+    (distance, index); classes are merged in ascending order, so the kept
+    rows are in (class, distance) order and the result is deterministic.
+    A class with no annotated members simply contributes nothing; a
+    populated class without anchors is an error because the split
+    protocol guarantees anchors for every class.
     """
     if not 0.0 < r_u <= 1.0:
         raise ValueError(f"r_u must be in (0, 1], got {r_u}")
     quota = per_class_quota(r_u, n_u, n_classes)
-    hard = np.array([a.hard_label for a in annotations], dtype=int)
+    hard = annotations.hard_label
     if hard.size and not 0 <= hard.min() <= hard.max() < n_classes:
         raise ValueError(f"hard labels must lie in [0, {n_classes})")
-    chosen: list[PseudoAnnotation] = []
+    chosen = [np.empty(0, dtype=np.intp)]
     for c in range(n_classes):
         members = np.flatnonzero(hard == c)
         if not members.size:
@@ -103,18 +99,11 @@ def select(
         anchors = np.asarray(anchor_features_by_class.get(c, ()), dtype=np.float64)
         if anchors.size == 0:
             raise ValueError(f"class {c} has annotated samples but no anchors")
-        rows = [annotations[i] for i in members.tolist()]
-        dist = l1_distance(np.array([a.feature for a in rows])[:, None, :], anchors).mean(axis=1)
-        for a, d in zip(rows, dist.tolist()):
-            a.distance = d
-        order = np.lexsort((np.array([a.index for a in rows]), dist))
-        chosen.extend(rows[i] for i in order[:quota].tolist())
-    return SelectedSet(
-        annotations=chosen,
-        index_set=sorted(a.index for a in chosen),
-        r_u=r_u,
-        per_class_quota=quota,
-    )
+        dist = l1_distance(annotations.feature[members][:, None, :], anchors).mean(axis=1)
+        annotations.distance[members] = dist
+        chosen.append(members[np.lexsort((annotations.index[members], dist))[:quota]])
+    kept = annotations[np.concatenate(chosen)]
+    return SelectedSet(annotations=kept, index_set=np.sort(kept.index).tolist(), r_u=r_u, per_class_quota=quota)
 
 
 def reliability(hard: np.ndarray, hidden_truth: np.ndarray) -> float:
@@ -140,28 +129,29 @@ SELECTION_VERSION = 3
 _COLUMNS = {"hard_label": (np.dtype("<i8"), 1), "distance": (np.dtype("<f8"), 1), "soft_label": (np.dtype("<f8"), 2)}
 
 
-def selection_dump(selected: SelectedSet, all_annotations: list[PseudoAnnotation]) -> dict:
+def selection_dump(selected: SelectedSet, all_annotations: np.recarray) -> dict:
     """The selection dump, stage 2's one product: each fact once.
 
-    ``hard_label`` (int64) and ``distance`` (float64) are columns over every
-    unlabeled row (row i of ``all_annotations``, as ``infer_pseudo`` returns
-    them, has index i); ``soft_label`` (float64) holds the rows of the
-    selected samples only, in ascending index order, because self-training
-    reads no other.  The dump holds no pool-sized feature or prediction
-    array, and no provenance: ``save_selection`` records that.
+    ``hard_label`` (int64) and ``distance`` (float64) are the pool's columns
+    over every unlabeled row (row i of ``all_annotations``, as
+    ``infer_pseudo`` returns them, has index i); ``soft_label`` (float64)
+    holds the rows of the selected samples only, in ascending index order,
+    because self-training reads no other.  The dump holds no pool-sized
+    feature or prediction array, and no provenance: ``save_selection``
+    records that.
     """
+    rows = selected.annotations
     by_class: dict[str, list] = {}
-    for a in selected.annotations:
-        by_class.setdefault(str(a.hard_label), []).append({"index": a.index})
-    rows = sorted(selected.annotations, key=lambda a: a.index)
+    for c, i in zip(rows.hard_label.tolist(), rows.index.tolist()):
+        by_class.setdefault(str(c), []).append({"index": i})
     return {
         "r_u": selected.r_u,
         "per_class_quota": selected.per_class_quota,
         "n_selected": len(selected),
         "selected_by_class": by_class,
-        "hard_label": np.array([a.hard_label for a in all_annotations], dtype="<i8"),
-        "distance": np.array([a.distance for a in all_annotations], dtype="<f8"),
-        "soft_label": np.array([a.soft_label for a in rows], dtype="<f8"),
+        "hard_label": all_annotations.hard_label.astype("<i8"),
+        "distance": all_annotations.distance.astype("<f8"),
+        "soft_label": rows.soft_label[np.argsort(rows.index)],
     }
 
 
@@ -262,14 +252,8 @@ def check_selection(dump: dict, n_unlabeled: int, n_classes: int) -> None:
 
 
 def selected_set_from_dump(dump: dict) -> SelectedSet:
-    """Rebuild the trusted set (without features) from a dump, in ascending index order."""
+    """Rebuild the trusted set from a dump: its rows in ascending index order, with zero-width features."""
     index = np.sort(_selected_rows(dump["selected_by_class"])[1])
-    soft = np.asarray(dump["soft_label"], dtype=np.float64)
-    annotations = list(map(PseudoAnnotation, index.tolist(), soft, dump["hard_label"][index].tolist(),
-                           repeat(np.empty(0)), dump["distance"][index]))
-    return SelectedSet(
-        annotations=annotations,
-        index_set=index.tolist(),
-        r_u=dump["r_u"],
-        per_class_quota=dump["per_class_quota"],
-    )
+    rows = pseudo_rows(dump["soft_label"], dump["hard_label"][index], np.empty((index.size, 0)), index,
+                       dump["distance"][index])
+    return SelectedSet(rows, index.tolist(), dump["r_u"], dump["per_class_quota"])

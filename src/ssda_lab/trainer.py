@@ -98,8 +98,8 @@ class TrainConfig:
             problems.append(f"t_val {self.t_val} exceeds t_max {self.t_max}")
         if self.patience < 1:
             problems.append("patience must be >= 1")
-        if self.base_lr <= 0:
-            problems.append("base_lr must be positive")
+        if not anneal_lr(self.base_lr, 1.0) > 0:  # the schedule's smallest lr, so none underflows to 0
+            problems.append(f"base_lr must be positive at the schedule's end, got {self.base_lr}")
         if not 0 <= self.seed < SEED_LIMIT:
             problems.append(f"seed must be in [0, 2**64), got {self.seed}")
         if problems:
@@ -272,12 +272,12 @@ def init_train_state(
         if resume_params is None:
             raise ValueError("self-training resumes from a baseline checkpoint")
         params = resume_params.copy()
-        rows = sorted(selected.annotations, key=lambda a: a.index)
-        selected_indices = [a.index for a in rows]
+        rows = selected.annotations[np.argsort(selected.annotations.index)]
+        selected_indices = rows.index.tolist()
         if config.use_hard_labels:
-            live = np.eye(split.n_classes)[[a.hard_label for a in rows]]
+            live = np.eye(split.n_classes)[rows.hard_label]
         else:
-            live = _check_simplex("live", [a.soft_label for a in rows])
+            live = _check_simplex("live", rows.soft_label)
     else:
         params = init_params(input_dim=split.spec.input_dim, hidden_dims=HIDDEN_DIMS, feature_dim=FEATURE_DIM,
                              n_classes=split.n_classes, temperature=TEMPERATURE, rng=seeded_rng(config.seed, "init"))

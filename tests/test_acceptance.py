@@ -31,9 +31,9 @@ from ssda_lab.network import (
     forward_features,
 )
 from ssda_lab.pseudolabel import (
-    PseudoAnnotation,
     infer_pseudo,
     per_class_quota,
+    pseudo_rows,
     reliability,
     select,
 )
@@ -146,10 +146,7 @@ def test_criterion_2_equation_unit_suite():
     assert per_class_quota(0.2, 100, 5) == 4
     assert per_class_quota(1.0, 470, 5) == 94
     anchors = {0: np.array([[0.0, 0.0]])}
-    annotations = [
-        PseudoAnnotation(index=i, soft_label=np.array([1.0]), hard_label=0, feature=np.array([1.0, 0.0]))
-        for i in range(4)
-    ]
+    annotations = pseudo_rows(np.ones((4, 1)), np.zeros(4, dtype=int), np.tile([1.0, 0.0], (4, 1)))
     assert select(annotations, anchors, 0.5, 4, 1).index_set == [0, 1]
     assert int(np.argmax(softmax(np.array([3.0, 3.0, 1.0])))) == 0  # argmax tie -> lowest index
     # label refresh convex blend
@@ -167,17 +164,9 @@ def test_criterion_3_selection_order_properties():
     for _ in range(200):
         n = int(rng.integers(1, 60))
         k = int(rng.integers(2, 7))
-        annotations = []
-        for i in range(n):
-            raw = rng.uniform(0.01, 1.0, size=k)
-            annotations.append(
-                PseudoAnnotation(
-                    index=i,
-                    soft_label=raw / raw.sum(),
-                    hard_label=int(np.argmax(raw)),
-                    feature=rng.standard_normal(3),
-                )
-            )
+        raw, features = map(np.stack, zip(*[(rng.uniform(0.01, 1.0, size=k), rng.standard_normal(3))
+                                            for _ in range(n)]))
+        annotations = pseudo_rows(raw / raw.sum(axis=1, keepdims=True), raw.argmax(axis=1), features)
         anchors = {c: rng.standard_normal((int(rng.integers(1, 4)), 3)) for c in range(k)}
         r_small = float(rng.uniform(0.01, 0.99))
         r_big = min(1.0, r_small + float(rng.uniform(0.01, 0.5)))

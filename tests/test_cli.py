@@ -148,8 +148,9 @@ class TestRunPipeline:
         assert len(seen) == cells
         for selected in seen:
             assert len(load_split(split).unlabeled_target) > 2 * len(selected) > 0
-            assert {a.soft_label.base.shape for a in selected.annotations} == {(len(selected), 5)}
-            assert {a.feature.size for a in selected.annotations} == {0}
+            assert selected.annotations.base is None and selected.annotations.shape == (len(selected),)
+            assert selected.annotations.soft_label.shape == (len(selected), 5)
+            assert selected.annotations.feature.shape == (len(selected), 0)
 
     def test_byte_identical_reports_for_identical_config(self, split_dir, tmp_path):
         for name in ("r1", "r2"):
@@ -287,6 +288,9 @@ BAD_CONFIGS = [
     pytest.param("run-pipeline", ["--t-max", "20", "--t-val", "25"], id="t_val_above_t_max"),
     pytest.param("run-pipeline", ["--patience", "0"], id="patience_0"),
     pytest.param("run-pipeline", ["--base-lr", "0"], id="base_lr_0"),
+    # positive, but the annealed lr underflows to 0 partway through the run
+    pytest.param("train-baseline", ["--base-lr", "5e-324", "--t-max", "100", "--t-val", "100"],
+                 id="base_lr_underflows"),
 ]
 
 

@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,10 +9,10 @@ from hypothesis import strategies as st
 from conftest import small_net
 from ssda_lab.coremath import seeded_rng
 from ssda_lab.pseudolabel import (
-    PseudoAnnotation,
     infer_pseudo,
     load_selection,
     per_class_quota,
+    pseudo_rows,
     reliability,
     save_selection,
     select,
@@ -23,22 +22,15 @@ from ssda_lab.pseudolabel import (
 
 
 def random_pool(seed, n=None, k=None, dim=3):
-    """Random annotation set + anchors, the raw material for selection properties."""
+    """Random pool + anchors, the raw material for selection properties; each row draws its soft label,
+    then its feature."""
     rng = seeded_rng(seed, "pool")
     n = n if n is not None else int(rng.integers(1, 60))
     k = k if k is not None else int(rng.integers(2, 7))
-    annotations = []
-    for i in range(n):
-        raw = rng.uniform(0.01, 1.0, size=k)
-        soft = raw / raw.sum()
-        annotations.append(
-            PseudoAnnotation(
-                index=i,
-                soft_label=soft,
-                hard_label=int(np.argmax(soft)),
-                feature=rng.standard_normal(dim),
-            )
-        )
+    raw, features = map(np.stack, zip(*[(rng.uniform(0.01, 1.0, size=k), rng.standard_normal(dim))
+                                        for _ in range(n)]))
+    soft = raw / raw.sum(axis=1, keepdims=True)
+    annotations = pseudo_rows(soft, soft.argmax(axis=1), features)
     anchors = {c: rng.standard_normal((int(rng.integers(1, 4)), dim)) for c in range(k)}
     return annotations, anchors, n, k
 
@@ -49,17 +41,16 @@ class TestInferPseudo:
         params.classifier_weights[:] = 0.0  # uniform output for every input
         rng = seeded_rng(0)
         annotations = infer_pseudo(params, rng.standard_normal((6, params.input_dim)))
-        assert all(a.hard_label == 0 for a in annotations)
+        assert annotations.hard_label.tolist() == [0] * 6
 
     def test_soft_labels_on_simplex(self):
         params = small_net(seed=2)
         rng = seeded_rng(2)
         annotations = infer_pseudo(params, rng.standard_normal((20, params.input_dim)))
-        for a in annotations:
-            assert abs(float(np.sum(a.soft_label)) - 1.0) < 1e-9
-            assert np.all(a.soft_label >= 0)
-            assert a.hard_label == int(np.argmax(a.soft_label))
-            assert a.distance is None
+        assert np.all(np.abs(annotations.soft_label.sum(axis=1) - 1.0) < 1e-9)
+        assert np.all(annotations.soft_label >= 0)
+        np.testing.assert_array_equal(annotations.hard_label, annotations.soft_label.argmax(axis=1))
+        assert np.all(np.isnan(annotations.distance))
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError, match="empty unlabeled set"):
@@ -79,17 +70,15 @@ class TestSelect:
     def test_full_ratio_selects_everything_when_balanced(self):
         # 10 samples per class, quota ceil(1.0 * 30 / 3) = 10 >= class counts
         annotations, anchors, n, k = random_pool(seed=1, n=30, k=3)
-        for i, a in enumerate(annotations):
-            a.hard_label = i % 3
+        annotations.hard_label = np.arange(n) % 3
         selected = select(annotations, anchors, r_u=1.0, n_u=n, n_classes=k)
         assert sorted(selected.index_set) == list(range(n))
 
     def test_absent_class_contributes_nothing(self):
         annotations, anchors, n, k = random_pool(seed=3, n=20, k=4)
-        for a in annotations:
-            a.hard_label = min(a.hard_label, 2)  # class 3 has no members
+        annotations.hard_label = np.minimum(annotations.hard_label, 2)  # class 3 has no members
         selected = select(annotations, anchors, r_u=0.5, n_u=n, n_classes=k)
-        assert all(a.hard_label != 3 for a in selected.annotations)
+        assert len(selected) and 3 not in selected.annotations.hard_label
 
     @pytest.mark.parametrize("drop", [
         pytest.param(lambda anchors, c: anchors.pop(c), id="missing"),
@@ -110,26 +99,20 @@ class TestSelect:
 
     def test_anchor_distance_hand_values(self):
         anchors = {0: np.array([[1.5, -2.0]]), 1: np.array([[0.0, 0.0], [2.0, 0.0]])}
-        annotations = [
-            PseudoAnnotation(index=0, soft_label=np.array([1.0, 0.0]), hard_label=0, feature=np.array([1.5, -2.0])),
-            PseudoAnnotation(index=1, soft_label=np.array([0.0, 1.0]), hard_label=1, feature=np.array([1.0, 0.0])),
-        ]
+        annotations = pseudo_rows(np.eye(2), [0, 1], [[1.5, -2.0], [1.0, 0.0]])
         select(annotations, anchors, r_u=1.0, n_u=2, n_classes=2)
-        assert [a.distance for a in annotations] == [0.0, 1.0]  # anchor at the sample; mean of 1 and 1
+        assert annotations.distance.tolist() == [0.0, 1.0]  # anchor at the sample; mean of 1 and 1
 
     def test_anchor_order_irrelevant(self):
         annotations, anchors, n, k = random_pool(seed=7)
         select(annotations, anchors, r_u=0.5, n_u=n, n_classes=k)
-        forward_order = [a.distance for a in annotations]
+        forward_order = annotations.distance.copy()
         select(annotations, {c: x[::-1] for c, x in anchors.items()}, r_u=0.5, n_u=n, n_classes=k)
-        np.testing.assert_allclose([a.distance for a in annotations], forward_order, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(annotations.distance, forward_order, rtol=0, atol=1e-12)
 
     def test_distance_ties_break_by_index(self):
         anchors = {0: np.array([[0.0, 0.0]])}
-        annotations = [
-            PseudoAnnotation(index=i, soft_label=np.array([1.0]), hard_label=0, feature=np.array([1.0, 0.0]))
-            for i in range(4)
-        ]
+        annotations = pseudo_rows(np.ones((4, 1)), np.zeros(4, dtype=int), np.tile([1.0, 0.0], (4, 1)))
         selected = select(annotations, anchors, r_u=0.5, n_u=4, n_classes=1)
         assert selected.index_set == [0, 1]  # all distances equal; lowest indices win
 
@@ -169,17 +152,16 @@ def test_select_matches_per_row_reference(seed, r_u, duplicate):
     """Distances equal the per-row mean L1 bit for bit, and the chosen order is (class, distance, index)."""
     annotations, anchors, n, k = random_pool(seed)
     if duplicate:  # copies of a few features, so equal distances must tie-break by index
-        for a in annotations[1::2]:
-            a.feature = annotations[0].feature.copy()
+        annotations.feature[1::2] = annotations.feature[0]
     selected = select(annotations, anchors, r_u=r_u, n_u=n, n_classes=k)
     distance, chosen = _reference_selection(annotations, anchors, selected.per_class_quota, k)
     assert [a.distance for a in annotations] == [distance[a.index] for a in annotations]
-    assert [a.index for a in selected.annotations] == chosen
+    assert selected.annotations.index.tolist() == chosen
 
 
 def test_hard_label_outside_classes_rejected():
     annotations, anchors, n, k = random_pool(seed=6)
-    annotations[0].hard_label = k
+    annotations.hard_label[0] = k
     with pytest.raises(ValueError, match=rf"hard labels must lie in \[0, {k}\)"):
         select(annotations, anchors, r_u=0.5, n_u=n, n_classes=k)
 
@@ -221,43 +203,44 @@ class TestReliability:
             reliability(hard, truth)
 
 
-class TestSlottedRecords:
-    def test_field_order_is_the_positional_one(self):
-        # infer_pseudo and selected_set_from_dump pass the fields by position
-        names = [f.name for f in fields(PseudoAnnotation)]
-        assert names == ["index", "soft_label", "hard_label", "feature", "distance"]
+class TestPoolRows:
+    def test_fields_are_the_documented_ones(self):
+        annotations, _, n, k = random_pool(seed=20, n=5, k=3)
+        assert annotations.dtype.names == ("index", "soft_label", "hard_label", "feature", "distance")
+        assert (annotations.soft_label.shape, annotations.feature.shape) == ((n, k), (n, 3))
 
-    def test_unknown_attribute_is_refused(self):
-        a = PseudoAnnotation(index=0, soft_label=np.ones(1), hard_label=0, feature=np.zeros(2))
-        assert not hasattr(a, "__dict__")
+    def test_unknown_attribute_is_refused_on_a_row(self):
+        row = pseudo_rows(np.ones((1, 1)), [0], np.zeros((1, 2)))[0]
         with pytest.raises(AttributeError):
-            a.confidence = 1.0
+            row.confidence = 1.0
+
+    def test_columns_of_different_lengths_are_refused(self):
+        with pytest.raises(ValueError, match="array-shape mismatch"):
+            pseudo_rows(np.ones((3, 2)), [0, 1], np.zeros((3, 2)))
 
     def test_select_fills_distance_on_every_hand_built_row(self):
         annotations, anchors, n, k = random_pool(seed=21, n=30, k=3)
-        assert all(a.distance is None for a in annotations)
+        assert np.all(np.isnan(annotations.distance))
         select(annotations, anchors, r_u=0.2, n_u=n, n_classes=k)
-        assert all(type(a.distance) is float and a.distance >= 0 for a in annotations)
+        assert np.all(annotations.distance >= 0)  # NaN fails the comparison
 
     def test_infer_pseudo_indexes_rows_in_order(self):
         params = small_net(seed=3)
         annotations = infer_pseudo(params, seeded_rng(3).standard_normal((17, params.input_dim)))
-        assert [a.index for a in annotations] == list(range(17))
-        assert all(type(a.index) is int and type(a.hard_label) is int for a in annotations)
+        assert annotations.index.tolist() == list(range(17))
+        assert annotations.dtype["index"] == annotations.dtype["hard_label"] == np.dtype("<i8")
 
-    def test_rebuilt_rows_match_per_row_construction(self):
+    def test_rebuilt_rows_match_the_dump(self):
         annotations, anchors, n, k = random_pool(seed=22, n=50, k=4)
         dump = selection_dump(select(annotations, anchors, r_u=0.4, n_u=n, n_classes=k), annotations)
         index = sorted(e["index"] for entries in dump["selected_by_class"].values() for e in entries)
-        hard, distance = dump["hard_label"], dump["distance"]
-        expected = [PseudoAnnotation(index=i, soft_label=row, hard_label=int(hard[i]), feature=np.empty(0),
-                                     distance=distance[i]) for i, row in zip(index, dump["soft_label"])]
         rebuilt = selected_set_from_dump(dump).annotations
-        assert len(rebuilt) == len(expected) > 0
-        for got, want in zip(rebuilt, expected):
-            assert (got.index, got.hard_label, got.distance) == (want.index, want.hard_label, want.distance)
-            assert [type(v) for v in (got.index, got.hard_label, got.distance)] == [int, int, np.float64]
-            assert got.soft_label.tobytes() == want.soft_label.tobytes() and got.feature.shape == (0,)
+        assert len(rebuilt) == len(index) > 0
+        assert rebuilt.index.tolist() == index
+        assert rebuilt.hard_label.tolist() == dump["hard_label"][index].tolist()
+        assert rebuilt.distance.tobytes() == dump["distance"][index].tobytes()
+        assert rebuilt.soft_label.tobytes() == dump["soft_label"].tobytes()
+        assert rebuilt.feature.shape == (len(index), 0)
 
 
 class TestSelectionDump:
@@ -281,11 +264,10 @@ class TestSelectionDump:
         assert rebuilt.index_set == selected.index_set
         assert rebuilt.r_u == selected.r_u
         assert rebuilt.per_class_quota == selected.per_class_quota
-        rows = sorted(selected.annotations, key=lambda a: a.index)
-        assert np.stack([a.soft_label for a in rebuilt.annotations]).tobytes() == \
-            np.stack([a.soft_label for a in rows]).tobytes()
-        assert dump["hard_label"].tobytes() == np.array([a.hard_label for a in annotations], "<i8").tobytes()
-        assert dump["distance"].tobytes() == np.array([a.distance for a in annotations], "<f8").tobytes()
+        order = np.argsort(selected.annotations.index)
+        assert rebuilt.annotations.soft_label.tobytes() == selected.annotations.soft_label[order].tobytes()
+        assert dump["hard_label"].tobytes() == annotations.hard_label.astype("<i8").tobytes()
+        assert dump["distance"].tobytes() == annotations.distance.astype("<f8").tobytes()
         assert dump["n_selected"] == len(selected) == len(dump["soft_label"])
         assert (dump["split_checksum"], dump["checkpoint_sha256"]) == ("split", "checkpoint")
         written = json.loads(path.read_text())

@@ -2,11 +2,14 @@
 
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# the microbenchmark's batch mixes, keyed by name
+STEP_MIXES = runpy.run_path(str(ROOT / "scripts" / "microbench.py"))["STEP_MIXES"]
 
 
 def run_script(name: str, *args: str, cwd: Path) -> subprocess.CompletedProcess:
@@ -30,12 +33,22 @@ def test_full_study_writes_its_directories(tmp_path):
 
 
 def test_microbench_prints_one_json_line(tmp_path):
+    # --repeats 1 takes about 2 s against a 5 s target; wall time is not asserted, since it
+    # swings with the machine's load, and the timeout only catches a hang
     proc = run_script("microbench.py", "--repeats", "1", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert len(lines) == 1
-    assert set(json.loads(lines[0])) == {"backward_us", "minimax_step_us", "stage2_us", "refresh_us",
-                                           "checkpoint_us", "settings"}
+    result = json.loads(lines[0])
+    assert set(result) == {"backward_us", "minimax_step_us", "stage2_us", "refresh_us", "checkpoint_us", "settings"}
+    assert set(result["backward_us"]) == {"hard", "soft", "entropy"}
+    assert set(result["minimax_step_us"]) == set(STEP_MIXES)
+    assert set(result["stage2_us"]) == {"infer_pseudo+select", "selection_dump", "selected_set_from_dump"}
+    assert set(result["checkpoint_us"]) == {"save", "load"}
+    assert all(v > 0 for key in ("backward_us", "minimax_step_us", "stage2_us", "checkpoint_us")
+               for v in result[key].values())
+    assert result["refresh_us"] > 0
+    assert (result["settings"]["repeats"], result["settings"]["OPENBLAS_NUM_THREADS"]) == (1, "1")
 
 
 def test_microbench_against_prints_both_sides_of_every_figure(tmp_path):
@@ -46,7 +59,8 @@ def test_microbench_against_prints_both_sides_of_every_figure(tmp_path):
     paired = json.loads(lines[0])
     assert set(paired) == {"this", "against", "wins", "settings"}
     names = {"backward_us.hard", "backward_us.soft", "backward_us.entropy", "stage2_us.infer_pseudo+select",
-             "stage2_us.selected_set_from_dump", "refresh_us", "checkpoint_us.save", "checkpoint_us.load"}
+             "stage2_us.selection_dump", "stage2_us.selected_set_from_dump", "refresh_us", "checkpoint_us.save",
+             "checkpoint_us.load"}
     assert names < set(paired["this"]) == set(paired["against"]) == set(paired["wins"])
     assert len([n for n in paired["this"] if n.startswith("minimax_step_us.")]) == 4
     assert all(paired[side][n] > 0 for side in ("this", "against") for n in paired["this"])

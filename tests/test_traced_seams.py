@@ -6,12 +6,16 @@ import importlib
 import importlib.util
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ssda_lab import network
+from ssda_lab.coremath import seeded_rng
 from ssda_lab.datasets import SSDASplit
+from ssda_lab.pseudolabel import pseudo_rows, select, selected_set_from_dump, selection_dump
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKER_PATH = ROOT / "perfbench" / "worker.py"
@@ -42,6 +46,23 @@ def test_degenerate_feature_events_can_be_reset_and_read():
     events = network.degenerate_feature_events
     assert callable(events.reset)
     assert isinstance(events.count, int)
+
+
+def test_selection_counters_read_the_pool_and_the_kept_rows():
+    """The worker counts the pool from ``select``'s first argument and the rebuilt set's soft rows."""
+    rng, n, k = seeded_rng(29, "counters"), 60, 4
+    soft = rng.dirichlet(np.ones(k), n)
+    pool = pseudo_rows(soft, soft.argmax(axis=1), rng.standard_normal((n, 3)))
+    args = (pool, {c: rng.standard_normal((2, 3)) for c in range(k)}, 0.3, n, k)
+    selected = select(*args)
+    dump = selection_dump(selected, pool)
+    counts = Counter()
+    WORKER._count_selection(counts, "pseudolabel.select", args, {}, selected)
+    WORKER._count_rebuilt_bytes(counts, "pseudolabel.selected_set_from_dump", (dump,), {},
+                                selected_set_from_dump(dump))
+    assert 0 < len(selected) < n
+    assert counts == {"pseudolabel.select.annotated": n, "pseudolabel.select.kept": len(selected),
+                      "pseudolabel.selected_set_from_dump.bytes": 8 * k * len(selected)}
 
 
 def test_perfbench_smoke_passes():
