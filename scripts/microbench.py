@@ -8,7 +8,9 @@ keeps of that pool, and ``save_checkpoint`` and ``load_checkpoint`` of the defau
 written to and read from a temporary directory with a warm page cache: its files are rewritten on every call, and
 the cache is not dropped, since that would change the machine's settings. Each figure is the median of
 ``--repeats`` x 500 step, refresh or checkpoint calls (x 10 stage-2 calls), each timed alone, so a burst of load
-on a shared machine moves it little. Every figure is in microseconds; one JSON line prints them.
+on a shared machine moves it little. Every timing is in microseconds. ``stage2_peak_mb`` is stage 2's memory: the
+``tracemalloc`` peak, in MB, of one ``infer_pseudo`` + ``select`` + ``selection_dump`` on that pool, which does not
+vary between runs of one tree. One JSON line prints the figures.
 
 With ``--against SRC`` the figures are paired instead: each of ``--repeats`` rounds times every figure once
 (one ``--repeats 1`` run in a fresh interpreter) on this checkout's ``src`` and once on ``SRC``, the side that
@@ -27,6 +29,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -80,10 +83,16 @@ def step_costs(calls: int) -> dict:
     return costs
 
 
-def stage2_costs(calls: int) -> dict:
+def stage2_inputs() -> tuple:
+    """The network, the 19 960-row pool and one anchor per class."""
     rng, params = seeded_rng(2, "microbench"), net(POOL_DIM, POOL_CLASSES)
     pool = rng.standard_normal((POOL_ROWS, POOL_DIM))
     anchors = {c: forward_features(rng.standard_normal((1, POOL_DIM)), params) for c in range(POOL_CLASSES)}
+    return params, pool, anchors
+
+
+def stage2_costs(calls: int) -> dict:
+    params, pool, anchors = stage2_inputs()
     stage2 = lambda annotations: select(annotations, anchors, 0.2, POOL_ROWS, POOL_CLASSES)  # noqa: E731
     annotations = infer_pseudo(params, pool)
     selected = stage2(annotations)
@@ -92,6 +101,19 @@ def stage2_costs(calls: int) -> dict:
         ("infer_pseudo+select", lambda: stage2(infer_pseudo(params, pool))),
         ("selection_dump", lambda: selection_dump(selected, annotations)),
         ("selected_set_from_dump", lambda: selected_set_from_dump(dump)))}
+
+
+def stage2_peak_mb() -> float:
+    """Megabytes at the ``tracemalloc`` peak of one ``infer_pseudo`` + ``select`` + ``selection_dump``."""
+    params, pool, anchors = stage2_inputs()
+    tracemalloc.start()
+    try:
+        annotations = infer_pseudo(params, pool)
+        selection_dump(select(annotations, anchors, 0.2, POOL_ROWS, POOL_CLASSES), annotations)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return round(peak / 1e6, 2)
 
 
 def refresh_cost(calls: int) -> float:
@@ -156,7 +178,7 @@ def main() -> None:
         print(json.dumps({**paired(args.against, args.repeats), "settings": settings}))
         return
     print(json.dumps({**step_costs(args.repeats * STEP_CALLS), "stage2_us": stage2_costs(args.repeats * STAGE2_CALLS),
-                      "refresh_us": refresh_cost(args.repeats * STEP_CALLS),
+                      "stage2_peak_mb": stage2_peak_mb(), "refresh_us": refresh_cost(args.repeats * STEP_CALLS),
                       "checkpoint_us": checkpoint_costs(args.repeats * STEP_CALLS), "settings": settings}))
 
 

@@ -21,34 +21,12 @@ import numpy as np
 
 from .artifacts import DataError, sha256
 from .coremath import SEED_LIMIT
-from .datasets import (
-    DomainPairSpec,
-    ShiftSpec,
-    SSDASplit,
-    default_benchmark_spec,
-    gen_split,
-    load_split,
-    save_split,
-    split_checksum,
-)
+from .datasets import (DomainPairSpec, ShiftSpec, SSDASplit, default_benchmark_spec, gen_split, load_split, save_split,
+                       split_checksum)
 from .network import NetworkParams, forward_features, load_checkpoint, save_checkpoint
-from .pseudolabel import (
-    check_selection,
-    infer_pseudo,
-    load_selection,
-    reliability,
-    save_selection,
-    select,
-    selected_set_from_dump,
-    selection_dump,
-)
-from .trainer import (
-    TrainConfig,
-    evaluate,
-    progressive_self_train,
-    save_report,
-    train_baseline,
-)
+from .pseudolabel import (check_selection, infer_pseudo, load_selection, reliability, save_selection, select,
+                          selected_set_from_dump, selection_dump)
+from .trainer import TrainConfig, evaluate, progressive_self_train, save_report, train_baseline
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

@@ -75,7 +75,8 @@ def l1_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     b = np.asarray(b, dtype=np.float64)
     if a.ndim == 0 or b.ndim == 0 or a.shape[-1] != b.shape[-1]:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return np.abs(a - b).sum(axis=-1)
+    d = np.subtract(a, b)
+    return np.abs(d, out=d).sum(axis=-1)  # in place: one broadcast temporary, not two
 
 
 def finite_diff_grad(

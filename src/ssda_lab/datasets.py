@@ -29,6 +29,10 @@ from .coremath import SEED_LIMIT, is_finite_number, is_int, seeded_rng
 
 SPLIT_FORMAT_VERSION = 2
 
+# Largest feature magnitude a split may hold: the head squares the network's features, which overflows above
+# 1.3e154 in float64, so this leaves the network 54 orders of magnitude of gain
+FEATURE_LIMIT = 1e100
+
 
 @dataclass(frozen=True)
 class ShiftSpec:
@@ -47,7 +51,8 @@ class ShiftSpec:
 
 @dataclass(frozen=True)
 class DomainPairSpec:
-    """Recipe for one source/target benchmark pair."""
+    """Recipe for one source/target benchmark pair.  ``gen_split`` refuses one whose drawn features exceed
+    ``FEATURE_LIMIT`` (1e100) in magnitude, or whose labeled target puts two classes on one point."""
 
     n_classes: int = 5
     input_dim: int = 2
@@ -230,15 +235,18 @@ class SSDASplit:
 def gen_split(spec: DomainPairSpec, n_t_per_class: int = 3, n_val_per_class: int = 3) -> SSDASplit:
     """Generate a domain pair and apply the split protocol, all from spec.seed.
 
-    A ``ValueError`` if any drawn feature is not finite (a shift or separation so large that it overflows),
-    since no stage can use such a split.
+    A ``ValueError`` if any drawn feature is not finite or exceeds ``FEATURE_LIMIT`` in magnitude, or if two
+    classes' labeled target anchors coincide, since no stage can use such a split.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, so the warning would only repeat it
         source, target = gen_domain_pair(spec)
-    if not (np.all(np.isfinite(source[0])) and np.all(np.isfinite(target[0]))):
-        raise ValueError("the drawn features overflow to non-finite values; lower the class separation "
-                         "(--separation) or the shift (--scale, --translation, --skew)")
+    if not all(np.all(np.abs(x) <= FEATURE_LIMIT) for x in (source[0], target[0])):  # NaN fails the comparison
+        raise ValueError(f"the drawn features overflow or exceed {FEATURE_LIMIT:g} in magnitude; lower the class "
+                         "separation (--separation) or the shift (--scale, --translation, --skew)")
     labeled, validation, unlabeled, truth = split_target(target, n_t_per_class, n_val_per_class, spec.seed)
+    if _shared_anchor(*labeled):
+        raise ValueError("two classes' labeled target anchors coincide, so anchor distances cannot tell them "
+                         "apart; raise the shift scale (--scale) or the class separation (--separation)")
     return SSDASplit(
         spec=spec,
         source=source,
@@ -264,9 +272,14 @@ def _labeled_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _shared_anchor(x: np.ndarray, y: np.ndarray) -> bool:
+    """Whether one labeled point carries the labels of two classes."""
+    return len(np.unique(x, axis=0)) < len(np.unique(np.column_stack([x, y]), axis=0))
+
+
 def _check_features(x: np.ndarray, name: str) -> np.ndarray:
-    if not np.all(np.isfinite(x)):
-        raise DataError(f"non-finite feature values in {name}")
+    if not np.all(np.abs(x) <= FEATURE_LIMIT):  # NaN fails the comparison
+        raise DataError(f"non-finite feature values, or values above {FEATURE_LIMIT:g} in magnitude, in {name}")
     return np.ascontiguousarray(x)
 
 
@@ -355,7 +368,9 @@ def load_split(split_dir: str | Path) -> SSDASplit:
     and labels in [0, n_classes), and the labeled and validation targets
     must hold ``n_t_per_class`` and ``n_val_per_class`` rows of every class,
     as ``split_target`` draws them, and the unlabeled target at least one
-    row, which every stage scores; each failure is a ``DataError``.
+    row, which every stage scores; as in ``gen_split``, no feature may exceed
+    ``FEATURE_LIMIT`` in magnitude and no labeled point may carry two classes;
+    each failure is a ``DataError``.
     """
     root = Path(split_dir)
     manifest = read_record(root / "manifest.json", SPLIT_FORMAT_VERSION, "split manifest", "spec",
@@ -388,7 +403,7 @@ def load_split(split_dir: str | Path) -> SSDASplit:
                             "gen-data draws")
         return x, y
 
-    return SSDASplit(
+    split = SSDASplit(
         spec=spec,
         source=xy("source.npy"),
         labeled_target=xy("labeled_target.npy", manifest["n_t_per_class"]),
@@ -398,6 +413,9 @@ def load_split(split_dir: str | Path) -> SSDASplit:
         n_t_per_class=manifest["n_t_per_class"],
         n_val_per_class=manifest["n_val_per_class"],
     )
+    if _shared_anchor(*split.labeled_target):
+        raise DataError("labeled_target.npy puts two classes on one point, so anchor distances cannot tell them apart")
+    return split
 
 
 def default_benchmark_spec(seed: int = 0) -> DomainPairSpec:

@@ -11,9 +11,12 @@ A checkpoint stores that vector as a ``.npy`` table beside a JSON record of
 its ``layout()``.
 
 Inference over more than ``ROW_BLOCK`` rows (a whole unlabeled pool, a
-test set) runs in row blocks, so the pool's hidden activations are never
-held at once; every row gets the bits a one-shot pass gives it.  Training
-batches and validation sets are smaller than one block and never split.
+test set) runs in the near-equal blocks ``row_blocks`` bounds, so the
+pool's hidden activations are never held at once; every row gets the bits
+a one-shot pass gives it.  ``pseudolabel.infer_pseudo`` runs the same
+blocks through ``_forward_extractor`` and ``_head`` itself, to write both
+into its pool.  Training batches and validation sets are smaller than one
+block and never split.
 
 The step's reductions call the ufuncs themselves (``np.add.reduce``,
 ``np.maximum.reduce``, and ``np.add.reduce(v) / n`` for a mean): these are
@@ -188,17 +191,20 @@ def _forward_extractor(x: np.ndarray, params: NetworkParams) -> list[np.ndarray]
     return h
 
 
+def row_blocks(n: int) -> list[slice]:
+    """Near-equal slices of at most ``ROW_BLOCK`` rows that cover ``range(n)``; at most ``ROW_BLOCK`` rows is one."""
+    blocks = max(1, -(-n // ROW_BLOCK))
+    return [slice(i * n // blocks, (i + 1) * n // blocks) for i in range(blocks)]
+
+
 def _by_row_blocks(fn, x: np.ndarray, width: int) -> np.ndarray:
-    """``fn(x)`` for a row-wise ``fn`` giving ``width`` columns, run over near-equal blocks of at most
-    ``ROW_BLOCK`` rows into one preallocated array; an input of at most ``ROW_BLOCK`` rows is one call."""
-    n = len(x)
-    if n <= ROW_BLOCK:
+    """``fn(x)`` for a row-wise ``fn`` giving ``width`` columns, run over ``row_blocks`` into one preallocated
+    array; an input of at most ``ROW_BLOCK`` rows is one call."""
+    if len(x) <= ROW_BLOCK:
         return fn(x)
-    blocks = -(-n // ROW_BLOCK)
-    out = np.empty((n, width))
-    for i in range(blocks):
-        lo, hi = i * n // blocks, (i + 1) * n // blocks
-        out[lo:hi] = fn(x[lo:hi])
+    out = np.empty((len(x), width))
+    for rows in row_blocks(len(x)):
+        out[rows] = fn(x[rows])
     return out
 
 
@@ -235,11 +241,6 @@ def _head(f: np.ndarray, params: NetworkParams) -> tuple[np.ndarray, np.ndarray,
     logits = dot(g, params.classifier_weights.T)
     logits /= params.temperature
     return g, norms, degenerate, softmax(logits)
-
-
-def forward_classifier(f: np.ndarray, params: NetworkParams) -> np.ndarray:
-    """Predictions p = softmax(W (f/||f||) / T) for an (n, feature_dim) feature batch."""
-    return _by_row_blocks(lambda fb: _head(fb, params)[3], f, params.n_classes)
 
 
 def forward(x: np.ndarray, params: NetworkParams) -> np.ndarray:

@@ -6,12 +6,14 @@ hard-label class, samples are ranked by mean L1 distance between their
 feature vector and the few labeled target anchors of that class, and the
 closest ceil(r_u * n_u / K) are kept as the trusted set.
 
-A pool of samples is one record array, built by ``pseudo_rows``: row i
+A pool of samples is one record array of ``pseudo_rows``' layout: row i
 holds sample ``index``, its ``soft_label`` and ``hard_label``, the
-``feature`` it is ranked by and its anchor ``distance``.  Stage 2 works
-on those columns, not on per-row objects.  Its one product is the
-selection dump, whose columns are arrays; the set rebuilt from it holds
-the kept rows only, with zero-width features.
+``feature`` it is ranked by and its anchor ``distance``.  Stage 2 holds
+the unlabeled pool once: ``infer_pseudo`` fills that array block by block,
+and ``select`` writes its distances in place.  Stage 2 works on those
+columns, not on per-row objects.  Its one product is the selection dump,
+whose columns are arrays.  A selected set holds the kept rows only, with
+zero-width features, whether ``select`` made it or the dump rebuilt it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,12 @@ import numpy as np
 
 from .artifacts import DataError, read_record, read_table, table_path, write_table
 from .coremath import l1_distance
-from .network import NetworkParams, forward_classifier, forward_features
+from .network import NetworkParams, _checked_input, _forward_extractor, _head, row_blocks
+
+
+def _row_dtype(soft_shape: tuple, feature_shape: tuple) -> np.dtype:
+    return np.dtype([("index", "<i8"), ("soft_label", "<f8", soft_shape), ("hard_label", "<i8"),
+                     ("feature", "<f8", feature_shape), ("distance", "<f8")])
 
 
 def pseudo_rows(soft, hard, features, index=None, distance=None) -> np.recarray:
@@ -37,18 +44,18 @@ def pseudo_rows(soft, hard, features, index=None, distance=None) -> np.recarray:
     ``a.distance`` and ``a.index`` row by row.
     """
     n = len(soft)
-    dtype = [("index", "<i8"), ("soft_label", "<f8", np.shape(soft)[1:]), ("hard_label", "<i8"),
-             ("feature", "<f8", np.shape(features)[1:]), ("distance", "<f8")]
     return np.rec.fromarrays([np.arange(n) if index is None else index, soft, hard, features,
-                              np.full(n, np.nan) if distance is None else distance], dtype=dtype)
+                              np.full(n, np.nan) if distance is None else distance],
+                             dtype=_row_dtype(np.shape(soft)[1:], np.shape(features)[1:]))
 
 
 @dataclass
 class SelectedSet:
     """The trusted pseudo-labeled subset and the quota that produced it.
 
-    ``annotations`` holds the kept rows (``pseudo_rows`` records), in (class, distance) order from ``select`` and
-    in index order from ``selected_set_from_dump``; ``index_set`` holds their indices in ascending order.
+    ``annotations`` holds the kept rows (``pseudo_rows`` records with zero-width features), in (class, distance)
+    order from ``select`` and in index order from ``selected_set_from_dump``; ``index_set`` holds their indices
+    in ascending order.
     """
 
     annotations: np.recarray
@@ -61,12 +68,20 @@ class SelectedSet:
 
 
 def infer_pseudo(params: NetworkParams, unlabeled_x: np.ndarray) -> np.recarray:
-    """Forward-pass the unlabeled pool: row i is sample i, its hard label the argmax (ties to the lowest class)."""
-    features = forward_features(unlabeled_x, params)
-    if not len(features):
+    """Forward-pass the unlabeled pool: row i is sample i, its hard label the argmax (ties to the lowest class).
+
+    One pass over ``row_blocks`` writes each block's features and predictions straight into the one record
+    array, with the bits and the degenerate-feature count of a one-shot pass."""
+    x = _checked_input(unlabeled_x, params)
+    if not len(x):
         raise ValueError("empty unlabeled set")
-    probs = forward_classifier(features, params)
-    return pseudo_rows(probs, probs.argmax(axis=1), features)
+    pool = np.recarray(len(x), dtype=_row_dtype((params.n_classes,), (params.widths[-2],)))
+    pool.index, pool.distance = np.arange(len(x)), np.nan
+    for rows in row_blocks(len(x)):
+        f = _forward_extractor(x[rows], params)[-1]
+        p = _head(f, params)[3]
+        pool.feature[rows], pool.soft_label[rows], pool.hard_label[rows] = f, p, p.argmax(axis=1)
+    return pool
 
 
 def per_class_quota(r_u: float, n_u: int, n_classes: int) -> int:
@@ -102,7 +117,9 @@ def select(annotations: np.recarray, anchor_features_by_class: dict[int, np.ndar
         dist = l1_distance(annotations.feature[members][:, None, :], anchors).mean(axis=1)
         annotations.distance[members] = dist
         chosen.append(members[np.lexsort((annotations.index[members], dist))[:quota]])
-    kept = annotations[np.concatenate(chosen)]
+    order = np.concatenate(chosen)
+    kept = pseudo_rows(annotations.soft_label[order], hard[order], np.empty((order.size, 0)),
+                       annotations.index[order], annotations.distance[order])
     return SelectedSet(annotations=kept, index_set=np.sort(kept.index).tolist(), r_u=r_u, per_class_quota=quota)
 
 

@@ -33,16 +33,7 @@ import numpy as np
 
 from .coremath import LOG_CLAMP, SEED_LIMIT, is_finite_number, is_int, seeded_rng
 from .datasets import SSDASplit
-from .network import (
-    NetworkParams,
-    anneal_lr,
-    backward,
-    forward,
-    group_sizes,
-    init_params,
-    sgd_step,
-    zero_grads,
-)
+from .network import NetworkParams, anneal_lr, backward, forward, group_sizes, init_params, sgd_step, zero_grads
 from .pseudolabel import SelectedSet, reliability
 
 

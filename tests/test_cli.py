@@ -104,6 +104,9 @@ class TestGenData:
             ["--seed=-1"],                   # seeded_rng would draw what 2**64 - 1 draws
             ["--skew", "1e308"],             # finite, but the drawn target features overflow to inf
             ["--scale", "1e308"],
+            ["--scale", "1e300"],            # finite, but the head's squared features would overflow
+            ["--separation", "1e308"],
+            ["--scale", "1e-320"],           # the translation absorbs the shift: every target row is one point
         ]
         for flags in cases:
             out = tmp_path / "s"
@@ -192,6 +195,20 @@ class TestRunPipeline:
         _edit_split_table(bad, "source.npy", lambda rows: rows["x"].__setitem__((0, 0), np.nan))
         assert main(["run-pipeline", "--split", str(bad), "--out", str(tmp_path / "o"), *FAST]) == EXIT_DATA
         assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("table, edit, message", [
+        ("unlabeled_target.npy", lambda x: x.__setitem__((0, 0), 1e101), "above 1e+100 in magnitude"),
+        ("labeled_target.npy", lambda rows: rows["x"].__setitem__(rows["y"] == 1, rows["x"][rows["y"] == 0]),
+         "puts two classes on one point"),
+    ], ids=["feature_above_bound", "anchors_coincide"])
+    def test_split_no_stage_can_use_exits_3_before_out(self, tmp_path, capsys, table, edit, message):
+        """A hand-made split that gen-data would refuse to draw is refused as data."""
+        split = tmp_path / "split"
+        assert main(gen_args(split, shots=1)) == EXIT_OK
+        _edit_split_table(split, table, edit)
+        assert main(["train-baseline", "--split", str(split), "--out", str(tmp_path / "o"), *FAST]) == EXIT_DATA
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["train-baseline", "pseudo-label", "self-train", "run-pipeline",

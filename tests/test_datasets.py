@@ -10,6 +10,7 @@ from conftest import npy_bytes
 from ssda_lab.artifacts import DataError
 from ssda_lab.coremath import seeded_rng
 from ssda_lab.datasets import (
+    FEATURE_LIMIT,
     DomainPairSpec,
     ShiftSpec,
     class_means,
@@ -313,6 +314,23 @@ class TestManifestChecks:
         with pytest.raises(DataError, match=r"labeled_target.npy has labels outside \[0, 3\)"):
             load_split(tmp_path / "split")
 
+    @pytest.mark.parametrize("name, edit, message", [
+        ("unlabeled_target.npy", lambda x: x.__setitem__((0, 0), 1.7976931348623157e308),
+         r"above 1e\+100 in magnitude, in unlabeled_target.npy"),
+        ("source.npy", lambda rows: rows["x"].__setitem__((0, 1), -1.0000000000000002e100),
+         r"above 1e\+100 in magnitude, in source.npy"),
+        ("labeled_target.npy", lambda rows: rows["x"].__setitem__(rows["y"] == 1, rows["x"][rows["y"] == 0]),
+         "puts two classes on one point"),
+    ], ids=["unlabeled_float64_max", "source_just_above_bound", "anchors_coincide"])
+    def test_split_no_stage_can_use_under_valid_checksum(self, tmp_path, name, edit, message):
+        """What gen_split refuses to draw, load_split refuses to read."""
+        save_split(gen_split(small_spec(), 1, 2), tmp_path / "split")
+        rows = np.load(tmp_path / "split" / name)
+        edit(rows)
+        _restamped(tmp_path / "split", name, npy_bytes(rows))
+        with pytest.raises(DataError, match=message):
+            load_split(tmp_path / "split")
+
     @pytest.mark.parametrize("name, per_class", [("labeled_target.npy", 3), ("validation_target.npy", 2)])
     def test_class_short_of_its_rows_under_valid_checksum(self, tmp_path, name, per_class):
         """Relabeling a row moves it to another class, so one class holds fewer rows than split_target draws."""
@@ -406,10 +424,10 @@ class TestTableParsing:
     def test_large_split_round_trips_bit_exactly(self, tmp_path):
         spec = small_spec(n_classes=10, input_dim=8, n_source=200, n_target=20000, class_separation=8.0)
         split = gen_split(spec, 1, 3)
-        # magnitudes across the float64 range, signed zero, subnormals and the extremes
-        scales = 10.0 ** seeded_rng(0, "scales").integers(-300, 300, size=split.unlabeled_target.shape)
+        # magnitudes across the range a split may hold: signed zero, subnormals, and the bound itself
+        scales = 10.0 ** seeded_rng(0, "scales").integers(-300, 98, size=split.unlabeled_target.shape)
         x = split.unlabeled_target * scales
-        x[0, :4] = [5e-324, -0.0, 2.2250738585072014e-308, 1.7976931348623157e308]
+        x[0, :4] = [5e-324, -0.0, 2.2250738585072014e-308, -FEATURE_LIMIT]
         wide = replace(split, unlabeled_target=x)
         save_split(wide, tmp_path / "a")
         loaded = load_split(tmp_path / "a")

@@ -30,7 +30,6 @@ from ssda_lab.network import (
     backward,
     degenerate_feature_events,
     forward,
-    forward_classifier,
     forward_features,
     group_sizes,
     init_params,
@@ -110,34 +109,39 @@ class TestForwardFeatures:
         assert runs[0] == runs[1]
 
 
-class TestForwardClassifier:
+def _predictions(f: np.ndarray, params: NetworkParams) -> np.ndarray:
+    """The head's predictions for an (n, feature_dim) feature batch."""
+    return _head(f, params)[3]
+
+
+class TestHead:
     def test_identical_rows_give_uniform(self, rng):
         f = rng.standard_normal((1, 6))
         params = small_net()
         params.classifier_weights[:] = np.tile(rng.standard_normal(6), (3, 1))
-        np.testing.assert_allclose(forward_classifier(f, params), np.full((1, 3), 1 / 3), atol=1e-12)
+        np.testing.assert_allclose(_predictions(f, params), np.full((1, 3), 1 / 3), atol=1e-12)
 
     def test_scale_invariance(self, rng):
         params = small_net()
         f = rng.standard_normal((1, 6))
-        p1 = forward_classifier(f, params)
-        p2 = forward_classifier(10.0 * f, params)
+        p1 = _predictions(f, params)
+        p2 = _predictions(10.0 * f, params)
         assert int(np.argmax(p1[0])) == int(np.argmax(p2[0]))
         np.testing.assert_allclose(p1, p2, atol=1e-9)
 
     def test_halving_temperature_sharpens(self, rng):
         params = small_net(seed=3)
         f = rng.standard_normal((1, 6))
-        p_base = forward_classifier(f, params)
+        p_base = _predictions(f, params)
         sharp = small_net(seed=3)
         sharp.temperature = params.temperature / 2.0
-        p_sharp = forward_classifier(f, sharp)
+        p_sharp = _predictions(f, sharp)
         assert np.max(p_sharp) > np.max(p_base)
 
     def test_degenerate_feature_fallback_counts(self):
         params = small_net()
         degenerate_feature_events.reset()
-        p = forward_classifier(np.zeros((1, 6)), params)
+        p = _predictions(np.zeros((1, 6)), params)
         assert degenerate_feature_events.count == 1
         assert np.all(np.isfinite(p))
 
@@ -172,9 +176,12 @@ class TestRowBlocks:
         probs = _head(features, params)[3]
         one_shot_events = degenerate_feature_events.count
         assert one_shot_events > 0
+        pool = lambda: infer_pseudo(params, x)  # noqa: E731
         checks = [("forward_features", lambda: forward_features(x, params), features),
-                  ("forward_classifier", lambda: forward_classifier(features, params), probs),
-                  ("forward", lambda: forward(x, params), probs)]
+                  ("forward", lambda: forward(x, params), probs),
+                  ("infer_pseudo", lambda: pool().feature, features),
+                  ("infer_pseudo", lambda: pool().soft_label, probs),
+                  ("infer_pseudo", lambda: pool().hard_label, probs.argmax(axis=1))]
         for name, call, one_shot in checks:
             degenerate_feature_events.reset()
             np.testing.assert_array_equal(call(), one_shot, err_msg=f"numpy {np.__version__}, blas "
@@ -182,8 +189,8 @@ class TestRowBlocks:
             assert degenerate_feature_events.count == (0 if name == "forward_features" else one_shot_events)
 
     # tracemalloc peaks on a 19 960 x 8 pool: a one-shot pass holds two (n, 64) float64 activations and
-    # peaks near 25 MB in both calls; in row blocks evaluate peaks near 3 MB, and infer_pseudo near 14 MB,
-    # most of it the per-row annotations it returns.
+    # peaks near 25 MB in both calls; in row blocks evaluate peaks near 3 MB, and infer_pseudo near 9 MB,
+    # most of it the 7.2 MB record array it returns.
     @pytest.mark.parametrize("call, bound_mb", [
         (lambda params, x: evaluate(params, x, np.zeros(len(x), dtype=int)), 6),
         (infer_pseudo, 16),
@@ -199,6 +206,19 @@ class TestRowBlocks:
         finally:
             tracemalloc.stop()
         assert peak < bound_mb * 1e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_infer_pseudo_holds_the_pool_once(self):
+        """Features and predictions go straight into the record array: no pool-sized copy of either column."""
+        params = _pool_net(8, 10)
+        x = seeded_rng(8, "pool").standard_normal((19960, 8))
+        tracemalloc.start()
+        try:
+            pool = infer_pseudo(params, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 1.23 here; a separate feature array, prediction array and record copy reach 2.0
+        assert peak < 1.5 * pool.nbytes, f"peak {peak / pool.nbytes:.2f} x the pool's {pool.nbytes} bytes"
 
 
 class TestBackward:

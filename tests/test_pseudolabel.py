@@ -242,6 +242,16 @@ class TestPoolRows:
         assert rebuilt.soft_label.tobytes() == dump["soft_label"].tobytes()
         assert rebuilt.feature.shape == (len(index), 0)
 
+    def test_selected_and_rebuilt_sets_have_one_row_shape(self):
+        annotations, anchors, n, k = random_pool(seed=23, n=60, k=4)
+        selected = select(annotations, anchors, r_u=0.5, n_u=n, n_classes=k)
+        sets = [selected.annotations, selected_set_from_dump(selection_dump(selected, annotations)).annotations]
+        assert sets[0].dtype == sets[1].dtype
+        kept, rebuilt = (rows[np.argsort(rows.index)] for rows in sets)
+        assert kept.feature.shape == rebuilt.feature.shape == (len(selected), 0)
+        for column in ("index", "hard_label", "soft_label", "distance"):
+            assert kept[column].tobytes() == rebuilt[column].tobytes(), column
+
 
 class TestSelectionDump:
     def test_dump_holds_no_provenance(self):

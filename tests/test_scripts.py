@@ -40,14 +40,15 @@ def test_microbench_prints_one_json_line(tmp_path):
     lines = proc.stdout.splitlines()
     assert len(lines) == 1
     result = json.loads(lines[0])
-    assert set(result) == {"backward_us", "minimax_step_us", "stage2_us", "refresh_us", "checkpoint_us", "settings"}
+    assert set(result) == {"backward_us", "minimax_step_us", "stage2_us", "stage2_peak_mb", "refresh_us",
+                           "checkpoint_us", "settings"}
     assert set(result["backward_us"]) == {"hard", "soft", "entropy"}
     assert set(result["minimax_step_us"]) == set(STEP_MIXES)
     assert set(result["stage2_us"]) == {"infer_pseudo+select", "selection_dump", "selected_set_from_dump"}
     assert set(result["checkpoint_us"]) == {"save", "load"}
     assert all(v > 0 for key in ("backward_us", "minimax_step_us", "stage2_us", "checkpoint_us")
                for v in result[key].values())
-    assert result["refresh_us"] > 0
+    assert result["refresh_us"] > 0 and result["stage2_peak_mb"] > 0
     assert (result["settings"]["repeats"], result["settings"]["OPENBLAS_NUM_THREADS"]) == (1, "1")
 
 
@@ -59,8 +60,8 @@ def test_microbench_against_prints_both_sides_of_every_figure(tmp_path):
     paired = json.loads(lines[0])
     assert set(paired) == {"this", "against", "wins", "settings"}
     names = {"backward_us.hard", "backward_us.soft", "backward_us.entropy", "stage2_us.infer_pseudo+select",
-             "stage2_us.selection_dump", "stage2_us.selected_set_from_dump", "refresh_us", "checkpoint_us.save",
-             "checkpoint_us.load"}
+             "stage2_us.selection_dump", "stage2_us.selected_set_from_dump", "stage2_peak_mb", "refresh_us",
+             "checkpoint_us.save", "checkpoint_us.load"}
     assert names < set(paired["this"]) == set(paired["against"]) == set(paired["wins"])
     assert len([n for n in paired["this"] if n.startswith("minimax_step_us.")]) == 4
     assert all(paired[side][n] > 0 for side in ("this", "against") for n in paired["this"])
