@@ -240,7 +240,7 @@ def gen_split(spec: DomainPairSpec, n_t_per_class: int = 3, n_val_per_class: int
     """
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, so the warning would only repeat it
         source, target = gen_domain_pair(spec)
-    if not all(np.all(np.abs(x) <= FEATURE_LIMIT) for x in (source[0], target[0])):  # NaN fails the comparison
+    if not (_within_limit(source[0]) and _within_limit(target[0])):
         raise ValueError(f"the drawn features overflow or exceed {FEATURE_LIMIT:g} in magnitude; lower the class "
                          "separation (--separation) or the shift (--scale, --translation, --skew)")
     labeled, validation, unlabeled, truth = split_target(target, n_t_per_class, n_val_per_class, spec.seed)
@@ -272,13 +272,21 @@ def _labeled_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _within_limit(x: np.ndarray) -> bool:
+    """Every entry at most ``FEATURE_LIMIT`` in magnitude; NaN fails the comparisons.  No temporary array."""
+    return -FEATURE_LIMIT <= np.min(x, initial=0.0) <= np.max(x, initial=0.0) <= FEATURE_LIMIT
+
+
 def _shared_anchor(x: np.ndarray, y: np.ndarray) -> bool:
-    """Whether one labeled point carries the labels of two classes."""
-    return len(np.unique(x, axis=0)) < len(np.unique(np.column_stack([x, y]), axis=0))
+    """Whether one labeled point carries two classes' labels.  ``np.lexsort`` makes equal points neighbours;
+    ``np.unique(axis=0)`` would too, but its first call in a process takes about 6 ms."""
+    order = np.lexsort(x.T)
+    x, y = x[order], y[order]
+    return bool(np.any(np.all(x[1:] == x[:-1], axis=1) & (y[1:] != y[:-1])))
 
 
 def _check_features(x: np.ndarray, name: str) -> np.ndarray:
-    if not np.all(np.abs(x) <= FEATURE_LIMIT):  # NaN fails the comparison
+    if not _within_limit(x):
         raise DataError(f"non-finite feature values, or values above {FEATURE_LIMIT:g} in magnitude, in {name}")
     return np.ascontiguousarray(x)
 

@@ -11,12 +11,10 @@ A checkpoint stores that vector as a ``.npy`` table beside a JSON record of
 its ``layout()``.
 
 Inference over more than ``ROW_BLOCK`` rows (a whole unlabeled pool, a
-test set) runs in the near-equal blocks ``row_blocks`` bounds, so the
-pool's hidden activations are never held at once; every row gets the bits
-a one-shot pass gives it.  ``pseudolabel.infer_pseudo`` runs the same
-blocks through ``_forward_extractor`` and ``_head`` itself, to write both
-into its pool.  Training batches and validation sets are smaller than one
-block and never split.
+test set) runs in the blocks ``row_blocks`` bounds (``infer_pseudo`` too),
+so the pool's hidden activations are never held at once; every row gets
+the bits a one-shot pass gives it.  Training batches and validation sets
+are smaller than one block and never split.
 
 The step's reductions call the ufuncs themselves (``np.add.reduce``,
 ``np.maximum.reduce``, and ``np.add.reduce(v) / n`` for a mean): these are

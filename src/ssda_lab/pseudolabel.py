@@ -53,9 +53,8 @@ def pseudo_rows(soft, hard, features, index=None, distance=None) -> np.recarray:
 class SelectedSet:
     """The trusted pseudo-labeled subset and the quota that produced it.
 
-    ``annotations`` holds the kept rows (``pseudo_rows`` records with zero-width features), in (class, distance)
-    order from ``select`` and in index order from ``selected_set_from_dump``; ``index_set`` holds their indices
-    in ascending order.
+    ``annotations`` holds the kept rows (``pseudo_rows`` records, zero-width features), in (class, distance) order
+    from ``select`` and in index order from ``selected_set_from_dump``; ``index_set`` holds their indices, ascending.
     """
 
     annotations: np.recarray
