@@ -29,8 +29,8 @@ from .coremath import SEED_LIMIT, is_finite_number, is_int, seeded_rng
 
 SPLIT_FORMAT_VERSION = 2
 
-# Largest feature magnitude a split may hold: the head squares the network's features, which overflows above
-# 1.3e154 in float64, so this leaves the network 54 orders of magnitude of gain
+# Largest feature magnitude a split may hold: the head squares the network's features, and a float64 square
+# overflows for a feature above 1.3e154, so this leaves the network 54 orders of magnitude of gain
 FEATURE_LIMIT = 1e100
 
 

@@ -202,12 +202,12 @@ class TestRunPipeline:
         ("labeled_target.npy", lambda rows: rows["x"].__setitem__(rows["y"] == 1, rows["x"][rows["y"] == 0]),
          "puts two classes on one point"),
     ], ids=["feature_above_bound", "anchors_coincide"])
-    def test_split_no_stage_can_use_exits_3_before_out(self, tmp_path, capsys, table, edit, message):
+    def test_split_no_stage_can_use_exits_3_before_out(self, split_dir, tmp_path, capsys, table, edit, message):
         """A hand-made split that gen-data would refuse to draw is refused as data."""
-        split = tmp_path / "split"
-        assert main(gen_args(split, shots=1)) == EXIT_OK
-        _edit_split_table(split, table, edit)
-        assert main(["train-baseline", "--split", str(split), "--out", str(tmp_path / "o"), *FAST]) == EXIT_DATA
+        bad = tmp_path / "unusable"
+        shutil.copytree(split_dir, bad)
+        _edit_split_table(bad, table, edit)
+        assert main(["train-baseline", "--split", str(bad), "--out", str(tmp_path / "o"), *FAST]) == EXIT_DATA
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
