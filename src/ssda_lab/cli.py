@@ -49,10 +49,7 @@ def _config_flags(parser: argparse.ArgumentParser, r_u: bool = True) -> None:
         parser.add_argument("--r-u", dest="r_u", type=float, help="pseudo-label selection ratio")
     parser.add_argument("--label-momentum", dest="label_momentum", type=float)
     parser.add_argument("--hard-labels", dest="use_hard_labels", action="store_true", default=None)
-    parser.add_argument("--base-lr", dest="base_lr", type=float)
     parser.add_argument("--t-max", dest="t_max", type=int)
-    parser.add_argument("--t-val", dest="t_val", type=int)
-    parser.add_argument("--patience", type=int)
     parser.add_argument("--seed", type=int)
 
 
@@ -78,12 +75,18 @@ def _output_path(raw: str) -> Path:
 # -- artifacts checked against their split --
 
 
-def _load_params(path: str, split: SSDASplit) -> NetworkParams:
-    """A checkpoint's params, refused unless their input dim and class count match ``split``."""
-    params = load_checkpoint(path)["params"]
+def _load_params(path: str, split: SSDASplit, baseline: bool = False) -> NetworkParams:
+    """A checkpoint's params, refused unless their input dim and class count match ``split`` and, where
+    ``baseline`` is set, unless its ``extra`` is an object whose ``stage`` is ``"baseline"``."""
+    checkpoint = load_checkpoint(path)
+    params = checkpoint["params"]
     if (params.input_dim, params.n_classes) != (split.spec.input_dim, split.n_classes):
         raise DataError(f"checkpoint {path} has input dim {params.input_dim} and {params.n_classes} classes, "
                         f"the split has {split.spec.input_dim} and {split.n_classes}")
+    stage = checkpoint["extra"].get("stage") if isinstance(checkpoint["extra"], dict) else None
+    if baseline and stage != "baseline":
+        raise DataError(f"checkpoint {path} records stage {stage!r}: stages 2 and 3 start from a train-baseline "
+                        "checkpoint, whose stage is 'baseline'")
     return params
 
 
@@ -180,7 +183,7 @@ def _stage_inputs(args: argparse.Namespace, per_cell: frozenset = frozenset()):
     if out.resolve() == Path(args.split).resolve():
         raise ConfigError(f"--out {args.out} is the --split directory, whose manifest.json the run would overwrite")
     split = load_split(args.split)
-    params = _load_params(args.checkpoint, split) if "checkpoint" in args else None
+    params = _load_params(args.checkpoint, split, baseline=True) if "checkpoint" in args else None
     selected = selected_set_from_dump(_load_dump(args, split)) if "selection" in args else None
     if selected is not None:
         config = replace(config, r_u=float(selected.r_u))

@@ -18,7 +18,6 @@ feature array and ``unlabeled_truth.npy`` its ``(n,)`` ``<i8`` labels.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 

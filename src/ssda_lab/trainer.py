@@ -17,7 +17,7 @@ membership of the set never changes, only the labels do.  Each phase's
 live hard labels (their argmax) are kept in the loop's state, which is
 a stage's report.  The unlabeled target's hidden truth never enters this
 module: scoring those labels against it is the caller's job.  Training
-stops at the iteration cap or after ``patience`` validations without a
+stops at the iteration cap or after ``PATIENCE`` validations without a
 validation-accuracy improvement, and the best-validation snapshot is the
 result of a stage.
 """
@@ -45,9 +45,10 @@ _FIELD_TYPES = {
 }
 
 # Fixed as in MME (Saito et al., 2019). Stage 1 builds its network with this layout;
-# stages 2 and 3 run the layout their checkpoint records.
+# stages 2 and 3 run the layout their checkpoint records. T_VAL counts iterations, PATIENCE validations.
 HIDDEN_DIMS, FEATURE_DIM, TEMPERATURE = (64, 64), 32, 0.05
 BATCH_LABELED, BATCH_UNLABELED, BATCH_PSEUDO = 32, 32, 64
+BASE_LR, T_VAL, PATIENCE = 0.005, 50, 10
 
 
 @dataclass
@@ -56,17 +57,14 @@ class TrainConfig:
 
     ``label_momentum`` = 1.0 disables the refresh entirely (frozen labels,
     the vanilla self-training arm); ``use_hard_labels`` swaps the soft
-    targets for one-hot hard pseudo labels.
+    targets for one-hot hard pseudo labels.  The schedule is fixed: see ``BASE_LR``, ``T_VAL``, ``PATIENCE``.
     """
 
     lambda_: float = 0.1
     r_u: float = 0.2
     label_momentum: float = 0.9
     use_hard_labels: bool = False
-    base_lr: float = 0.005
     t_max: int = 5000
-    t_val: int = 50
-    patience: int = 10
     seed: int = 0
 
     def validate(self) -> None:
@@ -83,14 +81,8 @@ class TrainConfig:
             problems.append(f"label_momentum must be in [0, 1], got {self.label_momentum}")
         if not 0.0 < self.r_u <= 1.0:
             problems.append(f"r_u must be in (0, 1], got {self.r_u}")
-        if min(self.t_max, self.t_val) < 1:
-            problems.append(f"t_max and t_val must be >= 1, got {self.t_max} and {self.t_val}")
-        if self.t_val > self.t_max:
-            problems.append(f"t_val {self.t_val} exceeds t_max {self.t_max}")
-        if self.patience < 1:
-            problems.append("patience must be >= 1")
-        if not anneal_lr(self.base_lr, 1.0) > 0:  # the schedule's smallest lr, so none underflows to 0
-            problems.append(f"base_lr must be positive at the schedule's end, got {self.base_lr}")
+        if self.t_max < T_VAL:
+            problems.append(f"t_max must be at least one validation window ({T_VAL}), got {self.t_max}")
         if not 0 <= self.seed < SEED_LIMIT:
             problems.append(f"seed must be in [0, 2**64), got {self.seed}")
         if problems:
@@ -299,7 +291,8 @@ def run_train_loop(split: SSDASplit, config: TrainConfig, state: TrainState) -> 
         # One validation window's batches, drawn and gathered at once. A (w, b) draw has the
         # values of w draws of b and leaves the stream where they would; the live labels change
         # only at the validation that ends the window, and patience stops a stage only there.
-        w = min(config.t_val - state.t_iter % config.t_val, config.t_max - state.t_iter)
+        # A fresh state starts at iteration 0, so every window but one that t_max cuts is full.
+        w = min(T_VAL, config.t_max - state.t_iter)
         li = rngs["labeled"].integers(0, len(labeled_x), size=(w, BATCH_LABELED))
         ui = rngs["unlabeled"].integers(0, len(unlabeled_x), size=(w, BATCH_UNLABELED))
         lx, ly, ux = labeled_x[li], labeled_y[li], unlabeled_x[ui]
@@ -310,7 +303,7 @@ def run_train_loop(split: SSDASplit, config: TrainConfig, state: TrainState) -> 
         labeled_sum = pseudo_sum = entropy_sum = 0.0
         for j in range(w):
             state.t_iter += 1
-            lr = anneal_lr(config.base_lr, state.t_iter / config.t_max)
+            lr = anneal_lr(BASE_LR, state.t_iter / config.t_max)
             losses = minimax_step(state.params, state.velocities, lr, config, labeled=(lx[j], ly[j]),
                                   pseudo=None if pseudo_x is None else (px[j], psoft[j]), unlabeled=ux[j],
                                   combined=combined, term=term)
@@ -319,9 +312,9 @@ def run_train_loop(split: SSDASplit, config: TrainConfig, state: TrainState) -> 
             if pseudo_x is not None:
                 pseudo_sum += losses["pseudo"]
 
-        # only a full window ends at a validation (t_val <= t_max), so its means divide by w;
+        # only a full window ends at a validation (T_VAL <= t_max), so its means divide by w;
         # a last window that t_max cuts short is never recorded
-        if state.t_iter % config.t_val == 0:
+        if w == T_VAL:
             means = {"labeled": labeled_sum / w, "pseudo": pseudo_sum / w, "entropy": entropy_sum / w}
             _validation_phase(config, state, val_x, val_y, pseudo_x, means)
 
@@ -373,7 +366,7 @@ def _validation_phase(
         state.best_params = state.params.copy()
     else:
         state.validations_since_improve += 1
-    if state.validations_since_improve >= config.patience:
+    if state.validations_since_improve >= PATIENCE:
         state.stop_reason = "patience"
 
 

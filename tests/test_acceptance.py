@@ -186,7 +186,7 @@ def test_criterion_3_selection_order_properties():
 
     # membership freeze through a short stage 3
     split = gen_split(default_benchmark_spec(seed=0), 3, 3)
-    config = TrainConfig(seed=0, t_max=200, t_val=50, patience=100)
+    config = TrainConfig(seed=0, t_max=200)
     params, _ = train_baseline(split, config)
     annotations = infer_pseudo(params, split.unlabeled_x())
     anchors = {c: forward_features(x, params) for c, x in split.labeled_target_by_class().items()}
@@ -260,7 +260,7 @@ def test_criterion_7_pipeline_ordering(pipeline_cells):
 
 
 def test_criterion_8_pipeline_determinism(tmp_path):
-    args = ["--t-max", "400", "--t-val", "50", "--seed", "4"]
+    args = ["--t-max", "400", "--seed", "4"]
     split_dir = tmp_path / "split"
     assert main(["gen-data", "--out", str(split_dir), "--seed", "4"]) == EXIT_OK
     for name in ("a", "b"):

@@ -12,16 +12,16 @@ import pytest
 
 from conftest import npy_bytes
 from ssda_lab import cli
-from ssda_lab.artifacts import DataError, table_path
+from ssda_lab.artifacts import DataError, sha256, table_path
 from ssda_lab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME, main
 from ssda_lab.coremath import seeded_rng
 from ssda_lab.datasets import default_benchmark_spec, load_split, split_checksum
 from ssda_lab.network import forward_features, init_params, load_checkpoint, save_checkpoint
-from ssda_lab.pseudolabel import check_selection, infer_pseudo, load_selection, select
+from ssda_lab.pseudolabel import check_selection, infer_pseudo, load_selection, save_selection, select
 from ssda_lab.trainer import TrainConfig, evaluate, progressive_self_train, train_baseline
 
-FAST = ["--t-max", "200", "--t-val", "25", "--patience", "4"]
-FAST_CONFIG = TrainConfig(t_max=200, t_val=25, patience=4)
+FAST = ["--t-max", "200"]
+FAST_CONFIG = TrainConfig(t_max=200)
 COLUMNS = ("hard_label", "distance", "soft_label")
 RELIABILITIES = ("reliability_before", "reliability_after")
 
@@ -284,8 +284,7 @@ class TestRunPipeline:
 
 BAD_CONFIGS = [
     # (command, flags)
-    pytest.param("run-pipeline", ["--t-val", "0"], id="t_val_0"),
-    pytest.param("run-pipeline", ["--t-max", "0", "--t-val", "0"], id="t_max_0"),
+    pytest.param("run-pipeline", ["--t-max", "0"], id="t_max_0"),
     pytest.param("run-pipeline", ["--seed", str(2**64)], id="seed_2_64"),
     pytest.param("ablate-noise", ["--seeds", "3,3"], id="noise_one_distinct_seed"),
     pytest.param("ablate-noise", ["--seeds", "3,3,4"], id="noise_repeated_seed"),
@@ -302,12 +301,7 @@ BAD_CONFIGS = [
     pytest.param("ablate-noise", ["--seeds", "0,1", "--hard-labels", *FAST], id="noise_hard_labels_flag"),
     pytest.param("run-pipeline", ["--label-momentum", "1.5"], id="label_momentum_above_1"),
     pytest.param("run-pipeline", ["--r-u", "0"], id="r_u_0"),
-    pytest.param("run-pipeline", ["--t-max", "20", "--t-val", "25"], id="t_val_above_t_max"),
-    pytest.param("run-pipeline", ["--patience", "0"], id="patience_0"),
-    pytest.param("run-pipeline", ["--base-lr", "0"], id="base_lr_0"),
-    # positive, but the annealed lr underflows to 0 partway through the run
-    pytest.param("train-baseline", ["--base-lr", "5e-324", "--t-max", "100", "--t-val", "100"],
-                 id="base_lr_underflows"),
+    pytest.param("run-pipeline", ["--t-max", "20"], id="t_val_above_t_max"),
 ]
 
 
@@ -346,8 +340,37 @@ def test_fixed_setting_flag_is_unrecognized(split_dir, tmp_path, capsys, name):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("flag, value", [("--t-max", "abc"), ("--t-val", "2.5"), ("--patience", "true"),
-                                         ("--seed", "0x1"), ("--base-lr", "fast"), ("--lambda", "0.1.0"),
+# every stage and grid command, with the inputs it takes besides --split and --out
+COMMAND_INPUTS = [("train-baseline", []), ("pseudo-label", ["checkpoint"]), ("self-train", ["checkpoint", "selection"]),
+                  ("run-pipeline", []), ("ablate-ru", []), ("ablate-noise", [])]
+
+
+def _command_argv(command: str, inputs: list, split_dir: Path, artifacts: tuple, out: Path) -> list:
+    """``command``'s argv, with ``artifacts`` (a checkpoint and a selection dump) as the inputs it takes."""
+    paths = dict(zip(("checkpoint", "selection"), artifacts))
+    return [command, "--split", str(split_dir), "--out", str(out),
+            *(arg for name in inputs for arg in (f"--{name}", str(paths[name])))]
+
+
+@pytest.mark.parametrize("command, inputs", COMMAND_INPUTS)
+@pytest.mark.parametrize("flag, value", [("--base-lr", "0.01"), ("--t-val", "25"), ("--patience", "4")],
+                         ids=["base_lr", "t_val", "patience"])
+def test_schedule_flag_is_unrecognized_by_every_command(split_dir, stage2, tmp_path, capsys, command, inputs,
+                                                        flag, value):
+    """The lr, the validation window and the patience are constants, which no stage or grid command sets."""
+    argv = [*_command_argv(command, inputs, split_dir, stage2, tmp_path / "o"), flag, value]
+    _exits_unrecognized(argv, capsys, f"{flag} {value}")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, inputs", COMMAND_INPUTS)
+def test_t_max_below_one_window_exits_2_on_every_command(split_dir, stage2, tmp_path, capsys, command, inputs):
+    assert main([*_command_argv(command, inputs, split_dir, stage2, tmp_path / "o"), "--t-max", "49"]) == EXIT_CONFIG
+    assert "t_max must be at least one validation window (50), got 49" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--t-max", "abc"), ("--seed", "0x1"), ("--lambda", "0.1.0"),
                                          ("--r-u", "20%"), ("--label-momentum", "")],
                          ids=lambda v: v.strip("-") or "empty")
 def test_flag_of_wrong_type_exits_2_before_any_work(split_dir, tmp_path, capsys, flag, value):
@@ -359,17 +382,12 @@ def test_flag_of_wrong_type_exits_2_before_any_work(split_dir, tmp_path, capsys,
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("command, inputs", [
-    ("train-baseline", []), ("pseudo-label", ["checkpoint"]), ("self-train", ["checkpoint", "selection"]),
-    ("run-pipeline", []), ("ablate-ru", []), ("ablate-noise", []),
-])
+@pytest.mark.parametrize("command, inputs", COMMAND_INPUTS)
 def test_config_file_flag_is_unrecognized(split_dir, stage2, tmp_path, capsys, command, inputs):
     """Flags are the only source of a run's config, so every stage and grid command refuses a config file."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"t_max": 200}))
-    paths = {"checkpoint": stage2[0], "selection": stage2[1]}
-    argv = [command, "--split", str(split_dir), "--out", str(tmp_path / "o"), "--config", str(cfg),
-            *(arg for name in inputs for arg in (f"--{name}", str(paths[name])))]
+    argv = [*_command_argv(command, inputs, split_dir, stage2, tmp_path / "o"), "--config", str(cfg)]
     _exits_unrecognized(argv, capsys, f"--config {cfg}")
     assert not (tmp_path / "o").exists()
 
@@ -420,12 +438,12 @@ class TestConfigFromFlags:
     def test_flags_override_defaults(self, split_dir, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["train-baseline", "--split", str(split_dir), "--out", str(out),
-                     "--t-max", "200", "--t-val", "25", "--patience", "3", "--base-lr", "0.006"]) == EXIT_OK
+                     "--t-max", "200", "--label-momentum", "0.5"]) == EXIT_OK
         stdout = capsys.readouterr().out
         effective = json.loads(stdout.split("effective config: ")[1].split("\n")[0])
-        assert effective["t_max"] == 200      # from a flag
-        assert effective["base_lr"] == 0.006  # from a flag
-        assert effective["lambda_"] == 0.1    # default survives
+        assert effective["t_max"] == 200             # from a flag
+        assert effective["label_momentum"] == 0.5    # from a flag
+        assert effective["lambda_"] == 0.1           # default survives
         assert json.loads((out / "manifest.json").read_text())["config"] == effective
 
 
@@ -462,21 +480,24 @@ class TestStagedCommands:
         assert set(recorded[0]) == set(RELIABILITIES) and recorded[0] == recorded[2]
         assert recorded[1] == recorded[3] == {}
 
-    @pytest.mark.parametrize("command, flags", [("train-baseline", []),
-                                                ("run-pipeline", ["--hard-labels", "--label-momentum", "1.0"]),
-                                                ("self-train", [])])
-    # the run diverges on purpose, and numpy warns as its values overflow and then turn NaN
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
-    def test_diverged_stage_exits_4_before_writing(self, split_dir, stage2, tmp_path, capsys, command, flags):
-        """Reported as diverged, also where the soft labels' refresh would first meet the NaN predictions."""
+    @pytest.mark.parametrize("command, flags, stage", [
+        ("train-baseline", [], "baseline"),
+        ("run-pipeline", ["--hard-labels", "--label-momentum", "1.0"], "baseline"),
+        ("self-train", [], "selftrain"),
+    ])
+    def test_diverged_stage_exits_4_before_writing(self, split_dir, stage2, tmp_path, capsys, command, flags, stage):
+        """Reported as diverged at the first validation, also where the soft labels' refresh would first meet the
+        NaN predictions. The run diverges on purpose: numpy warns as its values overflow and then turn NaN."""
         out = tmp_path / "o"
         if command == "self-train":
             flags = ["--checkpoint", str(stage2[0]), "--selection", str(stage2[1])]
-        assert main([command, "--split", str(split_dir), "--out", str(out),
-                     "--base-lr", "1e10", "--t-max", "100", *flags]) == EXIT_RUNTIME
-        assert "diverged" in capsys.readouterr().err
-        assert not (out / "baseline_checkpoint.json").exists()
+        with pytest.warns(RuntimeWarning) as caught:
+            assert main([command, "--split", str(split_dir), "--out", str(out),
+                         "--lambda", "1e308", "--t-max", "100", *flags]) == EXIT_RUNTIME
+        messages = [str(w.message) for w in caught]
+        for kind in ("overflow encountered", "invalid value encountered"):
+            assert any(m.startswith(kind) for m in messages), (kind, messages)
+        assert f"{stage} diverged by iteration 50" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("argv, artifacts", [
@@ -534,9 +555,9 @@ class TestStagedCommands:
         for name in ("selection.json", *(f"selection.{c}.npy" for c in COLUMNS)):
             assert (out / name).read_bytes() == (tmp_path / "plain" / name).read_bytes(), name
 
-    @pytest.mark.parametrize("flags", [["--seed", "3"], ["--t-max", "70"], ["--t-val", "5"], ["--patience", "1"],
-                                       ["--base-lr", "0.5"], ["--lambda", "0.9"], ["--label-momentum", "0"],
-                                       ["--hard-labels"]], ids=lambda flags: flags[0].strip("-"))
+    @pytest.mark.parametrize("flags", [["--seed", "3"], ["--t-max", "70"], ["--lambda", "0.9"],
+                                       ["--label-momentum", "0"], ["--hard-labels"]],
+                             ids=lambda flags: flags[0].strip("-"))
     def test_pseudo_label_ignores_each_training_flag(self, split_dir, stage2, tmp_path, capsys, flags):
         """Each flag that stage 2 does not read leaves the ``stage2`` fixture's dump and its tables unchanged."""
         out = tmp_path / "flagged"
@@ -1154,7 +1175,7 @@ class TestCheckpointArchitecture:
         params = init_params(input_dim=2, hidden_dims=(), feature_dim=4, n_classes=3, temperature=0.05,
                              rng=seeded_rng(0, "init"))
         ckpt = tmp_path / "shallow.json"
-        save_checkpoint(ckpt, params, extra={})
+        save_checkpoint(ckpt, params, extra={"stage": "baseline"})
         common = ["--split", str(split_dir), "--checkpoint", str(ckpt), *FAST]
         assert main(["pseudo-label", *common, "--out", str(tmp_path / "sel")]) == EXIT_OK
         assert main(["self-train", *common, "--selection", str(tmp_path / "sel" / "selection.json"),
@@ -1163,3 +1184,46 @@ class TestCheckpointArchitecture:
         assert [w.shape for w, _ in final.extractor_layers] == [(2, 4)]
         assert "final accuracy:" in capsys.readouterr().out
 
+
+@pytest.fixture(scope="module")
+def stage3(split_dir, stage2, tmp_path_factory):
+    """The final checkpoint self-trained from ``stage2``, and a selection dump made from it as stage 2 makes one."""
+    root = tmp_path_factory.mktemp("stage3")
+    assert main(_self_train_argv(split_dir, *stage2, root / "st")) == EXIT_OK
+    final = root / "st" / "final_checkpoint.json"
+    split = load_split(split_dir)
+    save_selection(root / "selection.json", cli._stage2(split, load_checkpoint(final)["params"], 0.2),
+                   split_checksum=split_checksum(split_dir), checkpoint_sha256=sha256(final))
+    return final, root / "selection.json"
+
+
+# a baseline checkpoint's extra edited to hold no string stage "baseline"
+NOT_BASELINE = {"list": [], "string": "baseline", "no_stage": {}, "stage_null": {"stage": None},
+                "stage_list": {"stage": ["baseline"]}, "stage_capitalised": {"stage": "Baseline"}}
+
+
+class TestCheckpointStage:
+    """Stages 2 and 3 start from a train-baseline checkpoint: a final one would run a second self-training round,
+    which the pipeline does not have. ``evaluate`` reads only the weights, so it scores either."""
+
+    @pytest.mark.parametrize("command", ["pseudo-label", "self-train", "evaluate"])
+    @pytest.mark.parametrize("case", ["final", *NOT_BASELINE])
+    def test_checkpoint_not_from_stage_1(self, split_dir, stage2, stage3, tmp_path, capsys, case, command):
+        if case == "final":
+            (ckpt, selection), found = stage3, "selftrain"
+        else:
+            extra = NOT_BASELINE[case]
+            ckpt = _copy_checkpoint(stage2[0], tmp_path / "checkpoint.json")
+            _edited_json(lambda d: d.update(extra=extra))(ckpt, stage2[0])
+            # the dump's checkpoint_sha256 names the edited file, so that only the stage can object
+            selection = _copy_selection(stage2[1], tmp_path / "selection.json")
+            _edited_json(lambda d: d.update(checkpoint_sha256=sha256(ckpt)))(selection, stage2[1])
+            found = extra.get("stage") if isinstance(extra, dict) else None
+        if command == "evaluate":
+            assert main(["evaluate", "--split", str(split_dir), "--checkpoint", str(ckpt)]) == EXIT_OK
+            return
+        argv = _command_argv(command, dict(COMMAND_INPUTS)[command], split_dir, (ckpt, selection), tmp_path / "o")
+        assert main([*argv, *FAST]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"checkpoint {ckpt} records stage {found!r}: stages 2 and 3 start from a train-baseline" in err
+        assert not (tmp_path / "o").exists()

@@ -1,0 +1,69 @@
+"""A lint guard with no dependency beyond ``ast``: no unused import, no unreferenced module-level private name.
+
+Each module of ``src/ssda_lab`` is parsed. An import binds a name that the module must read somewhere
+(``from __future__`` imports bind none). A module-level function, class or assignment whose name starts with
+one underscore (dunders aside) must be read by name or as an attribute somewhere in the package, since nothing
+outside it is meant to.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "ssda_lab"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _read_names(tree: ast.AST) -> set:
+    """Every name the tree reads, bare or as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def _imports(tree: ast.Module) -> list:
+    """(line, bound name) for every import in the module."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, (a.asname or a.name).split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(node.lineno, a.asname or a.name) for a in node.names]
+    return bound
+
+
+def _module_privates(tree: ast.Module) -> list:
+    """(line, name) for every module-level def, class or assignment named ``_x``."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+    return [(line, name) for line, name in names if name.startswith("_") and not name.startswith("__")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = _tree(path)
+    read = _read_names(tree)
+    unused = [f"{path.name}:{line} {name}" for line, name in _imports(tree) if name not in read]
+    assert not unused, f"unused imports: {unused}"
+
+
+def test_every_module_private_name_is_referenced():
+    trees = {path: _tree(path) for path in MODULES}
+    read = set().union(*map(_read_names, trees.values()))
+    unreferenced = [f"{path.name}:{line} {name}" for path, tree in trees.items()
+                    for line, name in _module_privates(tree) if name not in read]
+    assert not unreferenced, f"module-level private names nothing in the package references: {unreferenced}"

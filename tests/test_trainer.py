@@ -32,8 +32,6 @@ def quick_config(**overrides):
     """Small, fast settings for loop-level tests."""
     base = dict(
         t_max=300,
-        t_val=30,
-        patience=4,
         seed=0,
     )
     base.update(overrides)
@@ -57,7 +55,7 @@ def separable_split(seed=0):
 @pytest.fixture(scope="module")
 def trained_separable():
     split = separable_split()
-    config = quick_config(t_max=600, patience=6)
+    config = quick_config(t_max=600)
     params, report = train_baseline(split, config)
     return split, config, params, report
 
@@ -277,7 +275,7 @@ class TestStepOracle:
             labeled = (labeled_x[li], labeled_y[li])
             pseudo = (unlabeled_x[pi], rng.dirichlet(np.ones(split.n_classes), size=len(pi)))
             pseudo = pseudo if with_pseudo else None
-            lr = anneal_lr(config.base_lr, t / config.t_max)
+            lr = anneal_lr(trainer.BASE_LR, t / config.t_max)
             expected = _reference_step(ref_params, ref_velocity, lr, config, labeled, pseudo, unlabeled_x[ui])
             losses = minimax_step(state.params, state.velocities, lr, config, labeled, pseudo, unlabeled_x[ui],
                                   combined, term)
@@ -414,14 +412,8 @@ class TestTrainBaseline:
 BAD_FIELD_TYPES = [
     pytest.param({"t_max": "abc"}, "t_max must be an integer", id="t_max_str"),
     pytest.param({"t_max": 2.5}, "t_max must be an integer", id="t_max_float"),
-    pytest.param({"t_val": "25"}, "t_val must be an integer", id="t_val_str"),
-    pytest.param({"t_val": 25.0}, "t_val must be an integer", id="t_val_float"),
-    pytest.param({"patience": True}, "patience must be an integer", id="patience_bool"),
-    pytest.param({"patience": "3"}, "patience must be an integer", id="patience_str"),
     pytest.param({"seed": "0"}, "seed must be an integer", id="seed_str"),
     pytest.param({"seed": 0.0}, "seed must be an integer", id="seed_float"),
-    pytest.param({"base_lr": "0.005"}, "base_lr must be a finite number", id="base_lr_str"),
-    pytest.param({"base_lr": math.inf}, "base_lr must be a finite number", id="base_lr_inf"),
     pytest.param({"lambda_": "0.1"}, "lambda_ must be a finite number", id="lambda_str"),
     pytest.param({"lambda_": False}, "lambda_ must be a finite number", id="lambda_bool"),
     pytest.param({"r_u": True}, "r_u must be a finite number", id="r_u_bool"),
@@ -464,17 +456,18 @@ class TestProgressiveSelfTrain:
     def test_hard_label_arm_freezes_onehot_targets(self, trained_separable):
         split, config, params, _ = trained_separable
         selected = _selected(split, params)
-        cfg = quick_config(use_hard_labels=True, label_momentum=1.0, t_max=90, patience=100)
+        cfg = quick_config(use_hard_labels=True, label_momentum=1.0, t_max=90)
         state = init_train_state(split, cfg, "selftrain", selected=selected, resume_params=params)
         live_before = state.live_soft.copy()
         assert np.all(np.isin(live_before, [0.0, 1.0]))
         run_train_loop(split, cfg, state)
         np.testing.assert_array_equal(state.live_soft, live_before)
 
-    def test_soft_labels_refresh_at_validation_phases(self, trained_separable):
+    def test_soft_labels_refresh_at_validation_phases(self, trained_separable, monkeypatch):
         split, config, params, _ = trained_separable
         selected = _selected(split, params)
-        cfg = quick_config(t_max=90, t_val=30, patience=100)
+        monkeypatch.setattr(trainer, "T_VAL", 30)  # three refreshes
+        cfg = quick_config(t_max=90)
         state = init_train_state(split, cfg, "selftrain", selected=selected, resume_params=params)
         live_before = state.live_soft.copy()
         run_train_loop(split, cfg, state)
@@ -500,7 +493,7 @@ class TestProgressiveSelfTrain:
         split, _, params, _ = trained_separable
         shuffled = replace(split, unlabeled_truth=seeded_rng(0, "shuffle").permutation(split.unlabeled_truth))
         assert not np.array_equal(shuffled.unlabeled_truth, split.unlabeled_truth)
-        config = quick_config(t_max=120, patience=100)
+        config = quick_config(t_max=200)
         selected = _selected(split, params)
         runs = [(train_baseline(s, config), progressive_self_train(s, selected, params, config))
                 for s in (split, shuffled)]
@@ -523,7 +516,7 @@ def _per_iteration_loop(split, config, state):
     rngs = trainer._batch_rngs(config, state.stage)
     while state.stop_reason is None and state.t_iter < config.t_max:
         state.t_iter += 1
-        lr = anneal_lr(config.base_lr, state.t_iter / config.t_max)
+        lr = anneal_lr(trainer.BASE_LR, state.t_iter / config.t_max)
         li = rngs["labeled"].integers(0, len(labeled_x), size=trainer.BATCH_LABELED)
         ui = rngs["unlabeled"].integers(0, len(unlabeled_x), size=trainer.BATCH_UNLABELED)
         pseudo = None
@@ -536,7 +529,7 @@ def _per_iteration_loop(split, config, state):
             if losses[key] is not None:
                 sums[key] += losses[key]
         count += 1
-        if state.t_iter % config.t_val == 0:
+        if state.t_iter % trainer.T_VAL == 0:
             trainer._validation_phase(config, state, val_x, val_y, pseudo_x, {k: v / count for k, v in sums.items()})
             sums, count = dict.fromkeys(sums, 0.0), 0
     if state.stop_reason is None:
@@ -545,23 +538,26 @@ def _per_iteration_loop(split, config, state):
 
 
 LOOP_CASES = {
-    # name: (stage, config overrides, the stop the case must reach)
-    "baseline": ("baseline", dict(patience=100), "t_max"),
-    "baseline_lambda_0": ("baseline", dict(lambda_=0.0, patience=100), "t_max"),
-    "selftrain_soft_refresh": ("selftrain", dict(patience=100), "t_max"),
-    "selftrain_hard_labels": ("selftrain", dict(use_hard_labels=True, patience=100), "t_max"),
-    "short_last_window": ("selftrain", dict(t_max=130, t_val=50, patience=100), "t_max"),
+    # name: (stage, config overrides, trainer constants set for the case, the stop the case must reach);
+    # 6 validations at the default t_max of 300 cannot reach PATIENCE
+    "baseline": ("baseline", {}, {}, "t_max"),
+    "baseline_lambda_0": ("baseline", dict(lambda_=0.0), {}, "t_max"),
+    "selftrain_soft_refresh": ("selftrain", {}, {}, "t_max"),
+    "selftrain_hard_labels": ("selftrain", dict(use_hard_labels=True), {}, "t_max"),
+    "short_last_window": ("selftrain", dict(t_max=130), {}, "t_max"),
     # the two window extremes behind the loop's per-window loss means
-    "window_of_1": ("selftrain", dict(t_max=40, t_val=1, patience=100), "t_max"),
-    "one_window_to_t_max": ("selftrain", dict(t_max=120, t_val=120, patience=100), "t_max"),
-    "patience_stops_mid_stage": ("baseline", dict(patience=1), "patience"),
+    "window_of_1": ("selftrain", dict(t_max=40), dict(T_VAL=1, PATIENCE=100), "t_max"),
+    "one_window_to_t_max": ("selftrain", dict(t_max=50), {}, "t_max"),
+    "patience_stops_mid_stage": ("baseline", {}, dict(PATIENCE=1), "patience"),
 }
 
 
 class TestWindowedLoop:
     @pytest.mark.parametrize("case", sorted(LOOP_CASES))
-    def test_matches_per_iteration_loop_bit_for_bit(self, trained_separable, case):
-        stage, overrides, stop = LOOP_CASES[case]
+    def test_matches_per_iteration_loop_bit_for_bit(self, trained_separable, monkeypatch, case):
+        stage, overrides, constants, stop = LOOP_CASES[case]
+        for name, value in constants.items():
+            monkeypatch.setattr(trainer, name, value)
         split, _, params, _ = trained_separable
         config = quick_config(**overrides)
         selected = _selected(split, params) if stage == "selftrain" else None
