@@ -1,27 +1,32 @@
 #!/usr/bin/env python3
-"""Per-call cost of the training step, of stage 2 and of checkpoint I/O, timed in process on fixed inputs.
+"""Per-call cost of the training step, of stage 2 and of checkpoint, split and selection I/O, timed in process on
+fixed inputs.
 
 ``backward`` per loss kind and ``minimax_step`` per batch mix on the default 5-class 2-D network, then
 ``infer_pseudo`` plus ``select``, ``selection_dump`` and ``selected_set_from_dump`` on a 19 960-row 8-D pool
 (10 classes), the validation phase's label refresh (``momentum_update_labels``) over the 4 000 rows that r_u 0.2
-keeps of that pool, and ``save_checkpoint`` and ``load_checkpoint`` of the default network. The checkpoint is
-written to and read from a temporary directory with a warm page cache: its files are rewritten on every call, and
-the cache is not dropped, since that would change the machine's settings. Each figure is the median of
-``--repeats`` x 500 step, refresh or checkpoint calls (x 10 stage-2 calls), each timed alone, so a burst of load
-on a shared machine moves it little. Every timing is in microseconds. ``stage2_peak_mb`` is stage 2's memory: the
-``tracemalloc`` peak, in MB, of one ``infer_pseudo`` + ``select`` + ``selection_dump`` on that pool, which does not
-vary between runs of one tree. One JSON line prints the figures.
+keeps of that pool, ``save_checkpoint`` and ``load_checkpoint`` of the default network, ``save_split`` and
+``load_split`` of a 19 960-row 10-class 8-D split (the large-split-staged recipe), and ``save_selection`` and
+``load_selection`` of the pool's selection dump. The files are written to and read from a temporary directory with
+a warm page cache: they are rewritten on every call, and the cache is not dropped, since that would change the
+machine's settings. Each figure is the median of ``--repeats`` x 500 step, refresh or checkpoint calls (x 50 split
+or selection calls, x 10 stage-2 calls), each timed alone, so a burst of load on a shared machine moves it little.
+Every timing is in microseconds. ``stage2_peak_mb`` is stage 2's memory: the ``tracemalloc`` peak, in MB, of one
+``infer_pseudo`` + ``select`` + ``selection_dump`` on that pool; ``evaluate_peak_mb`` is that of one ``evaluate``
+over the pool. Neither varies between runs of one tree. One JSON line prints the figures.
 
 With ``--against SRC`` the figures are paired instead: each of ``--repeats`` rounds times every figure once
 (one ``--repeats 1`` run in a fresh interpreter) on this checkout's ``src`` and once on ``SRC``, the side that
 goes first switching every round. The JSON line then holds each side's median per figure and, per figure,
 ``wins``: the rounds in which this checkout's figure was the lower. Figures swing between runs minutes apart
-by more than a few-microsecond change, so only paired rounds compare two trees.
+by more than a few-microsecond change, so only paired rounds compare two trees. A ``SRC`` from before stage 2
+worked out its anchor distances in ``infer_pseudo`` is run through its own ``select(pool, anchors, ...)``.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/microbench.py [--repeats 7] [--against OTHER/src]
 """
 
 import argparse
+import inspect
 import json
 import os
 import statistics
@@ -36,8 +41,10 @@ import numpy as np
 
 from ssda_lab import trainer
 from ssda_lab.coremath import seeded_rng
+from ssda_lab.datasets import DomainPairSpec, ShiftSpec, gen_split, load_split, save_split
 from ssda_lab.network import backward, forward_features, init_params, load_checkpoint, save_checkpoint, zero_grads
-from ssda_lab.pseudolabel import infer_pseudo, per_class_quota, select, selected_set_from_dump, selection_dump
+from ssda_lab.pseudolabel import (infer_pseudo, load_selection, per_class_quota, save_selection, select,
+                                  selected_set_from_dump, selection_dump)
 
 # name: (lambda, whether the step takes a pseudo batch), as the loops run them; the lambda-0
 # mixes are the S+T arm (stage 1) and stage 3 under --lambda 0
@@ -45,7 +52,9 @@ STEP_MIXES = {"hard+entropy": (0.1, False), "hard+soft+entropy": (0.1, True),
               "hard+entropy_lambda_0": (0.0, False), "hard+soft+entropy_lambda_0": (0.0, True)}
 POOL_ROWS, POOL_DIM, POOL_CLASSES = 19_960, 8, 10
 TRUSTED_ROWS = per_class_quota(0.2, POOL_ROWS, POOL_CLASSES) * POOL_CLASSES  # 4 000
-STEP_CALLS, STAGE2_CALLS = 500, 10  # per repeat
+STEP_CALLS, IO_CALLS, STAGE2_CALLS = 500, 50, 10  # per repeat
+# whether infer_pseudo takes the anchors (this tree) or select does (a tree paired with --against)
+ANCHORS_IN_INFER = "anchor_features_by_class" in inspect.signature(infer_pseudo).parameters
 
 
 def net(input_dim: int, n_classes: int):
@@ -91,29 +100,52 @@ def stage2_inputs() -> tuple:
     return params, pool, anchors
 
 
+def stage2(params, pool, anchors) -> tuple:
+    """``infer_pseudo`` + ``select`` at r_u 0.2: the pool and its selected set."""
+    if ANCHORS_IN_INFER:
+        annotations = infer_pseudo(params, pool, anchors)
+        return annotations, select(annotations, 0.2, POOL_ROWS, POOL_CLASSES)
+    annotations = infer_pseudo(params, pool)
+    return annotations, select(annotations, anchors, 0.2, POOL_ROWS, POOL_CLASSES)
+
+
 def stage2_costs(calls: int) -> dict:
     params, pool, anchors = stage2_inputs()
-    stage2 = lambda annotations: select(annotations, anchors, 0.2, POOL_ROWS, POOL_CLASSES)  # noqa: E731
-    annotations = infer_pseudo(params, pool)
-    selected = stage2(annotations)
+    annotations, selected = stage2(params, pool, anchors)
     dump = selection_dump(selected, annotations)
     return {name: round(1e6 * per_call(fn, calls), 1) for name, fn in (
-        ("infer_pseudo+select", lambda: stage2(infer_pseudo(params, pool))),
+        ("infer_pseudo+select", lambda: stage2(params, pool, anchors)),
         ("selection_dump", lambda: selection_dump(selected, annotations)),
         ("selected_set_from_dump", lambda: selected_set_from_dump(dump)))}
 
 
-def stage2_peak_mb() -> float:
-    """Megabytes at the ``tracemalloc`` peak of one ``infer_pseudo`` + ``select`` + ``selection_dump``."""
-    params, pool, anchors = stage2_inputs()
+def peak_mb(fn) -> float:
+    """Megabytes at the ``tracemalloc`` peak of one ``fn()``."""
     tracemalloc.start()
     try:
-        annotations = infer_pseudo(params, pool)
-        selection_dump(select(annotations, anchors, 0.2, POOL_ROWS, POOL_CLASSES), annotations)
+        fn()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     return round(peak / 1e6, 2)
+
+
+def stage2_peak_mb() -> float:
+    """The peak of one ``infer_pseudo`` + ``select`` + ``selection_dump``."""
+    params, pool, anchors = stage2_inputs()
+
+    def run():
+        annotations, selected = stage2(params, pool, anchors)
+        selection_dump(selected, annotations)
+    return peak_mb(run)
+
+
+def evaluate_peak_mb() -> float:
+    """The peak of one ``evaluate`` over the pool, its truth made beforehand, after a first call."""
+    params, pool, _ = stage2_inputs()
+    truth = np.zeros(POOL_ROWS, dtype=np.int64)
+    trainer.evaluate(params, pool, truth)
+    return peak_mb(lambda: trainer.evaluate(params, pool, truth))
 
 
 def refresh_cost(calls: int) -> float:
@@ -131,6 +163,24 @@ def checkpoint_costs(calls: int) -> dict:
         save = per_call(lambda: save_checkpoint(path, params, extra={"stage": "baseline"}), calls)
         load = per_call(lambda: load_checkpoint(path), calls)
     return {"save": round(1e6 * save, 1), "load": round(1e6 * load, 1)}
+
+
+def io_costs(calls: int) -> dict:
+    """Microseconds of one save and of one load of the large-split-staged split and of the pool's selection."""
+    spec = DomainPairSpec(n_classes=POOL_CLASSES, input_dim=POOL_DIM, n_source=1000, n_target=20_000,
+                          class_separation=8.0,
+                          shift=ShiftSpec(rotation_degrees=10.0, translation=(1, 1, 0.5, 0.5, 0, 0, 0, 0)))
+    split = gen_split(spec, n_t_per_class=1)
+    annotations, selected = stage2(*stage2_inputs())
+    dump = selection_dump(selected, annotations)
+    with tempfile.TemporaryDirectory() as tmp:
+        split_dir, selection = Path(tmp) / "split", Path(tmp) / "selection.json"
+        save = lambda: save_selection(selection, dump, split_checksum="split", checkpoint_sha256="ckpt")  # noqa: E731
+        costs = {"split_us": {"save": per_call(lambda: save_split(split, split_dir), calls),
+                              "load": per_call(lambda: load_split(split_dir), calls)},
+                 "selection_us": {"save": per_call(save, calls),
+                                  "load": per_call(lambda: load_selection(selection), calls)}}
+    return {group: {k: round(1e6 * v, 1) for k, v in figures.items()} for group, figures in costs.items()}
 
 
 def one_run(src: Path) -> dict:
@@ -178,8 +228,10 @@ def main() -> None:
         print(json.dumps({**paired(args.against, args.repeats), "settings": settings}))
         return
     print(json.dumps({**step_costs(args.repeats * STEP_CALLS), "stage2_us": stage2_costs(args.repeats * STAGE2_CALLS),
-                      "stage2_peak_mb": stage2_peak_mb(), "refresh_us": refresh_cost(args.repeats * STEP_CALLS),
-                      "checkpoint_us": checkpoint_costs(args.repeats * STEP_CALLS), "settings": settings}))
+                      "stage2_peak_mb": stage2_peak_mb(), "evaluate_peak_mb": evaluate_peak_mb(),
+                      "refresh_us": refresh_cost(args.repeats * STEP_CALLS),
+                      "checkpoint_us": checkpoint_costs(args.repeats * STEP_CALLS),
+                      **io_costs(args.repeats * IO_CALLS), "settings": settings}))
 
 
 if __name__ == "__main__":

@@ -148,9 +148,9 @@ def _stage1(split: SSDASplit, config: TrainConfig):
 
 def _stage2(split: SSDASplit, params: NetworkParams, r_u: float) -> dict:
     """Pseudo labels: the selection dump of the set nearest its class anchors, which every stage 3 starts from."""
-    annotations = infer_pseudo(params, split.unlabeled_x())
     anchors = {c: forward_features(x, params) for c, x in split.labeled_target_by_class().items()}
-    return selection_dump(select(annotations, anchors, r_u, len(split.unlabeled_target), split.n_classes), annotations)
+    annotations = infer_pseudo(params, split.unlabeled_x(), anchors)
+    return selection_dump(select(annotations, r_u, len(split.unlabeled_target), split.n_classes), annotations)
 
 
 def _stage3(split: SSDASplit, selected, params: NetworkParams, config: TrainConfig):
@@ -172,7 +172,8 @@ def _stage_inputs(args: argparse.Namespace, per_cell: frozenset = frozenset()):
     A grid sets its ``per_cell`` fields itself, so a flag for one would go unused and is refused; ``self-train``
     has no ``--r-u`` and takes the ``r_u`` its dump's set was selected with.
     Every input is checked before ``--out`` is made, so a bad one leaves no output directory; an ``--out``
-    that is the ``--split`` directory is refused, since the run's manifest would overwrite the split's.
+    that is the ``--split`` directory or the directory of the ``--checkpoint`` or ``--selection`` is refused,
+    since the run's manifest would overwrite the split's or the run's that wrote that artifact.
     """
     flagged = sorted(name for name in per_cell if getattr(args, name, None) is not None)
     if flagged:
@@ -180,8 +181,12 @@ def _stage_inputs(args: argparse.Namespace, per_cell: frozenset = frozenset()):
                           f"{', '.join(flagged)}")
     config = build_config(args)
     out = _output_path(args.out)
-    if out.resolve() == Path(args.split).resolve():
-        raise ConfigError(f"--out {args.out} is the --split directory, whose manifest.json the run would overwrite")
+    inputs = {"--split": Path(args.split), **{f"--{name}": Path(getattr(args, name)).parent
+                                              for name in ("checkpoint", "selection") if name in args}}
+    for flag, directory in inputs.items():
+        if out.resolve() == directory.resolve():
+            raise ConfigError(f"--out {args.out} is the {flag} directory, whose manifest.json the run would "
+                              "overwrite")
     split = load_split(args.split)
     params = _load_params(args.checkpoint, split, baseline=True) if "checkpoint" in args else None
     selected = selected_set_from_dump(_load_dump(args, split)) if "selection" in args else None

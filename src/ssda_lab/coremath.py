@@ -76,7 +76,8 @@ def l1_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     if a.ndim == 0 or b.ndim == 0 or a.shape[-1] != b.shape[-1]:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     d = np.subtract(a, b)
-    return np.abs(d, out=d).sum(axis=-1)  # in place: one broadcast temporary, not two
+    # in place: one broadcast temporary, not two; np.add.reduce is what .sum runs, at less cost per call
+    return np.add.reduce(np.abs(d, out=d), axis=-1)
 
 
 def finite_diff_grad(

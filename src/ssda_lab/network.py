@@ -11,10 +11,13 @@ A checkpoint stores that vector as a ``.npy`` table beside a JSON record of
 its ``layout()``.
 
 Inference over more than ``ROW_BLOCK`` rows (a whole unlabeled pool, a
-test set) runs in the blocks ``row_blocks`` bounds (``infer_pseudo`` too),
-so the pool's hidden activations are never held at once; every row gets
-the bits a one-shot pass gives it.  Training batches and validation sets
-are smaller than one block and never split.
+test set) runs in the blocks ``row_blocks`` bounds, so the pool's hidden
+activations are never held at once; every row gets the bits a one-shot
+pass gives it.  ``infer_pseudo`` keeps each block's predictions and
+anchor distances but not its features, and ``evaluate`` keeps only each
+block's argmax, so neither holds a pool-sized feature or prediction
+matrix.  Training batches and validation sets are smaller than one block
+and never split.
 
 The step's reductions call the ufuncs themselves (``np.add.reduce``,
 ``np.maximum.reduce``, and ``np.add.reduce(v) / n`` for a mean): these are

@@ -33,7 +33,8 @@ import numpy as np
 
 from .coremath import LOG_CLAMP, SEED_LIMIT, is_finite_number, is_int, seeded_rng
 from .datasets import SSDASplit
-from .network import NetworkParams, anneal_lr, backward, forward, group_sizes, init_params, sgd_step, zero_grads
+from .network import (NetworkParams, _checked_input, _forward_extractor, _head, anneal_lr, backward, forward,
+                      group_sizes, init_params, row_blocks, sgd_step, zero_grads)
 from .pseudolabel import SelectedSet, reliability
 
 
@@ -125,10 +126,17 @@ def entropy_loss(params: NetworkParams, x: np.ndarray) -> float:
 
 
 def evaluate(params: NetworkParams, x: np.ndarray, truth: np.ndarray) -> float:
-    """Fraction of argmax predictions matching the truth, row for row, by ``reliability`` (evaluation context)."""
+    """Fraction of argmax predictions matching the truth, row for row, by ``reliability`` (evaluation context).
+
+    The argmax is taken per ``row_blocks`` block, so no ``(n, K)`` prediction matrix is held, and no block
+    outlives its argmax; each row's prediction has the bits ``forward`` gives it."""
     if len(x) == 0:
         raise ValueError("empty evaluation set")
-    return reliability(np.argmax(forward(x, params), axis=1), truth)
+    x = _checked_input(x, params)
+    hard = np.empty(len(x), dtype=np.intp)
+    for rows in row_blocks(len(x)):
+        hard[rows] = _head(_forward_extractor(x[rows], params)[-1], params)[3].argmax(axis=1)
+    return reliability(hard, truth)
 
 
 def _check_simplex(name: str, labels: np.ndarray) -> np.ndarray:

@@ -31,6 +31,7 @@ from ssda_lab.network import (
     forward_features,
 )
 from ssda_lab.pseudolabel import (
+    anchor_distances,
     infer_pseudo,
     per_class_quota,
     pseudo_rows,
@@ -68,8 +69,8 @@ def pipeline_cells():
 
         params, _ = train_baseline(split, config)
         anchors = {c: forward_features(x, params) for c, x in split.labeled_target_by_class().items()}
-        annotations = infer_pseudo(params, ux)
-        selections = {r: select(annotations, anchors, r, len(ux), split.n_classes) for r in (0.01, 0.2, 1.0)}
+        annotations = infer_pseudo(params, ux, anchors)
+        selections = {r: select(annotations, r, len(ux), split.n_classes) for r in (0.01, 0.2, 1.0)}
 
         cell = {
             "baseline": evaluate(params, ux, truth),
@@ -145,9 +146,10 @@ def test_criterion_2_equation_unit_suite():
     # quota arithmetic and tie rules, exact
     assert per_class_quota(0.2, 100, 5) == 4
     assert per_class_quota(1.0, 470, 5) == 94
-    anchors = {0: np.array([[0.0, 0.0]])}
-    annotations = pseudo_rows(np.ones((4, 1)), np.zeros(4, dtype=int), np.tile([1.0, 0.0], (4, 1)))
-    assert select(annotations, anchors, 0.5, 4, 1).index_set == [0, 1]
+    anchors, hard = {0: np.array([[0.0, 0.0]])}, np.zeros(4, dtype=int)
+    annotations = pseudo_rows(np.ones((4, 1)), hard, distance=anchor_distances(np.tile([1.0, 0.0], (4, 1)), hard,
+                                                                                anchors))
+    assert select(annotations, 0.5, 4, 1).index_set == [0, 1]
     assert int(np.argmax(softmax(np.array([3.0, 3.0, 1.0])))) == 0  # argmax tie -> lowest index
     # label refresh convex blend
     np.testing.assert_allclose(
@@ -166,12 +168,14 @@ def test_criterion_3_selection_order_properties():
         k = int(rng.integers(2, 7))
         raw, features = map(np.stack, zip(*[(rng.uniform(0.01, 1.0, size=k), rng.standard_normal(3))
                                             for _ in range(n)]))
-        annotations = pseudo_rows(raw / raw.sum(axis=1, keepdims=True), raw.argmax(axis=1), features)
         anchors = {c: rng.standard_normal((int(rng.integers(1, 4)), 3)) for c in range(k)}
+        hard = raw.argmax(axis=1)
+        annotations = pseudo_rows(raw / raw.sum(axis=1, keepdims=True), hard,
+                                  distance=anchor_distances(features, hard, anchors))
         r_small = float(rng.uniform(0.01, 0.99))
         r_big = min(1.0, r_small + float(rng.uniform(0.01, 0.5)))
-        small = select(annotations, anchors, r_small, n, k)
-        big = select(annotations, anchors, r_big, n, k)
+        small = select(annotations, r_small, n, k)
+        big = select(annotations, r_big, n, k)
         assert set(small.index_set) <= set(big.index_set)
         for sel in (small, big):
             selected_ids = set(sel.index_set)
@@ -188,9 +192,9 @@ def test_criterion_3_selection_order_properties():
     split = gen_split(default_benchmark_spec(seed=0), 3, 3)
     config = TrainConfig(seed=0, t_max=200)
     params, _ = train_baseline(split, config)
-    annotations = infer_pseudo(params, split.unlabeled_x())
     anchors = {c: forward_features(x, params) for c, x in split.labeled_target_by_class().items()}
-    selected = select(annotations, anchors, 0.2, len(split.unlabeled_target), split.n_classes)
+    annotations = infer_pseudo(params, split.unlabeled_x(), anchors)
+    selected = select(annotations, 0.2, len(split.unlabeled_target), split.n_classes)
     frozen = list(selected.index_set)
     state = init_train_state(split, config, "selftrain", selected=selected, resume_params=params)
     run_train_loop(split, config, state)

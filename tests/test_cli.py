@@ -153,7 +153,7 @@ class TestRunPipeline:
             assert len(load_split(split).unlabeled_target) > 2 * len(selected) > 0
             assert selected.annotations.base is None and selected.annotations.shape == (len(selected),)
             assert selected.annotations.soft_label.shape == (len(selected), 5)
-            assert selected.annotations.feature.shape == (len(selected), 0)
+            assert selected.annotations.dtype.names == ("index", "soft_label", "hard_label", "distance")
 
     def test_byte_identical_reports_for_identical_config(self, split_dir, tmp_path):
         for name in ("r1", "r2"):
@@ -433,6 +433,27 @@ class TestUnusableOutput:
         assert hashlib.sha256(manifest.read_bytes()).hexdigest() == before
         assert main(["evaluate", "--split", str(split), "--checkpoint", str(stage2[0])]) == EXIT_OK
 
+    @pytest.mark.parametrize("command, flag", [("pseudo-label", "--checkpoint"), ("self-train", "--checkpoint"),
+                                               ("self-train", "--selection")])
+    def test_output_into_an_input_artifact_directory(self, split_dir, stage2, tmp_path, capsys, command, flag):
+        """Stage 1's and stage 2's manifests are the one record of their runs (stage 2's holds the reliabilities):
+        a later stage's ``--out`` must not replace them."""
+        dirs = {"--checkpoint": shutil.copytree(stage2[0].parent, tmp_path / "s1"),
+                "--selection": shutil.copytree(stage2[1].parent, tmp_path / "s2")}
+        inputs = {"--checkpoint": dirs["--checkpoint"] / stage2[0].name,
+                  "--selection": dirs["--selection"] / stage2[1].name}
+        if command == "pseudo-label":
+            del inputs["--selection"]
+        before = _tree_digest(dirs[flag])
+        assert "manifest.json" in before
+        # the same directory by another spelling
+        argv = [command, "--split", str(split_dir), *(str(v) for item in inputs.items() for v in item),
+                "--out", str(dirs[flag] / ".." / dirs[flag].name), *FAST]
+        assert main(argv) == EXIT_CONFIG
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and "config error:" in err and f"the {flag} directory" in err
+        assert _tree_digest(dirs[flag]) == before
+
 
 class TestConfigFromFlags:
     def test_flags_override_defaults(self, split_dir, tmp_path, capsys):
@@ -613,7 +634,7 @@ def _explicit_cell(split_dir: Path, config: TrainConfig) -> float:
     split = load_split(split_dir)
     params, _ = train_baseline(split, config)
     anchors = {c: forward_features(x, params) for c, x in split.labeled_target_by_class().items()}
-    selected = select(infer_pseudo(params, split.unlabeled_x()), anchors, config.r_u,
+    selected = select(infer_pseudo(params, split.unlabeled_x(), anchors), config.r_u,
                       len(split.unlabeled_target), split.n_classes)
     final, _ = progressive_self_train(split, selected, params, config)
     return evaluate(final, split.unlabeled_x(), split.unlabeled_truth)

@@ -15,7 +15,7 @@ import pytest
 import ssda_lab
 from conftest import blas_version, max_rel_err, small_net
 from ssda_lab.artifacts import DataError
-from ssda_lab.coremath import LOG_CLAMP, finite_diff_grad, seeded_rng
+from ssda_lab.coremath import LOG_CLAMP, finite_diff_grad, l1_distance, seeded_rng
 from ssda_lab.network import (
     CHECKPOINT_VERSION,
     FEATURE_NORM_FLOOR,
@@ -34,11 +34,12 @@ from ssda_lab.network import (
     group_sizes,
     init_params,
     load_checkpoint,
+    row_blocks,
     save_checkpoint,
     sgd_step,
     zero_grads,
 )
-from ssda_lab.pseudolabel import infer_pseudo
+from ssda_lab.pseudolabel import infer_pseudo, reliability
 from ssda_lab.trainer import FEATURE_DIM, HIDDEN_DIMS, TEMPERATURE, entropy_loss, evaluate
 
 LOSS_KINDS = ["hard", "soft", "entropy"]
@@ -165,58 +166,77 @@ class TestRowBlocks:
         assert n <= ROW_BLOCK or min(sizes) >= ROW_BLOCK // 2
         np.testing.assert_array_equal(out, np.ones((n, 1)))
 
+    @pytest.mark.parametrize("shots", [1, 3])
     @pytest.mark.parametrize("input_dim, n_classes", [(2, 5), (8, 10)])
     @pytest.mark.parametrize("n", SIZES)
-    def test_blocked_passes_match_one_shot_bits(self, n, input_dim, n_classes):
+    def test_blocked_passes_match_one_shot_bits(self, n, input_dim, n_classes, shots):
         params = _pool_net(input_dim, n_classes)
         x = seeded_rng(n, "pool").standard_normal((n, input_dim))
         x[::97] = 0.0  # zero rows give zero features, which the head counts as degenerate
+        anchors = {c: seeded_rng(c, "anchors").standard_normal((shots, FEATURE_DIM)) for c in range(n_classes)}
         degenerate_feature_events.reset()
         features = _forward_extractor(x, params)[-1]
         probs = _head(features, params)[3]
         one_shot_events = degenerate_feature_events.count
         assert one_shot_events > 0
-        pool = lambda: infer_pseudo(params, x)  # noqa: E731
+        hard = probs.argmax(axis=1)
+        # the distances infer_pseudo works out per block, here from the one-shot features of each class at once
+        distance = np.full(n, np.nan)
+        for c in set(hard.tolist()):
+            distance[hard == c] = l1_distance(features[hard == c][:, None, :], anchors[c]).mean(axis=1)
+        # some class has no rows in some block, so that block makes no l1_distance call for it
+        assert any(np.bincount(hard[rows], minlength=n_classes).min() == 0 for rows in row_blocks(n))
+        pool = lambda: infer_pseudo(params, x, anchors)  # noqa: E731
         checks = [("forward_features", lambda: forward_features(x, params), features),
                   ("forward", lambda: forward(x, params), probs),
-                  ("infer_pseudo", lambda: pool().feature, features),
                   ("infer_pseudo", lambda: pool().soft_label, probs),
-                  ("infer_pseudo", lambda: pool().hard_label, probs.argmax(axis=1))]
+                  ("infer_pseudo", lambda: pool().hard_label, hard),
+                  ("infer_pseudo", lambda: pool().distance, distance),
+                  ("evaluate", lambda: evaluate(params, x, hard), 1.0)]
         for name, call, one_shot in checks:
             degenerate_feature_events.reset()
             np.testing.assert_array_equal(call(), one_shot, err_msg=f"numpy {np.__version__}, blas "
                                           f"{blas_version()}: blocked {name} differs at n={n}")
             assert degenerate_feature_events.count == (0 if name == "forward_features" else one_shot_events)
 
-    # tracemalloc peaks on a 19 960 x 8 pool: a one-shot pass holds two (n, 64) float64 activations and
-    # peaks near 25 MB; in row blocks evaluate peaks near 3 MB (infer_pseudo: the next test)
-    @pytest.mark.parametrize("call, bound_mb", [
-        (lambda params, x: evaluate(params, x, np.zeros(len(x), dtype=int)), 6),
-    ], ids=["evaluate"])
-    def test_full_pool_peak_memory_is_bounded(self, call, bound_mb):
+    @pytest.mark.parametrize("n", SIZES)
+    def test_evaluate_scores_the_argmax_of_forward(self, n):
+        params = _pool_net(8, 10)
+        x = seeded_rng(n, "pool").standard_normal((n, 8))
+        truth = seeded_rng(n, "truth").integers(0, 10, n)
+        truth[::2] = forward(x[::2], params).argmax(axis=1)  # about 55% right, so a wrong row count shows
+        assert evaluate(params, x, truth) == reliability(forward(x, params).argmax(axis=1), truth)
+
+    def test_evaluate_holds_no_prediction_matrix(self):
+        """Each block's argmax is kept, not its predictions: the peak stays below one (n, K) float64 matrix
+        (1.6 MB here), which a one-shot argmax over ``forward`` holds on top of its last block."""
         params = _pool_net(8, 10)
         x = seeded_rng(8, "pool").standard_normal((19960, 8))
-        call(params, x)
+        truth = np.zeros(len(x), dtype=int)
+        evaluate(params, x, truth)
         tracemalloc.start()
         try:
-            call(params, x)
+            evaluate(params, x, truth)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < bound_mb * 1e6, f"peak {peak / 1e6:.1f} MB"
+        assert peak < len(x) * params.n_classes * 8, f"peak {peak / 1e6:.2f} MB"
 
     def test_infer_pseudo_holds_the_pool_once(self):
-        """Features and predictions go straight into the record array: no pool-sized copy of either column."""
+        """Predictions and distances go straight into the record array, and each block's features are dropped
+        with the block: no pool-sized feature column and no pool-sized copy of any column."""
         params = _pool_net(8, 10)
         x = seeded_rng(8, "pool").standard_normal((19960, 8))
+        anchors = {c: seeded_rng(c, "anchors").standard_normal((3, FEATURE_DIM)) for c in range(10)}
         tracemalloc.start()
         try:
-            pool = infer_pseudo(params, x)
+            pool = infer_pseudo(params, x, anchors)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # about 1.23 (8.9 MB); a separate feature array, prediction array and record copy reach 2.0 (14.4 MB)
-        assert peak < 1.5 * pool.nbytes, f"peak {peak / pool.nbytes:.2f} x the pool's {pool.nbytes} bytes"
+        # about 3.8 MB, of which the 104-byte rows take 2.1 MB; a 256-byte feature column in the pool
+        # reaches 8.9 MB, and features held for a later select would add 5.1 MB more
+        assert peak < 5e6, f"peak {peak / 1e6:.2f} MB, the pool {pool.nbytes / 1e6:.2f} MB"
 
 
 class TestBackward:

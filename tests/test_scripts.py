@@ -40,15 +40,15 @@ def test_microbench_prints_one_json_line(tmp_path):
     lines = proc.stdout.splitlines()
     assert len(lines) == 1
     result = json.loads(lines[0])
-    assert set(result) == {"backward_us", "minimax_step_us", "stage2_us", "stage2_peak_mb", "refresh_us",
-                           "checkpoint_us", "settings"}
+    assert set(result) == {"backward_us", "minimax_step_us", "stage2_us", "stage2_peak_mb", "evaluate_peak_mb",
+                           "refresh_us", "checkpoint_us", "split_us", "selection_us", "settings"}
     assert set(result["backward_us"]) == {"hard", "soft", "entropy"}
     assert set(result["minimax_step_us"]) == set(STEP_MIXES)
     assert set(result["stage2_us"]) == {"infer_pseudo+select", "selection_dump", "selected_set_from_dump"}
-    assert set(result["checkpoint_us"]) == {"save", "load"}
-    assert all(v > 0 for key in ("backward_us", "minimax_step_us", "stage2_us", "checkpoint_us")
-               for v in result[key].values())
-    assert result["refresh_us"] > 0 and result["stage2_peak_mb"] > 0
+    assert set(result["checkpoint_us"]) == set(result["split_us"]) == set(result["selection_us"]) == {"save", "load"}
+    assert all(v > 0 for key in ("backward_us", "minimax_step_us", "stage2_us", "checkpoint_us", "split_us",
+                                 "selection_us") for v in result[key].values())
+    assert result["refresh_us"] > 0 and result["stage2_peak_mb"] > 0 and result["evaluate_peak_mb"] > 0
     assert (result["settings"]["repeats"], result["settings"]["OPENBLAS_NUM_THREADS"]) == (1, "1")
 
 
@@ -60,8 +60,9 @@ def test_microbench_against_prints_both_sides_of_every_figure(tmp_path):
     paired = json.loads(lines[0])
     assert set(paired) == {"this", "against", "wins", "settings"}
     names = {"backward_us.hard", "backward_us.soft", "backward_us.entropy", "stage2_us.infer_pseudo+select",
-             "stage2_us.selection_dump", "stage2_us.selected_set_from_dump", "stage2_peak_mb", "refresh_us",
-             "checkpoint_us.save", "checkpoint_us.load"}
+             "stage2_us.selection_dump", "stage2_us.selected_set_from_dump", "stage2_peak_mb", "evaluate_peak_mb",
+             "refresh_us", "checkpoint_us.save", "checkpoint_us.load", "split_us.save", "split_us.load",
+             "selection_us.save", "selection_us.load"}
     assert names < set(paired["this"]) == set(paired["against"]) == set(paired["wins"])
     assert len([n for n in paired["this"] if n.startswith("minimax_step_us.")]) == 4
     assert all(paired[side][n] > 0 for side in ("this", "against") for n in paired["this"])
@@ -81,3 +82,36 @@ def test_microbench_refuses_fewer_than_one_repeat(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "--repeats must be at least 1, got 0" in proc.stderr
+
+
+def test_pair_bench_pairs_this_checkout_with_itself(tmp_path):
+    """One tiny pair against this checkout: every end-to-end metric is summarized, and the artifacts agree."""
+    bench = tmp_path / "BENCH.json"
+    bench.write_text(json.dumps({"about": "kept", "summary": {"other-workload": {}}}))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "pair_bench.py"), "--against", str(ROOT),
+                           "--workload", "large-split-staged", "--pairs", "1", "--seed", "1", "--seconds", "0",
+                           "--size", "tiny", "--out", str(bench)],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300, check=False)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1
+    summary = json.loads(lines[0])
+    metrics = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    assert (summary["pairs"], summary["seeds"], summary["first"]) == (1, [1], ["parent"])
+    assert summary["all_correct"] and summary["failed"] == {"parent": 0, "change": 0}
+    assert summary["combined_sha256_equal_every_pair"] and summary["test_acc_mean_equal_every_pair"]
+    assert summary["env"]["change"]["OPENBLAS_NUM_THREADS"] == "1"
+    for name in metrics:
+        entry = summary[name]
+        assert len(entry["parent"]) == len(entry["change"]) == 1, name
+        assert entry["change_wins"] + entry["ties"] <= 1 and entry["sign_test_p"] == 1.0, name
+    written = json.loads(bench.read_text())
+    assert written["about"] == "kept" and set(written["summary"]) == {"other-workload", "large-split-staged"}
+    assert written["summary"]["large-split-staged"] == summary
+
+
+def test_pair_bench_sign_test_is_exact():
+    sign_test_p = runpy.run_path(str(ROOT / "scripts" / "pair_bench.py"))["sign_test_p"]
+    assert sign_test_p(10, 0) == 2 / 2**10
+    assert sign_test_p(9, 1) == 2 * 11 / 2**10
+    assert sign_test_p(5, 5) == 1.0 and sign_test_p(0, 0) == 1.0

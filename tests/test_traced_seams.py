@@ -15,7 +15,7 @@ import pytest
 from ssda_lab import network
 from ssda_lab.coremath import seeded_rng
 from ssda_lab.datasets import SSDASplit
-from ssda_lab.pseudolabel import pseudo_rows, select, selected_set_from_dump, selection_dump
+from ssda_lab.pseudolabel import anchor_distances, pseudo_rows, select, selected_set_from_dump, selection_dump
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKER_PATH = ROOT / "perfbench" / "worker.py"
@@ -51,9 +51,11 @@ def test_degenerate_feature_events_can_be_reset_and_read():
 def test_selection_counters_read_the_pool_and_the_kept_rows():
     """The worker counts the pool from ``select``'s first argument and the rebuilt set's soft rows."""
     rng, n, k = seeded_rng(29, "counters"), 60, 4
-    soft = rng.dirichlet(np.ones(k), n)
-    pool = pseudo_rows(soft, soft.argmax(axis=1), rng.standard_normal((n, 3)))
-    args = (pool, {c: rng.standard_normal((2, 3)) for c in range(k)}, 0.3, n, k)
+    soft, features = rng.dirichlet(np.ones(k), n), rng.standard_normal((n, 3))
+    hard = soft.argmax(axis=1)
+    distance = anchor_distances(features, hard, {c: rng.standard_normal((2, 3)) for c in range(k)})
+    pool = pseudo_rows(soft, hard, distance=distance)
+    args = (pool, 0.3, n, k)
     selected = select(*args)
     dump = selection_dump(selected, pool)
     counts = Counter()

@@ -323,7 +323,7 @@ class TestMomentumUpdateLabels:
         split = separable_split()
         config = quick_config()
         params = init_train_state(split, config, "baseline").params
-        rows = pseudo_rows(live, np.zeros(len(live), dtype=int), np.zeros((len(live), 1)))
+        rows = pseudo_rows(live, np.zeros(len(live), dtype=int))
         selected = SelectedSet(rows, rows.index.tolist(), 1.0, len(rows))
         with pytest.raises(ValueError, match="simplex violation in live labels"):
             init_train_state(split, config, "selftrain", selected=selected, resume_params=params)
@@ -382,7 +382,8 @@ class TestTrainBaseline:
 
     def test_pseudo_labels_on_separable_split_exceed_95pct(self, trained_separable):
         split, config, params, _ = trained_separable
-        annotations = infer_pseudo(params, split.unlabeled_x())
+        anchors = {c: forward_features(x, params) for c, x in split.labeled_target_by_class().items()}
+        annotations = infer_pseudo(params, split.unlabeled_x(), anchors)
         assert reliability(np.array([a.hard_label for a in annotations]), split.unlabeled_truth) > 0.95
 
     def test_deterministic_history(self):
@@ -432,9 +433,9 @@ def test_wrongly_typed_field_is_refused(values, message):
 
 
 def _selected(split, params, r_u=0.5):
-    annotations = infer_pseudo(params, split.unlabeled_x())
     anchors = {c: forward_features(x, params) for c, x in split.labeled_target_by_class().items()}
-    return select(annotations, anchors, r_u, len(split.unlabeled_target), split.n_classes)
+    return select(infer_pseudo(params, split.unlabeled_x(), anchors), r_u, len(split.unlabeled_target),
+                  split.n_classes)
 
 
 class TestProgressiveSelfTrain:
