@@ -25,8 +25,10 @@ digest of the arrays that the ``--src`` package's ``load_split`` returns
 labels, then the unlabeled features and their truth), each with its shape,
 so splits stored in different file formats that decode alike match. Each
 ``*_checkpoint.json`` gets a ``sha256  path decoded`` line too: the digest of
-its layer shapes, classifier shape and temperature ``repr``, then of its flat
-float64 weights, as the ``--src`` package's ``load_checkpoint`` returns them.
+its layer shapes, classifier shape and the ``repr`` of ``network.TEMPERATURE``
+(which ``load_checkpoint`` requires the checkpoint to record), then of its
+flat float64 weights, as the ``--src`` package's ``load_checkpoint`` returns
+them.
 
     python scripts/artifact_digests.py > change.txt
     python scripts/artifact_digests.py --src /path/to/parent/src > parent.txt
@@ -96,11 +98,11 @@ def decoded_split_digest(path: Path) -> str:
 
 
 def decoded_checkpoint_digest(path: Path) -> str:
-    from ssda_lab.network import load_checkpoint
+    from ssda_lab.network import TEMPERATURE, load_checkpoint
 
     params = load_checkpoint(path)["params"]
     layout = ([(w.shape, b.shape) for w, b in params.extractor_layers], params.classifier_weights.shape)
-    digest = hashlib.sha256(repr((*layout, repr(params.temperature))).encode())
+    digest = hashlib.sha256(repr((*layout, repr(TEMPERATURE))).encode())
     digest.update(np.asarray(params.flat, dtype="<f8").tobytes())
     return digest.hexdigest()
 

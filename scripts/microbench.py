@@ -19,14 +19,14 @@ With ``--against SRC`` the figures are paired instead: each of ``--repeats`` rou
 (one ``--repeats 1`` run in a fresh interpreter) on this checkout's ``src`` and once on ``SRC``, the side that
 goes first switching every round. The JSON line then holds each side's median per figure and, per figure,
 ``wins``: the rounds in which this checkout's figure was the lower. Figures swing between runs minutes apart
-by more than a few-microsecond change, so only paired rounds compare two trees. A ``SRC`` from before stage 2
-worked out its anchor distances in ``infer_pseudo`` is run through its own ``select(pool, anchors, ...)``.
+by more than a few-microsecond change, so only paired rounds compare two trees. Both sides run this script, so
+``SRC`` must have this checkout's ``init_params`` and ``infer_pseudo`` signatures; to pair trees whose signatures
+differ, pair their end-to-end runs with ``scripts/pair_bench.py``, where each side runs its own perfbench.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/microbench.py [--repeats 7] [--against OTHER/src]
 """
 
 import argparse
-import inspect
 import json
 import os
 import statistics
@@ -53,14 +53,11 @@ STEP_MIXES = {"hard+entropy": (0.1, False), "hard+soft+entropy": (0.1, True),
 POOL_ROWS, POOL_DIM, POOL_CLASSES = 19_960, 8, 10
 TRUSTED_ROWS = per_class_quota(0.2, POOL_ROWS, POOL_CLASSES) * POOL_CLASSES  # 4 000
 STEP_CALLS, IO_CALLS, STAGE2_CALLS = 500, 50, 10  # per repeat
-# whether infer_pseudo takes the anchors (this tree) or select does (a tree paired with --against)
-ANCHORS_IN_INFER = "anchor_features_by_class" in inspect.signature(infer_pseudo).parameters
 
 
 def net(input_dim: int, n_classes: int):
     """The pipeline's layout with a small random classifier, so predictions are not uniform."""
-    params = init_params(input_dim, trainer.HIDDEN_DIMS, trainer.FEATURE_DIM, n_classes, trainer.TEMPERATURE,
-                         seeded_rng(0, "init"))
+    params = init_params(input_dim, trainer.HIDDEN_DIMS, trainer.FEATURE_DIM, n_classes, seeded_rng(0, "init"))
     params.classifier_weights[:] = 0.1 * seeded_rng(0, "classifier").standard_normal(params.classifier_weights.shape)
     return params
 
@@ -102,11 +99,8 @@ def stage2_inputs() -> tuple:
 
 def stage2(params, pool, anchors) -> tuple:
     """``infer_pseudo`` + ``select`` at r_u 0.2: the pool and its selected set."""
-    if ANCHORS_IN_INFER:
-        annotations = infer_pseudo(params, pool, anchors)
-        return annotations, select(annotations, 0.2, POOL_ROWS, POOL_CLASSES)
-    annotations = infer_pseudo(params, pool)
-    return annotations, select(annotations, anchors, 0.2, POOL_ROWS, POOL_CLASSES)
+    annotations = infer_pseudo(params, pool, anchors)
+    return annotations, select(annotations, 0.2, POOL_ROWS, POOL_CLASSES)
 
 
 def stage2_costs(calls: int) -> dict:

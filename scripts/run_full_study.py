@@ -12,6 +12,8 @@ Produces, under --out:
 
 Every step goes through the CLI so the artifacts match what a user would
 get by hand.  The grids run their cells in this process, one seed at a time.
+Each command refuses an output directory that is not empty, so a rerun needs
+a new --out.
 """
 
 import argparse

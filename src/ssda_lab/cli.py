@@ -64,11 +64,14 @@ def build_config(args: argparse.Namespace) -> TrainConfig:
 
 
 def _output_path(raw: str) -> Path:
-    """``raw`` as a Path, a config error unless it is, or can be made, a directory."""
+    """``raw`` as a Path, a config error unless it is an empty directory or can be made one: one run per output
+    directory, so no file of another run, or of a split, sits beside a run's own."""
     path = Path(raw)
     existing = next(p for p in (path, *path.parents) if p.exists())
     if not existing.is_dir():
         raise ConfigError(f"cannot write {path}: {existing} is not a directory")
+    if existing == path and any(path.iterdir()):
+        raise ConfigError(f"--out {path} is not empty: each run writes into a new or empty directory")
     return path
 
 
@@ -171,9 +174,8 @@ def _stage_inputs(args: argparse.Namespace, per_cell: frozenset = frozenset()):
 
     A grid sets its ``per_cell`` fields itself, so a flag for one would go unused and is refused; ``self-train``
     has no ``--r-u`` and takes the ``r_u`` its dump's set was selected with.
-    Every input is checked before ``--out`` is made, so a bad one leaves no output directory; an ``--out``
-    that is the ``--split`` directory or the directory of the ``--checkpoint`` or ``--selection`` is refused,
-    since the run's manifest would overwrite the split's or the run's that wrote that artifact.
+    Every input is checked before ``--out`` is made, so a bad one leaves no output directory; ``--out`` must be
+    new or empty, so it is never the directory of an input.
     """
     flagged = sorted(name for name in per_cell if getattr(args, name, None) is not None)
     if flagged:
@@ -181,12 +183,6 @@ def _stage_inputs(args: argparse.Namespace, per_cell: frozenset = frozenset()):
                           f"{', '.join(flagged)}")
     config = build_config(args)
     out = _output_path(args.out)
-    inputs = {"--split": Path(args.split), **{f"--{name}": Path(getattr(args, name)).parent
-                                              for name in ("checkpoint", "selection") if name in args}}
-    for flag, directory in inputs.items():
-        if out.resolve() == directory.resolve():
-            raise ConfigError(f"--out {args.out} is the {flag} directory, whose manifest.json the run would "
-                              "overwrite")
     split = load_split(args.split)
     params = _load_params(args.checkpoint, split, baseline=True) if "checkpoint" in args else None
     selected = selected_set_from_dump(_load_dump(args, split)) if "selection" in args else None

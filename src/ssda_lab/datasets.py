@@ -297,15 +297,9 @@ def _check_labels(y: np.ndarray, n_classes: int, name: str) -> np.ndarray:
 
 
 def save_split(split: SSDASplit, out_dir: str | Path) -> Path:
-    """Write the split directory; returns the manifest path.
-
-    Rewriting a version-1 split in place deletes its five CSV tables, which
-    nothing reads any more; no other file in ``out_dir`` is touched.
-    """
+    """Write the split directory; returns the manifest path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for name in _TABLES:
-        (out / name).with_suffix(".csv").unlink(missing_ok=True)
 
     tables = {
         "source.npy": _labeled_rows(*split.source),

@@ -8,7 +8,7 @@ gradients and velocities are each a ``NetworkParams``: one flat float64
 vector, extractor layers first and the classifier last, with per-layer
 views into it; an SGD step, a copy or a sum of gradients is one vector op.
 A checkpoint stores that vector as a ``.npy`` table beside a JSON record of
-its ``layout()``.
+its widths and the head's temperature ``TEMPERATURE``.
 
 Inference over more than ``ROW_BLOCK`` rows (a whole unlabeled pool, a
 test set) runs in the blocks ``row_blocks`` bounds, so the pool's hidden
@@ -65,6 +65,10 @@ DOT_ROWS = 64
 # SGD momentum and weight decay, fixed as in MME (Saito et al., 2019)
 SGD_MOMENTUM, WEIGHT_DECAY = 0.9, 5e-4
 
+# The cosine head's temperature T, fixed as in MME: logits are W @ (f/||f||) / T.  Every checkpoint records it
+# and load_checkpoint refuses any other value, so changing it changes what every checkpoint holds.
+TEMPERATURE = 0.05
+
 
 class _EventCounter:
     """Counts degenerate-feature fallbacks for diagnostics."""
@@ -95,13 +99,12 @@ class NetworkParams:
     read-only properties: they cannot be re-bound, and writing into one
     (``w[:] = ...``, ``w += ...``) writes ``flat``, so whole-network
     arithmetic (updates, copies, sums of gradients) is one vector op.
-    ``temperature`` is a fixed positive scalar, not trained; a gradient
-    carries its params' and nothing reads it.  Pickling and
-    ``copy.deepcopy`` rebuild from ``flat`` and ``layout()``, so a clone's
-    views sit on its own buffer.
+    The head's temperature is the constant ``TEMPERATURE``, which no instance
+    carries.  Pickling and ``copy.deepcopy`` rebuild from ``flat`` and
+    ``widths``, so a clone's views sit on its own buffer.
     """
 
-    def __init__(self, flat: np.ndarray, widths, temperature: float) -> None:
+    def __init__(self, flat: np.ndarray, widths) -> None:
         self.widths = tuple(widths)
         views, i = [], 0
         for d_in, d_out in zip(self.widths[:-2], self.widths[1:-1]):
@@ -111,7 +114,6 @@ class NetworkParams:
         self._layers = tuple(views)
         self._last = flat[i:].reshape(self.widths[-1], self.widths[-2])
         self._flat = flat
-        self.temperature = temperature
 
     @property
     def flat(self) -> np.ndarray:
@@ -125,21 +127,11 @@ class NetworkParams:
     def classifier_weights(self) -> np.ndarray:
         return self._last
 
-    def layout(self) -> dict:
-        """The constructor's arguments besides ``flat``, in the key order a checkpoint records them."""
-        return {"widths": self.widths, "temperature": self.temperature}
-
     def __reduce__(self):
-        return NetworkParams, (self._flat, self.widths, self.temperature)
-
-    def validate(self) -> None:
-        if not (math.isfinite(self.temperature) and self.temperature > 0):
-            raise ValueError(f"temperature must be finite and positive, got {self.temperature}")
-        if not np.all(np.isfinite(self.flat)):
-            raise ValueError("the weights have non-finite entries")
+        return NetworkParams, (self._flat, self.widths)
 
     def copy(self) -> "NetworkParams":
-        return NetworkParams(self.flat.copy(), self.widths, self.temperature)
+        return NetworkParams(self.flat.copy(), self.widths)
 
     @property
     def input_dim(self) -> int:
@@ -152,7 +144,7 @@ class NetworkParams:
 
 def zero_grads(params: NetworkParams) -> NetworkParams:
     """A zero gradient or velocity laid out like ``params``."""
-    return NetworkParams(np.zeros_like(params.flat), params.widths, params.temperature)
+    return NetworkParams(np.zeros_like(params.flat), params.widths)
 
 
 def init_params(
@@ -160,13 +152,12 @@ def init_params(
     hidden_dims: tuple[int, ...],
     feature_dim: int,
     n_classes: int,
-    temperature: float,
     rng: np.random.Generator,
 ) -> NetworkParams:
     """He-uniform extractor weights, zero biases, zero classifier.
 
     The classifier starts at zero so initial predictions are uniform;
-    with a cosine head at temperature 0.05 a He-scale classifier would
+    with a cosine head at ``TEMPERATURE`` a He-scale classifier would
     start saturated and the initial loss would sit far above chance.
     """
     widths = (input_dim, *hidden_dims, feature_dim, n_classes)
@@ -175,9 +166,7 @@ def init_params(
         limit = np.sqrt(6.0 / d_in)
         draws += [rng.uniform(-limit, limit, size=d_in * d_out), np.zeros(d_out)]
     flat = np.concatenate([*draws, np.zeros(n_classes * feature_dim)])
-    params = NetworkParams(flat, widths, temperature)
-    params.validate()
-    return params
+    return NetworkParams(flat, widths)
 
 
 def _forward_extractor(x: np.ndarray, params: NetworkParams) -> list[np.ndarray]:
@@ -240,7 +229,7 @@ def _head(f: np.ndarray, params: NetworkParams) -> tuple[np.ndarray, np.ndarray,
     g = f / norms
     dot = np.dot if len(f) <= DOT_ROWS else np.matmul
     logits = dot(g, params.classifier_weights.T)
-    logits /= params.temperature
+    logits /= TEMPERATURE
     return g, norms, degenerate, softmax(logits)
 
 
@@ -276,7 +265,6 @@ def backward(
     h = _forward_extractor(x, params)
     g, norms, degenerate, p = _head(h[-1], params)
     wc = params.classifier_weights
-    t = params.temperature
     logp = np.maximum(p, LOG_CLAMP)
     np.log(logp, out=logp)
 
@@ -304,9 +292,9 @@ def backward(
         out = zero_grads(params)
     # Classifier and feature gradients through the temperature-scaled head.
     gc = np.dot(dlogits.T, g, out=out.classifier_weights)
-    gc /= t
+    gc /= TEMPERATURE
     dg = np.dot(dlogits, wc)
-    dg /= t
+    dg /= TEMPERATURE
     # Through L2 normalization g = f/r: df = (dg - g (g . dg)) / r. The forward
     # divides a degenerate row by a constant 1, not by its norm, so dg is that
     # row's exact derivative; the formula would also subtract g (g . dg).
@@ -364,33 +352,32 @@ def group_sizes(params: NetworkParams) -> tuple[int, int]:
 
 
 def save_checkpoint(path: str | Path, params: NetworkParams, extra: dict) -> None:
-    """Write ``params.flat`` as the ``<f8`` table ``{stem}.flat.npy``, then the JSON record: ``params.layout()``
-    (``widths``, ``temperature``), the table's sha256 and ``extra``."""
+    """Write ``params.flat`` as the ``<f8`` table ``{stem}.flat.npy``, then the JSON record: the ``widths`` and
+    ``TEMPERATURE``, the table's sha256 and ``extra``."""
     checksum = write_table(table_path(path, "flat"), np.asarray(params.flat, dtype="<f8"))
-    record = {"format_version": CHECKPOINT_VERSION, "params": params.layout(), "checksum": checksum, "extra": extra}
+    record = {"format_version": CHECKPOINT_VERSION, "params": {"widths": params.widths, "temperature": TEMPERATURE},
+              "checksum": checksum, "extra": extra}
     Path(path).write_text(json.dumps(record), encoding="utf-8")
 
 
 def load_checkpoint(path: str | Path) -> dict:
     """The params and ``extra`` of a checkpoint, a ``DataError`` unless its ``widths`` list at least three integers
-    >= 1 and its temperature is a number, its table is one ``<f8`` vector of the length the widths give, and its
-    params pass ``validate``."""
+    >= 1, its temperature is ``TEMPERATURE``, and its table is one finite ``<f8`` vector of the length the widths
+    give."""
     record = read_record(path, CHECKPOINT_VERSION, "checkpoint", "params", "run train-baseline, or self-train for "
                          "a final checkpoint, again with flags for the settings its extra records: the same seed "
                          "gives the same weights")
     check_keys(record, {"format_version", "params", "checksum", "extra"}, f"checkpoint {path}")
     state = record["params"]
     check_keys(state, {"widths", "temperature"}, f"checkpoint {path} params")
-    widths, temperature = state["widths"], state["temperature"]
-    if not (isinstance(widths, list) and len(widths) >= 3 and all(is_int(n) and n >= 1 for n in widths)
-            and type(temperature) in (int, float)):
-        raise DataError(f"checkpoint {path}: widths must list at least three integers >= 1, and temperature must "
-                        "be a number")
+    widths = state["widths"]
+    if not (isinstance(widths, list) and len(widths) >= 3 and all(is_int(n) and n >= 1 for n in widths)):
+        raise DataError(f"checkpoint {path}: widths must list at least three integers >= 1")
+    if state["temperature"] != TEMPERATURE:  # NaN, inf and strings fail too
+        raise DataError(f"checkpoint {path}: temperature {state['temperature']!r} is not the head's TEMPERATURE "
+                        f"{TEMPERATURE!r}")
     size = sum((d_in + 1) * d_out for d_in, d_out in zip(widths[:-2], widths[1:-1])) + widths[-2] * widths[-1]
     flat = read_table(table_path(path, "flat"), record["checksum"], np.dtype("<f8"), (size,))
-    params = NetworkParams(flat, widths, float(temperature))
-    try:
-        params.validate()
-    except ValueError as err:
-        raise DataError(f"checkpoint {path}: {err}") from err
-    return {"params": params, "extra": record["extra"]}
+    if not np.all(np.isfinite(flat)):
+        raise DataError(f"checkpoint {path}: the weights have non-finite entries")
+    return {"params": NetworkParams(flat, widths), "extra": record["extra"]}

@@ -45,9 +45,9 @@ _FIELD_TYPES = {
     "bool": (lambda v: isinstance(v, bool), "true or false"),
 }
 
-# Fixed as in MME (Saito et al., 2019). Stage 1 builds its network with this layout;
+# Fixed as in MME (Saito et al., 2019), as is network.TEMPERATURE. Stage 1 builds its network with this layout;
 # stages 2 and 3 run the layout their checkpoint records. T_VAL counts iterations, PATIENCE validations.
-HIDDEN_DIMS, FEATURE_DIM, TEMPERATURE = (64, 64), 32, 0.05
+HIDDEN_DIMS, FEATURE_DIM = (64, 64), 32
 BATCH_LABELED, BATCH_UNLABELED, BATCH_PSEUDO = 32, 32, 64
 BASE_LR, T_VAL, PATIENCE = 0.005, 50, 10
 
@@ -271,7 +271,7 @@ def init_train_state(
             live = _check_simplex("live", rows.soft_label)
     else:
         params = init_params(input_dim=split.spec.input_dim, hidden_dims=HIDDEN_DIMS, feature_dim=FEATURE_DIM,
-                             n_classes=split.n_classes, temperature=TEMPERATURE, rng=seeded_rng(config.seed, "init"))
+                             n_classes=split.n_classes, rng=seeded_rng(config.seed, "init"))
         live = None
         selected_indices = None
     return TrainState(

@@ -28,7 +28,7 @@ def blas_version() -> str:
     return f"{blas.get('name')} {blas.get('version')}"
 
 
-def small_net(seed: int = 0, input_dim: int = 4, n_classes: int = 3, temperature: float = 1.0) -> NetworkParams:
+def small_net(seed: int = 0, input_dim: int = 4, n_classes: int = 3) -> NetworkParams:
     """Compact network for gradient checks; perturbed off init so no gradient is degenerate."""
     rng = seeded_rng(seed, "init")
     params = init_params(
@@ -36,7 +36,6 @@ def small_net(seed: int = 0, input_dim: int = 4, n_classes: int = 3, temperature
         hidden_dims=(8, 8),
         feature_dim=6,
         n_classes=n_classes,
-        temperature=temperature,
         rng=rng,
     )
     jitter = seeded_rng(seed, "jitter")

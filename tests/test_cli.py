@@ -41,7 +41,8 @@ def split_dir(tmp_path_factory):
 
 
 def _tree_digest(root: Path) -> dict:
-    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(root.iterdir())}
+    return {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 def _copy_selection(good: Path, dest: Path) -> Path:
@@ -252,7 +253,7 @@ class TestRunPipeline:
         assert not (tmp_path / "o").exists()
 
     def test_version_1_split_is_refused_before_out(self, tmp_path, capsys):
-        """A CSV split of the previous format: regenerated by gen-data, never read."""
+        """A CSV split of the previous format: never read, and regenerated by gen-data into a new directory."""
         old = tmp_path / "v1"
         old.mkdir()
         table = "x0,x1,y\n0.5,-1.25,0\n"
@@ -273,8 +274,10 @@ class TestRunPipeline:
         err = capsys.readouterr().err
         assert "version-1 (CSV) split" in err and "gen-data" in err
         assert not (tmp_path / "o").exists()
-        assert main(gen_args(old)) == EXIT_OK
-        assert sorted(p.name for p in old.iterdir()) == sorted(["manifest.json", *(f"{s}.npy" for s in stems)])
+        before = _tree_digest(old)
+        assert main(gen_args(old)) == EXIT_CONFIG
+        assert f"--out {old} is not empty" in capsys.readouterr().err
+        assert _tree_digest(old) == before
 
     def test_corrupt_checkpoint_is_data_error(self, split_dir, tmp_path):
         bad = tmp_path / "bad.json"
@@ -416,6 +419,35 @@ class TestUnusableOutput:
         assert stdout == "" and f"{blocker} is not a directory" in err
         assert blocker.read_text() == "keep"
 
+    @pytest.mark.parametrize("command, inputs", [("gen-data", []), *COMMAND_INPUTS])
+    def test_non_empty_out_exits_2_untouched(self, split_dir, stage2, tmp_path, capsys, command, inputs):
+        """One run per output directory, so no run's files sit beside another run's or a split's."""
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "notes.txt").write_text("keep")
+        before = _tree_digest(out)
+        argv = (gen_args(out) if command == "gen-data"
+                else [*_command_argv(command, inputs, split_dir, stage2, out), *FAST])
+        assert main(argv) == EXIT_CONFIG
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and f"config error: --out {out} is not empty" in err
+        assert _tree_digest(out) == before
+
+    def test_second_run_into_a_run_directory_exits_2(self, split_dir, tmp_path, capsys):
+        """A second run into one ``--out`` would leave seed 0's final checkpoint and selection beside seed 5's
+        baseline, and gen-data would replace the run's manifest with a split's."""
+        out = tmp_path / "R"
+        out.mkdir()  # an empty --out runs as a new one does
+        assert main(["run-pipeline", "--split", str(split_dir), "--seed", "0", "--out", str(out), *FAST]) == EXIT_OK
+        capsys.readouterr()
+        before = _tree_digest(out)
+        for argv in (["train-baseline", "--split", str(split_dir), "--seed", "5", "--out", str(out), *FAST],
+                     gen_args(out, seed=1)):
+            assert main(argv) == EXIT_CONFIG
+            stdout, err = capsys.readouterr()
+            assert stdout == "" and f"config error: --out {out} is not empty" in err
+        assert _tree_digest(out) == before
+
     @pytest.mark.parametrize("command", ["train-baseline", "pseudo-label", "self-train", "run-pipeline",
                                          "ablate-ru", "ablate-noise"])
     def test_output_into_the_split_directory(self, split_dir, stage2, tmp_path, capsys, command):
@@ -429,7 +461,7 @@ class TestUnusableOutput:
         assert main([command, "--split", str(split), "--out", str(split / ".." / "split"), *inputs,
                      *FAST]) == EXIT_CONFIG
         stdout, err = capsys.readouterr()
-        assert stdout == "" and "config error:" in err and "the --split directory" in err
+        assert stdout == "" and "config error:" in err and "is not empty" in err
         assert hashlib.sha256(manifest.read_bytes()).hexdigest() == before
         assert main(["evaluate", "--split", str(split), "--checkpoint", str(stage2[0])]) == EXIT_OK
 
@@ -451,7 +483,7 @@ class TestUnusableOutput:
                 "--out", str(dirs[flag] / ".." / dirs[flag].name), *FAST]
         assert main(argv) == EXIT_CONFIG
         stdout, err = capsys.readouterr()
-        assert stdout == "" and "config error:" in err and f"the {flag} directory" in err
+        assert stdout == "" and "config error:" in err and "is not empty" in err
         assert _tree_digest(dirs[flag]) == before
 
 
@@ -751,7 +783,7 @@ def _foreign_checkpoint(input_dim: int, n_classes: int):
     """A well-formed checkpoint for a network of another shape than the 2-D, 3-class test split."""
     def write(path: Path, good: Path) -> None:
         params = init_params(input_dim=input_dim, hidden_dims=(8,), feature_dim=4, n_classes=n_classes,
-                             temperature=0.05, rng=seeded_rng(0, "init"))
+                             rng=seeded_rng(0, "init"))
         save_checkpoint(path, params, extra={"stage": "baseline"})
     return write
 
@@ -865,10 +897,10 @@ def _layout(change):
 
 def _version1_checkpoint(path: Path, good: Path) -> None:
     """The checkpoint in the version-1 layout: every weight as JSON text."""
-    params = load_checkpoint(good)["params"]
-    path.write_text(json.dumps({"format_version": 1, "extra": json.loads(good.read_text())["extra"], "params": {
+    params, record = load_checkpoint(good)["params"], json.loads(good.read_text())
+    path.write_text(json.dumps({"format_version": 1, "extra": record["extra"], "params": {
         "extractor_layers": [[w.tolist(), b.tolist()] for w, b in params.extractor_layers],
-        "classifier_weights": params.classifier_weights.tolist(), "temperature": params.temperature}}))
+        "classifier_weights": params.classifier_weights.tolist(), "temperature": record["params"]["temperature"]}}))
 
 
 def _version2_checkpoint(path: Path, good: Path) -> None:
@@ -904,12 +936,15 @@ BAD_CHECKPOINTS = [
                  id="no_extractor_layer"),
     pytest.param(_layout(lambda p: p.update(widths=",".join(map(str, p["widths"])))), "at least three integers",
                  id="widths_str"),
-    pytest.param(_layout(lambda p: p.update(temperature=float("nan"))), "temperature must be finite",
+    # the head's temperature is the constant network.TEMPERATURE, which every checkpoint records
+    pytest.param(_layout(lambda p: p.update(temperature=float("nan"))), "is not the head's TEMPERATURE 0.05",
                  id="temperature_nan"),
-    pytest.param(_layout(lambda p: p.update(temperature=float("inf"))), "temperature must be finite",
+    pytest.param(_layout(lambda p: p.update(temperature=float("inf"))), "is not the head's TEMPERATURE 0.05",
                  id="temperature_inf"),
-    pytest.param(_layout(lambda p: p.update(temperature="0.05")), "temperature must be a number",
+    pytest.param(_layout(lambda p: p.update(temperature="0.05")), "is not the head's TEMPERATURE 0.05",
                  id="temperature_str"),
+    pytest.param(_layout(lambda p: p.update(temperature=0.5)), "temperature 0.5 is not the head's TEMPERATURE 0.05",
+                 id="temperature_0.5"),
     pytest.param(_layout(lambda p: p["widths"].__setitem__(0, 2.0)), "integers >= 1", id="widths_floats"),
     # a -1 would let numpy infer a width from the table
     pytest.param(_layout(lambda p: p["widths"].__setitem__(1, -1)), "integers >= 1", id="widths_negative"),
@@ -1193,8 +1228,7 @@ class TestCheckpointArchitecture:
 
     def test_checkpoint_without_hidden_layer_runs(self, split_dir, tmp_path, capsys):
         """A network that stage 1 never builds still runs through stages 2 and 3."""
-        params = init_params(input_dim=2, hidden_dims=(), feature_dim=4, n_classes=3, temperature=0.05,
-                             rng=seeded_rng(0, "init"))
+        params = init_params(input_dim=2, hidden_dims=(), feature_dim=4, n_classes=3, rng=seeded_rng(0, "init"))
         ckpt = tmp_path / "shallow.json"
         save_checkpoint(ckpt, params, extra={"stage": "baseline"})
         common = ["--split", str(split_dir), "--checkpoint", str(ckpt), *FAST]

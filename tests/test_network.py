@@ -21,6 +21,7 @@ from ssda_lab.network import (
     FEATURE_NORM_FLOOR,
     ROW_BLOCK,
     SGD_MOMENTUM,
+    TEMPERATURE,
     WEIGHT_DECAY,
     NetworkParams,
     _by_row_blocks,
@@ -40,7 +41,7 @@ from ssda_lab.network import (
     zero_grads,
 )
 from ssda_lab.pseudolabel import infer_pseudo, reliability
-from ssda_lab.trainer import FEATURE_DIM, HIDDEN_DIMS, TEMPERATURE, entropy_loss, evaluate
+from ssda_lab.trainer import FEATURE_DIM, HIDDEN_DIMS, entropy_loss, evaluate
 
 LOSS_KINDS = ["hard", "soft", "entropy"]
 
@@ -61,12 +62,12 @@ BATCH_TAKERS = {"forward_features": forward_features, "forward": forward,
 
 class TestForwardFeatures:
     def test_zero_weights_give_zero_features(self):
-        params = NetworkParams(np.zeros(3 * 4 + 4 + 4 * 2 + 2 + 2 * 2), [3, 4, 2, 2], 1.0)
+        params = NetworkParams(np.zeros(3 * 4 + 4 + 4 * 2 + 2 + 2 * 2), [3, 4, 2, 2])
         np.testing.assert_array_equal(forward_features(np.array([[1.0, -2.0, 3.0]]), params), np.zeros((1, 2)))
 
     def test_single_identity_layer_passes_input_through(self):
         # Final extractor layer is linear, so identity weights reproduce x.
-        params = NetworkParams(np.concatenate([np.eye(3).ravel(), np.zeros(3 + 2 * 3)]), [3, 3, 2], 1.0)
+        params = NetworkParams(np.concatenate([np.eye(3).ravel(), np.zeros(3 + 2 * 3)]), [3, 3, 2])
         x = np.array([[0.5, -1.5, 2.0]])
         np.testing.assert_array_equal(forward_features(x, params), x)
 
@@ -95,7 +96,7 @@ class TestForwardFeatures:
             "import numpy as np\n"
             "from ssda_lab.coremath import seeded_rng\n"
             "from ssda_lab.network import init_params, forward_features\n"
-            "p = init_params(2, (8,), 4, 3, 0.05, seeded_rng(5, 'init'))\n"
+            "p = init_params(2, (8,), 4, 3, seeded_rng(5, 'init'))\n"
             "f = forward_features(np.array([[0.3, -1.2]]), p)\n"
             "print(f.tobytes().hex())\n"
         )
@@ -131,13 +132,25 @@ class TestHead:
         np.testing.assert_allclose(p1, p2, atol=1e-9)
 
     def test_halving_temperature_sharpens(self, rng):
+        """Logits are W.g / T, so doubling the classifier weights is halving the temperature."""
         params = small_net(seed=3)
         f = rng.standard_normal((1, 6))
         p_base = _predictions(f, params)
         sharp = small_net(seed=3)
-        sharp.temperature = params.temperature / 2.0
+        sharp.classifier_weights[:] *= 2.0
         p_sharp = _predictions(f, sharp)
         assert np.max(p_sharp) > np.max(p_base)
+
+    def test_row_at_the_norm_floor_is_normalized(self):
+        """Only a norm below ``FEATURE_NORM_FLOOR`` is degenerate: ``[1e-12, 0, ...]`` has a norm of exactly the
+        floor in float64, so it becomes a unit row, builds no mask and bumps no counter."""
+        f = np.zeros((1, 6))
+        f[0, 0] = FEATURE_NORM_FLOOR
+        degenerate_feature_events.reset()
+        g, norms, degenerate, _ = _head(f, small_net())
+        assert norms[0, 0] == FEATURE_NORM_FLOOR
+        np.testing.assert_array_equal(g, [[1.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
+        assert degenerate is None and degenerate_feature_events.count == 0
 
     def test_degenerate_feature_fallback_counts(self):
         params = small_net()
@@ -149,7 +162,7 @@ class TestHead:
 
 def _pool_net(input_dim: int, n_classes: int) -> NetworkParams:
     """The pipeline's network layout with a random classifier, so predictions are not uniform."""
-    params = init_params(input_dim, HIDDEN_DIMS, FEATURE_DIM, n_classes, TEMPERATURE, seeded_rng(input_dim, "init"))
+    params = init_params(input_dim, HIDDEN_DIMS, FEATURE_DIM, n_classes, seeded_rng(input_dim, "init"))
     params.classifier_weights[:] = seeded_rng(input_dim, "classifier").standard_normal((n_classes, FEATURE_DIM))
     return params
 
@@ -258,7 +271,7 @@ class TestBackward:
             assert max_rel_err(grads.flat, fd) < 1e-4
 
     def test_loss_at_init_is_chance_level(self):
-        params = init_params(2, (64, 64), 32, 5, 0.05, seeded_rng(0, "init"))
+        params = init_params(2, (64, 64), 32, 5, seeded_rng(0, "init"))
         rng = seeded_rng(0, "data")
         x = rng.standard_normal((50, 2))
         labels = np.tile(np.arange(5), 10)
@@ -305,7 +318,7 @@ class TestBackward:
         _, grads = backward(x, params, "hard", np.array([1]))
         assert degenerate_feature_events.count == 1
         # the last layer is linear, so its bias gradient is the feature gradient
-        expected = (p - np.eye(params.n_classes)[1]) @ params.classifier_weights / params.temperature
+        expected = (p - np.eye(params.n_classes)[1]) @ params.classifier_weights / TEMPERATURE
         assert expected[0] == 0.0 and np.all(expected[1:] != 0.0)
         np.testing.assert_allclose(grads.extractor_layers[-1][1], expected, rtol=1e-12, atol=0.0)
 
@@ -337,7 +350,7 @@ def _reference_forward(x, params):
         norms[degenerate] = 1.0
     g = h[-1] / norms
     logits = g @ params.classifier_weights.T
-    logits /= params.temperature
+    logits /= TEMPERATURE
     p = _reference_softmax(logits)
     logp = np.maximum(p, LOG_CLAMP)
     np.log(logp, out=logp)
@@ -365,9 +378,9 @@ def _reference_backward(x, params, kind, targets=None):
         dlogits /= -n
     grads = zero_grads(params)
     gc = np.matmul(dlogits.T, g, out=grads.classifier_weights)
-    gc /= params.temperature
+    gc /= TEMPERATURE
     dg = dlogits @ params.classifier_weights
-    dg /= params.temperature
+    dg /= TEMPERATURE
     df = g * (g * dg).sum(axis=1, keepdims=True)
     np.subtract(dg, df, out=df)
     df /= norms
@@ -525,7 +538,6 @@ class TestFlatStorage:
         original = small_net()
         params = clone(original)
         np.testing.assert_array_equal(params.flat, original.flat)
-        assert params.temperature == original.temperature
         assert np.shares_memory(params.classifier_weights, params.flat)
         assert all(np.shares_memory(w, params.flat) for w, _ in params.extractor_layers)
         velocities = clone(zero_grads(params))
@@ -560,7 +572,7 @@ class TestAnnealLr:
 
 class TestDeterminismAndCheckpoint:
     def _run_steps(self, n_steps):
-        params = init_params(3, (8,), 4, 3, 0.05, seeded_rng(21, "init"))
+        params = init_params(3, (8,), 4, 3, seeded_rng(21, "init"))
         vel = zero_grads(params)
         rng = seeded_rng(21, "batch")
         for t in range(n_steps):
@@ -581,7 +593,6 @@ class TestDeterminismAndCheckpoint:
         save_checkpoint(path, params, extra={"t_iter": 17})
         loaded = load_checkpoint(path)
         np.testing.assert_array_equal(loaded["params"].flat, params.flat)
-        assert loaded["params"].temperature == params.temperature
         assert loaded["extra"]["t_iter"] == 17
         # the weights are one <f8 vector in the table beside the JSON, which holds its sha256
         table = tmp_path / "ckpt.flat.npy"
@@ -589,14 +600,7 @@ class TestDeterminismAndCheckpoint:
         assert (flat.dtype, flat.shape) == (np.dtype("<f8"), params.flat.shape)
         record = json.loads(path.read_text())
         assert record["checksum"] == hashlib.sha256(table.read_bytes()).hexdigest()
-        assert record["params"] == json.loads(json.dumps(params.layout()))
-
-    @pytest.mark.parametrize("temperature", [float("nan"), float("inf"), 0.0, -1.0])
-    def test_temperature_must_be_finite_and_positive(self, temperature):
-        params = small_net()
-        params.temperature = temperature
-        with pytest.raises(ValueError, match="temperature must be finite and positive"):
-            params.validate()
+        assert record["params"] == {"widths": list(params.widths), "temperature": TEMPERATURE}
 
     def test_checkpoint_version_mismatch(self, tmp_path):
         params = small_net()

@@ -62,8 +62,9 @@ def trained_separable():
 
 class TestLossValues:
     def test_labeled_loss_zero_on_perfect_predictions(self):
-        # temperature small enough that softmax saturates to exact one-hot rows
-        params = small_net(seed=1, temperature=1e-6)
+        # logits W.g / T scaled up until softmax saturates to exact one-hot rows
+        params = small_net(seed=1)
+        params.classifier_weights[:] *= 5e4
         rng = seeded_rng(1)
         x = rng.standard_normal((10, params.input_dim))
         p = forward(x, params)
@@ -115,7 +116,8 @@ class TestLossValues:
         x = rng.standard_normal((20, params.input_dim))
         h = entropy_loss(params, x)
         assert 0.0 <= h <= math.log(params.n_classes) + 1e-9
-        sharp = small_net(seed=6, temperature=1e-4)
+        sharp = small_net(seed=6)
+        sharp.classifier_weights[:] *= 500.0
         assert entropy_loss(sharp, x) < 1e-6
 
     def test_entropy_loss_near_log_k_at_seeded_init(self):
@@ -287,7 +289,7 @@ class TestStepOracle:
     def test_entropy_loss_has_the_bits_of_backward(self):
         rng = seeded_rng(45)
         for seed in range(4):
-            params = small_net(seed=seed, temperature=0.05)
+            params = small_net(seed=seed)
             x = rng.standard_normal((17, params.input_dim))
             assert entropy_loss(params, x) == backward(x, params, "entropy")[0]
 
@@ -312,11 +314,14 @@ class TestMomentumUpdateLabels:
         for a, b in zip(gaps, gaps[1:]):
             assert b / a == pytest.approx(0.9, abs=1e-9)
 
-    def test_simplex_violation_rejected(self):
+    # a row summing to 1 + 1e-6 lies within [0, 1] but off the simplex by more than its 1e-9 tolerance
+    @pytest.mark.parametrize("fresh", [[[1.2, -0.2]], [[0.5 + 1e-6, 0.5]]], ids=["outside_0_1", "sum_1_plus_1e-6"])
+    def test_simplex_violation_rejected(self, fresh):
         with pytest.raises(ValueError, match="simplex violation in fresh labels"):
-            momentum_update_labels(np.array([[0.5, 0.5]]), np.array([[1.2, -0.2]]), 0.9)
+            momentum_update_labels(np.array([[0.5, 0.5]]), np.array(fresh), 0.9)
 
-    @pytest.mark.parametrize("live", [[[0.9, 0.3]], [[0.5, 0.5], [np.nan, 0.5]]], ids=["sum_1_2", "nan"])
+    @pytest.mark.parametrize("live", [[[0.9, 0.3]], [[0.5, 0.5], [np.nan, 0.5]], [[0.5 + 1e-6, 0.5]]],
+                             ids=["sum_1_2", "nan", "sum_1_plus_1e-6"])
     def test_trusted_rows_off_the_simplex_rejected_where_stage_3_starts(self, live):
         """The refresh checks only ``fresh``; the trusted soft rows it blends into are checked once, here
         (NaN fails every comparison)."""
