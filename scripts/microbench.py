@@ -5,12 +5,14 @@ fixed inputs.
 ``backward`` per loss kind and ``minimax_step`` per batch mix on the default 5-class 2-D network, then
 ``infer_pseudo`` plus ``select``, ``selection_dump`` and ``selected_set_from_dump`` on a 19 960-row 8-D pool
 (10 classes), the validation phase's label refresh (``momentum_update_labels``) over the 4 000 rows that r_u 0.2
-keeps of that pool, ``save_checkpoint`` and ``load_checkpoint`` of the default network, ``save_split`` and
-``load_split`` of a 19 960-row 10-class 8-D split (the large-split-staged recipe), and ``save_selection`` and
-``load_selection`` of the pool's selection dump. The files are written to and read from a temporary directory with
-a warm page cache: they are rewritten on every call, and the cache is not dropped, since that would change the
-machine's settings. Each figure is the median of ``--repeats`` x 500 step, refresh or checkpoint calls (x 50 split
-or selection calls, x 10 stage-2 calls), each timed alone, so a burst of load on a shared machine moves it little.
+keeps of that pool, the whole validation phase of stage 3 on the pool's network (``evaluate`` on 30 validation
+rows, then the refresh's ``forward`` over the 4 000 rows and ``momentum_update_labels``), ``save_checkpoint`` and
+``load_checkpoint`` of the default network, ``save_split`` and ``load_split`` of a 19 960-row 10-class 8-D split
+(the large-split-staged recipe), and ``save_selection`` and ``load_selection`` of the pool's selection dump. The
+files are written to and read from a temporary directory with a warm page cache: they are rewritten on every
+call, and the cache is not dropped, since that would change the machine's settings. Each figure is the median of
+``--repeats`` x 500 step, refresh or checkpoint calls (x 50 split, selection or validation calls, x 10 stage-2
+calls), each timed alone, so a burst of load on a shared machine moves it little.
 Every timing is in microseconds. ``stage2_peak_mb`` is stage 2's memory: the ``tracemalloc`` peak, in MB, of one
 ``infer_pseudo`` + ``select`` + ``selection_dump`` on that pool; ``evaluate_peak_mb`` is that of one ``evaluate``
 over the pool. Neither varies between runs of one tree. One JSON line prints the figures.
@@ -42,7 +44,8 @@ import numpy as np
 from ssda_lab import trainer
 from ssda_lab.coremath import seeded_rng
 from ssda_lab.datasets import DomainPairSpec, ShiftSpec, gen_split, load_split, save_split
-from ssda_lab.network import backward, forward_features, init_params, load_checkpoint, save_checkpoint, zero_grads
+from ssda_lab.network import (backward, forward, forward_features, init_params, load_checkpoint, save_checkpoint,
+                              zero_grads)
 from ssda_lab.pseudolabel import (infer_pseudo, load_selection, per_class_quota, save_selection, select,
                                   selected_set_from_dump, selection_dump)
 
@@ -52,7 +55,8 @@ STEP_MIXES = {"hard+entropy": (0.1, False), "hard+soft+entropy": (0.1, True),
               "hard+entropy_lambda_0": (0.0, False), "hard+soft+entropy_lambda_0": (0.0, True)}
 POOL_ROWS, POOL_DIM, POOL_CLASSES = 19_960, 8, 10
 TRUSTED_ROWS = per_class_quota(0.2, POOL_ROWS, POOL_CLASSES) * POOL_CLASSES  # 4 000
-STEP_CALLS, IO_CALLS, STAGE2_CALLS = 500, 50, 10  # per repeat
+VALIDATION_ROWS = 3 * POOL_CLASSES
+STEP_CALLS, IO_CALLS, VALIDATION_CALLS, STAGE2_CALLS = 500, 50, 50, 10  # per repeat
 
 
 def net(input_dim: int, n_classes: int):
@@ -149,6 +153,19 @@ def refresh_cost(calls: int) -> float:
     return round(1e6 * per_call(lambda: trainer.momentum_update_labels(live, fresh, 0.9), calls), 1)
 
 
+def validation_cost(calls: int) -> float:
+    """Microseconds of one stage-3 validation phase on the pool's network: ``evaluate`` on ``VALIDATION_ROWS``
+    rows, then the label refresh over the trusted rows, ``forward`` and ``momentum_update_labels``."""
+    rng, params = seeded_rng(4, "microbench"), net(POOL_DIM, POOL_CLASSES)
+    val_x, val_y = rng.standard_normal((VALIDATION_ROWS, POOL_DIM)), np.arange(VALIDATION_ROWS) % POOL_CLASSES
+    trusted, live = rng.standard_normal((TRUSTED_ROWS, POOL_DIM)), rng.dirichlet(np.ones(POOL_CLASSES), TRUSTED_ROWS)
+
+    def phase():
+        trainer.evaluate(params, val_x, val_y)
+        trainer.momentum_update_labels(live, forward(trusted, params), 0.9)
+    return round(1e6 * per_call(phase, calls), 1)
+
+
 def checkpoint_costs(calls: int) -> dict:
     """Microseconds of one ``save_checkpoint`` and of one ``load_checkpoint`` of the default network."""
     params = net(2, 5)
@@ -224,6 +241,7 @@ def main() -> None:
     print(json.dumps({**step_costs(args.repeats * STEP_CALLS), "stage2_us": stage2_costs(args.repeats * STAGE2_CALLS),
                       "stage2_peak_mb": stage2_peak_mb(), "evaluate_peak_mb": evaluate_peak_mb(),
                       "refresh_us": refresh_cost(args.repeats * STEP_CALLS),
+                      "validation_us": validation_cost(args.repeats * VALIDATION_CALLS),
                       "checkpoint_us": checkpoint_costs(args.repeats * STEP_CALLS),
                       **io_costs(args.repeats * IO_CALLS), "settings": settings}))
 

@@ -10,6 +10,13 @@ views into it; an SGD step, a copy or a sum of gradients is one vector op.
 A checkpoint stores that vector as a ``.npy`` table beside a JSON record of
 its widths and the head's temperature ``TEMPERATURE``.
 
+``backward`` is the forward pass, the loss head ``_loss_terms`` (the log
+clamp and the three loss formulas: predictions to a loss and its logit
+gradient ``dlogits``; ``trainer.entropy_loss`` reads its value too) and
+``_backprop``, which carries ``dlogits`` back through the head, the L2
+normalisation and the extractor, linearly: stacked batches' ``dlogits`` give
+the sum of their gradients, up to rounding, in one pass.
+
 Inference over more than ``ROW_BLOCK`` rows (a whole unlabeled pool, a
 test set) runs in the blocks ``row_blocks`` bounds, so the pool's hidden
 activations are never held at once; every row gets the bits a one-shot
@@ -24,7 +31,7 @@ The step's reductions call the ufuncs themselves (``np.add.reduce``,
 the ops ``ndarray.sum``, ``.max`` and ``.mean`` run behind their Python
 wrappers, so every value keeps its bits at fewer calls.  The head builds its
 degenerate-row mask only when the smallest row norm is below the floor, and
-passes None otherwise.  ``backward``'s products, and the forward's over at
+passes None otherwise.  ``_backprop``'s products, and the forward's over at
 most ``DOT_ROWS`` rows, call ``np.dot``: on float64 operands that are C- or
 F-contiguous, as every right-hand operand here is, it calls the same BLAS
 ``gemm``/``gemv`` that ``np.matmul`` calls, without the matmul ufunc's
@@ -239,32 +246,10 @@ def forward(x: np.ndarray, params: NetworkParams) -> np.ndarray:
                           _checked_input(x, params), params.n_classes)
 
 
-def backward(
-    x: np.ndarray,
-    params: NetworkParams,
-    kind: str,
-    targets: np.ndarray | None = None,
-    out: NetworkParams | None = None,
-) -> tuple[float, NetworkParams]:
-    """Batch-mean loss and its exact gradient, split into extractor/classifier groups.
-
-    kind:
-      "hard"     cross entropy against integer labels in ``targets``
-      "soft"     cross entropy against probability rows in ``targets``
-                 (targets are constants; no gradient flows into them)
-      "entropy"  mean prediction entropy, no targets
-
-    The gradient is written into ``out`` (laid out like ``params``) when
-    given, else into a new ``zero_grads(params)``; either way it is returned.
-    """
-    x = _checked_input(x, params)
-    n = x.shape[0]
-    if n == 0:
-        raise ValueError("empty batch")
-
-    h = _forward_extractor(x, params)
-    g, norms, degenerate, p = _head(h[-1], params)
-    wc = params.classifier_weights
+def _loss_terms(p: np.ndarray, kind: str, targets: np.ndarray | None) -> tuple[float, np.ndarray]:
+    """The batch-mean loss of predictions ``p`` for ``backward``'s ``kind`` and ``targets``, and its gradient with
+    respect to the logits, ``dlogits``; ``p`` is clamped at ``LOG_CLAMP`` before the log."""
+    n = p.shape[0]
     logp = np.maximum(p, LOG_CLAMP)
     np.log(logp, out=logp)
 
@@ -287,13 +272,17 @@ def backward(
         dlogits /= -n
     else:
         raise ValueError(f"unknown loss kind: {kind!r}")
+    return loss, dlogits
 
-    if out is None:
-        out = zero_grads(params)
+
+def _backprop(h: list[np.ndarray], g: np.ndarray, norms: np.ndarray, degenerate: np.ndarray | None,
+              dlogits: np.ndarray, params: NetworkParams, out: NetworkParams) -> NetworkParams:
+    """``dlogits`` carried back through the head, the L2 normalisation and the extractor into every entry of
+    ``out``; ``h`` is ``_forward_extractor``'s and ``g``, ``norms``, ``degenerate`` are ``_head``'s, of one batch."""
     # Classifier and feature gradients through the temperature-scaled head.
     gc = np.dot(dlogits.T, g, out=out.classifier_weights)
     gc /= TEMPERATURE
-    dg = np.dot(dlogits, wc)
+    dg = np.dot(dlogits, params.classifier_weights)
     dg /= TEMPERATURE
     # Through L2 normalization g = f/r: df = (dg - g (g . dg)) / r. The forward
     # divides a degenerate row by a constant 1, not by its norm, so dg is that
@@ -314,7 +303,37 @@ def backward(
         if i > 0:
             dz = np.dot(dz, params.extractor_layers[i][0].T)
             dz *= h[i] > 0
-    return loss, out
+    return out
+
+
+def backward(
+    x: np.ndarray,
+    params: NetworkParams,
+    kind: str,
+    targets: np.ndarray | None = None,
+    out: NetworkParams | None = None,
+) -> tuple[float, NetworkParams]:
+    """Batch-mean loss and its exact gradient, split into extractor/classifier groups: a forward pass, then
+    ``_loss_terms`` and ``_backprop``.
+
+    kind:
+      "hard"     cross entropy against integer labels in ``targets``
+      "soft"     cross entropy against probability rows in ``targets``
+                 (targets are constants; no gradient flows into them)
+      "entropy"  mean prediction entropy, no targets
+
+    The gradient is written into ``out`` (laid out like ``params``) when
+    given, else into a new ``zero_grads(params)``; either way it is returned.
+    An empty batch, an unknown kind or soft targets of the wrong shape raise
+    ``ValueError`` before ``out`` is written.
+    """
+    x = _checked_input(x, params)
+    if x.shape[0] == 0:
+        raise ValueError("empty batch")
+    h = _forward_extractor(x, params)
+    g, norms, degenerate, p = _head(h[-1], params)
+    loss, dlogits = _loss_terms(p, kind, targets)
+    return loss, _backprop(h, g, norms, degenerate, dlogits, params, zero_grads(params) if out is None else out)
 
 
 def sgd_step(params: NetworkParams, grads: NetworkParams, velocities: NetworkParams, lr: float) -> None:

@@ -4,7 +4,8 @@ Every unlabeled target sample gets a soft pseudo label (the model's
 prediction vector) and a hard pseudo label (its argmax).  Within each
 hard-label class, samples are ranked by mean L1 distance between their
 feature vector and the few labeled target anchors of that class, and the
-closest ceil(r_u * n_u / K) are kept as the trusted set.
+closest ceil(r_u * n_u / K) are kept as the trusted set, the ceiling taken
+on the decimal r_u (``per_class_quota``).
 
 A pool of samples is one record array of ``pseudo_rows``' layout: row i
 holds sample ``index``, its ``soft_label`` and ``hard_label`` and its
@@ -22,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -109,7 +111,9 @@ def infer_pseudo(params: NetworkParams, unlabeled_x: np.ndarray,
 
 
 def per_class_quota(r_u: float, n_u: int, n_classes: int) -> int:
-    return math.ceil(r_u * n_u / n_classes)
+    """ceil(r_u * n_u / n_classes) in exact arithmetic on the decimal ``repr(r_u)`` prints, the value the user
+    wrote: in float64, 0.07 * 200 / 2 is 7.000000000000001, which would make a quota of 8 instead of 7."""
+    return math.ceil(Fraction(repr(float(r_u))) * n_u / n_classes)
 
 
 def select(annotations: np.recarray, r_u: float, n_u: int, n_classes: int) -> SelectedSet:
@@ -238,7 +242,7 @@ def check_selection(dump: dict, n_unlabeled: int, n_classes: int) -> None:
     ``distance`` a float64 column of numbers >= 0, each of n_unlabeled rows,
     ``selected_by_class`` lists at least one row, each once, in
     [0, n_unlabeled) and under its hard label, no class keeps more than
-    ``per_class_quota`` = ceil(r_u * n_unlabeled / n_classes) rows,
+    ``per_class_quota`` = ceil(r_u * n_unlabeled / n_classes) rows (on the decimal r_u),
     ``n_selected`` counts the listed rows, and ``soft_label`` is a float64
     table of one row per listed row and n_classes columns, each row of
     numbers in [0, 1] that sum to 1 within 1e-9.

@@ -31,10 +31,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .coremath import LOG_CLAMP, SEED_LIMIT, is_finite_number, is_int, seeded_rng
+from .coremath import SEED_LIMIT, is_finite_number, is_int, seeded_rng
 from .datasets import SSDASplit
-from .network import (NetworkParams, _checked_input, _forward_extractor, _head, anneal_lr, backward, forward,
-                      group_sizes, init_params, row_blocks, sgd_step, zero_grads)
+from .network import (NetworkParams, _checked_input, _forward_extractor, _head, _loss_terms, anneal_lr, backward,
+                      forward, group_sizes, init_params, row_blocks, sgd_step, zero_grads)
 from .pseudolabel import SelectedSet, reliability
 
 
@@ -113,16 +113,12 @@ class ValidationRecord:
 def entropy_loss(params: NetworkParams, x: np.ndarray) -> float:
     """Mean prediction entropy over a batch, from a forward pass alone.
 
-    The ops are those of ``backward``'s entropy term, in the same order, so
-    the value has the same bits as ``backward(x, params, "entropy")[0]``.
+    The value is ``_loss_terms``' entropy term on ``forward``'s predictions, so it has the bits of
+    ``backward(x, params, "entropy")[0]``; the logit gradient that comes with it is dropped.
     """
     if len(x) == 0:
         raise ValueError("empty batch")
-    p = forward(x, params)
-    logp = np.maximum(p, LOG_CLAMP)
-    np.log(logp, out=logp)
-    row_h = -np.add.reduce(p * logp, axis=1, keepdims=True)
-    return float(np.add.reduce(row_h[:, 0]) / len(row_h))
+    return _loss_terms(forward(x, params), "entropy", None)[0]
 
 
 def evaluate(params: NetworkParams, x: np.ndarray, truth: np.ndarray) -> float:

@@ -178,6 +178,15 @@ class TestRunPipeline:
         assert "baseline accuracy: " in stdout
         assert "selected " not in stdout and "final accuracy" not in stdout
 
+    def test_quota_is_the_ceiling_on_the_decimal_r_u(self, tmp_path, capsys):
+        """0.07 * 200 / 2 is 7.000000000000001 in float64; the quota is ceil(7) = 7, not 8."""
+        split = tmp_path / "split"
+        assert main(["gen-data", "--out", str(split), "--classes", "2", "--n-target", "212"]) == EXIT_OK
+        assert len(load_split(split).unlabeled_target) == 200
+        assert main(["run-pipeline", "--split", str(split), "--out", str(tmp_path / "run"),
+                     "--r-u", "0.07", "--t-max", "50"]) == EXIT_OK
+        assert "of 200 (quota 7/class, r_u=0.07)" in capsys.readouterr().out
+
     def test_vanilla_arm_flags(self, split_dir, tmp_path):
         assert main(["run-pipeline", "--split", str(split_dir), "--out", str(tmp_path / "v"),
                      "--r-u", "1.0", "--hard-labels", "--label-momentum", "1.0", *FAST]) == EXIT_OK

@@ -1,9 +1,11 @@
-"""A lint guard with no dependency beyond ``ast``: no unused import, no unreferenced module-level private name.
+"""A lint guard with no dependency beyond ``ast``: no unused import, no unreferenced module-level private name,
+no line over ``MAX_COLUMNS``.
 
 Each module of ``src/ssda_lab`` is parsed. An import binds a name that the module must read somewhere
 (``from __future__`` imports bind none). A module-level function, class or assignment whose name starts with
 one underscore (dunders aside) must be read by name or as an attribute somewhere in the package, since nothing
-outside it is meant to.
+outside it is meant to. Every line of every ``.py`` file under ``src/``, ``scripts/`` and ``tests/`` fits in
+``MAX_COLUMNS`` columns.
 """
 
 import ast
@@ -11,8 +13,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ssda_lab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "ssda_lab"
 MODULES = sorted(SRC.glob("*.py"))
+MAX_COLUMNS = 120
 
 
 def _tree(path: Path) -> ast.Module:
@@ -67,3 +71,11 @@ def test_every_module_private_name_is_referenced():
     unreferenced = [f"{path.name}:{line} {name}" for path, tree in trees.items()
                     for line, name in _module_privates(tree) if name not in read]
     assert not unreferenced, f"module-level private names nothing in the package references: {unreferenced}"
+
+
+def test_no_line_is_over_max_columns():
+    files = sorted(p for d in ("src", "scripts", "tests") for p in (ROOT / d).rglob("*.py"))
+    assert files
+    long = [f"{path.relative_to(ROOT)}:{i} ({len(line)})" for path in files
+            for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1) if len(line) > MAX_COLUMNS]
+    assert not long, f"lines over {MAX_COLUMNS} columns: {long}"

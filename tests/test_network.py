@@ -18,15 +18,18 @@ from ssda_lab.artifacts import DataError
 from ssda_lab.coremath import LOG_CLAMP, finite_diff_grad, l1_distance, seeded_rng
 from ssda_lab.network import (
     CHECKPOINT_VERSION,
+    DOT_ROWS,
     FEATURE_NORM_FLOOR,
     ROW_BLOCK,
     SGD_MOMENTUM,
     TEMPERATURE,
     WEIGHT_DECAY,
     NetworkParams,
+    _backprop,
     _by_row_blocks,
     _forward_extractor,
     _head,
+    _loss_terms,
     anneal_lr,
     backward,
     degenerate_feature_events,
@@ -321,6 +324,35 @@ class TestBackward:
         expected = (p - np.eye(params.n_classes)[1]) @ params.classifier_weights / TEMPERATURE
         assert expected[0] == 0.0 and np.all(expected[1:] != 0.0)
         np.testing.assert_allclose(grads.extractor_layers[-1][1], expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("kind, targets, match", [
+        ("hinge", None, "unknown loss kind"),
+        ("soft", np.full((4, 2), 0.5), "soft targets shape"),
+        ("soft", np.full((3, 3), 1 / 3), "soft targets shape"),
+    ], ids=["unknown_kind", "soft_too_narrow", "soft_too_few_rows"])
+    def test_refusal_leaves_out_unwritten(self, kind, targets, match):
+        params = small_net()
+        out = zero_grads(params)
+        out.flat[:] = 7.0
+        with pytest.raises(ValueError, match=match):
+            backward(seeded_rng(3).standard_normal((4, params.input_dim)), params, kind, targets, out=out)
+        assert np.all(out.flat == 7.0)
+
+    @pytest.mark.parametrize("kinds", [("hard", "entropy"), ("soft", "entropy"), ("hard", "soft")], ids="+".join)
+    def test_one_backprop_of_stacked_dlogits_sums_two_backwards(self, kinds):
+        """The backprop is linear in ``dlogits``: one stacked forward, ``_loss_terms`` per slice and one
+        ``_backprop`` give the sum of the two batches' ``backward`` gradients."""
+        rng, params, n = seeded_rng(17), _pool_net(2, 5), 32
+        assert 2 * n <= DOT_ROWS
+        batches = [(rng.standard_normal((n, 2)), kind, _targets_for(kind, rng, n, 5)) for kind in kinds]
+        h = _forward_extractor(np.vstack([x for x, _, _ in batches]), params)
+        g, norms, degenerate, p = _head(h[-1], params)
+        dlogits = np.vstack([_loss_terms(p[i * n:(i + 1) * n], kind, targets)[1]
+                             for i, (_, kind, targets) in enumerate(batches)])
+        fused = _backprop(h, g, norms, degenerate, dlogits, params, zero_grads(params))
+        separate = sum(backward(x, params, kind, targets)[1].flat for x, kind, targets in batches)
+        # rtol 1e-12, with a floor at that fraction of the largest entry for entries that are sums which cancel
+        np.testing.assert_allclose(fused.flat, separate, rtol=1e-12, atol=1e-12 * np.max(np.abs(separate)))
 
     def test_gradient_partition_covers_every_parameter_once(self):
         params = small_net()

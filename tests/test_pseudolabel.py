@@ -1,5 +1,5 @@
 import json
-import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -136,6 +136,12 @@ class TestSelect:
         assert per_class_quota(0.01, 470, 5) == 1
         assert per_class_quota(1.0, 470, 5) == 94
 
+    def test_quota_is_the_ceiling_on_the_decimal_r_u(self):
+        """In float64 0.07 * 200 / 2 is 7.000000000000001; the quota is taken on 7/100, not on that."""
+        assert 0.07 * 200 / 2 > 7
+        assert per_class_quota(0.07, 200, 2) == 7
+        assert per_class_quota(0.07, 201, 2) == 8
+
     def test_full_ratio_selects_everything_when_balanced(self):
         # 10 samples per class, quota ceil(1.0 * 30 / 3) = 10 >= class counts
         annotations, n, k = random_pool(seed=1, n=30, k=3)
@@ -180,7 +186,8 @@ def test_selection_order_properties(seed, r_u):
     annotations, n, k = random_pool(seed)
     selected = select(annotations, r_u=r_u, n_u=n, n_classes=k)
     assert len(set(selected.index_set)) == len(selected.index_set)
-    assert selected.per_class_quota == math.ceil(r_u * n / k)
+    # the least integer >= r_u * n / k, with r_u the decimal its repr prints
+    assert selected.per_class_quota - 1 < Fraction(repr(r_u)) * n / k <= selected.per_class_quota
     selected_ids = set(selected.index_set)
     for c in range(k):
         members = [a for a in annotations if a.hard_label == c]

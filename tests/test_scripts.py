@@ -41,14 +41,14 @@ def test_microbench_prints_one_json_line(tmp_path):
     assert len(lines) == 1
     result = json.loads(lines[0])
     assert set(result) == {"backward_us", "minimax_step_us", "stage2_us", "stage2_peak_mb", "evaluate_peak_mb",
-                           "refresh_us", "checkpoint_us", "split_us", "selection_us", "settings"}
+                           "refresh_us", "validation_us", "checkpoint_us", "split_us", "selection_us", "settings"}
     assert set(result["backward_us"]) == {"hard", "soft", "entropy"}
     assert set(result["minimax_step_us"]) == set(STEP_MIXES)
     assert set(result["stage2_us"]) == {"infer_pseudo+select", "selection_dump", "selected_set_from_dump"}
     assert set(result["checkpoint_us"]) == set(result["split_us"]) == set(result["selection_us"]) == {"save", "load"}
     assert all(v > 0 for key in ("backward_us", "minimax_step_us", "stage2_us", "checkpoint_us", "split_us",
                                  "selection_us") for v in result[key].values())
-    assert result["refresh_us"] > 0 and result["stage2_peak_mb"] > 0 and result["evaluate_peak_mb"] > 0
+    assert all(result[key] > 0 for key in ("refresh_us", "validation_us", "stage2_peak_mb", "evaluate_peak_mb"))
     assert (result["settings"]["repeats"], result["settings"]["OPENBLAS_NUM_THREADS"]) == (1, "1")
 
 
@@ -61,8 +61,8 @@ def test_microbench_against_prints_both_sides_of_every_figure(tmp_path):
     assert set(paired) == {"this", "against", "wins", "settings"}
     names = {"backward_us.hard", "backward_us.soft", "backward_us.entropy", "stage2_us.infer_pseudo+select",
              "stage2_us.selection_dump", "stage2_us.selected_set_from_dump", "stage2_peak_mb", "evaluate_peak_mb",
-             "refresh_us", "checkpoint_us.save", "checkpoint_us.load", "split_us.save", "split_us.load",
-             "selection_us.save", "selection_us.load"}
+             "refresh_us", "validation_us", "checkpoint_us.save", "checkpoint_us.load", "split_us.save",
+             "split_us.load", "selection_us.save", "selection_us.load"}
     assert names < set(paired["this"]) == set(paired["against"]) == set(paired["wins"])
     assert len([n for n in paired["this"] if n.startswith("minimax_step_us.")]) == 4
     assert all(paired[side][n] > 0 for side in ("this", "against") for n in paired["this"])

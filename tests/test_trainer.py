@@ -188,8 +188,8 @@ class TestMinimaxStep:
         _, with_h = minimax_gradients(params, lam, labeled, None, unlabeled, zero_grads(params), zero_grads(params))
         _, without = minimax_gradients(params, 0.0, labeled, None, unlabeled, zero_grads(params), zero_grads(params))
         _, g_h = backward(unlabeled, params, "entropy")
-        np.testing.assert_allclose(with_h.classifier_weights - without.classifier_weights, -lam * g_h.classifier_weights,
-                                   atol=1e-12)
+        np.testing.assert_allclose(with_h.classifier_weights - without.classifier_weights,
+                                   -lam * g_h.classifier_weights, atol=1e-12)
 
     def test_entropy_directional_derivatives_after_one_step(self):
         # the part of one step that lambda contributes raises H through the
