@@ -17,15 +17,20 @@ Every timing is in microseconds. ``stage2_peak_mb`` is stage 2's memory: the ``t
 ``infer_pseudo`` + ``select`` + ``selection_dump`` on that pool; ``evaluate_peak_mb`` is that of one ``evaluate``
 over the pool. Neither varies between runs of one tree. One JSON line prints the figures.
 
-With ``--against SRC`` the figures are paired instead: each of ``--repeats`` rounds times every figure once
-(one ``--repeats 1`` run in a fresh interpreter) on this checkout's ``src`` and once on ``SRC``, the side that
-goes first switching every round. The JSON line then holds each side's median per figure and, per figure,
-``wins``: the rounds in which this checkout's figure was the lower. Figures swing between runs minutes apart
-by more than a few-microsecond change, so only paired rounds compare two trees. Both sides run this script, so
-``SRC`` must have this checkout's ``init_params`` and ``infer_pseudo`` signatures; to pair trees whose signatures
-differ, pair their end-to-end runs with ``scripts/pair_bench.py``, where each side runs its own perfbench.
+``--group NAME`` times one figure group (a top-level key, such as ``minimax_step_us``) alone.
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/microbench.py [--repeats 7] [--against OTHER/src]
+With ``--against SRC`` the figures are paired instead: in each of ``--repeats`` rounds, each figure group is
+timed alone (one ``--repeats 1 --group`` run in a fresh interpreter) on this checkout's ``src`` and on ``SRC``
+back to back, the side that goes first switching from group to group and from round to round, so a burst of
+load lands on both sides of one group's round. The JSON line then holds each side's median per figure and, per
+figure, ``wins``: the rounds in which this checkout's figure was the lower. Figures swing between runs minutes
+apart by more than a few-microsecond change, so only paired rounds compare two trees. Both sides run this
+script, so ``SRC`` must have this checkout's ``init_params`` and ``infer_pseudo`` signatures; to pair trees whose
+signatures differ, pair their end-to-end runs with ``scripts/pair_bench.py``, where each side runs its own
+perfbench.
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/microbench.py [--repeats 7] [--group NAME]
+        [--against OTHER/src]
 """
 
 import argparse
@@ -76,20 +81,29 @@ def per_call(fn, calls: int) -> float:
     return statistics.median(times)
 
 
-def step_costs(calls: int) -> dict:
+def step_inputs() -> tuple:
+    """The default network and one labeled, pseudo-labeled and unlabeled training batch."""
     rng, params, t = seeded_rng(1, "microbench"), net(2, 5), trainer
     lx, ly = rng.standard_normal((t.BATCH_LABELED, 2)), rng.integers(0, 5, t.BATCH_LABELED)
     px, soft = rng.standard_normal((t.BATCH_PSEUDO, 2)), rng.dirichlet(np.ones(5), t.BATCH_PSEUDO)
-    ux, out = rng.standard_normal((t.BATCH_UNLABELED, 2)), zero_grads(params)
-    us = lambda fn: round(1e6 * per_call(fn, calls), 1)  # noqa: E731
-    costs = {"backward_us": {kind: us(lambda: backward(x, params, kind, targets, out=out))
-                             for kind, x, targets in (("hard", lx, ly), ("soft", px, soft), ("entropy", ux, None))},
-             "minimax_step_us": {}}
+    return params, (lx, ly), (px, soft), rng.standard_normal((t.BATCH_UNLABELED, 2))
+
+
+def backward_costs(calls: int) -> dict:
+    params, (lx, ly), (px, soft), ux = step_inputs()
+    out = zero_grads(params)
+    return {kind: round(1e6 * per_call(lambda: backward(x, params, kind, targets, out=out), calls), 1)
+            for kind, x, targets in (("hard", lx, ly), ("soft", px, soft), ("entropy", ux, None))}
+
+
+def minimax_costs(calls: int) -> dict:
+    params, labeled, pseudo_batch, ux = step_inputs()
+    costs = {}
     for mix, (lam, with_pseudo) in STEP_MIXES.items():
-        config, pseudo = t.TrainConfig(lambda_=lam), (px, soft) if with_pseudo else None
+        config, pseudo = trainer.TrainConfig(lambda_=lam), pseudo_batch if with_pseudo else None
         step, velocities, grads, term = params.copy(), *(zero_grads(params) for _ in range(3))
-        costs["minimax_step_us"][mix] = us(lambda: t.minimax_step(
-            step, velocities, 1e-4, config, (lx, ly), pseudo, ux, grads, term))
+        costs[mix] = round(1e6 * per_call(lambda: trainer.minimax_step(
+            step, velocities, 1e-4, config, labeled, pseudo, ux, grads, term), calls), 1)
     return costs
 
 
@@ -176,29 +190,50 @@ def checkpoint_costs(calls: int) -> dict:
     return {"save": round(1e6 * save, 1), "load": round(1e6 * load, 1)}
 
 
-def io_costs(calls: int) -> dict:
-    """Microseconds of one save and of one load of the large-split-staged split and of the pool's selection."""
+def split_costs(calls: int) -> dict:
+    """Microseconds of one save and of one load of the large-split-staged split."""
     spec = DomainPairSpec(n_classes=POOL_CLASSES, input_dim=POOL_DIM, n_source=1000, n_target=20_000,
                           class_separation=8.0,
                           shift=ShiftSpec(rotation_degrees=10.0, translation=(1, 1, 0.5, 0.5, 0, 0, 0, 0)))
     split = gen_split(spec, n_t_per_class=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        split_dir = Path(tmp) / "split"
+        costs = {"save": per_call(lambda: save_split(split, split_dir), calls),
+                 "load": per_call(lambda: load_split(split_dir), calls)}
+    return {k: round(1e6 * v, 1) for k, v in costs.items()}
+
+
+def selection_costs(calls: int) -> dict:
+    """Microseconds of one save and of one load of the pool's selection."""
     annotations, selected = stage2(*stage2_inputs())
     dump = selection_dump(selected, annotations)
     with tempfile.TemporaryDirectory() as tmp:
-        split_dir, selection = Path(tmp) / "split", Path(tmp) / "selection.json"
+        selection = Path(tmp) / "selection.json"
         save = lambda: save_selection(selection, dump, split_checksum="split", checkpoint_sha256="ckpt")  # noqa: E731
-        costs = {"split_us": {"save": per_call(lambda: save_split(split, split_dir), calls),
-                              "load": per_call(lambda: load_split(split_dir), calls)},
-                 "selection_us": {"save": per_call(save, calls),
-                                  "load": per_call(lambda: load_selection(selection), calls)}}
-    return {group: {k: round(1e6 * v, 1) for k, v in figures.items()} for group, figures in costs.items()}
+        costs = {"save": per_call(save, calls), "load": per_call(lambda: load_selection(selection), calls)}
+    return {k: round(1e6 * v, 1) for k, v in costs.items()}
 
 
-def one_run(src: Path) -> dict:
-    """The figures of one ``--repeats 1`` run in a fresh interpreter importing ``ssda_lab`` from ``src``, keyed
-    by dotted name (``backward_us.hard``, ``refresh_us``)."""
-    proc = subprocess.run([sys.executable, __file__, "--repeats", "1"], env={**os.environ, "PYTHONPATH": str(src)},
-                          capture_output=True, text=True, check=False)
+# each figure group, in the order the JSON line prints them: the figures of --repeats repeats
+GROUPS = {
+    "backward_us": lambda repeats: backward_costs(repeats * STEP_CALLS),
+    "minimax_step_us": lambda repeats: minimax_costs(repeats * STEP_CALLS),
+    "stage2_us": lambda repeats: stage2_costs(repeats * STAGE2_CALLS),
+    "stage2_peak_mb": lambda repeats: stage2_peak_mb(),
+    "evaluate_peak_mb": lambda repeats: evaluate_peak_mb(),
+    "refresh_us": lambda repeats: refresh_cost(repeats * STEP_CALLS),
+    "validation_us": lambda repeats: validation_cost(repeats * VALIDATION_CALLS),
+    "checkpoint_us": lambda repeats: checkpoint_costs(repeats * STEP_CALLS),
+    "split_us": lambda repeats: split_costs(repeats * IO_CALLS),
+    "selection_us": lambda repeats: selection_costs(repeats * IO_CALLS),
+}
+
+
+def one_run(src: Path, group: str) -> dict:
+    """The figures of one ``--repeats 1`` run of ``group`` in a fresh interpreter importing ``ssda_lab`` from
+    ``src``, keyed by dotted name (``backward_us.hard``, ``refresh_us``)."""
+    proc = subprocess.run([sys.executable, __file__, "--repeats", "1", "--group", group],
+                          env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise SystemExit(f"microbench on {src} failed:\n{proc.stderr}")
     run = json.loads(proc.stdout)
@@ -210,13 +245,15 @@ def one_run(src: Path) -> dict:
     return figures
 
 
-def paired(against: Path, rounds: int) -> dict:
-    """Each side's median per figure over ``rounds`` alternating rounds, and this checkout's wins per figure."""
+def paired(against: Path, rounds: int, groups: list[str]) -> dict:
+    """Each side's median per figure over ``rounds`` rounds of ``groups``, each group's two sides back to back in
+    alternating order, and this checkout's wins per figure."""
     sides = {"this": Path(__file__).resolve().parents[1] / "src", "against": against}
-    runs = {side: [] for side in sides}
+    runs = {side: [{} for _ in range(rounds)] for side in sides}
     for r in range(rounds):
-        for side in ("this", "against") if r % 2 == 0 else ("against", "this"):
-            runs[side].append(one_run(sides[side]))
+        for g, group in enumerate(groups):
+            for side in ("this", "against") if (r + g) % 2 == 0 else ("against", "this"):
+                runs[side][r].update(one_run(sides[side], group))
     names = runs["this"][0]
     return {**{side: {n: round(statistics.median(run[n] for run in runs[side]), 2) for n in names} for side in sides},
             "wins": {n: sum(a[n] < b[n] for a, b in zip(runs["this"], runs["against"])) for n in names}}
@@ -225,6 +262,7 @@ def paired(against: Path, rounds: int) -> dict:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=7)
+    parser.add_argument("--group", choices=GROUPS, help="time this figure group alone")
     parser.add_argument("--against", type=Path, help="another checkout's src directory to pair this one's with")
     args = parser.parse_args()
     if args.repeats < 1:
@@ -234,16 +272,12 @@ def main() -> None:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     settings = {**vars(args), "numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
                 "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}
+    groups = [args.group] if args.group else list(GROUPS)
     if args.against is not None:
         settings["against"] = str(args.against.resolve())
-        print(json.dumps({**paired(args.against, args.repeats), "settings": settings}))
+        print(json.dumps({**paired(args.against, args.repeats, groups), "settings": settings}))
         return
-    print(json.dumps({**step_costs(args.repeats * STEP_CALLS), "stage2_us": stage2_costs(args.repeats * STAGE2_CALLS),
-                      "stage2_peak_mb": stage2_peak_mb(), "evaluate_peak_mb": evaluate_peak_mb(),
-                      "refresh_us": refresh_cost(args.repeats * STEP_CALLS),
-                      "validation_us": validation_cost(args.repeats * VALIDATION_CALLS),
-                      "checkpoint_us": checkpoint_costs(args.repeats * STEP_CALLS),
-                      **io_costs(args.repeats * IO_CALLS), "settings": settings}))
+    print(json.dumps({**{group: GROUPS[group](args.repeats) for group in groups}, "settings": settings}))
 
 
 if __name__ == "__main__":

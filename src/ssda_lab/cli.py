@@ -2,6 +2,8 @@
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 runtime error.
 Each command returns its summary lines, which ``main`` prints once the command has written every file.
+A command that writes builds its files in a fresh sibling directory of ``--out`` and renames that onto ``--out``
+after the last one, so a run that fails leaves no ``--out``.
 A run's config is the built-in defaults with its flags applied; flags are the only source, but for the ``r_u`` of
 ``self-train``, which is its selection dump's.
 The ablation grids run every cell in this process, one seed at a time.
@@ -11,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
+import tempfile
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, fields, replace
@@ -116,19 +120,36 @@ def _recorded(args: argparse.Namespace, config: TrainConfig, per_cell: frozenset
     return {k: v for k, v in asdict(config).items() if k not in per_cell}
 
 
-def _write_manifest(args: argparse.Namespace, out_dir: Path, config: TrainConfig,
+def _write_manifest(args: argparse.Namespace, work: Path, config: TrainConfig,
                     artifacts: dict, timings: dict, per_cell: frozenset = frozenset(), **extra) -> None:
-    """The grids add the ``seeds`` that ran, stage 2 its ``reliability_before`` and ``reliability_after``."""
+    """Write ``manifest.json`` into ``work``; ``artifacts`` maps keys to file names, which it records as paths
+    in ``--out``.  The grids add the ``seeds`` that ran, stage 2 its ``reliability_before`` and
+    ``reliability_after``."""
     manifest = {
         "command": args.command,
         "argv": args.argv,
         "config": _recorded(args, config, per_cell),
         **extra,
         "split_checksum": split_checksum(args.split),
-        "artifacts": {k: str(v) for k, v in artifacts.items()},
+        "artifacts": {k: str(Path(args.out) / name) for k, name in artifacts.items()},
         "timings_s": timings,
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    (work / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+
+
+@contextmanager
+def _renamed_onto(out: Path):
+    """A fresh sibling directory of ``out`` to write a run's files into, renamed onto ``out`` when the block
+    ends; any exception removes it, so a run that fails leaves neither ``out`` nor the sibling."""
+    target = out.resolve()
+    target.parent.mkdir(parents=True, exist_ok=True)
+    work = Path(tempfile.mkdtemp(prefix=f".{target.name}.", dir=target.parent))
+    try:
+        yield work
+        work.replace(target)  # also onto an empty directory, which _output_path allows
+    except BaseException:
+        shutil.rmtree(work, ignore_errors=True)
+        raise
 
 
 # -- the three stages, shared by the stage commands and the ablation grids --
@@ -149,11 +170,16 @@ def _stage1(split: SSDASplit, config: TrainConfig):
     return params, report
 
 
-def _stage2(split: SSDASplit, params: NetworkParams, r_u: float) -> dict:
-    """Pseudo labels: the selection dump of the set nearest its class anchors, which every stage 3 starts from."""
+def _stage2_pool(split: SSDASplit, params: NetworkParams):
+    """Stage 2's first half, which no ``r_u`` enters: the unlabeled pool's pseudo labels and anchor distances."""
     anchors = {c: forward_features(x, params) for c, x in split.labeled_target_by_class().items()}
-    annotations = infer_pseudo(params, split.unlabeled_x(), anchors)
-    return selection_dump(select(annotations, r_u, len(split.unlabeled_target), split.n_classes), annotations)
+    return infer_pseudo(params, split.unlabeled_x(), anchors)
+
+
+def _stage2_dump(split: SSDASplit, pool, r_u: float) -> dict:
+    """Stage 2's second half: the selection dump of the ``pool`` rows nearest their class anchors, which every
+    stage 3 starts from."""
+    return selection_dump(select(pool, r_u, len(split.unlabeled_target), split.n_classes), pool)
 
 
 def _stage3(split: SSDASplit, selected, params: NetworkParams, config: TrainConfig):
@@ -174,8 +200,8 @@ def _stage_inputs(args: argparse.Namespace, per_cell: frozenset = frozenset()):
 
     A grid sets its ``per_cell`` fields itself, so a flag for one would go unused and is refused; ``self-train``
     has no ``--r-u`` and takes the ``r_u`` its dump's set was selected with.
-    Every input is checked before ``--out`` is made, so a bad one leaves no output directory; ``--out`` must be
-    new or empty, so it is never the directory of an input.
+    Every input is checked before any work, so a bad one leaves no output directory; ``--out`` must be new or
+    empty, so it is never the directory of an input.
     """
     flagged = sorted(name for name in per_cell if getattr(args, name, None) is not None)
     if flagged:
@@ -189,17 +215,16 @@ def _stage_inputs(args: argparse.Namespace, per_cell: frozenset = frozenset()):
     if selected is not None:
         config = replace(config, r_u=float(selected.r_u))
     print("effective config: " + json.dumps(_recorded(args, config, per_cell), sort_keys=True))
-    out.mkdir(parents=True, exist_ok=True)
     return config, split, params, selected, out
 
 
-def _write_trained(out: Path, prefix: str, stage: str, params: NetworkParams, report, config: TrainConfig,
+def _write_trained(work: Path, prefix: str, stage: str, params: NetworkParams, report, config: TrainConfig,
                    artifacts: dict) -> str:
     """Write ``{prefix}_checkpoint.json`` and ``{prefix}_report.{json,csv}``, record them, return the stage line."""
-    ckpt = artifacts[f"{prefix}_checkpoint"] = out / f"{prefix}_checkpoint.json"
-    csv = artifacts[f"{prefix}_report_csv"] = out / f"{prefix}_report.csv"
-    save_checkpoint(ckpt, params, extra={"stage": stage, "config": asdict(config)})
-    save_report(report, out / f"{prefix}_report.json", csv)
+    ckpt = artifacts[f"{prefix}_checkpoint"] = f"{prefix}_checkpoint.json"
+    csv = artifacts[f"{prefix}_report_csv"] = f"{prefix}_report.csv"
+    save_checkpoint(work / ckpt, params, extra={"stage": stage, "config": asdict(config)})
+    save_report(report, work / f"{prefix}_report.json", work / csv)
     return (f"{prefix} accuracy: {report.final_test_acc:.4f} "
             f"(stop={report.stop_reason}, best_val={report.best_val_acc:.4f})")
 
@@ -212,7 +237,7 @@ def cmd_gen_data(args) -> list[str]:
         translation = tuple(float(v) for v in args.translation.split(",")) if args.translation else ()
     except ValueError as err:
         raise ConfigError(f"bad --translation list: {args.translation!r}") from err
-    _output_path(args.out)
+    out = _output_path(args.out)
     spec = DomainPairSpec(
         n_classes=args.classes,
         input_dim=args.dim,
@@ -231,10 +256,11 @@ def cmd_gen_data(args) -> list[str]:
         split = gen_split(spec, n_t_per_class=args.shots, n_val_per_class=args.val_per_class)
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    manifest_path = save_split(split, args.out)
+    with _renamed_onto(out) as work:
+        save_split(split, work)
     return [f"wrote split to {args.out} ({len(split.labeled_target[0])} labeled target, "
             f"{len(split.unlabeled_target)} unlabeled, checksum {split_checksum(args.out)[:12]})",
-            f"manifest: {manifest_path}"]
+            f"manifest: {out / 'manifest.json'}"]
 
 
 def cmd_stages(args) -> list[str]:
@@ -244,28 +270,31 @@ def cmd_stages(args) -> list[str]:
     timings: dict = {}
     extra: dict = {}  # stage 2's reliabilities, which the manifest holds beside its config
     lines = []
-    for n in args.stages:
-        with _timed(timings, f"stage{n}"):
-            if n == 1:
-                params, report = _stage1(split, config)
-                lines.append(_write_trained(out, "baseline", "baseline", params, report, config, artifacts))
-            elif n == 2:
-                dump = _stage2(split, params, config.r_u)
-                artifacts["selection"] = out / "selection.json"
-                save_selection(artifacts["selection"], dump, split_checksum=split_checksum(args.split),
-                               checkpoint_sha256=sha256(artifacts.get("baseline_checkpoint") or args.checkpoint))
-                selected = selected_set_from_dump(dump)
-                # the share of right hard pseudo labels over every unlabeled row, then over the selected rows
-                hard, truth, index = dump["hard_label"], split.unlabeled_truth, selected.index_set
-                before, after = reliability(hard, truth), reliability(hard[index], truth[index])
-                extra.update(reliability_before=before, reliability_after=after)
-                lines += [f"selected {len(selected)} of {len(split.unlabeled_target)} "
-                          f"(quota {selected.per_class_quota}/class, r_u={config.r_u})",
-                          f"reliability before/after selection: {100 * before:.1f} -> {100 * after:.1f}"]
-            else:
-                final, report = _stage3(split, selected, params, config)
-                lines.append(_write_trained(out, "final", "selftrain", final, report, config, artifacts))
-    _write_manifest(args, out, config, artifacts, timings, **extra)
+    checkpoint = getattr(args, "checkpoint", None)  # the stage-1 checkpoint a selection dump names
+    with _renamed_onto(out) as work:
+        for n in args.stages:
+            with _timed(timings, f"stage{n}"):
+                if n == 1:
+                    params, report = _stage1(split, config)
+                    lines.append(_write_trained(work, "baseline", "baseline", params, report, config, artifacts))
+                    checkpoint = work / artifacts["baseline_checkpoint"]
+                elif n == 2:
+                    dump = _stage2_dump(split, _stage2_pool(split, params), config.r_u)
+                    artifacts["selection"] = "selection.json"
+                    save_selection(work / artifacts["selection"], dump, split_checksum=split_checksum(args.split),
+                                   checkpoint_sha256=sha256(checkpoint))
+                    selected = selected_set_from_dump(dump)
+                    # the share of right hard pseudo labels over every unlabeled row, then over the selected rows
+                    hard, truth, index = dump["hard_label"], split.unlabeled_truth, selected.index_set
+                    before, after = reliability(hard, truth), reliability(hard[index], truth[index])
+                    extra.update(reliability_before=before, reliability_after=after)
+                    lines += [f"selected {len(selected)} of {len(split.unlabeled_target)} "
+                              f"(quota {selected.per_class_quota}/class, r_u={config.r_u})",
+                              f"reliability before/after selection: {100 * before:.1f} -> {100 * after:.1f}"]
+                else:
+                    final, report = _stage3(split, selected, params, config)
+                    lines.append(_write_trained(work, "final", "selftrain", final, report, config, artifacts))
+        _write_manifest(args, work, config, artifacts, timings, **extra)
     return lines
 
 
@@ -292,15 +321,17 @@ def _parse_list(raw: str, flag: str, kind: type) -> list:
 
 
 def _run_ablation(args: argparse.Namespace, arms: list[tuple[object, dict]], write_tables, min_seeds: int = 1) -> list:
-    """Run every (arm, seed) cell, then ``write_tables(out, {(tag, seed): accuracy})``, which returns its tables
-    and summary lines, and the manifest.
+    """Run every (arm, seed) cell, then ``write_tables(work, {(tag, seed): accuracy})``, which returns its tables'
+    file names and its summary lines, and the manifest.
 
     Each cell runs at its ``--seeds`` value with its arm's fields, so a flag for
     ``seed`` or for a field that every arm sets is refused, and the manifest's
     ``config`` leaves those fields out. With ``--regen`` each seed's split is
     redrawn from its spec at that seed. Stage 1 reads none of the fields an arm
     overrides, so it is trained once per seed and every arm of that seed starts
-    from the same baseline params.
+    from the same baseline params; stage 2 infers that seed's pool once and
+    selects from it once per distinct ``r_u``, so arms of one ``r_u`` share
+    one selected set.
     """
     seeds = _parse_list(args.seeds, "--seeds", int)
     if not all(0 <= s < SEED_LIMIT for s in seeds):
@@ -315,21 +346,24 @@ def _run_ablation(args: argparse.Namespace, arms: list[tuple[object, dict]], wri
                 if args.regen else split)
         with _timed(timings, "stage1"):
             params = _stage1(data, replace(config, seed=seed))[0]
-        for tag, arm in arms:
-            cell = replace(config, **arm, seed=seed)
-            with _timed(timings, "stage2"):
-                selected = selected_set_from_dump(_stage2(data, params, cell.r_u))
+        cells = [(tag, replace(config, **arm, seed=seed)) for tag, arm in arms]
+        with _timed(timings, "stage2"):
+            pool = _stage2_pool(data, params)
+            selected = {r_u: selected_set_from_dump(_stage2_dump(data, pool, r_u))
+                        for r_u in dict.fromkeys(cell.r_u for _, cell in cells)}
+        for tag, cell in cells:
             with _timed(timings, "stage3"):
-                accuracy[tag, seed] = _stage3(data, selected, params, cell)[1].final_test_acc
-    tables, lines = write_tables(out, accuracy)
-    _write_manifest(args, out, config, tables, timings, per_cell, seeds=seeds)
+                accuracy[tag, seed] = _stage3(data, selected[cell.r_u], params, cell)[1].final_test_acc
+    with _renamed_onto(out) as work:
+        tables, lines = write_tables(work, accuracy)
+        _write_manifest(args, work, config, tables, timings, per_cell, seeds=seeds)
     return lines
 
 
-def _write_ru_tables(out: Path, accuracy: dict) -> tuple[dict, list[str]]:
+def _write_ru_tables(work: Path, accuracy: dict) -> tuple[dict, list[str]]:
     rows = sorted((r_u, seed, acc) for (r_u, seed), acc in accuracy.items())
     lines = ["r_u,seed,accuracy"] + [f"{r!r},{s},{a!r}" for r, s, a in rows]
-    (out / "ru_sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (work / "ru_sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     summary = []
     for r_u in sorted({r for r, _, _ in rows}):
@@ -339,9 +373,9 @@ def _write_ru_tables(out: Path, accuracy: dict) -> tuple[dict, list[str]]:
     slines = ["r_u,mean_accuracy,std_accuracy,best"]
     for r_u, mean, std in summary:
         slines.append(f"{r_u!r},{mean!r},{std!r},{'*' if r_u == best else ''}")
-    (out / "ru_summary.csv").write_text("\n".join(slines) + "\n", encoding="utf-8")
+    (work / "ru_summary.csv").write_text("\n".join(slines) + "\n", encoding="utf-8")
 
-    return ({"sweep": out / "ru_sweep.csv", "summary": out / "ru_summary.csv"},
+    return ({"sweep": "ru_sweep.csv", "summary": "ru_summary.csv"},
             [f"r_u={r_u}: mean={mean:.4f} std={std:.4f}{'  <- best' if r_u == best else ''}"
              for r_u, mean, std in summary])
 
@@ -353,15 +387,15 @@ def cmd_ablate_ru(args) -> list[str]:
     return _run_ablation(args, [(r_u, {"r_u": r_u}) for r_u in grid], _write_ru_tables)
 
 
-def _write_noise_table(out: Path, accuracy: dict) -> tuple[dict, list[str]]:
+def _write_noise_table(work: Path, accuracy: dict) -> tuple[dict, list[str]]:
     seeds = sorted({seed for _, seed in accuracy})
     pairs = [(accuracy["progressive", s], accuracy["vanilla", s]) for s in seeds]
     lines = ["seed,progressive_accuracy,vanilla_accuracy,paired_difference"]
     lines += [f"{s},{p!r},{v!r},{p - v!r}" for s, (p, v) in zip(seeds, pairs)]
-    (out / "noise_ablation.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (work / "noise_ablation.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     mean_diff = float(np.mean([p - v for p, v in pairs]))
-    return ({"table": out / "noise_ablation.csv"},
+    return ({"table": "noise_ablation.csv"},
             [f"paired mean difference (progressive - vanilla): {mean_diff:+.4f} over {len(seeds)} seeds"])
 
 

@@ -2,11 +2,11 @@
 
 The model is p(x) = softmax(W @ (f/||f||_2) / T) where f = F(x) is the
 output of a small fully connected extractor.  Gradients are computed
-analytically and kept partitioned into extractor / classifier groups so
-the two can be driven by losses with opposite entropy signs.  Weights,
-gradients and velocities are each a ``NetworkParams``: one flat float64
-vector, extractor layers first and the classifier last, with per-layer
-views into it; an SGD step, a copy or a sum of gradients is one vector op.
+analytically.  Weights, gradients and velocities are each a
+``NetworkParams``: one flat float64 vector, extractor layers first and the
+classifier last, with per-layer views into it; an SGD step, a copy or a
+sum of gradients is one vector op, and the minimax step reverses a term's
+classifier gradient through the ``classifier_weights`` view.
 A checkpoint stores that vector as a ``.npy`` table beside a JSON record of
 its widths and the head's temperature ``TEMPERATURE``.
 
@@ -20,11 +20,12 @@ the sum of their gradients, up to rounding, in one pass.
 Inference over more than ``ROW_BLOCK`` rows (a whole unlabeled pool, a
 test set) runs in the blocks ``row_blocks`` bounds, so the pool's hidden
 activations are never held at once; every row gets the bits a one-shot
-pass gives it.  ``infer_pseudo`` keeps each block's predictions and
-anchor distances but not its features, and ``evaluate`` keeps only each
-block's argmax, so neither holds a pool-sized feature or prediction
-matrix.  Training batches and validation sets are smaller than one block
-and never split.
+pass gives it.  ``forward`` stacks each block's predictions,
+``infer_pseudo`` keeps each block's predictions and anchor distances but
+not its features, and ``evaluate`` keeps only each block's argmax, so
+neither of the last two holds a pool-sized feature or prediction matrix.
+Training batches, validation sets and the few labeled target anchors that
+``forward_features`` takes are smaller than one block and never split.
 
 The step's reductions call the ufuncs themselves (``np.add.reduce``,
 ``np.maximum.reduce``, and ``np.add.reduce(v) / n`` for a mean): these are
@@ -194,17 +195,6 @@ def row_blocks(n: int) -> list[slice]:
     return [slice(i * n // blocks, (i + 1) * n // blocks) for i in range(blocks)]
 
 
-def _by_row_blocks(fn, x: np.ndarray, width: int) -> np.ndarray:
-    """``fn(x)`` for a row-wise ``fn`` giving ``width`` columns, run over ``row_blocks`` into one preallocated
-    array; an input of at most ``ROW_BLOCK`` rows is one call."""
-    if len(x) <= ROW_BLOCK:
-        return fn(x)
-    out = np.empty((len(x), width))
-    for rows in row_blocks(len(x)):
-        out[rows] = fn(x[rows])
-    return out
-
-
 def _checked_input(x: np.ndarray, params: NetworkParams) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.input_dim:
@@ -213,9 +203,9 @@ def _checked_input(x: np.ndarray, params: NetworkParams) -> np.ndarray:
 
 
 def forward_features(x: np.ndarray, params: NetworkParams) -> np.ndarray:
-    """Features F(x) of an (n, input_dim) batch."""
-    return _by_row_blocks(lambda xb: _forward_extractor(xb, params)[-1], _checked_input(x, params),
-                          params.widths[-2])
+    """Features F(x) of an (n, input_dim) batch, in one pass: its callers pass a class's few labeled target
+    anchors, and ``infer_pseudo`` works out the pool's features block by block itself."""
+    return _forward_extractor(_checked_input(x, params), params)[-1]
 
 
 def _head(f: np.ndarray, params: NetworkParams) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
@@ -241,9 +231,15 @@ def _head(f: np.ndarray, params: NetworkParams) -> tuple[np.ndarray, np.ndarray,
 
 
 def forward(x: np.ndarray, params: NetworkParams) -> np.ndarray:
-    """Full model p(x) = C(F(x)), extractor and head together per row block."""
-    return _by_row_blocks(lambda xb: _head(_forward_extractor(xb, params)[-1], params)[3],
-                          _checked_input(x, params), params.n_classes)
+    """Full model p(x) = C(F(x)), extractor and head together per ``row_blocks`` block; an input of at most
+    ``ROW_BLOCK`` rows is one pass."""
+    x = _checked_input(x, params)
+    if len(x) <= ROW_BLOCK:
+        return _head(_forward_extractor(x, params)[-1], params)[3]
+    p = np.empty((len(x), params.n_classes))
+    for rows in row_blocks(len(x)):
+        p[rows] = _head(_forward_extractor(x[rows], params)[-1], params)[3]
+    return p
 
 
 def _loss_terms(p: np.ndarray, kind: str, targets: np.ndarray | None) -> tuple[float, np.ndarray]:
@@ -313,7 +309,7 @@ def backward(
     targets: np.ndarray | None = None,
     out: NetworkParams | None = None,
 ) -> tuple[float, NetworkParams]:
-    """Batch-mean loss and its exact gradient, split into extractor/classifier groups: a forward pass, then
+    """Batch-mean loss and its exact gradient with respect to every entry of ``params``: a forward pass, then
     ``_loss_terms`` and ``_backprop``.
 
     kind:
@@ -359,12 +355,6 @@ def anneal_lr(base_lr: float, progress: float) -> float:
     if not 0.0 <= progress <= 1.0:
         raise ValueError(f"progress must be in [0, 1], got {progress}")
     return base_lr / (1.0 + 10.0 * progress) ** 0.75
-
-
-def group_sizes(params: NetworkParams) -> tuple[int, int]:
-    """(extractor parameter count, classifier parameter count): the two halves of ``flat``."""
-    n_cls = params.classifier_weights.size
-    return params.flat.size - n_cls, n_cls
 
 
 # -- checkpointing --

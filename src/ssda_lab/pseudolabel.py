@@ -12,7 +12,8 @@ holds sample ``index``, its ``soft_label`` and ``hard_label`` and its
 anchor ``distance``.  Features are needed for that one distance only, so
 no record holds them: ``infer_pseudo`` fills the pool block by block and
 works out each block's distances (``anchor_distances``) while its
-features are alive, and ``select`` ranks by the ``distance`` column.
+features are alive, and ``select`` ranks the whole pool by class and the
+``distance`` column in one sort.
 Stage 2 holds the unlabeled pool once, at 8 * (K + 3) bytes a row.  Its
 one product is the selection dump, whose columns are arrays.  A selected
 set holds the kept rows, whether ``select`` made it or the dump rebuilt it.
@@ -120,10 +121,11 @@ def select(annotations: np.recarray, r_u: float, n_u: int, n_classes: int) -> Se
     """Keep, per hard-label class, the quota of rows nearest to its anchors.
 
     Rows are ranked by the pool's ``distance`` column, so a pool whose
-    distances were never given (NaN) is refused.  Sorting is stable on
-    (distance, index); classes are merged in ascending order, so the kept
-    rows are in (class, distance) order and the result is deterministic.
-    A class with no annotated members simply contributes nothing.
+    distances were never given (NaN) is refused.  One stable sort ranks the
+    whole pool on (class, distance, index), and each class keeps its first
+    ``quota`` rows, so the kept rows are in (class, distance) order and the
+    result is deterministic.  A class with no annotated members simply
+    contributes nothing.
     """
     if not 0.0 < r_u <= 1.0:
         raise ValueError(f"r_u must be in (0, 1], got {r_u}")
@@ -133,12 +135,10 @@ def select(annotations: np.recarray, r_u: float, n_u: int, n_classes: int) -> Se
         raise ValueError(f"hard labels must lie in [0, {n_classes})")
     if np.isnan(distance).any():
         raise ValueError("the pool has rows without an anchor distance (NaN): fill them with anchor_distances")
-    chosen = [np.empty(0, dtype=np.intp)]
-    for c in range(n_classes):
-        members = np.flatnonzero(hard == c)
-        if members.size:
-            chosen.append(members[np.lexsort((annotations.index[members], distance[members]))[:quota]])
-    order = np.concatenate(chosen)
+    order = np.lexsort((annotations.index, distance, hard))
+    sorted_hard = hard[order]
+    # a row's rank within its class: its place in the ranking less that of its class's first row
+    order = order[np.arange(len(order)) - np.searchsorted(sorted_hard, sorted_hard) < quota]
     kept = pseudo_rows(annotations.soft_label[order], hard[order], annotations.index[order], distance[order])
     return SelectedSet(annotations=kept, index_set=np.sort(kept.index).tolist(), r_u=r_u, per_class_quota=quota)
 

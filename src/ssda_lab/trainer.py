@@ -34,7 +34,7 @@ import numpy as np
 from .coremath import SEED_LIMIT, is_finite_number, is_int, seeded_rng
 from .datasets import SSDASplit
 from .network import (NetworkParams, _checked_input, _forward_extractor, _head, _loss_terms, anneal_lr, backward,
-                      forward, group_sizes, init_params, row_blocks, sgd_step, zero_grads)
+                      forward, init_params, row_blocks, sgd_step, zero_grads)
 from .pseudolabel import SelectedSet, reliability
 
 
@@ -167,8 +167,9 @@ def minimax_gradients(
 ) -> tuple[dict, NetworkParams]:
     """Combined gradients for the two objectives, one shared evaluation point.
 
-    Extractor rows carry d(L_sup + L_pseudo + lambda H); the classifier row
-    carries d(L_sup + L_pseudo - lambda H).  Returns per-term loss values
+    The extractor entries carry d(L_sup + L_pseudo + lambda H); the
+    ``classifier_weights`` entries carry d(L_sup + L_pseudo - lambda H), the
+    entropy term negated through that view.  Returns per-term loss values
     and the combined gradient.  ``pseudo`` is None outside self-training.  At
     lambda 0, H drops out of both objectives: its value at this point is
     still reported, from a forward pass alone.
@@ -185,11 +186,10 @@ def minimax_gradients(
         losses["entropy"] = entropy_loss(params, unlabeled)
     else:
         losses["entropy"] = backward(unlabeled, params, "entropy", out=term)[0]
-        # gradient reversal: the classifier half of flat takes -lambda dH
-        n_ext = group_sizes(params)[0]
-        scaled = np.multiply(term.flat, lambda_, out=term.flat)
-        combined.flat[:n_ext] += scaled[:n_ext]
-        combined.flat[n_ext:] -= scaled[n_ext:]
+        # gradient reversal: the classifier takes -lambda dH; c + lambda (-t) has the bits of c - lambda t
+        np.negative(term.classifier_weights, out=term.classifier_weights)
+        np.multiply(term.flat, lambda_, out=term.flat)
+        np.add(combined.flat, term.flat, out=combined.flat)
     return losses, combined
 
 

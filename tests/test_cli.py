@@ -560,7 +560,23 @@ class TestStagedCommands:
         for kind in ("overflow encountered", "invalid value encountered"):
             assert any(m.startswith(kind) for m in messages), (kind, messages)
         assert f"{stage} diverged by iteration 50" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new_out", "empty_out"])
+    def test_run_that_fails_after_stage_1_leaves_no_out(self, split_dir, tmp_path, capsys, monkeypatch, existing):
+        """Stage 1's checkpoint and stage 2's selection are written before stage 3 fails; neither is left in
+        ``--out``, where a later ``pseudo-label`` would accept the baseline, nor in a directory beside it."""
+        def failing(*args):
+            raise RuntimeError("stage 3 failed")
+
+        monkeypatch.setattr(cli, "_stage3", failing)
+        out = tmp_path / "o"
+        if existing:
+            out.mkdir()
+        assert main(["run-pipeline", "--split", str(split_dir), "--out", str(out), *FAST]) == EXIT_RUNTIME
+        assert "runtime error: RuntimeError: stage 3 failed" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == (["o"] if existing else [])
+        assert not existing or list(out.iterdir()) == []
 
     @pytest.mark.parametrize("argv, artifacts", [
         (["train-baseline"], {"baseline_checkpoint"}),
@@ -657,17 +673,17 @@ class TestStagedCommands:
         assert not (tmp_path / "o").exists()
 
 
-def _count_stage1(monkeypatch) -> list:
-    """Record the seed of every stage-1 run the ablation grids make."""
-    seeds: list = []
-    real = cli.train_baseline
+def _calls(monkeypatch, name: str) -> list:
+    """Record the positional arguments of every call the CLI makes to its ``name``."""
+    calls: list = []
+    real = getattr(cli, name)
 
-    def counting(split, config, *args, **kwargs):
-        seeds.append(config.seed)
-        return real(split, config, *args, **kwargs)
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "train_baseline", counting)
-    return seeds
+    monkeypatch.setattr(cli, name, counting)
+    return calls
 
 
 def _explicit_cell(split_dir: Path, config: TrainConfig) -> float:
@@ -682,22 +698,30 @@ def _explicit_cell(split_dir: Path, config: TrainConfig) -> float:
 
 
 class TestAblationStageSharing:
+    """A seed's arms share its stage 1 and, since they differ in stage 2 only by ``select``'s quota, its pool:
+    ``infer_pseudo`` runs once per seed and ``select`` once per distinct r_u, so ablate-noise's two r_u-0.2 arms
+    share one selected set."""
+
     def test_ru_grid_trains_stage1_once_per_seed(self, split_dir, tmp_path, monkeypatch):
-        seeds = _count_stage1(monkeypatch)
+        stage1, pools, selections = (_calls(monkeypatch, name) for name in ("train_baseline", "infer_pseudo",
+                                                                            "select"))
         out = tmp_path / "ru"
         assert main(["ablate-ru", "--split", str(split_dir), "--out", str(out),
                      "--grid", "0.2,1.0", "--seeds", "0,1", *FAST]) == EXIT_OK
-        assert seeds == [0, 1]
+        assert [config.seed for _, config in stage1] == [0, 1]
+        assert len(pools) == 2 and [args[1] for args in selections] == [0.2, 1.0, 0.2, 1.0]
         last = (out / "ru_sweep.csv").read_text().strip().split("\n")[-1]
         assert last.startswith("1.0,1,")
         expected = _explicit_cell(split_dir, replace(FAST_CONFIG, r_u=1.0, seed=1))
         assert last.split(",")[2] == repr(expected)
 
     def test_noise_grid_trains_stage1_once_per_seed(self, split_dir, tmp_path, monkeypatch):
-        seeds = _count_stage1(monkeypatch)
+        stage1, pools, selections = (_calls(monkeypatch, name) for name in ("train_baseline", "infer_pseudo",
+                                                                            "select"))
         assert main(["ablate-noise", "--split", str(split_dir), "--out", str(tmp_path / "noise"),
                      "--seeds", "0,1", *FAST]) == EXIT_OK
-        assert seeds == [0, 1]
+        assert [config.seed for _, config in stage1] == [0, 1]
+        assert len(pools) == 2 and [args[1] for args in selections] == [0.2, 0.2]
 
     @pytest.mark.parametrize("command, flags", [("ablate-ru", ["--seeds", "0", "--regen"]),
                                                 ("ablate-noise", ["--seeds", "0,1", "--regen"])])
@@ -1256,8 +1280,9 @@ def stage3(split_dir, stage2, tmp_path_factory):
     assert main(_self_train_argv(split_dir, *stage2, root / "st")) == EXIT_OK
     final = root / "st" / "final_checkpoint.json"
     split = load_split(split_dir)
-    save_selection(root / "selection.json", cli._stage2(split, load_checkpoint(final)["params"], 0.2),
-                   split_checksum=split_checksum(split_dir), checkpoint_sha256=sha256(final))
+    dump = cli._stage2_dump(split, cli._stage2_pool(split, load_checkpoint(final)["params"]), 0.2)
+    save_selection(root / "selection.json", dump, split_checksum=split_checksum(split_dir),
+                   checkpoint_sha256=sha256(final))
     return final, root / "selection.json"
 
 

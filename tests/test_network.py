@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import ssda_lab
+from ssda_lab import network
 from conftest import blas_version, max_rel_err, small_net
 from ssda_lab.artifacts import DataError
 from ssda_lab.coremath import LOG_CLAMP, finite_diff_grad, l1_distance, seeded_rng
@@ -26,7 +27,6 @@ from ssda_lab.network import (
     WEIGHT_DECAY,
     NetworkParams,
     _backprop,
-    _by_row_blocks,
     _forward_extractor,
     _head,
     _loss_terms,
@@ -35,7 +35,6 @@ from ssda_lab.network import (
     degenerate_feature_events,
     forward,
     forward_features,
-    group_sizes,
     init_params,
     load_checkpoint,
     row_blocks,
@@ -174,13 +173,17 @@ class TestRowBlocks:
     SIZES = [1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1, 19960]
 
     @pytest.mark.parametrize("n", SIZES)
-    def test_blocks_are_near_equal_and_never_small(self, n):
+    def test_forward_blocks_are_near_equal_and_never_small(self, n, monkeypatch):
         # a block of one row would take BLAS's vector path, whose bits can differ from the matrix path
+        params = _pool_net(2, 5)
+        x = seeded_rng(n, "pool").standard_normal((n, 2))
+        one_shot = _head(_forward_extractor(x, params)[-1], params)[3]
         sizes = []
-        out = _by_row_blocks(lambda xb: sizes.append(len(xb)) or xb[:, :1] + 1.0, np.zeros((n, 3)), 1)
+        monkeypatch.setattr(network, "_forward_extractor",
+                            lambda xb, p: sizes.append(len(xb)) or _forward_extractor(xb, p))
+        np.testing.assert_array_equal(forward(x, params), one_shot)
         assert sum(sizes) == n and max(sizes) <= ROW_BLOCK and max(sizes) - min(sizes) <= 1
         assert n <= ROW_BLOCK or min(sizes) >= ROW_BLOCK // 2
-        np.testing.assert_array_equal(out, np.ones((n, 1)))
 
     @pytest.mark.parametrize("shots", [1, 3])
     @pytest.mark.parametrize("input_dim, n_classes", [(2, 5), (8, 10)])
@@ -353,13 +356,6 @@ class TestBackward:
         separate = sum(backward(x, params, kind, targets)[1].flat for x, kind, targets in batches)
         # rtol 1e-12, with a floor at that fraction of the largest entry for entries that are sums which cancel
         np.testing.assert_allclose(fused.flat, separate, rtol=1e-12, atol=1e-12 * np.max(np.abs(separate)))
-
-    def test_gradient_partition_covers_every_parameter_once(self):
-        params = small_net()
-        n_ext, n_cls = group_sizes(params)
-        assert n_ext + n_cls == params.flat.size
-        grads = zero_grads(params)
-        assert grads.flat.size == n_ext + n_cls
 
 
 def _reference_softmax(logits):

@@ -223,6 +223,35 @@ def test_select_matches_per_row_reference(seed, r_u, duplicate):
     assert selected.annotations.index.tolist() == chosen
 
 
+def _per_class_lexsort(pool, quota, k):
+    """The oracle for ``select``: the positions of the kept rows by one (distance, index) lexsort per class,
+    merged in class order."""
+    chosen = [np.empty(0, dtype=np.intp)]
+    for c in range(k):
+        members = np.flatnonzero(pool.hard_label == c)
+        chosen.append(members[np.lexsort((pool.index[members], pool.distance[members]))[:quota]])
+    return np.concatenate(chosen)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.floats(min_value=0.01, max_value=1.0))
+def test_select_matches_a_per_class_lexsort(seed, r_u):
+    """On pools with tied distances, classes without rows and quotas above a class's size, ``select`` keeps the
+    rows the oracle keeps, in its order, with every field's bits."""
+    rng = seeded_rng(seed, "lexsort pool")
+    n, k = int(rng.integers(0, 80)), int(rng.integers(1, 8))
+    hard = rng.choice(rng.permutation(k)[:rng.integers(1, k + 1)], size=n)  # some classes may get no rows
+    distance = rng.integers(0, 4, size=n) / 4  # four values, so most rows tie with others
+    index = rng.permutation(3 * n)[:n]  # unique, in no order
+    pool = pseudo_rows(rng.dirichlet(np.ones(k), n), hard, index, distance)
+    n_u = int(rng.integers(1, 4 * n + 2))  # quotas from 1 to above any class's size
+    selected = select(pool, r_u=r_u, n_u=n_u, n_classes=k)
+    expected = pool[_per_class_lexsort(pool, selected.per_class_quota, k)]
+    assert selected.annotations.dtype == expected.dtype
+    assert selected.annotations.tobytes() == expected.tobytes()
+    assert selected.index_set == sorted(expected.index.tolist())
+
+
 def test_hard_label_outside_classes_rejected():
     annotations, n, k = random_pool(seed=6)
     annotations.hard_label[0] = k

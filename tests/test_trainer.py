@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import small_net
 from ssda_lab.coremath import cross_entropy, entropy, seeded_rng, softmax
 from ssda_lab.datasets import DomainPairSpec, ShiftSpec, gen_split
-from ssda_lab.network import anneal_lr, backward, forward, forward_features, group_sizes, zero_grads
+from ssda_lab.network import NetworkParams, anneal_lr, backward, forward, forward_features, zero_grads
 from ssda_lab.pseudolabel import SelectedSet, infer_pseudo, pseudo_rows, reliability, select
 from ssda_lab import network, trainer
 from ssda_lab.trainer import (
@@ -205,14 +205,14 @@ class TestMinimaxStep:
             stepped[lam] = params.copy()
             minimax_step(stepped[lam], zero_grads(params), 1e-4, config, labeled, None, unlabeled,
                          zero_grads(params), zero_grads(params))
-        delta = stepped[0.5].flat - stepped[0.0].flat
-        n_ext = group_sizes(params)[0]
+        delta = NetworkParams(stepped[0.5].flat - stepped[0.0].flat, params.widths)
 
         h_before = entropy_loss(params, unlabeled)
         cls_only = params.copy()
-        cls_only.flat[n_ext:] += delta[n_ext:]
+        cls_only.classifier_weights[:] += delta.classifier_weights
         ext_only = params.copy()
-        ext_only.flat[:n_ext] += delta[:n_ext]
+        np.add(ext_only.flat, delta.flat, out=ext_only.flat)
+        ext_only.classifier_weights[:] = params.classifier_weights
         assert entropy_loss(cls_only, unlabeled) > h_before
         assert entropy_loss(ext_only, unlabeled) < h_before
 
@@ -243,9 +243,9 @@ def _reference_step(params, velocity, lr, config, labeled, pseudo, unlabeled):
         total = total + g.flat
     losses["entropy"], g = backward(unlabeled, params, "entropy")
     if config.lambda_ != 0.0:  # at lambda 0, H is reported but adds nothing
-        n_ext, n_cls = group_sizes(params)
-        sign = np.concatenate([np.ones(n_ext), -np.ones(n_cls)])  # +lambda extractor, -lambda classifier
-        total = total + sign * (config.lambda_ * g.flat)
+        sign = NetworkParams(np.ones(params.flat.size), params.widths)  # +lambda extractor, -lambda classifier
+        sign.classifier_weights[:] = -1.0
+        total = total + sign.flat * (config.lambda_ * g.flat)
     theta = params.flat.copy()
     velocity[:] = network.SGD_MOMENTUM * velocity + (total + network.WEIGHT_DECAY * theta)
     params.flat[:] = theta - lr * velocity
