@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 runtime error.
 Each command returns its summary lines, which ``main`` prints once the command has written every file.
-A command that writes builds its files in a fresh sibling directory of ``--out`` and renames that onto ``--out``
-after the last one, so a run that fails leaves no ``--out``.
+A command that writes builds its files in a hidden directory inside ``--out`` and moves them up into ``--out``
+after the last one, so a run that fails leaves no new ``--out`` and an existing empty one empty.
 A run's config is the built-in defaults with its flags applied; flags are the only source, but for the ``r_u`` of
 ``self-train``, which is its selection dump's.
+Stage 3 trains on ``select``'s set after an in-process stage 2, and ``self-train`` on the one its dump rebuilds.
 The ablation grids run every cell in this process, one seed at a time.
 """
 
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import shutil
 import sys
 import tempfile
 import time
@@ -138,17 +138,24 @@ def _write_manifest(args: argparse.Namespace, work: Path, config: TrainConfig,
 
 
 @contextmanager
-def _renamed_onto(out: Path):
-    """A fresh sibling directory of ``out`` to write a run's files into, renamed onto ``out`` when the block
-    ends; any exception removes it, so a run that fails leaves neither ``out`` nor the sibling."""
-    target = out.resolve()
-    target.parent.mkdir(parents=True, exist_ok=True)
-    work = Path(tempfile.mkdtemp(prefix=f".{target.name}.", dir=target.parent))
+def _staged(out: Path):
+    """A hidden directory inside ``out`` to write a run's files into; when the block ends its entries move up
+    into ``out``.  A new ``out`` is made as ``mkdir`` makes it, and an existing empty one keeps its inode and
+    mode.  Any exception removes what the run wrote, and ``out`` too if the run made it; ``_output_path`` has
+    checked that ``out`` is new or empty."""
+    made = not out.exists()
+    out.mkdir(parents=True, exist_ok=True)
+    moved = []
     try:
-        yield work
-        work.replace(target)  # also onto an empty directory, which _output_path allows
+        with tempfile.TemporaryDirectory(prefix=".staging.", dir=out) as work:
+            yield Path(work)
+            for entry in sorted(Path(work).iterdir()):
+                moved.append(entry.rename(out / entry.name))
     except BaseException:
-        shutil.rmtree(work, ignore_errors=True)
+        for path in moved:
+            path.unlink()
+        if made:
+            out.rmdir()
         raise
 
 
@@ -171,15 +178,9 @@ def _stage1(split: SSDASplit, config: TrainConfig):
 
 
 def _stage2_pool(split: SSDASplit, params: NetworkParams):
-    """Stage 2's first half, which no ``r_u`` enters: the unlabeled pool's pseudo labels and anchor distances."""
+    """Stage 2's pool, which no ``r_u`` enters: the unlabeled rows' pseudo labels and anchor distances."""
     anchors = {c: forward_features(x, params) for c, x in split.labeled_target_by_class().items()}
     return infer_pseudo(params, split.unlabeled_x(), anchors)
-
-
-def _stage2_dump(split: SSDASplit, pool, r_u: float) -> dict:
-    """Stage 2's second half: the selection dump of the ``pool`` rows nearest their class anchors, which every
-    stage 3 starts from."""
-    return selection_dump(select(pool, r_u, len(split.unlabeled_target), split.n_classes), pool)
 
 
 def _stage3(split: SSDASplit, selected, params: NetworkParams, config: TrainConfig):
@@ -256,10 +257,11 @@ def cmd_gen_data(args) -> list[str]:
         split = gen_split(spec, n_t_per_class=args.shots, n_val_per_class=args.val_per_class)
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    with _renamed_onto(out) as work:
+    with _staged(out) as work:
         save_split(split, work)
+        checksum = split_checksum(work)
     return [f"wrote split to {args.out} ({len(split.labeled_target[0])} labeled target, "
-            f"{len(split.unlabeled_target)} unlabeled, checksum {split_checksum(args.out)[:12]})",
+            f"{len(split.unlabeled_target)} unlabeled, checksum {checksum[:12]})",
             f"manifest: {out / 'manifest.json'}"]
 
 
@@ -271,7 +273,7 @@ def cmd_stages(args) -> list[str]:
     extra: dict = {}  # stage 2's reliabilities, which the manifest holds beside its config
     lines = []
     checkpoint = getattr(args, "checkpoint", None)  # the stage-1 checkpoint a selection dump names
-    with _renamed_onto(out) as work:
+    with _staged(out) as work:
         for n in args.stages:
             with _timed(timings, f"stage{n}"):
                 if n == 1:
@@ -279,15 +281,16 @@ def cmd_stages(args) -> list[str]:
                     lines.append(_write_trained(work, "baseline", "baseline", params, report, config, artifacts))
                     checkpoint = work / artifacts["baseline_checkpoint"]
                 elif n == 2:
-                    dump = _stage2_dump(split, _stage2_pool(split, params), config.r_u)
+                    pool = _stage2_pool(split, params)
+                    selected = select(pool, config.r_u, len(pool), split.n_classes)
                     artifacts["selection"] = "selection.json"
-                    save_selection(work / artifacts["selection"], dump, split_checksum=split_checksum(args.split),
-                                   checkpoint_sha256=sha256(checkpoint))
-                    selected = selected_set_from_dump(dump)
+                    save_selection(work / artifacts["selection"], selection_dump(selected, pool),
+                                   split_checksum=split_checksum(args.split), checkpoint_sha256=sha256(checkpoint))
                     # the share of right hard pseudo labels over every unlabeled row, then over the selected rows
-                    hard, truth, index = dump["hard_label"], split.unlabeled_truth, selected.index_set
+                    hard, truth, index = pool.hard_label, split.unlabeled_truth, selected.index_set
                     before, after = reliability(hard, truth), reliability(hard[index], truth[index])
                     extra.update(reliability_before=before, reliability_after=after)
+                    del pool, hard  # stage 3 needs only the selected set
                     lines += [f"selected {len(selected)} of {len(split.unlabeled_target)} "
                               f"(quota {selected.per_class_quota}/class, r_u={config.r_u})",
                               f"reliability before/after selection: {100 * before:.1f} -> {100 * after:.1f}"]
@@ -349,12 +352,12 @@ def _run_ablation(args: argparse.Namespace, arms: list[tuple[object, dict]], wri
         cells = [(tag, replace(config, **arm, seed=seed)) for tag, arm in arms]
         with _timed(timings, "stage2"):
             pool = _stage2_pool(data, params)
-            selected = {r_u: selected_set_from_dump(_stage2_dump(data, pool, r_u))
+            selected = {r_u: select(pool, r_u, len(pool), data.n_classes)
                         for r_u in dict.fromkeys(cell.r_u for _, cell in cells)}
         for tag, cell in cells:
             with _timed(timings, "stage3"):
                 accuracy[tag, seed] = _stage3(data, selected[cell.r_u], params, cell)[1].final_test_acc
-    with _renamed_onto(out) as work:
+    with _staged(out) as work:
         tables, lines = write_tables(work, accuracy)
         _write_manifest(args, work, config, tables, timings, per_cell, seeds=seeds)
     return lines

@@ -232,10 +232,8 @@ def _head(f: np.ndarray, params: NetworkParams) -> tuple[np.ndarray, np.ndarray,
 
 def forward(x: np.ndarray, params: NetworkParams) -> np.ndarray:
     """Full model p(x) = C(F(x)), extractor and head together per ``row_blocks`` block; an input of at most
-    ``ROW_BLOCK`` rows is one pass."""
+    ``ROW_BLOCK`` rows is one block."""
     x = _checked_input(x, params)
-    if len(x) <= ROW_BLOCK:
-        return _head(_forward_extractor(x, params)[-1], params)[3]
     p = np.empty((len(x), params.n_classes))
     for rows in row_blocks(len(x)):
         p[rows] = _head(_forward_extractor(x[rows], params)[-1], params)[3]

@@ -16,7 +16,7 @@ features are alive, and ``select`` ranks the whole pool by class and the
 ``distance`` column in one sort.
 Stage 2 holds the unlabeled pool once, at 8 * (K + 3) bytes a row.  Its
 one product is the selection dump, whose columns are arrays.  A selected
-set holds the kept rows, whether ``select`` made it or the dump rebuilt it.
+set holds the kept rows in index order, whichever function built it.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ def pseudo_rows(soft, hard, index=None, distance=None) -> np.recarray:
 class SelectedSet:
     """The trusted pseudo-labeled subset and the quota that produced it.
 
-    ``annotations`` holds the kept rows (``pseudo_rows`` records), in (class, distance) order
-    from ``select`` and in index order from ``selected_set_from_dump``; ``index_set`` holds their indices, ascending.
+    ``annotations`` holds the kept rows (``pseudo_rows`` records) in ascending index order, the order stage 3
+    trains in, whichever of ``select`` and ``selected_set_from_dump`` built it; ``index_set`` lists their indices.
     """
 
     annotations: np.recarray
@@ -123,9 +123,9 @@ def select(annotations: np.recarray, r_u: float, n_u: int, n_classes: int) -> Se
     Rows are ranked by the pool's ``distance`` column, so a pool whose
     distances were never given (NaN) is refused.  One stable sort ranks the
     whole pool on (class, distance, index), and each class keeps its first
-    ``quota`` rows, so the kept rows are in (class, distance) order and the
-    result is deterministic.  A class with no annotated members simply
-    contributes nothing.
+    ``quota`` rows, so the result is deterministic; the kept rows come back
+    in index order.  A class with no annotated members simply contributes
+    nothing.
     """
     if not 0.0 < r_u <= 1.0:
         raise ValueError(f"r_u must be in (0, 1], got {r_u}")
@@ -139,8 +139,9 @@ def select(annotations: np.recarray, r_u: float, n_u: int, n_classes: int) -> Se
     sorted_hard = hard[order]
     # a row's rank within its class: its place in the ranking less that of its class's first row
     order = order[np.arange(len(order)) - np.searchsorted(sorted_hard, sorted_hard) < quota]
+    order = order[np.argsort(annotations.index[order], kind="stable")]
     kept = pseudo_rows(annotations.soft_label[order], hard[order], annotations.index[order], distance[order])
-    return SelectedSet(annotations=kept, index_set=np.sort(kept.index).tolist(), r_u=r_u, per_class_quota=quota)
+    return SelectedSet(annotations=kept, index_set=kept.index.tolist(), r_u=r_u, per_class_quota=quota)
 
 
 def reliability(hard: np.ndarray, hidden_truth: np.ndarray) -> float:
@@ -172,13 +173,15 @@ def selection_dump(selected: SelectedSet, all_annotations: np.recarray) -> dict:
     ``hard_label`` (int64) and ``distance`` (float64) are the pool's columns
     over every unlabeled row (row i of ``all_annotations``, as
     ``infer_pseudo`` returns them, has index i); ``soft_label`` (float64)
-    holds the rows of the selected samples only, in ascending index order,
-    because self-training reads no other.  The dump holds no pool-sized
+    holds the selected rows only, in the set's index order, because
+    self-training reads no other; ``selected_by_class`` lists each class's
+    rows in (distance, index) order.  The dump holds no pool-sized
     prediction array, and no provenance: ``save_selection`` records that.
     """
     rows = selected.annotations
+    ranked = np.lexsort((rows.index, rows.distance, rows.hard_label))
     by_class: dict[str, list] = {}
-    for c, i in zip(rows.hard_label.tolist(), rows.index.tolist()):
+    for c, i in zip(rows.hard_label[ranked].tolist(), rows.index[ranked].tolist()):
         by_class.setdefault(str(c), []).append({"index": i})
     return {
         "r_u": selected.r_u,
@@ -187,7 +190,7 @@ def selection_dump(selected: SelectedSet, all_annotations: np.recarray) -> dict:
         "selected_by_class": by_class,
         "hard_label": all_annotations.hard_label.astype("<i8"),
         "distance": all_annotations.distance.astype("<f8"),
-        "soft_label": rows.soft_label[np.argsort(rows.index)],
+        "soft_label": rows.soft_label,
     }
 
 

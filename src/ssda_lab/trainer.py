@@ -249,7 +249,7 @@ def init_train_state(
     selected: SelectedSet | None = None,
     resume_params: NetworkParams | None = None,
 ) -> TrainState:
-    """Fresh loop state; stage "selftrain" resumes from given params with new velocities."""
+    """Fresh loop state; stage "selftrain" resumes from given params with new velocities, its rows in index order."""
     config.validate()
     if stage not in ("baseline", "selftrain"):
         raise ValueError(f"unknown stage: {stage!r}")
@@ -259,8 +259,7 @@ def init_train_state(
         if resume_params is None:
             raise ValueError("self-training resumes from a baseline checkpoint")
         params = resume_params.copy()
-        rows = selected.annotations[np.argsort(selected.annotations.index)]
-        selected_indices = rows.index.tolist()
+        rows, selected_indices = selected.annotations, selected.index_set
         if config.use_hard_labels:
             live = np.eye(split.n_classes)[rows.hard_label]
         else:

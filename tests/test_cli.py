@@ -1,8 +1,10 @@
 import hashlib
 import io
 import json
+import os
 import re
 import shutil
+import stat
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -17,7 +19,7 @@ from ssda_lab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME, main
 from ssda_lab.coremath import seeded_rng
 from ssda_lab.datasets import default_benchmark_spec, load_split, split_checksum
 from ssda_lab.network import forward_features, init_params, load_checkpoint, save_checkpoint
-from ssda_lab.pseudolabel import check_selection, infer_pseudo, load_selection, save_selection, select
+from ssda_lab.pseudolabel import check_selection, infer_pseudo, load_selection, save_selection, select, selection_dump
 from ssda_lab.trainer import TrainConfig, evaluate, progressive_self_train, train_baseline
 
 FAST = ["--t-max", "200"]
@@ -141,16 +143,16 @@ class TestRunPipeline:
                                              (["ablate-noise", "--seeds", "0,1"], 4)],
                              ids=["run_pipeline", "ablate_ru", "ablate_noise"])
     def test_stage3_rows_hold_only_the_kept_rows(self, tmp_path, monkeypatch, argv, cells):
-        """Every stage 3 runs on the dump's set, so no pool-sized feature or prediction array stays alive
-        through it."""
+        """Every stage 3 runs on the very set ``select`` returned, with no dump parsed back, and that set holds
+        only the kept rows, so no pool-sized feature or prediction array stays alive through it."""
         split = tmp_path / "split"
         assert main(["gen-data", "--out", str(split), "--n-target", "2600"]) == EXIT_OK
-        stage3, seen = cli._stage3, []
-        monkeypatch.setattr(cli, "_stage3", lambda data, selected, *rest: stage3(data, seen.append(selected) or
-                                                                                  selected, *rest))
+        kept, rebuilt = _results(monkeypatch, "select"), _results(monkeypatch, "selected_set_from_dump")
+        stage3 = _calls(monkeypatch, "_stage3")
         assert main([*argv, "--split", str(split), "--out", str(tmp_path / "run"), *FAST]) == EXIT_OK
-        assert len(seen) == cells
-        for selected in seen:
+        assert len(stage3) == cells and rebuilt == []
+        for selected in (args[1] for args in stage3):
+            assert any(selected is s for s in kept)
             assert len(load_split(split).unlabeled_target) > 2 * len(selected) > 0
             assert selected.annotations.base is None and selected.annotations.shape == (len(selected),)
             assert selected.annotations.soft_label.shape == (len(selected), 5)
@@ -578,6 +580,44 @@ class TestStagedCommands:
         assert [p.name for p in tmp_path.iterdir()] == (["o"] if existing else [])
         assert not existing or list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["gen-data", "train-baseline"])
+    def test_new_out_has_the_mode_mkdir_gives(self, split_dir, tmp_path, command):
+        out = tmp_path / "new" / "o"
+        argv = gen_args(out) if command == "gen-data" else [command, "--split", str(split_dir), "--out", str(out),
+                                                             *FAST]
+        umask = os.umask(0o022)
+        try:
+            assert main(argv) == EXIT_OK
+        finally:
+            os.umask(umask)
+        assert [stat.S_IMODE(path.stat().st_mode) for path in (out.parent, out)] == [0o755, 0o755]
+
+    def test_existing_empty_out_keeps_its_inode_and_mode(self, split_dir, tmp_path, capsys, monkeypatch):
+        """A run fills an empty ``--out`` in place, so a directory the user made, or a working directory, stays
+        the one they hold; a failed run leaves it empty."""
+        out = tmp_path / "o"
+        out.mkdir()
+        out.chmod(0o751)
+        before = (out.stat().st_ino, stat.S_IMODE(out.stat().st_mode))
+        argv = ["run-pipeline", "--split", str(split_dir), "--out", str(out), *FAST]
+        stage3 = cli._stage3
+        monkeypatch.setattr(cli, "_stage3", lambda *args: 1 / 0)
+        assert main(argv) == EXIT_RUNTIME
+        assert list(out.iterdir()) == [] and (out.stat().st_ino, stat.S_IMODE(out.stat().st_mode)) == before
+        monkeypatch.setattr(cli, "_stage3", stage3)
+        assert main(argv) == EXIT_OK
+        assert (out / "manifest.json").exists() and not any(p.name.startswith(".") for p in out.iterdir())
+        assert (out.stat().st_ino, stat.S_IMODE(out.stat().st_mode)) == before
+        assert [p.name for p in tmp_path.iterdir()] == ["o"]
+
+    def test_gen_data_into_the_empty_working_directory(self, tmp_path, capsys, monkeypatch):
+        work = tmp_path / "here"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main(gen_args(".")) == EXIT_OK
+        assert f"checksum {split_checksum(work)[:12]})" in capsys.readouterr().out
+        assert load_split(".").n_classes == 3 and Path.cwd() == work
+
     @pytest.mark.parametrize("argv, artifacts", [
         (["train-baseline"], {"baseline_checkpoint"}),
         (["pseudo-label", "--checkpoint", "{checkpoint}"], {"selection"}),
@@ -652,6 +692,12 @@ class TestStagedCommands:
                             "--r-u 0.5")
         assert not (tmp_path / "o").exists()
 
+    def test_self_train_rebuilds_its_set_once(self, split_dir, stage2, tmp_path, monkeypatch):
+        """Only ``self-train``, which reads its dump from disk, rebuilds a set; stage 3 trains on that one."""
+        rebuilt, stage3 = _results(monkeypatch, "selected_set_from_dump"), _calls(monkeypatch, "_stage3")
+        assert main(_self_train_argv(split_dir, *stage2, tmp_path / "st")) == EXIT_OK
+        assert len(rebuilt) == len(stage3) == 1 and stage3[0][1] is rebuilt[0]
+
     def test_self_train_records_the_r_u_of_its_dump(self, split_dir, stage2, tmp_path, capsys):
         """Printed, in the run manifest and in the final checkpoint: the r_u its trusted set was selected with."""
         sel, st = tmp_path / "sel", tmp_path / "st"
@@ -684,6 +730,14 @@ def _calls(monkeypatch, name: str) -> list:
 
     monkeypatch.setattr(cli, name, counting)
     return calls
+
+
+def _results(monkeypatch, name: str) -> list:
+    """Record what every call the CLI makes to its ``name`` returns."""
+    results: list = []
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *args, **kwargs: results.append(real(*args, **kwargs)) or results[-1])
+    return results
 
 
 def _explicit_cell(split_dir: Path, config: TrainConfig) -> float:
@@ -1280,7 +1334,8 @@ def stage3(split_dir, stage2, tmp_path_factory):
     assert main(_self_train_argv(split_dir, *stage2, root / "st")) == EXIT_OK
     final = root / "st" / "final_checkpoint.json"
     split = load_split(split_dir)
-    dump = cli._stage2_dump(split, cli._stage2_pool(split, load_checkpoint(final)["params"]), 0.2)
+    pool = cli._stage2_pool(split, load_checkpoint(final)["params"])
+    dump = selection_dump(select(pool, 0.2, len(pool), split.n_classes), pool)
     save_selection(root / "selection.json", dump, split_checksum=split_checksum(split_dir),
                    checkpoint_sha256=sha256(final))
     return final, root / "selection.json"

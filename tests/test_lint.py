@@ -1,11 +1,10 @@
 """A lint guard with no dependency beyond ``ast``: no unused import, no unreferenced module-level private name,
 no line over ``MAX_COLUMNS``.
 
-Each module of ``src/ssda_lab`` is parsed. An import binds a name that the module must read somewhere
-(``from __future__`` imports bind none). A module-level function, class or assignment whose name starts with
-one underscore (dunders aside) must be read by name or as an attribute somewhere in the package, since nothing
-outside it is meant to. Every line of every ``.py`` file under ``src/``, ``scripts/`` and ``tests/`` fits in
-``MAX_COLUMNS`` columns.
+Every ``.py`` file under ``src/``, ``scripts/`` and ``tests/`` is parsed. An import binds a name that the file
+must read somewhere (``from __future__`` imports bind none), and every line fits in ``MAX_COLUMNS`` columns.
+A module-level function, class or assignment of ``src/ssda_lab`` whose name starts with one underscore (dunders
+aside) must be read by name or as an attribute somewhere in the package, since nothing outside it is meant to.
 """
 
 import ast
@@ -16,6 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "ssda_lab"
 MODULES = sorted(SRC.glob("*.py"))
+PY_FILES = sorted(p for d in ("src", "scripts", "tests") for p in (ROOT / d).rglob("*.py"))
 MAX_COLUMNS = 120
 
 
@@ -57,7 +57,7 @@ def _module_privates(tree: ast.Module) -> list:
     return [(line, name) for line, name in names if name.startswith("_") and not name.startswith("__")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", PY_FILES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     tree = _tree(path)
     read = _read_names(tree)
@@ -74,8 +74,7 @@ def test_every_module_private_name_is_referenced():
 
 
 def test_no_line_is_over_max_columns():
-    files = sorted(p for d in ("src", "scripts", "tests") for p in (ROOT / d).rglob("*.py"))
-    assert files
-    long = [f"{path.relative_to(ROOT)}:{i} ({len(line)})" for path in files
+    assert PY_FILES
+    long = [f"{path.relative_to(ROOT)}:{i} ({len(line)})" for path in PY_FILES
             for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1) if len(line) > MAX_COLUMNS]
     assert not long, f"lines over {MAX_COLUMNS} columns: {long}"

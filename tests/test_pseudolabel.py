@@ -1,5 +1,7 @@
 import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,7 +213,8 @@ def _reference_selection(features, hard, anchors, quota, k):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=0, max_value=10**9), st.floats(min_value=0.01, max_value=1.0), st.booleans())
 def test_select_matches_per_row_reference(seed, r_u, duplicate):
-    """Distances equal the per-row mean L1 bit for bit, and the chosen order is (class, distance, index)."""
+    """Distances equal the per-row mean L1 bit for bit; the kept rows are in index order, and the dump lists them
+    in (class, distance, index) order."""
     soft, features, anchors = random_draw(seed)
     (n, k), hard = soft.shape, soft.argmax(axis=1)
     if duplicate:  # copies of a few features, so equal distances must tie-break by index
@@ -220,7 +223,15 @@ def test_select_matches_per_row_reference(seed, r_u, duplicate):
     selected = select(annotations, r_u=r_u, n_u=n, n_classes=k)
     distance, chosen = _reference_selection(features, hard, anchors, selected.per_class_quota, k)
     assert [a.distance for a in annotations] == distance
-    assert selected.annotations.index.tolist() == chosen
+    assert selected.annotations.index.tolist() == sorted(chosen)
+    assert _dump_order(selected, annotations) == chosen
+
+
+def _dump_order(selected, pool) -> list:
+    """The indices ``selection_dump`` lists under ``selected_by_class``, in its order."""
+    by_class = selection_dump(selected, pool)["selected_by_class"]
+    assert list(by_class) == sorted(by_class, key=int)
+    return [e["index"] for entries in by_class.values() for e in entries]
 
 
 def _per_class_lexsort(pool, quota, k):
@@ -233,23 +244,50 @@ def _per_class_lexsort(pool, quota, k):
     return np.concatenate(chosen)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(min_value=0, max_value=10**9), st.floats(min_value=0.01, max_value=1.0))
-def test_select_matches_a_per_class_lexsort(seed, r_u):
-    """On pools with tied distances, classes without rows and quotas above a class's size, ``select`` keeps the
-    rows the oracle keeps, in its order, with every field's bits."""
+def _tied_pool(seed):
+    """A pool with tied distances, classes without rows and unique indices in no order, its class count, and an
+    ``n_u`` that makes quotas from 1 to above any class's size."""
     rng = seeded_rng(seed, "lexsort pool")
     n, k = int(rng.integers(0, 80)), int(rng.integers(1, 8))
     hard = rng.choice(rng.permutation(k)[:rng.integers(1, k + 1)], size=n)  # some classes may get no rows
     distance = rng.integers(0, 4, size=n) / 4  # four values, so most rows tie with others
     index = rng.permutation(3 * n)[:n]  # unique, in no order
     pool = pseudo_rows(rng.dirichlet(np.ones(k), n), hard, index, distance)
-    n_u = int(rng.integers(1, 4 * n + 2))  # quotas from 1 to above any class's size
+    return pool, k, int(rng.integers(1, 4 * n + 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.floats(min_value=0.01, max_value=1.0))
+def test_select_matches_a_per_class_lexsort(seed, r_u):
+    """On pools with tied distances, classes without rows and quotas above a class's size, ``select`` keeps the
+    rows the oracle keeps, with every field's bits, in index order; the dump lists them in the oracle's order."""
+    pool, k, n_u = _tied_pool(seed)
     selected = select(pool, r_u=r_u, n_u=n_u, n_classes=k)
     expected = pool[_per_class_lexsort(pool, selected.per_class_quota, k)]
     assert selected.annotations.dtype == expected.dtype
-    assert selected.annotations.tobytes() == expected.tobytes()
+    assert selected.annotations.tobytes() == expected[np.argsort(expected.index)].tobytes()
     assert selected.index_set == sorted(expected.index.tolist())
+    assert _dump_order(selected, pool) == expected.index.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.floats(min_value=0.01, max_value=1.0))
+def test_set_rebuilt_from_its_dump_is_the_selected_set(seed, r_u):
+    """``selected_set_from_dump`` gives back ``select``'s set, every row's bits in the same order, from the dump
+    in memory and through its files."""
+    pool, k, n_u = _tied_pool(seed)
+    pool.index = np.argsort(np.argsort(pool.index))  # 0..n-1, still in no order
+    selected = select(pool, r_u=r_u, n_u=n_u, n_classes=k)
+    dump = selection_dump(selected, pool[np.argsort(pool.index)])  # row i has index i, as infer_pseudo gives it
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "selection.json"
+        save_selection(path, dump, split_checksum="split", checkpoint_sha256="checkpoint")
+        rebuilt = [selected_set_from_dump(dump), selected_set_from_dump(load_selection(path))]
+    for other in rebuilt:
+        assert other.annotations.dtype == selected.annotations.dtype
+        assert other.annotations.tobytes() == selected.annotations.tobytes()
+        assert other.index_set == selected.index_set
+        assert (other.r_u, other.per_class_quota) == (selected.r_u, selected.per_class_quota)
 
 
 def test_hard_label_outside_classes_rejected():
@@ -337,9 +375,8 @@ class TestPoolRows:
     def test_selected_and_rebuilt_sets_have_one_row_shape(self):
         annotations, n, k = random_pool(seed=23, n=60, k=4)
         selected = select(annotations, r_u=0.5, n_u=n, n_classes=k)
-        sets = [selected.annotations, selected_set_from_dump(selection_dump(selected, annotations)).annotations]
-        assert sets[0].dtype == sets[1].dtype
-        kept, rebuilt = (rows[np.argsort(rows.index)] for rows in sets)
+        kept, rebuilt = selected.annotations, selected_set_from_dump(selection_dump(selected, annotations)).annotations
+        assert kept.dtype == rebuilt.dtype
         assert len(kept) == len(rebuilt) == len(selected)
         for column in ("index", "hard_label", "soft_label", "distance"):
             assert kept[column].tobytes() == rebuilt[column].tobytes(), column
@@ -366,8 +403,7 @@ class TestSelectionDump:
         assert rebuilt.index_set == selected.index_set
         assert rebuilt.r_u == selected.r_u
         assert rebuilt.per_class_quota == selected.per_class_quota
-        order = np.argsort(selected.annotations.index)
-        assert rebuilt.annotations.soft_label.tobytes() == selected.annotations.soft_label[order].tobytes()
+        assert rebuilt.annotations.soft_label.tobytes() == selected.annotations.soft_label.tobytes()
         assert dump["hard_label"].tobytes() == annotations.hard_label.astype("<i8").tobytes()
         assert dump["distance"].tobytes() == annotations.distance.astype("<f8").tobytes()
         assert dump["n_selected"] == len(selected) == len(dump["soft_label"])

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import small_net
-from ssda_lab.coremath import cross_entropy, entropy, seeded_rng, softmax
+from ssda_lab.coremath import cross_entropy, entropy, seeded_rng
 from ssda_lab.datasets import DomainPairSpec, ShiftSpec, gen_split
 from ssda_lab.network import NetworkParams, anneal_lr, backward, forward, forward_features, zero_grads
 from ssda_lab.pseudolabel import SelectedSet, infer_pseudo, pseudo_rows, reliability, select
