@@ -76,9 +76,9 @@ def decoded_digest(path: Path) -> str:
     from ssda_lab.pseudolabel import load_selection, selected_set_from_dump
 
     dump = load_selection(path)
-    rows = sorted(selected_set_from_dump(dump).annotations, key=lambda a: a.index)
-    digest = hashlib.sha256(np.array([a.index for a in rows], dtype=np.int64).tobytes())
-    digest.update(np.stack([a.soft_label for a in rows]).astype(np.float64).tobytes())
+    rows = selected_set_from_dump(dump).annotations  # in index order
+    digest = hashlib.sha256(np.asarray(rows.index, dtype=np.int64).tobytes())
+    digest.update(np.asarray(rows.soft_label, dtype=np.float64).tobytes())
     digest.update(np.asarray(dump["hard_label"], dtype=np.int64).tobytes())
     digest.update(np.asarray(dump["distance"], dtype=np.float64).tobytes())
     return digest.hexdigest()

@@ -75,7 +75,10 @@ def _output_path(raw: str) -> Path:
     if not existing.is_dir():
         raise ConfigError(f"cannot write {path}: {existing} is not a directory")
     if existing == path and any(path.iterdir()):
-        raise ConfigError(f"--out {path} is not empty: each run writes into a new or empty directory")
+        left = ", ".join(sorted(p.name for p in path.glob(".staging.*")))  # _staged's, which only a killed run leaves
+        why = (f"a killed run left {left} in it; remove it, or pick another --out" if left
+               else "each run writes into a new or empty directory")
+        raise ConfigError(f"--out {path} is not empty: {why}")
     return path
 
 
@@ -219,12 +222,12 @@ def _stage_inputs(args: argparse.Namespace, per_cell: frozenset = frozenset()):
     return config, split, params, selected, out
 
 
-def _write_trained(work: Path, prefix: str, stage: str, params: NetworkParams, report, config: TrainConfig,
+def _write_trained(work: Path, prefix: str, params: NetworkParams, report, config: TrainConfig,
                    artifacts: dict) -> str:
     """Write ``{prefix}_checkpoint.json`` and ``{prefix}_report.{json,csv}``, record them, return the stage line."""
     ckpt = artifacts[f"{prefix}_checkpoint"] = f"{prefix}_checkpoint.json"
     csv = artifacts[f"{prefix}_report_csv"] = f"{prefix}_report.csv"
-    save_checkpoint(work / ckpt, params, extra={"stage": stage, "config": asdict(config)})
+    save_checkpoint(work / ckpt, params, extra={"stage": report.stage, "config": asdict(config)})
     save_report(report, work / f"{prefix}_report.json", work / csv)
     return (f"{prefix} accuracy: {report.final_test_acc:.4f} "
             f"(stop={report.stop_reason}, best_val={report.best_val_acc:.4f})")
@@ -278,7 +281,7 @@ def cmd_stages(args) -> list[str]:
             with _timed(timings, f"stage{n}"):
                 if n == 1:
                     params, report = _stage1(split, config)
-                    lines.append(_write_trained(work, "baseline", "baseline", params, report, config, artifacts))
+                    lines.append(_write_trained(work, "baseline", params, report, config, artifacts))
                     checkpoint = work / artifacts["baseline_checkpoint"]
                 elif n == 2:
                     pool = _stage2_pool(split, params)
@@ -296,7 +299,7 @@ def cmd_stages(args) -> list[str]:
                               f"reliability before/after selection: {100 * before:.1f} -> {100 * after:.1f}"]
                 else:
                     final, report = _stage3(split, selected, params, config)
-                    lines.append(_write_trained(work, "final", "selftrain", final, report, config, artifacts))
+                    lines.append(_write_trained(work, "final", final, report, config, artifacts))
         _write_manifest(args, work, config, artifacts, timings, **extra)
     return lines
 

@@ -17,15 +17,15 @@ gradient ``dlogits``; ``trainer.entropy_loss`` reads its value too) and
 normalisation and the extractor, linearly: stacked batches' ``dlogits`` give
 the sum of their gradients, up to rounding, in one pass.
 
-Inference over more than ``ROW_BLOCK`` rows (a whole unlabeled pool, a
-test set) runs in the blocks ``row_blocks`` bounds, so the pool's hidden
-activations are never held at once; every row gets the bits a one-shot
-pass gives it.  ``forward`` stacks each block's predictions,
-``infer_pseudo`` keeps each block's predictions and anchor distances but
-not its features, and ``evaluate`` keeps only each block's argmax, so
-neither of the last two holds a pool-sized feature or prediction matrix.
-Training batches, validation sets and the few labeled target anchors that
-``forward_features`` takes are smaller than one block and never split.
+Inference has one pass, ``predict_blocks``: it runs the extractor and the
+head over near-equal blocks of at most ``ROW_BLOCK`` rows and hands each
+block's features and predictions to its caller, so a whole unlabeled pool's
+hidden activations are never held at once, and every row gets the bits a
+one-shot pass gives it.  ``forward`` stacks the predictions,
+``pseudolabel.infer_pseudo`` keeps them with each block's anchor distances,
+and ``trainer.evaluate`` keeps only their argmax; no block's features
+outlive it.  Training batches, validation sets and the few labeled target
+anchors that ``forward_features`` takes are smaller than one block.
 
 The step's reductions call the ufuncs themselves (``np.add.reduce``,
 ``np.maximum.reduce``, and ``np.add.reduce(v) / n`` for a mean): these are
@@ -189,22 +189,19 @@ def _forward_extractor(x: np.ndarray, params: NetworkParams) -> list[np.ndarray]
     return h
 
 
-def row_blocks(n: int) -> list[slice]:
-    """Near-equal slices of at most ``ROW_BLOCK`` rows that cover ``range(n)``; at most ``ROW_BLOCK`` rows is one."""
-    blocks = max(1, -(-n // ROW_BLOCK))
-    return [slice(i * n // blocks, (i + 1) * n // blocks) for i in range(blocks)]
-
-
 def _checked_input(x: np.ndarray, params: NetworkParams) -> np.ndarray:
+    """``x`` as float64, a ``ValueError`` unless it is an (n, input_dim) batch of at least one row."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise ValueError(f"dimension mismatch: input has shape {x.shape}, network expects (n, {params.input_dim})")
+    if not len(x):
+        raise ValueError("empty batch")
     return x
 
 
 def forward_features(x: np.ndarray, params: NetworkParams) -> np.ndarray:
     """Features F(x) of an (n, input_dim) batch, in one pass: its callers pass a class's few labeled target
-    anchors, and ``infer_pseudo`` works out the pool's features block by block itself."""
+    anchors, and ``infer_pseudo`` takes the pool's features from ``predict_blocks``."""
     return _forward_extractor(_checked_input(x, params), params)[-1]
 
 
@@ -230,13 +227,24 @@ def _head(f: np.ndarray, params: NetworkParams) -> tuple[np.ndarray, np.ndarray,
     return g, norms, degenerate, softmax(logits)
 
 
-def forward(x: np.ndarray, params: NetworkParams) -> np.ndarray:
-    """Full model p(x) = C(F(x)), extractor and head together per ``row_blocks`` block; an input of at most
-    ``ROW_BLOCK`` rows is one block."""
+def predict_blocks(x: np.ndarray, params: NetworkParams, take) -> None:
+    """The inference pass over an (n, input_dim) batch: ``take(rows, features, predictions)`` for each near-equal
+    block of at most ``ROW_BLOCK`` rows, in order, ``rows`` being the block's slice.  A block's arrays are dropped
+    before the next block runs, unless ``take`` stores them."""
     x = _checked_input(x, params)
+    n = len(x)
+    blocks = -(-n // ROW_BLOCK)
+    for i in range(blocks):
+        rows = slice(i * n // blocks, (i + 1) * n // blocks)
+        f = _forward_extractor(x[rows], params)[-1]
+        take(rows, f, _head(f, params)[3])
+        del f
+
+
+def forward(x: np.ndarray, params: NetworkParams) -> np.ndarray:
+    """Full model p(x) = C(F(x)): ``predict_blocks``' predictions, stacked."""
     p = np.empty((len(x), params.n_classes))
-    for rows in row_blocks(len(x)):
-        p[rows] = _head(_forward_extractor(x[rows], params)[-1], params)[3]
+    predict_blocks(x, params, lambda rows, features, predictions: np.copyto(p[rows], predictions))
     return p
 
 
@@ -321,10 +329,7 @@ def backward(
     An empty batch, an unknown kind or soft targets of the wrong shape raise
     ``ValueError`` before ``out`` is written.
     """
-    x = _checked_input(x, params)
-    if x.shape[0] == 0:
-        raise ValueError("empty batch")
-    h = _forward_extractor(x, params)
+    h = _forward_extractor(_checked_input(x, params), params)
     g, norms, degenerate, p = _head(h[-1], params)
     loss, dlogits = _loss_terms(p, kind, targets)
     return loss, _backprop(h, g, norms, degenerate, dlogits, params, zero_grads(params) if out is None else out)

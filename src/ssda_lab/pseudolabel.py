@@ -10,10 +10,10 @@ on the decimal r_u (``per_class_quota``).
 A pool of samples is one record array of ``pseudo_rows``' layout: row i
 holds sample ``index``, its ``soft_label`` and ``hard_label`` and its
 anchor ``distance``.  Features are needed for that one distance only, so
-no record holds them: ``infer_pseudo`` fills the pool block by block and
-works out each block's distances (``anchor_distances``) while its
-features are alive, and ``select`` ranks the whole pool by class and the
-``distance`` column in one sort.
+no record holds them: ``infer_pseudo`` fills the pool from each block of
+``network.predict_blocks``, the one inference pass, with the distances
+(``anchor_distances``) of its features, and ``select`` ranks the whole
+pool by class and the ``distance`` column in one sort.
 Stage 2 holds the unlabeled pool once, at 8 * (K + 3) bytes a row.  Its
 one product is the selection dump, whose columns are arrays.  A selected
 set holds the kept rows in index order, whichever function built it.
@@ -31,7 +31,7 @@ import numpy as np
 
 from .artifacts import DataError, read_record, read_table, table_path, write_table
 from .coremath import l1_distance
-from .network import NetworkParams, _checked_input, _forward_extractor, _head, row_blocks
+from .network import NetworkParams, predict_blocks
 
 
 def _row_dtype(soft_shape: tuple) -> np.dtype:
@@ -93,21 +93,18 @@ def anchor_distances(features: np.ndarray, hard: np.ndarray,
 
 def infer_pseudo(params: NetworkParams, unlabeled_x: np.ndarray,
                  anchor_features_by_class: dict[int, np.ndarray]) -> np.recarray:
-    """Forward-pass the unlabeled pool: row i is sample i, its hard label the argmax (ties to the lowest class)
-    and its distance the ``anchor_distances`` of its features.
+    """The unlabeled pool as one record array, filled from each ``predict_blocks`` block, whose features it keeps
+    none of: row i is sample i, its hard label the argmax (ties to the lowest class) and its distance the
+    ``anchor_distances`` of its features."""
+    pool = np.recarray(len(unlabeled_x), dtype=_row_dtype((params.n_classes,)))
+    pool.index = np.arange(len(pool))
 
-    One pass over ``row_blocks`` writes each block's predictions and distances straight into the one record
-    array, with the bits and the degenerate-feature count of a one-shot pass; no block's features outlive it."""
-    x = _checked_input(unlabeled_x, params)
-    if not len(x):
-        raise ValueError("empty unlabeled set")
-    pool = np.recarray(len(x), dtype=_row_dtype((params.n_classes,)))
-    pool.index = np.arange(len(x))
-    for rows in row_blocks(len(x)):
-        f = _forward_extractor(x[rows], params)[-1]
-        p = _head(f, params)[3]
-        hard = pool.hard_label[rows] = p.argmax(axis=1)
-        pool.soft_label[rows], pool.distance[rows] = p, anchor_distances(f, hard, anchor_features_by_class)
+    def take(rows, features, predictions):
+        hard = pool.hard_label[rows] = predictions.argmax(axis=1)
+        pool.soft_label[rows] = predictions
+        pool.distance[rows] = anchor_distances(features, hard, anchor_features_by_class)
+
+    predict_blocks(unlabeled_x, params, take)
     return pool
 
 

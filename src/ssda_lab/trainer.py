@@ -19,7 +19,8 @@ a stage's report.  The unlabeled target's hidden truth never enters this
 module: scoring those labels against it is the caller's job.  Training
 stops at the iteration cap or after ``PATIENCE`` validations without a
 validation-accuracy improvement, and the best-validation snapshot is the
-result of a stage.
+result of a stage.  ``evaluate`` scores from each ``network.predict_blocks``
+block's argmax: the one inference pass, which ``forward`` also runs.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ import numpy as np
 
 from .coremath import SEED_LIMIT, is_finite_number, is_int, seeded_rng
 from .datasets import SSDASplit
-from .network import (NetworkParams, _checked_input, _forward_extractor, _head, _loss_terms, anneal_lr, backward,
-                      forward, init_params, row_blocks, sgd_step, zero_grads)
+from .network import (NetworkParams, _loss_terms, anneal_lr, backward, forward, init_params, predict_blocks, sgd_step,
+                      zero_grads)
 from .pseudolabel import SelectedSet, reliability
 
 
@@ -116,22 +117,15 @@ def entropy_loss(params: NetworkParams, x: np.ndarray) -> float:
     The value is ``_loss_terms``' entropy term on ``forward``'s predictions, so it has the bits of
     ``backward(x, params, "entropy")[0]``; the logit gradient that comes with it is dropped.
     """
-    if len(x) == 0:
-        raise ValueError("empty batch")
     return _loss_terms(forward(x, params), "entropy", None)[0]
 
 
 def evaluate(params: NetworkParams, x: np.ndarray, truth: np.ndarray) -> float:
     """Fraction of argmax predictions matching the truth, row for row, by ``reliability`` (evaluation context).
 
-    The argmax is taken per ``row_blocks`` block, so no ``(n, K)`` prediction matrix is held, and no block
-    outlives its argmax; each row's prediction has the bits ``forward`` gives it."""
-    if len(x) == 0:
-        raise ValueError("empty evaluation set")
-    x = _checked_input(x, params)
+    Only the argmax of each ``predict_blocks`` block is kept, so no ``(n, K)`` prediction matrix is held."""
     hard = np.empty(len(x), dtype=np.intp)
-    for rows in row_blocks(len(x)):
-        hard[rows] = _head(_forward_extractor(x[rows], params)[-1], params)[3].argmax(axis=1)
+    predict_blocks(x, params, lambda rows, features, predictions: np.argmax(predictions, axis=1, out=hard[rows]))
     return reliability(hard, truth)
 
 

@@ -444,6 +444,18 @@ class TestUnusableOutput:
         assert stdout == "" and f"config error: --out {out} is not empty" in err
         assert _tree_digest(out) == before
 
+    def test_killed_runs_staging_directory_is_named(self, split_dir, tmp_path, capsys):
+        """A run killed with SIGKILL leaves its ``.staging.*`` directory in ``--out``: a retry names it and exits 2
+        before any work.  The leftover is made by hand, so no process has to be killed."""
+        out = tmp_path / "o"
+        (out / ".staging.x").mkdir(parents=True)
+        (out / ".staging.x" / "baseline_checkpoint.json").write_text("{}")
+        before = _tree_digest(out)
+        assert main(["run-pipeline", "--split", str(split_dir), "--out", str(out), *FAST]) == EXIT_CONFIG
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and f"config error: --out {out} is not empty: a killed run left .staging.x in it" in err
+        assert _tree_digest(out) == before and [p.name for p in out.iterdir()] == [".staging.x"]
+
     def test_second_run_into_a_run_directory_exits_2(self, split_dir, tmp_path, capsys):
         """A second run into one ``--out`` would leave seed 0's final checkpoint and selection beside seed 5's
         baseline, and gen-data would replace the run's manifest with a split's."""

@@ -1,10 +1,11 @@
 """A lint guard with no dependency beyond ``ast``: no unused import, no unreferenced module-level private name,
-no line over ``MAX_COLUMNS``.
+no private name imported from another module of the package, no line over ``MAX_COLUMNS``.
 
 Every ``.py`` file under ``src/``, ``scripts/`` and ``tests/`` is parsed. An import binds a name that the file
 must read somewhere (``from __future__`` imports bind none), and every line fits in ``MAX_COLUMNS`` columns.
 A module-level function, class or assignment of ``src/ssda_lab`` whose name starts with one underscore (dunders
-aside) must be read by name or as an attribute somewhere in the package, since nothing outside it is meant to.
+aside) must be read by name or as an attribute somewhere in the package, since nothing outside it is meant to,
+and no module of the package imports another one's such name, but for those ``PRIVATE_IMPORTS`` lists.
 """
 
 import ast
@@ -17,6 +18,10 @@ SRC = ROOT / "src" / "ssda_lab"
 MODULES = sorted(SRC.glob("*.py"))
 PY_FILES = sorted(p for d in ("src", "scripts", "tests") for p in (ROOT / d).rglob("*.py"))
 MAX_COLUMNS = 120
+
+# (importing module, imported module, name): the private names one module of the package may import from another;
+# trainer.entropy_loss reads the entropy value of network's loss head
+PRIVATE_IMPORTS = {("trainer", "network", "_loss_terms")}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -71,6 +76,15 @@ def test_every_module_private_name_is_referenced():
     unreferenced = [f"{path.name}:{line} {name}" for path, tree in trees.items()
                     for line, name in _module_privates(tree) if name not in read]
     assert not unreferenced, f"module-level private names nothing in the package references: {unreferenced}"
+
+
+def test_no_module_imports_another_modules_private_name():
+    imported = {(path.stem, (node.module or "").removeprefix("ssda_lab."), a.name) for path in MODULES
+                for node in ast.walk(_tree(path))
+                if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("ssda_lab"))
+                for a in node.names if a.name.startswith("_") and not a.name.startswith("__")}
+    crossing = sorted(imported - PRIVATE_IMPORTS)
+    assert not crossing, f"private names imported from another module: {crossing}"
 
 
 def test_no_line_is_over_max_columns():

@@ -37,7 +37,7 @@ from ssda_lab.network import (
     forward_features,
     init_params,
     load_checkpoint,
-    row_blocks,
+    predict_blocks,
     save_checkpoint,
     sgd_step,
     zero_grads,
@@ -57,9 +57,19 @@ def _targets_for(kind, rng, n, k):
     return None
 
 
-# every function that takes a raw (n, input_dim) batch, called with its batch and the network
-BATCH_TAKERS = {"forward_features": forward_features, "forward": forward,
-                "backward": lambda x, params: backward(x, params, "entropy")}
+# every public function that takes a raw (n, input_dim) batch, called with its batch and the network; the bare
+# "backward" is its entropy kind
+BATCH_TAKERS = {
+    "forward_features": forward_features,
+    "forward": forward,
+    "backward": lambda x, params: backward(x, params, "entropy"),
+    "backward-hard": lambda x, params: backward(x, params, "hard", np.zeros(len(x), dtype=int)),
+    "backward-soft": lambda x, params: backward(x, params, "soft",
+                                                np.full((len(x), params.n_classes), 1 / params.n_classes)),
+    "evaluate": lambda x, params: evaluate(params, x, np.zeros(len(x), dtype=int)),
+    "infer_pseudo": lambda x, params: infer_pseudo(params, x, {}),
+    "entropy_loss": lambda x, params: entropy_loss(params, x),
+}
 
 
 class TestForwardFeatures:
@@ -84,6 +94,12 @@ class TestForwardFeatures:
         params = small_net()
         with pytest.raises(ValueError, match="dimension mismatch"):
             fn(np.zeros(params.input_dim), params)
+
+    @pytest.mark.parametrize("fn", BATCH_TAKERS.values(), ids=BATCH_TAKERS.keys())
+    def test_empty_batch_rejected(self, fn):
+        params = small_net()
+        with pytest.raises(ValueError, match="empty batch"):
+            fn(np.zeros((0, params.input_dim)), params)
 
     def test_batch_matches_per_sample(self, rng):
         params = small_net()
@@ -204,7 +220,9 @@ class TestRowBlocks:
         for c in set(hard.tolist()):
             distance[hard == c] = l1_distance(features[hard == c][:, None, :], anchors[c]).mean(axis=1)
         # some class has no rows in some block, so that block makes no l1_distance call for it
-        assert any(np.bincount(hard[rows], minlength=n_classes).min() == 0 for rows in row_blocks(n))
+        blocks = []
+        predict_blocks(x, params, lambda rows, block_features, block_probs: blocks.append(rows))
+        assert any(np.bincount(hard[rows], minlength=n_classes).min() == 0 for rows in blocks)
         pool = lambda: infer_pseudo(params, x, anchors)  # noqa: E731
         checks = [("forward_features", lambda: forward_features(x, params), features),
                   ("forward", lambda: forward(x, params), probs),
@@ -292,11 +310,6 @@ class TestBackward:
         loss2, g2 = backward(np.vstack([x, x]), params, "hard", np.concatenate([labels, labels]))
         assert loss1 == pytest.approx(loss2, abs=1e-12)
         np.testing.assert_allclose(g1.flat, g2.flat, atol=1e-12)
-
-    def test_empty_batch_rejected(self):
-        params = small_net()
-        with pytest.raises(ValueError, match="empty batch"):
-            backward(np.zeros((0, params.input_dim)), params, "entropy")
 
     def test_entropy_target_moves_both_groups(self):
         params = small_net(seed=11)

@@ -92,10 +92,6 @@ class TestInferPseudo:
         with pytest.raises(ValueError, match="has annotated samples but no anchors"):
             infer_pseudo(params, x, anchors)
 
-    def test_empty_pool_rejected(self):
-        with pytest.raises(ValueError, match="empty unlabeled set"):
-            infer_pseudo(small_net(), np.zeros((0, 4)), {})
-
     def test_one_dimensional_pool_is_a_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             infer_pseudo(small_net(), np.zeros(4), {})

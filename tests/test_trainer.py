@@ -140,16 +140,6 @@ class TestLossValues:
         np.testing.assert_array_equal(g1.flat, g2.flat)
         np.testing.assert_array_equal(soft, raw / raw.sum(axis=1, keepdims=True))
 
-    def test_empty_batches_rejected(self):
-        params = small_net()
-        empty = np.zeros((0, params.input_dim))
-        with pytest.raises(ValueError):
-            backward(empty, params, "hard", np.zeros(0, dtype=int))
-        with pytest.raises(ValueError):
-            backward(empty, params, "soft", np.zeros((0, params.n_classes)))
-        with pytest.raises(ValueError):
-            entropy_loss(params, empty)
-
 
 class TestMinimaxStep:
     def _batches(self, params, seed=0):
@@ -370,10 +360,6 @@ class TestEvaluate:
             if int(np.argmax(forward(x[i : i + 1], params)[0])) == split.unlabeled_truth[i]
         )
         assert evaluate(params, x, split.unlabeled_truth) == pytest.approx(hits / len(x), abs=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            evaluate(small_net(), np.zeros((0, 4)), np.zeros(0))
 
     def test_one_label_does_not_broadcast_over_the_rows(self):
         with pytest.raises(ValueError, match="do not align"):
